@@ -54,10 +54,7 @@ from .experiments import (
     run_validation_study,
 )
 from .geometry import (
-    Cluster,
-    Position3,
     Topology,
-    Vec2,
     build_topology,
     sample_cluster_members,
     sample_parent_centers,
@@ -70,7 +67,6 @@ from .protocol import (
     MediumState,
     SchemeOutcome,
     SimParams,
-    UavState,
     run_ack_benchmark,
     run_clustering_scheme,
     run_rnc_scheme,

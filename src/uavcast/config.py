@@ -63,6 +63,12 @@ class ScenarioConfig:
     radio: RadioParams = field(default_factory=RadioParams.defaults)
 
     def __post_init__(self):
+        # NaN passes every comparison below, so finiteness comes first.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{f.name}: must be finite, got {value}")
+
         def positive(name):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name}: must be positive, got {getattr(self, name)}")

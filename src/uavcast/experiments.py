@@ -26,7 +26,7 @@ from .config import ScenarioConfig
 from .distributions import ClusterGeometry
 from .errors import ParameterError
 from .geometry import build_topology, sample_uniform_disk
-from .protocol import SCHEME_RUNNERS
+from .protocol import SCHEME_RUNNERS, SimParams
 
 _STUDY_IDS = {"validation_coverage": 1, "validation_success": 2,
               "design_insight": 3, "delay": 4, "ase": 5}
@@ -214,11 +214,11 @@ def run_design_insight_study(config: ScenarioConfig,
     return MetricTable(rows)
 
 
-def _epoch_metrics(scheme: str, config: ScenarioConfig, rng: np.random.Generator):
+def _epoch_metrics(scheme: str, config: ScenarioConfig, sim: SimParams,
+                   rng: np.random.Generator):
     """Run one epoch and reduce it to (mean delay, delivery ratio, ase)."""
     topology = build_topology(config, rng)
-    outcome = SCHEME_RUNNERS[scheme](topology, config.radio,
-                                     config.sim_params(), rng)
+    outcome = SCHEME_RUNNERS[scheme](topology, config.radio, sim, rng)
     n = outcome.n_uavs
     delivered = outcome.delivered
     delays = outcome.delivery_time_ms[delivered]
@@ -248,10 +248,12 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
     ratios = np.empty(reps)
     ases = np.empty(reps)
     scheme_id = _SCHEME_ORDER.index(scheme)
+    sim = config.sim_params()
     for rep in range(reps):
         rng = _rng(config.base_seed,
                    (_STUDY_IDS[study], *key, scheme_id, rep))
-        delays[rep], ratios[rep], ases[rep] = _epoch_metrics(scheme, config, rng)
+        delays[rep], ratios[rep], ases[rep] = _epoch_metrics(scheme, config,
+                                                             sim, rng)
     return delays, ratios, ases
 
 

@@ -22,85 +22,39 @@ if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """Planar point, meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ParameterError(f"coordinates must be finite, got ({self.x}, {self.y})")
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-
-@dataclass(frozen=True)
-class Position3:
-    """Planar point plus height above ground, meters."""
-
-    planar: Vec2
-    height: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.height) and self.height >= 0):
-            raise ParameterError(f"height must be non-negative, got {self.height}")
-
-
-@dataclass
-class Cluster:
-    """One cluster: its center and the planar offsets of its members.
-
-    Members share the center's height, so only planar coordinates are stored
-    (`members_xy`, shape (n, 2), absolute coordinates).
-    """
-
-    center: Position3
-    members_xy: np.ndarray
-    radius_r: float
-
-    @property
-    def n_members(self) -> int:
-        return int(self.members_xy.shape[0])
-
-    def member_positions(self) -> list[Position3]:
-        h = self.center.height
-        return [Position3(Vec2(float(x), float(y)), h) for x, y in self.members_xy]
-
-    def max_member_offset(self) -> float:
-        """Largest member distance from the cluster center."""
-        if self.n_members == 0:
-            return 0.0
-        c = np.array([self.center.planar.x, self.center.planar.y])
-        return float(np.max(np.hypot(*(self.members_xy - c).T)))
-
-
 @dataclass
 class Topology:
-    """A full network drop: clusters plus the base-station position."""
+    """One network drop as flat per-member arrays.
 
-    clusters: list[Cluster]
-    bs_position: Position3
-    region_radius: float
-    parent_density: float | None
-    mode: str
+    Members are grouped by cluster: the rows of `xy` (planar coordinates,
+    shape (n, 2)) list cluster 0 first, then cluster 1, and so on, and
+    `cluster_of[i]` is the cluster of row i.  `centers` (shape (k, 2)) are
+    the cluster centers.  Every UAV flies at `height`; the BS sits at planar
+    point `bs_xy` and height `bs_height`.
+    """
+
+    xy: np.ndarray
+    cluster_of: np.ndarray
+    centers: np.ndarray
+    height: float
+    bs_xy: tuple[float, float]
+    bs_height: float
+    parent_density: float | None = None
+    mode: str = "fixed_total"
 
     @property
     def n_uavs(self) -> int:
-        return sum(c.n_members for c in self.clusters)
+        return int(self.xy.shape[0])
 
-    def members_xy(self) -> np.ndarray:
-        """All member planar coordinates stacked, shape (n_uavs, 2)."""
-        if not self.clusters:
-            return np.empty((0, 2))
-        return np.vstack([c.members_xy for c in self.clusters])
+    @property
+    def n_clusters(self) -> int:
+        return int(self.centers.shape[0])
 
-    def cluster_index(self) -> np.ndarray:
-        """Cluster id of each member, aligned with `members_xy`."""
-        return np.repeat(np.arange(len(self.clusters)),
-                         [c.n_members for c in self.clusters])
+    def bs_distances(self) -> np.ndarray:
+        """3D distance from every member to the BS, shape (n,)."""
+        return np.sqrt((self.xy[:, 0] - self.bs_xy[0]) ** 2
+                       + (self.xy[:, 1] - self.bs_xy[1]) ** 2
+                       + (self.height - self.bs_height) ** 2)
 
 
 def sample_uniform_disk(rng: np.random.Generator, n: int, radius: float,
@@ -132,13 +86,13 @@ def sample_parent_centers(region_radius: float, density: float,
     return sample_uniform_disk(rng, k, region_radius)
 
 
-def sample_cluster_members(center: Position3, radius_r: float, count: int,
+def sample_cluster_members(center_xy, radius_r: float, count: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """Planar coordinates of `count` members uniform on the cluster disk."""
+    """Planar coordinates of `count` members uniform on the disk of radius
+    `radius_r` about the planar point `center_xy`."""
     if count < 1:
         raise ParameterError(f"cluster member count must be >= 1, got {count}")
-    return sample_uniform_disk(rng, count, radius_r,
-                               (center.planar.x, center.planar.y))
+    return sample_uniform_disk(rng, count, radius_r, center_xy)
 
 
 def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topology:
@@ -174,23 +128,25 @@ def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topolo
     else:
         raise ParameterError(f"mode: unknown mode {config.mode!r}")
 
-    clusters = []
-    for (cx, cy), count in zip(centers, counts):
-        center = Position3(Vec2(float(cx), float(cy)), config.h2_m)
-        members = sample_cluster_members(center, config.radius_r_m, count, rng)
-        clusters.append(Cluster(center=center, members_xy=members,
-                                radius_r=config.radius_r_m))
-    bs = Position3(Vec2(config.d0_m, 0.0), config.h1_m)
-    return Topology(clusters=clusters, bs_position=bs,
-                    region_radius=config.region_radius_m,
-                    parent_density=density, mode=config.mode)
+    # One draw per cluster, in cluster order: this fixes the RNG stream.
+    members = [sample_cluster_members(center, config.radius_r_m, count, rng)
+               for center, count in zip(centers, counts)]
+    return Topology(
+        xy=np.vstack(members) if members else np.empty((0, 2)),
+        cluster_of=np.repeat(np.arange(len(counts)), counts),
+        centers=centers, height=config.h2_m,
+        bs_xy=(config.d0_m, 0.0), bs_height=config.h1_m,
+        parent_density=density, mode=config.mode)
 
 
 def topology_csv_rows(topology: Topology, drop_id: int) -> Iterable[tuple]:
-    for cid, cluster in enumerate(topology.clusters):
-        h = cluster.center.height
-        for uid, (x, y) in enumerate(cluster.members_xy):
-            yield (drop_id, cid, uid, f"{x:.10g}", f"{y:.10g}", f"{h:.10g}")
+    cluster_of = topology.cluster_of
+    # Members are grouped by cluster, so a member's index within its cluster
+    # is its row minus the first row of that cluster.
+    uav_ids = np.arange(cluster_of.size) - np.searchsorted(cluster_of, cluster_of)
+    h = f"{topology.height:.10g}"
+    for cid, uid, (x, y) in zip(cluster_of, uav_ids, topology.xy):
+        yield (drop_id, int(cid), int(uid), f"{x:.10g}", f"{y:.10g}", h)
 
 
 def write_topology_csv(path, topologies: Iterable[Topology]) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,22 +92,6 @@ class Event:
 
 
 @dataclass
-class UavState:
-    """Per-member protocol state inside one epoch.
-
-    The suppression sets record which packet ids this member has withheld a
-    request (or reply) for after overhearing traffic; they only ever grow
-    within an epoch.
-    """
-
-    received: set[int] = field(default_factory=set)
-    pending_request: int | None = None
-    backoff_cw: int = 16
-    suppressed_requests: set[int] = field(default_factory=set)
-    suppressed_replies: set[int] = field(default_factory=set)
-
-
-@dataclass
 class MediumState:
     """Busy horizon of one shared channel; transmissions must serialize."""
 
@@ -148,34 +132,13 @@ class SchemeOutcome:
         return ~self.undelivered
 
 
-def _default_broadcast_model(radio: RadioParams):
+def _link_model(radio: RadioParams, kind: LinkKind):
+    """Default reception hook: fading draws on the `kind` link at its power."""
+    p_tx = radio.tx_power_mw(kind)
+
     def model(distances: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.atleast_1d(reception_success(
-            radio.p_bs_mw, distances, LinkKind.BS_TO_UAV, radio, rng))
+        return np.atleast_1d(reception_success(p_tx, distances, kind, radio, rng))
     return model
-
-
-def _default_peer_model(radio: RadioParams):
-    def model(distances: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.atleast_1d(reception_success(
-            radio.p_uav_mw, distances, LinkKind.UAV_TO_UAV, radio, rng))
-    return model
-
-
-def _flatten(topology: Topology):
-    """Member coordinates, cluster ids, and 3D distances to the BS."""
-    xy = topology.members_xy()
-    cluster_of = topology.cluster_index()
-    bs = topology.bs_position
-    if xy.shape[0]:
-        heights = np.concatenate([
-            np.full(c.n_members, c.center.height) for c in topology.clusters])
-    else:
-        heights = np.empty(0)
-    d_bs = np.sqrt((xy[:, 0] - bs.planar.x) ** 2
-                   + (xy[:, 1] - bs.planar.y) ** 2
-                   + (heights - bs.height) ** 2)
-    return xy, cluster_of, d_bs
 
 
 class _EpochLog:
@@ -194,7 +157,7 @@ class _EpochLog:
         return sorted(self.events, key=lambda e: e.time_ms)
 
 
-def _contend(contenders, states, medium, t, airtime_ms, sim, rng, log, kind,
+def _contend(contenders, cw, medium, t, airtime_ms, sim, rng, log, kind,
              cluster_id, packet_id, counters, counter_key):
     """Run one backoff contention until a frame of `airtime_ms` gets through.
 
@@ -202,10 +165,11 @@ def _contend(contenders, states, medium, t, airtime_ms, sim, rng, log, kind,
     down; the earliest transmits.  Ties collide: the frames burn the
     airtime, the colliders double their windows and redraw, while everyone
     else freezes its residual count during the burst and resumes after it
-    (802.11-style).  Returns (winner, end time), or (None, t) once the next
+    (802.11-style).  `cw` holds every member's contention window and is
+    updated in place.  Returns (winner, end time), or (None, t) once the next
     attempt would run past max_time_ms.
     """
-    residual = {u: int(rng.integers(0, states[u].backoff_cw)) for u in contenders}
+    residual = {u: int(rng.integers(0, cw[u])) for u in contenders}
     while True:
         slot = min(residual.values())
         winners = [u for u in contenders if residual[u] == slot]
@@ -220,12 +184,12 @@ def _contend(contenders, states, medium, t, airtime_ms, sim, rng, log, kind,
             log.add(start, EventKind.BACKOFF_EXPIRY, u, packet_id, cluster_id)
             log.add(end, kind, u, packet_id, cluster_id, collided)
         if not collided:
-            states[winners[0]].backoff_cw = sim.cw_min
+            cw[winners[0]] = sim.cw_min
             return winners[0], end
         for u in contenders:
             if residual[u] == slot:
-                states[u].backoff_cw = min(states[u].backoff_cw * 2, sim.cw_max)
-                residual[u] = int(rng.integers(0, states[u].backoff_cw))
+                cw[u] = min(cw[u] * 2, sim.cw_max)
+                residual[u] = int(rng.integers(0, cw[u]))
             else:
                 residual[u] -= slot
         t = end
@@ -244,60 +208,50 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
     clusters while staying serialized within each cluster.
     """
     if broadcast_success is None:
-        broadcast_success = _default_broadcast_model(radio)
+        broadcast_success = _link_model(radio, LinkKind.BS_TO_UAV)
     if peer_success is None:
-        peer_success = _default_peer_model(radio)
-    xy, cluster_of, d_bs = _flatten(topology)
-    n = xy.shape[0]
+        peer_success = _link_model(radio, LinkKind.UAV_TO_UAV)
+    xy, cluster_of = topology.xy, topology.cluster_of
+    n = topology.n_uavs
     log = _EpochLog(collect_events)
     delivery = np.full(n, np.nan)
     undelivered = np.zeros(n, dtype=bool)
     via_broadcast = np.zeros(n, dtype=bool)
     counters = {"bs": 0, "uav": 0, "control": 0}
-    states = [UavState(backoff_cw=sim.cw_min) for _ in range(n)]
+    cw = [sim.cw_min] * n
 
     counters["bs"] += 1
     t_bcast = sim.packet_len_ms
     log.add(t_bcast, EventKind.BS_BROADCAST_END, -1, PACKET_ID, -1)
-    got = (broadcast_success(d_bs, rng) if n else
+    got = (broadcast_success(topology.bs_distances(), rng) if n else
            np.zeros(0, dtype=bool))
-    for u in np.flatnonzero(got):
-        states[u].received.add(PACKET_ID)
     delivery[got] = t_bcast
     via_broadcast[got] = True
 
-    for cid in range(len(topology.clusters)):
+    for cid in range(topology.n_clusters):
         members = np.flatnonzero(cluster_of == cid)
         missing = [int(u) for u in members if not got[u]]
         if not missing:
             continue
         holders = [int(u) for u in members if got[u]]
-        for u in missing:
-            states[u].pending_request = PACKET_ID
         if not holders:
             undelivered[missing] = True
             continue
         medium = MediumState()
         t = t_bcast
         while missing:
-            requester, t = _contend(sorted(missing), states, medium, t,
+            requester, t = _contend(sorted(missing), cw, medium, t,
                                     sim.t_req_ms, sim, rng, log,
                                     EventKind.REQUEST_TX_END, cid, PACKET_ID,
                                     counters, "control")
             if requester is None:
                 break
-            for u in missing:
-                if u != requester:
-                    states[u].suppressed_requests.add(PACKET_ID)
-            replier, t = _contend(sorted(holders), states, medium, t,
+            replier, t = _contend(sorted(holders), cw, medium, t,
                                   sim.packet_len_ms, sim, rng, log,
                                   EventKind.REPLY_TX_END, cid, PACKET_ID,
                                   counters, "uav")
             if replier is None:
                 break
-            for h in holders:
-                if h != replier:
-                    states[h].suppressed_replies.add(PACKET_ID)
             listeners = (sorted(missing) if sim.opportunistic_caching
                          else [requester])
             dist = np.hypot(xy[listeners, 0] - xy[replier, 0],
@@ -305,8 +259,6 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
             ok = peer_success(dist, rng)
             for u, success in zip(listeners, ok):
                 if success:
-                    states[u].received.add(PACKET_ID)
-                    states[u].pending_request = None
                     delivery[u] = t
                     missing.remove(u)
                     holders.append(u)
@@ -320,6 +272,60 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
         control_messages=counters["control"], events=log.finish())
 
 
+def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
+               radio: RadioParams, sim: SimParams, rng: np.random.Generator,
+               collect_events: bool, broadcast_success) -> SchemeOutcome:
+    """BS broadcast rounds until every member holds `g` receptions.
+
+    Uncoded (`coded=False`): every round carries packet 0 and the members
+    served in it ACK right after it, serialized on the uplink;
+    `via_broadcast` marks members served in round 1.  Coded: round k carries
+    coded packet k, and one terminal ACK per member follows once all have
+    decoded; `via_broadcast` marks decoded members.
+    """
+    if broadcast_success is None:
+        broadcast_success = _link_model(radio, LinkKind.BS_TO_UAV)
+    cluster_of = topology.cluster_of
+    d_bs = topology.bs_distances()
+    n = topology.n_uavs
+    log = _EpochLog(collect_events)
+    delivery = np.full(n, np.nan)
+    via_broadcast = np.zeros(n, dtype=bool)
+    received = np.zeros(n, dtype=int)
+    bs_tx = control = 0
+    t = 0.0
+
+    def acks(members):
+        nonlocal t, control
+        for u in members:
+            t += sim.t_ack_ms
+            control += 1
+            log.add(t, EventKind.ACK_RX_END, int(u), PACKET_ID,
+                    int(cluster_of[u]))
+
+    while (received < g).any() and t + sim.packet_len_ms <= sim.max_time_ms:
+        packet_id = bs_tx if coded else PACKET_ID
+        bs_tx += 1
+        t += sim.packet_len_ms
+        log.add(t, EventKind.BS_BROADCAST_END, -1, packet_id, -1)
+        idx = np.flatnonzero(received < g)
+        hit = idx[broadcast_success(d_bs[idx], rng)]
+        received[hit] += 1
+        done = hit[received[hit] == g]
+        delivery[done] = t
+        via_broadcast[done] = coded or bs_tx == 1
+        if not coded:
+            acks(done)
+    undelivered = received < g
+    if coded and not undelivered.any():
+        acks(range(n))
+    return SchemeOutcome(
+        scheme=scheme, delivery_time_ms=delivery, undelivered=undelivered,
+        via_broadcast=via_broadcast, cluster_ids=cluster_of,
+        bs_transmissions=bs_tx, uav_transmissions=0,
+        control_messages=control, events=log.finish())
+
+
 def run_ack_benchmark(topology: Topology, radio: RadioParams, sim: SimParams,
                       rng: np.random.Generator, *,
                       collect_events: bool = False,
@@ -330,39 +336,8 @@ def run_ack_benchmark(topology: Topology, radio: RadioParams, sim: SimParams,
     out); after each round the newly served members send one ACK each,
     serialized on the uplink.
     """
-    if broadcast_success is None:
-        broadcast_success = _default_broadcast_model(radio)
-    xy, cluster_of, d_bs = _flatten(topology)
-    n = xy.shape[0]
-    log = _EpochLog(collect_events)
-    delivery = np.full(n, np.nan)
-    via_broadcast = np.zeros(n, dtype=bool)
-    counters = {"bs": 0, "uav": 0, "control": 0}
-    unserved = np.ones(n, dtype=bool)
-    t = 0.0
-    rounds = 0
-    while unserved.any() and t + sim.packet_len_ms <= sim.max_time_ms:
-        rounds += 1
-        counters["bs"] += 1
-        t += sim.packet_len_ms
-        log.add(t, EventKind.BS_BROADCAST_END, -1, PACKET_ID, -1)
-        idx = np.flatnonzero(unserved)
-        ok = broadcast_success(d_bs[idx], rng)
-        newly = idx[ok]
-        delivery[newly] = t
-        via_broadcast[newly] = rounds == 1
-        unserved[newly] = False
-        for u in newly:
-            t += sim.t_ack_ms
-            counters["control"] += 1
-            log.add(t, EventKind.ACK_RX_END, int(u), PACKET_ID,
-                    int(cluster_of[u]))
-    return SchemeOutcome(
-        scheme="benchmark", delivery_time_ms=delivery,
-        undelivered=unserved.copy(), via_broadcast=via_broadcast,
-        cluster_ids=cluster_of, bs_transmissions=counters["bs"],
-        uav_transmissions=counters["uav"],
-        control_messages=counters["control"], events=log.finish())
+    return _bs_rounds("benchmark", False, 1, topology, radio, sim, rng,
+                      collect_events, broadcast_success)
 
 
 def run_rnc_scheme(topology: Topology, radio: RadioParams, sim: SimParams,
@@ -378,40 +353,8 @@ def run_rnc_scheme(topology: Topology, radio: RadioParams, sim: SimParams,
     streaming amortization (generation_size - 1) * packet_len_ms downstream.
     One terminal ACK per member closes a completed epoch.
     """
-    if broadcast_success is None:
-        broadcast_success = _default_broadcast_model(radio)
-    xy, cluster_of, d_bs = _flatten(topology)
-    n = xy.shape[0]
-    g = sim.rnc_generation_size
-    log = _EpochLog(collect_events)
-    delivery = np.full(n, np.nan)
-    via_broadcast = np.zeros(n, dtype=bool)
-    counters = {"bs": 0, "uav": 0, "control": 0}
-    received_counts = np.zeros(n, dtype=int)
-    t = 0.0
-    while n and (received_counts < g).any() \
-            and t + sim.packet_len_ms <= sim.max_time_ms:
-        coded_id = counters["bs"]
-        counters["bs"] += 1
-        t += sim.packet_len_ms
-        log.add(t, EventKind.BS_BROADCAST_END, -1, coded_id, -1)
-        idx = np.flatnonzero(received_counts < g)
-        ok = broadcast_success(d_bs[idx], rng)
-        received_counts[idx[ok]] += 1
-        done = idx[ok][received_counts[idx[ok]] == g]
-        delivery[done] = t
-        via_broadcast[done] = True
-    undelivered = received_counts < g
-    if n and not undelivered.any():
-        for u in range(n):
-            t += sim.t_ack_ms
-            counters["control"] += 1
-            log.add(t, EventKind.ACK_RX_END, u, PACKET_ID, int(cluster_of[u]))
-    return SchemeOutcome(
-        scheme="rnc", delivery_time_ms=delivery, undelivered=undelivered,
-        via_broadcast=via_broadcast, cluster_ids=cluster_of,
-        bs_transmissions=counters["bs"], uav_transmissions=counters["uav"],
-        control_messages=counters["control"], events=log.finish())
+    return _bs_rounds("rnc", True, sim.rnc_generation_size, topology, radio,
+                      sim, rng, collect_events, broadcast_success)
 
 
 SCHEME_RUNNERS = {

@@ -2,28 +2,28 @@
 
 import numpy as np
 
-from uavcast.geometry import Cluster, Position3, Topology, Vec2
+from uavcast.geometry import Topology
 
 
-def ring_topology(n, radius_r=50.0, ring=20.0, d0=800.0):
+def one_cluster_topology(xy, d0=800.0):
+    """Single cluster centered at the origin holding the members `xy`."""
+    xy = np.asarray(xy, dtype=float)
+    return Topology(xy=xy, cluster_of=np.zeros(xy.shape[0], dtype=int),
+                    centers=np.zeros((1, 2)), height=20.0,
+                    bs_xy=(d0, 0.0), bs_height=10.0)
+
+
+def ring_topology(n, ring=20.0, d0=800.0):
     """One cluster of n members evenly spaced on a ring about its center."""
     ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    xy = np.column_stack([ring * np.cos(ang), ring * np.sin(ang)])
-    return Topology(
-        clusters=[Cluster(center=Position3(Vec2(0.0, 0.0), 20.0),
-                          members_xy=xy, radius_r=radius_r)],
-        bs_position=Position3(Vec2(d0, 0.0), 10.0),
-        region_radius=100.0, parent_density=None, mode="fixed_total")
+    return one_cluster_topology(
+        np.column_stack([ring * np.cos(ang), ring * np.sin(ang)]), d0)
 
 
 def four_uav_topology():
     """Fixed 4-member cluster used by the scripted recovery scenarios."""
-    members = np.array([[0.0, 10.0], [10.0, 0.0], [-10.0, 0.0], [0.0, -10.0]])
-    return Topology(
-        clusters=[Cluster(center=Position3(Vec2(0.0, 0.0), 20.0),
-                          members_xy=members, radius_r=50.0)],
-        bs_position=Position3(Vec2(800.0, 0.0), 10.0),
-        region_radius=100.0, parent_density=None, mode="fixed_total")
+    return one_cluster_topology(
+        [[0.0, 10.0], [10.0, 0.0], [-10.0, 0.0], [0.0, -10.0]])
 
 
 def fixed_success(p):

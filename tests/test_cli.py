@@ -67,6 +67,13 @@ def test_config_error_exit_code(capsys):
     assert len(err) == 1 and err[0].startswith("error: config: ")
 
 
+def test_non_finite_value_exit_code(capsys):
+    rc = cli.main(["simulate", "--scheme", "clustering", "--radius-r", "nan"])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: radius_r_m")
+
+
 def test_missing_config_file_exit_code(capsys):
     rc = cli.main(["metrics", "--config", "/nonexistent/scenario.cfg"])
     assert rc == cli.EXIT_CONFIG

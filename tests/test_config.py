@@ -32,6 +32,14 @@ def test_defaults():
     ("mode", "hexgrid"),
     ("packet_len_ms", 0.0),
     ("cw_min", 0),
+    # non-finite values pass every comparison, so they get their own check
+    ("d0_m", math.nan),
+    ("d0_m", math.inf),
+    ("radius_r_m", math.nan),
+    ("h2_m", math.inf),
+    ("h2_m", -1.0),            # heights are non-negative
+    ("packet_len_ms", math.nan),
+    ("max_time_ms", math.inf),
 ])
 def test_validation_errors_name_the_field(field, value):
     with pytest.raises(ParameterError, match=field.split("_")[0]):

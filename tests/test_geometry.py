@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from uavcast.config import ScenarioConfig
 from uavcast.errors import ParameterError
 from uavcast.geometry import (
-    Cluster,
-    Position3,
-    Vec2,
+    Topology,
     build_topology,
     sample_cluster_members,
     sample_parent_centers,
@@ -21,12 +19,14 @@ from uavcast.geometry import (
 )
 
 
-def test_vec2_and_position_validation():
-    assert Vec2(3.0, 4.0).norm() == 5.0
-    with pytest.raises(ParameterError):
-        Vec2(math.inf, 0.0)
-    with pytest.raises(ParameterError):
-        Position3(Vec2(0.0, 0.0), -1.0)
+def test_bs_distances_are_3d():
+    """3-4-5 in the plane at equal heights, 3-4-12-13 with a height gap."""
+    topo = Topology(xy=np.array([[3.0, 4.0], [0.0, 0.0]]),
+                    cluster_of=np.array([0, 0]), centers=np.zeros((1, 2)),
+                    height=10.0, bs_xy=(0.0, 0.0), bs_height=10.0)
+    assert topo.bs_distances().tolist() == [5.0, 0.0]
+    topo.height = 22.0
+    assert topo.bs_distances().tolist() == [13.0, 12.0]
 
 
 def test_uniform_disk_is_area_uniform():
@@ -80,14 +80,14 @@ def test_parent_process_argument_validation():
 
 
 def test_cluster_members_stay_in_disk():
-    center = Position3(Vec2(30.0, -40.0), 20.0)
+    center = (30.0, -40.0)
     members = sample_cluster_members(center, 50.0, 10, np.random.default_rng(2))
     assert members.shape == (10, 2)
     assert np.hypot(members[:, 0] - 30.0, members[:, 1] + 40.0).max() <= 50.0
 
 
 def test_cluster_members_count_contract():
-    center = Position3(Vec2(0.0, 0.0), 20.0)
+    center = (0.0, 0.0)
     rng = np.random.default_rng(0)
     assert sample_cluster_members(center, 50.0, 1, rng).shape == (1, 2)
     with pytest.raises(ParameterError):
@@ -98,17 +98,16 @@ def test_cluster_members_count_contract():
        seed=st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_members_never_leave_the_disk(radius, count, seed):
-    center = Position3(Vec2(5.0, -3.0), 20.0)
-    members = sample_cluster_members(center, radius, count,
+    members = sample_cluster_members((5.0, -3.0), radius, count,
                                      np.random.default_rng(seed))
-    cluster = Cluster(center=center, members_xy=members, radius_r=radius)
-    assert cluster.n_members == count
-    assert cluster.max_member_offset() <= radius * (1.0 + 1e-12)
+    assert members.shape == (count, 2)
+    offsets = np.hypot(members[:, 0] - 5.0, members[:, 1] + 3.0)
+    assert offsets.max() <= radius * (1.0 + 1e-12)
 
 
 def test_build_topology_even_split():
     topo = build_topology(ScenarioConfig(), np.random.default_rng(1))
-    assert [c.n_members for c in topo.clusters] == [10] * 5
+    assert np.bincount(topo.cluster_of).tolist() == [10] * 5
     assert topo.n_uavs == 50
     assert topo.mode == "fixed_total"
     assert topo.parent_density is None
@@ -117,20 +116,21 @@ def test_build_topology_even_split():
 def test_build_topology_remainder_goes_first():
     config = ScenarioConfig(num_clusters=3, total_uavs=50)
     topo = build_topology(config, np.random.default_rng(1))
-    assert [c.n_members for c in topo.clusters] == [17, 17, 16]
+    assert np.bincount(topo.cluster_of).tolist() == [17, 17, 16]
 
 
 def test_build_topology_single_cluster():
     config = ScenarioConfig(num_clusters=1)
     topo = build_topology(config, np.random.default_rng(1))
-    assert len(topo.clusters) == 1 and topo.clusters[0].n_members == 50
+    assert topo.n_clusters == 1 and topo.cluster_of.tolist() == [0] * 50
 
 
 def test_build_topology_density_mode():
     config = ScenarioConfig(mode="density")
     topo = build_topology(config, np.random.default_rng(0))
     # every cluster holds floor(lambda_off * pi * r^2) = 7 members
-    assert topo.clusters and all(c.n_members == 7 for c in topo.clusters)
+    assert topo.n_clusters and np.bincount(
+        topo.cluster_of, minlength=topo.n_clusters).tolist() == [7] * topo.n_clusters
     assert topo.parent_density == config.lambda_per_m2
     assert topo.mode == "density"
 
@@ -157,30 +157,28 @@ def test_build_topology_rejects_bad_stub_inputs():
 def test_build_topology_geometry_and_heights():
     config = ScenarioConfig(d0_m=900.0, h1_m=12.0, h2_m=25.0)
     topo = build_topology(config, np.random.default_rng(4))
-    assert topo.bs_position.planar == Vec2(900.0, 0.0)
-    assert topo.bs_position.height == 12.0
-    assert all(c.center.height == 25.0 for c in topo.clusters)
-    centers = np.array([[c.center.planar.x, c.center.planar.y]
-                        for c in topo.clusters])
+    assert topo.bs_xy == (900.0, 0.0)
+    assert topo.bs_height == 12.0
+    assert topo.height == 25.0
+    centers = topo.centers
     assert np.hypot(centers[:, 0], centers[:, 1]).max() <= 100.0
-    for c in topo.clusters:
-        assert c.max_member_offset() <= c.radius_r
+    offsets = topo.xy - centers[topo.cluster_of]
+    assert np.hypot(offsets[:, 0], offsets[:, 1]).max() <= config.radius_r_m
 
 
 def test_build_topology_deterministic():
     config = ScenarioConfig()
     a = build_topology(config, np.random.default_rng(9))
     b = build_topology(config, np.random.default_rng(9))
-    assert all(np.array_equal(x.members_xy, y.members_xy)
-               for x, y in zip(a.clusters, b.clusters))
+    assert np.array_equal(a.xy, b.xy)
+    assert np.array_equal(a.cluster_of, b.cluster_of)
 
 
 def test_cluster_index_alignment():
     topo = build_topology(ScenarioConfig(num_clusters=3, total_uavs=7),
                           np.random.default_rng(0))
-    idx = topo.cluster_index()
-    assert idx.tolist() == [0, 0, 0, 1, 1, 2, 2]
-    assert topo.members_xy().shape == (7, 2)
+    assert topo.cluster_of.tolist() == [0, 0, 0, 1, 1, 2, 2]
+    assert topo.xy.shape == (7, 2)
 
 
 def test_topology_csv_round_trip(tmp_path):
@@ -194,6 +192,9 @@ def test_topology_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0" and first[2] == "0"
     x, y = float(first[3]), float(first[4])
-    assert math.isclose(x, drops[0].clusters[0].members_xy[0, 0], rel_tol=1e-9)
-    assert math.isclose(y, drops[0].clusters[0].members_xy[0, 1], rel_tol=1e-9)
+    assert math.isclose(x, drops[0].xy[0, 0], rel_tol=1e-9)
+    assert math.isclose(y, drops[0].xy[0, 1], rel_tol=1e-9)
     assert len(list(topology_csv_rows(drops[0], 0))) == 6
+    # uav_id restarts at 0 in every cluster: 3 + 3 members
+    assert [line.split(",")[2] for line in lines[1:7]] == \
+        ["0", "1", "2", "0", "1", "2"]

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (
     all_links,
     fixed_success,
     four_uav_topology,
+    one_cluster_topology,
     reception_pattern,
     ring_topology,
 )
@@ -19,8 +22,9 @@ from uavcast.analysis import (
 from uavcast.channel import RadioParams
 from uavcast.config import ScenarioConfig
 from uavcast.errors import IntegrityError, ParameterError
-from uavcast.geometry import Cluster, Position3, Topology, Vec2, build_topology
+from uavcast.geometry import build_topology
 from uavcast.protocol import (
+    SCHEME_RUNNERS,
     EventKind,
     MediumState,
     SimParams,
@@ -119,12 +123,7 @@ def test_clustering_recovery_completes_with_perfect_relays():
 
 
 def test_clustering_opportunistic_caching_saves_a_round():
-    members = np.array([[0.0, 5.0], [5.0, 0.0], [-5.0, 0.0]])
-    topo = Topology(
-        clusters=[Cluster(center=Position3(Vec2(0.0, 0.0), 20.0),
-                          members_xy=members, radius_r=50.0)],
-        bs_position=Position3(Vec2(800.0, 0.0), 10.0),
-        region_radius=100.0, parent_density=None, mode="fixed_total")
+    topo = one_cluster_topology([[0.0, 5.0], [5.0, 0.0], [-5.0, 0.0]])
     pattern = reception_pattern(True, False, False)
     on = run_clustering_scheme(topo, RADIO, SimParams(opportunistic_caching=True),
                                np.random.default_rng(0),
@@ -177,20 +176,54 @@ def _scan_epoch_invariants(out):
                 f"duplicate reply in cluster {e.cluster_id} at {e.time_ms}"
 
 
+def _check_epoch_invariants(out, sim=SIM):
+    """Invariants every epoch of `out.scheme` must satisfy."""
+    assert np.all(np.isnan(out.delivery_time_ms) == out.undelivered)
+    delivered_times = out.delivery_time_ms[out.delivered]
+    assert np.all((delivered_times >= sim.packet_len_ms)
+                  & (delivered_times <= sim.max_time_ms))
+    assert not np.any(out.via_broadcast & out.undelivered)
+    times = [e.time_ms for e in out.events]
+    assert times == sorted(times)
+    if out.scheme == "clustering":
+        _scan_epoch_invariants(out)
+        assert out.bs_transmissions == 1
+    elif out.scheme == "benchmark":
+        assert out.uav_transmissions == 0
+        assert out.control_messages == np.count_nonzero(out.delivered)
+    else:
+        assert out.uav_transmissions == 0
+        assert out.control_messages == (
+            0 if out.undelivered.any() else out.n_uavs)
+
+
 def test_clustering_invariants_over_default_channel():
     config = ScenarioConfig()
     for rep in range(300):
         rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(rep,)))
         topo = build_topology(config, rng)
         out = run_clustering_scheme(topo, RADIO, SIM, rng, collect_events=True)
-        _scan_epoch_invariants(out)
-        assert np.all(np.isnan(out.delivery_time_ms) == out.undelivered)
-        delivered_times = out.delivery_time_ms[out.delivered]
-        assert np.all((delivered_times >= 10.0)
-                      & (delivered_times <= SIM.max_time_ms))
-        assert not np.any(out.via_broadcast & out.undelivered)
-        times = [e.time_ms for e in out.events]
-        assert times == sorted(times)
+        _check_epoch_invariants(out)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_RUNNERS))
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       mode=st.sampled_from(["fixed_total", "density"]),
+       d0=st.floats(400.0, 1500.0), num_clusters=st.integers(1, 10),
+       max_time_ms=st.sampled_from([40.0, 10_000.0]))
+@settings(max_examples=40, deadline=None)
+def test_epoch_invariants_over_random_drops(scheme, seed, mode, d0,
+                                            num_clusters, max_time_ms):
+    """The same invariants on random drops of both topology modes, with
+    and without a binding time budget."""
+    config = ScenarioConfig(mode=mode, d0_m=d0, num_clusters=num_clusters,
+                            max_time_ms=max_time_ms)
+    sim = config.sim_params()
+    rng = np.random.default_rng(seed)
+    topo = build_topology(config, rng)
+    out = SCHEME_RUNNERS[scheme](topo, RADIO, sim, rng, collect_events=True)
+    assert out.scheme == scheme
+    _check_epoch_invariants(out, sim)
 
 
 def test_clustering_mean_delay_tracks_formula():
@@ -269,6 +302,46 @@ def test_benchmark_times_out():
     assert out.bs_transmissions == 3
     assert np.all(out.undelivered)
     assert out.control_messages == 0
+
+
+def test_benchmark_rounds_serialize_acks():
+    """Hand-worked timeline: one member served per round, each round's ACK
+    (1 ms) delays the next 10 ms broadcast.
+
+    round 1 ends 10, member 0 ACKs until 11; round 2 ends 21, member 1 ACKs
+    until 22; round 3 ends 32, member 2 ACKs until 33.
+    """
+    out = run_ack_benchmark(ring_topology(3), RADIO, SIM,
+                            np.random.default_rng(0), collect_events=True,
+                            broadcast_success=reception_pattern(
+                                True, False, False))
+    assert out.delivery_time_ms.tolist() == [10.0, 21.0, 32.0]
+    assert out.via_broadcast.tolist() == [True, False, False]
+    assert out.bs_transmissions == 3
+    assert out.control_messages == 3
+    assert [(e.time_ms, e.kind, e.actor) for e in out.events] == [
+        (10.0, EventKind.BS_BROADCAST_END, -1), (11.0, EventKind.ACK_RX_END, 0),
+        (21.0, EventKind.BS_BROADCAST_END, -1), (22.0, EventKind.ACK_RX_END, 1),
+        (32.0, EventKind.BS_BROADCAST_END, -1), (33.0, EventKind.ACK_RX_END, 2)]
+    assert {e.packet_id for e in out.events} == {0}
+
+
+def test_rnc_coded_packet_ids_then_terminal_acks():
+    """Generation of 2 on a perfect channel: coded packets 0 and 1 end at
+    10 and 20 ms, then the three members ACK at 21, 22 and 23 ms."""
+    out = run_rnc_scheme(ring_topology(3), RADIO,
+                         SimParams(rnc_generation_size=2),
+                         np.random.default_rng(0), collect_events=True,
+                         broadcast_success=all_links(True))
+    broadcasts = [(e.time_ms, e.packet_id) for e in out.events
+                  if e.kind is EventKind.BS_BROADCAST_END]
+    acks = [(e.time_ms, e.actor) for e in out.events
+            if e.kind is EventKind.ACK_RX_END]
+    assert broadcasts == [(10.0, 0), (20.0, 1)]
+    assert acks == [(21.0, 0), (22.0, 1), (23.0, 2)]
+    assert len(out.events) == 5
+    assert out.delivery_time_ms.tolist() == [20.0, 20.0, 20.0]
+    assert out.control_messages == 3
 
 
 def test_rnc_perfect_channel_takes_generation_rounds():
