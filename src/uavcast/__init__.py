@@ -38,6 +38,7 @@ from .distributions import (
     empirical_distance_check,
     pdf_bs_member_distance,
     pdf_center_offset,
+    pdf_member_pair_distance,
     pdf_peer_distance,
     pdf_planar_bs_distance,
     sampler_self_check,

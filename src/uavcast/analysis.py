@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 from scipy import integrate
 
-from .channel import LinkKind, RadioParams, link_success_probability
+from .channel import MIN_DISTANCE_M, LinkKind, RadioParams, link_success_probability
 from .distributions import (
     ClusterGeometry,
     bs_member_support,
     pdf_bs_member_distance,
-    pdf_center_offset,
-    pdf_peer_distance,
+    pdf_member_pair_distance,
 )
 from .errors import NumericError, ParameterError
 
@@ -35,9 +34,9 @@ from .errors import NumericError, ParameterError
 _QUAD_TOL = 1e-6
 
 
-def _quad(f, lo: float, hi: float, points=None, epsabs=1e-10) -> float:
+def _quad(f, lo: float, hi: float, points=None) -> float:
     result = integrate.quad(f, lo, hi, points=points, limit=200,
-                            epsabs=epsabs, epsrel=1e-10, full_output=1)
+                            epsabs=1e-10, epsrel=1e-10, full_output=1)
     if len(result) > 3:
         raise NumericError(f"quadrature failed on [{lo}, {hi}]: {result[3]}")
     value, abserr = result[0], result[1]
@@ -61,28 +60,20 @@ def coverage_probability(geom: ClusterGeometry, radio: RadioParams) -> float:
 def transmission_success_probability(radius_r: float, radio: RadioParams) -> float:
     """Probability that one member decodes a relay from another member.
 
-    Both ends are uniform on the cluster disk; the relay offset `a` is
-    averaged over its own density, the receiver distance over the
-    conditional peer density (whose two branches meet at r - a).
+    Both ends are uniform on the cluster disk, so the link distance follows
+    the disk-chord density on [0, 2r]; the path-loss clamp at
+    `MIN_DISTANCE_M` is the integrand's only kink.
     """
-    if radius_r <= 0:
-        raise ParameterError(f"radius_r must be positive, got {radius_r}")
-    r = radius_r
+    if not (math.isfinite(radius_r) and radius_r > 0):
+        raise ParameterError(f"radius_r must be positive and finite, got {radius_r}")
+    hi = 2.0 * radius_r
 
-    def success_given_offset(a: float) -> float:
-        def integrand(d):
-            return (link_success_probability(radio.p_uav_mw, d,
-                                             LinkKind.UAV_TO_UAV, radio)
-                    * float(pdf_peer_distance(d, a, r)))
+    def integrand(d):
+        return (link_success_probability(radio.p_uav_mw, d, LinkKind.UAV_TO_UAV, radio)
+                * float(pdf_member_pair_distance(d, radius_r)))
 
-        junction = r - a
-        points = [junction] if 0.0 < junction < r + a else None
-        return _quad(integrand, 0.0, r + a, points=points, epsabs=1e-11)
-
-    def outer(a):
-        return success_given_offset(float(a)) * float(pdf_center_offset(a, r))
-
-    return _quad(outer, 0.0, r)
+    points = [MIN_DISTANCE_M] if MIN_DISTANCE_M < hi else None
+    return _quad(integrand, 0.0, hi, points=points)
 
 
 def cluster_peer_count(lambda_off: float, radius_r: float) -> int:

@@ -1,6 +1,6 @@
 """Distance distributions inside a uniformly populated cluster disk.
 
-Three random distances drive the link analysis:
+Four random distances drive the link analysis:
 
 * the distance from the base station to a cluster member, where the member
   is uniform on a disk whose center is a known planar distance away and the
@@ -8,7 +8,9 @@ Three random distances drive the link analysis:
 * the distance between a transmitting member at known offset `a` from the
   cluster center and another member uniform on the disk;
 * the offset `a` itself (radial distance of a uniform point from the
-  center).
+  center);
+* the distance between two members that are both uniform on the disk
+  (the peer distance averaged over the offset).
 
 Each has a closed-form pdf.  `DistanceDistribution` tabulates the matching
 CDF once on a dense grid and then supports inverse-CDF sampling and
@@ -188,6 +190,26 @@ def pdf_center_offset(a, radius_r: float) -> np.ndarray:
     inside = (a >= 0) & (a <= radius_r)
     out[inside] = 2.0 * a[inside] / radius_r ** 2
     return out
+
+
+def pdf_member_pair_distance(d, radius_r: float) -> np.ndarray:
+    """pdf of the distance between two independent uniform members.
+
+    The classical disk-chord density on 0 <= d <= 2r (Mathai, An
+    Introduction to Geometrical Probability, 1999), with t = d / 2r:
+
+        f(d) = (4 d / (pi r^2)) * (arccos(t) - t * sqrt(1 - t^2))
+
+    It equals the peer density averaged over the transmitter's offset.
+    """
+    if not (math.isfinite(radius_r) and radius_r > 0):
+        raise ParameterError(f"radius_r must be positive and finite, got {radius_r}")
+    # clipping makes the density exactly 0 outside: at d = 0 through the
+    # leading factor, at t = 1 through both terms of the bracket
+    d = np.clip(np.asarray(d, dtype=float), 0.0, 2.0 * radius_r)
+    t = d / (2.0 * radius_r)
+    return ((4.0 * d / (np.pi * radius_r ** 2))
+            * (np.arccos(t) - t * np.sqrt(1.0 - t * t)))
 
 
 def _cosine_grid(lo: float, hi: float, breakpoints: Sequence[float],

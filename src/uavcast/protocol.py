@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,6 +57,11 @@ class SimParams:
     opportunistic_caching: bool = True
 
     def __post_init__(self):
+        # NaN passes every comparison below, so finiteness comes first.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{f.name}: must be finite, got {value}")
         if self.packet_len_ms <= 0 or self.t_req_ms < 0 or self.t_ack_ms < 0:
             raise ParameterError("packet_len_ms must be positive, "
                                  "t_req_ms and t_ack_ms non-negative")

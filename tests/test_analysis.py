@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -58,7 +59,6 @@ def test_coverage_saturates_with_power():
 
 @pytest.mark.parametrize("r,expected", sorted(P_SUC.items()))
 def test_transmission_success_reference_values(r, expected):
-    geom = ClusterGeometry(v_norm=800.0, radius_r=r, h1=10.0, h2=20.0)
     assert transmission_success_probability(r, RADIO) == pytest.approx(
         expected, rel=1e-10)
 
@@ -72,6 +72,59 @@ def test_transmission_success_decreases_with_radius():
 def test_transmission_success_validation():
     with pytest.raises(ParameterError):
         transmission_success_probability(0.0, RADIO)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="^radius_r must be positive"):
+            transmission_success_probability(bad, RADIO)
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        yield mpmath
+
+
+def _mp_success(mp, p_tx_mw, loss_db):
+    """Rayleigh link success at the default bandwidth, noise and threshold."""
+    noise_mw = mp.mpf(20e6) * mp.mpf(10) ** mp.mpf("-17.4")
+    return mp.exp(-20 * noise_mw / (p_tx_mw * mp.mpf(10) ** (-loss_db / 10)))
+
+
+# The two tests below re-derive the link law and the distance densities in
+# 30-digit mpmath without calling package channel or distribution code.
+
+@pytest.mark.parametrize("r", [10, 25, 50, 100])
+def test_transmission_success_matches_mpmath(mp, r):
+    def relay(d):  # UAV-to-UAV link, distances clamped at 1 m
+        loss = (41 + mp.mpf("22.7") * mp.log10(max(d, 1))
+                + 20 * mp.log10(mp.mpf("5.8") / 5))
+        return _mp_success(mp, 10, loss)
+
+    def chord(d):  # distance between two uniform points in the disk
+        t = d / (2 * r)
+        return 4 * d / (mp.pi * r * r) * (mp.acos(t) - t * mp.sqrt(1 - t * t))
+
+    ref = mp.quad(lambda d: relay(d) * chord(d), [0, 1, 2 * r])
+    assert transmission_success_probability(float(r), RADIO) == pytest.approx(
+        float(ref), rel=1e-12)
+
+
+@pytest.mark.parametrize("v", [400, 800, 1200])
+def test_coverage_probability_matches_mpmath(mp, v):
+    r, dh = 50, 10
+
+    def broadcast(x):  # BS-to-member link at planar distance x
+        d = mp.sqrt(x * x + dh * dh)
+        return _mp_success(mp, 1000, 39 + 26 * mp.log10(d)
+                           + 20 * mp.log10(mp.mpf(2) / 5))
+
+    def planar(x):  # arc of the circle of radius x around the BS inside the disk
+        arg = (x * x + v * v - r * r) / (2 * v * x)
+        return 2 * x / (mp.pi * r * r) * mp.acos(max(min(arg, 1), -1))
+
+    ref = mp.quad(lambda x: broadcast(x) * planar(x), [v - r, v, v + r])
+    assert coverage_probability(_geom(float(v)), RADIO) == pytest.approx(
+        float(ref), rel=1e-12)
 
 
 def test_cluster_peer_count():

@@ -15,6 +15,7 @@ from uavcast.distributions import (
     empirical_distance_check,
     pdf_bs_member_distance,
     pdf_center_offset,
+    pdf_member_pair_distance,
     pdf_peer_distance,
     pdf_planar_bs_distance,
     peer_support,
@@ -141,6 +142,49 @@ def test_center_offset_pdf():
     assert abs(total - 1.0) < 1e-12
     with pytest.raises(ParameterError):
         pdf_center_offset(a, -2.0)
+
+
+@pytest.mark.parametrize("r", [10.0, 50.0])
+def test_member_pair_pdf_moments(r):
+    def moment(k):
+        total, err = integrate.quad(
+            lambda d: d ** k * float(pdf_member_pair_distance(d, r)),
+            0.0, 2.0 * r, epsabs=0.0, epsrel=1e-13, limit=200)
+        return total
+
+    assert moment(0) == pytest.approx(1.0, abs=1e-12)
+    # E|X - Y| = 128 r / (45 pi); E|X - Y|^2 = 2 E|X|^2 = r^2
+    assert moment(1) == pytest.approx(128.0 * r / (45.0 * math.pi), rel=1e-12)
+    assert moment(2) == pytest.approx(r ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [10.0, 50.0])
+def test_member_pair_pdf_is_zero_outside_support(r):
+    d = np.array([-r, -1e-9, 0.0, 2.0 * r, np.nextafter(2.0 * r, np.inf),
+                  3.0 * r, np.inf])
+    np.testing.assert_array_equal(pdf_member_pair_distance(d, r), 0.0)
+    inside = np.linspace(0.0, 2.0 * r, 201)[1:-1]
+    assert np.all(pdf_member_pair_distance(inside, r) > 0.0)
+    with pytest.raises(ParameterError):
+        pdf_member_pair_distance(d, 0.0)
+    with pytest.raises(ParameterError):
+        pdf_member_pair_distance(d, math.inf)
+
+
+@pytest.mark.parametrize("r", [10.0, 50.0])
+def test_member_pair_pdf_is_the_offset_mixture_of_peer_pdfs(r):
+    """The pair density is the peer density averaged over the offset a."""
+    def mixture(d):
+        lo = max(0.0, d - r)  # the receiver is out of reach for a < d - r
+        junction = r - d      # peer-density branch junction in a
+        points = [junction] if lo < junction < r else None
+        total, err = integrate.quad(
+            lambda a: float(pdf_peer_distance(d, a, r) * pdf_center_offset(a, r)),
+            lo, r, points=points, epsabs=1e-13, epsrel=1e-12, limit=200)
+        return total
+
+    for d in (0.05 * r, 0.5 * r, r - 1e-6, r + 1e-6, 1.5 * r, 1.9 * r):
+        assert abs(float(pdf_member_pair_distance(d, r)) - mixture(d)) <= 1e-9, d
 
 
 def test_distribution_rejects_unnormalized_pdf():

@@ -53,6 +53,11 @@ def test_sim_params_validation():
         SimParams(max_time_ms=0.0)
     with pytest.raises(ParameterError):
         SimParams(rnc_generation_size=0)
+    for name, bad in (("packet_len_ms", math.nan), ("t_req_ms", math.nan),
+                      ("t_ack_ms", math.inf), ("slot_ms", math.nan),
+                      ("max_time_ms", math.inf)):
+        with pytest.raises(ParameterError, match=name):
+            SimParams(**{name: bad})
 
 
 def test_medium_serializes_transmissions():
