@@ -34,7 +34,6 @@ from .config import ScenarioConfig
 from .distributions import (
     ClusterGeometry,
     DistanceDistribution,
-    DistanceKind,
     empirical_distance_check,
     pdf_bs_member_distance,
     pdf_center_offset,

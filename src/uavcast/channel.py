@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,20 +114,9 @@ class RadioParams:
         return self.p_bs_mw if kind is LinkKind.BS_TO_UAV else self.p_uav_mw
 
 
-@dataclass
-class ChannelDiagnostics:
-    """Mutable counters surfaced by the channel helpers."""
-
-    clamped_distances: int = 0
-
-
-def path_loss_db(kind: LinkKind, distance_m, params: RadioParams,
-                 diag: ChannelDiagnostics | None = None):
+def path_loss_db(kind: LinkKind, distance_m, params: RadioParams):
     """Path loss in dB at the given distance(s); distances < 1 m are clamped."""
-    d = np.asarray(distance_m, dtype=float)
-    if diag is not None:
-        diag.clamped_distances += int(np.count_nonzero(d < MIN_DISTANCE_M))
-    d = np.maximum(d, MIN_DISTANCE_M)
+    d = np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M)
     p = params.loss_params(kind)
     loss = (p.pl0_db
             + p.dist_coeff_db * np.log10(d)
@@ -135,10 +124,9 @@ def path_loss_db(kind: LinkKind, distance_m, params: RadioParams,
     return loss if loss.ndim else float(loss)
 
 
-def path_loss_linear(kind: LinkKind, distance_m, params: RadioParams,
-                     diag: ChannelDiagnostics | None = None):
+def path_loss_linear(kind: LinkKind, distance_m, params: RadioParams):
     """Linear channel power gain (<= 1 for any realistic geometry)."""
-    return db_to_linear(-np.asarray(path_loss_db(kind, distance_m, params, diag)))
+    return db_to_linear(-np.asarray(path_loss_db(kind, distance_m, params)))
 
 
 def sample_power_fading(rng: np.random.Generator, size=None):

@@ -13,31 +13,24 @@ Four random distances drive the link analysis:
   (the peer distance averaged over the offset).
 
 Each has a closed-form pdf.  `DistanceDistribution` tabulates the matching
-CDF once on a dense grid and then supports inverse-CDF sampling and
-empirical goodness-of-fit checks.
+CDF once on a dense grid, checks the pdf's normalisation on that tabulated
+CDF, and then supports inverse-CDF sampling and empirical goodness-of-fit
+checks.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import IntegrityError, ParameterError
 
 # Tolerated floating-point excursion of an inverse-trig argument past +-1.
 _TRIG_ARG_TOL = 1e-12
-_DEFAULT_GRID_POINTS = 4097
-
-
-class DistanceKind(enum.Enum):
-    BS_MEMBER = "bs_member"
-    PEER = "peer"
-    CENTER_OFFSET = "center_offset"
+_GRID_POINTS = 4097
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,8 @@ def pdf_peer_distance(d, offset_a: float, radius_r: float) -> np.ndarray:
 
         f(d) = (2 d / (pi r^2)) * arccos((d^2 + a^2 - r^2) / (2 a d))
 
-    The two branches agree at d = r - a, where the arccos argument is -1.
+    The two branches agree at d = r - a, where the arccos argument is -1;
+    at the outer end d = r + a it is 1.
     """
     if radius_r <= 0:
         raise ParameterError(f"radius_r must be positive, got {radius_r}")
@@ -174,9 +168,13 @@ def pdf_peer_distance(d, offset_a: float, radius_r: float) -> np.ndarray:
     arc = (d > j) & (d <= r + a)
     if np.any(arc):
         di = d[arc]
-        # (d^2 + a^2 - r^2) / (2 a d), split so the argument is exactly -1
-        # at the branch junction d = r - a
-        arg = (di + j) * (di - j) / (2.0 * a * di) - j / di
+        # (d^2 + a^2 - r^2) / (2 a d), factored on each half of the arc so
+        # the argument is exactly -1 at the junction d = r - a and exactly 1
+        # at d = r + a; one form for all d leaves ~ulp(r)/a of roundoff at
+        # the far end, which exceeds the arccos clamp for small a
+        arg = np.where(di <= r,
+                       (di + j) * (di - j) / (2.0 * a * di) - j / di,
+                       1.0 + (di - (r + a)) * (di + j) / (2.0 * a * di))
         out[arc] = (2.0 * di / (np.pi * r ** 2)) * _checked_arccos(arg)
     return out
 
@@ -234,15 +232,16 @@ def _cosine_grid(lo: float, hi: float, breakpoints: Sequence[float],
 class DistanceDistribution:
     """A distance pdf with a tabulated CDF for sampling and checking.
 
-    Construction integrates the pdf once (raising `IntegrityError` if it
-    does not normalize to 1 within 1e-4) and tabulates the CDF on a dense
-    grid; `sample` then inverts the CDF by linear interpolation.
+    Construction evaluates the pdf once on a dense grid and tabulates the
+    CDF by the trapezoid rule.  The tabulated total is the normalisation
+    check: `IntegrityError` if it is not 1 within 1e-4, or if the pdf is
+    negative anywhere on the grid.  `sample` then inverts the CDF by linear
+    interpolation.
     """
 
     def __init__(self, pdf: Callable[[np.ndarray], np.ndarray],
-                 support: tuple[float, float], kind: DistanceKind,
+                 support: tuple[float, float],
                  *, breakpoints: Sequence[float] = (),
-                 grid_points: int = _DEFAULT_GRID_POINTS,
                  positional_sampler: Callable[[np.random.Generator, int],
                                               np.ndarray] | None = None):
         lo, hi = float(support[0]), float(support[1])
@@ -250,7 +249,6 @@ class DistanceDistribution:
             raise ParameterError(f"invalid support ({lo}, {hi})")
         self.pdf = pdf
         self.support = (lo, hi)
-        self.kind = kind
         self._positional_sampler = positional_sampler
         if hi - lo < 1e-12:
             # Degenerate support: all mass at lo.
@@ -258,25 +256,24 @@ class DistanceDistribution:
             self._cdf = np.array([0.0, 1.0])
             return
         interior = [b for b in breakpoints if lo < b < hi]
-        total, abserr = integrate.quad(lambda t: float(pdf(t)), lo, hi,
-                                       points=interior or None, limit=200)
-        if abs(total - 1.0) > 1e-4:
+        grid = _cosine_grid(lo, hi, interior, _GRID_POINTS)
+        density = np.asarray(pdf(grid), dtype=float)
+        cdf = np.concatenate((
+            [0.0], np.cumsum(np.diff(grid) * (density[1:] + density[:-1]) / 2.0)))
+        total = cdf[-1]
+        if not abs(total - 1.0) <= 1e-4:  # a NaN total fails too
             raise IntegrityError(
                 f"pdf integrates to {total:.8f}, expected 1 within 1e-4")
-        grid = _cosine_grid(lo, hi, interior, grid_points)
-        density = np.asarray(pdf(grid), dtype=float)
         if np.min(density) < -_TRIG_ARG_TOL:
             raise IntegrityError("pdf is negative on its support")
-        cdf = integrate.cumulative_trapezoid(density, grid, initial=0.0)
-        cdf /= cdf[-1]
+        cdf /= total
         self._grid = grid
         self._cdf = cdf
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def bs_member(cls, geom: ClusterGeometry,
-                  grid_points: int = _DEFAULT_GRID_POINTS) -> "DistanceDistribution":
+    def bs_member(cls, geom: ClusterGeometry) -> "DistanceDistribution":
         dh = geom.delta_h
 
         def positions(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -286,33 +283,28 @@ class DistanceDistribution:
             return np.sqrt(planar ** 2 + dh ** 2)
 
         return cls(lambda d: pdf_bs_member_distance(d, geom),
-                   bs_member_support(geom), DistanceKind.BS_MEMBER,
-                   grid_points=grid_points, positional_sampler=positions)
+                   bs_member_support(geom), positional_sampler=positions)
 
     @classmethod
-    def peer(cls, offset_a: float, radius_r: float,
-             grid_points: int = _DEFAULT_GRID_POINTS) -> "DistanceDistribution":
+    def peer(cls, offset_a: float, radius_r: float) -> "DistanceDistribution":
         def positions(rng: np.random.Generator, n: int) -> np.ndarray:
             from .geometry import sample_uniform_disk
             pts = sample_uniform_disk(rng, n, radius_r, (offset_a, 0.0))
             return np.hypot(pts[:, 0], pts[:, 1])
 
         return cls(lambda d: pdf_peer_distance(d, offset_a, radius_r),
-                   peer_support(offset_a, radius_r), DistanceKind.PEER,
-                   breakpoints=(radius_r - offset_a,),
-                   grid_points=grid_points, positional_sampler=positions)
+                   peer_support(offset_a, radius_r),
+                   breakpoints=(radius_r - offset_a,), positional_sampler=positions)
 
     @classmethod
-    def center_offset(cls, radius_r: float,
-                      grid_points: int = _DEFAULT_GRID_POINTS) -> "DistanceDistribution":
+    def center_offset(cls, radius_r: float) -> "DistanceDistribution":
         def positions(rng: np.random.Generator, n: int) -> np.ndarray:
             from .geometry import sample_uniform_disk
             pts = sample_uniform_disk(rng, n, radius_r)
             return np.hypot(pts[:, 0], pts[:, 1])
 
         return cls(lambda a: pdf_center_offset(a, radius_r),
-                   center_offset_support(radius_r), DistanceKind.CENTER_OFFSET,
-                   grid_points=grid_points, positional_sampler=positions)
+                   center_offset_support(radius_r), positional_sampler=positions)
 
     # -- queries -----------------------------------------------------------
 

@@ -1,10 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uavcast
 from uavcast.analysis import (
     MetricInputs,
+    _integrate,
     average_ase,
     average_delay,
     cluster_peer_count,
@@ -93,23 +99,31 @@ def _mp_success(mp, p_tx_mw, loss_db):
 # The two tests below re-derive the link law and the distance densities in
 # 30-digit mpmath without calling package channel or distribution code.
 
-@pytest.mark.parametrize("r", [10, 25, 50, 100])
-def test_transmission_success_matches_mpmath(mp, r):
+# The 1e-3 mW relay is weak enough that the quadrature needs 256 nodes per
+# panel before two estimates agree.
+@pytest.mark.parametrize("r,p_uav_mw", [
+    *(pytest.param(r, 10, id=str(r)) for r in (10, 25, 50, 100)),
+    pytest.param(100, "1e-3", id="100-weak-relay"),
+])
+def test_transmission_success_matches_mpmath(mp, r, p_uav_mw):
     def relay(d):  # UAV-to-UAV link, distances clamped at 1 m
         loss = (41 + mp.mpf("22.7") * mp.log10(max(d, 1))
                 + 20 * mp.log10(mp.mpf("5.8") / 5))
-        return _mp_success(mp, 10, loss)
+        return _mp_success(mp, mp.mpf(p_uav_mw), loss)
 
     def chord(d):  # distance between two uniform points in the disk
         t = d / (2 * r)
         return 4 * d / (mp.pi * r * r) * (mp.acos(t) - t * mp.sqrt(1 - t * t))
 
     ref = mp.quad(lambda d: relay(d) * chord(d), [0, 1, 2 * r])
-    assert transmission_success_probability(float(r), RADIO) == pytest.approx(
+    radio = dataclasses.replace(RADIO, p_uav_mw=float(p_uav_mw))
+    assert transmission_success_probability(float(r), radio) == pytest.approx(
         float(ref), rel=1e-12)
 
 
-@pytest.mark.parametrize("v", [400, 800, 1200])
+# v = 51 grazes the BS: the cluster disk comes within 1 m of it in the
+# plane, and the quadrature needs 128 nodes.
+@pytest.mark.parametrize("v", [400, 800, 1200, 51])
 def test_coverage_probability_matches_mpmath(mp, v):
     r, dh = 50, 10
 
@@ -125,6 +139,25 @@ def test_coverage_probability_matches_mpmath(mp, v):
     ref = mp.quad(lambda x: broadcast(x) * planar(x), [v - r, v, v + r])
     assert coverage_probability(_geom(float(v)), RADIO) == pytest.approx(
         float(ref), rel=1e-12)
+
+
+def test_integrate_rejects_a_nonconverging_integrand():
+    def step(x):
+        return (x > 1.0 / 3.0).astype(float)
+
+    with pytest.raises(NumericError, match=r"\[0\.0, 1\.0\]"):
+        _integrate(step, (0.0, 1.0))
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(uavcast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, uavcast; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_cluster_peer_count():

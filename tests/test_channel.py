@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from uavcast.channel import (
-    ChannelDiagnostics,
     LinkKind,
     PathLossParams,
     RadioParams,
@@ -57,14 +56,11 @@ def test_path_loss_strictly_decreasing_gain(kind):
     assert np.all(np.diff(gain) < 0)
 
 
-def test_short_distances_clamp_with_diagnostics():
-    diag = ChannelDiagnostics()
-    at_clamp = path_loss_db(LinkKind.UAV_TO_UAV, 1.0, RADIO, diag)
-    below = path_loss_db(LinkKind.UAV_TO_UAV,
-                         np.array([0.0, 0.5, 2.0]), RADIO, diag)
+def test_short_distances_clamp():
+    at_clamp = path_loss_db(LinkKind.UAV_TO_UAV, 1.0, RADIO)
+    below = path_loss_db(LinkKind.UAV_TO_UAV, np.array([0.0, 0.5, 2.0]), RADIO)
     assert below[0] == at_clamp and below[1] == at_clamp
     assert below[2] > at_clamp
-    assert diag.clamped_distances == 2
 
 
 def test_db_linear_round_trip():

@@ -9,7 +9,6 @@ from scipy import integrate
 from uavcast.distributions import (
     ClusterGeometry,
     DistanceDistribution,
-    DistanceKind,
     bs_member_support,
     center_offset_support,
     empirical_distance_check,
@@ -188,30 +187,31 @@ def test_member_pair_pdf_is_the_offset_mixture_of_peer_pdfs(r):
 
 
 def test_distribution_rejects_unnormalized_pdf():
-    with pytest.raises(IntegrityError, match="integrates"):
-        DistanceDistribution(lambda x: np.full_like(np.asarray(x, float), 0.5),
-                             (0.0, 1.0), DistanceKind.CENTER_OFFSET)
+    for value in (0.5, math.nan):
+        with pytest.raises(IntegrityError, match="integrates"):
+            DistanceDistribution(
+                lambda x: np.full_like(np.asarray(x, float), value), (0.0, 1.0))
 
 
 def test_distribution_rejects_negative_pdf():
     # integrates to exactly 1 but dips below zero past x = 5/6
     with pytest.raises(IntegrityError, match="negative"):
         DistanceDistribution(lambda x: 2.5 - 3.0 * np.asarray(x, float),
-                             (0.0, 1.0), DistanceKind.CENTER_OFFSET)
+                             (0.0, 1.0))
 
 
 def test_distribution_rejects_bad_support():
     with pytest.raises(ParameterError):
         DistanceDistribution(lambda x: np.ones_like(np.asarray(x, float)),
-                             (1.0, 0.0), DistanceKind.CENTER_OFFSET)
+                             (1.0, 0.0))
     with pytest.raises(ParameterError):
         DistanceDistribution(lambda x: np.ones_like(np.asarray(x, float)),
-                             (0.0, math.inf), DistanceKind.CENTER_OFFSET)
+                             (0.0, math.inf))
 
 
 def test_degenerate_support_returns_point_mass():
     dist = DistanceDistribution(lambda x: np.zeros_like(np.asarray(x, float)),
-                                (5.0, 5.0), DistanceKind.CENTER_OFFSET)
+                                (5.0, 5.0))
     rng = np.random.default_rng(0)
     assert dist.sample(rng) == 5.0
     assert np.all(dist.sample(rng, 10) == 5.0)
@@ -262,6 +262,15 @@ def test_empirical_check_peer():
     assert gap < 0.005
 
 
+@pytest.mark.parametrize("offset_a", [1e-4, 5e-5, 1e-5])
+def test_peer_distribution_small_offsets(offset_a):
+    # the arccos argument must stay within its clamp up to d = r + a even
+    # when a is tiny next to r
+    dist = DistanceDistribution.peer(offset_a, 50.0)
+    gap = empirical_distance_check(dist, 100_000, np.random.default_rng(16))
+    assert gap < 0.01
+
+
 def test_empirical_check_center_offset():
     dist = DistanceDistribution.center_offset(50.0)
     gap = empirical_distance_check(dist, 100_000, np.random.default_rng(14))
@@ -279,7 +288,7 @@ def test_empirical_check_argument_validation():
     with pytest.raises(ParameterError):
         empirical_distance_check(dist, 0, np.random.default_rng(0))
     bare = DistanceDistribution(lambda a: pdf_center_offset(a, 50.0),
-                                (0.0, 50.0), DistanceKind.CENTER_OFFSET)
+                                (0.0, 50.0))
     with pytest.raises(ParameterError, match="positional"):
         empirical_distance_check(bare, 100, np.random.default_rng(0))
 
