@@ -1,0 +1,78 @@
+"""Print the sha256 of every output of a fixed set of `uavcast` commands.
+
+    python3 scripts/output_digests.py > digests.txt
+
+Runs from the root of a source checkout (the package is imported from
+`src/`).  The commands write into a temporary directory that is removed
+afterwards; stdout gets one `sha256  name` line per output file, sorted by
+name.  Two checkouts that draw the same random numbers print the same
+lines, so comparing two commits for byte-identical outputs is one `diff`.
+
+The commands:
+
+- `study --study delay|ase --replications 200` (default grids), and
+  `study --study delay --mode density --replications 200`;
+- `topology --drops 20` in fixed_total and density mode;
+- `simulate --scheme S --seed 1|2|3 --d0 1200 --num-clusters 2` with
+  `--out` and `--event-log` for every scheme, and the same at seed 1 with
+  `--max-time-ms 40` (named `budget40`).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from uavcast.cli import main  # noqa: E402
+
+SCHEMES = ("benchmark", "clustering", "rnc")
+
+
+def commands(out: Path) -> list[list[str]]:
+    """Every command line, each writing its outputs under `out`."""
+    cmds = [
+        ["study", "--study", "delay", "--replications", "200",
+         "--out-dir", str(out / "delay")],
+        ["study", "--study", "ase", "--replications", "200",
+         "--out-dir", str(out / "ase")],
+        ["study", "--study", "delay", "--mode", "density",
+         "--replications", "200", "--out-dir", str(out / "delay_density")],
+        ["topology", "--drops", "20", "--out", str(out / "topo_fixed.csv")],
+        ["topology", "--drops", "20", "--mode", "density",
+         "--out", str(out / "topo_density.csv")],
+    ]
+    runs = [(str(seed), str(seed), []) for seed in (1, 2, 3)]
+    runs.append(("budget40", "1", ["--max-time-ms", "40"]))
+    for scheme in SCHEMES:
+        for tag, seed, extra in runs:
+            cmds.append(["simulate", "--scheme", scheme, "--seed", seed,
+                         "--d0", "1200", "--num-clusters", "2", *extra,
+                         "--out", str(out / f"sim_{scheme}_{tag}.csv"),
+                         "--event-log", str(out / f"ev_{scheme}_{tag}.csv")])
+    return cmds
+
+
+def run() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for argv in commands(out):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            if code != 0:
+                print(f"error: exit {code}: uavcast {' '.join(argv)}",
+                      file=sys.stderr)
+                return code
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())

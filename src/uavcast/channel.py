@@ -129,6 +129,12 @@ def path_loss_linear(kind: LinkKind, distance_m, params: RadioParams):
     return db_to_linear(-np.asarray(path_loss_db(kind, distance_m, params)))
 
 
+def mean_received_power(kind: LinkKind, distance_m, params: RadioParams):
+    """Fading-free received power p_tx * gain in mW over the `kind` link at
+    its configured transmit power; distances < 1 m are clamped."""
+    return params.tx_power_mw(kind) * path_loss_linear(kind, distance_m, params)
+
+
 def sample_power_fading(rng: np.random.Generator, size=None):
     """Rayleigh fading power gain |h|^2: unit-mean exponential draws."""
     return rng.exponential(1.0, size)

@@ -108,6 +108,14 @@ def _float_list(raw: str) -> tuple[float, ...]:
         raise ParameterError(f"expected a comma-separated number list, got {raw!r}")
 
 
+def _count_list(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in raw.split(",") if part.strip())
+    except ValueError:
+        raise ParameterError(
+            f"c_values: expected a comma-separated integer list, got {raw!r}")
+
+
 def _rng(config: ScenarioConfig, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.base_seed,
                                                         spawn_key=key))
@@ -211,7 +219,7 @@ def _cmd_study(args) -> int:
                  if args.r_values else None)
         table = experiments.run_validation_study("success", config, sweep)
     elif name == "design-insight":
-        c_values = (_float_list(args.c_values) if args.c_values
+        c_values = (_count_list(args.c_values) if args.c_values
                     else experiments.DEFAULT_DESIGN_C_GRID)
         v_values = (_float_list(args.v_values) if args.v_values
                     else experiments.DEFAULT_DESIGN_V_GRID)
@@ -219,7 +227,7 @@ def _cmd_study(args) -> int:
     else:
         d0_values = (_float_list(args.d0_values) if args.d0_values
                      else experiments.DEFAULT_D0_GRID)
-        c_values = (_float_list(args.c_values) if args.c_values
+        c_values = (_count_list(args.c_values) if args.c_values
                     else experiments.DEFAULT_C_GRID)
         run = (experiments.run_delay_study if name == "delay"
                else experiments.run_ase_study)

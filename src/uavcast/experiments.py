@@ -110,6 +110,19 @@ def _rng(base_seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=key))
 
 
+def _cluster_counts(c_values) -> tuple[int, ...]:
+    """The cluster-count grid as ints; every value must be a positive
+    integer, since a fractional count would be truncated silently."""
+    try:
+        ok = all(c >= 1 and c == int(c) for c in c_values)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(
+            f"c_values: cluster counts must be positive integers, got {list(c_values)}")
+    return tuple(int(c) for c in c_values)
+
+
 def _mean_stderr(samples: np.ndarray) -> tuple[float, float, int]:
     """Mean, standard error and count, skipping NaN entries."""
     valid = samples[~np.isnan(samples)]
@@ -187,8 +200,8 @@ def run_design_insight_study(config: ScenarioConfig,
     """
     study = "design_insight"
     rows = []
-    for c in c_values:
-        r_c = design_radius(config.total_uavs, int(c), config.lambda_off_per_m2)
+    for c in _cluster_counts(c_values):
+        r_c = design_radius(config.total_uavs, c, config.lambda_off_per_m2)
         try:
             p_suc = analysis.transmission_success_probability(r_c, config.radio)
             k = analysis.cluster_peer_count(config.lambda_off_per_m2, r_c)
@@ -266,11 +279,12 @@ def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
     closed-form clustering delay at center distance d0.
     """
     study = "delay"
+    c_values = _cluster_counts(c_values)
     rows = []
     for i_d0, d0 in enumerate(d0_values):
         analytic = _analytic_metrics(config, d0)
         for i_c, c in enumerate(c_values):
-            scenario = config.replace(d0_m=d0, num_clusters=int(c))
+            scenario = config.replace(d0_m=d0, num_clusters=c)
             for scheme in config.schemes:
                 delays, ratios, _ = _replicated(study, scheme, scenario,
                                                 (i_d0, i_c))
@@ -298,11 +312,12 @@ def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
     its rows duplicate them.
     """
     study = "ase"
+    c_values = _cluster_counts(c_values)
     rows = []
     for i_d0, d0 in enumerate(d0_values):
         analytic = _analytic_metrics(config, d0)
         for i_c, c in enumerate(c_values):
-            scenario = config.replace(d0_m=d0, num_clusters=int(c))
+            scenario = config.replace(d0_m=d0, num_clusters=c)
             benchmark_row = None
             for scheme in ("clustering", "benchmark"):
                 _, _, ases = _replicated(study, scheme, scenario, (i_d0, i_c))

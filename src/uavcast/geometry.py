@@ -104,36 +104,61 @@ def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topolo
 
     density mode: Poisson centers with density `lambda_per_m2`, each holding
     floor(lambda_off_per_m2 * pi * radius_r^2) members.
+
+    After the Poisson count (density mode only) the drop draws one block of
+    2 * (clusters + members) uniform doubles and consumes it in the order of
+    one `sample_uniform_disk` call for the centers followed by one per
+    cluster, so the drop and the generator state after it equal those of
+    per-disk sampling bit for bit.
     """
-    if config.radius_r_m > config.region_radius_m:
+    region, radius_r = config.region_radius_m, config.radius_r_m
+    if region <= 0:
+        raise ParameterError(f"region_radius_m: must be positive, got {region}")
+    if radius_r <= 0:
+        raise ParameterError(f"radius_r_m: must be positive, got {radius_r}")
+    if radius_r > region:
         raise ParameterError(
-            "radius_r_m: cluster radius "
-            f"{config.radius_r_m} exceeds region radius {config.region_radius_m}")
+            f"radius_r_m: cluster radius {radius_r} exceeds region radius {region}")
     if config.mode == "fixed_total":
-        centers = sample_uniform_disk(rng, config.num_clusters, config.region_radius_m)
-        base, extra = divmod(config.total_uavs, config.num_clusters)
-        counts = [base + (1 if i < extra else 0) for i in range(config.num_clusters)]
+        k = config.num_clusters
+        if k < 1:
+            raise ParameterError(f"num_clusters: must be >= 1, got {k}")
+        if config.total_uavs < k:
+            raise ParameterError(
+                f"total_uavs: need at least one UAV per cluster, got "
+                f"{config.total_uavs} for {k} clusters")
+        base, extra = divmod(config.total_uavs, k)
+        counts = np.full(k, base)
+        counts[:extra] += 1
         density = None
     elif config.mode == "density":
-        centers = sample_parent_centers(config.region_radius_m,
-                                        config.lambda_per_m2, rng)
-        per_cluster = math.floor(config.lambda_off_per_m2 * math.pi
-                                 * config.radius_r_m ** 2)
+        density = config.lambda_per_m2
+        if density <= 0:
+            raise ParameterError(f"lambda_per_m2: must be positive, got {density}")
+        per_cluster = math.floor(config.lambda_off_per_m2 * math.pi * radius_r ** 2)
         if per_cluster < 1:
             raise ParameterError(
                 "lambda_off_per_m2: offspring density too low, expected members "
                 f"per cluster {per_cluster} < 1")
-        counts = [per_cluster] * len(centers)
-        density = config.lambda_per_m2
+        k = int(rng.poisson(density * np.pi * region ** 2))
+        counts = np.full(k, per_cluster)
     else:
         raise ParameterError(f"mode: unknown mode {config.mode!r}")
 
-    # One draw per cluster, in cluster order: this fixes the RNG stream.
-    members = [sample_cluster_members(center, config.radius_r_m, count, rng)
-               for center, count in zip(centers, counts)]
+    # Disk call c (0: the centers, c > 0: cluster c - 1) takes sizes[c]
+    # radii, then sizes[c] angles, so its point p (numbered across calls)
+    # reads its radius at p + first[c] and its angle sizes[c] later.
+    sizes = np.concatenate([[k], counts])
+    call = np.repeat(np.arange(k + 1), sizes)
+    first = np.cumsum(sizes) - sizes
+    u = rng.random(2 * call.size)
+    r_at = np.arange(call.size) + first[call]
+    rho = np.where(call == 0, region, radius_r) * np.sqrt(u[r_at])
+    theta = 2.0 * np.pi * u[r_at + sizes[call]]
+    offsets = np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
+    centers, cluster_of = offsets[:k], call[k:] - 1
     return Topology(
-        xy=np.vstack(members) if members else np.empty((0, 2)),
-        cluster_of=np.repeat(np.arange(len(counts)), counts),
+        xy=centers[cluster_of] + offsets[k:], cluster_of=cluster_of,
         centers=centers, height=config.h2_m,
         bs_xy=(config.d0_m, 0.0), bs_height=config.h1_m,
         parent_density=density, mode=config.mode)

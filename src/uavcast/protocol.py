@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import LinkKind, RadioParams, reception_success
+from .channel import LinkKind, RadioParams, mean_received_power
 from .errors import IntegrityError, ParameterError
 from .geometry import Topology
 
@@ -138,12 +138,17 @@ class SchemeOutcome:
         return ~self.undelivered
 
 
-def _link_model(radio: RadioParams, kind: LinkKind):
-    """Default reception hook: fading draws on the `kind` link at its power."""
-    p_tx = radio.tx_power_mw(kind)
+def _link_model(radio: RadioParams):
+    """Default reception hook: one Rayleigh fading draw per listener.
 
-    def model(distances: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.atleast_1d(reception_success(p_tx, distances, kind, radio, rng))
+    `power` holds each listener's mean received power p_tx * gain (mW).
+    The product is taken in `channel.snr`'s order, (p_tx * gain) * fading,
+    so the decisions equal `channel.reception_success`'s bit for bit.
+    """
+    noise, threshold = radio.noise_power_mw, radio.snr_threshold
+
+    def model(power: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return (power * rng.exponential(1.0, power.shape)) / noise > threshold
     return model
 
 
@@ -186,9 +191,10 @@ def _contend(contenders, cw, medium, t, airtime_ms, sim, rng, log, kind,
         medium.occupy(start, end)
         counters[counter_key] += len(winners)
         collided = len(winners) > 1
-        for u in winners:
-            log.add(start, EventKind.BACKOFF_EXPIRY, u, packet_id, cluster_id)
-            log.add(end, kind, u, packet_id, cluster_id, collided)
+        if log.events is not None:
+            for u in winners:
+                log.add(start, EventKind.BACKOFF_EXPIRY, u, packet_id, cluster_id)
+                log.add(end, kind, u, packet_id, cluster_id, collided)
         if not collided:
             cw[winners[0]] = sim.cw_min
             return winners[0], end
@@ -208,15 +214,18 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
                           peer_success=None) -> SchemeOutcome:
     """One epoch of the clustering recovery scheme.
 
-    `broadcast_success` and `peer_success` are (distances, rng) -> bool
-    array hooks; tests inject deterministic links through them.  Cluster
-    channels run independently, so recovery timelines overlap across
-    clusters while staying serialized within each cluster.
+    `broadcast_success` and `peer_success` are (power, rng) -> bool array
+    hooks that receive the mean received power p_tx * gain (mW) of each
+    listener, one entry per listener; tests inject deterministic links
+    through them.  The BS link's powers are computed once per epoch and
+    the peer link's once per recovering cluster.  Cluster channels run
+    independently, so recovery timelines overlap across clusters while
+    staying serialized within each cluster.
     """
     if broadcast_success is None:
-        broadcast_success = _link_model(radio, LinkKind.BS_TO_UAV)
+        broadcast_success = _link_model(radio)
     if peer_success is None:
-        peer_success = _link_model(radio, LinkKind.UAV_TO_UAV)
+        peer_success = _link_model(radio)
     xy, cluster_of = topology.xy, topology.cluster_of
     n = topology.n_uavs
     log = _EpochLog(collect_events)
@@ -229,20 +238,33 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
     counters["bs"] += 1
     t_bcast = sim.packet_len_ms
     log.add(t_bcast, EventKind.BS_BROADCAST_END, -1, PACKET_ID, -1)
-    got = (broadcast_success(topology.bs_distances(), rng) if n else
-           np.zeros(0, dtype=bool))
+    p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
+                               radio)
+    got = broadcast_success(p_bs, rng) if n else np.zeros(0, dtype=bool)
     delivery[got] = t_bcast
     via_broadcast[got] = True
 
+    # Members are grouped by cluster: cluster c holds rows bounds[c] to
+    # bounds[c + 1].
+    bounds = np.searchsorted(cluster_of,
+                             np.arange(topology.n_clusters + 1)).tolist()
+    got_list = got.tolist()
     for cid in range(topology.n_clusters):
-        members = np.flatnonzero(cluster_of == cid)
-        missing = [int(u) for u in members if not got[u]]
+        first, end = bounds[cid], bounds[cid + 1]
+        missing = [u for u in range(first, end) if not got_list[u]]
         if not missing:
             continue
-        holders = [int(u) for u in members if got[u]]
+        holders = [u for u in range(first, end) if got_list[u]]
         if not holders:
             undelivered[missing] = True
             continue
+        # Listeners are always among the members that missed the broadcast
+        # (rows, sorted); any member can reply (columns, from row `first`).
+        need = np.array(missing)
+        dx = xy[need, 0][:, None] - xy[first:end, 0]
+        dy = xy[need, 1][:, None] - xy[first:end, 1]
+        peer_power = mean_received_power(LinkKind.UAV_TO_UAV,
+                                         np.hypot(dx, dy), radio)
         medium = MediumState()
         t = t_bcast
         while missing:
@@ -260,9 +282,9 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
                 break
             listeners = (sorted(missing) if sim.opportunistic_caching
                          else [requester])
-            dist = np.hypot(xy[listeners, 0] - xy[replier, 0],
-                            xy[listeners, 1] - xy[replier, 1])
-            ok = peer_success(dist, rng)
+            ok = peer_success(
+                peer_power[np.searchsorted(need, listeners), replier - first],
+                rng)
             for u, success in zip(listeners, ok):
                 if success:
                     delivery[u] = t
@@ -287,12 +309,16 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
     served in it ACK right after it, serialized on the uplink;
     `via_broadcast` marks members served in round 1.  Coded: round k carries
     coded packet k, and one terminal ACK per member follows once all have
-    decoded; `via_broadcast` marks decoded members.
+    decoded; `via_broadcast` marks decoded members.  `broadcast_success`
+    is a (power, rng) -> bool array hook over the mean received powers
+    p_tx * gain (mW) of the members still short of `g`; the powers are
+    computed once per epoch and shared by every round.
     """
     if broadcast_success is None:
-        broadcast_success = _link_model(radio, LinkKind.BS_TO_UAV)
+        broadcast_success = _link_model(radio)
     cluster_of = topology.cluster_of
-    d_bs = topology.bs_distances()
+    p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
+                               radio)
     n = topology.n_uavs
     log = _EpochLog(collect_events)
     delivery = np.full(n, np.nan)
@@ -303,11 +329,12 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
 
     def acks(members):
         nonlocal t, control
+        control += len(members)
         for u in members:
             t += sim.t_ack_ms
-            control += 1
-            log.add(t, EventKind.ACK_RX_END, int(u), PACKET_ID,
-                    int(cluster_of[u]))
+            if log.events is not None:
+                log.add(t, EventKind.ACK_RX_END, int(u), PACKET_ID,
+                        int(cluster_of[u]))
 
     while (received < g).any() and t + sim.packet_len_ms <= sim.max_time_ms:
         packet_id = bs_tx if coded else PACKET_ID
@@ -315,7 +342,7 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
         t += sim.packet_len_ms
         log.add(t, EventKind.BS_BROADCAST_END, -1, packet_id, -1)
         idx = np.flatnonzero(received < g)
-        hit = idx[broadcast_success(d_bs[idx], rng)]
+        hit = idx[broadcast_success(p_bs[idx], rng)]
         received[hit] += 1
         done = hit[received[hit] == g]
         delivery[done] = t

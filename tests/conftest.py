@@ -28,15 +28,15 @@ def four_uav_topology():
 
 def fixed_success(p):
     """Reception hook: each reception succeeds independently with prob p."""
-    def hook(distances, rng):
-        return rng.random(np.atleast_1d(distances).shape[0]) < p
+    def hook(power, rng):
+        return rng.random(np.atleast_1d(power).shape[0]) < p
     return hook
 
 
 def all_links(value):
     """Reception hook: every reception succeeds (True) or fails (False)."""
-    def hook(distances, rng):
-        return np.full(np.atleast_1d(distances).shape[0], value, dtype=bool)
+    def hook(power, rng):
+        return np.full(np.atleast_1d(power).shape[0], value, dtype=bool)
     return hook
 
 
@@ -44,7 +44,7 @@ def reception_pattern(*flags):
     """Reception hook returning a fixed per-member pattern (first call shape)."""
     pattern = np.array(flags, dtype=bool)
 
-    def hook(distances, rng):
-        n = np.atleast_1d(distances).shape[0]
+    def hook(power, rng):
+        n = np.atleast_1d(power).shape[0]
         return pattern[:n]
     return hook

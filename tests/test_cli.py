@@ -74,6 +74,18 @@ def test_non_finite_value_exit_code(capsys):
     assert len(err) == 1 and err[0].startswith("error: config: radius_r_m")
 
 
+@pytest.mark.parametrize("study", ["delay", "ase", "design-insight"])
+@pytest.mark.parametrize("c_values", ["2.5,2.9", "0,2", "-1", "2,x"])
+def test_study_rejects_bad_cluster_counts(study, c_values, tmp_path, capsys):
+    """Cluster counts must be positive integers; none is truncated."""
+    rc = cli.main(["study", "--study", study, "--c-values", c_values,
+                   "--replications", "2", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: c_values")
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_config_file_exit_code(capsys):
     rc = cli.main(["metrics", "--config", "/nonexistent/scenario.cfg"])
     assert rc == cli.EXIT_CONFIG

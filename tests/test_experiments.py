@@ -183,6 +183,24 @@ def test_ase_study_rnc_rows_mirror_benchmark():
         assert clustering.mean <= upper + 1e-12
 
 
+@pytest.mark.parametrize("c_values", [(2.5,), (2, 2.9), (0,), (-2,),
+                                      (float("nan"),), (float("inf"),), ("2",)])
+@pytest.mark.parametrize("study", [run_delay_study, run_ase_study,
+                                   run_design_insight_study])
+def test_studies_reject_bad_cluster_counts(study, c_values):
+    with pytest.raises(ParameterError, match="^c_values"):
+        study(ScenarioConfig(replications=2), c_values=c_values)
+
+
+def test_studies_accept_integral_cluster_counts():
+    """numpy ints and integral floats name the same grid as Python ints."""
+    config = ScenarioConfig(replications=5)
+    ints = run_ase_study(config, d0_values=(800.0,), c_values=(2, 5))
+    assert run_ase_study(config, d0_values=(800.0,),
+                         c_values=(np.int64(2), 5.0)).csv_text() == \
+        ints.csv_text()
+
+
 def test_studies_are_deterministic_in_base_seed():
     config = ScenarioConfig(replications=30)
     kwargs = dict(d0_values=(800.0,), c_values=(5,))

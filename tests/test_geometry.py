@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavcast.config import ScenarioConfig
@@ -152,6 +152,64 @@ def test_build_topology_rejects_bad_stub_inputs():
         build_topology(_config_stub(mode="density", lambda_off_per_m2=1e-6), rng)
     with pytest.raises(ParameterError, match="mode"):
         build_topology(_config_stub(mode="grid"), rng)
+    for radius_r in (0.0, -50.0):
+        with pytest.raises(ParameterError, match="radius_r_m"):
+            build_topology(_config_stub(radius_r_m=radius_r), rng)
+    with pytest.raises(ParameterError, match="lambda_per_m2"):
+        build_topology(_config_stub(mode="density", lambda_per_m2=0.0), rng)
+    with pytest.raises(ParameterError, match="region_radius_m"):
+        build_topology(_config_stub(region_radius_m=0.0), rng)
+    with pytest.raises(ParameterError, match="num_clusters"):
+        build_topology(_config_stub(num_clusters=0), rng)
+    with pytest.raises(ParameterError, match="total_uavs"):
+        build_topology(_config_stub(total_uavs=4), rng)
+
+
+def _reference_drop(config, rng):
+    """The drop as one `sample_uniform_disk` call for the centers and one
+    per cluster, in cluster order."""
+    if config.mode == "fixed_total":
+        k = config.num_clusters
+        centers = sample_uniform_disk(rng, k, config.region_radius_m)
+        base, extra = divmod(config.total_uavs, k)
+        counts = [base + (i < extra) for i in range(k)]
+    else:
+        k = int(rng.poisson(config.lambda_per_m2 * math.pi
+                            * config.region_radius_m ** 2))
+        centers = sample_uniform_disk(rng, k, config.region_radius_m)
+        counts = [math.floor(config.lambda_off_per_m2 * math.pi
+                             * config.radius_r_m ** 2)] * k
+    members = [sample_uniform_disk(rng, c, config.radius_r_m, center)
+               for center, c in zip(centers, counts)]
+    xy = np.vstack(members) if members else np.empty((0, 2))
+    return centers, xy, np.repeat(np.arange(k), counts)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       mode=st.sampled_from(["fixed_total", "density"]),
+       num_clusters=st.integers(1, 12), total_uavs=st.integers(12, 61),
+       lambda_per_m2=st.floats(1e-5, 5e-4))
+@settings(max_examples=200, deadline=None)
+@example(seed=0, mode="density", num_clusters=1, total_uavs=12,
+         lambda_per_m2=1e-5)
+def test_single_draw_topology_matches_per_disk_draws(seed, mode, num_clusters,
+                                                     total_uavs, lambda_per_m2):
+    """Bit for bit the drop and the RNG state of per-disk sampling.
+
+    The density range puts 0.3 to 16 clusters on the region on average, so
+    empty drops occur (the explicit example is one); total_uavs covers
+    uneven splits for every C.
+    """
+    config = ScenarioConfig(mode=mode, num_clusters=num_clusters,
+                            total_uavs=total_uavs, lambda_per_m2=lambda_per_m2)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    topo = build_topology(config, rng)
+    centers, xy, cluster_of = _reference_drop(config, ref_rng)
+    assert topo.centers.shape == centers.shape
+    assert topo.centers.tobytes() == centers.tobytes()
+    assert topo.xy.shape == xy.shape and topo.xy.tobytes() == xy.tobytes()
+    assert topo.cluster_of.tolist() == cluster_of.tolist()
+    assert rng.random() == ref_rng.random()
 
 
 def test_build_topology_geometry_and_heights():

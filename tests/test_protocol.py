@@ -19,15 +19,23 @@ from uavcast.analysis import (
     coverage_probability,
     transmission_success_probability,
 )
-from uavcast.channel import RadioParams
+from uavcast.channel import (
+    LinkKind,
+    RadioParams,
+    mean_received_power,
+    reception_success,
+)
 from uavcast.config import ScenarioConfig
 from uavcast.errors import IntegrityError, ParameterError
-from uavcast.geometry import build_topology
+from uavcast.geometry import Topology, build_topology
 from uavcast.protocol import (
     SCHEME_RUNNERS,
     EventKind,
     MediumState,
     SimParams,
+    _contend,
+    _EpochLog,
+    _link_model,
     run_ack_benchmark,
     run_clustering_scheme,
     run_rnc_scheme,
@@ -58,6 +66,45 @@ def test_sim_params_validation():
                       ("max_time_ms", math.inf)):
         with pytest.raises(ParameterError, match=name):
             SimParams(**{name: bad})
+
+
+@pytest.mark.parametrize("kind", list(LinkKind))
+def test_default_link_hook_matches_reception_success(kind):
+    """Mean powers plus the hook decide as `reception_success` on distances
+    does, bit for bit, and leave the generator in the same state."""
+    clamped = np.array([0.0, 0.3, 0.999, 1.0, 1.5, 20.0, 400.0, 1200.0])
+    spread = np.random.default_rng(5).uniform(0.0, 3000.0, 2000)
+    hook = _link_model(RADIO)
+    for distances in (clamped, spread, np.empty(0)):
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = hook(mean_received_power(kind, distances, RADIO), rng)
+        want = reception_success(RADIO.tx_power_mw(kind), distances, kind,
+                                 RADIO, ref_rng)
+        assert got.dtype == bool and got.shape == distances.shape
+        assert got.tolist() == want.tolist()
+        assert rng.random() == ref_rng.random()
+        if distances is spread:
+            assert 0 < np.count_nonzero(got) < spread.size
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 20])
+def test_first_contention_round_matches_unique_minimum(n):
+    """n contenders draw uniform slots in {0..W-1}; the first frame goes
+    through iff the minimum is unique, with probability
+    sum_k n (1/W) ((W-1-k)/W)^(n-1)."""
+    w, trials = SIM.cw_min, 10_000
+    exact = sum(n / w * ((w - 1 - k) / w) ** (n - 1) for k in range(w))
+    rng = np.random.default_rng(1000 + n)
+    clean = 0
+    for _ in range(trials):
+        log = _EpochLog(True)
+        _contend(list(range(n)), [w] * n, MediumState(), 0.0, SIM.t_req_ms,
+                 SIM, rng, log, EventKind.REQUEST_TX_END, 0, 0, {"tx": 0}, "tx")
+        first = next(e for e in log.events
+                     if e.kind is EventKind.REQUEST_TX_END)
+        clean += not first.collided
+    se = math.sqrt(exact * (1.0 - exact) / trials)
+    assert abs(clean / trials - exact) < 5.0 * se
 
 
 def test_medium_serializes_transmissions():
@@ -143,6 +190,46 @@ def test_clustering_opportunistic_caching_saves_a_round():
     assert off.uav_transmissions == 2
     assert on.control_messages == 1
     assert off.control_messages == 2
+
+
+def test_hooks_receive_mean_received_powers():
+    """The BS hook gets p_bs * gain at each member's BS distance; each peer
+    call gets p_uav * gain from every listener to the replier."""
+    xy = np.array([[0.0, 3.0], [7.0, 0.0], [-12.0, 1.0], [2.0, -20.0],
+                   [300.0, 5.0], [296.0, -9.0], [310.0, 14.0], [285.0, 2.0]])
+    topo = Topology(xy=xy, cluster_of=np.repeat([0, 1], 4),
+                    centers=np.array([[0.0, 0.0], [300.0, 0.0]]),
+                    height=20.0, bs_xy=(1200.0, 0.0), bs_height=10.0)
+    bs_calls, peer_calls = [], []
+
+    def bs_hook(power, rng):
+        bs_calls.append(power.copy())
+        return np.array([True, False, False, True, True, False, False, False])
+
+    def peer_hook(power, rng):
+        ok = rng.random(power.shape) < 0.5
+        peer_calls.append((power.copy(), ok))
+        return ok
+
+    out = run_clustering_scheme(topo, RADIO, SIM, np.random.default_rng(3),
+                                collect_events=True, broadcast_success=bs_hook,
+                                peer_success=peer_hook)
+    assert len(bs_calls) == 1
+    assert bs_calls[0].tolist() == mean_received_power(
+        LinkKind.BS_TO_UAV, topo.bs_distances(), RADIO).tolist()
+    missing = {0: [1, 2], 1: [5, 6, 7]}
+    repliers = [(e.cluster_id, e.actor) for cid in (0, 1) for e in out.events
+                if e.kind is EventKind.REPLY_TX_END and not e.collided
+                and e.cluster_id == cid]
+    assert len(repliers) == len(peer_calls) >= 2
+    for (cid, replier), (power, ok) in zip(repliers, peer_calls):
+        listeners = sorted(missing[cid])
+        d = np.hypot(*(xy[listeners] - xy[replier]).T)
+        assert power.tolist() == mean_received_power(
+            LinkKind.UAV_TO_UAV, d, RADIO).tolist()
+        missing[cid] = [u for u, hit in zip(listeners, ok) if not hit]
+    assert np.flatnonzero(out.undelivered).tolist() == sorted(
+        missing[0] + missing[1])
 
 
 def test_clustering_is_deterministic_per_seed():
