@@ -1,12 +1,21 @@
 """Print the sha256 of every output of a fixed set of `uavcast` commands.
 
-    python3 scripts/output_digests.py > digests.txt
+    python3 scripts/output_digests.py | diff - scripts/output_digests.txt
 
 Runs from the root of a source checkout (the package is imported from
 `src/`).  The commands write into a temporary directory that is removed
 afterwards; stdout gets one `sha256  name` line per output file, sorted by
 name.  Two checkouts that draw the same random numbers print the same
-lines, so comparing two commits for byte-identical outputs is one `diff`.
+lines, so the line above is the gate for a change that must keep every
+output byte-identical: no `diff` output means it did.  A change that
+alters an output on purpose (say, a new CSV column) regenerates the file:
+
+    python3 scripts/output_digests.py > scripts/output_digests.txt
+
+`scripts/output_digests.txt` was recorded with numpy 2.4.6 on Python
+3.11.7, x86-64 Linux.  Another numpy version or platform may round or draw
+differently; there, record the parent commit's digests and diff against
+those instead.
 
 The commands:
 

@@ -56,8 +56,6 @@ from .experiments import (
 from .geometry import (
     Topology,
     build_topology,
-    sample_cluster_members,
-    sample_parent_centers,
     sample_uniform_disk,
     write_topology_csv,
 )

@@ -9,6 +9,7 @@ dB where needed.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,14 +114,31 @@ class RadioParams:
         """Transmit power used on the given link kind."""
         return self.p_bs_mw if kind is LinkKind.BS_TO_UAV else self.p_uav_mw
 
+    # cached_property stores into the instance __dict__, which the frozen
+    # dataclass leaves writable; the fields it reads never change.
+    @functools.cached_property
+    def _link_constants(self) -> dict[LinkKind, tuple[float, float, float, float]]:
+        """Per link kind: (p_tx, pl0_db, dist_coeff_db, the carrier term
+        freq_coeff_db * log10(f / 5)), computed once per instance."""
+        out = {}
+        for kind in LinkKind:
+            p = self.loss_params(kind)
+            out[kind] = (self.tx_power_mw(kind), p.pl0_db, p.dist_coeff_db,
+                         p.freq_coeff_db * np.log10(p.carrier_ghz / 5.0))
+        return out
+
+
+def _loss_db(constants, distance_m):
+    """The log-distance law in dB from one link's cached constants, for a
+    scalar or an array of distances; distances < 1 m are clamped."""
+    _, pl0_db, dist_coeff_db, carrier_term = constants
+    d = np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M)
+    return pl0_db + dist_coeff_db * np.log10(d) + carrier_term
+
 
 def path_loss_db(kind: LinkKind, distance_m, params: RadioParams):
     """Path loss in dB at the given distance(s); distances < 1 m are clamped."""
-    d = np.maximum(np.asarray(distance_m, dtype=float), MIN_DISTANCE_M)
-    p = params.loss_params(kind)
-    loss = (p.pl0_db
-            + p.dist_coeff_db * np.log10(d)
-            + p.freq_coeff_db * np.log10(p.carrier_ghz / 5.0))
+    loss = _loss_db(params._link_constants[kind], distance_m)
     return loss if loss.ndim else float(loss)
 
 
@@ -131,8 +149,13 @@ def path_loss_linear(kind: LinkKind, distance_m, params: RadioParams):
 
 def mean_received_power(kind: LinkKind, distance_m, params: RadioParams):
     """Fading-free received power p_tx * gain in mW over the `kind` link at
-    its configured transmit power; distances < 1 m are clamped."""
-    return params.tx_power_mw(kind) * path_loss_linear(kind, distance_m, params)
+    its configured transmit power; distances < 1 m are clamped.
+
+    Equals `params.tx_power_mw(kind) * path_loss_linear(...)` bit for bit,
+    from the instance's cached link constants.
+    """
+    constants = params._link_constants[kind]
+    return constants[0] * 10.0 ** (-_loss_db(constants, distance_m) / 10.0)
 
 
 def sample_power_fading(rng: np.random.Generator, size=None):

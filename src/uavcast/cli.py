@@ -116,14 +116,10 @@ def _count_list(raw: str) -> tuple[int, ...]:
             f"c_values: expected a comma-separated integer list, got {raw!r}")
 
 
-def _rng(config: ScenarioConfig, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(config.base_seed,
-                                                        spawn_key=key))
-
-
 def _cmd_topology(args) -> int:
     config = _load_config(args)
-    drops = [build_topology(config, _rng(config, 6, i))
+    drops = [build_topology(config,
+                            experiments._rng(config.base_seed, (6, i)))
              for i in range(args.drops)]
     write_topology_csv(args.out, drops)
     print(f"wrote {sum(t.n_uavs for t in drops)} UAV positions "
@@ -153,8 +149,10 @@ def _cmd_distributions(args) -> int:
                 writer.writerow([f"{v:.10g}" for v in row])
         print(f"wrote {args.grid} grid points to {args.out}")
     if args.samples > 0:
-        gap_geom = empirical_distance_check(dist, args.samples, _rng(config, 8, 0))
-        gap_inv = sampler_self_check(dist, args.samples, _rng(config, 8, 1))
+        gap_geom = empirical_distance_check(
+            dist, args.samples, experiments._rng(config.base_seed, (8, 0)))
+        gap_inv = sampler_self_check(
+            dist, args.samples, experiments._rng(config.base_seed, (8, 1)))
         print(f"kind={args.kind} samples={args.samples} "
               f"empirical_ks_gap={gap_geom:.6f} sampler_ks_gap={gap_inv:.6f}")
     return 0
@@ -180,7 +178,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
-    rng = _rng(config, 7)
+    rng = experiments._rng(config.base_seed, (7,))
     topology = build_topology(config, rng)
     outcome = SCHEME_RUNNERS[args.scheme](
         topology, config.radio, config.sim_params(), rng,

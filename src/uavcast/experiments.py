@@ -14,6 +14,7 @@ without changing results.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .config import ScenarioConfig
 from .distributions import ClusterGeometry
 from .errors import ParameterError
 from .geometry import build_topology, sample_uniform_disk
-from .protocol import SCHEME_RUNNERS, SimParams
+from .protocol import SCHEME_RUNNERS, SimParams, _link_model
 
 _STUDY_IDS = {"validation_coverage": 1, "validation_success": 2,
               "design_insight": 3, "delay": 4, "ase": 5}
@@ -107,6 +108,7 @@ class MetricTable:
 
 
 def _rng(base_seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The generator of spawn key `key` under `base_seed`."""
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=key))
 
 
@@ -228,24 +230,25 @@ def run_design_insight_study(config: ScenarioConfig,
 
 
 def _epoch_metrics(scheme: str, config: ScenarioConfig, sim: SimParams,
-                   rng: np.random.Generator):
-    """Run one epoch and reduce it to (mean delay, delivery ratio, ase)."""
+                   rng: np.random.Generator, run, rate_density: float):
+    """Run one epoch through `run` and reduce it to (mean delay, delivery
+    ratio, ase); `rate_density` is lambda_off * log2(1 + threshold)."""
     topology = build_topology(config, rng)
-    outcome = SCHEME_RUNNERS[scheme](topology, config.radio, sim, rng)
+    outcome = run(topology, config.radio, sim, rng)
     n = outcome.n_uavs
-    delivered = outcome.delivered
-    delays = outcome.delivery_time_ms[delivered]
+    undelivered = outcome.undelivered
+    delivered_count = n - int(np.count_nonzero(undelivered))
+    delays = outcome.delivery_time_ms[~undelivered]
     if scheme == "rnc":
         # Per-packet delay: the decode instant covers a whole generation
         # streamed back to back, so all but one packet length is pipeline
         # amortization.
         delays = delays - (config.rnc_generation_size - 1) * config.packet_len_ms
-    mean_delay = float(delays.mean()) if delays.size else float("nan")
-    ratio = float(delivered.mean()) if n else float("nan")
-    rate_density = (config.lambda_off_per_m2
-                    * math.log2(1.0 + config.radio.snr_threshold))
+    # sum / size is the reduction `mean` performs, so the value is the same.
+    mean_delay = float(delays.sum() / delays.size) if delays.size else float("nan")
+    ratio = delivered_count / n if n else float("nan")
     if scheme == "clustering":
-        served = int(np.count_nonzero(delivered))
+        served = delivered_count
     else:
         # ACK benchmark: only members served by the first broadcast count,
         # later rounds are retransmissions of the same packet.
@@ -262,11 +265,19 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
     ases = np.empty(reps)
     scheme_id = _SCHEME_ORDER.index(scheme)
     sim = config.sim_params()
+    # The default hook, built once and shared by every epoch and link.
+    hook = _link_model(config.radio)
+    hooks = {"broadcast_success": hook}
+    if scheme == "clustering":
+        hooks["peer_success"] = hook
+    run = functools.partial(SCHEME_RUNNERS[scheme], **hooks)
+    rate_density = (config.lambda_off_per_m2
+                    * math.log2(1.0 + config.radio.snr_threshold))
     for rep in range(reps):
         rng = _rng(config.base_seed,
                    (_STUDY_IDS[study], *key, scheme_id, rep))
-        delays[rep], ratios[rep], ases[rep] = _epoch_metrics(scheme, config,
-                                                             sim, rng)
+        delays[rep], ratios[rep], ases[rep] = _epoch_metrics(
+            scheme, config, sim, rng, run, rate_density)
     return delays, ratios, ases
 
 

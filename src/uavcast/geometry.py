@@ -10,8 +10,9 @@ on the ground at planar distance `d0` from the deployment-region center.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -28,8 +29,10 @@ class Topology:
 
     Members are grouped by cluster: the rows of `xy` (planar coordinates,
     shape (n, 2)) list cluster 0 first, then cluster 1, and so on, and
-    `cluster_of[i]` is the cluster of row i.  `centers` (shape (k, 2)) are
-    the cluster centers.  Every UAV flies at `height`; the BS sits at planar
+    `cluster_of[i]` is the cluster of row i, and cluster c holds rows
+    `cluster_bounds[c]` to `cluster_bounds[c + 1]` (derived from
+    `cluster_of` when not given).  `centers` (shape (k, 2)) are the cluster
+    centers.  Every UAV flies at `height`; the BS sits at planar
     point `bs_xy` and height `bs_height`.
     """
 
@@ -41,6 +44,12 @@ class Topology:
     bs_height: float
     parent_density: float | None = None
     mode: str = "fixed_total"
+    cluster_bounds: tuple[int, ...] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.cluster_bounds is None:
+            self.cluster_bounds = tuple(np.searchsorted(
+                self.cluster_of, np.arange(self.n_clusters + 1)).tolist())
 
     @property
     def n_uavs(self) -> int:
@@ -70,29 +79,39 @@ def sample_uniform_disk(rng: np.random.Generator, n: int, radius: float,
                             center_xy[1] + r * np.sin(theta)])
 
 
-def sample_parent_centers(region_radius: float, density: float,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Poisson point process on the deployment disk, shape (k, 2).
+@dataclass(frozen=True)
+class _DropPlan:
+    """Index arithmetic of one drop shape, shared by every drop of that shape.
 
-    k is Poisson with mean density * pi * region_radius^2; positions are
-    i.i.d. uniform on the disk.  k = 0 yields an empty array.
+    Disk call c (0: the centers, c > 0: cluster c - 1) takes sizes[c] radii,
+    then sizes[c] angles from one block of uniform doubles, so its point p
+    (numbered across calls) reads its radius at p + first[c] and its angle
+    sizes[c] later.  `read` lists every point's radius position, then every
+    point's angle position, so the block holds `read.size` doubles; `scale`
+    is every point's disk radius.  Every array is read-only.
     """
-    if region_radius <= 0:
-        raise ParameterError(f"region_radius must be positive, got {region_radius}")
-    if density <= 0:
-        raise ParameterError(f"parent density must be positive, got {density}")
-    mean_count = density * np.pi * region_radius ** 2
-    k = int(rng.poisson(mean_count))
-    return sample_uniform_disk(rng, k, region_radius)
+
+    read: np.ndarray
+    scale: np.ndarray
+    cluster_of: np.ndarray
+    bounds: tuple[int, ...]
 
 
-def sample_cluster_members(center_xy, radius_r: float, count: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Planar coordinates of `count` members uniform on the disk of radius
-    `radius_r` about the planar point `center_xy`."""
-    if count < 1:
-        raise ParameterError(f"cluster member count must be >= 1, got {count}")
-    return sample_uniform_disk(rng, count, radius_r, center_xy)
+@functools.lru_cache(maxsize=256)
+def _drop_plan(k: int, counts: tuple[int, ...], region: float,
+               radius_r: float) -> _DropPlan:
+    """The plan of a drop with k clusters holding `counts` members."""
+    sizes = np.array((k, *counts), dtype=np.intp)
+    call = np.repeat(np.arange(k + 1), sizes)
+    first = np.cumsum(sizes) - sizes
+    r_at = np.arange(call.size) + first[call]
+    read = np.concatenate([r_at, r_at + sizes[call]])
+    scale = np.where(call == 0, region, radius_r)
+    cluster_of = call[k:] - 1
+    for a in (read, scale, cluster_of):
+        a.flags.writeable = False
+    return _DropPlan(read=read, scale=scale, cluster_of=cluster_of,
+                     bounds=tuple(np.cumsum((0, *counts)).tolist()))
 
 
 def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topology:
@@ -109,7 +128,13 @@ def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topolo
     2 * (clusters + members) uniform doubles and consumes it in the order of
     one `sample_uniform_disk` call for the centers followed by one per
     cluster, so the drop and the generator state after it equal those of
-    per-disk sampling bit for bit.
+    per-disk sampling bit for bit.  Where each point reads its radius and
+    angle depends only on the cluster sizes, so it comes from a cached
+    `_DropPlan`: one per scenario in fixed_total mode, one per Poisson
+    count in density mode.  A drop is then one `rng.random` call, one
+    gather, `sqrt`/`cos`/`sin` on whole arrays and one gather of the
+    centers; the drops share the plan's read-only `cluster_of` and
+    `cluster_bounds`.
     """
     region, radius_r = config.region_radius_m, config.radius_r_m
     if region <= 0:
@@ -128,8 +153,7 @@ def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topolo
                 f"total_uavs: need at least one UAV per cluster, got "
                 f"{config.total_uavs} for {k} clusters")
         base, extra = divmod(config.total_uavs, k)
-        counts = np.full(k, base)
-        counts[:extra] += 1
+        counts = (base + 1,) * extra + (base,) * (k - extra)
         density = None
     elif config.mode == "density":
         density = config.lambda_per_m2
@@ -141,34 +165,31 @@ def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topolo
                 "lambda_off_per_m2: offspring density too low, expected members "
                 f"per cluster {per_cluster} < 1")
         k = int(rng.poisson(density * np.pi * region ** 2))
-        counts = np.full(k, per_cluster)
+        counts = (per_cluster,) * k
     else:
         raise ParameterError(f"mode: unknown mode {config.mode!r}")
 
-    # Disk call c (0: the centers, c > 0: cluster c - 1) takes sizes[c]
-    # radii, then sizes[c] angles, so its point p (numbered across calls)
-    # reads its radius at p + first[c] and its angle sizes[c] later.
-    sizes = np.concatenate([[k], counts])
-    call = np.repeat(np.arange(k + 1), sizes)
-    first = np.cumsum(sizes) - sizes
-    u = rng.random(2 * call.size)
-    r_at = np.arange(call.size) + first[call]
-    rho = np.where(call == 0, region, radius_r) * np.sqrt(u[r_at])
-    theta = 2.0 * np.pi * u[r_at + sizes[call]]
+    plan = _drop_plan(k, counts, region, radius_r)
+    u = rng.random(plan.read.size)[plan.read]
+    points = plan.scale.size
+    rho = plan.scale * np.sqrt(u[:points])
+    theta = 2.0 * np.pi * u[points:]
     offsets = np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
-    centers, cluster_of = offsets[:k], call[k:] - 1
+    centers = offsets[:k]
     return Topology(
-        xy=centers[cluster_of] + offsets[k:], cluster_of=cluster_of,
+        xy=centers[plan.cluster_of] + offsets[k:], cluster_of=plan.cluster_of,
         centers=centers, height=config.h2_m,
         bs_xy=(config.d0_m, 0.0), bs_height=config.h1_m,
-        parent_density=density, mode=config.mode)
+        parent_density=density, mode=config.mode,
+        cluster_bounds=plan.bounds)
 
 
 def topology_csv_rows(topology: Topology, drop_id: int) -> Iterable[tuple]:
     cluster_of = topology.cluster_of
-    # Members are grouped by cluster, so a member's index within its cluster
-    # is its row minus the first row of that cluster.
-    uav_ids = np.arange(cluster_of.size) - np.searchsorted(cluster_of, cluster_of)
+    # A member's index within its cluster is its row minus the first row of
+    # that cluster.
+    first_row = np.asarray(topology.cluster_bounds[:-1], dtype=np.intp)
+    uav_ids = np.arange(cluster_of.size) - first_row[cluster_of]
     h = f"{topology.height:.10g}"
     for cid, uid, (x, y) in zip(cluster_of, uav_ids, topology.xy):
         yield (drop_id, int(cid), int(uid), f"{x:.10g}", f"{y:.10g}", h)

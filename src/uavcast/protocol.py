@@ -244,10 +244,7 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
     delivery[got] = t_bcast
     via_broadcast[got] = True
 
-    # Members are grouped by cluster: cluster c holds rows bounds[c] to
-    # bounds[c + 1].
-    bounds = np.searchsorted(cluster_of,
-                             np.arange(topology.n_clusters + 1)).tolist()
+    bounds = topology.cluster_bounds
     got_list = got.tolist()
     for cid in range(topology.n_clusters):
         first, end = bounds[cid], bounds[cid + 1]
@@ -311,8 +308,9 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
     coded packet k, and one terminal ACK per member follows once all have
     decoded; `via_broadcast` marks decoded members.  `broadcast_success`
     is a (power, rng) -> bool array hook over the mean received powers
-    p_tx * gain (mW) of the members still short of `g`; the powers are
-    computed once per epoch and shared by every round.
+    p_tx * gain (mW) of the members still short of `g`, in row order.  The
+    powers are computed once per epoch; the active rows and their powers
+    are gathered again only in a round where some member completes.
     """
     if broadcast_success is None:
         broadcast_success = _link_model(radio)
@@ -336,19 +334,24 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
                 log.add(t, EventKind.ACK_RX_END, int(u), PACKET_ID,
                         int(cluster_of[u]))
 
-    while (received < g).any() and t + sim.packet_len_ms <= sim.max_time_ms:
+    # The members still short of `g` and their powers; both shrink only
+    # when a member completes.
+    active, active_power = np.arange(n), p_bs
+    while active.size and t + sim.packet_len_ms <= sim.max_time_ms:
         packet_id = bs_tx if coded else PACKET_ID
         bs_tx += 1
         t += sim.packet_len_ms
         log.add(t, EventKind.BS_BROADCAST_END, -1, packet_id, -1)
-        idx = np.flatnonzero(received < g)
-        hit = idx[broadcast_success(p_bs[idx], rng)]
+        hit = active[broadcast_success(active_power, rng)]
         received[hit] += 1
         done = hit[received[hit] == g]
-        delivery[done] = t
-        via_broadcast[done] = coded or bs_tx == 1
-        if not coded:
-            acks(done)
+        if done.size:
+            delivery[done] = t
+            via_broadcast[done] = coded or bs_tx == 1
+            keep = received[active] < g
+            active, active_power = active[keep], active_power[keep]
+            if not coded:
+                acks(done)
     undelivered = received < g
     if coded and not undelivered.any():
         acks(range(n))
@@ -398,10 +401,12 @@ SCHEME_RUNNERS = {
 
 
 def write_event_log(path, events: list[Event]) -> None:
-    """Serialize events as CSV: time,actor,event_kind,packet_id,cluster_id."""
+    """Serialize events as CSV:
+    time,actor,event_kind,packet_id,cluster_id,collided (collided 0 or 1)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time", "actor", "event_kind", "packet_id", "cluster_id"])
+        writer.writerow(["time", "actor", "event_kind", "packet_id",
+                         "cluster_id", "collided"])
         for e in events:
             writer.writerow([f"{e.time_ms:.9g}", e.actor, e.kind.value,
-                             e.packet_id, e.cluster_id])
+                             e.packet_id, e.cluster_id, int(e.collided)])

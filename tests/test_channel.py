@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from uavcast.channel import (
     db_to_linear,
     linear_to_db,
     link_success_probability,
+    mean_received_power,
     path_loss_db,
     path_loss_linear,
     reception_success,
@@ -149,3 +151,46 @@ def test_radio_params_validation():
         PathLossParams(39.0, 26.0, 20.0, carrier_ghz=0.0)
     with pytest.raises(ParameterError, match="pl0_db"):
         PathLossParams(math.nan, 26.0, 20.0, carrier_ghz=2.0)
+
+
+_OTHER_RADIO = RadioParams(
+    p_bs_mw=250.0, p_uav_mw=3.5, bandwidth_hz=10e6, noise_mw_per_hz=4e-21,
+    snr_threshold=7.0,
+    bs_to_uav=PathLossParams(pl0_db=35.5, dist_coeff_db=30.1,
+                             freq_coeff_db=21.0, carrier_ghz=3.5),
+    uav_to_uav=PathLossParams(pl0_db=44.0, dist_coeff_db=18.3,
+                              freq_coeff_db=19.0, carrier_ghz=2.4))
+
+
+@pytest.mark.parametrize("radio", [RADIO, _OTHER_RADIO],
+                         ids=["default", "other"])
+@pytest.mark.parametrize("kind", list(LinkKind))
+def test_mean_received_power_matches_path_loss(radio, kind):
+    """Cached link constants give p_tx * path_loss_linear bit for bit, and
+    path_loss_db equals the law evaluated from the fields in the same
+    order, for arrays (sub-metre distances included) and scalars."""
+    d = np.concatenate([[0.0, 1e-9, 0.3, 0.999, 1.0, 1.0000001],
+                        np.random.default_rng(4).uniform(0.0, 3000.0, 3000)])
+    p = radio.loss_params(kind)
+    expected_db = (p.pl0_db + p.dist_coeff_db * np.log10(np.maximum(d, 1.0))
+                   + p.freq_coeff_db * np.log10(p.carrier_ghz / 5.0))
+    assert path_loss_db(kind, d, radio).tobytes() == expected_db.tobytes()
+    power = mean_received_power(kind, d, radio)
+    want = radio.tx_power_mw(kind) * path_loss_linear(kind, d, radio)
+    assert power.tobytes() == want.tobytes()
+    assert power.shape == d.shape
+    for x in (0.5, 120.0, 2999.5):
+        assert isinstance(path_loss_db(kind, x, radio), float)
+        assert (mean_received_power(kind, x, radio)
+                == radio.tx_power_mw(kind) * path_loss_linear(kind, x, radio))
+
+
+def test_replaced_radio_gets_its_own_link_constants():
+    mean_received_power(LinkKind.BS_TO_UAV, 100.0, RADIO)
+    louder = dataclasses.replace(RADIO, p_bs_mw=2000.0)
+    assert (mean_received_power(LinkKind.BS_TO_UAV, 100.0, louder)
+            == 2000.0 * path_loss_linear(LinkKind.BS_TO_UAV, 100.0, RADIO))
+    farther = dataclasses.replace(
+        RADIO, bs_to_uav=dataclasses.replace(RADIO.bs_to_uav, pl0_db=45.0))
+    assert path_loss_db(LinkKind.BS_TO_UAV, 100.0, farther) == pytest.approx(
+        path_loss_db(LinkKind.BS_TO_UAV, 100.0, RADIO) + 6.0, rel=1e-12)

@@ -1,3 +1,6 @@
+import csv
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -141,10 +144,46 @@ def test_simulate_event_log(tmp_path, capsys):
                      "--event-log", str(log)]) == 0
     capsys.readouterr()
     lines = log.read_text().strip().splitlines()
-    assert lines[0] == "time,actor,event_kind,packet_id,cluster_id"
+    assert lines[0] == "time,actor,event_kind,packet_id,cluster_id,collided"
     assert len(lines) > 1
     kinds = {row.split(",")[2] for row in lines[1:]}
     assert "bs_broadcast_end" in kinds
+
+
+def test_event_log_rechecks_reply_invariant(tmp_path, capsys):
+    """C09's reply/collision invariant from the event-log CSV alone: after
+    each clean request a cluster sees at most one clean reply, and a
+    collided frame shares its kind, cluster and end time with another
+    collided frame while a clean one is alone there."""
+    collided_kinds = set()
+    for seed in range(1, 9):
+        log = tmp_path / f"events_{seed}.csv"
+        assert cli.main(["simulate", "--scheme", "clustering", "--seed",
+                         str(seed), "--d0", "1200", "--num-clusters", "2",
+                         "--event-log", str(log)]) == 0
+        with open(log, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        frames = [r for r in rows if r["event_kind"] in
+                  ("request_tx_end", "reply_tx_end")]
+        assert {r["collided"] for r in rows} <= {"0", "1"}
+        assert all(r["collided"] == "0" for r in rows if r not in frames)
+        slots = Counter((r["event_kind"], r["cluster_id"], r["time"])
+                        for r in frames)
+        replies_since = {}
+        for r in frames:
+            collided = r["collided"] == "1"
+            assert (slots[r["event_kind"], r["cluster_id"], r["time"]] > 1) \
+                == collided
+            if collided:
+                collided_kinds.add(r["event_kind"])
+            elif r["event_kind"] == "request_tx_end":
+                replies_since[r["cluster_id"]] = 0
+            else:
+                replies_since[r["cluster_id"]] = \
+                    replies_since.get(r["cluster_id"], 9) + 1
+                assert replies_since[r["cluster_id"]] == 1
+    capsys.readouterr()
+    assert collided_kinds == {"request_tx_end", "reply_tx_end"}
 
 
 def test_distributions_sampling_checks(capsys):

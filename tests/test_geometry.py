@@ -10,9 +10,8 @@ from uavcast.config import ScenarioConfig
 from uavcast.errors import ParameterError
 from uavcast.geometry import (
     Topology,
+    _drop_plan,
     build_topology,
-    sample_cluster_members,
-    sample_parent_centers,
     sample_uniform_disk,
     topology_csv_rows,
     write_topology_csv,
@@ -53,56 +52,63 @@ def test_uniform_disk_argument_validation():
 
 
 def test_parent_process_mean_count():
-    """Sample mean of the parent count tracks density * area (4 SE band)."""
+    """Mean Poisson cluster count of density-mode drops tracks
+    density * area (4 SE band)."""
     rng = np.random.default_rng(3)
+    config = ScenarioConfig(mode="density", lambda_per_m2=1e-4)
     drops = 10_000
-    counts = [sample_parent_centers(100.0, 1e-4, rng).shape[0]
-              for _ in range(drops)]
-    target = 1e-4 * math.pi * 100.0 ** 2
+    counts = [build_topology(config, rng).n_clusters for _ in range(drops)]
+    target = 1e-4 * math.pi * config.region_radius_m ** 2
     se = math.sqrt(target / drops)
     assert abs(np.mean(counts) - target) < 4.0 * se
 
 
 def test_parent_centers_inside_region():
     rng = np.random.default_rng(5)
+    config = ScenarioConfig(mode="density", lambda_per_m2=5e-4)
     for _ in range(50):
-        centers = sample_parent_centers(100.0, 5e-4, rng)
+        centers = build_topology(config, rng).centers
         if centers.size:
             assert np.hypot(centers[:, 0], centers[:, 1]).max() <= 100.0
 
 
 def test_parent_process_argument_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError):
-        sample_parent_centers(0.0, 1e-4, rng)
-    with pytest.raises(ParameterError):
-        sample_parent_centers(100.0, 0.0, rng)
+    with pytest.raises(ParameterError, match="region_radius_m"):
+        build_topology(_config_stub(mode="density", region_radius_m=0.0), rng)
+    with pytest.raises(ParameterError, match="lambda_per_m2"):
+        build_topology(_config_stub(mode="density", lambda_per_m2=0.0), rng)
 
 
 def test_cluster_members_stay_in_disk():
-    center = (30.0, -40.0)
-    members = sample_cluster_members(center, 50.0, 10, np.random.default_rng(2))
-    assert members.shape == (10, 2)
-    assert np.hypot(members[:, 0] - 30.0, members[:, 1] + 40.0).max() <= 50.0
+    topo = build_topology(ScenarioConfig(num_clusters=1, total_uavs=10),
+                          np.random.default_rng(2))
+    assert topo.xy.shape == (10, 2)
+    offsets = topo.xy - topo.centers[0]
+    assert np.hypot(offsets[:, 0], offsets[:, 1]).max() <= 50.0
 
 
 def test_cluster_members_count_contract():
-    center = (0.0, 0.0)
-    rng = np.random.default_rng(0)
-    assert sample_cluster_members(center, 50.0, 1, rng).shape == (1, 2)
-    with pytest.raises(ParameterError):
-        sample_cluster_members(center, 50.0, 0, rng)
+    """One member per cluster is the smallest drop; fewer UAVs than
+    clusters is rejected."""
+    topo = build_topology(ScenarioConfig(num_clusters=5, total_uavs=5),
+                          np.random.default_rng(0))
+    assert topo.cluster_of.tolist() == [0, 1, 2, 3, 4]
+    with pytest.raises(ParameterError, match="total_uavs"):
+        build_topology(_config_stub(num_clusters=5, total_uavs=4),
+                       np.random.default_rng(0))
 
 
-@given(radius=st.floats(1.0, 200.0), count=st.integers(1, 40),
-       seed=st.integers(0, 2 ** 31 - 1))
+@given(radius=st.floats(1.0, 100.0), num_clusters=st.integers(1, 10),
+       per_cluster=st.integers(1, 40), seed=st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=30, deadline=None)
-def test_members_never_leave_the_disk(radius, count, seed):
-    members = sample_cluster_members((5.0, -3.0), radius, count,
-                                     np.random.default_rng(seed))
-    assert members.shape == (count, 2)
-    offsets = np.hypot(members[:, 0] - 5.0, members[:, 1] + 3.0)
-    assert offsets.max() <= radius * (1.0 + 1e-12)
+def test_members_never_leave_the_disk(radius, num_clusters, per_cluster, seed):
+    config = ScenarioConfig(radius_r_m=radius, num_clusters=num_clusters,
+                            total_uavs=num_clusters * per_cluster)
+    topo = build_topology(config, np.random.default_rng(seed))
+    assert topo.xy.shape == (num_clusters * per_cluster, 2)
+    offsets = topo.xy - topo.centers[topo.cluster_of]
+    assert np.hypot(offsets[:, 0], offsets[:, 1]).max() <= radius * (1.0 + 1e-12)
 
 
 def test_build_topology_even_split():
@@ -155,14 +161,10 @@ def test_build_topology_rejects_bad_stub_inputs():
     for radius_r in (0.0, -50.0):
         with pytest.raises(ParameterError, match="radius_r_m"):
             build_topology(_config_stub(radius_r_m=radius_r), rng)
-    with pytest.raises(ParameterError, match="lambda_per_m2"):
-        build_topology(_config_stub(mode="density", lambda_per_m2=0.0), rng)
     with pytest.raises(ParameterError, match="region_radius_m"):
         build_topology(_config_stub(region_radius_m=0.0), rng)
     with pytest.raises(ParameterError, match="num_clusters"):
         build_topology(_config_stub(num_clusters=0), rng)
-    with pytest.raises(ParameterError, match="total_uavs"):
-        build_topology(_config_stub(total_uavs=4), rng)
 
 
 def _reference_drop(config, rng):
@@ -256,3 +258,45 @@ def test_topology_csv_round_trip(tmp_path):
     # uav_id restarts at 0 in every cluster: 3 + 3 members
     assert [line.split(",")[2] for line in lines[1:7]] == \
         ["0", "1", "2", "0", "1", "2"]
+
+
+def test_cached_plans_match_per_disk_draws_across_scenarios():
+    """Drops of interleaved scenarios share one process-wide plan cache;
+    each still equals per-disk sampling bit for bit, as does the next
+    draw of its generator."""
+    configs = [ScenarioConfig(num_clusters=c, radius_r_m=r)
+               for c in (2, 5, 10) for r in (50.0, 20.0)]
+    configs += [ScenarioConfig(mode="density", lambda_per_m2=lam, radius_r_m=r)
+                for lam in (1e-4, 5e-4) for r in (50.0, 20.0)]
+    hits = _drop_plan.cache_info().hits
+    cluster_counts = set()
+    for rep in range(4):
+        for i, config in enumerate(configs):
+            seed = 1000 * rep + i
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            topo = build_topology(config, rng)
+            centers, xy, cluster_of = _reference_drop(config, ref_rng)
+            assert topo.centers.tobytes() == centers.tobytes()
+            assert topo.xy.shape == xy.shape and topo.xy.tobytes() == xy.tobytes()
+            assert topo.cluster_of.tolist() == cluster_of.tolist()
+            assert list(topo.cluster_bounds) == np.searchsorted(
+                cluster_of, np.arange(topo.n_clusters + 1)).tolist()
+            assert rng.random() == ref_rng.random()
+            if config.mode == "density":
+                cluster_counts.add(topo.n_clusters)
+    assert len(cluster_counts) > 1
+    assert _drop_plan.cache_info().hits > hits
+
+
+def test_drop_plan_arrays_are_read_only():
+    plan = _drop_plan(2, (3, 2), 100.0, 50.0)
+    assert plan.read.size == 2 * (2 + 5)
+    assert plan.bounds == (0, 3, 5)
+    for array in (plan.read, plan.scale, plan.cluster_of):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    topo = build_topology(ScenarioConfig(num_clusters=2, total_uavs=5),
+                          np.random.default_rng(0))
+    assert topo.cluster_of is plan.cluster_of
+    with pytest.raises(ValueError, match="read-only"):
+        topo.cluster_of[0] = 1

@@ -29,10 +29,13 @@ from uavcast.config import ScenarioConfig
 from uavcast.errors import IntegrityError, ParameterError
 from uavcast.geometry import Topology, build_topology
 from uavcast.protocol import (
+    PACKET_ID,
     SCHEME_RUNNERS,
     EventKind,
     MediumState,
+    SchemeOutcome,
     SimParams,
+    _bs_rounds,
     _contend,
     _EpochLog,
     _link_model,
@@ -318,6 +321,95 @@ def test_epoch_invariants_over_random_drops(scheme, seed, mode, d0,
     _check_epoch_invariants(out, sim)
 
 
+def _two_mask_bs_rounds(scheme, coded, g, topology, radio, sim, rng,
+                        collect_events, broadcast_success):
+    """Reference BS-round loop: rebuilds the `received < g` mask twice per
+    round and hands the hook the gathered powers of that mask."""
+    if broadcast_success is None:
+        broadcast_success = _link_model(radio)
+    cluster_of = topology.cluster_of
+    p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
+                               radio)
+    n = topology.n_uavs
+    log = _EpochLog(collect_events)
+    delivery = np.full(n, np.nan)
+    via_broadcast = np.zeros(n, dtype=bool)
+    received = np.zeros(n, dtype=int)
+    bs_tx = control = 0
+    t = 0.0
+
+    def acks(members):
+        nonlocal t, control
+        control += len(members)
+        for u in members:
+            t += sim.t_ack_ms
+            log.add(t, EventKind.ACK_RX_END, int(u), PACKET_ID,
+                    int(cluster_of[u]))
+
+    while (received < g).any() and t + sim.packet_len_ms <= sim.max_time_ms:
+        packet_id = bs_tx if coded else PACKET_ID
+        bs_tx += 1
+        t += sim.packet_len_ms
+        log.add(t, EventKind.BS_BROADCAST_END, -1, packet_id, -1)
+        idx = np.flatnonzero(received < g)
+        hit = idx[broadcast_success(p_bs[idx], rng)]
+        received[hit] += 1
+        done = hit[received[hit] == g]
+        delivery[done] = t
+        via_broadcast[done] = coded or bs_tx == 1
+        if not coded:
+            acks(done)
+    undelivered = received < g
+    if coded and not undelivered.any():
+        acks(range(n))
+    return SchemeOutcome(
+        scheme=scheme, delivery_time_ms=delivery, undelivered=undelivered,
+        via_broadcast=via_broadcast, cluster_ids=cluster_of,
+        bs_transmissions=bs_tx, uav_transmissions=0,
+        control_messages=control, events=log.finish())
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), g=st.sampled_from([1, 8]),
+       coded=st.booleans(), d0=st.floats(400.0, 2500.0),
+       num_clusters=st.integers(1, 10),
+       max_time_ms=st.sampled_from([40.0, 95.0, 10_000.0]),
+       collect_events=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_active_set_rounds_match_two_mask_loop(seed, g, coded, d0,
+                                               num_clusters, max_time_ms,
+                                               collect_events):
+    """The active-set loop gives the reference loop's outcome, counters,
+    events and generator state, with tight and loose time budgets."""
+    config = ScenarioConfig(d0_m=d0, num_clusters=num_clusters,
+                            max_time_ms=max_time_ms)
+    sim = config.sim_params()
+    topo = build_topology(config, np.random.default_rng(seed))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    powers, ref_powers = [], []
+
+    def hook(seen):
+        model = _link_model(RADIO)
+
+        def recorded(power, rng):
+            seen.append(power.copy())
+            return model(power, rng)
+        return recorded
+
+    out = _bs_rounds("x", coded, g, topo, RADIO, sim, rng, collect_events,
+                     hook(powers))
+    ref = _two_mask_bs_rounds("x", coded, g, topo, RADIO, sim, ref_rng,
+                              collect_events, hook(ref_powers))
+    assert out.delivery_time_ms.tobytes() == ref.delivery_time_ms.tobytes()
+    assert out.undelivered.tolist() == ref.undelivered.tolist()
+    assert out.via_broadcast.tolist() == ref.via_broadcast.tolist()
+    assert (out.bs_transmissions, out.control_messages) == \
+        (ref.bs_transmissions, ref.control_messages)
+    assert out.events == ref.events
+    assert len(powers) == len(ref_powers)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(powers, ref_powers))
+    assert rng.random() == ref_rng.random()
+
+
 def test_clustering_mean_delay_tracks_formula():
     """Simulated delay sits just above the contention-free expression.
 
@@ -500,7 +592,7 @@ def test_event_log_round_trips_to_csv(tmp_path):
     path = tmp_path / "events.csv"
     write_event_log(path, out.events)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,actor,event_kind,packet_id,cluster_id"
+    assert lines[0] == "time,actor,event_kind,packet_id,cluster_id,collided"
     assert len(lines) == 1 + len(out.events)
     cells = lines[1].split(",")
     assert cells[1] == "-1" and cells[2] == "bs_broadcast_end"
