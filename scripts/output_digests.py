@@ -24,7 +24,10 @@ The commands:
 - `topology --drops 20` in fixed_total and density mode;
 - `simulate --scheme S --seed 1|2|3 --d0 1200 --num-clusters 2` with
   `--out` and `--event-log` for every scheme, and the same at seed 1 with
-  `--max-time-ms 40` (named `budget40`).
+  `--max-time-ms 40` (named `budget40`);
+- `metrics --dump-config` with the defaults, and with `--mode density
+  --max-time-ms 40 --noise-dbm-per-hz -170 --opportunistic-caching false`:
+  the key=value file format, key order included.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ def commands(out: Path) -> list[list[str]]:
         ["topology", "--drops", "20", "--out", str(out / "topo_fixed.csv")],
         ["topology", "--drops", "20", "--mode", "density",
          "--out", str(out / "topo_density.csv")],
+        ["metrics", "--dump-config", str(out / "config_default.cfg")],
+        ["metrics", "--mode", "density", "--max-time-ms", "40",
+         "--noise-dbm-per-hz", "-170", "--opportunistic-caching", "false",
+         "--dump-config", str(out / "config_custom.cfg")],
     ]
     runs = [(str(seed), str(seed), []) for seed in (1, 2, 3)]
     runs.append(("budget40", "1", ["--max-time-ms", "40"]))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, experiments
-from .config import ScenarioConfig
+from .config import ScenarioConfig, read_key_values
 from .distributions import (
     DistanceDistribution,
     empirical_distance_check,
@@ -81,24 +81,17 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
         path = Path(args.config)
         if not path.exists():
             raise ParameterError(f"config: file not found: {path}")
-        file_config = ScenarioConfig.from_file(path)
-        mapping.update(_to_mapping_lines(file_config))
+        mapping = read_key_values(path)
     for _, key, _ in _OVERRIDE_FLAGS:
         value = getattr(args, key, None)
         if value is not None:
+            # Last key wins, also over the file's other noise spelling.
+            mapping.pop(key, None)
             mapping[key] = value
     config = ScenarioConfig.from_mapping(mapping)
     if args.dump_config:
         Path(args.dump_config).write_text(config.to_key_values())
     return config
-
-
-def _to_mapping_lines(config: ScenarioConfig) -> dict[str, str]:
-    out = {}
-    for line in config.to_key_values().splitlines():
-        key, _, value = line.partition("=")
-        out[key] = value
-    return out
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -163,7 +156,7 @@ def _cmd_metrics(args) -> int:
     inputs = analysis.MetricInputs(
         geom=config.geometry(v_norm=args.v_norm), radio=config.radio,
         lambda_off=config.lambda_off_per_m2,
-        packet_len_ms=config.packet_len_ms, t_req_ms=config.t_req_ms)
+        packet_len_ms=config.sim.packet_len_ms, t_req_ms=config.sim.t_req_ms)
     results = analysis.evaluate_metrics(inputs)
     header = "p_cov,p_suc,p_req,delay_aver_ms,ase_aver"
     row = ",".join(f"{v:.10g}" for v in
@@ -181,7 +174,7 @@ def _cmd_simulate(args) -> int:
     rng = experiments._rng(config.base_seed, (7,))
     topology = build_topology(config, rng)
     outcome = SCHEME_RUNNERS[args.scheme](
-        topology, config.radio, config.sim_params(), rng,
+        topology, config.radio, config.sim, rng,
         collect_events=bool(args.event_log))
     if args.out:
         with open(args.out, "w", newline="") as fh:

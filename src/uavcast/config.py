@@ -1,28 +1,34 @@
 """Scenario configuration: defaults, flat key=value parsing, validation.
 
 A configuration file is plain text, one `key=value` per line, `#` comments
-allowed.  Scenario-level fields use their bare name; radio fields use a
-`radio.` prefix and path-loss coefficients a further `radio.bs_to_uav.` or
+allowed.  Scenario-level fields and the protocol constants of
+`ScenarioConfig.sim` use their bare name; radio fields use a `radio.`
+prefix and path-loss coefficients a further `radio.bs_to_uav.` or
 `radio.uav_to_uav.` prefix, e.g.::
 
     d0_m=800
+    slot_ms=0.009
     radio.p_bs_mw=1000
     radio.bs_to_uav.pl0_db=39
 
-Precedence is resolved by the caller (command-line flags over file values
-over defaults).  `to_key_values` emits a file that parses back to an equal
-configuration.
+The keys and their parsers come from the dataclass fields and their
+declared types; `radio.noise_dbm_per_hz` is the one alias, for
+`radio.noise_mw_per_hz` in dBm/Hz.  Precedence is resolved by the caller
+(command-line flags over file values over defaults).  `to_key_values` emits
+a file that parses back to an equal configuration.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass, field, fields
 
-from .channel import PathLossParams, RadioParams, db_to_linear
+from .channel import RadioParams, db_to_linear
 from .distributions import ClusterGeometry
-from .errors import ParameterError
+from .errors import ParameterError, check_field_values
 from .protocol import SCHEME_RUNNERS, SimParams
 
 _MODES = ("fixed_total", "density")
@@ -35,7 +41,8 @@ class ScenarioConfig:
     Lengths in meters, times in ms, densities in 1/m^2.  `d0_m` is the
     planar distance from the BS to the deployment-region center; the far
     deployment constraint d0 > region_radius + radius_r keeps every cluster
-    center farther from the BS than its own radius.
+    center farther from the BS than its own radius.  `sim` holds the
+    protocol timing and MAC constants, `radio` the link model.
     """
 
     region_radius_m: float = 100.0
@@ -47,15 +54,7 @@ class ScenarioConfig:
     radius_r_m: float = 50.0
     h1_m: float = 10.0
     h2_m: float = 20.0
-    packet_len_ms: float = 10.0
-    t_req_ms: float = 1.0
-    t_ack_ms: float = 1.0
-    slot_ms: float = 0.009
-    cw_min: int = 16
-    cw_max: int = 64
-    max_time_ms: float = 10_000.0
-    rnc_generation_size: int = 8
-    opportunistic_caching: bool = True
+    sim: SimParams = field(default_factory=SimParams)
     schemes: tuple[str, ...] = ("clustering", "benchmark", "rnc")
     replications: int = 1000
     base_seed: int = 1
@@ -63,11 +62,7 @@ class ScenarioConfig:
     radio: RadioParams = field(default_factory=RadioParams.defaults)
 
     def __post_init__(self):
-        # NaN passes every comparison below, so finiteness comes first.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ParameterError(f"{f.name}: must be finite, got {value}")
+        check_field_values(self)
 
         def positive(name):
             if getattr(self, name) <= 0:
@@ -114,16 +109,6 @@ class ScenarioConfig:
         if self.replications < 1:
             raise ParameterError(
                 f"replications: must be >= 1, got {self.replications}")
-        # Constructing SimParams revalidates the timing/MAC fields.
-        self.sim_params()
-
-    def sim_params(self) -> SimParams:
-        return SimParams(
-            packet_len_ms=self.packet_len_ms, t_req_ms=self.t_req_ms,
-            t_ack_ms=self.t_ack_ms, slot_ms=self.slot_ms, cw_min=self.cw_min,
-            cw_max=self.cw_max, max_time_ms=self.max_time_ms,
-            rnc_generation_size=self.rnc_generation_size,
-            opportunistic_caching=self.opportunistic_caching)
 
     def geometry(self, v_norm: float | None = None) -> ClusterGeometry:
         """Cluster geometry at a given (default: d0) center distance."""
@@ -137,78 +122,52 @@ class ScenarioConfig:
 
     def to_key_values(self) -> str:
         """Emit a config file body that parses back to an equal config."""
-        lines = []
-        for f in fields(self):
-            if f.name == "radio":
-                continue
-            lines.append(f"{f.name}={_format_value(getattr(self, f.name))}")
-        r = self.radio
-        for name in ("p_bs_mw", "p_uav_mw", "bandwidth_hz", "noise_mw_per_hz",
-                     "snr_threshold"):
-            lines.append(f"radio.{name}={_format_value(getattr(r, name))}")
-        for link, params in (("bs_to_uav", r.bs_to_uav), ("uav_to_uav", r.uav_to_uav)):
-            for name in ("pl0_db", "dist_coeff_db", "freq_coeff_db", "carrier_ghz"):
-                lines.append(f"radio.{link}.{name}={_format_value(getattr(params, name))}")
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"{key}={_format_value(functools.reduce(getattr, path, self))}\n"
+            for key, path, _ in _LEAVES)
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ScenarioConfig":
         """Build a config from raw key=value strings over the defaults."""
-        scenario: dict = {}
-        radio: dict = {}
-        loss: dict[str, dict] = {"bs_to_uav": {}, "uav_to_uav": {}}
+        updates: dict = {}
         for key, raw in mapping.items():
-            if key.startswith("radio."):
-                parts = key.split(".")
-                if len(parts) == 2:
-                    name = parts[1]
-                    if name == "noise_dbm_per_hz":
-                        radio["noise_mw_per_hz"] = float(
-                            db_to_linear(_parse_float(key, raw)))
-                    elif name in _RADIO_FLOAT_FIELDS:
-                        radio[name] = _parse_float(key, raw)
-                    else:
-                        raise ParameterError(f"{key}: unknown configuration key")
-                elif len(parts) == 3 and parts[1] in loss \
-                        and parts[2] in _LOSS_FIELDS:
-                    loss[parts[1]][parts[2]] = _parse_float(key, raw)
-                else:
-                    raise ParameterError(f"{key}: unknown configuration key")
-            elif key in _SCENARIO_PARSERS:
-                scenario[key] = _SCENARIO_PARSERS[key](key, raw)
-            else:
+            if key not in _KEYS:
                 raise ParameterError(f"{key}: unknown configuration key")
-        base_radio = RadioParams.defaults()
-        if radio or loss["bs_to_uav"] or loss["uav_to_uav"]:
-            radio_kwargs = {
-                name: getattr(base_radio, name) for name in _RADIO_FLOAT_FIELDS}
-            radio_kwargs.update(radio)
-            radio_kwargs["bs_to_uav"] = dataclasses.replace(
-                base_radio.bs_to_uav, **loss["bs_to_uav"])
-            radio_kwargs["uav_to_uav"] = dataclasses.replace(
-                base_radio.uav_to_uav, **loss["uav_to_uav"])
-            scenario["radio"] = RadioParams(**radio_kwargs)
-        return cls(**scenario)
+            path, parse = _KEYS[key]
+            node = updates
+            for name in path[:-1]:
+                node = node.setdefault(name, {})
+            node[path[-1]] = parse(key, raw)
+        return _updated(cls(), updates)
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        mapping = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                if "=" not in text:
-                    raise ParameterError(
-                        f"{path}:{lineno}: expected key=value, got {text!r}")
-                key, _, value = text.partition("=")
-                mapping[key.strip()] = value.strip()
-        return cls.from_mapping(mapping)
+        return cls.from_mapping(read_key_values(path))
 
 
-_RADIO_FLOAT_FIELDS = ("p_bs_mw", "p_uav_mw", "bandwidth_hz",
-                       "noise_mw_per_hz", "snr_threshold")
-_LOSS_FIELDS = ("pl0_db", "dist_coeff_db", "freq_coeff_db", "carrier_ghz")
+def read_key_values(path) -> dict[str, str]:
+    """The raw key=value strings of a config file, later lines winning."""
+    mapping = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            if "=" not in text:
+                raise ParameterError(
+                    f"{path}:{lineno}: expected key=value, got {text!r}")
+            key, _, value = text.partition("=")
+            mapping[key.strip()] = value.strip()
+    return mapping
+
+
+def _updated(base, updates: dict):
+    """`base` with `updates` applied; a nested dict updates the nested
+    dataclass of that name."""
+    return dataclasses.replace(base, **{
+        name: _updated(getattr(base, name), value)
+        if isinstance(value, dict) else value
+        for name, value in updates.items()})
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -238,22 +197,12 @@ def _parse_schemes(key: str, raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _parse_mode(key: str, raw: str) -> str:
+def _parse_str(key: str, raw: str) -> str:
     return raw.strip()
 
 
-_SCENARIO_PARSERS = {
-    "region_radius_m": _parse_float, "d0_m": _parse_float,
-    "num_clusters": _parse_int, "total_uavs": _parse_int,
-    "lambda_per_m2": _parse_float, "lambda_off_per_m2": _parse_float,
-    "radius_r_m": _parse_float, "h1_m": _parse_float, "h2_m": _parse_float,
-    "packet_len_ms": _parse_float, "t_req_ms": _parse_float,
-    "t_ack_ms": _parse_float, "slot_ms": _parse_float,
-    "cw_min": _parse_int, "cw_max": _parse_int, "max_time_ms": _parse_float,
-    "rnc_generation_size": _parse_int,
-    "opportunistic_caching": _parse_bool, "schemes": _parse_schemes,
-    "replications": _parse_int, "base_seed": _parse_int, "mode": _parse_mode,
-}
+def _parse_dbm(key: str, raw: str) -> float:
+    return float(db_to_linear(_parse_float(key, raw)))
 
 
 def _format_value(value) -> str:
@@ -264,3 +213,26 @@ def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(value)
     return str(value)
+
+
+_PARSERS = {float: _parse_float, int: _parse_int, bool: _parse_bool,
+            str: _parse_str, tuple[str, ...]: _parse_schemes}
+
+
+def _leaves(cls, prefix: str = "", path: tuple[str, ...] = ()):
+    """(key, field path, parser) of every non-dataclass field under `cls`,
+    in field order.  A nested dataclass adds its field name to the key
+    prefix, except `sim`, whose keys stay bare."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        kind = hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            inner = prefix if f.name == "sim" else f"{prefix}{f.name}."
+            yield from _leaves(kind, inner, path + (f.name,))
+        else:
+            yield f"{prefix}{f.name}", path + (f.name,), _PARSERS[kind]
+
+
+_LEAVES = tuple(_leaves(ScenarioConfig))
+_KEYS = {key: (path, parse) for key, path, parse in _LEAVES}
+_KEYS["radio.noise_dbm_per_hz"] = (("radio", "noise_mw_per_hz"), _parse_dbm)

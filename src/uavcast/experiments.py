@@ -27,7 +27,7 @@ from .config import ScenarioConfig
 from .distributions import ClusterGeometry
 from .errors import ParameterError
 from .geometry import build_topology, sample_uniform_disk
-from .protocol import SCHEME_RUNNERS, SimParams, _link_model
+from .protocol import SCHEME_RUNNERS, _link_model
 
 _STUDY_IDS = {"validation_coverage": 1, "validation_success": 2,
               "design_insight": 3, "delay": 4, "ase": 5}
@@ -125,6 +125,12 @@ def _cluster_counts(c_values) -> tuple[int, ...]:
     return tuple(int(c) for c in c_values)
 
 
+def _grid(parameter: str, values) -> tuple[float, ...]:
+    """A distance grid under the `SweepSpec` rule: non-empty, finite and
+    strictly increasing, so no row is written twice or for NaN."""
+    return SweepSpec(parameter, tuple(values)).values
+
+
 def _mean_stderr(samples: np.ndarray) -> tuple[float, float, int]:
     """Mean, standard error and count, skipping NaN entries."""
     valid = samples[~np.isnan(samples)]
@@ -201,8 +207,10 @@ def run_design_insight_study(config: ScenarioConfig,
     members, or center distance inside the cluster disk) carry NaN means.
     """
     study = "design_insight"
+    c_values = _cluster_counts(c_values)
+    v_values = _grid("v_values", v_values)
     rows = []
-    for c in _cluster_counts(c_values):
+    for c in c_values:
         r_c = design_radius(config.total_uavs, c, config.lambda_off_per_m2)
         try:
             p_suc = analysis.transmission_success_probability(r_c, config.radio)
@@ -229,10 +237,11 @@ def run_design_insight_study(config: ScenarioConfig,
     return MetricTable(rows)
 
 
-def _epoch_metrics(scheme: str, config: ScenarioConfig, sim: SimParams,
+def _epoch_metrics(scheme: str, config: ScenarioConfig,
                    rng: np.random.Generator, run, rate_density: float):
     """Run one epoch through `run` and reduce it to (mean delay, delivery
     ratio, ase); `rate_density` is lambda_off * log2(1 + threshold)."""
+    sim = config.sim
     topology = build_topology(config, rng)
     outcome = run(topology, config.radio, sim, rng)
     n = outcome.n_uavs
@@ -243,7 +252,7 @@ def _epoch_metrics(scheme: str, config: ScenarioConfig, sim: SimParams,
         # Per-packet delay: the decode instant covers a whole generation
         # streamed back to back, so all but one packet length is pipeline
         # amortization.
-        delays = delays - (config.rnc_generation_size - 1) * config.packet_len_ms
+        delays = delays - (sim.rnc_generation_size - 1) * sim.packet_len_ms
     # sum / size is the reduction `mean` performs, so the value is the same.
     mean_delay = float(delays.sum() / delays.size) if delays.size else float("nan")
     ratio = delivered_count / n if n else float("nan")
@@ -264,7 +273,6 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
     ratios = np.empty(reps)
     ases = np.empty(reps)
     scheme_id = _SCHEME_ORDER.index(scheme)
-    sim = config.sim_params()
     # The default hook, built once and shared by every epoch and link.
     hook = _link_model(config.radio)
     hooks = {"broadcast_success": hook}
@@ -277,7 +285,7 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
         rng = _rng(config.base_seed,
                    (_STUDY_IDS[study], *key, scheme_id, rep))
         delays[rep], ratios[rep], ases[rep] = _epoch_metrics(
-            scheme, config, sim, rng, run, rate_density)
+            scheme, config, rng, run, rate_density)
     return delays, ratios, ases
 
 
@@ -291,6 +299,7 @@ def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
     """
     study = "delay"
     c_values = _cluster_counts(c_values)
+    d0_values = _grid("d0_values", d0_values)
     rows = []
     for i_d0, d0 in enumerate(d0_values):
         analytic = _analytic_metrics(config, d0)
@@ -324,6 +333,7 @@ def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
     """
     study = "ase"
     c_values = _cluster_counts(c_values)
+    d0_values = _grid("d0_values", d0_values)
     rows = []
     for i_d0, d0 in enumerate(d0_values):
         analytic = _analytic_metrics(config, d0)
@@ -354,8 +364,8 @@ def _analytic_metrics(config: ScenarioConfig, d0: float) -> dict[str, float]:
     return {
         "p_cov": p_cov,
         "p_suc": p_suc,
-        "delay": analysis.average_delay(p_cov, p_suc, config.packet_len_ms,
-                                        config.t_req_ms),
+        "delay": analysis.average_delay(p_cov, p_suc, config.sim.packet_len_ms,
+                                        config.sim.t_req_ms),
         "ase": analysis.average_ase(p_cov, p_suc, config.lambda_off_per_m2,
                                     config.radio.snr_threshold),
     }

@@ -42,8 +42,6 @@ class Topology:
     height: float
     bs_xy: tuple[float, float]
     bs_height: float
-    parent_density: float | None = None
-    mode: str = "fixed_total"
     cluster_bounds: tuple[int, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -154,7 +152,6 @@ def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topolo
                 f"{config.total_uavs} for {k} clusters")
         base, extra = divmod(config.total_uavs, k)
         counts = (base + 1,) * extra + (base,) * (k - extra)
-        density = None
     elif config.mode == "density":
         density = config.lambda_per_m2
         if density <= 0:
@@ -180,7 +177,6 @@ def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topolo
         xy=centers[plan.cluster_of] + offsets[k:], cluster_of=plan.cluster_of,
         centers=centers, height=config.h2_m,
         bs_xy=(config.d0_m, 0.0), bs_height=config.h1_m,
-        parent_density=density, mode=config.mode,
         cluster_bounds=plan.bounds)
 
 

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LinkKind, RadioParams, mean_received_power
-from .errors import IntegrityError, ParameterError
+from .errors import IntegrityError, ParameterError, check_field_values
 from .geometry import Topology
 
 PACKET_ID = 0  # single-packet epochs; RNC events carry coded-packet indices
@@ -57,11 +56,7 @@ class SimParams:
     opportunistic_caching: bool = True
 
     def __post_init__(self):
-        # NaN passes every comparison below, so finiteness comes first.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ParameterError(f"{f.name}: must be finite, got {value}")
+        check_field_values(self)
         if self.packet_len_ms <= 0 or self.t_req_ms < 0 or self.t_ack_ms < 0:
             raise ParameterError("packet_len_ms must be positive, "
                                  "t_req_ms and t_ack_ms non-negative")

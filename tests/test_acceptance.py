@@ -278,7 +278,7 @@ def test_c09_protocol_bookkeeping_invariants():
     """No duplicate replies, no requests for held packets, and the scripted
     two-miss scenario produces exactly one request and one reply."""
     config = ScenarioConfig()
-    sim = config.sim_params()
+    sim = config.sim
     violations = []
     for rep in range(1000):
         rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(rep,)))

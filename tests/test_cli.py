@@ -53,6 +53,32 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert effective.num_clusters == 2   # file beats default
 
 
+def test_flags_can_make_the_file_valid(tmp_path, capsys):
+    """The file is not a config on its own: d0_m=120 is inside the far
+    deployment bound, and the flag replaces it before validation."""
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("d0_m=120\nnum_clusters=2\n")
+    dump = tmp_path / "effective.cfg"
+    assert cli.main(["metrics", "--config", str(cfg), "--d0", "800",
+                     "--dump-config", str(dump)]) == 0
+    capsys.readouterr()
+    effective = ScenarioConfig.from_file(dump)
+    assert (effective.d0_m, effective.num_clusters) == (800.0, 2)
+
+
+def test_noise_flag_beats_both_file_spellings(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("radio.noise_dbm_per_hz=-170\n"
+                   "radio.noise_mw_per_hz=1e-20\n")
+    dump = tmp_path / "effective.cfg"
+    assert cli.main(["metrics", "--config", str(cfg),
+                     "--noise-dbm-per-hz", "-160",
+                     "--dump-config", str(dump)]) == 0
+    capsys.readouterr()
+    noise = ScenarioConfig.from_file(dump).radio.noise_mw_per_hz
+    assert noise == pytest.approx(1e-16, rel=1e-12)
+
+
 def test_dump_config_round_trips(tmp_path, capsys):
     first = tmp_path / "first.cfg"
     second = tmp_path / "second.cfg"
@@ -86,6 +112,26 @@ def test_study_rejects_bad_cluster_counts(study, c_values, tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: config: c_values")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("study,option,values", [
+    ("design-insight", "--v-values", "nan"),
+    ("design-insight", "--v-values", "800,400"),
+    ("delay", "--d0-values", "1200,1200"),
+    ("ase", "--d0-values", "inf"),
+    ("delay", "--d0-values", ","),
+])
+def test_study_rejects_bad_distance_grids(study, option, values, tmp_path,
+                                          capsys):
+    """No repeated, unordered, empty or non-finite d0/v grid writes rows."""
+    rc = cli.main(["study", "--study", study, "--c-values", "2",
+                   option, values, "--replications", "2",
+                   "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    grid = option[2:].replace("-", "_")
+    assert len(err) == 1 and err[0].startswith(f"error: config: {grid}")
     assert not list(tmp_path.iterdir())
 
 

@@ -192,6 +192,19 @@ def test_studies_reject_bad_cluster_counts(study, c_values):
         study(ScenarioConfig(replications=2), c_values=c_values)
 
 
+@pytest.mark.parametrize("values", [(), (1200.0, 1200.0), (800.0, 400.0),
+                                    (float("nan"),), (400.0, float("inf"))],
+                         ids=["empty", "repeated", "decreasing", "nan", "inf"])
+@pytest.mark.parametrize("study,grid", [(run_delay_study, "d0_values"),
+                                        (run_ase_study, "d0_values"),
+                                        (run_design_insight_study, "v_values")])
+def test_studies_reject_bad_distance_grids(study, grid, values):
+    """d0 and v grids follow the SweepSpec rule: a repeated value would
+    write its rows twice, and NaN would name rows `p_cov_vnan`."""
+    with pytest.raises(ParameterError, match=f"^{grid}"):
+        study(ScenarioConfig(replications=2), c_values=(2,), **{grid: values})
+
+
 def test_studies_accept_integral_cluster_counts():
     """numpy ints and integral floats name the same grid as Python ints."""
     config = ScenarioConfig(replications=5)

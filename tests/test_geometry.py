@@ -115,8 +115,6 @@ def test_build_topology_even_split():
     topo = build_topology(ScenarioConfig(), np.random.default_rng(1))
     assert np.bincount(topo.cluster_of).tolist() == [10] * 5
     assert topo.n_uavs == 50
-    assert topo.mode == "fixed_total"
-    assert topo.parent_density is None
 
 
 def test_build_topology_remainder_goes_first():
@@ -137,8 +135,6 @@ def test_build_topology_density_mode():
     # every cluster holds floor(lambda_off * pi * r^2) = 7 members
     assert topo.n_clusters and np.bincount(
         topo.cluster_of, minlength=topo.n_clusters).tolist() == [7] * topo.n_clusters
-    assert topo.parent_density == config.lambda_per_m2
-    assert topo.mode == "density"
 
 
 def _config_stub(**overrides):

@@ -312,8 +312,8 @@ def test_epoch_invariants_over_random_drops(scheme, seed, mode, d0,
     """The same invariants on random drops of both topology modes, with
     and without a binding time budget."""
     config = ScenarioConfig(mode=mode, d0_m=d0, num_clusters=num_clusters,
-                            max_time_ms=max_time_ms)
-    sim = config.sim_params()
+                            sim=SimParams(max_time_ms=max_time_ms))
+    sim = config.sim
     rng = np.random.default_rng(seed)
     topo = build_topology(config, rng)
     out = SCHEME_RUNNERS[scheme](topo, RADIO, sim, rng, collect_events=True)
@@ -381,8 +381,8 @@ def test_active_set_rounds_match_two_mask_loop(seed, g, coded, d0,
     """The active-set loop gives the reference loop's outcome, counters,
     events and generator state, with tight and loose time budgets."""
     config = ScenarioConfig(d0_m=d0, num_clusters=num_clusters,
-                            max_time_ms=max_time_ms)
-    sim = config.sim_params()
+                            sim=SimParams(max_time_ms=max_time_ms))
+    sim = config.sim
     topo = build_topology(config, np.random.default_rng(seed))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     powers, ref_powers = [], []
