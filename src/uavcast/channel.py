@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_field_values
 
 # Distances below 1 m are clamped before entering the log-distance model,
 # which is not calibrated there (and diverges at d = 0).
@@ -54,11 +53,9 @@ class PathLossParams:
     carrier_ghz: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.carrier_ghz) and self.carrier_ghz > 0):
+        check_field_values(self)
+        if self.carrier_ghz <= 0:
             raise ParameterError(f"carrier_ghz must be positive, got {self.carrier_ghz}")
-        for name in ("pl0_db", "dist_coeff_db", "freq_coeff_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -75,10 +72,11 @@ class RadioParams:
     uav_to_uav: PathLossParams
 
     def __post_init__(self):
+        check_field_values(self)
         for name in ("p_bs_mw", "p_uav_mw", "bandwidth_hz", "noise_mw_per_hz",
                      "snr_threshold"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if value <= 0:
                 raise ParameterError(f"{name} must be positive, got {value}")
 
     @classmethod

@@ -109,6 +109,9 @@ class ScenarioConfig:
         if self.replications < 1:
             raise ParameterError(
                 f"replications: must be >= 1, got {self.replications}")
+        if self.base_seed < 0:
+            raise ParameterError(
+                f"base_seed: must be non-negative, got {self.base_seed}")
 
     def geometry(self, v_norm: float | None = None) -> ClusterGeometry:
         """Cluster geometry at a given (default: d0) center distance."""

@@ -25,11 +25,13 @@ class IntegrityError(UavcastError):
 
 
 def check_field_values(obj) -> None:
-    """Reject what no range check of dataclass `obj` can: a non-finite
-    float, a non-integer in an `int` field and a non-bool in a `bool` field.
+    """Reject what no range check of dataclass `obj` can: a non-number or a
+    non-finite number in a `float` field, a non-integer in an `int` field
+    and a non-bool in a `bool` field.
 
-    NaN passes every comparison and 2.5 every bound, so callers run this
-    before their range checks.  The error names the field.
+    NaN passes every comparison, 2.5 every bound, and a string or None
+    fails a comparison with a bare TypeError, so callers run this before
+    their range checks.  The error names the field.
     """
     declared = _declared_types(type(obj))
     for f in dataclasses.fields(obj):
@@ -40,8 +42,15 @@ def check_field_values(obj) -> None:
             raise ParameterError(f"{f.name}: expected an integer, got {value!r}")
         if kind is bool and not isinstance(value, bool):
             raise ParameterError(f"{f.name}: expected true or false, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParameterError(f"{f.name}: must be finite, got {value}")
+        if kind is float:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{f.name}: expected a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large to convert
+                raise ParameterError(f"{f.name}: beyond the float range") from None
+            if not finite:
+                raise ParameterError(f"{f.name}: must be finite, got {value}")
 
 
 @functools.cache

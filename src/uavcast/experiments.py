@@ -5,10 +5,15 @@ Every study emits a `MetricTable` whose rows follow one CSV schema:
     study,sweep_param,sweep_value,scheme,metric,mean,stderr,n
 
 Replications are mutually independent: each gets its own generator derived
-from (base_seed, study id, sweep indices, scheme, replication index) through
-`numpy`'s splittable SeedSequence, so reruns with the same base seed are
-bit-for-bit reproducible and replications could be farmed out concurrently
-without changing results.
+from (base_seed, study id, sweep indices, scheme, replication index), so
+reruns with the same base seed are bit-for-bit reproducible and
+replications could be farmed out concurrently without changing results.
+The generator of spawn key `key` is the one numpy builds as
+`default_rng(SeedSequence(base_seed, spawn_key=key))`, state for state, but
+the derivation is owned (`_pcg64_states`): numpy's SeedSequence pool
+mixing and PCG64 seeding (both frozen by NumPy's RNG policy, NEP 19) run
+once per scenario on arrays over all replications, and numpy itself serves
+as the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .config import ScenarioConfig
 from .distributions import ClusterGeometry
 from .errors import ParameterError
 from .geometry import build_topology, sample_uniform_disk
-from .protocol import SCHEME_RUNNERS, _link_model
+from .protocol import SCHEME_RUNNERS, _first_round_served, _link_model
 
 _STUDY_IDS = {"validation_coverage": 1, "validation_success": 2,
               "design_insight": 3, "delay": 4, "ase": 5}
@@ -107,9 +112,119 @@ class MetricTable:
         return rows[0].mean
 
 
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+# numpy.random.SeedSequence's hash constants and PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative int, low word first."""
+    if value < 0:
+        raise ParameterError(f"seed words must be non-negative, got {value}")
+    out = [value & _MASK32]
+    value >>= 32
+    while value:
+        out.append(value & _MASK32)
+        value >>= 32
+    return out
+
+
+def _pcg64_states(base_seed: int, prefix: tuple[int, ...], indices: range):
+    """Yield `PCG64(SeedSequence(base_seed, spawn_key=(*prefix, i))).state`
+    for every i in `indices` (ascending, below 2**64), in order.
+
+    SeedSequence's entropy assembly, pool mixing and
+    `generate_state(4, uint64)` run on uint32 words held in uint64 arrays:
+    every word before the last spawn element is a constant of shape (1,),
+    so only the last element's mixing and the output hash are done per
+    index.  PCG64's seeding step then runs in Python ints.
+    """
+    head = _words(base_seed)
+    # A spawned sequence pads its run entropy with zeros to the pool size.
+    head += [0] * (4 - len(head))
+    for value in prefix:
+        head += _words(value)
+    # An index below 2**32 is one spawn word, a larger one two.
+    index = np.arange(indices.start, indices.stop, dtype=np.uint64)
+    one_word = index <= _MASK32
+    small, large = index[one_word], index[~one_word]
+    for last in ([small], [large & _MASK32, large >> 32]):
+        if last[0].size:
+            entropy = [np.array([w], dtype=np.uint64) for w in head] + last
+            yield from _seeded_states(entropy)
+
+
+def _seeded_states(entropy: list[np.ndarray]):
+    """SeedSequence mixing of `entropy` (at least 4 words, each an array
+    broadcasting to the batch, the last one of full length), then PCG64
+    seeding: yield one state per row."""
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = (hash_a * _MULT_A) & _MASK32
+        value = (value * hash_a) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        # Products of two uint32 values fit in uint64, and a negative
+        # difference wraps modulo 2**64, so the masked result is uint32's.
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_b, out = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = (hash_b * _MULT_B) & _MASK32
+        value = (value * hash_b) & _MASK32
+        out.append(value ^ (value >> 16))
+    # generate_state(4, uint64) reads the eight words as little-endian
+    # pairs: seed high, seed low, increment high, increment low.
+    s_hi, s_lo, i_hi, i_lo = ((out[2 * j] | (out[2 * j + 1] << 32)).tolist()
+                              for j in range(4))
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        # pcg_setseq_128_srandom_r: state 0, step, add the seed, step.
+        inc = (((c << 64) | d) << 1 | 1) & _MASK128
+        state = ((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+def _generators(base_seed: int, prefix: tuple[int, ...], indices: range):
+    """Yield the generator of spawn key (*prefix, i) for each i in
+    `indices`, all derived in one `_pcg64_states` pass.
+
+    Every yield is the same `Generator`, its bit generator reseeded in
+    place, so a caller must be done with one before it asks for the next.
+    The bit generator's `seed_seq` is not the spawn key's; nothing here
+    spawns from it.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state in _pcg64_states(base_seed, prefix, indices):
+        bit_generator.state = state
+        yield rng
+
+
 def _rng(base_seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    """The generator of spawn key `key` under `base_seed`."""
-    return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=key))
+    """An independent generator of non-empty spawn key `key` under
+    `base_seed`: the one-index case of `_generators`."""
+    *prefix, last = key
+    return next(_generators(base_seed, tuple(prefix), range(last, last + 1)))
 
 
 def _cluster_counts(c_values) -> tuple[int, ...]:
@@ -266,27 +381,52 @@ def _epoch_metrics(scheme: str, config: ScenarioConfig,
     return mean_delay, ratio, ase
 
 
-def _replicated(study: str, scheme: str, config: ScenarioConfig,
-                key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    reps = config.replications
-    delays = np.empty(reps)
-    ratios = np.empty(reps)
-    ases = np.empty(reps)
-    scheme_id = _SCHEME_ORDER.index(scheme)
+def _first_broadcast_ase(config: ScenarioConfig, rng: np.random.Generator,
+                         hook, rate_density: float) -> float:
+    """The ase of one benchmark epoch, which counts only the members its
+    first broadcast serves: the epoch stops there, drawing the topology
+    and round 1 exactly as `run_ack_benchmark` does."""
+    topology = build_topology(config, rng)
+    n = topology.n_uavs
+    served = _first_round_served(topology, config.radio, config.sim, rng, hook)
+    return (served / n) * rate_density if n else float("nan")
+
+
+def _epochs(study: str, scheme: str, config: ScenarioConfig):
+    """rng -> the metrics of one epoch of `scheme`: (mean delay, delivery
+    ratio, ase) in the delay study, the ase alone in the ase study, whose
+    benchmark epochs stop after the first broadcast."""
     # The default hook, built once and shared by every epoch and link.
     hook = _link_model(config.radio)
+    rate_density = (config.lambda_off_per_m2
+                    * math.log2(1.0 + config.radio.snr_threshold))
+    if study == "ase" and scheme == "benchmark":
+        return functools.partial(_first_broadcast_ase, config, hook=hook,
+                                 rate_density=rate_density)
     hooks = {"broadcast_success": hook}
     if scheme == "clustering":
         hooks["peer_success"] = hook
     run = functools.partial(SCHEME_RUNNERS[scheme], **hooks)
-    rate_density = (config.lambda_off_per_m2
-                    * math.log2(1.0 + config.radio.snr_threshold))
-    for rep in range(reps):
-        rng = _rng(config.base_seed,
-                   (_STUDY_IDS[study], *key, scheme_id, rep))
-        delays[rep], ratios[rep], ases[rep] = _epoch_metrics(
-            scheme, config, rng, run, rate_density)
-    return delays, ratios, ases
+    full = functools.partial(_epoch_metrics, scheme, config, run=run,
+                             rate_density=rate_density)
+    if study == "ase":
+        return lambda rng: full(rng)[2]
+    return full
+
+
+def _replicated(study: str, scheme: str, config: ScenarioConfig,
+                key: tuple[int, ...]) -> np.ndarray:
+    """The `_epochs` metrics of every replication, in replication order.
+
+    Replication `rep` draws from the generator of spawn key
+    (study, *key, scheme, rep); all of them come from one `_generators`
+    pass, which is safe because an epoch is done with its generator when
+    it returns.
+    """
+    epoch = _epochs(study, scheme, config)
+    prefix = (_STUDY_IDS[study], *key, _SCHEME_ORDER.index(scheme))
+    return np.array([epoch(rng) for rng in _generators(
+        config.base_seed, prefix, range(config.replications))])
 
 
 def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
@@ -307,7 +447,7 @@ def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
             scenario = config.replace(d0_m=d0, num_clusters=c)
             for scheme in config.schemes:
                 delays, ratios, _ = _replicated(study, scheme, scenario,
-                                                (i_d0, i_c))
+                                                (i_d0, i_c)).T
                 mean, stderr, n = _mean_stderr(delays)
                 rows.append(MetricRow(study, "num_clusters", float(c), scheme,
                                       f"delay_ms_d0_{d0:g}", mean, stderr, n))
@@ -326,7 +466,8 @@ def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
     """Simulated area spectral efficiency over (d0, C).
 
     The clustering rows count members served either by the broadcast or by
-    in-cluster recovery; benchmark rows count only the first broadcast.  The
+    in-cluster recovery; benchmark rows count only the first broadcast, so
+    their epochs stop after it (`_first_broadcast_ase`).  The
     RNC baseline spends its airtime on coded repair of the same packets, so
     its delivered-rate density equals the benchmark's by construction and
     its rows duplicate them.
@@ -341,7 +482,7 @@ def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
             scenario = config.replace(d0_m=d0, num_clusters=c)
             benchmark_row = None
             for scheme in ("clustering", "benchmark"):
-                _, _, ases = _replicated(study, scheme, scenario, (i_d0, i_c))
+                ases = _replicated(study, scheme, scenario, (i_d0, i_c))
                 mean, stderr, n = _mean_stderr(ases)
                 row = MetricRow(study, "num_clusters", float(c), scheme,
                                 f"ase_d0_{d0:g}", mean, stderr, n)

@@ -357,6 +357,20 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
         control_messages=control, events=log.finish())
 
 
+def _first_round_served(topology: Topology, radio: RadioParams,
+                        sim: SimParams, rng: np.random.Generator,
+                        broadcast_success) -> int:
+    """Members served by round 1 of `_bs_rounds` with g = 1, drawn as it
+    draws them: `count_nonzero(run_ack_benchmark(...).via_broadcast)`
+    without the later rounds and ACKs.  No round runs, so none is served,
+    when the drop is empty or one packet exceeds the time budget."""
+    if not topology.n_uavs or sim.packet_len_ms > sim.max_time_ms:
+        return 0
+    p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
+                               radio)
+    return int(np.count_nonzero(broadcast_success(p_bs, rng)))
+
+
 def run_ack_benchmark(topology: Topology, radio: RadioParams, sim: SimParams,
                       rng: np.random.Generator, *,
                       collect_events: bool = False,

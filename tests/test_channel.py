@@ -153,6 +153,24 @@ def test_radio_params_validation():
         PathLossParams(math.nan, 26.0, 20.0, carrier_ghz=2.0)
 
 
+@pytest.mark.parametrize("value", ["1000", None, True, 1000 + 0j, math.inf])
+@pytest.mark.parametrize("name", ["p_bs_mw", "snr_threshold"])
+def test_radio_params_reject_non_numbers(name, value):
+    """A non-real or non-finite power fails naming its field, not as a
+    bare TypeError from a comparison."""
+    with pytest.raises(ParameterError, match=f"^{name}"):
+        dataclasses.replace(RADIO, **{name: value})
+
+
+@pytest.mark.parametrize("value", ["39", None, False, 39 + 0j, math.nan])
+@pytest.mark.parametrize("name", ["pl0_db", "carrier_ghz"])
+def test_path_loss_params_reject_non_numbers(name, value):
+    fields = dict(pl0_db=39.0, dist_coeff_db=26.0, freq_coeff_db=20.0,
+                  carrier_ghz=2.0)
+    with pytest.raises(ParameterError, match=f"^{name}"):
+        PathLossParams(**{**fields, name: value})
+
+
 _OTHER_RADIO = RadioParams(
     p_bs_mw=250.0, p_uav_mw=3.5, bandwidth_hz=10e6, noise_mw_per_hz=4e-21,
     snr_threshold=7.0,

@@ -103,6 +103,22 @@ def test_non_finite_value_exit_code(capsys):
     assert len(err) == 1 and err[0].startswith("error: config: radius_r_m")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scheme", "clustering"],
+    ["study", "--study", "ase", "--replications", "2", "--c-values", "2"],
+    ["metrics"],
+], ids=["simulate", "study", "metrics"])
+def test_negative_seed_exit_code(argv, tmp_path, capsys):
+    """A negative seed is a config error before any generator is derived,
+    whether or not the command draws random numbers."""
+    rc = cli.main([*argv, "--seed", "-1", *(
+        ["--out-dir", str(tmp_path)] if argv[0] == "study" else [])])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: base_seed")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("study", ["delay", "ase", "design-insight"])
 @pytest.mark.parametrize("c_values", ["2.5,2.9", "0,2", "-1", "2,x"])
 def test_study_rejects_bad_cluster_counts(study, c_values, tmp_path, capsys):

@@ -47,6 +47,13 @@ def test_defaults():
     ("h2_m", -1.0),            # heights are non-negative
     ("packet_len_ms", math.nan),
     ("max_time_ms", math.inf),
+    ("base_seed", -1),
+    # a float field takes a real number, not a string, None, bool or complex
+    ("d0_m", "800"),
+    ("radius_r_m", None),
+    ("h1_m", True),
+    ("lambda_per_m2", 1e-4 + 0j),
+    ("d0_m", 10 ** 400),       # an int beyond the float range
 ])
 def test_validation_errors_name_the_field(field, value):
     with pytest.raises(ParameterError, match=field.split("_")[0]):

@@ -1,23 +1,41 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavcast import analysis
 from uavcast.config import ScenarioConfig
 from uavcast.distributions import ClusterGeometry
 from uavcast.errors import ParameterError
 from uavcast.experiments import (
+    _SCHEME_ORDER,
+    _STUDY_IDS,
     DEFAULT_DESIGN_C_GRID,
     MetricRow,
     MetricTable,
     SweepSpec,
+    _epoch_metrics,
+    _epochs,
+    _first_broadcast_ase,
+    _generators,
     _mean_stderr,
+    _replicated,
+    _rng,
     design_radius,
     run_ase_study,
     run_delay_study,
     run_design_insight_study,
     run_validation_study,
+)
+from uavcast.geometry import build_topology
+from uavcast.protocol import (
+    SimParams,
+    _first_round_served,
+    _link_model,
+    run_ack_benchmark,
 )
 
 
@@ -228,3 +246,118 @@ def test_studies_are_deterministic_in_base_seed():
         run_validation_study(
         "success", ScenarioConfig(replications=500),
         SweepSpec("radius_r", (50.0,))).csv_text()
+
+
+def _numpy_generator(base_seed, key):
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(base_seed, spawn_key=key)))
+
+
+# Base seeds of one to five uint32 words, up to 2**130.
+_BASE_SEEDS = st.integers(1, 5).flatmap(lambda words: st.integers(
+    0 if words == 1 else 2 ** (32 * (words - 1)),
+    min(2 ** (32 * words) - 1, 2 ** 130)))
+
+
+@given(base_seed=_BASE_SEEDS,
+       prefix=st.lists(st.integers(0, 2 ** 40), max_size=5),
+       start=st.one_of(st.just(0), st.integers(0, 2 ** 40)),
+       reps=st.integers(1, 40))
+@example(base_seed=1, prefix=[], start=2 ** 32 - 2, reps=4)
+@settings(max_examples=150, deadline=None)
+def test_owned_derivation_matches_numpy_seed_sequence(base_seed, prefix,
+                                                      start, reps):
+    """Each generator's PCG64 state, increment and first doubles equal
+    numpy's own `PCG64(SeedSequence(...))` for base seeds of one to five
+    uint32 words, spawn prefixes of zero to five elements, and indices
+    taking one word or two."""
+    indices = range(start, start + reps)
+    got = 0
+    for i, rng in zip(indices, _generators(base_seed, tuple(prefix), indices)):
+        ref = _numpy_generator(base_seed, (*prefix, i))
+        # state and increment
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(8).tobytes() == ref.random(8).tobytes()
+        got += 1
+    assert got == reps
+
+
+def test_rng_generators_are_independent():
+    """`_rng` hands out a generator of its own: drawing from one leaves
+    another, derived earlier, where numpy's would be."""
+    a, b = _rng(1, (7,)), _rng(1, (6, 3))
+    a.random(100)
+    assert b.random(4).tobytes() == _numpy_generator(1, (6, 3)).random(4).tobytes()
+    assert a.bit_generator is not b.bit_generator
+    with pytest.raises(ParameterError):
+        _rng(-1, (7,))
+
+
+@pytest.mark.parametrize("study,scheme", [("delay", "clustering"),
+                                          ("delay", "rnc"),
+                                          ("ase", "clustering"),
+                                          ("ase", "benchmark")])
+def test_replicated_equals_independent_generators(study, scheme):
+    """One derivation pass over a shared bit generator gives every
+    replication what an independent `_rng` generator gives it."""
+    config = ScenarioConfig(replications=25, base_seed=9, num_clusters=2,
+                            d0_m=1200.0)
+    key = (1, 2)
+    epoch = _epochs(study, scheme, config)
+    expected = np.array([
+        epoch(_rng(config.base_seed, (_STUDY_IDS[study], *key,
+                                      _SCHEME_ORDER.index(scheme), rep)))
+        for rep in range(config.replications)])
+    assert _replicated(study, scheme, config, key).tobytes() == \
+        expected.tobytes()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       mode=st.sampled_from(["fixed_total", "density"]),
+       lambda_per_m2=st.sampled_from([1e-6, 1e-5, 1e-4]),
+       d0=st.floats(400.0, 2500.0), num_clusters=st.integers(1, 10),
+       max_time_ms=st.sampled_from([5.0, 10.0, 40.0, 10_000.0]))
+@example(seed=0, mode="density", lambda_per_m2=1e-6, d0=800.0,
+         num_clusters=1, max_time_ms=10_000.0)   # no cluster drawn
+@example(seed=0, mode="fixed_total", lambda_per_m2=1e-4, d0=800.0,
+         num_clusters=5, max_time_ms=5.0)        # packet over the budget
+@settings(max_examples=150, deadline=None)
+def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
+                                                num_clusters, max_time_ms):
+    """The ase study's benchmark epoch, stopped after the first broadcast,
+    serves the members `run_ack_benchmark` marks `via_broadcast` from the
+    same generator state, and yields the full epoch's ase bit for bit
+    (NaN for an empty drop)."""
+    config = ScenarioConfig(mode=mode, lambda_per_m2=lambda_per_m2, d0_m=d0,
+                            num_clusters=num_clusters,
+                            sim=SimParams(max_time_ms=max_time_ms))
+    hook = _link_model(config.radio)
+    powers, ref_powers = [], []
+
+    def recorded(seen):
+        def record(power, rng):
+            seen.append(power.tobytes())
+            return hook(power, rng)
+        return record
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    topology = build_topology(config, rng)
+    ref_topology = build_topology(config, ref_rng)
+    served = _first_round_served(topology, config.radio, config.sim, rng,
+                                 recorded(powers))
+    outcome = run_ack_benchmark(ref_topology, config.radio, config.sim,
+                                ref_rng, broadcast_success=recorded(ref_powers))
+    assert served == np.count_nonzero(outcome.via_broadcast)
+    # the hook sees round 1's powers, and is not called when no round runs
+    assert powers == ref_powers[:1]
+    if max_time_ms < config.sim.packet_len_ms:
+        assert served == 0
+
+    rate_density = 1e-3 * math.log2(21.0)
+    run = functools.partial(run_ack_benchmark, broadcast_success=hook)
+    ase = _first_broadcast_ase(config, np.random.default_rng(seed), hook,
+                               rate_density)
+    _, _, ref_ase = _epoch_metrics("benchmark", config,
+                                   np.random.default_rng(seed), run,
+                                   rate_density)
+    assert np.array(ase).tobytes() == np.array(ref_ase).tobytes()
