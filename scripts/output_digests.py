@@ -21,6 +21,10 @@ The commands:
 
 - `study --study delay|ase --replications 200` (default grids), and
   `study --study delay --mode density --replications 200`;
+- `study --study validation-coverage|validation-success --replications
+  100000` and `study --study design-insight` (default grids): the
+  validation draws and the `p_cov`/`p_suc` quadratures;
+- `metrics --out` at the defaults and at `--v-norm 1200`;
 - `topology --drops 20` in fixed_total and density mode;
 - `simulate --scheme S --seed 1|2|3 --d0 1200 --num-clusters 2` with
   `--out` and `--event-log` for every scheme, and the same at seed 1 with
@@ -55,6 +59,14 @@ def commands(out: Path) -> list[list[str]]:
          "--out-dir", str(out / "ase")],
         ["study", "--study", "delay", "--mode", "density",
          "--replications", "200", "--out-dir", str(out / "delay_density")],
+        ["study", "--study", "validation-coverage", "--replications", "100000",
+         "--out-dir", str(out / "validation_coverage")],
+        ["study", "--study", "validation-success", "--replications", "100000",
+         "--out-dir", str(out / "validation_success")],
+        ["study", "--study", "design-insight",
+         "--out-dir", str(out / "design_insight")],
+        ["metrics", "--out", str(out / "metrics_default.csv")],
+        ["metrics", "--v-norm", "1200", "--out", str(out / "metrics_v1200.csv")],
         ["topology", "--drops", "20", "--out", str(out / "topo_fixed.csv")],
         ["topology", "--drops", "20", "--mode", "density",
          "--out", str(out / "topo_density.csv")],
