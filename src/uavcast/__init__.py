@@ -24,11 +24,10 @@ from .channel import (
     PathLossParams,
     RadioParams,
     db_to_linear,
-    linear_to_db,
-    link_success_probability,
+    decode_probability,
+    link_model,
+    mean_received_power,
     path_loss_db,
-    path_loss_linear,
-    reception_success,
 )
 from .config import ScenarioConfig
 from .distributions import (

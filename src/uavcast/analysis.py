@@ -28,7 +28,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import MIN_DISTANCE_M, LinkKind, RadioParams, link_success_probability
+from .channel import (
+    MIN_DISTANCE_M,
+    LinkKind,
+    RadioParams,
+    decode_probability,
+    mean_received_power,
+)
 from .distributions import (
     ClusterGeometry,
     bs_member_support,
@@ -99,8 +105,8 @@ def coverage_probability(geom: ClusterGeometry, radio: RadioParams) -> float:
     """Probability that a random cluster member decodes the BS broadcast."""
 
     def integrand(d):
-        return (link_success_probability(radio.p_bs_mw, d, LinkKind.BS_TO_UAV, radio)
-                * pdf_bs_member_distance(d, geom))
+        power = mean_received_power(LinkKind.BS_TO_UAV, d, radio)
+        return decode_probability(power, radio) * pdf_bs_member_distance(d, geom)
 
     return _integrate(integrand, bs_member_support(geom))
 
@@ -117,8 +123,8 @@ def transmission_success_probability(radius_r: float, radio: RadioParams) -> flo
     hi = 2.0 * radius_r
 
     def integrand(d):
-        return (link_success_probability(radio.p_uav_mw, d, LinkKind.UAV_TO_UAV, radio)
-                * pdf_member_pair_distance(d, radius_r))
+        power = mean_received_power(LinkKind.UAV_TO_UAV, d, radio)
+        return decode_probability(power, radio) * pdf_member_pair_distance(d, radius_r)
 
     edges = (0.0, MIN_DISTANCE_M, hi) if MIN_DISTANCE_M < hi else (0.0, hi)
     return _integrate(integrand, edges)

@@ -1,9 +1,15 @@
-"""Radio link model: log-distance path loss, Rayleigh block fading, SNR.
+"""Radio link model: log-distance path loss and Rayleigh block fading.
+
+The link law lives here once, on the mean received power P = p_tx * g(d)
+in mW, where g is the log-distance path-loss gain of the link kind at its
+configured transmit power.  With unit-mean exponential fading |h|^2, a
+reception succeeds when P * |h|^2 / N > theta, for noise power N and
+decoding threshold theta.  `link_model` draws that decision and
+`decode_probability` gives its probability exp(-theta * N / P); the
+simulations draw with the first, the quadratures integrate the second.
 
 Units are fixed across the package: distances in meters, powers in mW,
-bandwidth in Hz, noise spectral density in mW/Hz, times in ms.  Path-loss
-gains and SNR are dimensionless linear ratios; helpers convert to and from
-dB where needed.
+bandwidth in Hz, noise spectral density in mW/Hz, times in ms.
 """
 
 from __future__ import annotations
@@ -24,11 +30,6 @@ MIN_DISTANCE_M = 1.0
 def db_to_linear(value_db):
     """Convert dB to a linear ratio (also converts dBm to mW)."""
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
-
-
-def linear_to_db(value):
-    """Convert a linear ratio to dB (also converts mW to dBm)."""
-    return 10.0 * np.log10(np.asarray(value, dtype=float))
 
 
 class LinkKind(enum.Enum):
@@ -140,57 +141,35 @@ def path_loss_db(kind: LinkKind, distance_m, params: RadioParams):
     return loss if loss.ndim else float(loss)
 
 
-def path_loss_linear(kind: LinkKind, distance_m, params: RadioParams):
-    """Linear channel power gain (<= 1 for any realistic geometry)."""
-    return db_to_linear(-np.asarray(path_loss_db(kind, distance_m, params)))
-
-
 def mean_received_power(kind: LinkKind, distance_m, params: RadioParams):
     """Fading-free received power p_tx * gain in mW over the `kind` link at
     its configured transmit power; distances < 1 m are clamped.
 
-    Equals `params.tx_power_mw(kind) * path_loss_linear(...)` bit for bit,
-    from the instance's cached link constants.
+    Computed from the instance's cached link constants.
     """
     constants = params._link_constants[kind]
     return constants[0] * 10.0 ** (-_loss_db(constants, distance_m) / 10.0)
 
 
-def sample_power_fading(rng: np.random.Generator, size=None):
-    """Rayleigh fading power gain |h|^2: unit-mean exponential draws."""
-    return rng.exponential(1.0, size)
-
-
-def snr(p_tx_mw, path_gain, fading, params: RadioParams):
-    """Instantaneous SNR from transmit power, path gain and fading gain."""
-    return np.asarray(p_tx_mw * path_gain * fading) / params.noise_power_mw
-
-
-def link_success_probability(p_tx_mw, distance_m, kind: LinkKind,
-                             params: RadioParams):
-    """Probability that a single transmission over this link is decoded.
-
-    With unit-mean exponential fading the SNR exceeds the threshold with
-    probability exp(-threshold * noise / (p_tx * gain)).
-    """
-    gain = path_loss_linear(kind, distance_m, params)
-    out = np.exp(-params.snr_threshold * params.noise_power_mw
-                 / (p_tx_mw * np.asarray(gain, dtype=float)))
+def decode_probability(power_mw, radio: RadioParams):
+    """Probability that a listener at mean received power `power_mw` (mW)
+    decodes one transmission: the chance exp(-theta * N / P) that unit-mean
+    exponential fading lifts the SNR over the threshold.  A float for
+    scalar input, an array otherwise."""
+    out = np.exp(-radio.snr_threshold * radio.noise_power_mw
+                 / np.asarray(power_mw, dtype=float))
     return out if out.ndim else float(out)
 
 
-def reception_success(p_tx_mw, distance_m, kind: LinkKind, params: RadioParams,
-                      rng: np.random.Generator, size=None):
-    """Draw fading and report whether the SNR clears the decoding threshold.
+def link_model(radio: RadioParams):
+    """The reception hook of the protocol schemes: (power, rng) -> bool
+    array, one Rayleigh fading draw per listener.
 
-    Returns a bool for scalar input, or a bool array when `distance_m` is an
-    array (or `size` is given).
+    `power` holds each listener's mean received power p_tx * gain (mW); a
+    listener decodes when (power * fading) / noise exceeds the threshold.
     """
-    d = np.asarray(distance_m, dtype=float)
-    if size is None and d.ndim:
-        size = d.shape
-    fading = sample_power_fading(rng, size)
-    gain = path_loss_linear(kind, d, params)
-    value = snr(p_tx_mw, gain, fading, params)
-    ok = value > params.snr_threshold
-    return ok if ok.ndim else bool(ok)
+    noise, threshold = radio.noise_power_mw, radio.snr_threshold
+
+    def model(power: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return (power * rng.exponential(1.0, power.shape)) / noise > threshold
+    return model

@@ -109,7 +109,14 @@ def _count_list(raw: str) -> tuple[int, ...]:
             f"c_values: expected a comma-separated integer list, got {raw!r}")
 
 
+def _check_count(flag: str, value: int, minimum: int) -> None:
+    """Reject a count flag below `minimum`, naming the flag."""
+    if value < minimum:
+        raise ParameterError(f"{flag}: must be at least {minimum}, got {value}")
+
+
 def _cmd_topology(args) -> int:
+    _check_count("--drops", args.drops, 1)
     config = _load_config(args)
     drops = [build_topology(config,
                             experiments._rng(config.base_seed, (6, i)))
@@ -121,6 +128,8 @@ def _cmd_topology(args) -> int:
 
 
 def _cmd_distributions(args) -> int:
+    _check_count("--grid", args.grid, 2)
+    _check_count("--samples", args.samples, 0)
     config = _load_config(args)
     if args.kind == "bs-member":
         dist = DistanceDistribution.bs_member(

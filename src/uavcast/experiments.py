@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .channel import LinkKind, reception_success
+from .channel import LinkKind, link_model, mean_received_power
 from .config import ScenarioConfig
 from .distributions import ClusterGeometry
 from .errors import ParameterError
 from .geometry import build_topology, sample_uniform_disk
-from .protocol import SCHEME_RUNNERS, _first_round_served, _link_model
+from .protocol import SCHEME_RUNNERS, _first_round_served
 
 _STUDY_IDS = {"validation_coverage": 1, "validation_success": 2,
               "design_insight": 3, "delay": 4, "ase": 5}
@@ -274,6 +274,7 @@ def run_validation_study(kind: str, config: ScenarioConfig,
                  else SweepSpec("radius_r", DEFAULT_R_GRID))
     n_trials = config.replications
     radio = config.radio
+    hook = link_model(radio)
     rows = []
     for i, value in enumerate(sweep.values):
         rng = _rng(config.base_seed, (_STUDY_IDS[study], i))
@@ -282,24 +283,22 @@ def run_validation_study(kind: str, config: ScenarioConfig,
             pts = sample_uniform_disk(rng, n_trials, geom.radius_r,
                                       (geom.v_norm, 0.0))
             dist = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2 + geom.delta_h ** 2)
-            ok = reception_success(radio.p_bs_mw, dist, LinkKind.BS_TO_UAV,
-                                   radio, rng)
+            link = LinkKind.BS_TO_UAV
             theory = analysis.coverage_probability(geom, radio)
             metric = "p_cov"
         else:
             a = sample_uniform_disk(rng, n_trials, value)
             b = sample_uniform_disk(rng, n_trials, value)
             dist = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-            ok = reception_success(radio.p_uav_mw, dist, LinkKind.UAV_TO_UAV,
-                                   radio, rng)
+            link = LinkKind.UAV_TO_UAV
             theory = analysis.transmission_success_probability(value, radio)
             metric = "p_suc"
-        mean = float(np.mean(ok))
-        stderr = float(np.std(ok, ddof=1) / math.sqrt(n_trials))
+        ok = hook(mean_received_power(link, dist, radio), rng)
+        mean, stderr, n = _mean_stderr(ok.astype(float))
         rows.append(MetricRow(study, sweep.parameter, value, "theory", metric,
                               theory, 0.0, 0))
         rows.append(MetricRow(study, sweep.parameter, value, "monte_carlo",
-                              metric, mean, stderr, n_trials))
+                              metric, mean, stderr, n))
     return MetricTable(rows)
 
 
@@ -397,7 +396,7 @@ def _epochs(study: str, scheme: str, config: ScenarioConfig):
     ratio, ase) in the delay study, the ase alone in the ase study, whose
     benchmark epochs stop after the first broadcast."""
     # The default hook, built once and shared by every epoch and link.
-    hook = _link_model(config.radio)
+    hook = link_model(config.radio)
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
     if study == "ase" and scheme == "benchmark":

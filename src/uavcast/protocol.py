@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkKind, RadioParams, mean_received_power
+from .channel import LinkKind, RadioParams, link_model, mean_received_power
 from .errors import IntegrityError, ParameterError, check_field_values
 from .geometry import Topology
 
@@ -133,20 +133,6 @@ class SchemeOutcome:
         return ~self.undelivered
 
 
-def _link_model(radio: RadioParams):
-    """Default reception hook: one Rayleigh fading draw per listener.
-
-    `power` holds each listener's mean received power p_tx * gain (mW).
-    The product is taken in `channel.snr`'s order, (p_tx * gain) * fading,
-    so the decisions equal `channel.reception_success`'s bit for bit.
-    """
-    noise, threshold = radio.noise_power_mw, radio.snr_threshold
-
-    def model(power: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return (power * rng.exponential(1.0, power.shape)) / noise > threshold
-    return model
-
-
 class _EpochLog:
     """Collects events when enabled; appends are cheap no-ops otherwise."""
 
@@ -218,9 +204,9 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
     staying serialized within each cluster.
     """
     if broadcast_success is None:
-        broadcast_success = _link_model(radio)
+        broadcast_success = link_model(radio)
     if peer_success is None:
-        peer_success = _link_model(radio)
+        peer_success = link_model(radio)
     xy, cluster_of = topology.xy, topology.cluster_of
     n = topology.n_uavs
     log = _EpochLog(collect_events)
@@ -308,7 +294,7 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
     are gathered again only in a round where some member completes.
     """
     if broadcast_success is None:
-        broadcast_success = _link_model(radio)
+        broadcast_success = link_model(radio)
     cluster_of = topology.cluster_of
     p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
                                radio)

@@ -9,18 +9,29 @@ from uavcast.channel import (
     PathLossParams,
     RadioParams,
     db_to_linear,
-    linear_to_db,
-    link_success_probability,
+    decode_probability,
+    link_model,
     mean_received_power,
     path_loss_db,
-    path_loss_linear,
-    reception_success,
-    sample_power_fading,
-    snr,
 )
 from uavcast.errors import ParameterError
 
 RADIO = RadioParams.defaults()
+
+
+def _gain(kind, distance_m, radio=RADIO):
+    """Linear path gain: mean received power over the transmit power."""
+    return mean_received_power(kind, distance_m, radio) / radio.tx_power_mw(kind)
+
+
+class _FixedFading:
+    """Stands in for a generator: every fading draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def exponential(self, scale, size):
+        return np.full(size, self.value)
 
 
 def test_bs_link_loss_at_100m():
@@ -28,16 +39,14 @@ def test_bs_link_loss_at_100m():
     expected_db = 39.0 + 26.0 * 2.0 + 20.0 * math.log10(2.0 / 5.0)
     assert math.isclose(path_loss_db(LinkKind.BS_TO_UAV, 100.0, RADIO),
                         expected_db, rel_tol=1e-12)
-    assert abs(path_loss_linear(LinkKind.BS_TO_UAV, 100.0, RADIO)
-               - 4.9645514670e-09) < 1e-11
+    assert abs(_gain(LinkKind.BS_TO_UAV, 100.0) - 4.9645514670e-09) < 1e-11
 
 
 def test_uav_link_loss_at_10m():
     expected_db = 41.0 + 22.7 * 1.0 + 20.0 * math.log10(5.8 / 5.0)
     assert math.isclose(path_loss_db(LinkKind.UAV_TO_UAV, 10.0, RADIO),
                         expected_db, rel_tol=1e-12)
-    assert abs(path_loss_linear(LinkKind.UAV_TO_UAV, 10.0, RADIO)
-               - 3.1701807283e-07) < 1e-9
+    assert abs(_gain(LinkKind.UAV_TO_UAV, 10.0) - 3.1701807283e-07) < 1e-9
 
 
 def test_frequency_term_vanishes_at_5ghz():
@@ -48,14 +57,15 @@ def test_frequency_term_vanishes_at_5ghz():
         uav_to_uav=RADIO.uav_to_uav)
     # at d = 1 m both log terms are zero, leaving just the offset
     assert path_loss_db(LinkKind.BS_TO_UAV, 1.0, params) == 39.0
-    assert path_loss_linear(LinkKind.BS_TO_UAV, 1.0, params) == 10.0 ** -3.9
+    assert (mean_received_power(LinkKind.BS_TO_UAV, 1.0, params)
+            == params.p_bs_mw * 10.0 ** -3.9)
 
 
 @pytest.mark.parametrize("kind", [LinkKind.BS_TO_UAV, LinkKind.UAV_TO_UAV])
 def test_path_loss_strictly_decreasing_gain(kind):
     d = np.array([1.0, 3.0, 10.0, 50.0, 200.0, 1000.0])
-    gain = path_loss_linear(kind, d, RADIO)
-    assert np.all(np.diff(gain) < 0)
+    power = mean_received_power(kind, d, RADIO)
+    assert np.all(np.diff(power) < 0)
 
 
 def test_short_distances_clamp():
@@ -67,7 +77,7 @@ def test_short_distances_clamp():
 
 def test_db_linear_round_trip():
     values = np.array([1e-12, 3.7e-5, 1.0, 250.0, 9.9e8])
-    back = db_to_linear(linear_to_db(values))
+    back = db_to_linear(10.0 * np.log10(values))
     assert np.all(np.abs(back / values - 1.0) < 1e-12)
     assert float(db_to_linear(0.0)) == 1.0
 
@@ -80,23 +90,43 @@ def test_noise_power_is_bandwidth_times_density():
 
 
 def test_fading_moments():
+    """The hook's fading is unit-mean exponential: at mean power
+    theta * N / x a listener decodes with probability P(|h|^2 > x) =
+    exp(-x), which pins both the law and its unit mean."""
+    hook = link_model(RADIO)
     rng = np.random.default_rng(0)
-    draws = sample_power_fading(rng, 1_000_000)
-    assert np.all(draws >= 0.0)
-    assert abs(draws.mean() - 1.0) < 0.004
-    assert abs(np.mean(draws > 1.0) - math.exp(-1.0)) < 0.002
+    n = 1_000_000
+    for x in (0.05, math.log(2.0), 1.0, 3.0):
+        power = np.full(n, RADIO.snr_threshold * RADIO.noise_power_mw / x)
+        p = math.exp(-x)
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(hook(power, rng).mean() - p) < 4.0 * se
 
 
 def test_snr_arithmetic():
-    value = float(snr(10.0, 1e-9, 1.0, RADIO))
-    assert math.isclose(value, 1e-8 / RADIO.noise_power_mw, rel_tol=1e-12)
+    """The hook decodes when (power * fading) / noise strictly exceeds the
+    threshold: 1e-8 mW at unit fading is an SNR of about 125.6, and
+    doubling power or fading doubles it."""
+    value = 1e-8 / RADIO.noise_power_mw
     assert 125.0 < value < 126.0
-    assert float(snr(20.0, 1e-9, 1.0, RADIO)) == pytest.approx(2 * value)
-    assert float(snr(10.0, 1e-9, 0.0, RADIO)) == 0.0
+    below = float(np.nextafter(value, 0.0))
+
+    def decides(threshold, power, fading):
+        radio = dataclasses.replace(RADIO, snr_threshold=threshold)
+        return link_model(radio)(np.array([power]), _FixedFading(fading)).tolist()
+
+    assert decides(below, 1e-8, 1.0) == [True]
+    assert decides(value, 1e-8, 1.0) == [False]
+    assert decides(2 * below, 2e-8, 1.0) == [True]
+    assert decides(2 * below, 1e-8, 2.0) == [True]
+    assert decides(2 * value, 2e-8, 1.0) == [False]
+    assert decides(1e-300, 1e-8, 0.0) == [False]
 
 
 def test_uav_link_success_probability_at_50m():
-    p = link_success_probability(10.0, 50.0, LinkKind.UAV_TO_UAV, RADIO)
+    power = mean_received_power(LinkKind.UAV_TO_UAV, 50.0, RADIO)
+    p = decode_probability(power, RADIO)
+    assert isinstance(p, float)
     gain = 10.0 ** (-(41.0 + 22.7 * math.log10(50.0)
                       + 20.0 * math.log10(5.8 / 5.0)) / 10.0)
     expected = math.exp(-20.0 * RADIO.noise_power_mw / (10.0 * gain))
@@ -109,26 +139,28 @@ def test_uav_link_success_probability_at_50m():
     (LinkKind.UAV_TO_UAV, 10.0, (5.0, 20.0, 50.0, 90.0, 140.0)),
 ])
 def test_reception_success_matches_closed_form(kind, p_tx, distances):
-    """Bernoulli reception draws agree with the exponential success law."""
+    """Bernoulli reception draws of the hook agree with the exponential
+    success law `decode_probability` at the same mean power."""
+    hook = link_model(RADIO)
     rng = np.random.default_rng(6)
     n = 100_000
     for dist in distances:
-        p = link_success_probability(p_tx, dist, kind, RADIO)
-        draws = reception_success(p_tx, np.full(n, dist), kind, RADIO, rng)
+        power = p_tx * 10.0 ** (-path_loss_db(kind, dist, RADIO) / 10.0)
+        p = decode_probability(power, RADIO)
+        draws = hook(np.full(n, power), rng)
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(draws.mean() - p) < 4.0 * se
 
 
 def test_reception_success_limits():
     rng = np.random.default_rng(2)
-    strong = reception_success(1e15, np.full(1000, 100.0),
-                               LinkKind.BS_TO_UAV, RADIO, rng)
+    loud = dataclasses.replace(RADIO, p_bs_mw=1e15)
+    strong = link_model(loud)(
+        mean_received_power(LinkKind.BS_TO_UAV, np.full(1000, 100.0), loud), rng)
     assert strong.all()
-    weak = reception_success(1000.0, np.full(1000, 1e7),
-                             LinkKind.BS_TO_UAV, RADIO, rng)
+    weak = link_model(RADIO)(
+        mean_received_power(LinkKind.BS_TO_UAV, np.full(1000, 1e7), RADIO), rng)
     assert not weak.any()
-    assert isinstance(reception_success(1000.0, 400.0, LinkKind.BS_TO_UAV,
-                                        RADIO, rng), bool)
 
 
 def test_link_kind_selection():
@@ -184,9 +216,9 @@ _OTHER_RADIO = RadioParams(
                          ids=["default", "other"])
 @pytest.mark.parametrize("kind", list(LinkKind))
 def test_mean_received_power_matches_path_loss(radio, kind):
-    """Cached link constants give p_tx * path_loss_linear bit for bit, and
-    path_loss_db equals the law evaluated from the fields in the same
-    order, for arrays (sub-metre distances included) and scalars."""
+    """path_loss_db equals the law evaluated from the fields in the same
+    order, and the cached link constants give p_tx * 10^(-dB / 10) bit for
+    bit, for arrays (sub-metre distances included) and scalars."""
     d = np.concatenate([[0.0, 1e-9, 0.3, 0.999, 1.0, 1.0000001],
                         np.random.default_rng(4).uniform(0.0, 3000.0, 3000)])
     p = radio.loss_params(kind)
@@ -194,21 +226,56 @@ def test_mean_received_power_matches_path_loss(radio, kind):
                    + p.freq_coeff_db * np.log10(p.carrier_ghz / 5.0))
     assert path_loss_db(kind, d, radio).tobytes() == expected_db.tobytes()
     power = mean_received_power(kind, d, radio)
-    want = radio.tx_power_mw(kind) * path_loss_linear(kind, d, radio)
+    want = radio.tx_power_mw(kind) * 10.0 ** (-expected_db / 10.0)
     assert power.tobytes() == want.tobytes()
     assert power.shape == d.shape
     for x in (0.5, 120.0, 2999.5):
-        assert isinstance(path_loss_db(kind, x, radio), float)
+        db = path_loss_db(kind, x, radio)
+        assert isinstance(db, float)
         assert (mean_received_power(kind, x, radio)
-                == radio.tx_power_mw(kind) * path_loss_linear(kind, x, radio))
+                == radio.tx_power_mw(kind) * 10.0 ** (-np.float64(db) / 10.0))
 
 
 def test_replaced_radio_gets_its_own_link_constants():
     mean_received_power(LinkKind.BS_TO_UAV, 100.0, RADIO)
     louder = dataclasses.replace(RADIO, p_bs_mw=2000.0)
+    db = np.float64(path_loss_db(LinkKind.BS_TO_UAV, 100.0, RADIO))
     assert (mean_received_power(LinkKind.BS_TO_UAV, 100.0, louder)
-            == 2000.0 * path_loss_linear(LinkKind.BS_TO_UAV, 100.0, RADIO))
+            == 2000.0 * 10.0 ** (-db / 10.0))
     farther = dataclasses.replace(
         RADIO, bs_to_uav=dataclasses.replace(RADIO.bs_to_uav, pl0_db=45.0))
     assert path_loss_db(LinkKind.BS_TO_UAV, 100.0, farther) == pytest.approx(
         path_loss_db(LinkKind.BS_TO_UAV, 100.0, RADIO) + 6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("radio", [RADIO, _OTHER_RADIO],
+                         ids=["default", "other"])
+@pytest.mark.parametrize("kind", list(LinkKind))
+def test_link_model_matches_written_out_law(radio, kind):
+    """Mean powers plus the hook decide p_tx * 10^(-dB / 10) * Exp(1)
+    / (B * N0) > theta, written out from the radio's fields, bit for bit,
+    and leave the generator in the state the same draws would.  The far
+    set gives mixed decisions where the spread set decodes throughout."""
+    clamped = np.array([0.0, 0.3, 0.999, 1.0, 1.5, 20.0, 400.0, 1200.0])
+    spread = np.random.default_rng(5).uniform(0.0, 3000.0, 2000)
+    far = np.random.default_rng(6).uniform(3000.0, 3e5, 2000)
+    decoded = 0
+    hook = link_model(radio)
+    p = radio.loss_params(kind)
+    p_tx = radio.p_bs_mw if kind is LinkKind.BS_TO_UAV else radio.p_uav_mw
+    for distances in (clamped, spread, far, np.empty(0)):
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = hook(mean_received_power(kind, distances, radio), rng)
+        loss_db = (p.pl0_db
+                   + p.dist_coeff_db * np.log10(np.maximum(distances, 1.0))
+                   + p.freq_coeff_db * np.log10(p.carrier_ghz / 5.0))
+        fading = ref_rng.exponential(1.0, distances.shape)
+        want = ((p_tx * 10.0 ** (-loss_db / 10.0) * fading)
+                / (radio.bandwidth_hz * radio.noise_mw_per_hz)
+                > radio.snr_threshold)
+        assert got.dtype == bool and got.shape == distances.shape
+        assert got.tolist() == want.tolist()
+        assert rng.random() == ref_rng.random()
+        if distances is spread or distances is far:
+            decoded += np.count_nonzero(got)
+    assert 0 < decoded < spread.size + far.size

@@ -151,6 +151,23 @@ def test_study_rejects_bad_distance_grids(study, option, values, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["distributions", "--kind", "peer", "--grid", "-1"], "--grid"),
+    (["distributions", "--kind", "peer", "--grid", "1"], "--grid"),
+    (["distributions", "--kind", "peer", "--samples", "-5"], "--samples"),
+    (["topology", "--drops", "-3"], "--drops"),
+    (["topology", "--drops", "0"], "--drops"),
+])
+def test_bad_counts_exit_code(argv, flag, tmp_path, capsys):
+    """A count flag out of range is a config error naming the flag, and
+    nothing is written."""
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: {flag}: ")
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_code(capsys):
     rc = cli.main(["metrics", "--config", "/nonexistent/scenario.cfg"])
     assert rc == cli.EXIT_CONFIG

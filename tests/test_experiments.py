@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavcast import analysis
+from uavcast.channel import link_model
 from uavcast.config import ScenarioConfig
 from uavcast.distributions import ClusterGeometry
 from uavcast.errors import ParameterError
@@ -34,7 +35,6 @@ from uavcast.geometry import build_topology
 from uavcast.protocol import (
     SimParams,
     _first_round_served,
-    _link_model,
     run_ack_benchmark,
 )
 
@@ -331,7 +331,7 @@ def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
     config = ScenarioConfig(mode=mode, lambda_per_m2=lambda_per_m2, d0_m=d0,
                             num_clusters=num_clusters,
                             sim=SimParams(max_time_ms=max_time_ms))
-    hook = _link_model(config.radio)
+    hook = link_model(config.radio)
     powers, ref_powers = [], []
 
     def recorded(seen):

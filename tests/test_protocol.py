@@ -22,8 +22,8 @@ from uavcast.analysis import (
 from uavcast.channel import (
     LinkKind,
     RadioParams,
+    link_model,
     mean_received_power,
-    reception_success,
 )
 from uavcast.config import ScenarioConfig
 from uavcast.errors import IntegrityError, ParameterError
@@ -38,7 +38,6 @@ from uavcast.protocol import (
     _bs_rounds,
     _contend,
     _EpochLog,
-    _link_model,
     run_ack_benchmark,
     run_clustering_scheme,
     run_rnc_scheme,
@@ -69,25 +68,6 @@ def test_sim_params_validation():
                       ("max_time_ms", math.inf)):
         with pytest.raises(ParameterError, match=name):
             SimParams(**{name: bad})
-
-
-@pytest.mark.parametrize("kind", list(LinkKind))
-def test_default_link_hook_matches_reception_success(kind):
-    """Mean powers plus the hook decide as `reception_success` on distances
-    does, bit for bit, and leave the generator in the same state."""
-    clamped = np.array([0.0, 0.3, 0.999, 1.0, 1.5, 20.0, 400.0, 1200.0])
-    spread = np.random.default_rng(5).uniform(0.0, 3000.0, 2000)
-    hook = _link_model(RADIO)
-    for distances in (clamped, spread, np.empty(0)):
-        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = hook(mean_received_power(kind, distances, RADIO), rng)
-        want = reception_success(RADIO.tx_power_mw(kind), distances, kind,
-                                 RADIO, ref_rng)
-        assert got.dtype == bool and got.shape == distances.shape
-        assert got.tolist() == want.tolist()
-        assert rng.random() == ref_rng.random()
-        if distances is spread:
-            assert 0 < np.count_nonzero(got) < spread.size
 
 
 @pytest.mark.parametrize("n", [2, 4, 10, 20])
@@ -326,7 +306,7 @@ def _two_mask_bs_rounds(scheme, coded, g, topology, radio, sim, rng,
     """Reference BS-round loop: rebuilds the `received < g` mask twice per
     round and hands the hook the gathered powers of that mask."""
     if broadcast_success is None:
-        broadcast_success = _link_model(radio)
+        broadcast_success = link_model(radio)
     cluster_of = topology.cluster_of
     p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
                                radio)
@@ -388,7 +368,7 @@ def test_active_set_rounds_match_two_mask_loop(seed, g, coded, d0,
     powers, ref_powers = [], []
 
     def hook(seen):
-        model = _link_model(RADIO)
+        model = link_model(RADIO)
 
         def recorded(power, rng):
             seen.append(power.copy())
