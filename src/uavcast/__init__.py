@@ -28,6 +28,7 @@ from .channel import (
     link_model,
     mean_received_power,
     path_loss_db,
+    round_model,
 )
 from .config import ScenarioConfig
 from .distributions import (

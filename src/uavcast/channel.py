@@ -7,6 +7,10 @@ reception succeeds when P * |h|^2 / N > theta, for noise power N and
 decoding threshold theta.  `link_model` draws that decision and
 `decode_probability` gives its probability exp(-theta * N / P); the
 simulations draw with the first, the quadratures integrate the second.
+Fading is independent from one transmission to the next, so the round in
+which a listener completes g receptions of repeated transmissions is a
+negative-binomial count: `round_model` draws it per listener, round 1
+with `link_model` and the rounds after it from `completion_rounds`.
 
 Units are fixed across the package: distances in meters, powers in mW,
 bandwidth in Hz, noise spectral density in mW/Hz, times in ms.
@@ -172,4 +176,50 @@ def link_model(radio: RadioParams):
 
     def model(power: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return (power * rng.exponential(1.0, power.shape)) / noise > threshold
+    return model
+
+
+def completion_rounds(first, q, g: int, rng: np.random.Generator) -> np.ndarray:
+    """The round in which each listener completes `g` receptions of a
+    transmission repeated once per round, given its round-1 outcome `first`
+    (bool array) and its per-round success probability `q`.
+
+    A float array: a whole round >= 1, or inf for a listener short of `g`
+    that never completes (q = 0, or q so small that the count overflows).
+    After round 1 a listener needs g - first more
+    successes; each costs a geometric number of rounds, drawn by inversion
+    as 1 + floor(E / lam) with E ~ Exp(1) and lam = -log(1 - q) (lam = 0
+    never succeeds, lam = inf succeeds every round).  One exponential
+    block of (listeners short of g) x g draws covers the whole call.
+    """
+    rounds = np.where(first, float(g), g + 1.0)  # 1 + successes still needed
+    short = np.flatnonzero(rounds > 1.0)
+    if short.size:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lam = -np.log1p(-q[short])
+            gaps = np.floor(rng.exponential(1.0, (short.size, g))
+                            / lam[:, None])
+        if g > 1:
+            gaps[first[short], -1] = 0.0  # served in round 1: g - 1 to go
+        rounds[short] += gaps.sum(axis=1)
+        if not lam.all():
+            rounds[short[lam == 0.0]] = np.inf
+    return rounds
+
+
+def round_model(radio: RadioParams, link=None):
+    """The round hook of the BS retransmission schemes: (power, g, rng) ->
+    the `completion_rounds` of each listener, which needs `g` receptions.
+
+    `power` holds each listener's mean received power p_tx * gain (mW).
+    Round 1 is one draw of the reception hook `link` (by default
+    `link_model(radio)`) over all listeners; the later rounds succeed with
+    `decode_probability(power, radio)`.
+    """
+    if link is None:
+        link = link_model(radio)
+
+    def model(power: np.ndarray, g: int, rng: np.random.Generator) -> np.ndarray:
+        return completion_rounds(link(power, rng),
+                                 decode_probability(power, radio), g, rng)
     return model

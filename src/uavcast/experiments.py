@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .channel import LinkKind, link_model, mean_received_power
+from .channel import LinkKind, link_model, mean_received_power, round_model
 from .config import ScenarioConfig
 from .distributions import ClusterGeometry
 from .errors import ParameterError
@@ -395,16 +395,18 @@ def _epochs(study: str, scheme: str, config: ScenarioConfig):
     """rng -> the metrics of one epoch of `scheme`: (mean delay, delivery
     ratio, ase) in the delay study, the ase alone in the ase study, whose
     benchmark epochs stop after the first broadcast."""
-    # The default hook, built once and shared by every epoch and link.
+    # The default reception hook, built once and shared by every epoch and
+    # link; the BS schemes' round hook draws their round 1 with it.
     hook = link_model(config.radio)
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
     if study == "ase" and scheme == "benchmark":
         return functools.partial(_first_broadcast_ase, config, hook=hook,
                                  rate_density=rate_density)
-    hooks = {"broadcast_success": hook}
     if scheme == "clustering":
-        hooks["peer_success"] = hook
+        hooks = {"broadcast_success": hook, "peer_success": hook}
+    else:
+        hooks = {"broadcast_rounds": round_model(config.radio, hook)}
     run = functools.partial(SCHEME_RUNNERS[scheme], **hooks)
     full = functools.partial(_epoch_metrics, scheme, config, run=run,
                              rate_density=rate_density)

@@ -31,7 +31,8 @@ class Topology:
     shape (n, 2)) list cluster 0 first, then cluster 1, and so on, and
     `cluster_of[i]` is the cluster of row i, and cluster c holds rows
     `cluster_bounds[c]` to `cluster_bounds[c + 1]` (derived from
-    `cluster_of` when not given).  `centers` (shape (k, 2)) are the cluster
+    `cluster_of` when not given, which then must have one non-decreasing
+    entry per row).  `centers` (shape (k, 2)) are the cluster
     centers.  Every UAV flies at `height`; the BS sits at planar
     point `bs_xy` and height `bs_height`.
     """
@@ -46,8 +47,17 @@ class Topology:
 
     def __post_init__(self):
         if self.cluster_bounds is None:
+            cluster_of = np.asarray(self.cluster_of)
+            if cluster_of.shape != (self.n_uavs,):
+                raise ParameterError(
+                    f"cluster_of: need one entry per row of xy ({self.n_uavs}),"
+                    f" got shape {cluster_of.shape}")
+            if np.any(np.diff(cluster_of) < 0):
+                raise ParameterError(
+                    "cluster_of: must be non-decreasing (rows grouped by "
+                    "cluster)")
             self.cluster_bounds = tuple(np.searchsorted(
-                self.cluster_of, np.arange(self.n_clusters + 1)).tolist())
+                cluster_of, np.arange(self.n_clusters + 1)).tolist())
 
     @property
     def n_uavs(self) -> int:

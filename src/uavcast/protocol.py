@@ -1,4 +1,4 @@
-"""Event-driven simulation of one multicast packet epoch under three schemes.
+"""Simulation of one multicast packet epoch under three schemes.
 
 clustering
     The BS broadcasts once.  Members that miss the packet recover it from
@@ -24,17 +24,30 @@ Collided frames occupy the channel and are lost; frame headers are assumed
 short enough that any non-collided frame is always decodable, so request
 and reply suppression never fails.  Data receptions are decided by drawing
 Rayleigh fading against the SNR threshold.
+
+Clustering is event-driven: contention, replies and receptions are drawn
+as they happen.  The two BS schemes are not: fading is independent from
+round to round, so each member's completion round is drawn at once
+(`channel.round_model`), and the round times, the time budget, the
+counters and the event log follow from those counts (`_bs_rounds`).
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkKind, RadioParams, link_model, mean_received_power
+from .channel import (
+    LinkKind,
+    RadioParams,
+    link_model,
+    mean_received_power,
+    round_model,
+)
 from .errors import IntegrityError, ParameterError, check_field_values
 from .geometry import Topology
 
@@ -280,64 +293,80 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
 
 def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
                radio: RadioParams, sim: SimParams, rng: np.random.Generator,
-               collect_events: bool, broadcast_success) -> SchemeOutcome:
+               collect_events: bool, broadcast_rounds) -> SchemeOutcome:
     """BS broadcast rounds until every member holds `g` receptions.
 
     Uncoded (`coded=False`): every round carries packet 0 and the members
-    served in it ACK right after it, serialized on the uplink;
-    `via_broadcast` marks members served in round 1.  Coded: round k carries
-    coded packet k, and one terminal ACK per member follows once all have
-    decoded; `via_broadcast` marks decoded members.  `broadcast_success`
-    is a (power, rng) -> bool array hook over the mean received powers
-    p_tx * gain (mW) of the members still short of `g`, in row order.  The
-    powers are computed once per epoch; the active rows and their powers
-    are gathered again only in a round where some member completes.
+    served in it ACK right after it, serialized on the uplink, in row
+    order; `via_broadcast` marks members served in round 1.  Coded: round k
+    carries coded packet k - 1, and one terminal ACK per member follows
+    once all have decoded; `via_broadcast` marks decoded members.
+
+    No round is simulated.  `broadcast_rounds` is a (power, g, rng) -> float
+    array hook over the mean received powers p_tx * gain (mW) of all
+    members, in row order, giving the round in which each member completes
+    (inf for never); it is called once, unless no round fits the budget.
+    The timeline follows from those counts: round k ends at
+    k * packet_len_ms, plus t_ack_ms for each member served in an earlier
+    round when uncoded, and a round runs only if its end fits in
+    max_time_ms.  So a member is delivered when its completion round ends
+    within the budget.  Times are computed from these products, not
+    accumulated round by round.
     """
-    if broadcast_success is None:
-        broadcast_success = link_model(radio)
+    if broadcast_rounds is None:
+        broadcast_rounds = round_model(radio)
     cluster_of = topology.cluster_of
-    p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
-                               radio)
     n = topology.n_uavs
+    length, t_ack, budget = sim.packet_len_ms, sim.t_ack_ms, sim.max_time_ms
+    if n and length <= budget:
+        p_bs = mean_received_power(LinkKind.BS_TO_UAV,
+                                   topology.bs_distances(), radio)
+        # A round past budget / length never runs; the cap keeps the end
+        # times finite for rounds that large.
+        rounds = np.minimum(broadcast_rounds(p_bs, g, rng),
+                            budget / length + 2.0)
+    else:
+        rounds = np.full(n, np.inf)
+    if coded:
+        end = rounds * length
+    else:
+        # Members served before round k ACK ahead of its broadcast.
+        before = np.searchsorted(np.sort(rounds), rounds)
+        end = rounds * length + t_ack * before
+    delivered = end <= budget
+    served = int(np.count_nonzero(delivered))
+    if served == n:
+        bs_tx = int(rounds.max()) if n else 0
+    else:
+        # After the last delivery, rounds run for as long as they fit.
+        last = int(rounds[delivered].max()) if served else 0
+        acked = 0 if coded else served
+        bs_tx = max(last, math.floor((budget - t_ack * acked) / length))
+    delivery = np.where(delivered, end, np.nan)
+    via_broadcast = delivered if coded else delivered & (rounds == 1.0)
+    control = (n if served == n else 0) if coded else served
+
     log = _EpochLog(collect_events)
-    delivery = np.full(n, np.nan)
-    via_broadcast = np.zeros(n, dtype=bool)
-    received = np.zeros(n, dtype=int)
-    bs_tx = control = 0
-    t = 0.0
-
-    def acks(members):
-        nonlocal t, control
-        control += len(members)
-        for u in members:
-            t += sim.t_ack_ms
-            if log.events is not None:
-                log.add(t, EventKind.ACK_RX_END, int(u), PACKET_ID,
+    if log.events is not None:
+        # In row order within a round, as the ACKs go out.
+        order = np.argsort(rounds, kind="stable")[:served].tolist()
+        done = 0
+        for k in range(1, bs_tx + 1):
+            t = k * length + (0.0 if coded else t_ack * done)
+            log.add(t, EventKind.BS_BROADCAST_END, -1,
+                    k - 1 if coded else PACKET_ID, -1)
+            while not coded and done < served and rounds[order[done]] == k:
+                u = order[done]
+                done += 1
+                log.add(k * length + t_ack * done, EventKind.ACK_RX_END, u,
+                        PACKET_ID, int(cluster_of[u]))
+        if coded and control:
+            for u in range(n):
+                log.add(bs_tx * length + t_ack * (u + 1),
+                        EventKind.ACK_RX_END, u, PACKET_ID,
                         int(cluster_of[u]))
-
-    # The members still short of `g` and their powers; both shrink only
-    # when a member completes.
-    active, active_power = np.arange(n), p_bs
-    while active.size and t + sim.packet_len_ms <= sim.max_time_ms:
-        packet_id = bs_tx if coded else PACKET_ID
-        bs_tx += 1
-        t += sim.packet_len_ms
-        log.add(t, EventKind.BS_BROADCAST_END, -1, packet_id, -1)
-        hit = active[broadcast_success(active_power, rng)]
-        received[hit] += 1
-        done = hit[received[hit] == g]
-        if done.size:
-            delivery[done] = t
-            via_broadcast[done] = coded or bs_tx == 1
-            keep = received[active] < g
-            active, active_power = active[keep], active_power[keep]
-            if not coded:
-                acks(done)
-    undelivered = received < g
-    if coded and not undelivered.any():
-        acks(range(n))
     return SchemeOutcome(
-        scheme=scheme, delivery_time_ms=delivery, undelivered=undelivered,
+        scheme=scheme, delivery_time_ms=delivery, undelivered=~delivered,
         via_broadcast=via_broadcast, cluster_ids=cluster_of,
         bs_transmissions=bs_tx, uav_transmissions=0,
         control_messages=control, events=log.finish())
@@ -346,10 +375,12 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
 def _first_round_served(topology: Topology, radio: RadioParams,
                         sim: SimParams, rng: np.random.Generator,
                         broadcast_success) -> int:
-    """Members served by round 1 of `_bs_rounds` with g = 1, drawn as it
-    draws them: `count_nonzero(run_ack_benchmark(...).via_broadcast)`
-    without the later rounds and ACKs.  No round runs, so none is served,
-    when the drop is empty or one packet exceeds the time budget."""
+    """Members served by round 1 of the benchmark, drawn as its default
+    round hook `round_model(radio, broadcast_success)` draws them:
+    `count_nonzero(run_ack_benchmark(...).via_broadcast)` without the later
+    rounds and ACKs.  `broadcast_success` is a (power, rng) -> bool array
+    reception hook.  No round runs, so none is served, when the drop is
+    empty or one packet exceeds the time budget."""
     if not topology.n_uavs or sim.packet_len_ms > sim.max_time_ms:
         return 0
     p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
@@ -360,21 +391,23 @@ def _first_round_served(topology: Topology, radio: RadioParams,
 def run_ack_benchmark(topology: Topology, radio: RadioParams, sim: SimParams,
                       rng: np.random.Generator, *,
                       collect_events: bool = False,
-                      broadcast_success=None) -> SchemeOutcome:
+                      broadcast_rounds=None) -> SchemeOutcome:
     """One epoch of the retransmission benchmark.
 
     The BS repeats the broadcast until all members are served (or time runs
     out); after each round the newly served members send one ACK each,
-    serialized on the uplink.
+    serialized on the uplink.  `broadcast_rounds` (default
+    `round_model(radio)`) draws each member's serving round; see
+    `_bs_rounds`.
     """
     return _bs_rounds("benchmark", False, 1, topology, radio, sim, rng,
-                      collect_events, broadcast_success)
+                      collect_events, broadcast_rounds)
 
 
 def run_rnc_scheme(topology: Topology, radio: RadioParams, sim: SimParams,
                    rng: np.random.Generator, *,
                    collect_events: bool = False,
-                   broadcast_success=None) -> SchemeOutcome:
+                   broadcast_rounds=None) -> SchemeOutcome:
     """One epoch of the random-network-coding baseline.
 
     The BS streams coded packets; any `rnc_generation_size` receptions let a
@@ -383,9 +416,11 @@ def run_rnc_scheme(topology: Topology, radio: RadioParams, sim: SimParams,
     decode instant of the generation; per-packet figures subtract the
     streaming amortization (generation_size - 1) * packet_len_ms downstream.
     One terminal ACK per member closes a completed epoch.
+    `broadcast_rounds` (default `round_model(radio)`) draws each member's
+    decoding round; see `_bs_rounds`.
     """
     return _bs_rounds("rnc", True, sim.rnc_generation_size, topology, radio,
-                      sim, rng, collect_events, broadcast_success)
+                      sim, rng, collect_events, broadcast_rounds)
 
 
 SCHEME_RUNNERS = {

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from uavcast.channel import completion_rounds
 from uavcast.geometry import Topology
 
 
@@ -37,6 +38,35 @@ def all_links(value):
     """Reception hook: every reception succeeds (True) or fails (False)."""
     def hook(power, rng):
         return np.full(np.atleast_1d(power).shape[0], value, dtype=bool)
+    return hook
+
+
+def fixed_success_rounds(p):
+    """BS round hook: every round's reception succeeds independently with
+    prob p, round 1 drawn as `fixed_success(p)` draws it."""
+    first = fixed_success(p)
+
+    def hook(power, g, rng):
+        return completion_rounds(first(power, rng), np.full(power.shape, p),
+                                 g, rng)
+    return hook
+
+
+def all_links_rounds(value):
+    """BS round hook: every round's reception succeeds (True), so member
+    completes in round g, or fails (False), so none ever completes."""
+    def hook(power, g, rng):
+        return np.full(power.shape, float(g) if value else np.inf)
+    return hook
+
+
+def fixed_rounds(*rounds):
+    """BS round hook returning fixed completion rounds (None for never)."""
+    out = np.array([np.inf if r is None else r for r in rounds], dtype=float)
+
+    def hook(power, g, rng):
+        assert power.shape == out.shape
+        return out.copy()
     return hook
 
 

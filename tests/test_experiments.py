@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavcast import analysis
-from uavcast.channel import link_model
+from uavcast.channel import link_model, round_model
 from uavcast.config import ScenarioConfig
 from uavcast.distributions import ClusterGeometry
 from uavcast.errors import ParameterError
@@ -345,16 +345,19 @@ def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
     ref_topology = build_topology(config, ref_rng)
     served = _first_round_served(topology, config.radio, config.sim, rng,
                                  recorded(powers))
-    outcome = run_ack_benchmark(ref_topology, config.radio, config.sim,
-                                ref_rng, broadcast_success=recorded(ref_powers))
+    outcome = run_ack_benchmark(
+        ref_topology, config.radio, config.sim, ref_rng,
+        broadcast_rounds=round_model(config.radio, recorded(ref_powers)))
     assert served == np.count_nonzero(outcome.via_broadcast)
-    # the hook sees round 1's powers, and is not called when no round runs
-    assert powers == ref_powers[:1]
+    # the reception hook draws round 1 alone in both, and is not called
+    # when no round runs
+    assert powers == ref_powers[:1] == ref_powers
     if max_time_ms < config.sim.packet_len_ms:
         assert served == 0
 
     rate_density = 1e-3 * math.log2(21.0)
-    run = functools.partial(run_ack_benchmark, broadcast_success=hook)
+    run = functools.partial(run_ack_benchmark,
+                            broadcast_rounds=round_model(config.radio, hook))
     ase = _first_broadcast_ase(config, np.random.default_rng(seed), hook,
                                rate_density)
     _, _, ref_ase = _epoch_metrics("benchmark", config,

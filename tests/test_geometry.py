@@ -28,6 +28,34 @@ def test_bs_distances_are_3d():
     assert topo.bs_distances().tolist() == [13.0, 12.0]
 
 
+def _hand_built(xy_rows, cluster_of, **kwargs):
+    return Topology(xy=np.zeros((xy_rows, 2)), cluster_of=np.array(cluster_of),
+                    centers=np.zeros((2, 2)), height=20.0, bs_xy=(0.0, 0.0),
+                    bs_height=10.0, **kwargs)
+
+
+@pytest.mark.parametrize("xy_rows, cluster_of", [
+    (4, [1, 0, 1, 0]),      # ungrouped: bounds would read (0, 2, 4)
+    (4, [0, 1, 1, 0]),
+    (3, [0, 0, 1, 1]),      # one entry too many: bounds would read (0, 2, 4)
+    (4, [0, 0, 1]),
+    (4, [[0, 0], [1, 1]]),
+])
+def test_hand_built_topology_rejects_bad_cluster_of(xy_rows, cluster_of):
+    """Bounds derived from `cluster_of` need it grouped, one entry per row."""
+    with pytest.raises(ParameterError, match="cluster_of"):
+        _hand_built(xy_rows, cluster_of)
+
+
+def test_hand_built_topology_derives_bounds():
+    assert _hand_built(4, [0, 0, 0, 1]).cluster_bounds == (0, 3, 4)
+    assert _hand_built(3, [1, 1, 1]).cluster_bounds == (0, 0, 3)
+    assert _hand_built(0, []).cluster_bounds == (0, 0, 0)
+    # given bounds are taken as they are, as build_topology gives them
+    assert _hand_built(3, [0, 1, 1],
+                       cluster_bounds=(0, 1, 3)).cluster_bounds == (0, 1, 3)
+
+
 def test_uniform_disk_is_area_uniform():
     """P(radius <= r/2) must equal 1/4 for an area-uniform disk sample."""
     pts = sample_uniform_disk(np.random.default_rng(11), 1_000_000, 50.0)

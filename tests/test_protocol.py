@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ from scipy import stats
 
 from conftest import (
     all_links,
+    all_links_rounds,
+    fixed_rounds,
     fixed_success,
+    fixed_success_rounds,
     four_uav_topology,
     one_cluster_topology,
     reception_pattern,
@@ -22,8 +26,10 @@ from uavcast.analysis import (
 from uavcast.channel import (
     LinkKind,
     RadioParams,
+    decode_probability,
     link_model,
     mean_received_power,
+    round_model,
 )
 from uavcast.config import ScenarioConfig
 from uavcast.errors import IntegrityError, ParameterError
@@ -88,6 +94,88 @@ def test_first_contention_round_matches_unique_minimum(n):
         clean += not first.collided
     se = math.sqrt(exact * (1.0 - exact) / trials)
     assert abs(clean / trials - exact) < 5.0 * se
+
+
+def _collided_frames_until_clean(n, sim, trials, rng):
+    """Collided frames `_contend` sends before its first clean frame, per
+    contention among n contenders with fresh cw_min windows."""
+    out = np.empty(trials)
+    for i in range(trials):
+        counters = {"tx": 0}
+        winner, _ = _contend(list(range(n)), [sim.cw_min] * n, MediumState(),
+                             0.0, sim.t_req_ms, sim, rng, _EpochLog(False),
+                             EventKind.REQUEST_TX_END, 0, 0, counters, "tx")
+        assert winner is not None
+        out[i] = counters["tx"] - 1
+    return out
+
+
+def _exact_collided_frames(n, sim):
+    """E[collided frames before the first clean one] by exact enumeration.
+
+    A state lists each contender as (window, lo, hi): its residual count is
+    uniform on lo..hi.  At slot s the set W of contenders whose count is s
+    collides when |W| >= 2: each sends a frame and redraws from its doubled
+    window; the others freeze and resume with counts (s, hi] shifted down
+    by s.  Over the reachable states E = sum P(s, W) (|W| + E(next)), a
+    linear system (windows stop at cw_max, so states recur)."""
+    def fresh(cw):
+        return (cw, 0, cw - 1)
+
+    def moves(state):
+        for s in range(max(hi for _, _, hi in state) + 1):
+            eq = [(lo <= s <= hi) / (hi - lo + 1) for _, lo, hi in state]
+            gt = [max(hi - max(lo, s + 1) + 1, 0) / (hi - lo + 1)
+                  for _, lo, hi in state]
+            for k in range(2, n + 1):
+                for won in itertools.combinations(range(n), k):
+                    p = math.prod(eq[i] if i in won else gt[i]
+                                  for i in range(n))
+                    if p:
+                        yield p, k, tuple(sorted(
+                            fresh(min(2 * cw, sim.cw_max)) if i in won
+                            else (cw, max(lo, s + 1) - s, hi - s)
+                            for i, (cw, lo, hi) in enumerate(state)))
+
+    start = (fresh(sim.cw_min),) * n
+    index, todo, edges = {start: 0}, [start], []
+    while todo:
+        state = todo.pop()
+        for p, k, nxt in moves(state):
+            if nxt not in index:
+                index[nxt] = len(index)
+                todo.append(nxt)
+            edges.append((index[state], p, k, index[nxt]))
+    a, b = np.eye(len(index)), np.zeros(len(index))
+    for i, p, k, j in edges:
+        a[i, j] -= p
+        b[i] += p * k
+    return float(np.linalg.solve(a, b)[0])
+
+
+def test_two_contenders_collided_frames_match_closed_form():
+    """Two contenders collide only on equal draws, 1/16, then 1/32, then
+    1/64 per round once the window stops at 64, both redrawing each time:
+    E[frames] = 2 (1/16 + 1/16 * 1/32 * 1/(1 - 1/64))."""
+    w = [SIM.cw_min * 2 ** k for k in range(3)]
+    assert w == [16, 32, SIM.cw_max]
+    exact = 2.0 * (1 / w[0] + 1 / w[0] / w[1] / (1.0 - 1 / w[2]))
+    assert _exact_collided_frames(2, SIM) == pytest.approx(exact, rel=1e-12)
+    frames = _collided_frames_until_clean(2, SIM, 40_000,
+                                          np.random.default_rng(2002))
+    se = frames.std(ddof=1) / math.sqrt(frames.size)
+    assert abs(frames.mean() - exact) < 5.0 * se
+
+
+def test_three_contenders_collided_frames_match_enumeration():
+    """Three contenders, where a pair's collision leaves the third's
+    residual count frozen: the Monte-Carlo mean of collided frames sits
+    within 5 SE of the exact enumeration."""
+    exact = _exact_collided_frames(3, SIM)
+    frames = _collided_frames_until_clean(3, SIM, 40_000,
+                                          np.random.default_rng(3003))
+    se = frames.std(ddof=1) / math.sqrt(frames.size)
+    assert abs(frames.mean() - exact) < 5.0 * se
 
 
 def test_medium_serializes_transmissions():
@@ -349,46 +437,135 @@ def _two_mask_bs_rounds(scheme, coded, g, topology, radio, sim, rng,
         control_messages=control, events=log.finish())
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), g=st.sampled_from([1, 8]),
-       coded=st.booleans(), d0=st.floats(400.0, 2500.0),
+def _scripted_successes(rounds, g, rng):
+    """Success rounds per member that complete `g` receptions in its
+    completion round: g - 1 random earlier rounds plus that round, or
+    fewer than g rounds among the first 40 for a member that never does."""
+    out = []
+    for r in rounds:
+        if math.isinf(r):
+            picked = rng.choice(40, rng.integers(0, g), replace=False) + 1
+        else:
+            picked = np.append(rng.choice(r - 1, g - 1, replace=False) + 1, r)
+        out.append(set(picked.tolist()))
+    return out
+
+
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       g=st.sampled_from([1, 8]), coded=st.booleans(),
+       mode=st.sampled_from(["fixed_total", "density"]),
        num_clusters=st.integers(1, 10),
        max_time_ms=st.sampled_from([40.0, 95.0, 10_000.0]),
        collect_events=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_active_set_rounds_match_two_mask_loop(seed, g, coded, d0,
+def test_active_set_rounds_match_two_mask_loop(data, seed, g, coded, mode,
                                                num_clusters, max_time_ms,
                                                collect_events):
-    """The active-set loop gives the reference loop's outcome, counters,
-    events and generator state, with tight and loose time budgets."""
-    config = ScenarioConfig(d0_m=d0, num_clusters=num_clusters,
+    """The count path gives the round-by-round reference loop's outcome,
+    counters and events bit for bit, with tight and loose time budgets.
+
+    Each member's completion round is drawn (None: never); the reference
+    loop is driven by a scripted reception hook whose successes end in
+    exactly those rounds, and the count path by a round hook returning
+    them."""
+    config = ScenarioConfig(mode=mode, lambda_per_m2=1e-5,
+                            num_clusters=num_clusters,
                             sim=SimParams(max_time_ms=max_time_ms))
     sim = config.sim
     topo = build_topology(config, np.random.default_rng(seed))
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    powers, ref_powers = [], []
+    n = topo.n_uavs
+    extra = data.draw(st.lists(st.none() | st.integers(0, 30),
+                               min_size=n, max_size=n))
+    rounds = [math.inf if e is None else g + e for e in extra]
+    successes = _scripted_successes(rounds, g, np.random.default_rng(seed))
+    calls = []
 
-    def hook(seen):
-        model = link_model(RADIO)
+    def scripted(power, rng):
+        k = len(calls) + 1
+        active = [u for u in range(n) if rounds[u] >= k]
+        assert power.shape == (len(active),)
+        calls.append(k)
+        return np.array([k in successes[u] for u in active], dtype=bool)
 
-        def recorded(power, rng):
-            seen.append(power.copy())
-            return model(power, rng)
-        return recorded
+    def counted(power, g_, rng):
+        assert g_ == g
+        assert power.tobytes() == mean_received_power(
+            LinkKind.BS_TO_UAV, topo.bs_distances(), RADIO).tobytes()
+        return np.array(rounds, dtype=float)
 
-    out = _bs_rounds("x", coded, g, topo, RADIO, sim, rng, collect_events,
-                     hook(powers))
-    ref = _two_mask_bs_rounds("x", coded, g, topo, RADIO, sim, ref_rng,
-                              collect_events, hook(ref_powers))
+    out = _bs_rounds("x", coded, g, topo, RADIO, sim, np.random.default_rng(0),
+                     collect_events, counted)
+    ref = _two_mask_bs_rounds("x", coded, g, topo, RADIO, sim,
+                              np.random.default_rng(0), collect_events,
+                              scripted)
     assert out.delivery_time_ms.tobytes() == ref.delivery_time_ms.tobytes()
     assert out.undelivered.tolist() == ref.undelivered.tolist()
     assert out.via_broadcast.tolist() == ref.via_broadcast.tolist()
-    assert (out.bs_transmissions, out.control_messages) == \
-        (ref.bs_transmissions, ref.control_messages)
+    assert (out.bs_transmissions, out.uav_transmissions,
+            out.control_messages) == (ref.bs_transmissions,
+                                      ref.uav_transmissions,
+                                      ref.control_messages)
     assert out.events == ref.events
-    assert len(powers) == len(ref_powers)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(powers, ref_powers))
-    assert rng.random() == ref_rng.random()
+    assert len(calls) == ref.bs_transmissions
 
+
+def _rounds_per_round_fading(power, g, rng, max_rounds):
+    """Completion rounds from one `link_model` fading draw per listener
+    and round, until every listener holds g receptions (inf past
+    `max_rounds`)."""
+    link = link_model(RADIO)
+    got = np.zeros(power.size, dtype=int)
+    rounds = np.full(power.size, np.inf)
+    for k in range(1, max_rounds + 1):
+        active = np.flatnonzero(got < g)
+        if not active.size:
+            break
+        got[active] += link(power[active], rng)
+        rounds[active[got[active] == g]] = k
+    return rounds
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("g", [1, 8])
+@pytest.mark.parametrize("q", [0.0, 1e-320, 1e-300, 0.05, 0.5, 0.9, 1.0])
+def test_round_model_matches_per_round_fading(q, g):
+    """The default round hook draws the negative-binomial completion round
+    of per-round fading draws: both samples' CDFs sit within the DKW band
+    (alpha = 1e-6) of the exact law, and the edges q = 0 (lam = 0, never),
+    q = 1 (lam = inf, round g) and q -> 0 raise no warning."""
+    theta_n = RADIO.snr_threshold * RADIO.noise_power_mw
+    # q = exp(-theta N / P): exactly 0 at P = theta N / 1e3, 1 at 1e20 theta N
+    if q == 0.0:
+        power = theta_n * 1e-3
+    elif q == 1.0:
+        power = theta_n * 1e20
+    else:
+        power = theta_n / -math.log(q)
+    # a subnormal q carries about four digits
+    assert decode_probability(power, RADIO) == pytest.approx(q, rel=1e-3)
+    trials = 20_000
+    powers = np.full(trials, power)
+    rng = np.random.default_rng(int(1e4 * g + 1e3 * q) + 17)
+    rounds = round_model(RADIO)(powers, g, rng)
+    if q == 0.0:
+        assert np.all(np.isinf(rounds))
+        assert np.all(np.isinf(_rounds_per_round_fading(powers, g, rng, 50)))
+        return
+    if q == 1.0:
+        assert np.all(rounds == g)
+        assert np.all(_rounds_per_round_fading(powers, g, rng, 50) == g)
+        return
+    if q < 1e-200:
+        assert np.all(rounds > 1e250)
+        return
+    ref = _rounds_per_round_fading(powers, g, rng, 100_000)
+    eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * trials))
+    ks = np.arange(g, int(max(rounds.max(), ref.max())) + 1)
+    exact = stats.nbinom.cdf(ks - g, g, q)
+    for sample in (rounds, ref):
+        assert np.all(sample == np.floor(sample)) and sample.min() >= g
+        empirical = np.searchsorted(np.sort(sample), ks, side="right") / trials
+        assert np.max(np.abs(empirical - exact)) < eps
 
 def test_clustering_mean_delay_tracks_formula():
     """Simulated delay sits just above the contention-free expression.
@@ -415,7 +592,7 @@ def test_clustering_mean_delay_tracks_formula():
 def test_benchmark_all_served_first_round():
     out = run_ack_benchmark(ring_topology(6), RADIO, SIM,
                             np.random.default_rng(0),
-                            broadcast_success=all_links(True))
+                            broadcast_rounds=all_links_rounds(True))
     assert np.all(out.delivery_time_ms == 10.0)
     assert np.all(out.via_broadcast)
     assert out.bs_transmissions == 1
@@ -427,7 +604,7 @@ def test_benchmark_rounds_are_geometric():
     topo = ring_topology(1)
     rng = np.random.default_rng(8)
     rounds = [run_ack_benchmark(topo, RADIO, SIM, rng,
-                                broadcast_success=fixed_success(0.3)
+                                broadcast_rounds=fixed_success_rounds(0.3)
                                 ).bs_transmissions
               for _ in range(20_000)]
     mean = np.mean(rounds)
@@ -444,7 +621,7 @@ def test_benchmark_round_count_matches_series():
     topo = ring_topology(5)
     rng = np.random.default_rng(7)
     rounds = [run_ack_benchmark(topo, RADIO, SIM, rng,
-                                broadcast_success=fixed_success(0.8)
+                                broadcast_rounds=fixed_success_rounds(0.8)
                                 ).bs_transmissions
               for _ in range(20_000)]
     q = 0.2
@@ -462,7 +639,7 @@ def test_benchmark_times_out():
     out = run_ack_benchmark(ring_topology(3), RADIO,
                             SimParams(max_time_ms=35.0),
                             np.random.default_rng(0),
-                            broadcast_success=all_links(False))
+                            broadcast_rounds=all_links_rounds(False))
     assert out.bs_transmissions == 3
     assert np.all(out.undelivered)
     assert out.control_messages == 0
@@ -477,8 +654,7 @@ def test_benchmark_rounds_serialize_acks():
     """
     out = run_ack_benchmark(ring_topology(3), RADIO, SIM,
                             np.random.default_rng(0), collect_events=True,
-                            broadcast_success=reception_pattern(
-                                True, False, False))
+                            broadcast_rounds=fixed_rounds(1, 2, 3))
     assert out.delivery_time_ms.tolist() == [10.0, 21.0, 32.0]
     assert out.via_broadcast.tolist() == [True, False, False]
     assert out.bs_transmissions == 3
@@ -496,7 +672,7 @@ def test_rnc_coded_packet_ids_then_terminal_acks():
     out = run_rnc_scheme(ring_topology(3), RADIO,
                          SimParams(rnc_generation_size=2),
                          np.random.default_rng(0), collect_events=True,
-                         broadcast_success=all_links(True))
+                         broadcast_rounds=all_links_rounds(True))
     broadcasts = [(e.time_ms, e.packet_id) for e in out.events
                   if e.kind is EventKind.BS_BROADCAST_END]
     acks = [(e.time_ms, e.actor) for e in out.events
@@ -512,7 +688,7 @@ def test_rnc_perfect_channel_takes_generation_rounds():
     out = run_rnc_scheme(ring_topology(4), RADIO,
                          SimParams(rnc_generation_size=3),
                          np.random.default_rng(0),
-                         broadcast_success=all_links(True),
+                         broadcast_rounds=all_links_rounds(True),
                          collect_events=True)
     assert np.all(out.delivery_time_ms == 30.0)
     assert out.bs_transmissions == 3
@@ -525,7 +701,7 @@ def test_rnc_single_packet_generation_is_geometric():
     topo = ring_topology(1)
     rng = np.random.default_rng(10)
     rounds = [run_rnc_scheme(topo, RADIO, SimParams(rnc_generation_size=1),
-                             rng, broadcast_success=fixed_success(0.3)
+                             rng, broadcast_rounds=fixed_success_rounds(0.3)
                              ).bs_transmissions
               for _ in range(20_000)]
     mean = np.mean(rounds)
@@ -538,7 +714,7 @@ def test_rnc_round_count_matches_negative_binomial_max():
     topo = ring_topology(5)
     rng = np.random.default_rng(9)
     rounds = [run_rnc_scheme(topo, RADIO, SimParams(rnc_generation_size=4),
-                             rng, broadcast_success=fixed_success(0.8)
+                             rng, broadcast_rounds=fixed_success_rounds(0.8)
                              ).bs_transmissions
               for _ in range(20_000)]
     exact, k = 0.0, 0
@@ -557,7 +733,7 @@ def test_rnc_round_count_matches_negative_binomial_max():
 def test_rnc_times_out_without_terminal_ack():
     out = run_rnc_scheme(ring_topology(3), RADIO, SimParams(max_time_ms=25.0),
                          np.random.default_rng(0),
-                         broadcast_success=all_links(False))
+                         broadcast_rounds=all_links_rounds(False))
     assert out.bs_transmissions == 2
     assert np.all(out.undelivered)
     assert out.control_messages == 0
