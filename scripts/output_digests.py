@@ -19,8 +19,10 @@ those instead.
 
 The commands:
 
-- `study --study delay|ase --replications 200` (default grids), and
-  `study --study delay --mode density --replications 200`;
+- `study --study delay|ase --replications 200` (default grids),
+  `study --study delay|ase --mode density --replications 200`, and
+  `study --study delay --max-time-ms 40 --opportunistic-caching false
+  --replications 200` (named `delay_budget40_nocache`);
 - `study --study validation-coverage|validation-success --replications
   100000` and `study --study design-insight` (default grids): the
   validation draws and the `p_cov`/`p_suc` quadratures;
@@ -59,6 +61,11 @@ def commands(out: Path) -> list[list[str]]:
          "--out-dir", str(out / "ase")],
         ["study", "--study", "delay", "--mode", "density",
          "--replications", "200", "--out-dir", str(out / "delay_density")],
+        ["study", "--study", "ase", "--mode", "density",
+         "--replications", "200", "--out-dir", str(out / "ase_density")],
+        ["study", "--study", "delay", "--max-time-ms", "40",
+         "--opportunistic-caching", "false", "--replications", "200",
+         "--out-dir", str(out / "delay_budget40_nocache")],
         ["study", "--study", "validation-coverage", "--replications", "100000",
          "--out-dir", str(out / "validation_coverage")],
         ["study", "--study", "validation-success", "--replications", "100000",
