@@ -4,9 +4,10 @@ The link law lives here once, on the mean received power P = p_tx * g(d)
 in mW, where g is the log-distance path-loss gain of the link kind at its
 configured transmit power.  With unit-mean exponential fading |h|^2, a
 reception succeeds when P * |h|^2 / N > theta, for noise power N and
-decoding threshold theta.  `link_model` draws that decision and
-`decode_probability` gives its probability exp(-theta * N / P); the
-simulations draw with the first, the quadratures integrate the second.
+decoding threshold theta.  `decodes` is that rule, `link_model` draws
+fading and decides with it, and `decode_probability` gives its
+probability exp(-theta * N / P); the simulations draw with the first two,
+the quadratures integrate the third.
 Fading is independent from one transmission to the next, so the round in
 which a listener completes g receptions of repeated transmissions is a
 negative-binomial count: `round_model` draws it per listener, round 1
@@ -165,17 +166,22 @@ def decode_probability(power_mw, radio: RadioParams):
     return out if out.ndim else float(out)
 
 
+def decodes(power, fading, radio: RadioParams):
+    """The decode rule: a listener at mean received power `power` (mW)
+    whose reception fades by `fading` (|h|^2) decodes when
+    (power * fading) / noise exceeds the threshold.  Elementwise, so one
+    call decides a batch of drops as it decides one."""
+    return (power * fading) / radio.noise_power_mw > radio.snr_threshold
+
+
 def link_model(radio: RadioParams):
     """The reception hook of the protocol schemes: (power, rng) -> bool
-    array, one Rayleigh fading draw per listener.
+    array, one Rayleigh fading draw per listener, decided by `decodes`.
 
-    `power` holds each listener's mean received power p_tx * gain (mW); a
-    listener decodes when (power * fading) / noise exceeds the threshold.
+    `power` holds each listener's mean received power p_tx * gain (mW).
     """
-    noise, threshold = radio.noise_power_mw, radio.snr_threshold
-
     def model(power: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return (power * rng.exponential(1.0, power.shape)) / noise > threshold
+        return decodes(power, rng.exponential(1.0, power.shape), radio)
     return model
 
 

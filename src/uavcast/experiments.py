@@ -14,25 +14,48 @@ the derivation is owned (`_pcg64_states`): numpy's SeedSequence pool
 mixing and PCG64 seeding (both frozen by NumPy's RNG policy, NEP 19) run
 once per scenario on arrays over all replications, and numpy itself serves
 as the oracle in the tests.
+
+The delay and ase studies run a scenario's replications in chunks
+(`_replicated`).  Each replication draws its own blocks from its own
+generator; the geometry, powers and round-1 decisions computed from them
+run over whole arrays of drops, and only epochs that go on past round 1
+continue one replication at a time through the protocol's continuation
+(`protocol._recover`, `protocol._bs_delivery`).  Every replication's
+numbers equal those of `build_topology` plus `SCHEME_RUNNERS` on its
+generator, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis
-from .channel import LinkKind, link_model, mean_received_power, round_model
+from .channel import (
+    LinkKind,
+    completion_rounds,
+    decode_probability,
+    decodes,
+    link_model,
+    mean_received_power,
+)
 from .config import ScenarioConfig
 from .distributions import ClusterGeometry
 from .errors import ParameterError
-from .geometry import build_topology, sample_uniform_disk
-from .protocol import SCHEME_RUNNERS, _first_round_served
+from .geometry import (
+    _bs_distances,
+    _bs_site,
+    _drop_law,
+    _drop_points,
+    _DropPlan,
+    sample_uniform_disk,
+)
+from .protocol import _bs_delivery, _bs_generation, _EpochLog, _recover
 
 _STUDY_IDS = {"validation_coverage": 1, "validation_success": 2,
               "design_insight": 3, "delay": 4, "ase": 5}
@@ -119,6 +142,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Replications per batch in `_replicated`, and derived states per block
+# of Python ints: large enough to spread each numpy call over many drops,
+# small enough that a study's peak memory does not grow with its
+# replication count.
+_CHUNK = 64
 
 
 def _words(value: int) -> list[int]:
@@ -194,14 +222,19 @@ def _seeded_states(entropy: list[np.ndarray]):
         out.append(value ^ (value >> 16))
     # generate_state(4, uint64) reads the eight words as little-endian
     # pairs: seed high, seed low, increment high, increment low.
-    s_hi, s_lo, i_hi, i_lo = ((out[2 * j] | (out[2 * j + 1] << 32)).tolist()
-                              for j in range(4))
-    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
-        # pcg_setseq_128_srandom_r: state 0, step, add the seed, step.
-        inc = (((c << 64) | d) << 1 | 1) & _MASK128
-        state = ((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
+    words = np.stack([out[2 * j] | (out[2 * j + 1] << 32) for j in range(4)],
+                     axis=1)
+    del pool, out
+    # Python ints are made one block at a time, so a caller that consumes
+    # the states as they come holds one block of them, not all.
+    for lo in range(0, len(words), _CHUNK):
+        for a, b, c, d in words[lo:lo + _CHUNK].tolist():
+            # pcg_setseq_128_srandom_r: state 0, step, add the seed, step.
+            inc = (((c << 64) | d) << 1 | 1) & _MASK128
+            state = ((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _MASK128
+            yield {"bit_generator": "PCG64",
+                   "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
 
 
 def _generators(base_seed: int, prefix: tuple[int, ...], indices: range):
@@ -351,83 +384,166 @@ def run_design_insight_study(config: ScenarioConfig,
     return MetricTable(rows)
 
 
-def _epoch_metrics(scheme: str, config: ScenarioConfig,
-                   rng: np.random.Generator, run, rate_density: float):
-    """Run one epoch through `run` and reduce it to (mean delay, delivery
-    ratio, ase); `rate_density` is lambda_off * log2(1 + threshold)."""
-    sim = config.sim
-    topology = build_topology(config, rng)
-    outcome = run(topology, config.radio, sim, rng)
-    n = outcome.n_uavs
-    undelivered = outcome.undelivered
-    delivered_count = n - int(np.count_nonzero(undelivered))
-    delays = outcome.delivery_time_ms[~undelivered]
-    if scheme == "rnc":
-        # Per-packet delay: the decode instant covers a whole generation
-        # streamed back to back, so all but one packet length is pipeline
-        # amortization.
-        delays = delays - (sim.rnc_generation_size - 1) * sim.packet_len_ms
-    # sum / size is the reduction `mean` performs, so the value is the same.
-    mean_delay = float(delays.sum() / delays.size) if delays.size else float("nan")
-    ratio = delivered_count / n if n else float("nan")
-    if scheme == "clustering":
-        served = delivered_count
-    else:
-        # ACK benchmark: only members served by the first broadcast count,
-        # later rounds are retransmissions of the same packet.
-        served = int(np.count_nonzero(outcome.via_broadcast))
-    ase = (served / n) * rate_density if n else float("nan")
-    return mean_delay, ratio, ase
+@dataclass
+class _Drops:
+    """The drops of one shape in a chunk: their rows in the chunk, uniform
+    blocks and round-1 fading (one row each, the first `len(rows)` used),
+    and the generator state after round 1 of each, kept only when the
+    epoch can continue past it."""
 
-
-def _first_broadcast_ase(config: ScenarioConfig, rng: np.random.Generator,
-                         hook, rate_density: float) -> float:
-    """The ase of one benchmark epoch, which counts only the members its
-    first broadcast serves: the epoch stops there, drawing the topology
-    and round 1 exactly as `run_ack_benchmark` does."""
-    topology = build_topology(config, rng)
-    n = topology.n_uavs
-    served = _first_round_served(topology, config.radio, config.sim, rng, hook)
-    return (served / n) * rate_density if n else float("nan")
-
-
-def _epochs(study: str, scheme: str, config: ScenarioConfig):
-    """rng -> the metrics of one epoch of `scheme`: (mean delay, delivery
-    ratio, ase) in the delay study, the ase alone in the ase study, whose
-    benchmark epochs stop after the first broadcast."""
-    # The default reception hook, built once and shared by every epoch and
-    # link; the BS schemes' round hook draws their round 1 with it.
-    hook = link_model(config.radio)
-    rate_density = (config.lambda_off_per_m2
-                    * math.log2(1.0 + config.radio.snr_threshold))
-    if study == "ase" and scheme == "benchmark":
-        return functools.partial(_first_broadcast_ase, config, hook=hook,
-                                 rate_density=rate_density)
-    if scheme == "clustering":
-        hooks = {"broadcast_success": hook, "peer_success": hook}
-    else:
-        hooks = {"broadcast_rounds": round_model(config.radio, hook)}
-    run = functools.partial(SCHEME_RUNNERS[scheme], **hooks)
-    full = functools.partial(_epoch_metrics, scheme, config, run=run,
-                             rate_density=rate_density)
-    if study == "ase":
-        return lambda rng: full(rng)[2]
-    return full
+    plan: _DropPlan
+    rows: list[int]
+    uniforms: np.ndarray
+    fading: np.ndarray
+    states: list[dict]
 
 
 def _replicated(study: str, scheme: str, config: ScenarioConfig,
                 key: tuple[int, ...]) -> np.ndarray:
-    """The `_epochs` metrics of every replication, in replication order.
+    """The metrics of every replication of `scheme`, in replication order:
+    rows of (mean delay, delivery ratio, ase) in the delay study, the ase
+    alone in the ase study.
 
     Replication `rep` draws from the generator of spawn key
-    (study, *key, scheme, rep); all of them come from one `_generators`
-    pass, which is safe because an epoch is done with its generator when
-    it returns.
+    (study, *key, scheme, rep), derived in one `_pcg64_states` pass and
+    loaded into one shared bit generator.  Replications run in chunks of
+    `_CHUNK`, each in three phases:
+
+    1. draw, per replication: the drop's Poisson count (density mode) and
+       uniform block, then its round-1 fading unless the drop is empty or
+       one packet exceeds the time budget, as `build_topology` and the
+       scheme's runner draw them;
+    2. compute, over all drops of one shape at once (`_round_one`):
+       geometry, BS distances, mean powers and round-1 decisions;
+    3. continue, per replication, only where a member is short of its
+       receptions after round 1 (`_continue`), from the generator state
+       saved after round 1.
+
+    So every replication's outcome is the one `SCHEME_RUNNERS` gives it on
+    a drop from `build_topology`, bit for bit.  The ase study's benchmark
+    epochs count only the members the first broadcast serves, so they end
+    after phase 2.
     """
-    epoch = _epochs(study, scheme, config)
     prefix = (_STUDY_IDS[study], *key, _SCHEME_ORDER.index(scheme))
-    return np.array([epoch(rng) for rng in _generators(
-        config.base_seed, prefix, range(config.replications))])
+    states = _pcg64_states(config.base_seed, prefix, range(config.replications))
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    plan_of = _drop_law(config)
+    sim = config.sim
+    fits = sim.packet_len_ms <= sim.max_time_ms
+    continues = fits and not (study == "ase" and scheme == "benchmark")
+    rate_density = (config.lambda_off_per_m2
+                    * math.log2(1.0 + config.radio.snr_threshold))
+    out = []
+    while chunk := list(itertools.islice(states, _CHUNK)):
+        groups: dict[tuple[int, ...], _Drops] = {}
+        for row, state in enumerate(chunk):
+            bit_generator.state = state
+            plan = plan_of(rng)
+            drops = groups.get(plan.bounds)
+            if drops is None:
+                drops = groups[plan.bounds] = _Drops(
+                    plan, [], np.empty((len(chunk), plan.read.size)),
+                    np.empty((len(chunk), plan.n_uavs)), [])
+            rng.random(out=drops.uniforms[len(drops.rows)])
+            if fits and plan.n_uavs:
+                rng.standard_exponential(out=drops.fading[len(drops.rows)])
+                if continues:
+                    drops.states.append(bit_generator.state)
+            drops.rows.append(row)
+        metrics = np.empty((len(chunk), 3) if study == "delay" else len(chunk))
+        for drops in groups.values():
+            delivery, via_broadcast = _continue(scheme, config, drops, rng,
+                                                *_round_one(config, drops))
+            metrics[drops.rows] = _epoch_metrics(study, scheme, sim, delivery,
+                                                 via_broadcast, rate_density)
+        out.append(metrics)
+    return np.concatenate(out)
+
+
+def _round_one(config: ScenarioConfig, drops: _Drops):
+    """Phase 2 of `_replicated` for the drops of one shape, shape (m, n)
+    each: member points (with a trailing axis of 2), BS mean powers and
+    round-1 decisions (none served when one packet exceeds the budget)."""
+    m, radio, sim = len(drops.rows), config.radio, config.sim
+    _, xy = _drop_points(drops.plan, drops.uniforms[:m])
+    power = mean_received_power(LinkKind.BS_TO_UAV,
+                                _bs_distances(xy, *_bs_site(config)), radio)
+    if sim.packet_len_ms <= sim.max_time_ms:
+        got = decodes(power, drops.fading[:m], radio)
+    else:
+        got = np.zeros(power.shape, dtype=bool)
+    return xy, power, got
+
+
+def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
+              rng: np.random.Generator, xy, power, got):
+    """Phase 3 of `_replicated`: the delivery times (NaN for undelivered)
+    and `via_broadcast` marks of the drops of one shape, shape (m, n) each.
+
+    Round 1 serves the members `got` marks at packet_len_ms.  A drop whose
+    state was kept and that has a member short of its receptions
+    continues from that state: clustering recovers in its clusters, the
+    BS schemes draw the later completion rounds as `round_model` does and
+    lay out their timeline.
+    """
+    radio, sim = config.radio, config.sim
+    delivery = np.where(got, sim.packet_len_ms, np.nan)
+    via_broadcast = got.copy()
+    if not drops.states:
+        return delivery, via_broadcast
+    missed = np.flatnonzero(~got.all(axis=1))
+    bit_generator = rng.bit_generator
+    if scheme == "clustering":
+        peer_success, log = link_model(radio), _EpochLog(False)
+        for i in missed:
+            bit_generator.state = drops.states[i]
+            _recover(xy[i], drops.plan.bounds, got[i], delivery[i], radio, sim,
+                     rng, peer_success, log)
+    else:
+        coded, g = _bs_generation(scheme, sim)
+        # With g > 1 every member is short of g after round 1.
+        for i in missed if g == 1 else range(len(drops.rows)):
+            bit_generator.state = drops.states[i]
+            rounds = completion_rounds(
+                got[i], decode_probability(power[i], radio), g, rng)
+            _, delivery[i], via_broadcast[i] = _bs_delivery(rounds, coded, sim)
+    return delivery, via_broadcast
+
+
+def _epoch_metrics(study: str, scheme: str, sim, delivery: np.ndarray,
+                   via_broadcast: np.ndarray, rate_density: float):
+    """Reduce the epochs of one drop shape (rows of `delivery`, NaN for
+    undelivered, and `via_broadcast`) to (mean delay, delivery ratio, ase)
+    rows in the delay study, the ase alone in the ase study;
+    `rate_density` is lambda_off * log2(1 + threshold).  NaN throughout
+    for empty drops."""
+    m, n = delivery.shape
+    if not n:
+        return np.full(m if study == "ase" else (m, 3), np.nan)
+    delivered = ~np.isnan(delivery)
+    # The clustering ase counts every delivered member; the ACK benchmark
+    # only members served by the first broadcast, later rounds are
+    # retransmissions of the same packet.
+    served = delivered if scheme == "clustering" else via_broadcast
+    ase = (np.count_nonzero(served, axis=1) / n) * rate_density
+    if study == "ase":
+        return ase
+    count = np.count_nonzero(delivered, axis=1)
+    ratio = count / n
+    if scheme == "rnc":
+        # Per-packet delay: the decode instant covers a whole generation
+        # streamed back to back, so all but one packet length is pipeline
+        # amortization.
+        delivery = delivery - (sim.rnc_generation_size - 1) * sim.packet_len_ms
+    # Each mean is the 1-D sum of the delivered delays over their count,
+    # as `mean` reduces them, so the value is the same.
+    mean_delay = np.full(m, np.nan)
+    full = count == n
+    mean_delay[full] = delivery[full].sum(axis=1) / n
+    for i in np.flatnonzero(~full & (count > 0)):
+        mean_delay[i] = delivery[i][delivered[i]].sum() / count[i]
+    return np.column_stack([mean_delay, ratio, ase])
 
 
 def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
@@ -468,7 +584,7 @@ def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
 
     The clustering rows count members served either by the broadcast or by
     in-cluster recovery; benchmark rows count only the first broadcast, so
-    their epochs stop after it (`_first_broadcast_ase`).  The
+    their epochs stop after it (`_replicated`).  The
     RNC baseline spends its airtime on coded repair of the same packets, so
     its delivered-rate density equals the benchmark's by construction and
     its rows duplicate them.

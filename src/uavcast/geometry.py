@@ -69,9 +69,15 @@ class Topology:
 
     def bs_distances(self) -> np.ndarray:
         """3D distance from every member to the BS, shape (n,)."""
-        return np.sqrt((self.xy[:, 0] - self.bs_xy[0]) ** 2
-                       + (self.xy[:, 1] - self.bs_xy[1]) ** 2
-                       + (self.height - self.bs_height) ** 2)
+        return _bs_distances(self.xy, self.height, self.bs_xy, self.bs_height)
+
+
+def _bs_distances(xy: np.ndarray, height: float, bs_xy, bs_height: float):
+    """3D distance to a BS at planar point `bs_xy` and height `bs_height`
+    from UAVs at planar points `xy` (shape (..., 2)) and height `height`,
+    shape (...)."""
+    return np.sqrt((xy[..., 0] - bs_xy[0]) ** 2 + (xy[..., 1] - bs_xy[1]) ** 2
+                   + (height - bs_height) ** 2)
 
 
 def sample_uniform_disk(rng: np.random.Generator, n: int, radius: float,
@@ -104,6 +110,14 @@ class _DropPlan:
     cluster_of: np.ndarray
     bounds: tuple[int, ...]
 
+    @property
+    def n_clusters(self) -> int:
+        return len(self.bounds) - 1
+
+    @property
+    def n_uavs(self) -> int:
+        return self.bounds[-1]
+
 
 @functools.lru_cache(maxsize=256)
 def _drop_plan(k: int, counts: tuple[int, ...], region: float,
@@ -122,27 +136,17 @@ def _drop_plan(k: int, counts: tuple[int, ...], region: float,
                      bounds=tuple(np.cumsum((0, *counts)).tolist()))
 
 
-def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topology:
-    """Draw one topology according to the scenario configuration.
+def _drop_law(config: "ScenarioConfig"):
+    """rng -> the `_DropPlan` of one drop of the scenario, the scenario's
+    drop parameters validated once here.
 
-    fixed_total mode: exactly `num_clusters` centers uniform on the region
-    disk, `total_uavs` members split as evenly as possible (remainder goes
-    to the lowest-indexed clusters).
+    fixed_total mode: exactly `num_clusters` centers, `total_uavs` members
+    split as evenly as possible (remainder goes to the lowest-indexed
+    clusters); the plan is the same for every drop and draws nothing.
 
     density mode: Poisson centers with density `lambda_per_m2`, each holding
-    floor(lambda_off_per_m2 * pi * radius_r^2) members.
-
-    After the Poisson count (density mode only) the drop draws one block of
-    2 * (clusters + members) uniform doubles and consumes it in the order of
-    one `sample_uniform_disk` call for the centers followed by one per
-    cluster, so the drop and the generator state after it equal those of
-    per-disk sampling bit for bit.  Where each point reads its radius and
-    angle depends only on the cluster sizes, so it comes from a cached
-    `_DropPlan`: one per scenario in fixed_total mode, one per Poisson
-    count in density mode.  A drop is then one `rng.random` call, one
-    gather, `sqrt`/`cos`/`sin` on whole arrays and one gather of the
-    centers; the drops share the plan's read-only `cluster_of` and
-    `cluster_bounds`.
+    floor(lambda_off_per_m2 * pi * radius_r^2) members; the plan draws the
+    Poisson count, one per Poisson count.
     """
     region, radius_r = config.region_radius_m, config.radius_r_m
     if region <= 0:
@@ -161,8 +165,10 @@ def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topolo
                 f"total_uavs: need at least one UAV per cluster, got "
                 f"{config.total_uavs} for {k} clusters")
         base, extra = divmod(config.total_uavs, k)
-        counts = (base + 1,) * extra + (base,) * (k - extra)
-    elif config.mode == "density":
+        plan = _drop_plan(k, (base + 1,) * extra + (base,) * (k - extra),
+                          region, radius_r)
+        return lambda rng: plan
+    if config.mode == "density":
         density = config.lambda_per_m2
         if density <= 0:
             raise ParameterError(f"lambda_per_m2: must be positive, got {density}")
@@ -171,22 +177,55 @@ def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topolo
             raise ParameterError(
                 "lambda_off_per_m2: offspring density too low, expected members "
                 f"per cluster {per_cluster} < 1")
-        k = int(rng.poisson(density * np.pi * region ** 2))
-        counts = (per_cluster,) * k
-    else:
-        raise ParameterError(f"mode: unknown mode {config.mode!r}")
+        mean = density * np.pi * region ** 2
 
-    plan = _drop_plan(k, counts, region, radius_r)
-    u = rng.random(plan.read.size)[plan.read]
+        def plan_of(rng):
+            k = int(rng.poisson(mean))
+            return _drop_plan(k, (per_cluster,) * k, region, radius_r)
+        return plan_of
+    raise ParameterError(f"mode: unknown mode {config.mode!r}")
+
+
+def _drop_points(plan: _DropPlan, uniforms: np.ndarray):
+    """The centers (shape (m, k, 2)) and member points (shape (m, n, 2)) of
+    m drops of one plan, from their blocks of uniform doubles (one row of
+    `plan.read.size` each): one gather, `sqrt`/`cos`/`sin` on whole arrays
+    and one gather of the centers, whatever m is."""
+    u = uniforms[:, plan.read]
     points = plan.scale.size
-    rho = plan.scale * np.sqrt(u[:points])
-    theta = 2.0 * np.pi * u[points:]
-    offsets = np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
-    centers = offsets[:k]
+    rho = plan.scale * np.sqrt(u[:, :points])
+    theta = 2.0 * np.pi * u[:, points:]
+    offsets = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
+    centers = offsets[:, :plan.n_clusters]
+    return centers, centers[:, plan.cluster_of] + offsets[:, plan.n_clusters:]
+
+
+def _bs_site(config: "ScenarioConfig") -> tuple[float, tuple[float, float], float]:
+    """(UAV height, BS planar point, BS height) of the scenario: the BS
+    sits on the x axis at `d0_m` from the region center."""
+    return config.h2_m, (config.d0_m, 0.0), config.h1_m
+
+
+def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topology:
+    """Draw one topology according to the scenario configuration
+    (`_drop_law`): the batch of one of `_drop_points`.
+
+    After the Poisson count (density mode only) the drop draws one block of
+    2 * (clusters + members) uniform doubles and consumes it in the order of
+    one `sample_uniform_disk` call for the centers followed by one per
+    cluster, so the drop and the generator state after it equal those of
+    per-disk sampling bit for bit.  Where each point reads its radius and
+    angle depends only on the cluster sizes, so it comes from a cached
+    `_DropPlan`: one per scenario in fixed_total mode, one per Poisson
+    count in density mode; the drops share the plan's read-only
+    `cluster_of` and `cluster_bounds`.
+    """
+    plan = _drop_law(config)(rng)
+    centers, xy = _drop_points(plan, rng.random(plan.read.size)[None])
+    height, bs_xy, bs_height = _bs_site(config)
     return Topology(
-        xy=centers[plan.cluster_of] + offsets[k:], cluster_of=plan.cluster_of,
-        centers=centers, height=config.h2_m,
-        bs_xy=(config.d0_m, 0.0), bs_height=config.h1_m,
+        xy=xy[0], cluster_of=plan.cluster_of, centers=centers[0],
+        height=height, bs_xy=bs_xy, bs_height=bs_height,
         cluster_bounds=plan.bounds)
 
 

@@ -25,11 +25,13 @@ short enough that any non-collided frame is always decodable, so request
 and reply suppression never fails.  Data receptions are decided by drawing
 Rayleigh fading against the SNR threshold.
 
-Clustering is event-driven: contention, replies and receptions are drawn
-as they happen.  The two BS schemes are not: fading is independent from
-round to round, so each member's completion round is drawn at once
-(`channel.round_model`), and the round times, the time budget, the
-counters and the event log follow from those counts (`_bs_rounds`).
+Every scheme's first BS broadcast ends at packet_len_ms, and none is sent
+when that is past max_time_ms.  Clustering is event-driven after it:
+contention, replies and receptions are drawn as they happen (`_recover`).
+The two BS schemes are not: fading is independent from round to round, so
+each member's completion round is drawn at once (`channel.round_model`),
+and the round times, the time budget, the counters and the event log
+follow from those counts (`_bs_delivery`, `_bs_rounds`).
 """
 
 from __future__ import annotations
@@ -211,43 +213,64 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
     `broadcast_success` and `peer_success` are (power, rng) -> bool array
     hooks that receive the mean received power p_tx * gain (mW) of each
     listener, one entry per listener; tests inject deterministic links
-    through them.  The BS link's powers are computed once per epoch and
-    the peer link's once per recovering cluster.  Cluster channels run
-    independently, so recovery timelines overlap across clusters while
-    staying serialized within each cluster.
+    through them.  The BS broadcast ends at packet_len_ms; when that is
+    past max_time_ms it is not sent, so nothing is drawn and no member is
+    served.  Otherwise the BS link's powers are computed once per epoch
+    and recovery follows (`_recover`).
     """
     if broadcast_success is None:
         broadcast_success = link_model(radio)
     if peer_success is None:
         peer_success = link_model(radio)
-    xy, cluster_of = topology.xy, topology.cluster_of
     n = topology.n_uavs
     log = _EpochLog(collect_events)
-    delivery = np.full(n, np.nan)
-    undelivered = np.zeros(n, dtype=bool)
-    via_broadcast = np.zeros(n, dtype=bool)
-    counters = {"bs": 0, "uav": 0, "control": 0}
-    cw = [sim.cw_min] * n
+    got = np.zeros(n, dtype=bool)
+    bs_tx = 0
+    if sim.packet_len_ms <= sim.max_time_ms:
+        bs_tx = 1
+        log.add(sim.packet_len_ms, EventKind.BS_BROADCAST_END, -1, PACKET_ID,
+                -1)
+        if n:
+            p_bs = mean_received_power(LinkKind.BS_TO_UAV,
+                                       topology.bs_distances(), radio)
+            got = np.array(broadcast_success(p_bs, rng), dtype=bool)
+    delivery = np.where(got, sim.packet_len_ms, np.nan)
+    uav_tx, control = _recover(topology.xy, topology.cluster_bounds, got,
+                               delivery, radio, sim, rng, peer_success, log)
+    undelivered = np.isnan(delivery)
+    return SchemeOutcome(
+        scheme="clustering", delivery_time_ms=delivery, undelivered=undelivered,
+        via_broadcast=got, cluster_ids=topology.cluster_of,
+        bs_transmissions=bs_tx, uav_transmissions=uav_tx,
+        control_messages=control, events=log.finish())
 
-    counters["bs"] += 1
+
+def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
+             radio: RadioParams, sim: SimParams, rng: np.random.Generator,
+             peer_success, log: _EpochLog) -> tuple[int, int]:
+    """In-cluster recovery after a BS broadcast ending at packet_len_ms
+    that served the members `got` marks.
+
+    Members are the rows of `xy`, cluster c holding rows `bounds[c]` to
+    `bounds[c + 1]`.  Each recovered member's delivery time is written
+    into `delivery`; members never served keep theirs.  A cluster draws
+    only if it has a member that missed the broadcast and one that holds
+    it; the peer link's powers are computed once per such cluster.
+    Cluster channels run independently, so recovery timelines overlap
+    across clusters while staying serialized within each cluster.
+    Returns (uav transmissions, control messages).
+    """
+    counters = {"uav": 0, "control": 0}
+    cw = [sim.cw_min] * len(got)
     t_bcast = sim.packet_len_ms
-    log.add(t_bcast, EventKind.BS_BROADCAST_END, -1, PACKET_ID, -1)
-    p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
-                               radio)
-    got = broadcast_success(p_bs, rng) if n else np.zeros(0, dtype=bool)
-    delivery[got] = t_bcast
-    via_broadcast[got] = True
-
-    bounds = topology.cluster_bounds
     got_list = got.tolist()
-    for cid in range(topology.n_clusters):
+    for cid in range(len(bounds) - 1):
         first, end = bounds[cid], bounds[cid + 1]
         missing = [u for u in range(first, end) if not got_list[u]]
         if not missing:
             continue
         holders = [u for u in range(first, end) if got_list[u]]
         if not holders:
-            undelivered[missing] = True
             continue
         # Listeners are always among the members that missed the broadcast
         # (rows, sorted); any member can reply (columns, from row `first`).
@@ -281,14 +304,42 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
                     delivery[u] = t
                     missing.remove(u)
                     holders.append(u)
-        if missing:
-            undelivered[missing] = True
+    return counters["uav"], counters["control"]
 
-    return SchemeOutcome(
-        scheme="clustering", delivery_time_ms=delivery, undelivered=undelivered,
-        via_broadcast=via_broadcast, cluster_ids=cluster_of,
-        bs_transmissions=counters["bs"], uav_transmissions=counters["uav"],
-        control_messages=counters["control"], events=log.finish())
+
+def _bs_generation(scheme: str, sim: SimParams) -> tuple[bool, int]:
+    """(coded, receptions a member needs) of a BS retransmission scheme:
+    the benchmark repeats packet 0, RNC streams a coded generation."""
+    if scheme == "rnc":
+        return True, sim.rnc_generation_size
+    return False, 1
+
+
+def _bs_delivery(rounds: np.ndarray, coded: bool, sim: SimParams):
+    """The BS timeline of members completing in `rounds` (float array, inf
+    for never): (rounds capped at the budget, delivery time or NaN,
+    via_broadcast).
+
+    Round k ends at k * packet_len_ms, plus t_ack_ms for each member served
+    in an earlier round when uncoded, and a round runs only if its end fits
+    in max_time_ms.  So a member is delivered when its completion round
+    ends within the budget.  Times are computed from these products, not
+    accumulated round by round.  `via_broadcast` marks members served in
+    round 1 when uncoded, every delivered member when coded.
+    """
+    length, budget = sim.packet_len_ms, sim.max_time_ms
+    # A round past budget / length never runs; the cap keeps the end times
+    # finite for rounds that large.
+    rounds = np.minimum(rounds, budget / length + 2.0)
+    if coded:
+        end = rounds * length
+    else:
+        # Members served before round k ACK ahead of its broadcast.
+        before = np.searchsorted(np.sort(rounds), rounds)
+        end = rounds * length + sim.t_ack_ms * before
+    delivered = end <= budget
+    via_broadcast = delivered if coded else delivered & (rounds == 1.0)
+    return rounds, np.where(delivered, end, np.nan), via_broadcast
 
 
 def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
@@ -298,20 +349,14 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
 
     Uncoded (`coded=False`): every round carries packet 0 and the members
     served in it ACK right after it, serialized on the uplink, in row
-    order; `via_broadcast` marks members served in round 1.  Coded: round k
-    carries coded packet k - 1, and one terminal ACK per member follows
-    once all have decoded; `via_broadcast` marks decoded members.
+    order.  Coded: round k carries coded packet k - 1, and one terminal
+    ACK per member follows once all have decoded.
 
     No round is simulated.  `broadcast_rounds` is a (power, g, rng) -> float
     array hook over the mean received powers p_tx * gain (mW) of all
     members, in row order, giving the round in which each member completes
     (inf for never); it is called once, unless no round fits the budget.
-    The timeline follows from those counts: round k ends at
-    k * packet_len_ms, plus t_ack_ms for each member served in an earlier
-    round when uncoded, and a round runs only if its end fits in
-    max_time_ms.  So a member is delivered when its completion round ends
-    within the budget.  Times are computed from these products, not
-    accumulated round by round.
+    The timeline follows from those counts (`_bs_delivery`).
     """
     if broadcast_rounds is None:
         broadcast_rounds = round_model(radio)
@@ -321,19 +366,11 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
     if n and length <= budget:
         p_bs = mean_received_power(LinkKind.BS_TO_UAV,
                                    topology.bs_distances(), radio)
-        # A round past budget / length never runs; the cap keeps the end
-        # times finite for rounds that large.
-        rounds = np.minimum(broadcast_rounds(p_bs, g, rng),
-                            budget / length + 2.0)
+        rounds = broadcast_rounds(p_bs, g, rng)
     else:
         rounds = np.full(n, np.inf)
-    if coded:
-        end = rounds * length
-    else:
-        # Members served before round k ACK ahead of its broadcast.
-        before = np.searchsorted(np.sort(rounds), rounds)
-        end = rounds * length + t_ack * before
-    delivered = end <= budget
+    rounds, delivery, via_broadcast = _bs_delivery(rounds, coded, sim)
+    delivered = ~np.isnan(delivery)
     served = int(np.count_nonzero(delivered))
     if served == n:
         bs_tx = int(rounds.max()) if n else 0
@@ -342,8 +379,6 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
         last = int(rounds[delivered].max()) if served else 0
         acked = 0 if coded else served
         bs_tx = max(last, math.floor((budget - t_ack * acked) / length))
-    delivery = np.where(delivered, end, np.nan)
-    via_broadcast = delivered if coded else delivered & (rounds == 1.0)
     control = (n if served == n else 0) if coded else served
 
     log = _EpochLog(collect_events)
@@ -372,22 +407,6 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
         control_messages=control, events=log.finish())
 
 
-def _first_round_served(topology: Topology, radio: RadioParams,
-                        sim: SimParams, rng: np.random.Generator,
-                        broadcast_success) -> int:
-    """Members served by round 1 of the benchmark, drawn as its default
-    round hook `round_model(radio, broadcast_success)` draws them:
-    `count_nonzero(run_ack_benchmark(...).via_broadcast)` without the later
-    rounds and ACKs.  `broadcast_success` is a (power, rng) -> bool array
-    reception hook.  No round runs, so none is served, when the drop is
-    empty or one packet exceeds the time budget."""
-    if not topology.n_uavs or sim.packet_len_ms > sim.max_time_ms:
-        return 0
-    p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
-                               radio)
-    return int(np.count_nonzero(broadcast_success(p_bs, rng)))
-
-
 def run_ack_benchmark(topology: Topology, radio: RadioParams, sim: SimParams,
                       rng: np.random.Generator, *,
                       collect_events: bool = False,
@@ -400,8 +419,9 @@ def run_ack_benchmark(topology: Topology, radio: RadioParams, sim: SimParams,
     `round_model(radio)`) draws each member's serving round; see
     `_bs_rounds`.
     """
-    return _bs_rounds("benchmark", False, 1, topology, radio, sim, rng,
-                      collect_events, broadcast_rounds)
+    return _bs_rounds("benchmark", *_bs_generation("benchmark", sim),
+                      topology, radio, sim, rng, collect_events,
+                      broadcast_rounds)
 
 
 def run_rnc_scheme(topology: Topology, radio: RadioParams, sim: SimParams,
@@ -419,7 +439,7 @@ def run_rnc_scheme(topology: Topology, radio: RadioParams, sim: SimParams,
     `broadcast_rounds` (default `round_model(radio)`) draws each member's
     decoding round; see `_bs_rounds`.
     """
-    return _bs_rounds("rnc", True, sim.rnc_generation_size, topology, radio,
+    return _bs_rounds("rnc", *_bs_generation("rnc", sim), topology, radio,
                       sim, rng, collect_events, broadcast_rounds)
 
 

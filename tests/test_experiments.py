@@ -1,12 +1,13 @@
-import functools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavcast import analysis
+from uavcast import analysis, experiments
 from uavcast.channel import link_model, round_model
 from uavcast.config import ScenarioConfig
 from uavcast.distributions import ClusterGeometry
@@ -18,9 +19,6 @@ from uavcast.experiments import (
     MetricRow,
     MetricTable,
     SweepSpec,
-    _epoch_metrics,
-    _epochs,
-    _first_broadcast_ase,
     _generators,
     _mean_stderr,
     _replicated,
@@ -32,11 +30,7 @@ from uavcast.experiments import (
     run_validation_study,
 )
 from uavcast.geometry import build_topology
-from uavcast.protocol import (
-    SimParams,
-    _first_round_served,
-    run_ack_benchmark,
-)
+from uavcast.protocol import SCHEME_RUNNERS, SimParams, run_ack_benchmark
 
 
 def test_sweep_spec_validation():
@@ -293,23 +287,91 @@ def test_rng_generators_are_independent():
         _rng(-1, (7,))
 
 
+def _oracle_metrics(study, scheme, config, key):
+    """Each replication on its own `_rng` generator: a `build_topology`
+    drop and one `SCHEME_RUNNERS` epoch with default hooks, reduced here to
+    (mean delay, delivery ratio, ase), or the ase alone in the ase study.
+    The ase counts delivered members for clustering, members served by the
+    first broadcast otherwise."""
+    sim = config.sim
+    rate_density = config.lambda_off_per_m2 * math.log2(
+        1.0 + config.radio.snr_threshold)
+    rows = []
+    for rep in range(config.replications):
+        rng = _rng(config.base_seed, (_STUDY_IDS[study], *key,
+                                      _SCHEME_ORDER.index(scheme), rep))
+        topology = build_topology(config, rng)
+        outcome = SCHEME_RUNNERS[scheme](topology, config.radio, sim, rng)
+        n = outcome.n_uavs
+        delays = outcome.delivery_time_ms[outcome.delivered]
+        if scheme == "rnc":
+            delays = delays - (sim.rnc_generation_size - 1) * sim.packet_len_ms
+        served = (outcome.delivered if scheme == "clustering"
+                  else outcome.via_broadcast)
+        ase = np.count_nonzero(served) / n * rate_density if n else math.nan
+        if study == "ase":
+            rows.append(ase)
+        else:
+            rows.append((delays.mean() if delays.size else math.nan,
+                         np.count_nonzero(outcome.delivered) / n if n
+                         else math.nan, ase))
+    return np.array(rows, dtype=float)
+
+
+# (mode, lambda_per_m2, max_time_ms, replications): one chunk, a full
+# chunk and one past it; density drops of several shapes per chunk, and at
+# lambda 1e-6 mostly empty; a budget below one packet.
+_BATCH_CASES = [
+    ("fixed_total", 1e-4, 10_000.0, 65),
+    ("fixed_total", 1e-4, 40.0, 1),
+    ("fixed_total", 1e-4, 5.0, 64),
+    ("density", 1e-4, 10_000.0, 65),
+    ("density", 1e-6, 10_000.0, 65),
+    ("density", 1e-4, 5.0, 65),
+]
+
+
 @pytest.mark.parametrize("study,scheme", [("delay", "clustering"),
+                                          ("delay", "benchmark"),
                                           ("delay", "rnc"),
                                           ("ase", "clustering"),
                                           ("ase", "benchmark")])
 def test_replicated_equals_independent_generators(study, scheme):
-    """One derivation pass over a shared bit generator gives every
-    replication what an independent `_rng` generator gives it."""
-    config = ScenarioConfig(replications=25, base_seed=9, num_clusters=2,
-                            d0_m=1200.0)
+    """The chunked batch gives every replication, bit for bit, what an
+    independent `_rng` generator gives it through `build_topology` and the
+    scheme's runner, in both topology modes, with empty drops, with a
+    packet over the time budget and across chunk boundaries."""
     key = (1, 2)
-    epoch = _epochs(study, scheme, config)
-    expected = np.array([
-        epoch(_rng(config.base_seed, (_STUDY_IDS[study], *key,
-                                      _SCHEME_ORDER.index(scheme), rep)))
-        for rep in range(config.replications)])
-    assert _replicated(study, scheme, config, key).tobytes() == \
-        expected.tobytes()
+    for mode, lambda_per_m2, max_time_ms, reps in _BATCH_CASES:
+        config = ScenarioConfig(replications=reps, base_seed=9,
+                                num_clusters=2, d0_m=1200.0, mode=mode,
+                                lambda_per_m2=lambda_per_m2,
+                                sim=SimParams(max_time_ms=max_time_ms))
+        got = _replicated(study, scheme, config, key)
+        expected = _oracle_metrics(study, scheme, config, key)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), (mode, lambda_per_m2,
+                                                     max_time_ms, reps)
+        if mode == "density" and lambda_per_m2 == 1e-6:
+            # some drops are empty and some are not
+            column = got if study == "ase" else got[:, 2]
+            assert 0 < np.isnan(column).sum() < reps
+
+
+def test_replicated_memory_does_not_grow_with_replications():
+    """Chunking bounds the allocations of a `_replicated` call: its
+    traced peak at 640 replications stays within 1.5x of the peak at 64."""
+    def peak(reps):
+        config = ScenarioConfig(replications=reps, d0_m=400.0)
+        _replicated("ase", "clustering", config, (0, 0))  # warm caches
+        tracemalloc.start()
+        try:
+            _replicated("ase", "clustering", config, (0, 0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(640) <= 1.5 * peak(64)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -324,43 +386,58 @@ def test_replicated_equals_independent_generators(study, scheme):
 @settings(max_examples=150, deadline=None)
 def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
                                                 num_clusters, max_time_ms):
-    """The ase study's benchmark epoch, stopped after the first broadcast,
-    serves the members `run_ack_benchmark` marks `via_broadcast` from the
-    same generator state, and yields the full epoch's ase bit for bit
-    (NaN for an empty drop)."""
+    """The ase study's benchmark epochs, which the batch ends after the
+    first broadcast, serve the members `run_ack_benchmark` marks
+    `via_broadcast` from the same generator state, and yield the full
+    epoch's ase bit for bit (NaN for an empty drop)."""
     config = ScenarioConfig(mode=mode, lambda_per_m2=lambda_per_m2, d0_m=d0,
-                            num_clusters=num_clusters,
+                            num_clusters=num_clusters, base_seed=seed,
+                            replications=3,
                             sim=SimParams(max_time_ms=max_time_ms))
-    hook = link_model(config.radio)
-    powers, ref_powers = [], []
+    key = (0, 1)
+    decided = []     # (power row, decision row) of every non-empty drop
+    decide = experiments.decodes
 
-    def recorded(seen):
-        def record(power, rng):
-            seen.append(power.tobytes())
-            return hook(power, rng)
-        return record
+    def recorded_decodes(power, fading, radio):
+        got = decide(power, fading, radio)
+        decided.extend((p.tobytes(), g.tolist()) for p, g in zip(power, got)
+                       if p.size)
+        return got
 
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    topology = build_topology(config, rng)
-    ref_topology = build_topology(config, ref_rng)
-    served = _first_round_served(topology, config.radio, config.sim, rng,
-                                 recorded(powers))
-    outcome = run_ack_benchmark(
-        ref_topology, config.radio, config.sim, ref_rng,
-        broadcast_rounds=round_model(config.radio, recorded(ref_powers)))
-    assert served == np.count_nonzero(outcome.via_broadcast)
-    # the reception hook draws round 1 alone in both, and is not called
-    # when no round runs
-    assert powers == ref_powers[:1] == ref_powers
-    if max_time_ms < config.sim.packet_len_ms:
-        assert served == 0
+    with mock.patch.object(experiments, "decodes", recorded_decodes):
+        ases = _replicated("ase", "benchmark", config, key)
 
+    link = link_model(config.radio)
     rate_density = 1e-3 * math.log2(21.0)
-    run = functools.partial(run_ack_benchmark,
-                            broadcast_rounds=round_model(config.radio, hook))
-    ase = _first_broadcast_ase(config, np.random.default_rng(seed), hook,
-                               rate_density)
-    _, _, ref_ase = _epoch_metrics("benchmark", config,
-                                   np.random.default_rng(seed), run,
-                                   rate_density)
-    assert np.array(ase).tobytes() == np.array(ref_ase).tobytes()
+    hook_powers, ref_served, ref_ases = [], [], []
+    for rep in range(config.replications):
+        powers = []
+
+        def record(power, rng, seen=powers):
+            seen.append(power.tobytes())
+            return link(power, rng)
+
+        rng = _rng(seed, (_STUDY_IDS["ase"], *key,
+                          _SCHEME_ORDER.index("benchmark"), rep))
+        topology = build_topology(config, rng)
+        outcome = run_ack_benchmark(
+            topology, config.radio, config.sim, rng,
+            broadcast_rounds=round_model(config.radio, record))
+        # the reception hook draws round 1 alone, and is not called when
+        # no round runs
+        n = topology.n_uavs
+        assert len(powers) == (
+            1 if n and max_time_ms >= config.sim.packet_len_ms else 0)
+        hook_powers += powers
+        served = int(np.count_nonzero(outcome.via_broadcast))
+        if powers:
+            ref_served.append((powers[0], served))
+        ref_ases.append((served / n) * rate_density if n else math.nan)
+    # round 1 is decided on the powers the full benchmark hands its hook,
+    # serving the same members
+    assert sorted(p for p, _ in decided) == sorted(hook_powers)
+    assert sorted((p, sum(g)) for p, g in decided) == sorted(ref_served)
+    if max_time_ms < config.sim.packet_len_ms:
+        assert not decided
+        assert all(a == 0.0 or math.isnan(a) for a in ases)
+    assert ases.tobytes() == np.array(ref_ases).tobytes()
