@@ -455,8 +455,8 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
         for drops in groups.values():
             delivery, via_broadcast = _continue(scheme, config, drops, rng,
                                                 *_round_one(config, drops))
-            metrics[drops.rows] = _epoch_metrics(study, scheme, sim, delivery,
-                                                 via_broadcast, rate_density)
+            metrics[drops.rows] = _reduce(study, scheme, sim, delivery,
+                                          via_broadcast, rate_density)
         out.append(metrics)
     return np.concatenate(out)
 
@@ -511,8 +511,8 @@ def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
     return delivery, via_broadcast
 
 
-def _epoch_metrics(study: str, scheme: str, sim, delivery: np.ndarray,
-                   via_broadcast: np.ndarray, rate_density: float):
+def _reduce(study: str, scheme: str, sim, delivery: np.ndarray,
+            via_broadcast: np.ndarray, rate_density: float):
     """Reduce the epochs of one drop shape (rows of `delivery`, NaN for
     undelivered, and `via_broadcast`) to (mean delay, delivery ratio, ase)
     rows in the delay study, the ase alone in the ase study;
@@ -536,8 +536,9 @@ def _epoch_metrics(study: str, scheme: str, sim, delivery: np.ndarray,
         # streamed back to back, so all but one packet length is pipeline
         # amortization.
         delivery = delivery - (sim.rnc_generation_size - 1) * sim.packet_len_ms
-    # Each mean is the 1-D sum of the delivered delays over their count,
-    # as `mean` reduces them, so the value is the same.
+    # Each mean is the sum of the delivered delays, in row order, over
+    # their count, which is the reduction `mean` performs on one epoch's
+    # delays (a row sum of whole rows included), so the value is the same.
     mean_delay = np.full(m, np.nan)
     full = count == n
     mean_delay[full] = delivery[full].sum(axis=1) / n

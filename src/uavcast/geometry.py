@@ -140,13 +140,14 @@ def _drop_law(config: "ScenarioConfig"):
     """rng -> the `_DropPlan` of one drop of the scenario, the scenario's
     drop parameters validated once here.
 
-    fixed_total mode: exactly `num_clusters` centers, `total_uavs` members
-    split as evenly as possible (remainder goes to the lowest-indexed
-    clusters); the plan is the same for every drop and draws nothing.
+    fixed_total mode: exactly `num_clusters` centers uniform on the region
+    disk, `total_uavs` members split as evenly as possible (remainder goes
+    to the lowest-indexed clusters); every drop has the same plan and the
+    law draws nothing.
 
     density mode: Poisson centers with density `lambda_per_m2`, each holding
-    floor(lambda_off_per_m2 * pi * radius_r^2) members; the plan draws the
-    Poisson count, one per Poisson count.
+    floor(lambda_off_per_m2 * pi * radius_r^2) members; the law draws the
+    Poisson count and returns the cached plan of that count.
     """
     region, radius_r = config.region_radius_m, config.radius_r_m
     if region <= 0:
