@@ -2,8 +2,8 @@
 
 A macro base station multicasts to a swarm of UAVs deployed as a Poisson
 cluster process.  The package provides the closed-form distance
-distributions and performance metrics for that geometry, an event-driven
-simulation of a cluster-based packet recovery protocol (plus ACK
+distributions and performance metrics for that geometry, a simulation of
+a cluster-based packet recovery protocol (plus ACK
 retransmission and random-network-coding baselines), and studies that
 validate the analysis against simulation.
 """
@@ -62,7 +62,6 @@ from .geometry import (
 from .protocol import (
     Event,
     EventKind,
-    MediumState,
     SchemeOutcome,
     SimParams,
     run_ack_benchmark,

@@ -18,11 +18,12 @@ as the oracle in the tests.
 The delay and ase studies run a scenario's replications in chunks
 (`_replicated`).  Each replication draws its own blocks from its own
 generator; the geometry, powers and round-1 decisions computed from them
-run over whole arrays of drops, and only epochs that go on past round 1
-continue one replication at a time through the protocol's continuation
-(`protocol._recover`, `protocol._bs_delivery`).  Every replication's
-numbers equal those of `build_topology` plus `SCHEME_RUNNERS` on its
-generator, bit for bit.
+run over whole arrays of drops.  Only epochs that go on past round 1
+continue: clustering recovers all of a chunk's epochs of one drop shape
+in lock-step (`protocol._recover`), and the BS schemes lay out one
+replication's later rounds at a time (`protocol._bs_delivery`).  Every
+replication's numbers equal those of `build_topology` plus
+`SCHEME_RUNNERS` on its generator, bit for bit.
 """
 
 from __future__ import annotations
@@ -415,9 +416,11 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
        scheme's runner draw them;
     2. compute, over all drops of one shape at once (`_round_one`):
        geometry, BS distances, mean powers and round-1 decisions;
-    3. continue, per replication, only where a member is short of its
-       receptions after round 1 (`_continue`), from the generator state
-       saved after round 1.
+    3. continue only where a member is short of its receptions after
+       round 1 (`_continue`), each replication drawing from its generator
+       state saved after round 1: clustering recovery for all such drops
+       of one shape at once, the BS schemes' later rounds one drop at a
+       time.
 
     So every replication's outcome is the one `SCHEME_RUNNERS` gives it on
     a drop from `build_topology`, bit for bit.  The ase study's benchmark
@@ -483,26 +486,30 @@ def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
 
     Round 1 serves the members `got` marks at packet_len_ms.  A drop whose
     state was kept and that has a member short of its receptions
-    continues from that state: clustering recovers in its clusters, the
-    BS schemes draw the later completion rounds as `round_model` does and
-    lay out their timeline.
+    continues from that state.  Clustering recovers all such drops at
+    once (`protocol._recover`), each drawing its blocks of uniforms from
+    its own generator, whose state is saved after every block.  The BS
+    schemes draw the later completion rounds of one drop at a time, as
+    `round_model` does, and lay out their timeline.
     """
     radio, sim = config.radio, config.sim
     delivery = np.where(got, sim.packet_len_ms, np.nan)
     via_broadcast = got.copy()
     if not drops.states:
         return delivery, via_broadcast
-    missed = np.flatnonzero(~got.all(axis=1))
     bit_generator = rng.bit_generator
     if scheme == "clustering":
-        peer_success, log = link_model(radio), _EpochLog(False)
-        for i in missed:
+        def draw(i, out):
             bit_generator.state = drops.states[i]
-            _recover(xy[i], drops.plan.bounds, got[i], delivery[i], radio, sim,
-                     rng, peer_success, log)
+            rng.random(out=out)
+            drops.states[i] = bit_generator.state
+
+        _recover(xy, drops.plan.bounds, got, delivery, radio, sim, draw,
+                 _EpochLog(False))
     else:
         coded, g = _bs_generation(scheme, sim)
         # With g > 1 every member is short of g after round 1.
+        missed = np.flatnonzero(~got.all(axis=1))
         for i in missed if g == 1 else range(len(drops.rows)):
             bit_generator.state = drops.states[i]
             rounds = completion_rounds(

@@ -22,22 +22,28 @@ rnc
 Per-cluster channels are isolated from each other and from the BS downlink.
 Collided frames occupy the channel and are lost; frame headers are assumed
 short enough that any non-collided frame is always decodable, so request
-and reply suppression never fails.  Data receptions are decided by drawing
-Rayleigh fading against the SNR threshold.
+and reply suppression never fails.  Data receptions follow the Rayleigh
+law of `channel`: the first BS broadcast draws fading against the SNR
+threshold, and a relayed reply succeeds with `decode_probability`.
 
 Every scheme's first BS broadcast ends at packet_len_ms, and none is sent
-when that is past max_time_ms.  Clustering is event-driven after it:
-contention, replies and receptions are drawn as they happen (`_recover`).
-The two BS schemes are not: fading is independent from round to round, so
-each member's completion round is drawn at once (`channel.round_model`),
-and the round times, the time budget, the counters and the event log
-follow from those counts (`_bs_delivery`, `_bs_rounds`).
+when that is past max_time_ms.  Clustering recovery after it runs in
+lock-step over arrays (`_recover`): every (epoch, cluster) cell that needs
+recovery makes one channel attempt per iteration (`_attempt`), so a batch
+of epochs recovers in the iterations its slowest cluster needs, and one
+epoch is the batch of one.  The two BS schemes simulate no rounds: fading
+is independent from round to round, so each member's completion round is
+drawn at once (`channel.round_model`), and the round times, the time
+budget, the counters and the event log follow from those counts
+(`_bs_delivery`, `_bs_rounds`).
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,14 +52,18 @@ import numpy as np
 from .channel import (
     LinkKind,
     RadioParams,
+    decode_probability,
     link_model,
     mean_received_power,
     round_model,
 )
-from .errors import IntegrityError, ParameterError, check_field_values
+from .errors import ParameterError, check_field_values
 from .geometry import Topology
 
 PACKET_ID = 0  # single-packet epochs; RNC events carry coded-packet indices
+# Rows of one block of recovery uniforms (`_recover`): an epoch reads one
+# row per lock-step iteration and draws its next block after this many.
+_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -108,19 +118,6 @@ class Event:
 
 
 @dataclass
-class MediumState:
-    """Busy horizon of one shared channel; transmissions must serialize."""
-
-    busy_until_ms: float = 0.0
-
-    def occupy(self, start_ms: float, end_ms: float) -> None:
-        if start_ms < self.busy_until_ms - 1e-9:
-            raise IntegrityError(
-                f"channel occupied at {start_ms} ms until {self.busy_until_ms} ms")
-        self.busy_until_ms = end_ms
-
-
-@dataclass
 class SchemeOutcome:
     """Result of one epoch: per-member delivery records and traffic counts.
 
@@ -164,64 +161,54 @@ class _EpochLog:
         return sorted(self.events, key=lambda e: e.time_ms)
 
 
-def _contend(contenders, cw, medium, t, airtime_ms, sim, rng, log, kind,
-             cluster_id, packet_id, counters, counter_key):
-    """Run one backoff contention until a frame of `airtime_ms` gets through.
+def _attempt(contend, residual, cw, fresh, u_fresh, u_redraw, sim):
+    """One backoff attempt on the channel of every cell (rows of the
+    (cells x slots) arrays).
 
-    Every contender draws a uniform slot from its own window and counts
-    down; the earliest transmits.  Ties collide: the frames burn the
-    airtime, the colliders double their windows and redraw, while everyone
-    else freezes its residual count during the burst and resumes after it
-    (802.11-style).  `cw` holds every member's contention window and is
-    updated in place.  Returns (winner, end time), or (None, t) once the next
-    attempt would run past max_time_ms.
+    `contend` marks each cell's contenders.  `residual` and `cw` hold every
+    slot's residual count and contention window, as floats holding whole
+    numbers, and are updated in place.  Where `fresh` is set a contention
+    starts, and every slot draws floor(u * cw) from `u_fresh`.  The
+    contenders at the lowest count transmit.  A lone transmitter's window
+    returns to cw_min.  Colliders double their windows (up to cw_max) and
+    redraw from `u_redraw`, while everyone else freezes its count during
+    the burst and resumes after it (802.11-style).  Returns, per cell, the
+    slot, the transmitters' mask and their count.
     """
-    residual = {u: int(rng.integers(0, cw[u])) for u in contenders}
-    while True:
-        slot = min(residual.values())
-        winners = [u for u in contenders if residual[u] == slot]
-        start = t + slot * sim.slot_ms
-        end = start + airtime_ms
-        if end > sim.max_time_ms:
-            return None, t
-        medium.occupy(start, end)
-        counters[counter_key] += len(winners)
-        collided = len(winners) > 1
-        if log.events is not None:
-            for u in winners:
-                log.add(start, EventKind.BACKOFF_EXPIRY, u, packet_id, cluster_id)
-                log.add(end, kind, u, packet_id, cluster_id, collided)
-        if not collided:
-            cw[winners[0]] = sim.cw_min
-            return winners[0], end
-        for u in contenders:
-            if residual[u] == slot:
-                cw[u] = min(cw[u] * 2, sim.cw_max)
-                residual[u] = int(rng.integers(0, cw[u]))
-            else:
-                residual[u] -= slot
-        t = end
+    np.copyto(residual, np.floor(u_fresh * cw), where=fresh[:, None])
+    counts = np.where(contend, residual, np.inf)
+    slot = counts.min(axis=1)
+    sent = counts == slot[:, None]
+    n_sent = sent.sum(axis=1)
+    hit = sent & (n_sent > 1)[:, None]
+    doubled = np.minimum(2.0 * cw, sim.cw_max)
+    np.copyto(cw, sim.cw_min, where=sent)
+    np.copyto(cw, doubled, where=hit)
+    residual -= slot[:, None]
+    np.copyto(residual, np.floor(u_redraw * cw), where=hit)
+    return slot, sent, n_sent
 
 
 def run_clustering_scheme(topology: Topology, radio: RadioParams,
                           sim: SimParams, rng: np.random.Generator, *,
                           collect_events: bool = False,
                           broadcast_success=None,
-                          peer_success=None) -> SchemeOutcome:
+                          peer_probability=None) -> SchemeOutcome:
     """One epoch of the clustering recovery scheme.
 
-    `broadcast_success` and `peer_success` are (power, rng) -> bool array
-    hooks that receive the mean received power p_tx * gain (mW) of each
-    listener, one entry per listener; tests inject deterministic links
-    through them.  The BS broadcast ends at packet_len_ms; when that is
-    past max_time_ms it is not sent, so nothing is drawn and no member is
-    served.  Otherwise the BS link's powers are computed once per epoch
-    and recovery follows (`_recover`).
+    `broadcast_success` is a (power, rng) -> bool array hook over the mean
+    received power p_tx * gain (mW) of each member (by default
+    `link_model(radio)`).  `peer_probability` is a power -> array hook
+    giving the chance that a listener at that mean received power decodes
+    a reply (by default `decode_probability`).  Tests inject deterministic
+    links through them.  The BS broadcast ends at packet_len_ms; when that
+    is past max_time_ms it is not sent, so nothing is drawn and no member
+    is served.  Otherwise the BS link's powers are computed once per epoch
+    and recovery follows: `_recover` on a batch of one epoch, drawing its
+    blocks of uniforms from `rng`.
     """
     if broadcast_success is None:
         broadcast_success = link_model(radio)
-    if peer_success is None:
-        peer_success = link_model(radio)
     n = topology.n_uavs
     log = _EpochLog(collect_events)
     got = np.zeros(n, dtype=bool)
@@ -235,76 +222,132 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
                                        topology.bs_distances(), radio)
             got = np.array(broadcast_success(p_bs, rng), dtype=bool)
     delivery = np.where(got, sim.packet_len_ms, np.nan)
-    uav_tx, control = _recover(topology.xy, topology.cluster_bounds, got,
-                               delivery, radio, sim, rng, peer_success, log)
+    uav_tx, control = _recover(
+        topology.xy[None], topology.cluster_bounds, got[None], delivery[None],
+        radio, sim, lambda _, out: rng.random(out=out), log, peer_probability)
     undelivered = np.isnan(delivery)
     return SchemeOutcome(
         scheme="clustering", delivery_time_ms=delivery, undelivered=undelivered,
         via_broadcast=got, cluster_ids=topology.cluster_of,
-        bs_transmissions=bs_tx, uav_transmissions=uav_tx,
-        control_messages=control, events=log.finish())
+        bs_transmissions=bs_tx, uav_transmissions=int(uav_tx[0]),
+        control_messages=int(control[0]), events=log.finish())
 
 
 def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
-             radio: RadioParams, sim: SimParams, rng: np.random.Generator,
-             peer_success, log: _EpochLog) -> tuple[int, int]:
-    """In-cluster recovery after a BS broadcast ending at packet_len_ms
-    that served the members `got` marks.
+             radio: RadioParams, sim: SimParams, draw, log: _EpochLog,
+             peer_probability=None) -> tuple[np.ndarray, np.ndarray]:
+    """In-cluster recovery in m epochs of one drop shape, after a BS
+    broadcast ending at packet_len_ms that served the members `got` marks.
 
-    Members are the rows of `xy`, cluster c holding rows `bounds[c]` to
-    `bounds[c + 1]`.  Each recovered member's delivery time is written
-    into `delivery`; members never served keep theirs.  A cluster draws
-    only if it has a member that missed the broadcast and one that holds
-    it; the peer link's powers are computed once per such cluster.
-    Cluster channels run independently, so recovery timelines overlap
-    across clusters while staying serialized within each cluster.
-    Returns (uav transmissions, control messages).
+    `xy` is (m, n, 2), `got` and `delivery` (m, n); cluster c holds members
+    `bounds[c]` to `bounds[c + 1]` of every epoch.  Each recovered member's
+    delivery time is written into `delivery`.  A cell is one (epoch,
+    cluster) pair with a member that missed the broadcast and one that
+    holds it.  Cells share no channel, so they run side by side, each
+    serialized on its own.  Members sit in a padded (cells x largest
+    cluster) layout.
+
+    All cells advance in lock-step, one channel attempt per iteration
+    (`_attempt`).  Missing members contend to send a request; after a clean
+    one, holders contend to send the reply.  A clean reply reaches each
+    listener (every missing member with opportunistic caching, else the
+    requester) with the chance `peer_probability` gives its mean received
+    power from the replier (by default `decode_probability`); a member that
+    gets it holds it from then on.  A cell ends once none of its members
+    misses the packet, or when its next frame would end past max_time_ms.
+    Finished cells are compacted away.
+
+    Randomness: every epoch with a cell reads blocks of uniforms, shape
+    (_BLOCK_ROWS, 2, n), which `draw(e, out)` fills for epoch e.
+    Iteration i reads row i mod _BLOCK_ROWS: column 0 gives fresh backoffs,
+    column 1 a collider's redraw or a listener's reception (u < chance).
+    The first block is drawn before iteration 0, and the next every
+    _BLOCK_ROWS iterations while the epoch has a live cell.  So an epoch's
+    draws do not depend on the other epochs of the batch.  `log` records
+    the events of a batch of one epoch.  Returns per-epoch (uav
+    transmissions, control messages), collided frames included.
     """
-    counters = {"uav": 0, "control": 0}
-    cw = [sim.cw_min] * len(got)
-    t_bcast = sim.packet_len_ms
-    got_list = got.tolist()
-    for cid in range(len(bounds) - 1):
-        first, end = bounds[cid], bounds[cid + 1]
-        missing = [u for u in range(first, end) if not got_list[u]]
-        if not missing:
-            continue
-        holders = [u for u in range(first, end) if got_list[u]]
-        if not holders:
-            continue
-        # Listeners are always among the members that missed the broadcast
-        # (rows, sorted); any member can reply (columns, from row `first`).
-        need = np.array(missing)
-        dx = xy[need, 0][:, None] - xy[first:end, 0]
-        dy = xy[need, 1][:, None] - xy[first:end, 1]
-        peer_power = mean_received_power(LinkKind.UAV_TO_UAV,
-                                         np.hypot(dx, dy), radio)
-        medium = MediumState()
-        t = t_bcast
-        while missing:
-            requester, t = _contend(sorted(missing), cw, medium, t,
-                                    sim.t_req_ms, sim, rng, log,
-                                    EventKind.REQUEST_TX_END, cid, PACKET_ID,
-                                    counters, "control")
-            if requester is None:
+    if peer_probability is None:
+        peer_probability = functools.partial(decode_probability, radio=radio)
+    m, n = got.shape
+    frames = np.zeros((m, 2), dtype=np.int64)  # request, reply
+    if not n:
+        return frames[:, 1], frames[:, 0]
+    first, size = np.asarray(bounds[:-1]), np.diff(bounds)
+    slots = np.arange(size.max())
+    valid = slots < size[:, None]
+    # Padding slots point at a real member but are never contenders or
+    # listeners.
+    member = np.minimum(first[:, None] + slots, n - 1)
+    held = got[:, member] & valid
+    lost = valid & ~got[:, member]
+    epoch, cluster = np.nonzero(held.any(axis=2) & lost.any(axis=2))
+    if not epoch.size:
+        return frames[:, 1], frames[:, 0]
+    held, lost = held[epoch, cluster], lost[epoch, cluster]
+    member = member[cluster]
+    epochs, block_of = np.unique(epoch, return_inverse=True)
+    blocks = np.empty((epochs.size, _BLOCK_ROWS, 2, n))
+    t = np.full(epoch.size, sim.packet_len_ms)
+    cw = np.full(held.shape, float(sim.cw_min))
+    residual = np.zeros(held.shape)
+    reply = np.zeros(epoch.size, dtype=bool)
+    fresh = np.ones(epoch.size, dtype=bool)
+    asker = np.zeros(epoch.size, dtype=np.intp)
+    airtime = np.array([sim.t_req_ms, sim.packet_len_ms])
+    kinds = (EventKind.REQUEST_TX_END, EventKind.REPLY_TX_END)
+    for i in itertools.count():
+        row = i % _BLOCK_ROWS
+        if not row:
+            for b in np.unique(block_of).tolist():
+                draw(int(epochs[b]), blocks[b])
+        u = blocks[block_of[:, None], row, :, member]
+        phase = reply.astype(np.intp)
+        slot, sent, n_sent = _attempt(np.where(reply[:, None], held, lost),
+                                      residual, cw, fresh, u[..., 0],
+                                      u[..., 1], sim)
+        start = t + slot * sim.slot_ms
+        t = start + airtime[phase]
+        fits = t <= sim.max_time_ms
+        np.add.at(frames, (epoch, phase), np.where(fits, n_sent, 0))
+        if log.events is not None:
+            for c in np.flatnonzero(fits).tolist():
+                for s in np.flatnonzero(sent[c]).tolist():
+                    actor, cid = int(member[c, s]), int(cluster[c])
+                    log.add(float(start[c]), EventKind.BACKOFF_EXPIRY, actor,
+                            PACKET_ID, cid)
+                    log.add(float(t[c]), kinds[phase[c]], actor, PACKET_ID,
+                            cid, bool(n_sent[c] > 1))
+        clean = fits & (n_sent == 1)
+        winner = sent.argmax(axis=1)
+        asked = clean & ~reply
+        asker[asked] = winner[asked]
+        answered = np.flatnonzero(clean & reply)
+        if answered.size:
+            listens = (lost[answered] if sim.opportunistic_caching
+                       else slots == asker[answered, None])
+            at = xy[epoch[answered, None], member[answered]]
+            d = at - at[np.arange(answered.size), winner[answered], None]
+            power = mean_received_power(LinkKind.UAV_TO_UAV,
+                                        np.hypot(d[..., 0], d[..., 1]), radio)
+            heard = listens & (u[answered, :, 1] < peer_probability(power))
+            row, s = np.nonzero(heard)
+            row = answered[row]
+            delivery[epoch[row], member[row, s]] = t[row]
+            lost[answered] &= ~heard
+            held[answered] |= heard
+        reply ^= clean
+        fresh = clean
+        keep = fits & lost.any(axis=1)
+        if not keep.all():
+            keep = np.flatnonzero(keep)
+            if not keep.size:
                 break
-            replier, t = _contend(sorted(holders), cw, medium, t,
-                                  sim.packet_len_ms, sim, rng, log,
-                                  EventKind.REPLY_TX_END, cid, PACKET_ID,
-                                  counters, "uav")
-            if replier is None:
-                break
-            listeners = (sorted(missing) if sim.opportunistic_caching
-                         else [requester])
-            ok = peer_success(
-                peer_power[np.searchsorted(need, listeners), replier - first],
-                rng)
-            for u, success in zip(listeners, ok):
-                if success:
-                    delivery[u] = t
-                    missing.remove(u)
-                    holders.append(u)
-    return counters["uav"], counters["control"]
+            (epoch, cluster, block_of, member, held, lost, cw, residual, t,
+             reply, fresh, asker) = (
+                x[keep] for x in (epoch, cluster, block_of, member, held,
+                                  lost, cw, residual, t, reply, fresh, asker))
+    return frames[:, 1], frames[:, 0]
 
 
 def _bs_generation(scheme: str, sim: SimParams) -> tuple[bool, int]:

@@ -41,6 +41,14 @@ def all_links(value):
     return hook
 
 
+def decode_chance(p):
+    """Peer probability hook: every listener decodes with chance p, so 1
+    always succeeds and 0 always fails."""
+    def hook(power):
+        return np.full(np.shape(power), float(p))
+    return hook
+
+
 def fixed_success_rounds(p):
     """BS round hook: every round's reception succeeds independently with
     prob p, round 1 drawn as `fixed_success(p)` draws it."""

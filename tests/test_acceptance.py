@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy import integrate
 
-from conftest import all_links, four_uav_topology, reception_pattern
+from conftest import decode_chance, four_uav_topology, reception_pattern
 from uavcast.analysis import (
     average_delay,
     cluster_peer_count,
@@ -302,7 +302,7 @@ def test_c09_protocol_bookkeeping_invariants():
         four_uav_topology(), RADIO, sim, np.random.default_rng(1),
         collect_events=True,
         broadcast_success=reception_pattern(True, True, False, False),
-        peer_success=all_links(True))
+        peer_probability=decode_chance(1))
     requests = [(e.actor, e.collided) for e in scripted.events
                 if e.kind is EventKind.REQUEST_TX_END]
     replies = [(e.actor, e.collided) for e in scripted.events

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -318,16 +320,19 @@ def _oracle_metrics(study, scheme, config, key):
     return np.array(rows, dtype=float)
 
 
-# (mode, lambda_per_m2, max_time_ms, replications): one chunk, a full
-# chunk and one past it; density drops of several shapes per chunk, and at
-# lambda 1e-6 mostly empty; a budget below one packet.
+# (mode, lambda_per_m2, max_time_ms, replications, overrides): one chunk,
+# a full chunk and one past it; density drops of several shapes per chunk,
+# and at lambda 1e-6 mostly empty; a budget below one packet; one cluster
+# far out without caching, whose recoveries outlast one block of uniforms.
 _BATCH_CASES = [
-    ("fixed_total", 1e-4, 10_000.0, 65),
-    ("fixed_total", 1e-4, 40.0, 1),
-    ("fixed_total", 1e-4, 5.0, 64),
-    ("density", 1e-4, 10_000.0, 65),
-    ("density", 1e-6, 10_000.0, 65),
-    ("density", 1e-4, 5.0, 65),
+    ("fixed_total", 1e-4, 10_000.0, 65, {}),
+    ("fixed_total", 1e-4, 40.0, 1, {}),
+    ("fixed_total", 1e-4, 5.0, 64, {}),
+    ("density", 1e-4, 10_000.0, 65, {}),
+    ("density", 1e-6, 10_000.0, 65, {}),
+    ("density", 1e-4, 5.0, 65, {}),
+    ("fixed_total", 1e-4, 10_000.0, 20,
+     {"num_clusters": 1, "d0_m": 1500.0, "opportunistic_caching": False}),
 ]
 
 
@@ -340,14 +345,31 @@ def test_replicated_equals_independent_generators(study, scheme):
     """The chunked batch gives every replication, bit for bit, what an
     independent `_rng` generator gives it through `build_topology` and the
     scheme's runner, in both topology modes, with empty drops, with a
-    packet over the time budget and across chunk boundaries."""
+    packet over the time budget, across chunk boundaries and, for
+    clustering, with epochs that draw a second block of uniforms."""
     key = (1, 2)
-    for mode, lambda_per_m2, max_time_ms, reps in _BATCH_CASES:
-        config = ScenarioConfig(replications=reps, base_seed=9,
-                                num_clusters=2, d0_m=1200.0, mode=mode,
-                                lambda_per_m2=lambda_per_m2,
-                                sim=SimParams(max_time_ms=max_time_ms))
-        got = _replicated(study, scheme, config, key)
+    recover = experiments._recover
+    for mode, lambda_per_m2, max_time_ms, reps, overrides in _BATCH_CASES:
+        fields = {"num_clusters": 2, "d0_m": 1200.0, **overrides}
+        caching = fields.pop("opportunistic_caching", True)
+        config = ScenarioConfig(replications=reps, base_seed=9, mode=mode,
+                                lambda_per_m2=lambda_per_m2, **fields,
+                                sim=SimParams(max_time_ms=max_time_ms,
+                                              opportunistic_caching=caching))
+        blocks = collections.Counter()  # blocks drawn per (call, epoch)
+        calls = itertools.count()
+
+        def counted(xy, bounds, got, delivery, radio, sim, draw, *rest):
+            call = next(calls)
+
+            def recorded(e, out):
+                blocks[call, e] += 1
+                draw(e, out)
+            return recover(xy, bounds, got, delivery, radio, sim, recorded,
+                           *rest)
+
+        with mock.patch.object(experiments, "_recover", counted):
+            got = _replicated(study, scheme, config, key)
         expected = _oracle_metrics(study, scheme, config, key)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes(), (mode, lambda_per_m2,
@@ -356,6 +378,23 @@ def test_replicated_equals_independent_generators(study, scheme):
             # some drops are empty and some are not
             column = got if study == "ase" else got[:, 2]
             assert 0 < np.isnan(column).sum() < reps
+        if overrides and scheme == "clustering":
+            # some epoch outlasted its first block
+            assert max(blocks.values()) > 1
+
+
+def test_replicated_clustering_does_not_depend_on_chunk_size(monkeypatch):
+    """Each epoch draws its recovery blocks from its own generator, so
+    chunks of 7 give the clustering metrics of chunks of 64, bit for bit."""
+    config = ScenarioConfig(replications=40, base_seed=5, d0_m=1200.0,
+                            num_clusters=2)
+    assert experiments._CHUNK == 64
+    wide = {study: _replicated(study, "clustering", config, (0, 1))
+            for study in ("delay", "ase")}
+    monkeypatch.setattr(experiments, "_CHUNK", 7)
+    for study, metrics in wide.items():
+        assert _replicated(study, "clustering", config,
+                           (0, 1)).tobytes() == metrics.tobytes()
 
 
 def test_replicated_memory_does_not_grow_with_replications():

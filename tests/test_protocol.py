@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from scipy import stats
 from conftest import (
     all_links,
     all_links_rounds,
+    decode_chance,
     fixed_rounds,
     fixed_success,
     fixed_success_rounds,
@@ -32,17 +34,16 @@ from uavcast.channel import (
     round_model,
 )
 from uavcast.config import ScenarioConfig
-from uavcast.errors import IntegrityError, ParameterError
+from uavcast.errors import ParameterError
 from uavcast.geometry import Topology, build_topology
 from uavcast.protocol import (
     PACKET_ID,
     SCHEME_RUNNERS,
     EventKind,
-    MediumState,
     SchemeOutcome,
     SimParams,
+    _attempt,
     _bs_rounds,
-    _contend,
     _EpochLog,
     run_ack_benchmark,
     run_clustering_scheme,
@@ -76,6 +77,14 @@ def test_sim_params_validation():
             SimParams(**{name: bad})
 
 
+def _contentions(n, sim, trials):
+    """Lock-step state of `trials` single-phase cells, each a contention
+    among n contenders with fresh cw_min windows."""
+    return (np.ones((trials, n), dtype=bool), np.zeros((trials, n)),
+            np.full((trials, n), float(sim.cw_min)),
+            np.ones(trials, dtype=bool))
+
+
 @pytest.mark.parametrize("n", [2, 4, 10, 20])
 def test_first_contention_round_matches_unique_minimum(n):
     """n contenders draw uniform slots in {0..W-1}; the first frame goes
@@ -84,29 +93,54 @@ def test_first_contention_round_matches_unique_minimum(n):
     w, trials = SIM.cw_min, 10_000
     exact = sum(n / w * ((w - 1 - k) / w) ** (n - 1) for k in range(w))
     rng = np.random.default_rng(1000 + n)
-    clean = 0
-    for _ in range(trials):
-        log = _EpochLog(True)
-        _contend(list(range(n)), [w] * n, MediumState(), 0.0, SIM.t_req_ms,
-                 SIM, rng, log, EventKind.REQUEST_TX_END, 0, 0, {"tx": 0}, "tx")
-        first = next(e for e in log.events
-                     if e.kind is EventKind.REQUEST_TX_END)
-        clean += not first.collided
+    contend, residual, cw, fresh = _contentions(n, SIM, trials)
+    u = rng.random((2, trials, n))
+    _, _, n_sent = _attempt(contend, residual, cw, fresh, u[0], u[1], SIM)
+    clean = np.count_nonzero(n_sent == 1)
     se = math.sqrt(exact * (1.0 - exact) / trials)
     assert abs(clean / trials - exact) < 5.0 * se
 
 
+def test_attempt_doubles_colliders_and_freezes_the_rest():
+    """Scripted uniforms through two attempts of one cell.  A slot that
+    does not contend is ignored although its count is lowest.  Two
+    contenders collide at slot 3, double their windows (64 stays at
+    cw_max) and redraw from column 1; the third freezes at 8 - 3 = 5, then
+    sends alone and returns to cw_min."""
+    contend = np.array([[True, True, True, False]])
+    residual = np.zeros((1, 4))
+    cw = np.array([[16.0, 64.0, 32.0, 16.0]])
+    u_fresh = np.array([[3 / 16, 3 / 64, 8 / 32, 0.0]])
+    u_redraw = np.array([[0.5, 0.5, 0.9, 0.9]])
+    slot, sent, n_sent = _attempt(contend, residual, cw, np.array([True]),
+                                  u_fresh, u_redraw, SIM)
+    assert slot.tolist() == [3.0] and n_sent.tolist() == [2]
+    assert sent.tolist() == [[True, True, False, False]]
+    assert cw.tolist() == [[32.0, 64.0, 32.0, 16.0]]
+    assert residual[0, :3].tolist() == [16.0, 32.0, 5.0]
+    slot, sent, n_sent = _attempt(contend, residual, cw, np.array([False]),
+                                  u_fresh, u_redraw, SIM)
+    assert slot.tolist() == [5.0] and n_sent.tolist() == [1]
+    assert sent.tolist() == [[False, False, True, False]]
+    assert cw.tolist() == [[32.0, 64.0, 16.0, 16.0]]
+    assert residual[0, :2].tolist() == [11.0, 27.0]
+
+
 def _collided_frames_until_clean(n, sim, trials, rng):
-    """Collided frames `_contend` sends before its first clean frame, per
-    contention among n contenders with fresh cw_min windows."""
-    out = np.empty(trials)
-    for i in range(trials):
-        counters = {"tx": 0}
-        winner, _ = _contend(list(range(n)), [sim.cw_min] * n, MediumState(),
-                             0.0, sim.t_req_ms, sim, rng, _EpochLog(False),
-                             EventKind.REQUEST_TX_END, 0, 0, counters, "tx")
-        assert winner is not None
-        out[i] = counters["tx"] - 1
+    """Collided frames sent before the first clean frame of each of
+    `trials` contentions among n contenders with fresh cw_min windows,
+    run as one batch of single-phase cells through `_attempt`."""
+    contend, residual, cw, fresh = _contentions(n, sim, trials)
+    out = np.zeros(trials)
+    live = np.arange(trials)
+    while live.size:
+        u = rng.random((2, live.size, n))
+        _, _, n_sent = _attempt(contend[:live.size], residual, cw, fresh,
+                                u[0], u[1], sim)
+        collided = n_sent > 1
+        out[live[collided]] += n_sent[collided]
+        live, residual, cw = live[collided], residual[collided], cw[collided]
+        fresh = np.zeros(live.size, dtype=bool)
     return out
 
 
@@ -178,19 +212,11 @@ def test_three_contenders_collided_frames_match_enumeration():
     assert abs(frames.mean() - exact) < 5.0 * se
 
 
-def test_medium_serializes_transmissions():
-    medium = MediumState()
-    medium.occupy(0.0, 5.0)
-    medium.occupy(5.0, 8.0)  # back to back is fine
-    with pytest.raises(IntegrityError):
-        medium.occupy(7.0, 9.0)
-
-
 def test_clustering_lossless_epoch():
     out = run_clustering_scheme(ring_topology(8), RADIO, SIM,
                                 np.random.default_rng(0),
                                 broadcast_success=all_links(True),
-                                peer_success=all_links(True))
+                                peer_probability=decode_chance(1))
     assert np.all(out.delivery_time_ms == 10.0)
     assert np.all(out.via_broadcast)
     assert np.all(out.delivered)
@@ -210,11 +236,13 @@ def test_clustering_scripted_recovery():
                                 np.random.default_rng(1), collect_events=True,
                                 broadcast_success=reception_pattern(
                                     True, True, False, False),
-                                peer_success=all_links(True))
+                                peer_probability=decode_chance(1))
     requests = [e for e in out.events if e.kind is EventKind.REQUEST_TX_END]
     replies = [e for e in out.events if e.kind is EventKind.REPLY_TX_END]
     assert [(e.actor, e.collided) for e in requests] == [(2, False)]
-    assert [(e.actor, e.collided) for e in replies] == [(0, False)]
+    # one clean reply, from either holder
+    assert [e.collided for e in replies] == [False]
+    assert replies[0].actor in (0, 1)
     assert out.control_messages == 1
     assert out.uav_transmissions == 1
     assert np.array_equal(out.via_broadcast, [True, True, False, False])
@@ -228,7 +256,7 @@ def test_clustering_cluster_without_holders_gives_up():
     out = run_clustering_scheme(ring_topology(6), RADIO, SIM,
                                 np.random.default_rng(0),
                                 broadcast_success=all_links(False),
-                                peer_success=all_links(True))
+                                peer_probability=decode_chance(1))
     assert np.all(out.undelivered)
     assert np.all(np.isnan(out.delivery_time_ms))
     assert out.uav_transmissions == 0
@@ -239,7 +267,7 @@ def test_clustering_recovery_completes_with_perfect_relays():
     out = run_clustering_scheme(ring_topology(10), RADIO, SIM,
                                 np.random.default_rng(2),
                                 broadcast_success=fixed_success(0.5),
-                                peer_success=all_links(True))
+                                peer_probability=decode_chance(1))
     if out.via_broadcast.any() and not out.via_broadcast.all():
         assert np.all(out.delivered)
         assert np.all(out.delivery_time_ms[~out.via_broadcast] > 10.0)
@@ -251,11 +279,11 @@ def test_clustering_opportunistic_caching_saves_a_round():
     on = run_clustering_scheme(topo, RADIO, SimParams(opportunistic_caching=True),
                                np.random.default_rng(0),
                                broadcast_success=pattern,
-                               peer_success=all_links(True))
+                               peer_probability=decode_chance(1))
     off = run_clustering_scheme(topo, RADIO, SimParams(opportunistic_caching=False),
                                 np.random.default_rng(0),
                                 broadcast_success=pattern,
-                                peer_success=all_links(True))
+                                peer_probability=decode_chance(1))
     assert np.all(on.delivered) and np.all(off.delivered)
     assert on.uav_transmissions == 1
     assert off.uav_transmissions == 2
@@ -264,43 +292,41 @@ def test_clustering_opportunistic_caching_saves_a_round():
 
 
 def test_hooks_receive_mean_received_powers():
-    """The BS hook gets p_bs * gain at each member's BS distance; each peer
-    call gets p_uav * gain from every listener to the replier."""
+    """The BS hook gets p_bs * gain at each member's BS distance.  The peer
+    hook gets, for each clean reply, p_uav * gain from every member of the
+    replier's cluster to the replier, one row per reply answered in the
+    same lock-step iteration."""
     xy = np.array([[0.0, 3.0], [7.0, 0.0], [-12.0, 1.0], [2.0, -20.0],
                    [300.0, 5.0], [296.0, -9.0], [310.0, 14.0], [285.0, 2.0]])
     topo = Topology(xy=xy, cluster_of=np.repeat([0, 1], 4),
                     centers=np.array([[0.0, 0.0], [300.0, 0.0]]),
                     height=20.0, bs_xy=(1200.0, 0.0), bs_height=10.0)
-    bs_calls, peer_calls = [], []
+    bs_calls, peer_rows = [], []
 
     def bs_hook(power, rng):
         bs_calls.append(power.copy())
         return np.array([True, False, False, True, True, False, False, False])
 
-    def peer_hook(power, rng):
-        ok = rng.random(power.shape) < 0.5
-        peer_calls.append((power.copy(), ok))
-        return ok
+    def peer_hook(power):
+        assert power.ndim == 2 and power.shape[1] == 4
+        peer_rows.extend(tuple(row) for row in power.tolist())
+        return np.full(power.shape, 0.5)
 
     out = run_clustering_scheme(topo, RADIO, SIM, np.random.default_rng(3),
                                 collect_events=True, broadcast_success=bs_hook,
-                                peer_success=peer_hook)
+                                peer_probability=peer_hook)
     assert len(bs_calls) == 1
     assert bs_calls[0].tolist() == mean_received_power(
         LinkKind.BS_TO_UAV, topo.bs_distances(), RADIO).tolist()
-    missing = {0: [1, 2], 1: [5, 6, 7]}
-    repliers = [(e.cluster_id, e.actor) for cid in (0, 1) for e in out.events
-                if e.kind is EventKind.REPLY_TX_END and not e.collided
-                and e.cluster_id == cid]
-    assert len(repliers) == len(peer_calls) >= 2
-    for (cid, replier), (power, ok) in zip(repliers, peer_calls):
-        listeners = sorted(missing[cid])
-        d = np.hypot(*(xy[listeners] - xy[replier]).T)
-        assert power.tolist() == mean_received_power(
-            LinkKind.UAV_TO_UAV, d, RADIO).tolist()
-        missing[cid] = [u for u, hit in zip(listeners, ok) if not hit]
-    assert np.flatnonzero(out.undelivered).tolist() == sorted(
-        missing[0] + missing[1])
+    expected = []
+    for e in out.events:
+        if e.kind is EventKind.REPLY_TX_END and not e.collided:
+            members = xy[4 * e.cluster_id:4 * e.cluster_id + 4]
+            d = np.hypot(*(members - xy[e.actor]).T)
+            expected.append(tuple(mean_received_power(
+                LinkKind.UAV_TO_UAV, d, RADIO).tolist()))
+    assert len(expected) >= 2
+    assert sorted(peer_rows) == sorted(expected)
 
 
 def test_clustering_is_deterministic_per_seed():
@@ -389,6 +415,83 @@ def test_epoch_invariants_over_random_drops(scheme, seed, mode, d0,
     out = SCHEME_RUNNERS[scheme](topo, RADIO, sim, rng, collect_events=True)
     assert out.scheme == scheme
     _check_epoch_invariants(out, sim)
+
+
+def _frames_by_cluster(out, sim):
+    """The frames of a clustering epoch's event log, per cluster: (start,
+    end, kind, collided, actor), each member's backoff expiries paired in
+    time order with its frame ends."""
+    starts, ends = collections.defaultdict(list), collections.defaultdict(list)
+    for e in out.events:
+        if e.kind is EventKind.BACKOFF_EXPIRY:
+            starts[e.actor].append(e)
+        elif e.kind in (EventKind.REQUEST_TX_END, EventKind.REPLY_TX_END):
+            ends[e.actor].append(e)
+    assert set(starts) == set(ends)
+    frames = collections.defaultdict(list)
+    for actor, done in ends.items():
+        assert len(starts[actor]) == len(done)
+        for begin, end in zip(starts[actor], done):
+            assert begin.cluster_id == end.cluster_id == out.cluster_ids[actor]
+            airtime = (sim.t_req_ms if end.kind is EventKind.REQUEST_TX_END
+                       else sim.packet_len_ms)
+            assert end.time_ms - begin.time_ms == pytest.approx(airtime)
+            frames[end.cluster_id].append(
+                (begin.time_ms, end.time_ms, end.kind, end.collided, actor))
+    return frames
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       mode=st.sampled_from(["fixed_total", "density"]),
+       d0=st.floats(400.0, 1500.0), num_clusters=st.integers(1, 10),
+       max_time_ms=st.sampled_from([5.0, 40.0, 10_000.0]),
+       caching=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_clustering_channel_invariants_over_random_drops(
+        seed, mode, d0, num_clusters, max_time_ms, caching):
+    """Each cluster's channel serializes its frames: two frames overlap
+    only when they collide, and then start and end together.  Each clean
+    reply answers a clean request of its cluster, with no other clean
+    reply between them.  Frame counts equal `control_messages` and
+    `uav_transmissions`, and every member recovered after the broadcast
+    was delivered at the end of a clean reply in its cluster."""
+    config = ScenarioConfig(mode=mode, d0_m=d0, num_clusters=num_clusters,
+                            sim=SimParams(max_time_ms=max_time_ms,
+                                          opportunistic_caching=caching))
+    sim = config.sim
+    rng = np.random.default_rng(seed)
+    topo = build_topology(config, rng)
+    out = run_clustering_scheme(topo, RADIO, sim, rng, collect_events=True)
+    frames = _frames_by_cluster(out, sim)
+    counts = collections.Counter(kind for fs in frames.values()
+                                 for _, _, kind, _, _ in fs)
+    assert counts[EventKind.REQUEST_TX_END] == out.control_messages
+    assert counts[EventKind.REPLY_TX_END] == out.uav_transmissions
+    reply_ends = collections.defaultdict(set)
+    for cid, fs in frames.items():
+        busy_until, open_request = -math.inf, False
+        for (start, end), group in itertools.groupby(sorted(fs),
+                                                     key=lambda f: f[:2]):
+            group = list(group)
+            assert start >= busy_until, f"cluster {cid} overlaps at {start}"
+            busy_until = end
+            kinds = {kind for _, _, kind, _, _ in group}
+            assert len(kinds) == 1
+            assert {collided for _, _, _, collided, _ in group} == {
+                len(group) > 1}
+            if len(group) > 1:
+                continue
+            if kinds == {EventKind.REQUEST_TX_END}:
+                assert not open_request, f"cluster {cid}: unanswered request"
+                open_request = True
+            else:
+                assert open_request, f"cluster {cid}: reply with no request"
+                open_request = False
+                reply_ends[cid].add(end)
+    recovered = np.flatnonzero(out.delivered & ~out.via_broadcast)
+    for u in recovered.tolist():
+        assert out.delivery_time_ms[u] in reply_ends[out.cluster_ids[u]]
+    assert np.all(out.delivery_time_ms[out.via_broadcast] == sim.packet_len_ms)
 
 
 def _two_mask_bs_rounds(scheme, coded, g, topology, radio, sim, rng,
@@ -746,7 +849,7 @@ def test_event_log_round_trips_to_csv(tmp_path):
                                 np.random.default_rng(1), collect_events=True,
                                 broadcast_success=reception_pattern(
                                     True, True, False, False),
-                                peer_success=all_links(True))
+                                peer_probability=decode_chance(1))
     path = tmp_path / "events.csv"
     write_event_log(path, out.events)
     lines = path.read_text().strip().splitlines()
