@@ -331,9 +331,9 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
             power = mean_received_power(LinkKind.UAV_TO_UAV,
                                         np.hypot(d[..., 0], d[..., 1]), radio)
             heard = listens & (u[answered, :, 1] < peer_probability(power))
-            row, s = np.nonzero(heard)
-            row = answered[row]
-            delivery[epoch[row], member[row, s]] = t[row]
+            cells, s = np.nonzero(heard)
+            cells = answered[cells]
+            delivery[epoch[cells], member[cells, s]] = t[cells]
             lost[answered] &= ~heard
             held[answered] |= heard
         reply ^= clean

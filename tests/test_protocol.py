@@ -240,9 +240,8 @@ def test_clustering_scripted_recovery():
     requests = [e for e in out.events if e.kind is EventKind.REQUEST_TX_END]
     replies = [e for e in out.events if e.kind is EventKind.REPLY_TX_END]
     assert [(e.actor, e.collided) for e in requests] == [(2, False)]
-    # one clean reply, from either holder
-    assert [e.collided for e in replies] == [False]
-    assert replies[0].actor in (0, 1)
+    # one clean reply; with this seed holder 1 wins the reply contention
+    assert [(e.actor, e.collided) for e in replies] == [(1, False)]
     assert out.control_messages == 1
     assert out.uav_transmissions == 1
     assert np.array_equal(out.via_broadcast, [True, True, False, False])
@@ -295,12 +294,15 @@ def test_hooks_receive_mean_received_powers():
     """The BS hook gets p_bs * gain at each member's BS distance.  The peer
     hook gets, for each clean reply, p_uav * gain from every member of the
     replier's cluster to the replier, one row per reply answered in the
-    same lock-step iteration."""
+    same lock-step iteration, and the chance it returns decides each
+    listener: a member is delivered at the first clean reply of its
+    cluster that gives it chance 1, and stays undelivered if none does."""
     xy = np.array([[0.0, 3.0], [7.0, 0.0], [-12.0, 1.0], [2.0, -20.0],
                    [300.0, 5.0], [296.0, -9.0], [310.0, 14.0], [285.0, 2.0]])
     topo = Topology(xy=xy, cluster_of=np.repeat([0, 1], 4),
                     centers=np.array([[0.0, 0.0], [300.0, 0.0]]),
                     height=20.0, bs_xy=(1200.0, 0.0), bs_height=10.0)
+    cutoff = mean_received_power(LinkKind.UAV_TO_UAV, 14.0, RADIO)
     bs_calls, peer_rows = [], []
 
     def bs_hook(power, rng):
@@ -310,23 +312,35 @@ def test_hooks_receive_mean_received_powers():
     def peer_hook(power):
         assert power.ndim == 2 and power.shape[1] == 4
         peer_rows.extend(tuple(row) for row in power.tolist())
-        return np.full(power.shape, 0.5)
+        return np.where(power > cutoff, 1.0, 0.0)
 
-    out = run_clustering_scheme(topo, RADIO, SIM, np.random.default_rng(3),
+    sim = SimParams(max_time_ms=400.0)
+    out = run_clustering_scheme(topo, RADIO, sim, np.random.default_rng(3),
                                 collect_events=True, broadcast_success=bs_hook,
                                 peer_probability=peer_hook)
     assert len(bs_calls) == 1
     assert bs_calls[0].tolist() == mean_received_power(
         LinkKind.BS_TO_UAV, topo.bs_distances(), RADIO).tolist()
     expected = []
+    missing = {0: {1, 2}, 1: {5, 6, 7}}
+    delivery = np.full(8, np.nan)
+    delivery[[0, 3, 4]] = sim.packet_len_ms
     for e in out.events:
         if e.kind is EventKind.REPLY_TX_END and not e.collided:
-            members = xy[4 * e.cluster_id:4 * e.cluster_id + 4]
-            d = np.hypot(*(members - xy[e.actor]).T)
-            expected.append(tuple(mean_received_power(
-                LinkKind.UAV_TO_UAV, d, RADIO).tolist()))
+            members = range(4 * e.cluster_id, 4 * e.cluster_id + 4)
+            d = np.hypot(*(xy[list(members)] - xy[e.actor]).T)
+            power = mean_received_power(LinkKind.UAV_TO_UAV, d, RADIO)
+            expected.append(tuple(power.tolist()))
+            for m, p in zip(members, power):
+                if m in missing[e.cluster_id] and p > cutoff:
+                    missing[e.cluster_id].discard(m)
+                    delivery[m] = e.time_ms
     assert len(expected) >= 2
     assert sorted(peer_rows) == sorted(expected)
+    never = sorted(missing[0] | missing[1])
+    assert 0 < len(never) < 5
+    assert np.flatnonzero(out.undelivered).tolist() == never
+    assert np.array_equal(out.delivery_time_ms, delivery, equal_nan=True)
 
 
 def test_clustering_is_deterministic_per_seed():
