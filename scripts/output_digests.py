@@ -20,9 +20,12 @@ those instead.
 The commands:
 
 - `study --study delay|ase --replications 200` (default grids),
-  `study --study delay|ase --mode density --replications 200`, and
+  `study --study delay|ase --mode density --replications 200`,
   `study --study delay --max-time-ms 40 --opportunistic-caching false
-  --replications 200` (named `delay_budget40_nocache`);
+  --replications 200` (named `delay_budget40_nocache`), and
+  `study --study delay --d0-values 28000,30000 --replications 50` (named
+  `delay_28km_30km`): members the BS never serves, since the per-round
+  success probability is 0 or subnormal that far out;
 - `study --study validation-coverage|validation-success --replications
   100000` and `study --study design-insight` (default grids): the
   validation draws and the `p_cov`/`p_suc` quadratures;
@@ -66,6 +69,8 @@ def commands(out: Path) -> list[list[str]]:
         ["study", "--study", "delay", "--max-time-ms", "40",
          "--opportunistic-caching", "false", "--replications", "200",
          "--out-dir", str(out / "delay_budget40_nocache")],
+        ["study", "--study", "delay", "--d0-values", "28000,30000",
+         "--replications", "50", "--out-dir", str(out / "delay_28km_30km")],
         ["study", "--study", "validation-coverage", "--replications", "100000",
          "--out-dir", str(out / "validation_coverage")],
         ["study", "--study", "validation-success", "--replications", "100000",

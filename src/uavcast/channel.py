@@ -10,8 +10,10 @@ probability exp(-theta * N / P); the simulations draw with the first two,
 the quadratures integrate the third.
 Fading is independent from one transmission to the next, so the round in
 which a listener completes g receptions of repeated transmissions is a
-negative-binomial count: `round_model` draws it per listener, round 1
-with `link_model` and the rounds after it from `completion_rounds`.
+negative-binomial count.  `completion_rounds` computes it for rows of
+listeners from their round-1 outcomes and a block of standard
+exponentials, and `round_model` draws it for one row: round 1 with
+`link_model`, then the exponentials of the listeners short of g.
 
 Units are fixed across the package: distances in meters, powers in mW,
 bandwidth in Hz, noise spectral density in mW/Hz, times in ms.
@@ -185,31 +187,43 @@ def link_model(radio: RadioParams):
     return model
 
 
-def completion_rounds(first, q, g: int, rng: np.random.Generator) -> np.ndarray:
-    """The round in which each listener completes `g` receptions of a
-    transmission repeated once per round, given its round-1 outcome `first`
-    (bool array) and its per-round success probability `q`.
+def _short(first, g: int):
+    """Listeners short of `g` receptions after round 1: all of them when
+    g > 1, else those whose round 1 (`first`) failed."""
+    return ~first | (g > 1)
 
-    A float array: a whole round >= 1, or inf for a listener short of `g`
-    that never completes (q = 0, or q so small that the count overflows).
-    After round 1 a listener needs g - first more
-    successes; each costs a geometric number of rounds, drawn by inversion
-    as 1 + floor(E / lam) with E ~ Exp(1) and lam = -log(1 - q) (lam = 0
-    never succeeds, lam = inf succeeds every round).  One exponential
-    block of (listeners short of g) x g draws covers the whole call.
+
+def completion_rounds(first, q, g: int, fading) -> np.ndarray:
+    """The round in which each listener completes `g` receptions of a
+    transmission repeated once per round, for rows of listeners (one row
+    per epoch), given each one's round-1 outcome `first` (bool, (m, n)),
+    its per-round success probability `q` (m, n) and standard exponentials
+    `fading` (m, k, g).
+
+    A float (m, n) array: a whole round >= 1, or inf for a listener short
+    of `g` that never completes (q = 0, or q so small that the count
+    overflows).  After round 1 a listener needs g - first more successes;
+    each costs a geometric number of rounds, drawn by inversion as
+    1 + floor(E / lam) with E ~ Exp(1) and lam = -log(1 - q) (lam = 0
+    never succeeds, lam = inf succeeds every round).  The j-th listener of
+    a row that is short of g (in row order) reads its g values of E from
+    `fading[row, j]`, so k must be at least the largest count of short
+    listeners in a row; the rest of `fading` is not read.
     """
     rounds = np.where(first, float(g), g + 1.0)  # 1 + successes still needed
-    short = np.flatnonzero(rounds > 1.0)
-    if short.size:
+    short = _short(first, g)
+    if short.any():
+        # Each listener's rank among its row's short listeners; the others
+        # read some short listener's values, and discard them.
+        rank = np.maximum(np.cumsum(short, axis=1) - 1, 0)
+        draws = np.take_along_axis(fading, rank[..., None], axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lam = -np.log1p(-q[short])
-            gaps = np.floor(rng.exponential(1.0, (short.size, g))
-                            / lam[:, None])
+            lam = -np.log1p(-q)
+            gaps = np.floor(draws / lam[..., None])
         if g > 1:
-            gaps[first[short], -1] = 0.0  # served in round 1: g - 1 to go
-        rounds[short] += gaps.sum(axis=1)
-        if not lam.all():
-            rounds[short[lam == 0.0]] = np.inf
+            gaps[first, -1] = 0.0  # served in round 1: g - 1 to go
+        rounds += np.where(short, gaps.sum(axis=2), 0.0)
+        rounds[short & (lam == 0.0)] = np.inf
     return rounds
 
 
@@ -220,12 +234,17 @@ def round_model(radio: RadioParams, link=None):
     `power` holds each listener's mean received power p_tx * gain (mW).
     Round 1 is one draw of the reception hook `link` (by default
     `link_model(radio)`) over all listeners; the later rounds succeed with
-    `decode_probability(power, radio)`.
+    `decode_probability(power, radio)`, read from one exponential block of
+    (listeners short of g) x g draws: `completion_rounds` on a batch of one
+    row.
     """
     if link is None:
         link = link_model(radio)
 
     def model(power: np.ndarray, g: int, rng: np.random.Generator) -> np.ndarray:
-        return completion_rounds(link(power, rng),
-                                 decode_probability(power, radio), g, rng)
+        first = link(power, rng)
+        fading = rng.exponential(
+            1.0, (1, np.count_nonzero(_short(first, g)), g))
+        q = decode_probability(power, radio)
+        return completion_rounds(first[None], q[None], g, fading)[0]
     return model

@@ -19,11 +19,12 @@ The delay and ase studies run a scenario's replications in chunks
 (`_replicated`).  Each replication draws its own blocks from its own
 generator; the geometry, powers and round-1 decisions computed from them
 run over whole arrays of drops.  Only epochs that go on past round 1
-continue: clustering recovers all of a chunk's epochs of one drop shape
-in lock-step (`protocol._recover`), and the BS schemes lay out one
-replication's later rounds at a time (`protocol._bs_delivery`).  Every
-replication's numbers equal those of `build_topology` plus
-`SCHEME_RUNNERS` on its generator, bit for bit.
+continue, all of a chunk's epochs of one drop shape at once: clustering
+recovers them in lock-step (`protocol._recover`), and the BS schemes,
+whose later rounds were drawn with round 1, get their completion rounds
+and timelines as whole-array steps (`channel.completion_rounds`,
+`protocol._bs_delivery`).  Every replication's numbers equal those of
+`build_topology` plus `SCHEME_RUNNERS` on its generator, bit for bit.
 """
 
 from __future__ import annotations
@@ -388,9 +389,11 @@ def run_design_insight_study(config: ScenarioConfig,
 @dataclass
 class _Drops:
     """The drops of one shape in a chunk: their rows in the chunk, uniform
-    blocks and round-1 fading (one row each, the first `len(rows)` used),
-    and the generator state after round 1 of each, kept only when the
-    epoch can continue past it."""
+    blocks and fading (one row each, the first `len(rows)` used), and, for
+    clustering, the generator state after round 1 of each, kept only when
+    the epoch can recover past it.  A fading row holds the n round-1
+    exponentials, followed, in the delay study's BS schemes, by g per
+    member for the later rounds."""
 
     plan: _DropPlan
     rows: list[int]
@@ -411,16 +414,24 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
     `_CHUNK`, each in three phases:
 
     1. draw, per replication: the drop's Poisson count (density mode) and
-       uniform block, then its round-1 fading unless the drop is empty or
-       one packet exceeds the time budget, as `build_topology` and the
-       scheme's runner draw them;
+       uniform block, then, unless the drop is empty or one packet exceeds
+       the time budget, one row of standard exponentials in one call: the
+       n round-1 fadings, and in the delay study's BS schemes g more per
+       member (g receptions needed, `protocol._bs_generation`).  numpy
+       fills the row in sequence, so round 1 reads the values
+       `build_topology` and the runner's round hook draw first, and the
+       later rounds those `channel.round_model` draws next: RNC's whole
+       (n, g) block, and, for the benchmark, a prefix of the next n, one
+       per missed member in member order.  The benchmark's unread rest is
+       harmless, since nothing is drawn from that generator afterwards.
+       Clustering keeps the generator state after round 1 instead;
     2. compute, over all drops of one shape at once (`_round_one`):
        geometry, BS distances, mean powers and round-1 decisions;
-    3. continue only where a member is short of its receptions after
-       round 1 (`_continue`), each replication drawing from its generator
-       state saved after round 1: clustering recovery for all such drops
-       of one shape at once, the BS schemes' later rounds one drop at a
-       time.
+    3. continue the non-empty drops of one shape at once (`_continue`):
+       clustering recovery where a member is short of the packet after
+       round 1, each replication drawing from its saved generator state;
+       the BS schemes' completion rounds and timelines from the rows of
+       phase 1, with no further draw.
 
     So every replication's outcome is the one `SCHEME_RUNNERS` gives it on
     a drop from `build_topology`, bit for bit.  The ase study's benchmark
@@ -435,6 +446,9 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
     sim = config.sim
     fits = sim.packet_len_ms <= sim.max_time_ms
     continues = fits and not (study == "ase" and scheme == "benchmark")
+    recovers = continues and scheme == "clustering"
+    # Exponentials per member after round 1's: g for a BS epoch that goes on.
+    later = _bs_generation(scheme, sim)[1] if continues and not recovers else 0
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
     out = []
@@ -447,11 +461,11 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
             if drops is None:
                 drops = groups[plan.bounds] = _Drops(
                     plan, [], np.empty((len(chunk), plan.read.size)),
-                    np.empty((len(chunk), plan.n_uavs)), [])
+                    np.empty((len(chunk), plan.n_uavs * (1 + later))), [])
             rng.random(out=drops.uniforms[len(drops.rows)])
             if fits and plan.n_uavs:
                 rng.standard_exponential(out=drops.fading[len(drops.rows)])
-                if continues:
+                if recovers:
                     drops.states.append(bit_generator.state)
             drops.rows.append(row)
         metrics = np.empty((len(chunk), 3) if study == "delay" else len(chunk))
@@ -468,12 +482,13 @@ def _round_one(config: ScenarioConfig, drops: _Drops):
     """Phase 2 of `_replicated` for the drops of one shape, shape (m, n)
     each: member points (with a trailing axis of 2), BS mean powers and
     round-1 decisions (none served when one packet exceeds the budget)."""
-    m, radio, sim = len(drops.rows), config.radio, config.sim
+    m, n = len(drops.rows), drops.plan.n_uavs
+    radio, sim = config.radio, config.sim
     _, xy = _drop_points(drops.plan, drops.uniforms[:m])
     power = mean_received_power(LinkKind.BS_TO_UAV,
                                 _bs_distances(xy, *_bs_site(config)), radio)
     if sim.packet_len_ms <= sim.max_time_ms:
-        got = decodes(power, drops.fading[:m], radio)
+        got = decodes(power, drops.fading[:m, :n], radio)
     else:
         got = np.zeros(power.shape, dtype=bool)
     return xy, power, got
@@ -484,21 +499,23 @@ def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
     """Phase 3 of `_replicated`: the delivery times (NaN for undelivered)
     and `via_broadcast` marks of the drops of one shape, shape (m, n) each.
 
-    Round 1 serves the members `got` marks at packet_len_ms.  A drop whose
-    state was kept and that has a member short of its receptions
-    continues from that state.  Clustering recovers all such drops at
-    once (`protocol._recover`), each drawing its blocks of uniforms from
-    its own generator, whose state is saved after every block.  The BS
-    schemes draw the later completion rounds of one drop at a time, as
-    `round_model` does, and lay out their timeline.
+    Round 1 serves the members `got` marks at packet_len_ms.  Drops go on
+    past it as phase 1 provided for, all at once.  With saved states,
+    clustering recovers every drop with a member short of the packet
+    (`protocol._recover`), each drawing its blocks of uniforms from its
+    own generator, restored from and saved to `drops.states` around every
+    block.  With fading rows longer than n, the BS schemes read the later
+    rounds' exponentials from the rest of each row as an (n, g) block, and
+    lay out every drop's timeline: `channel.completion_rounds` and
+    `protocol._bs_delivery` over the (m, n) arrays.
     """
     radio, sim = config.radio, config.sim
+    m, n = got.shape
     delivery = np.where(got, sim.packet_len_ms, np.nan)
-    via_broadcast = got.copy()
-    if not drops.states:
-        return delivery, via_broadcast
-    bit_generator = rng.bit_generator
-    if scheme == "clustering":
+    via_broadcast = got
+    if drops.states:
+        bit_generator = rng.bit_generator
+
         def draw(i, out):
             bit_generator.state = drops.states[i]
             rng.random(out=out)
@@ -506,15 +523,11 @@ def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
 
         _recover(xy, drops.plan.bounds, got, delivery, radio, sim, draw,
                  _EpochLog(False))
-    else:
+    elif drops.fading.shape[1] > n:
         coded, g = _bs_generation(scheme, sim)
-        # With g > 1 every member is short of g after round 1.
-        missed = np.flatnonzero(~got.all(axis=1))
-        for i in missed if g == 1 else range(len(drops.rows)):
-            bit_generator.state = drops.states[i]
-            rounds = completion_rounds(
-                got[i], decode_probability(power[i], radio), g, rng)
-            _, delivery[i], via_broadcast[i] = _bs_delivery(rounds, coded, sim)
+        rounds = completion_rounds(got, decode_probability(power, radio), g,
+                                   drops.fading[:m, n:].reshape(m, n, g))
+        _, delivery, via_broadcast = _bs_delivery(rounds, coded, sim)
     return delivery, via_broadcast
 
 

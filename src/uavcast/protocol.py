@@ -35,7 +35,8 @@ epoch is the batch of one.  The two BS schemes simulate no rounds: fading
 is independent from round to round, so each member's completion round is
 drawn at once (`channel.round_model`), and the round times, the time
 budget, the counters and the event log follow from those counts
-(`_bs_delivery`, `_bs_rounds`).
+(`_bs_rounds`).  `_bs_delivery` lays out the round times of rows of
+epochs at once; an epoch is the batch of one.
 """
 
 from __future__ import annotations
@@ -359,16 +360,17 @@ def _bs_generation(scheme: str, sim: SimParams) -> tuple[bool, int]:
 
 
 def _bs_delivery(rounds: np.ndarray, coded: bool, sim: SimParams):
-    """The BS timeline of members completing in `rounds` (float array, inf
-    for never): (rounds capped at the budget, delivery time or NaN,
-    via_broadcast).
+    """The BS timelines of rows of members (one row per epoch) completing
+    in `rounds` (float (m, n) array, inf for never): (rounds capped at the
+    budget, delivery time or NaN, via_broadcast), each (m, n).
 
-    Round k ends at k * packet_len_ms, plus t_ack_ms for each member served
-    in an earlier round when uncoded, and a round runs only if its end fits
-    in max_time_ms.  So a member is delivered when its completion round
-    ends within the budget.  Times are computed from these products, not
-    accumulated round by round.  `via_broadcast` marks members served in
-    round 1 when uncoded, every delivered member when coded.
+    Round k ends at k * packet_len_ms, plus t_ack_ms for each member of
+    the row served in an earlier round when uncoded, and a round runs only
+    if its end fits in max_time_ms.  So a member is delivered when its
+    completion round ends within the budget.  Times are computed from
+    these products, not accumulated round by round.  `via_broadcast` marks
+    members served in round 1 when uncoded, every delivered member when
+    coded.
     """
     length, budget = sim.packet_len_ms, sim.max_time_ms
     # A round past budget / length never runs; the cap keeps the end times
@@ -377,8 +379,18 @@ def _bs_delivery(rounds: np.ndarray, coded: bool, sim: SimParams):
     if coded:
         end = rounds * length
     else:
-        # Members served before round k ACK ahead of its broadcast.
-        before = np.searchsorted(np.sort(rounds), rounds)
+        # Members served before round k ACK ahead of its broadcast: a
+        # member's count of strictly earlier rounds in its row is the
+        # sorted position where its run of equal rounds starts.
+        order = np.argsort(rounds, axis=1)
+        ranked = np.take_along_axis(rounds, order, axis=1)
+        position = np.arange(rounds.shape[1])
+        starts = np.ones(ranked.shape, dtype=bool)
+        starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        first_of_run = np.maximum.accumulate(
+            np.where(starts, position, 0), axis=1)
+        before = np.empty(rounds.shape, dtype=np.intp)
+        np.put_along_axis(before, order, first_of_run, axis=1)
         end = rounds * length + sim.t_ack_ms * before
     delivered = end <= budget
     via_broadcast = delivered if coded else delivered & (rounds == 1.0)
@@ -412,7 +424,8 @@ def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
         rounds = broadcast_rounds(p_bs, g, rng)
     else:
         rounds = np.full(n, np.inf)
-    rounds, delivery, via_broadcast = _bs_delivery(rounds, coded, sim)
+    rounds, delivery, via_broadcast = (
+        x[0] for x in _bs_delivery(rounds[None], coded, sim))
     delivered = ~np.isnan(delivery)
     served = int(np.count_nonzero(delivered))
     if served == n:

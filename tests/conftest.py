@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from uavcast.channel import completion_rounds
+from uavcast.channel import _short, completion_rounds
 from uavcast.geometry import Topology
 
 
@@ -55,8 +55,10 @@ def fixed_success_rounds(p):
     first = fixed_success(p)
 
     def hook(power, g, rng):
-        return completion_rounds(first(power, rng), np.full(power.shape, p),
-                                 g, rng)
+        got = first(power, rng)
+        fading = rng.exponential(1.0, (1, np.count_nonzero(_short(got, g)), g))
+        return completion_rounds(got[None], np.full((1, got.size), p), g,
+                                 fading)[0]
     return hook
 
 

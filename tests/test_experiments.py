@@ -323,7 +323,11 @@ def _oracle_metrics(study, scheme, config, key):
 # (mode, lambda_per_m2, max_time_ms, replications, overrides): one chunk,
 # a full chunk and one past it; density drops of several shapes per chunk,
 # and at lambda 1e-6 mostly empty; a budget below one packet; one cluster
-# far out without caching, whose recoveries outlast one block of uniforms.
+# far out without caching, whose recoveries outlast one block of uniforms;
+# members that never complete a BS round: the default radio's per-round
+# success q = exp(-theta N / P) is exactly 0 (lam = 0) at 30 km and a
+# subnormal 8.9e-322 at 28 km, so across a 28 km drop it is 0 for some
+# members and subnormal for others.
 _BATCH_CASES = [
     ("fixed_total", 1e-4, 10_000.0, 65, {}),
     ("fixed_total", 1e-4, 40.0, 1, {}),
@@ -333,6 +337,8 @@ _BATCH_CASES = [
     ("density", 1e-4, 5.0, 65, {}),
     ("fixed_total", 1e-4, 10_000.0, 20,
      {"num_clusters": 1, "d0_m": 1500.0, "opportunistic_caching": False}),
+    ("fixed_total", 1e-4, 10_000.0, 20, {"d0_m": 30_000.0}),
+    ("fixed_total", 1e-4, 10_000.0, 20, {"d0_m": 28_000.0}),
 ]
 
 
@@ -345,8 +351,9 @@ def test_replicated_equals_independent_generators(study, scheme):
     """The chunked batch gives every replication, bit for bit, what an
     independent `_rng` generator gives it through `build_topology` and the
     scheme's runner, in both topology modes, with empty drops, with a
-    packet over the time budget, across chunk boundaries and, for
-    clustering, with epochs that draw a second block of uniforms."""
+    packet over the time budget, across chunk boundaries, with members
+    that never complete and, for clustering, with epochs that draw a second
+    block of uniforms."""
     key = (1, 2)
     recover = experiments._recover
     for mode, lambda_per_m2, max_time_ms, reps, overrides in _BATCH_CASES:
@@ -378,39 +385,63 @@ def test_replicated_equals_independent_generators(study, scheme):
             # some drops are empty and some are not
             column = got if study == "ase" else got[:, 2]
             assert 0 < np.isnan(column).sum() < reps
-        if overrides and scheme == "clustering":
+        if overrides.get("num_clusters") == 1 and scheme == "clustering":
             # some epoch outlasted its first block
             assert max(blocks.values()) > 1
+        if overrides.get("d0_m", 0.0) > 20_000.0 and study == "delay":
+            # some member ends undelivered
+            assert np.any(got[:, 1] < 1.0)
 
 
-def test_replicated_clustering_does_not_depend_on_chunk_size(monkeypatch):
-    """Each epoch draws its recovery blocks from its own generator, so
-    chunks of 7 give the clustering metrics of chunks of 64, bit for bit."""
+def test_replicated_does_not_depend_on_chunk_size(monkeypatch):
+    """Each epoch draws its recovery blocks from its own generator, and
+    the BS schemes lay out each row of a batch on its own, so chunks of 7
+    give the metrics of chunks of 64, bit for bit."""
     config = ScenarioConfig(replications=40, base_seed=5, d0_m=1200.0,
                             num_clusters=2)
     assert experiments._CHUNK == 64
-    wide = {study: _replicated(study, "clustering", config, (0, 1))
-            for study in ("delay", "ase")}
+    wide = {pair: _replicated(*pair, config, (0, 1))
+            for pair in (("delay", "clustering"), ("ase", "clustering"),
+                         ("delay", "benchmark"), ("delay", "rnc"))}
     monkeypatch.setattr(experiments, "_CHUNK", 7)
-    for study, metrics in wide.items():
-        assert _replicated(study, "clustering", config,
-                           (0, 1)).tobytes() == metrics.tobytes()
+    for pair, metrics in wide.items():
+        assert _replicated(*pair, config, (0, 1)).tobytes() == \
+            metrics.tobytes(), pair
+
+
+def _traced_peak(study, scheme, config):
+    """Peak traced allocation of one `_replicated` call, after a first
+    call has warmed the caches."""
+    _replicated(study, scheme, config, (0, 0))
+    tracemalloc.start()
+    try:
+        _replicated(study, scheme, config, (0, 0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_replicated_memory_does_not_grow_with_replications():
     """Chunking bounds the allocations of a `_replicated` call: its
     traced peak at 640 replications stays within 1.5x of the peak at 64."""
     def peak(reps):
-        config = ScenarioConfig(replications=reps, d0_m=400.0)
-        _replicated("ase", "clustering", config, (0, 0))  # warm caches
-        tracemalloc.start()
-        try:
-            _replicated("ase", "clustering", config, (0, 0))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak("ase", "clustering",
+                            ScenarioConfig(replications=reps, d0_m=400.0))
 
     assert peak(640) <= 1.5 * peak(64)
+
+
+@pytest.mark.parametrize("scheme", ["benchmark", "rnc"])
+def test_replicated_bs_memory_is_linear_in_members(scheme):
+    """The BS schemes rank members within each row by a running count
+    (short listeners) and a sort (ACK order), so a delay-study call at
+    4000 members peaks within 2.5x of its peak at 2000; a pairwise
+    (epochs x members x members) comparison would quadruple it."""
+    def peak(total_uavs):
+        return _traced_peak("delay", scheme, ScenarioConfig(
+            replications=2, total_uavs=total_uavs, d0_m=1200.0))
+
+    assert peak(4000) <= 2.5 * peak(2000)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),

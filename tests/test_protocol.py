@@ -28,6 +28,7 @@ from uavcast.analysis import (
 from uavcast.channel import (
     LinkKind,
     RadioParams,
+    completion_rounds,
     decode_probability,
     link_model,
     mean_received_power,
@@ -43,6 +44,7 @@ from uavcast.protocol import (
     SchemeOutcome,
     SimParams,
     _attempt,
+    _bs_delivery,
     _bs_rounds,
     _EpochLog,
     run_ack_benchmark,
@@ -783,6 +785,64 @@ def test_benchmark_rounds_serialize_acks():
         (21.0, EventKind.BS_BROADCAST_END, -1), (22.0, EventKind.ACK_RX_END, 1),
         (32.0, EventKind.BS_BROADCAST_END, -1), (33.0, EventKind.ACK_RX_END, 2)]
     assert {e.packet_id for e in out.events} == {0}
+
+
+@pytest.mark.parametrize("coded", [False, True])
+def test_bs_delivery_rows_are_independent_timelines(coded):
+    """Rows of `_bs_delivery` are separate epochs: each row equals its
+    batch of one and the hand-worked timeline, with ties inside a row,
+    rounds shared across rows, inf and huge rounds capped at
+    45 / 10 + 2 = 6.5, and a 45 ms budget that cuts rounds 5 and later.
+
+    Uncoded, a member's round k ends at 10 k plus 1 ms per member of its
+    own row served earlier: row 0 [1, 2, 2, 1] ends at 10, 22, 22, 10;
+    row 1 [2, 1, 3, inf] at 21, 10, 32 and 68 (cut); row 2 [4, 4, 1, 1e300]
+    at 41, 41, 10 and 68 (cut); row 3 [5, 2, 2, 2] at 53 (cut), 20, 20,
+    20.  Coded, round k ends at 10 k."""
+    sim = SimParams(max_time_ms=45.0)
+    rounds = np.array([[1.0, 2.0, 2.0, 1.0],
+                       [2.0, 1.0, 3.0, np.inf],
+                       [4.0, 4.0, 1.0, 1e300],
+                       [5.0, 2.0, 2.0, 2.0]])
+    nan = np.nan
+    if coded:
+        delivery = [[10.0, 20.0, 20.0, 10.0], [20.0, 10.0, 30.0, nan],
+                    [40.0, 40.0, 10.0, nan], [nan, 20.0, 20.0, 20.0]]
+    else:
+        delivery = [[10.0, 22.0, 22.0, 10.0], [21.0, 10.0, 32.0, nan],
+                    [41.0, 41.0, 10.0, nan], [nan, 20.0, 20.0, 20.0]]
+    delivered = ~np.isnan(delivery)
+    capped, times, via_broadcast = _bs_delivery(rounds, coded, sim)
+    assert capped.tolist() == [[1.0, 2.0, 2.0, 1.0], [2.0, 1.0, 3.0, 6.5],
+                               [4.0, 4.0, 1.0, 6.5], [5.0, 2.0, 2.0, 2.0]]
+    assert times.tobytes() == np.array(delivery).tobytes()
+    assert via_broadcast.tolist() == (
+        delivered if coded else delivered & (rounds == 1.0)).tolist()
+    for i in range(len(rounds)):
+        row = _bs_delivery(rounds[i:i + 1], coded, sim)
+        for got, batch in zip(row, (capped, times, via_broadcast)):
+            assert got.tobytes() == batch[i:i + 1].tobytes()
+
+
+def test_completion_rounds_rows_read_their_own_draws():
+    """A row's short listeners read their row's exponentials in order, so
+    each row of a batch equals its batch of one.  With g = 1 only listeners
+    missed in round 1 are short: row 0's listeners 1 and 3 read 0.5 and
+    2.5 at lam = log 2, taking 1 + floor(0.72) = 1 and 1 + floor(3.61) = 4
+    more rounds; row 1's listener 0 reads 0.5 at lam = 0 and never
+    completes, and 1.5 is unread."""
+    first = np.array([[True, False, True, False], [False, True, True, True]])
+    q = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.5, 0.5, 0.5]])
+    fading = np.array([[[0.5], [2.5], [9.0], [9.0]],
+                       [[0.5], [1.5], [9.0], [9.0]]])
+    rounds = completion_rounds(first, q, 1, fading)
+    assert rounds.tolist() == [[1.0, 2.0, 1.0, 5.0],
+                               [np.inf, 1.0, 1.0, 1.0]]
+    for i in range(2):
+        short = np.count_nonzero(~first[i])
+        alone = completion_rounds(first[i:i + 1], q[i:i + 1], 1,
+                                  fading[i:i + 1, :short])
+        assert alone.tobytes() == rounds[i:i + 1].tobytes()
 
 
 def test_rnc_coded_packet_ids_then_terminal_acks():
