@@ -33,7 +33,11 @@ The commands:
 - `topology --drops 20` in fixed_total and density mode;
 - `simulate --scheme S --seed 1|2|3 --d0 1200 --num-clusters 2` with
   `--out` and `--event-log` for every scheme, and the same at seed 1 with
-  `--max-time-ms 40` (named `budget40`);
+  `--max-time-ms 40` (named `budget40`); at seed 1 also
+  `simulate --mode density --lambda 1e-6` (named `empty`: a drop with no
+  member, where only clustering sends its one broadcast) and
+  `simulate --d0 1500 --num-clusters 1 --opportunistic-caching false`
+  (named `d1500_c1_nocache`: long recoveries of one cluster);
 - `metrics --dump-config` with the defaults, and with `--mode density
   --max-time-ms 40 --noise-dbm-per-hz -170 --opportunistic-caching false`:
   the key=value file format, key order included.
@@ -87,12 +91,18 @@ def commands(out: Path) -> list[list[str]]:
          "--noise-dbm-per-hz", "-170", "--opportunistic-caching", "false",
          "--dump-config", str(out / "config_custom.cfg")],
     ]
-    runs = [(str(seed), str(seed), []) for seed in (1, 2, 3)]
-    runs.append(("budget40", "1", ["--max-time-ms", "40"]))
+    near = ["--d0", "1200", "--num-clusters", "2"]
+    runs = [(str(seed), str(seed), near) for seed in (1, 2, 3)]
+    runs += [
+        ("budget40", "1", [*near, "--max-time-ms", "40"]),
+        ("empty", "1", ["--mode", "density", "--lambda", "1e-6"]),
+        ("d1500_c1_nocache", "1", ["--d0", "1500", "--num-clusters", "1",
+                                   "--opportunistic-caching", "false"]),
+    ]
     for scheme in SCHEMES:
-        for tag, seed, extra in runs:
+        for tag, seed, flags in runs:
             cmds.append(["simulate", "--scheme", scheme, "--seed", seed,
-                         "--d0", "1200", "--num-clusters", "2", *extra,
+                         *flags,
                          "--out", str(out / f"sim_{scheme}_{tag}.csv"),
                          "--event-log", str(out / f"ev_{scheme}_{tag}.csv")])
     return cmds

@@ -66,6 +66,7 @@ from .protocol import (
     SimParams,
     run_ack_benchmark,
     run_clustering_scheme,
+    run_epochs,
     run_rnc_scheme,
     write_event_log,
 )

@@ -18,13 +18,12 @@ as the oracle in the tests.
 The delay and ase studies run a scenario's replications in chunks
 (`_replicated`).  Each replication draws its own blocks from its own
 generator; the geometry, powers and round-1 decisions computed from them
-run over whole arrays of drops.  Only epochs that go on past round 1
-continue, all of a chunk's epochs of one drop shape at once: clustering
-recovers them in lock-step (`protocol._recover`), and the BS schemes,
-whose later rounds were drawn with round 1, get their completion rounds
-and timelines as whole-array steps (`channel.completion_rounds`,
-`protocol._bs_delivery`).  Every replication's numbers equal those of
-`build_topology` plus `SCHEME_RUNNERS` on its generator, bit for bit.
+run over whole arrays of drops, and `protocol.run_epochs` finishes all of
+a chunk's epochs of one drop shape at once: clustering recovery in
+lock-step, each epoch drawing from its own generator, and the BS schemes'
+timelines from completion rounds drawn with round 1
+(`channel.completion_rounds`).  Every replication's numbers equal those
+of `build_topology` plus `SCHEME_RUNNERS` on its generator, bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .geometry import (
     _DropPlan,
     sample_uniform_disk,
 )
-from .protocol import _bs_delivery, _bs_generation, _EpochLog, _recover
+from .protocol import run_epochs
 
 _STUDY_IDS = {"validation_coverage": 1, "validation_success": 2,
               "design_insight": 3, "delay": 4, "ase": 5}
@@ -417,26 +416,27 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
        uniform block, then, unless the drop is empty or one packet exceeds
        the time budget, one row of standard exponentials in one call: the
        n round-1 fadings, and in the delay study's BS schemes g more per
-       member (g receptions needed, `protocol._bs_generation`).  numpy
-       fills the row in sequence, so round 1 reads the values
-       `build_topology` and the runner's round hook draw first, and the
-       later rounds those `channel.round_model` draws next: RNC's whole
-       (n, g) block, and, for the benchmark, a prefix of the next n, one
-       per missed member in member order.  The benchmark's unread rest is
-       harmless, since nothing is drawn from that generator afterwards.
+       member (the receptions a member needs: `rnc_generation_size` for
+       RNC, 1 for the benchmark).  numpy fills the row in sequence, so
+       round 1 reads the values `build_topology` and the runner's round
+       hook draw first, and the later rounds those `channel.round_model`
+       draws next: RNC's whole (n, g) block, and, for the benchmark, a
+       prefix of the next n, one per missed member in member order.  The
+       benchmark's unread rest is harmless, since nothing is drawn from
+       that generator afterwards.
        Clustering keeps the generator state after round 1 instead;
-    2. compute, over all drops of one shape at once (`_round_one`):
-       geometry, BS distances, mean powers and round-1 decisions;
-    3. continue the non-empty drops of one shape at once (`_continue`):
-       clustering recovery where a member is short of the packet after
-       round 1, each replication drawing from its saved generator state;
-       the BS schemes' completion rounds and timelines from the rows of
-       phase 1, with no further draw.
+    2. compute, over all drops of one shape at once (`_continue`):
+       geometry, BS distances, mean powers and round-1 decisions, and in
+       the BS schemes the completion rounds from the rows of phase 1;
+    3. finish those epochs at once (`protocol.run_epochs`): clustering
+       recovers where a member is short of the packet after round 1, each
+       replication drawing from its saved generator state; the BS schemes
+       lay out their timelines with no further draw.
 
     So every replication's outcome is the one `SCHEME_RUNNERS` gives it on
     a drop from `build_topology`, bit for bit.  The ase study's benchmark
-    epochs count only the members the first broadcast serves, so they end
-    after phase 2.
+    epochs count only the members the first broadcast serves, so phase 1
+    draws no later rounds for them and they end after round 1.
     """
     prefix = (_STUDY_IDS[study], *key, _SCHEME_ORDER.index(scheme))
     states = _pcg64_states(config.base_seed, prefix, range(config.replications))
@@ -447,8 +447,11 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
     fits = sim.packet_len_ms <= sim.max_time_ms
     continues = fits and not (study == "ase" and scheme == "benchmark")
     recovers = continues and scheme == "clustering"
-    # Exponentials per member after round 1's: g for a BS epoch that goes on.
-    later = _bs_generation(scheme, sim)[1] if continues and not recovers else 0
+    # Exponentials per member after round 1's: the receptions a member
+    # needs in a BS epoch that goes on.
+    later = 0
+    if continues and not recovers:
+        later = sim.rnc_generation_size if scheme == "rnc" else 1
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
     out = []
@@ -470,64 +473,50 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
             drops.rows.append(row)
         metrics = np.empty((len(chunk), 3) if study == "delay" else len(chunk))
         for drops in groups.values():
-            delivery, via_broadcast = _continue(scheme, config, drops, rng,
-                                                *_round_one(config, drops))
+            delivery, via_broadcast = _continue(scheme, config, drops, rng)
             metrics[drops.rows] = _reduce(study, scheme, sim, delivery,
                                           via_broadcast, rate_density)
         out.append(metrics)
     return np.concatenate(out)
 
 
-def _round_one(config: ScenarioConfig, drops: _Drops):
-    """Phase 2 of `_replicated` for the drops of one shape, shape (m, n)
-    each: member points (with a trailing axis of 2), BS mean powers and
-    round-1 decisions (none served when one packet exceeds the budget)."""
+def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
+              rng: np.random.Generator):
+    """Phases 2 and 3 of `_replicated`: the delivery times (NaN for
+    undelivered) and `via_broadcast` marks of the drops of one shape,
+    shape (m, n) each.
+
+    Round 1 serves the members whose fading decodes, none when one packet
+    exceeds the budget.  A BS scheme's fading rows longer than n hold the
+    later rounds' exponentials as an (n, g) block, read by
+    `channel.completion_rounds`; otherwise its epochs end after round 1.
+    `run_epochs` finishes the epochs; clustering recovery draws each
+    epoch's blocks of uniforms from its own generator, restored from and
+    saved to `drops.states` around every block.
+    """
     m, n = len(drops.rows), drops.plan.n_uavs
     radio, sim = config.radio, config.sim
     _, xy = _drop_points(drops.plan, drops.uniforms[:m])
     power = mean_received_power(LinkKind.BS_TO_UAV,
                                 _bs_distances(xy, *_bs_site(config)), radio)
+    first = np.zeros((m, n), dtype=bool)
     if sim.packet_len_ms <= sim.max_time_ms:
-        got = decodes(power, drops.fading[:m, :n], radio)
-    else:
-        got = np.zeros(power.shape, dtype=bool)
-    return xy, power, got
+        first = decodes(power, drops.fading[:m, :n], radio)
+    if drops.fading.shape[1] > n:
+        later = drops.fading[:m, n:].reshape(m, n, -1)
+        first = completion_rounds(first, decode_probability(power, radio),
+                                  later.shape[2], later)
+    elif scheme != "clustering":
+        first = np.where(first, 1.0, np.inf)
+    bit_generator = rng.bit_generator
 
+    def draw(i, out):
+        bit_generator.state = drops.states[i]
+        rng.random(out=out)
+        drops.states[i] = bit_generator.state
 
-def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
-              rng: np.random.Generator, xy, power, got):
-    """Phase 3 of `_replicated`: the delivery times (NaN for undelivered)
-    and `via_broadcast` marks of the drops of one shape, shape (m, n) each.
-
-    Round 1 serves the members `got` marks at packet_len_ms.  Drops go on
-    past it as phase 1 provided for, all at once.  With saved states,
-    clustering recovers every drop with a member short of the packet
-    (`protocol._recover`), each drawing its blocks of uniforms from its
-    own generator, restored from and saved to `drops.states` around every
-    block.  With fading rows longer than n, the BS schemes read the later
-    rounds' exponentials from the rest of each row as an (n, g) block, and
-    lay out every drop's timeline: `channel.completion_rounds` and
-    `protocol._bs_delivery` over the (m, n) arrays.
-    """
-    radio, sim = config.radio, config.sim
-    m, n = got.shape
-    delivery = np.where(got, sim.packet_len_ms, np.nan)
-    via_broadcast = got
-    if drops.states:
-        bit_generator = rng.bit_generator
-
-        def draw(i, out):
-            bit_generator.state = drops.states[i]
-            rng.random(out=out)
-            drops.states[i] = bit_generator.state
-
-        _recover(xy, drops.plan.bounds, got, delivery, radio, sim, draw,
-                 _EpochLog(False))
-    elif drops.fading.shape[1] > n:
-        coded, g = _bs_generation(scheme, sim)
-        rounds = completion_rounds(got, decode_probability(power, radio), g,
-                                   drops.fading[:m, n:].reshape(m, n, g))
-        _, delivery, via_broadcast = _bs_delivery(rounds, coded, sim)
+    delivery, via_broadcast, *_ = run_epochs(
+        scheme, xy, drops.plan.bounds, first, radio, sim, draw)
     return delivery, via_broadcast
 
 

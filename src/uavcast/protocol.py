@@ -27,16 +27,18 @@ law of `channel`: the first BS broadcast draws fading against the SNR
 threshold, and a relayed reply succeeds with `decode_probability`.
 
 Every scheme's first BS broadcast ends at packet_len_ms, and none is sent
-when that is past max_time_ms.  Clustering recovery after it runs in
+when that is past max_time_ms.  `run_epochs` finishes a batch of epochs of
+one drop shape from each member's round-1 outcome; the studies call it on
+chunks of drops, and each runner of `SCHEME_RUNNERS` on a batch of one
+epoch, which alone records the event log.  Clustering recovery runs in
 lock-step over arrays (`_recover`): every (epoch, cluster) cell that needs
 recovery makes one channel attempt per iteration (`_attempt`), so a batch
-of epochs recovers in the iterations its slowest cluster needs, and one
-epoch is the batch of one.  The two BS schemes simulate no rounds: fading
-is independent from round to round, so each member's completion round is
-drawn at once (`channel.round_model`), and the round times, the time
-budget, the counters and the event log follow from those counts
-(`_bs_rounds`).  `_bs_delivery` lays out the round times of rows of
-epochs at once; an epoch is the batch of one.
+of epochs recovers in the iterations its slowest cluster needs.  The two
+BS schemes simulate no rounds: fading is independent from round to round,
+so each member's completion round is drawn at once
+(`channel.completion_rounds`), and the round times, the time budget and
+the counters of every epoch follow from those counts as whole-array steps
+(`_bs_delivery`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import csv
 import enum
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,22 +147,6 @@ class SchemeOutcome:
         return ~self.undelivered
 
 
-class _EpochLog:
-    """Collects events when enabled; appends are cheap no-ops otherwise."""
-
-    def __init__(self, enabled: bool):
-        self.events: list[Event] | None = [] if enabled else None
-
-    def add(self, *args, **kwargs) -> None:
-        if self.events is not None:
-            self.events.append(Event(*args, **kwargs))
-
-    def finish(self) -> list[Event] | None:
-        if self.events is None:
-            return None
-        return sorted(self.events, key=lambda e: e.time_ms)
-
-
 def _attempt(contend, residual, cw, fresh, u_fresh, u_redraw, sim):
     """One backoff attempt on the channel of every cell (rows of the
     (cells x slots) arrays).
@@ -202,40 +187,17 @@ def run_clustering_scheme(topology: Topology, radio: RadioParams,
     `link_model(radio)`).  `peer_probability` is a power -> array hook
     giving the chance that a listener at that mean received power decodes
     a reply (by default `decode_probability`).  Tests inject deterministic
-    links through them.  The BS broadcast ends at packet_len_ms; when that
-    is past max_time_ms it is not sent, so nothing is drawn and no member
-    is served.  Otherwise the BS link's powers are computed once per epoch
-    and recovery follows: `_recover` on a batch of one epoch, drawing its
-    blocks of uniforms from `rng`.
+    links through them.  Recovery draws its blocks of uniforms from `rng`
+    (`run_epochs`).
     """
     if broadcast_success is None:
         broadcast_success = link_model(radio)
-    n = topology.n_uavs
-    log = _EpochLog(collect_events)
-    got = np.zeros(n, dtype=bool)
-    bs_tx = 0
-    if sim.packet_len_ms <= sim.max_time_ms:
-        bs_tx = 1
-        log.add(sim.packet_len_ms, EventKind.BS_BROADCAST_END, -1, PACKET_ID,
-                -1)
-        if n:
-            p_bs = mean_received_power(LinkKind.BS_TO_UAV,
-                                       topology.bs_distances(), radio)
-            got = np.array(broadcast_success(p_bs, rng), dtype=bool)
-    delivery = np.where(got, sim.packet_len_ms, np.nan)
-    uav_tx, control = _recover(
-        topology.xy[None], topology.cluster_bounds, got[None], delivery[None],
-        radio, sim, lambda _, out: rng.random(out=out), log, peer_probability)
-    undelivered = np.isnan(delivery)
-    return SchemeOutcome(
-        scheme="clustering", delivery_time_ms=delivery, undelivered=undelivered,
-        via_broadcast=got, cluster_ids=topology.cluster_of,
-        bs_transmissions=bs_tx, uav_transmissions=int(uav_tx[0]),
-        control_messages=int(control[0]), events=log.finish())
+    return _run_one("clustering", topology, radio, sim, rng, collect_events,
+                    broadcast_success, peer_probability)
 
 
 def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
-             radio: RadioParams, sim: SimParams, draw, log: _EpochLog,
+             radio: RadioParams, sim: SimParams, draw, events: list | None,
              peer_probability=None) -> tuple[np.ndarray, np.ndarray]:
     """In-cluster recovery in m epochs of one drop shape, after a BS
     broadcast ending at packet_len_ms that served the members `got` marks.
@@ -264,8 +226,8 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     column 1 a collider's redraw or a listener's reception (u < chance).
     The first block is drawn before iteration 0, and the next every
     _BLOCK_ROWS iterations while the epoch has a live cell.  So an epoch's
-    draws do not depend on the other epochs of the batch.  `log` records
-    the events of a batch of one epoch.  Returns per-epoch (uav
+    draws do not depend on the other epochs of the batch.  `events`, when
+    a list, gets the events of a batch of one epoch.  Returns per-epoch (uav
     transmissions, control messages), collided frames included.
     """
     if peer_probability is None:
@@ -311,14 +273,15 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
         t = start + airtime[phase]
         fits = t <= sim.max_time_ms
         np.add.at(frames, (epoch, phase), np.where(fits, n_sent, 0))
-        if log.events is not None:
+        if events is not None:
             for c in np.flatnonzero(fits).tolist():
                 for s in np.flatnonzero(sent[c]).tolist():
                     actor, cid = int(member[c, s]), int(cluster[c])
-                    log.add(float(start[c]), EventKind.BACKOFF_EXPIRY, actor,
-                            PACKET_ID, cid)
-                    log.add(float(t[c]), kinds[phase[c]], actor, PACKET_ID,
-                            cid, bool(n_sent[c] > 1))
+                    events.append(Event(float(start[c]),
+                                        EventKind.BACKOFF_EXPIRY, actor,
+                                        PACKET_ID, cid))
+                    events.append(Event(float(t[c]), kinds[phase[c]], actor,
+                                        PACKET_ID, cid, bool(n_sent[c] > 1)))
         clean = fits & (n_sent == 1)
         winner = sent.argmax(axis=1)
         asked = clean & ~reply
@@ -349,14 +312,6 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
                 x[keep] for x in (epoch, cluster, block_of, member, held,
                                   lost, cw, residual, t, reply, fresh, asker))
     return frames[:, 1], frames[:, 0]
-
-
-def _bs_generation(scheme: str, sim: SimParams) -> tuple[bool, int]:
-    """(coded, receptions a member needs) of a BS retransmission scheme:
-    the benchmark repeats packet 0, RNC streams a coded generation."""
-    if scheme == "rnc":
-        return True, sim.rnc_generation_size
-    return False, 1
 
 
 def _bs_delivery(rounds: np.ndarray, coded: bool, sim: SimParams):
@@ -397,70 +352,112 @@ def _bs_delivery(rounds: np.ndarray, coded: bool, sim: SimParams):
     return rounds, np.where(delivered, end, np.nan), via_broadcast
 
 
-def _bs_rounds(scheme: str, coded: bool, g: int, topology: Topology,
-               radio: RadioParams, sim: SimParams, rng: np.random.Generator,
-               collect_events: bool, broadcast_rounds) -> SchemeOutcome:
-    """BS broadcast rounds until every member holds `g` receptions.
+def _bs_events(events: list, rounds: np.ndarray, coded: bool, served: int,
+               bs_tx: int, bounds, sim: SimParams) -> None:
+    """Append one epoch's BS rounds and ACKs, given its members' capped
+    completion `rounds`, `served` of them in the budget: uncoded, the
+    members served in a round ACK right after it, in row order; coded,
+    round k carries coded packet k - 1, and one terminal ACK per member
+    follows once all have decoded."""
+    n, length, t_ack = rounds.size, sim.packet_len_ms, sim.t_ack_ms
+    cluster_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    order = np.argsort(rounds, kind="stable")[:served].tolist()
+    done = 0
+    for k in range(1, bs_tx + 1):
+        t = k * length + (0.0 if coded else t_ack * done)
+        events.append(Event(t, EventKind.BS_BROADCAST_END, -1,
+                            k - 1 if coded else PACKET_ID, -1))
+        while not coded and done < served and rounds[order[done]] == k:
+            u = order[done]
+            done += 1
+            events.append(Event(k * length + t_ack * done,
+                                EventKind.ACK_RX_END, u, PACKET_ID,
+                                int(cluster_of[u])))
+    if coded and served == n:
+        for u in range(n):
+            events.append(Event(bs_tx * length + t_ack * (u + 1),
+                                EventKind.ACK_RX_END, u, PACKET_ID,
+                                int(cluster_of[u])))
 
-    Uncoded (`coded=False`): every round carries packet 0 and the members
-    served in it ACK right after it, serialized on the uplink, in row
-    order.  Coded: round k carries coded packet k - 1, and one terminal
-    ACK per member follows once all have decoded.
 
-    No round is simulated.  `broadcast_rounds` is a (power, g, rng) -> float
-    array hook over the mean received powers p_tx * gain (mW) of all
-    members, in row order, giving the round in which each member completes
-    (inf for never); it is called once, unless no round fits the budget.
-    The timeline follows from those counts (`_bs_delivery`).
+def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
+               radio: RadioParams, sim: SimParams, draw=None,
+               events: list | None = None, peer_probability=None):
+    """Finish m epochs of `scheme` on drops of one shape.
+
+    `xy` (m, n, 2) holds the member points; cluster c holds members
+    `bounds[c]` to `bounds[c + 1]`.  `first` (m, n) is the BS link's
+    outcome per member.  For clustering it is a bool mask of the members
+    round 1 served (none when a packet exceeds max_time_ms); `_recover`
+    goes on from there, drawing each epoch's uniform blocks through
+    `draw(e, out)`.  For the BS schemes it is the float round in which a
+    member completes its receptions, inf for never.  `events`, when a
+    list, gets the unsorted events of a batch of one epoch.
+
+    Returns (delivery, via_broadcast), each (m, n), delivery NaN where
+    undelivered, and per-epoch (bs_transmissions, uav_transmissions,
+    control_messages), each (m,).  Clustering sends its broadcast whenever
+    a packet fits the budget, even to an empty drop (bs_transmissions 1).
+    A BS scheme sends rounds up to the last delivery and, when a member is
+    never served, every round that fits: floor((max_time_ms - t_ack_ms *
+    ACKs) / packet_len_ms), with no ACKs when coded.  An empty drop needs
+    no BS round (bs_transmissions 0).
     """
-    if broadcast_rounds is None:
-        broadcast_rounds = round_model(radio)
-    cluster_of = topology.cluster_of
-    n = topology.n_uavs
-    length, t_ack, budget = sim.packet_len_ms, sim.t_ack_ms, sim.max_time_ms
-    if n and length <= budget:
-        p_bs = mean_received_power(LinkKind.BS_TO_UAV,
-                                   topology.bs_distances(), radio)
-        rounds = broadcast_rounds(p_bs, g, rng)
-    else:
-        rounds = np.full(n, np.inf)
-    rounds, delivery, via_broadcast = (
-        x[0] for x in _bs_delivery(rounds[None], coded, sim))
+    m, n = first.shape
+    if scheme == "clustering":
+        delivery = np.where(first, sim.packet_len_ms, np.nan)
+        fits = sim.packet_len_ms <= sim.max_time_ms
+        if events is not None and fits:
+            events.append(Event(sim.packet_len_ms, EventKind.BS_BROADCAST_END,
+                                -1, PACKET_ID, -1))
+        uav_tx, control = _recover(xy, bounds, first, delivery, radio, sim,
+                                   draw, events, peer_probability)
+        return delivery, first, np.full(m, int(fits)), uav_tx, control
+    coded = scheme == "rnc"
+    rounds, delivery, via_broadcast = _bs_delivery(first, coded, sim)
     delivered = ~np.isnan(delivery)
-    served = int(np.count_nonzero(delivered))
-    if served == n:
-        bs_tx = int(rounds.max()) if n else 0
-    else:
-        # After the last delivery, rounds run for as long as they fit.
-        last = int(rounds[delivered].max()) if served else 0
-        acked = 0 if coded else served
-        bs_tx = max(last, math.floor((budget - t_ack * acked) / length))
-    control = (n if served == n else 0) if coded else served
+    served = np.count_nonzero(delivered, axis=1)
+    last = np.where(delivered, rounds, 0.0).max(axis=1, initial=0.0)
+    # After the last delivery, rounds run for as long as they fit.
+    fit = np.floor((sim.max_time_ms - sim.t_ack_ms * (0 if coded else served))
+                   / sim.packet_len_ms)
+    bs_tx = np.where(served == n, last, np.maximum(last, fit)).astype(np.int64)
+    control = np.where(served == n, n, 0) if coded else served
+    if events is not None:
+        _bs_events(events, rounds[0], coded, int(served[0]), int(bs_tx[0]),
+                   bounds, sim)
+    return delivery, via_broadcast, bs_tx, np.zeros_like(bs_tx), control
 
-    log = _EpochLog(collect_events)
-    if log.events is not None:
-        # In row order within a round, as the ACKs go out.
-        order = np.argsort(rounds, kind="stable")[:served].tolist()
-        done = 0
-        for k in range(1, bs_tx + 1):
-            t = k * length + (0.0 if coded else t_ack * done)
-            log.add(t, EventKind.BS_BROADCAST_END, -1,
-                    k - 1 if coded else PACKET_ID, -1)
-            while not coded and done < served and rounds[order[done]] == k:
-                u = order[done]
-                done += 1
-                log.add(k * length + t_ack * done, EventKind.ACK_RX_END, u,
-                        PACKET_ID, int(cluster_of[u]))
-        if coded and control:
-            for u in range(n):
-                log.add(bs_tx * length + t_ack * (u + 1),
-                        EventKind.ACK_RX_END, u, PACKET_ID,
-                        int(cluster_of[u]))
+
+def _run_one(scheme: str, topology: Topology, radio: RadioParams,
+             sim: SimParams, rng: np.random.Generator, collect_events: bool,
+             first_of, peer_probability=None) -> SchemeOutcome:
+    """Every runner's body: `run_epochs` on a batch of one.
+
+    `first_of(power, rng)` gives the round-1 outcomes (the `first` of
+    `run_epochs`) from the members' mean received powers p_tx * gain (mW);
+    it is not called for an empty drop or a packet over max_time_ms.
+    """
+    n = topology.n_uavs
+    first = (np.zeros(n, dtype=bool) if scheme == "clustering"
+             else np.full(n, np.inf))
+    if n and sim.packet_len_ms <= sim.max_time_ms:
+        power = mean_received_power(LinkKind.BS_TO_UAV,
+                                    topology.bs_distances(), radio)
+        first = np.array(first_of(power, rng), dtype=first.dtype)
+    events = [] if collect_events else None
+    delivery, via_broadcast, bs_tx, uav_tx, control = run_epochs(
+        scheme, topology.xy[None], topology.cluster_bounds, first[None],
+        radio, sim, lambda _, out: rng.random(out=out), events,
+        peer_probability)
+    if events is not None:
+        events.sort(key=lambda e: e.time_ms)
     return SchemeOutcome(
-        scheme=scheme, delivery_time_ms=delivery, undelivered=~delivered,
-        via_broadcast=via_broadcast, cluster_ids=cluster_of,
-        bs_transmissions=bs_tx, uav_transmissions=0,
-        control_messages=control, events=log.finish())
+        scheme=scheme, delivery_time_ms=delivery[0],
+        undelivered=np.isnan(delivery[0]), via_broadcast=via_broadcast[0],
+        cluster_ids=topology.cluster_of, bs_transmissions=int(bs_tx[0]),
+        uav_transmissions=int(uav_tx[0]), control_messages=int(control[0]),
+        events=events)
 
 
 def run_ack_benchmark(topology: Topology, radio: RadioParams, sim: SimParams,
@@ -472,12 +469,13 @@ def run_ack_benchmark(topology: Topology, radio: RadioParams, sim: SimParams,
     The BS repeats the broadcast until all members are served (or time runs
     out); after each round the newly served members send one ACK each,
     serialized on the uplink.  `broadcast_rounds` (default
-    `round_model(radio)`) draws each member's serving round; see
-    `_bs_rounds`.
+    `round_model(radio)`) is a (power, g, rng) hook giving the round in
+    which each member completes g = 1 reception (inf for never).
     """
-    return _bs_rounds("benchmark", *_bs_generation("benchmark", sim),
-                      topology, radio, sim, rng, collect_events,
-                      broadcast_rounds)
+    if broadcast_rounds is None:
+        broadcast_rounds = round_model(radio)
+    return _run_one("benchmark", topology, radio, sim, rng, collect_events,
+                    lambda power, rng: broadcast_rounds(power, 1, rng))
 
 
 def run_rnc_scheme(topology: Topology, radio: RadioParams, sim: SimParams,
@@ -492,11 +490,14 @@ def run_rnc_scheme(topology: Topology, radio: RadioParams, sim: SimParams,
     decode instant of the generation; per-packet figures subtract the
     streaming amortization (generation_size - 1) * packet_len_ms downstream.
     One terminal ACK per member closes a completed epoch.
-    `broadcast_rounds` (default `round_model(radio)`) draws each member's
-    decoding round; see `_bs_rounds`.
+    `broadcast_rounds` draws each member's decoding round, as for the
+    benchmark, with g = `rnc_generation_size`.
     """
-    return _bs_rounds("rnc", *_bs_generation("rnc", sim), topology, radio,
-                      sim, rng, collect_events, broadcast_rounds)
+    if broadcast_rounds is None:
+        broadcast_rounds = round_model(radio)
+    g = sim.rnc_generation_size
+    return _run_one("rnc", topology, radio, sim, rng, collect_events,
+                    lambda power, rng: broadcast_rounds(power, g, rng))
 
 
 SCHEME_RUNNERS = {

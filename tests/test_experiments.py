@@ -1,7 +1,9 @@
+import ast
 import collections
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -355,7 +357,7 @@ def test_replicated_equals_independent_generators(study, scheme):
     that never complete and, for clustering, with epochs that draw a second
     block of uniforms."""
     key = (1, 2)
-    recover = experiments._recover
+    run_epochs = experiments.run_epochs
     for mode, lambda_per_m2, max_time_ms, reps, overrides in _BATCH_CASES:
         fields = {"num_clusters": 2, "d0_m": 1200.0, **overrides}
         caching = fields.pop("opportunistic_caching", True)
@@ -366,16 +368,16 @@ def test_replicated_equals_independent_generators(study, scheme):
         blocks = collections.Counter()  # blocks drawn per (call, epoch)
         calls = itertools.count()
 
-        def counted(xy, bounds, got, delivery, radio, sim, draw, *rest):
+        def counted(scheme, xy, bounds, first, radio, sim, draw, *rest):
             call = next(calls)
 
             def recorded(e, out):
                 blocks[call, e] += 1
                 draw(e, out)
-            return recover(xy, bounds, got, delivery, radio, sim, recorded,
-                           *rest)
+            return run_epochs(scheme, xy, bounds, first, radio, sim,
+                              recorded, *rest)
 
-        with mock.patch.object(experiments, "_recover", counted):
+        with mock.patch.object(experiments, "run_epochs", counted):
             got = _replicated(study, scheme, config, key)
         expected = _oracle_metrics(study, scheme, config, key)
         assert got.shape == expected.shape
@@ -391,6 +393,23 @@ def test_replicated_equals_independent_generators(study, scheme):
         if overrides.get("d0_m", 0.0) > 20_000.0 and study == "delay":
             # some member ends undelivered
             assert np.any(got[:, 1] < 1.0)
+
+
+def test_experiments_uses_only_public_protocol_names():
+    """`experiments` reaches the epoch engine through `protocol`'s public
+    names: no `_`-prefixed name is imported from it or read off it."""
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (
+                "protocol", "uavcast.protocol"):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "protocol"
+              and node.attr.startswith("_")):
+            private.append(node.attr)
+    assert private == []
 
 
 def test_replicated_does_not_depend_on_chunk_size(monkeypatch):

@@ -40,15 +40,15 @@ from uavcast.geometry import Topology, build_topology
 from uavcast.protocol import (
     PACKET_ID,
     SCHEME_RUNNERS,
+    Event,
     EventKind,
     SchemeOutcome,
     SimParams,
     _attempt,
     _bs_delivery,
-    _bs_rounds,
-    _EpochLog,
     run_ack_benchmark,
     run_clustering_scheme,
+    run_epochs,
     run_rnc_scheme,
     write_event_log,
 )
@@ -520,7 +520,7 @@ def _two_mask_bs_rounds(scheme, coded, g, topology, radio, sim, rng,
     p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
                                radio)
     n = topology.n_uavs
-    log = _EpochLog(collect_events)
+    events = [] if collect_events else None
     delivery = np.full(n, np.nan)
     via_broadcast = np.zeros(n, dtype=bool)
     received = np.zeros(n, dtype=int)
@@ -532,14 +532,17 @@ def _two_mask_bs_rounds(scheme, coded, g, topology, radio, sim, rng,
         control += len(members)
         for u in members:
             t += sim.t_ack_ms
-            log.add(t, EventKind.ACK_RX_END, int(u), PACKET_ID,
-                    int(cluster_of[u]))
+            if events is not None:
+                events.append(Event(t, EventKind.ACK_RX_END, int(u),
+                                    PACKET_ID, int(cluster_of[u])))
 
     while (received < g).any() and t + sim.packet_len_ms <= sim.max_time_ms:
         packet_id = bs_tx if coded else PACKET_ID
         bs_tx += 1
         t += sim.packet_len_ms
-        log.add(t, EventKind.BS_BROADCAST_END, -1, packet_id, -1)
+        if events is not None:
+            events.append(Event(t, EventKind.BS_BROADCAST_END, -1, packet_id,
+                                -1))
         idx = np.flatnonzero(received < g)
         hit = idx[broadcast_success(p_bs[idx], rng)]
         received[hit] += 1
@@ -551,11 +554,13 @@ def _two_mask_bs_rounds(scheme, coded, g, topology, radio, sim, rng,
     undelivered = received < g
     if coded and not undelivered.any():
         acks(range(n))
+    if events is not None:
+        events.sort(key=lambda e: e.time_ms)
     return SchemeOutcome(
         scheme=scheme, delivery_time_ms=delivery, undelivered=undelivered,
         via_broadcast=via_broadcast, cluster_ids=cluster_of,
         bs_transmissions=bs_tx, uav_transmissions=0,
-        control_messages=control, events=log.finish())
+        control_messages=control, events=events)
 
 
 def _scripted_successes(rounds, g, rng):
@@ -573,25 +578,30 @@ def _scripted_successes(rounds, g, rng):
 
 
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
-       g=st.sampled_from([1, 8]), coded=st.booleans(),
+       scheme=st.sampled_from(["benchmark", "rnc"]),
        mode=st.sampled_from(["fixed_total", "density"]),
        num_clusters=st.integers(1, 10),
        max_time_ms=st.sampled_from([40.0, 95.0, 10_000.0]),
        collect_events=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_active_set_rounds_match_two_mask_loop(data, seed, g, coded, mode,
+def test_active_set_rounds_match_two_mask_loop(data, seed, scheme, mode,
                                                num_clusters, max_time_ms,
                                                collect_events):
-    """The count path gives the round-by-round reference loop's outcome,
-    counters and events bit for bit, with tight and loose time budgets.
+    """The BS runners give the round-by-round reference loop's outcome,
+    counters and events bit for bit, with tight and loose time budgets:
+    RNC (coded) with generations of 1 and 8, the benchmark (uncoded,
+    g = 1).
 
     Each member's completion round is drawn (None: never); the reference
     loop is driven by a scripted reception hook whose successes end in
-    exactly those rounds, and the count path by a round hook returning
+    exactly those rounds, and the runner by a round hook returning
     them."""
+    coded = scheme == "rnc"
+    g = data.draw(st.sampled_from([1, 8])) if coded else 1
     config = ScenarioConfig(mode=mode, lambda_per_m2=1e-5,
                             num_clusters=num_clusters,
-                            sim=SimParams(max_time_ms=max_time_ms))
+                            sim=SimParams(max_time_ms=max_time_ms,
+                                          rnc_generation_size=g))
     sim = config.sim
     topo = build_topology(config, np.random.default_rng(seed))
     n = topo.n_uavs
@@ -614,9 +624,10 @@ def test_active_set_rounds_match_two_mask_loop(data, seed, g, coded, mode,
             LinkKind.BS_TO_UAV, topo.bs_distances(), RADIO).tobytes()
         return np.array(rounds, dtype=float)
 
-    out = _bs_rounds("x", coded, g, topo, RADIO, sim, np.random.default_rng(0),
-                     collect_events, counted)
-    ref = _two_mask_bs_rounds("x", coded, g, topo, RADIO, sim,
+    out = SCHEME_RUNNERS[scheme](topo, RADIO, sim, np.random.default_rng(0),
+                                 collect_events=collect_events,
+                                 broadcast_rounds=counted)
+    ref = _two_mask_bs_rounds(scheme, coded, g, topo, RADIO, sim,
                               np.random.default_rng(0), collect_events,
                               scripted)
     assert out.delivery_time_ms.tobytes() == ref.delivery_time_ms.tobytes()
@@ -843,6 +854,55 @@ def test_completion_rounds_rows_read_their_own_draws():
         alone = completion_rounds(first[i:i + 1], q[i:i + 1], 1,
                                   fading[i:i + 1, :short])
         assert alone.tobytes() == rounds[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_RUNNERS))
+@pytest.mark.parametrize("d0_m,max_time_ms", [(1200.0, 10_000.0),
+                                              (1200.0, 40.0), (1200.0, 5.0),
+                                              (30_000.0, 10_000.0)])
+def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
+    """One `run_epochs` call over 20 drops of one fixed_total plan gives
+    each row, bit for bit, the delivery times, `via_broadcast` marks and
+    three counters that the scheme's runner gives that epoch on the same
+    generator.  Each epoch draws round 1 and its recovery blocks from its
+    own generator.  A 40 ms budget, a 5 ms one (below one packet) and
+    d0 = 30 km (the BS serves no one) reach the counters' other
+    branches."""
+    config = ScenarioConfig(d0_m=d0_m, num_clusters=2,
+                            sim=SimParams(max_time_ms=max_time_ms))
+    sim, m = config.sim, 20
+    g = sim.rnc_generation_size if scheme == "rnc" else 1
+    topologies = [build_topology(config, np.random.default_rng([3, e]))
+                  for e in range(m)]
+    bounds = topologies[0].cluster_bounds
+    assert all(t.cluster_bounds == bounds for t in topologies)
+    outcomes = [SCHEME_RUNNERS[scheme](t, RADIO, sim,
+                                       np.random.default_rng([4, e]))
+                for e, t in enumerate(topologies)]
+    rngs = [np.random.default_rng([4, e]) for e in range(m)]
+    n = topologies[0].n_uavs
+    if scheme == "clustering":
+        first = np.zeros((m, n), dtype=bool)
+    else:
+        first = np.full((m, n), np.inf)
+    if sim.packet_len_ms <= sim.max_time_ms:
+        for e, topo in enumerate(topologies):
+            power = mean_received_power(LinkKind.BS_TO_UAV,
+                                        topo.bs_distances(), RADIO)
+            first[e] = (link_model(RADIO)(power, rngs[e])
+                        if scheme == "clustering"
+                        else round_model(RADIO)(power, g, rngs[e]))
+    xy = np.stack([t.xy for t in topologies])
+    delivery, via_broadcast, *counters = run_epochs(
+        scheme, xy, bounds, first, RADIO, sim,
+        lambda e, block: rngs[e].random(out=block))
+    for e, outcome in enumerate(outcomes):
+        assert delivery[e].tobytes() == outcome.delivery_time_ms.tobytes()
+        assert via_broadcast[e].tolist() == outcome.via_broadcast.tolist()
+        assert [int(c[e]) for c in counters] == [
+            outcome.bs_transmissions, outcome.uav_transmissions,
+            outcome.control_messages]
+    assert np.any(counters) == (sim.packet_len_ms <= sim.max_time_ms)
 
 
 def test_rnc_coded_packet_ids_then_terminal_acks():
