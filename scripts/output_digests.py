@@ -40,7 +40,11 @@ The commands:
   (named `d1500_c1_nocache`: long recoveries of one cluster);
 - `metrics --dump-config` with the defaults, and with `--mode density
   --max-time-ms 40 --noise-dbm-per-hz -170 --opportunistic-caching false`:
-  the key=value file format, key order included.
+  the key=value file format, key order included;
+- `distributions --kind bs-member|peer|center-offset --out` at the
+  defaults: the tabulated pdf/CDF and, as `dist_<kind>.stdout`, the printed
+  lines with the KS gaps of the geometric and the inverse-CDF samples
+  (the temporary directory's path replaced by `<out>`).
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from uavcast.cli import main  # noqa: E402
 
 SCHEMES = ("benchmark", "clustering", "rnc")
+KINDS = ("bs-member", "peer", "center-offset")
+
+
+def _tag(kind: str) -> str:
+    return kind.replace("-", "_")
 
 
 def commands(out: Path) -> list[list[str]]:
@@ -99,6 +108,9 @@ def commands(out: Path) -> list[list[str]]:
         ("d1500_c1_nocache", "1", ["--d0", "1500", "--num-clusters", "1",
                                    "--opportunistic-caching", "false"]),
     ]
+    for kind in KINDS:
+        cmds.append(["distributions", "--kind", kind,
+                     "--out", str(out / f"dist_{_tag(kind)}.csv")])
     for scheme in SCHEMES:
         for tag, seed, flags in runs:
             cmds.append(["simulate", "--scheme", scheme, "--seed", seed,
@@ -112,12 +124,16 @@ def run() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for argv in commands(out):
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
                 code = main(argv)
             if code != 0:
                 print(f"error: exit {code}: uavcast {' '.join(argv)}",
                       file=sys.stderr)
                 return code
+            if argv[0] == "distributions":
+                # The printed KS gaps are an output; the path is not.
+                text = stdout.getvalue().replace(str(out), "<out>")
+                (out / f"dist_{_tag(argv[2])}.stdout").write_text(text)
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out).as_posix()}")
