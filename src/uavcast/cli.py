@@ -67,12 +67,17 @@ _STUDY_NAMES = ("validation-coverage", "validation-success", "design-insight",
 _KIND_NAMES = ("bs-member", "peer", "center-offset")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="key=value config file")
-    parser.add_argument("--dump-config", metavar="FILE",
-                        help="write the effective configuration and continue")
+def _common_parser() -> argparse.ArgumentParser:
+    """The options every subcommand takes, built once and passed to each
+    subcommand as a parent; help lists them after the subcommand's own."""
+    parser = argparse.ArgumentParser(add_help=False)
+    group = parser.add_argument_group("configuration")
+    group.add_argument("--config", metavar="FILE", help="key=value config file")
+    group.add_argument("--dump-config", metavar="FILE",
+                       help="write the effective configuration and continue")
     for flag, key, text in _OVERRIDE_FLAGS:
-        parser.add_argument(flag, dest=key, metavar="V", help=text)
+        group.add_argument(flag, dest=key, metavar="V", help=text)
+    return parser
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -245,14 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="uavcast",
         description="Clustered UAV multicast: analysis and simulation")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_parser()]
 
-    p = sub.add_parser("topology", help="sample topology drops to CSV")
+    p = sub.add_parser("topology", parents=common,
+                       help="sample topology drops to CSV")
     p.add_argument("--drops", type=int, default=1, help="number of drops")
     p.add_argument("--out", default="topology.csv", help="output CSV path")
-    _add_common(p)
     p.set_defaults(func=_cmd_topology)
 
-    p = sub.add_parser("distributions",
+    p = sub.add_parser("distributions", parents=common,
                        help="tabulate a distance distribution, check sampling")
     p.add_argument("--kind", choices=_KIND_NAMES, required=True)
     p.add_argument("--v-norm", type=float, default=None,
@@ -263,31 +269,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000,
                    help="empirical-check sample count (0 to skip)")
     p.add_argument("--out", default=None, help="output CSV path")
-    _add_common(p)
     p.set_defaults(func=_cmd_distributions)
 
-    p = sub.add_parser("metrics", help="closed-form metric values")
+    p = sub.add_parser("metrics", parents=common,
+                       help="closed-form metric values")
     p.add_argument("--v-norm", type=float, default=None,
                    help="cluster-center distance, m (default: d0)")
     p.add_argument("--out", default=None, help="optional output CSV path")
-    _add_common(p)
     p.set_defaults(func=_cmd_metrics)
 
-    p = sub.add_parser("simulate", help="run one protocol epoch")
+    p = sub.add_parser("simulate", parents=common,
+                       help="run one protocol epoch")
     p.add_argument("--scheme", choices=sorted(SCHEME_RUNNERS), required=True)
     p.add_argument("--out", default=None, help="per-UAV outcome CSV path")
     p.add_argument("--event-log", default=None, help="event log CSV path")
-    _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("study", help="run a full study, write a metric table")
+    p = sub.add_parser("study", parents=common,
+                       help="run a full study, write a metric table")
     p.add_argument("--study", choices=_STUDY_NAMES, required=True)
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--v-values", default=None, help="comma list, m")
     p.add_argument("--r-values", default=None, help="comma list, m")
     p.add_argument("--c-values", default=None, help="comma list of cluster counts")
     p.add_argument("--d0-values", default=None, help="comma list, m")
-    _add_common(p)
     p.set_defaults(func=_cmd_study)
     return parser
 

@@ -54,7 +54,9 @@ from .geometry import (
     _drop_law,
     _drop_points,
     _DropPlan,
-    sample_uniform_disk,
+    polar_offset_distance,
+    polar_pair_distance,
+    sample_uniform_disk_polar,
 )
 from .protocol import run_epochs
 
@@ -314,16 +316,17 @@ def run_validation_study(kind: str, config: ScenarioConfig,
         rng = _rng(config.base_seed, (_STUDY_IDS[study], i))
         if kind == "coverage":
             geom = config.geometry(v_norm=value)
-            pts = sample_uniform_disk(rng, n_trials, geom.radius_r,
-                                      (geom.v_norm, 0.0))
-            dist = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2 + geom.delta_h ** 2)
+            dist = polar_offset_distance(
+                geom.v_norm,
+                *sample_uniform_disk_polar(rng, n_trials, geom.radius_r),
+                geom.delta_h)
             link = LinkKind.BS_TO_UAV
             theory = analysis.coverage_probability(geom, radio)
             metric = "p_cov"
         else:
-            a = sample_uniform_disk(rng, n_trials, value)
-            b = sample_uniform_disk(rng, n_trials, value)
-            dist = np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+            a = sample_uniform_disk_polar(rng, n_trials, value)
+            b = sample_uniform_disk_polar(rng, n_trials, value)
+            dist = polar_pair_distance(*a, *b)
             link = LinkKind.UAV_TO_UAV
             theory = analysis.transmission_success_probability(value, radio)
             metric = "p_suc"

@@ -80,17 +80,75 @@ def _bs_distances(xy: np.ndarray, height: float, bs_xy, bs_height: float):
                    + (height - bs_height) ** 2)
 
 
-def sample_uniform_disk(rng: np.random.Generator, n: int, radius: float,
-                        center_xy=(0.0, 0.0)) -> np.ndarray:
-    """n points uniform on a disk; radial CDF proportional to r^2."""
+def sample_uniform_disk_polar(rng: np.random.Generator, n: int,
+                              radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """n points uniform on a disk as polar arrays (rho, theta) about its
+    center: radial CDF proportional to rho^2.  Draws n radii, then n angles
+    uniform on [0, 2 pi)."""
     if radius <= 0:
         raise ParameterError(f"disk radius must be positive, got {radius}")
     if n < 0:
         raise ParameterError(f"sample count must be non-negative, got {n}")
-    r = radius * np.sqrt(rng.random(n))
-    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    return np.column_stack([center_xy[0] + r * np.cos(theta),
-                            center_xy[1] + r * np.sin(theta)])
+    rho = np.sqrt(rng.random(n))
+    rho *= radius
+    return rho, rng.uniform(0.0, 2.0 * np.pi, n)
+
+
+def sample_uniform_disk(rng: np.random.Generator, n: int, radius: float,
+                        center_xy=(0.0, 0.0)) -> np.ndarray:
+    """n points uniform on a disk, shape (n, 2): the Cartesian form of
+    `sample_uniform_disk_polar`, with the same draws."""
+    rho, theta = sample_uniform_disk_polar(rng, n, radius)
+    return np.column_stack([center_xy[0] + rho * np.cos(theta),
+                            center_xy[1] + rho * np.sin(theta)])
+
+
+def polar_offset_distance(offset: float, rho: np.ndarray, theta: np.ndarray,
+                          height: float = 0.0) -> np.ndarray:
+    """Distance from an observer at planar distance `offset` from a disk's
+    center and `height` off its plane to the disk points (rho, theta), with
+    theta measured from the observer-to-center direction: the points of
+    `sample_uniform_disk(rng, n, radius, (offset, 0))` seen from the origin.
+
+    The law of cosines, offset^2 + 2 offset rho cos(theta) + rho^2, is
+    evaluated as x^2 + rho^2 (1 - cos)(1 + cos) with x = offset + rho cos,
+    the Cartesian x: a sum of non-negative terms, which keeps its relative
+    accuracy where the planar distance cancels to near 0.  The steps run in
+    place on three arrays, since a fresh array costs as much as the step.
+    """
+    c = np.cos(theta)
+    d2 = rho * c
+    d2 += offset
+    d2 *= d2
+    y2 = 1.0 - c
+    c += 1.0
+    y2 *= c
+    y2 *= rho
+    y2 *= rho
+    d2 += y2
+    d2 += height ** 2
+    return np.sqrt(d2, out=d2)
+
+
+def polar_pair_distance(rho_a: np.ndarray, theta_a: np.ndarray,
+                        rho_b: np.ndarray, theta_b: np.ndarray) -> np.ndarray:
+    """Distance between the polar points (rho_a, theta_a) and (rho_b,
+    theta_b) of one disk.
+
+    The law of cosines, rho_a^2 + rho_b^2 - 2 rho_a rho_b cos(theta_a -
+    theta_b), is evaluated as (rho_a - rho_b)^2 + 2 rho_a rho_b (1 - cos):
+    non-negative terms, for the same reason as in `polar_offset_distance`.
+    """
+    chord = np.subtract(theta_a, theta_b)
+    np.cos(chord, out=chord)
+    np.subtract(1.0, chord, out=chord)
+    chord *= rho_a
+    chord *= rho_b
+    chord *= 2.0
+    d2 = rho_a - rho_b
+    d2 *= d2
+    d2 += chord
+    return np.sqrt(d2, out=d2)
 
 
 @dataclass(frozen=True)

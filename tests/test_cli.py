@@ -66,6 +66,42 @@ def test_flags_can_make_the_file_valid(tmp_path, capsys):
     assert (effective.d0_m, effective.num_clusters) == (800.0, 2)
 
 
+# A non-default value that is valid on its own, for every override flag.
+_FLAG_VALUES = {
+    "--d0": "900", "--region-radius": "120", "--radius-r": "40",
+    "--num-clusters": "4", "--total-uavs": "60", "--lambda": "2e-4",
+    "--lambda-off": "2e-3", "--h1": "12", "--h2": "25",
+    "--packet-len-ms": "8", "--t-req-ms": "2", "--t-ack-ms": "2",
+    "--slot-ms": "0.02", "--max-time-ms": "500",
+    "--rnc-generation-size": "4", "--opportunistic-caching": "false",
+    "--replications": "7", "--seed": "9", "--mode": "density",
+    "--schemes": "clustering,rnc", "--p-bs-mw": "500", "--p-uav-mw": "20",
+    "--bandwidth-hz": "1e7", "--noise-dbm-per-hz": "-170", "--gamma": "31.5",
+}
+_SUBCOMMANDS = {
+    "topology": [], "distributions": ["--kind", "peer"], "metrics": [],
+    "simulate": ["--scheme", "rnc"], "study": ["--study", "delay"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_every_subcommand_maps_every_override_flag(command, tmp_path):
+    """Each subcommand takes each override flag, and the effective config
+    it dumps is the one the flag's config key gives."""
+    assert sorted(_FLAG_VALUES) == sorted(f for f, _, _ in cli._OVERRIDE_FLAGS)
+    parser = cli.build_parser()
+    default = ScenarioConfig().to_key_values()
+    dump = tmp_path / "effective.cfg"
+    for flag, key, _ in cli._OVERRIDE_FLAGS:
+        value = _FLAG_VALUES[flag]
+        args = parser.parse_args([command, *_SUBCOMMANDS[command], flag, value,
+                                  "--dump-config", str(dump)])
+        cli._load_config(args)
+        expected = ScenarioConfig.from_mapping({key: value}).to_key_values()
+        assert expected != default, flag
+        assert dump.read_text() == expected, flag
+
+
 def test_noise_flag_beats_both_file_spellings(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("radio.noise_dbm_per_hz=-170\n"

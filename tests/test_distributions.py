@@ -9,6 +9,7 @@ from scipy import integrate
 from uavcast.distributions import (
     ClusterGeometry,
     DistanceDistribution,
+    _ks_gap,
     bs_member_support,
     center_offset_support,
     empirical_distance_check,
@@ -22,6 +23,7 @@ from uavcast.distributions import (
     sampler_self_check,
 )
 from uavcast.errors import IntegrityError, ParameterError
+from uavcast.geometry import sample_uniform_disk
 
 GEOM = ClusterGeometry(v_norm=800.0, radius_r=50.0, h1=10.0, h2=20.0)
 
@@ -281,6 +283,52 @@ def test_sampler_self_check():
     dist = DistanceDistribution.bs_member(GEOM)
     gap = sampler_self_check(dist, 100_000, np.random.default_rng(15))
     assert gap < 0.01
+
+
+KINDS = {
+    "bs-member": lambda: DistanceDistribution.bs_member(GEOM),
+    "peer": lambda: DistanceDistribution.peer(20.0, 50.0),
+    "center-offset": lambda: DistanceDistribution.center_offset(50.0),
+    "point-mass": lambda: DistanceDistribution(
+        lambda x: np.zeros_like(np.asarray(x, float)), (5.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 15, 2024])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_sampler_self_check_is_the_gap_of_sample(kind, seed):
+    """Sorting the uniforms before inverting them leaves the gap exact."""
+    dist = KINDS[kind]()
+    gap = sampler_self_check(dist, 20_000, np.random.default_rng(seed))
+    assert gap == _ks_gap(dist.sample(np.random.default_rng(seed), 20_000),
+                          dist)
+
+
+@pytest.mark.parametrize("kind", ["bs-member", "peer", "center-offset"])
+def test_positional_samplers_measure_cartesian_points(kind):
+    """Each geometric sampler gives the distances of the Cartesian points it
+    stands for, drawn from a twin generator."""
+    n = 20_000
+    dist = KINDS[kind]()
+    got = dist._positional_sampler(np.random.default_rng(8), n)
+    rng = np.random.default_rng(8)
+    if kind == "bs-member":
+        pts = sample_uniform_disk(rng, n, GEOM.radius_r, (GEOM.v_norm, 0.0))
+        want = np.hypot(np.hypot(pts[:, 0], pts[:, 1]), GEOM.delta_h)
+    else:
+        offset = 20.0 if kind == "peer" else 0.0
+        pts = sample_uniform_disk(rng, n, 50.0, (offset, 0.0))
+        want = np.hypot(pts[:, 0], pts[:, 1])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+@pytest.mark.parametrize("check", [empirical_distance_check,
+                                   sampler_self_check])
+def test_checks_reject_sample_counts_below_one(check, n_samples):
+    dist = DistanceDistribution.bs_member(GEOM)
+    with pytest.raises(ParameterError, match="n_samples"):
+        check(dist, n_samples, np.random.default_rng(0))
 
 
 def test_empirical_check_argument_validation():

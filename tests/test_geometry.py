@@ -6,13 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavcast.channel import MIN_DISTANCE_M
 from uavcast.config import ScenarioConfig
 from uavcast.errors import ParameterError
 from uavcast.geometry import (
     Topology,
     _drop_plan,
     build_topology,
+    polar_offset_distance,
+    polar_pair_distance,
     sample_uniform_disk,
+    sample_uniform_disk_polar,
     topology_csv_rows,
     write_topology_csv,
 )
@@ -73,10 +77,79 @@ def test_uniform_disk_radial_cdf_gap():
 
 def test_uniform_disk_argument_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError):
-        sample_uniform_disk(rng, 10, 0.0)
-    with pytest.raises(ParameterError):
-        sample_uniform_disk(rng, -1, 10.0)
+    for sample in (sample_uniform_disk, sample_uniform_disk_polar):
+        with pytest.raises(ParameterError):
+            sample(rng, 10, 0.0)
+        with pytest.raises(ParameterError):
+            sample(rng, -1, 10.0)
+
+
+def _assert_distances_match(got, want):
+    """Relative 1e-12 from `MIN_DISTANCE_M` up, where the link law reads
+    distances; absolute 1e-6 m below, where it clamps them."""
+    assert not np.any(np.isnan(got))
+    far = want >= MIN_DISTANCE_M
+    np.testing.assert_allclose(got[far], want[far], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[~far], want[~far], rtol=0.0, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radius=st.floats(0.5, 100.0), offset_frac=st.floats(0.0, 2.0),
+       far_offset=st.booleans(), height=st.sampled_from([0.0, 10.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(radius=100.0, offset_frac=1.0, far_offset=False, height=0.0, seed=3)
+@example(radius=0.5, offset_frac=0.0, far_offset=False, height=0.0, seed=4)
+def test_polar_distances_match_cartesian_points(radius, offset_frac,
+                                                 far_offset, height, seed):
+    """The polar distances equal `sample_uniform_disk` plus `hypot` on a twin
+    generator, and leave the generator where the Cartesian draws leave it:
+    offsets 0 to 2r (through the cancellation at offset = r) or out to
+    3000 m; pairs of points on one disk."""
+    n = 4000
+    offset = 3000.0 * offset_frac / 2.0 if far_offset else offset_frac * radius
+    polar, cartesian = (np.random.default_rng(seed) for _ in range(2))
+
+    got = polar_offset_distance(
+        offset, *sample_uniform_disk_polar(polar, n, radius), height)
+    pts = sample_uniform_disk(cartesian, n, radius, (offset, 0.0))
+    _assert_distances_match(
+        got, np.hypot(np.hypot(pts[:, 0], pts[:, 1]), height))
+
+    got = polar_pair_distance(*sample_uniform_disk_polar(polar, n, radius),
+                              *sample_uniform_disk_polar(polar, n, radius))
+    a = sample_uniform_disk(cartesian, n, radius)
+    b = sample_uniform_disk(cartesian, n, radius)
+    _assert_distances_match(got, np.hypot(a[:, 0] - b[:, 0],
+                                          a[:, 1] - b[:, 1]))
+    assert polar.random() == cartesian.random()
+
+
+def test_polar_distances_where_they_cancel():
+    """Points within a few metres of the observer (offset ~ rho, theta ~ pi)
+    and pairs within a few metres of each other, against the Cartesian
+    points: where the planar law of cosines cancels to near 0, its terms are
+    ~1e4 m^2 and their rounding alone exceeds both tolerances."""
+    rng = np.random.default_rng(5)
+    n = 20_000
+    rho = 100.0 * (1.0 + rng.uniform(-0.02, 0.02, n))
+    theta = np.pi + rng.uniform(-0.02, 0.02, n)
+    x, y = 100.0 + rho * np.cos(theta), rho * np.sin(theta)
+    _assert_distances_match(polar_offset_distance(100.0, rho, theta),
+                            np.hypot(x, y))
+    theta_b = theta + rng.uniform(-0.02, 0.02, n)
+    rho_b = rho * (1.0 + rng.uniform(-0.02, 0.02, n))
+    _assert_distances_match(
+        polar_pair_distance(rho, theta, rho_b, theta_b),
+        np.hypot(rho * np.cos(theta) - rho_b * np.cos(theta_b),
+                 rho * np.sin(theta) - rho_b * np.sin(theta_b)))
+
+
+def test_polar_distances_keep_their_inputs():
+    rho, theta = sample_uniform_disk_polar(np.random.default_rng(2), 50, 10.0)
+    saved = rho.copy(), theta.copy()
+    polar_offset_distance(5.0, rho, theta, 3.0)
+    polar_pair_distance(rho, theta, rho[::-1], theta[::-1])
+    assert np.array_equal(rho, saved[0]) and np.array_equal(theta, saved[1])
 
 
 def test_parent_process_mean_count():
