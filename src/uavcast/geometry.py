@@ -89,8 +89,7 @@ def sample_uniform_disk_polar(rng: np.random.Generator, n: int,
         raise ParameterError(f"disk radius must be positive, got {radius}")
     if n < 0:
         raise ParameterError(f"sample count must be non-negative, got {n}")
-    rho = np.sqrt(rng.random(n))
-    rho *= radius
+    rho = radius * np.sqrt(rng.random(n))
     return rho, rng.uniform(0.0, 2.0 * np.pi, n)
 
 
