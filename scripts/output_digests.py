@@ -26,6 +26,15 @@ The commands:
   `study --study delay --d0-values 28000,30000 --replications 50` (named
   `delay_28km_30km`): members the BS never serves, since the per-round
   success probability is 0 or subnormal that far out;
+- studies whose replications span several batches of `_replicated`:
+  `study --study ase --d0-values 400 --c-values 2,5,10 --replications
+  1000` (named `ase_near`) and `study --study delay --d0-values 1200
+  --c-values 2,5,10 --replications 300` (named `delay_far`), the units of
+  the `ase-near` and `delay-far` benchmark workloads; `study --study delay
+  --total-uavs 2000 --c-values 2 --d0-values 1200 --replications 10`
+  (named `delay_2000uavs`), batches of a few wide drops; and `study --study
+  delay --mode density --d0-values 1200 --c-values 2 --replications 1000`
+  (named `delay_density_batches`), batches of drops of mixed shape;
 - `study --study validation-coverage|validation-success --replications
   100000` and `study --study design-insight` (default grids): the
   validation draws and the `p_cov`/`p_suc` quadratures;
@@ -84,6 +93,16 @@ def commands(out: Path) -> list[list[str]]:
          "--out-dir", str(out / "delay_budget40_nocache")],
         ["study", "--study", "delay", "--d0-values", "28000,30000",
          "--replications", "50", "--out-dir", str(out / "delay_28km_30km")],
+        ["study", "--study", "ase", "--d0-values", "400", "--c-values",
+         "2,5,10", "--replications", "1000", "--out-dir", str(out / "ase_near")],
+        ["study", "--study", "delay", "--d0-values", "1200", "--c-values",
+         "2,5,10", "--replications", "300", "--out-dir", str(out / "delay_far")],
+        ["study", "--study", "delay", "--total-uavs", "2000", "--c-values",
+         "2", "--d0-values", "1200", "--replications", "10",
+         "--out-dir", str(out / "delay_2000uavs")],
+        ["study", "--study", "delay", "--mode", "density", "--d0-values",
+         "1200", "--c-values", "2", "--replications", "1000",
+         "--out-dir", str(out / "delay_density_batches")],
         ["study", "--study", "validation-coverage", "--replications", "100000",
          "--out-dir", str(out / "validation_coverage")],
         ["study", "--study", "validation-success", "--replications", "100000",
