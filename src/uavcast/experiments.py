@@ -15,24 +15,24 @@ mixing and PCG64 seeding (both frozen by NumPy's RNG policy, NEP 19) run
 once per scenario on arrays over all replications, and numpy itself serves
 as the oracle in the tests.
 
-The delay and ase studies run a scenario's replications in chunks
-(`_replicated`).  Each replication draws its own blocks from its own
-generator; the geometry, powers and round-1 decisions computed from them
-run over whole arrays of drops, and `protocol.run_epochs` finishes all of
-a chunk's epochs of one drop shape at once: clustering recovery in
-lock-step, each epoch drawing from its own generator, and the BS schemes'
-timelines from completion rounds drawn with round 1
-(`channel.completion_rounds`).  Every replication's numbers equal those
-of `build_topology` plus `SCHEME_RUNNERS` on its generator, bit for bit.
+The delay and ase studies run a scenario's replications in batches of
+about `_BATCH_MEMBERS` members (`_replicated`).  Each replication draws its
+own blocks from its own generator; the geometry, powers and round-1
+decisions computed from them run over whole arrays of drops, and
+`protocol.run_epochs` finishes all of a batch's epochs of one drop shape
+at once: clustering recovery in lock-step, each epoch drawing from its own
+generator, and the BS schemes' timelines from completion rounds drawn with
+round 1 (`channel.completion_rounds`).  Every replication's numbers equal
+those of `build_topology` plus `SCHEME_RUNNERS` on its generator, bit for
+bit, whatever the batch width.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,11 +145,16 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Replications per batch in `_replicated`, and derived states per block
-# of Python ints: large enough to spread each numpy call over many drops,
-# small enough that a study's peak memory does not grow with its
-# replication count.
-_CHUNK = 64
+# Members per batch of `_replicated`: wide enough to spread each numpy
+# call, and each lock-step recovery iteration, over many drops (163 drops
+# at the default 50 members), narrow enough that a batch's memory is
+# bounded in members, whatever the replication count and the swarm size:
+# a `delay` clustering call at d0 = 1200 m, C = 2 over 163 replications
+# peaks at 3.5 MB traced at 50 members and at 2,000 (1.4 and 53.9 MB with
+# batches of 64 replications).
+_BATCH_MEMBERS = 8192
+# Derived states per block of Python ints in `_seeded_states`.
+_STATE_BLOCK = 64
 
 
 def _words(value: int) -> list[int]:
@@ -230,8 +235,8 @@ def _seeded_states(entropy: list[np.ndarray]):
     del pool, out
     # Python ints are made one block at a time, so a caller that consumes
     # the states as they come holds one block of them, not all.
-    for lo in range(0, len(words), _CHUNK):
-        for a, b, c, d in words[lo:lo + _CHUNK].tolist():
+    for lo in range(0, len(words), _STATE_BLOCK):
+        for a, b, c, d in words[lo:lo + _STATE_BLOCK].tolist():
             # pcg_setseq_128_srandom_r: state 0, step, add the seed, step.
             inc = (((c << 64) | d) << 1 | 1) & _MASK128
             state = ((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _MASK128
@@ -390,18 +395,27 @@ def run_design_insight_study(config: ScenarioConfig,
 
 @dataclass
 class _Drops:
-    """The drops of one shape in a chunk: their rows in the chunk, uniform
-    blocks and fading (one row each, the first `len(rows)` used), and, for
-    clustering, the generator state after round 1 of each, kept only when
-    the epoch can recover past it.  A fading row holds the n round-1
-    exponentials, followed, in the delay study's BS schemes, by g per
-    member for the later rounds."""
+    """The drops of one shape in a batch: their replication indices, the
+    uniform block and fading row of each (the first `len(rows)` rows of
+    `uniforms` and `fading`), and, for clustering, the generator state
+    after round 1 of each, kept only when the epoch can recover past it.
+    A fading row holds the n round-1 exponentials, followed, in the delay
+    study's BS schemes, by g per member for the later rounds."""
 
     plan: _DropPlan
-    rows: list[int]
     uniforms: np.ndarray
     fading: np.ndarray
-    states: list[dict]
+    rows: list[int] = field(default_factory=list)
+    states: list[dict] = field(default_factory=list)
+
+    def next_row(self) -> int:
+        """The row of the next drop, doubling the blocks when full."""
+        row = len(self.rows)
+        if row == len(self.uniforms):
+            self.uniforms, self.fading = (
+                np.concatenate([block, np.empty_like(block)])
+                for block in (self.uniforms, self.fading))
+        return row
 
 
 def _replicated(study: str, scheme: str, config: ScenarioConfig,
@@ -412,8 +426,13 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
 
     Replication `rep` draws from the generator of spawn key
     (study, *key, scheme, rep), derived in one `_pcg64_states` pass and
-    loaded into one shared bit generator.  Replications run in chunks of
-    `_CHUNK`, each in three phases:
+    loaded into one shared bit generator.  Replications run in batches
+    sized by members, not by replications: a batch closes when one more
+    drop the size of its last would take it past `_BATCH_MEMBERS` members,
+    an empty drop counting as one.  So a fixed_total batch holds
+    max(1, _BATCH_MEMBERS // n) drops of n members (163 at the default
+    50, 4 at 2,000), and a density batch about `_BATCH_MEMBERS` members
+    in drops of mixed shape.  Each batch runs in three phases:
 
     1. draw, per replication: the drop's Poisson count (density mode) and
        uniform block, then, unless the drop is empty or one packet exceeds
@@ -437,9 +456,10 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
        lay out their timelines with no further draw.
 
     So every replication's outcome is the one `SCHEME_RUNNERS` gives it on
-    a drop from `build_topology`, bit for bit.  The ase study's benchmark
-    epochs count only the members the first broadcast serves, so phase 1
-    draws no later rounds for them and they end after round 1.
+    a drop from `build_topology`, bit for bit, whatever the batch width.
+    The ase study's benchmark epochs count only the members the first
+    broadcast serves, so phase 1 draws no later rounds for them and they
+    end after round 1.
     """
     prefix = (_STUDY_IDS[study], *key, _SCHEME_ORDER.index(scheme))
     states = _pcg64_states(config.base_seed, prefix, range(config.replications))
@@ -457,30 +477,46 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
         later = sim.rnc_generation_size if scheme == "rnc" else 1
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
-    out = []
-    while chunk := list(itertools.islice(states, _CHUNK)):
-        groups: dict[tuple[int, ...], _Drops] = {}
-        for row, state in enumerate(chunk):
-            bit_generator.state = state
-            plan = plan_of(rng)
-            drops = groups.get(plan.bounds)
-            if drops is None:
-                drops = groups[plan.bounds] = _Drops(
-                    plan, [], np.empty((len(chunk), plan.read.size)),
-                    np.empty((len(chunk), plan.n_uavs * (1 + later))), [])
-            rng.random(out=drops.uniforms[len(drops.rows)])
-            if fits and plan.n_uavs:
-                rng.standard_exponential(out=drops.fading[len(drops.rows)])
-                if recovers:
-                    drops.states.append(bit_generator.state)
-            drops.rows.append(row)
-        metrics = np.empty((len(chunk), 3) if study == "delay" else len(chunk))
-        for drops in groups.values():
+    out = np.empty((config.replications, 3) if study == "delay"
+                   else config.replications)
+
+    def finish(batch):
+        for drops in batch.values():
             delivery, via_broadcast = _continue(scheme, config, drops, rng)
-            metrics[drops.rows] = _reduce(study, scheme, sim, delivery,
-                                          via_broadcast, rate_density)
-        out.append(metrics)
-    return np.concatenate(out)
+            out[drops.rows] = _reduce(study, scheme, sim, delivery,
+                                      via_broadcast, rate_density)
+
+    batch: dict[tuple[int, ...], _Drops] = {}
+    members = 0
+    for rep, state in enumerate(states):
+        bit_generator.state = state
+        plan = plan_of(rng)
+        n = plan.n_uavs
+        # An empty drop counts as one member, so empty drops fill a batch.
+        size = max(1, n)
+        drops = batch.get(plan.bounds)
+        if drops is None:
+            # fixed_total drops share one shape, so its blocks hold a whole
+            # batch; density blocks start at 16 rows and double when full.
+            rows = (max(1, _BATCH_MEMBERS // size)
+                    if config.mode == "fixed_total" else 16)
+            rows = min(rows, config.replications - rep)
+            drops = batch[plan.bounds] = _Drops(
+                plan, np.empty((rows, plan.read.size)),
+                np.empty((rows, n * (1 + later))))
+        row = drops.next_row()
+        rng.random(out=drops.uniforms[row])
+        if fits and n:
+            rng.standard_exponential(out=drops.fading[row])
+            if recovers:
+                drops.states.append(bit_generator.state)
+        drops.rows.append(rep)
+        members += size
+        if members + size > _BATCH_MEMBERS:
+            finish(batch)
+            batch, members = {}, 0
+    finish(batch)
+    return out
 
 
 def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,

@@ -29,7 +29,7 @@ threshold, and a relayed reply succeeds with `decode_probability`.
 Every scheme's first BS broadcast ends at packet_len_ms, and none is sent
 when that is past max_time_ms.  `run_epochs` finishes a batch of epochs of
 one drop shape from each member's round-1 outcome; the studies call it on
-chunks of drops, and each runner of `SCHEME_RUNNERS` on a batch of one
+batches of drops, and each runner of `SCHEME_RUNNERS` on a batch of one
 epoch, which alone records the event log.  Clustering recovery runs in
 lock-step over arrays (`_recover`): every (epoch, cluster) cell that needs
 recovery makes one channel attempt per iteration (`_attempt`), so a batch

@@ -322,8 +322,11 @@ def _oracle_metrics(study, scheme, config, key):
     return np.array(rows, dtype=float)
 
 
-# (mode, lambda_per_m2, max_time_ms, replications, overrides): one chunk,
-# a full chunk and one past it; density drops of several shapes per chunk,
+# Drops of the default 50 members in one batch.
+_WIDTH = experiments._BATCH_MEMBERS // 50
+
+# (mode, lambda_per_m2, max_time_ms, replications, overrides): one batch,
+# a full batch and one past it; density drops of several shapes per batch,
 # and at lambda 1e-6 mostly empty; a budget below one packet; one cluster
 # far out without caching, whose recoveries outlast one block of uniforms;
 # members that never complete a BS round: the default radio's per-round
@@ -331,9 +334,9 @@ def _oracle_metrics(study, scheme, config, key):
 # subnormal 8.9e-322 at 28 km, so across a 28 km drop it is 0 for some
 # members and subnormal for others.
 _BATCH_CASES = [
-    ("fixed_total", 1e-4, 10_000.0, 65, {}),
+    ("fixed_total", 1e-4, 10_000.0, _WIDTH + 1, {}),
     ("fixed_total", 1e-4, 40.0, 1, {}),
-    ("fixed_total", 1e-4, 5.0, 64, {}),
+    ("fixed_total", 1e-4, 5.0, _WIDTH, {}),
     ("density", 1e-4, 10_000.0, 65, {}),
     ("density", 1e-6, 10_000.0, 65, {}),
     ("density", 1e-4, 5.0, 65, {}),
@@ -350,10 +353,10 @@ _BATCH_CASES = [
                                           ("ase", "clustering"),
                                           ("ase", "benchmark")])
 def test_replicated_equals_independent_generators(study, scheme):
-    """The chunked batch gives every replication, bit for bit, what an
+    """The batched run gives every replication, bit for bit, what an
     independent `_rng` generator gives it through `build_topology` and the
     scheme's runner, in both topology modes, with empty drops, with a
-    packet over the time budget, across chunk boundaries, with members
+    packet over the time budget, across batch boundaries, with members
     that never complete and, for clustering, with epochs that draw a second
     block of uniforms."""
     key = (1, 2)
@@ -412,20 +415,52 @@ def test_experiments_uses_only_public_protocol_names():
     assert private == []
 
 
-def test_replicated_does_not_depend_on_chunk_size(monkeypatch):
+@pytest.mark.parametrize("mode,lambda_per_m2,budget", [
+    ("fixed_total", 1e-4, 50),   # batches of one drop of 50 members
+    ("fixed_total", 1e-4, 350),  # batches of 7
+    ("density", 1e-4, 100),      # ragged batches of mixed shape
+    ("density", 1e-6, 4),        # mostly empty drops, one member each
+])
+def test_replicated_does_not_depend_on_batch_budget(mode, lambda_per_m2,
+                                                    budget):
     """Each epoch draws its recovery blocks from its own generator, and
-    the BS schemes lay out each row of a batch on its own, so chunks of 7
-    give the metrics of chunks of 64, bit for bit."""
+    the BS schemes lay out each row of a batch on its own, so a small
+    member budget gives the metrics of the default budget, bit for bit;
+    and batches hold as many drops as the budget says."""
     config = ScenarioConfig(replications=40, base_seed=5, d0_m=1200.0,
-                            num_clusters=2)
-    assert experiments._CHUNK == 64
-    wide = {pair: _replicated(*pair, config, (0, 1))
-            for pair in (("delay", "clustering"), ("ase", "clustering"),
-                         ("delay", "benchmark"), ("delay", "rnc"))}
-    monkeypatch.setattr(experiments, "_CHUNK", 7)
-    for pair, metrics in wide.items():
-        assert _replicated(*pair, config, (0, 1)).tobytes() == \
-            metrics.tobytes(), pair
+                            num_clusters=2, mode=mode,
+                            lambda_per_m2=lambda_per_m2)
+    pairs = (("delay", "clustering"), ("ase", "clustering"),
+             ("ase", "benchmark"), ("delay", "benchmark"), ("delay", "rnc"))
+    wide = {pair: _replicated(*pair, config, (0, 1)) for pair in pairs}
+    assert budget < experiments._BATCH_MEMBERS
+    continue_ = experiments._continue
+    groups = []  # (drop shape, replications) of every group of a call
+
+    def recorded(scheme, config, drops, rng):
+        groups.append((drops.plan.bounds, drops.rows))
+        return continue_(scheme, config, drops, rng)
+
+    with mock.patch.object(experiments, "_BATCH_MEMBERS", budget), \
+            mock.patch.object(experiments, "_continue", recorded):
+        for pair, metrics in wide.items():
+            groups.clear()
+            assert _replicated(*pair, config, (0, 1)).tobytes() == \
+                metrics.tobytes(), pair
+    widths = [len(rows) for _, rows in groups]
+    if mode == "fixed_total":
+        per_batch = budget // 50
+        assert widths == [per_batch] * (40 // per_batch) + (
+            [40 % per_batch] if 40 % per_batch else [])
+    elif lambda_per_m2 == 1e-4:
+        # a shape recurs in several batches, and a batch mixes shapes
+        assert len(groups) > len({bounds for bounds, _ in groups})
+        assert any(rows != list(range(rows[0], rows[-1] + 1))
+                   for _, rows in groups)
+    else:
+        # empty drops fill batches too
+        empty = [len(rows) for bounds, rows in groups if bounds == (0,)]
+        assert max(empty) == budget and sum(empty) > budget
 
 
 def _traced_peak(study, scheme, config):
@@ -441,13 +476,28 @@ def _traced_peak(study, scheme, config):
 
 
 def test_replicated_memory_does_not_grow_with_replications():
-    """Chunking bounds the allocations of a `_replicated` call: its
-    traced peak at 640 replications stays within 1.5x of the peak at 64."""
+    """Batching bounds the allocations of a `_replicated` call: its
+    traced peak over ten batches stays within 1.5x of the peak over one."""
     def peak(reps):
         return _traced_peak("ase", "clustering",
                             ScenarioConfig(replications=reps, d0_m=400.0))
 
-    assert peak(640) <= 1.5 * peak(64)
+    assert peak(10 * _WIDTH) <= 1.5 * peak(_WIDTH)
+
+
+@pytest.mark.parametrize("scheme", ["clustering", "rnc"])
+def test_replicated_memory_is_bounded_in_members(scheme):
+    """A batch holds about `_BATCH_MEMBERS` members whatever the drop
+    size, so over one batch's worth of 50-member replications a
+    delay-study call at 2,000 members peaks within 1.5x of its peak at
+    50 (about 1.0x measured); batches of a fixed replication count would
+    hold 40 times the members, and peak about 37 times higher."""
+    def peak(total_uavs):
+        return _traced_peak("delay", scheme, ScenarioConfig(
+            replications=_WIDTH, total_uavs=total_uavs, d0_m=1200.0,
+            num_clusters=2))
+
+    assert peak(2000) <= 1.5 * peak(50)
 
 
 @pytest.mark.parametrize("scheme", ["benchmark", "rnc"])
