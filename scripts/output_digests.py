@@ -51,9 +51,11 @@ The commands:
   --max-time-ms 40 --noise-dbm-per-hz -170 --opportunistic-caching false`:
   the key=value file format, key order included;
 - `distributions --kind bs-member|peer|center-offset --out` at the
-  defaults: the tabulated pdf/CDF and, as `dist_<kind>.stdout`, the printed
-  lines with the KS gaps of the geometric and the inverse-CDF samples
-  (the temporary directory's path replaced by `<out>`).
+  defaults, and `distributions --kind peer --offset-a 0` (named
+  `dist_peer_a0`: a transmitter at the cluster center): the tabulated
+  pdf/CDF and, as a `.stdout` file named after the CSV, the printed lines
+  with the KS gaps of the geometric and the inverse-CDF samples (the
+  temporary directory's path replaced by `<out>`).
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ def commands(out: Path) -> list[list[str]]:
     for kind in KINDS:
         cmds.append(["distributions", "--kind", kind,
                      "--out", str(out / f"dist_{_tag(kind)}.csv")])
+    cmds.append(["distributions", "--kind", "peer", "--offset-a", "0",
+                 "--out", str(out / "dist_peer_a0.csv")])
     for scheme in SCHEMES:
         for tag, seed, flags in runs:
             cmds.append(["simulate", "--scheme", scheme, "--seed", seed,
@@ -152,7 +156,8 @@ def run() -> int:
             if argv[0] == "distributions":
                 # The printed KS gaps are an output; the path is not.
                 text = stdout.getvalue().replace(str(out), "<out>")
-                (out / f"dist_{_tag(argv[2])}.stdout").write_text(text)
+                csv_path = Path(argv[argv.index("--out") + 1])
+                csv_path.with_suffix(".stdout").write_text(text)
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out).as_posix()}")
