@@ -13,7 +13,6 @@ from .analysis import (
     MetricResults,
     average_ase,
     average_delay,
-    cluster_peer_count,
     coverage_probability,
     evaluate_metrics,
     request_success_probability,
@@ -56,6 +55,7 @@ from .experiments import (
 from .geometry import (
     Topology,
     build_topology,
+    cluster_peer_count,
     sample_uniform_disk,
     write_topology_csv,
 )

@@ -42,6 +42,7 @@ from .distributions import (
     pdf_member_pair_distance,
 )
 from .errors import NumericError, ParameterError
+from .geometry import cluster_peer_count
 
 # Absolute tolerance demanded from every quadrature result.
 _QUAD_TOL = 1e-6
@@ -128,15 +129,6 @@ def transmission_success_probability(radius_r: float, radio: RadioParams) -> flo
 
     edges = (0.0, MIN_DISTANCE_M, hi) if MIN_DISTANCE_M < hi else (0.0, hi)
     return _integrate(integrand, edges)
-
-
-def cluster_peer_count(lambda_off: float, radius_r: float) -> int:
-    """Nominal number of members per cluster disk at offspring density
-    lambda_off: floor(lambda_off * pi * r^2)."""
-    if lambda_off <= 0 or radius_r <= 0:
-        raise ParameterError(
-            f"lambda_off and radius_r must be positive, got {lambda_off}, {radius_r}")
-    return math.floor(lambda_off * math.pi * radius_r ** 2)
 
 
 def request_success_probability(p_cov: float, p_suc: float, lambda_off: float,

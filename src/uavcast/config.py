@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import typing
 from dataclasses import dataclass, field, fields
 
 from .channel import RadioParams, db_to_linear
 from .distributions import ClusterGeometry
 from .errors import ParameterError, check_field_values
+from .geometry import cluster_peer_count
 from .protocol import SCHEME_RUNNERS, SimParams
 
 _MODES = ("fixed_total", "density")
@@ -43,6 +43,10 @@ class ScenarioConfig:
     deployment constraint d0 > region_radius + radius_r keeps every cluster
     center farther from the BS than its own radius.  `sim` holds the
     protocol timing and MAC constants, `radio` the link model.
+
+    Construction is the only validation of a scenario, and `replace`
+    revalidates; `build_topology` and the studies take a built config as
+    valid.
     """
 
     region_radius_m: float = 100.0
@@ -92,8 +96,8 @@ class ScenarioConfig:
         if self.mode not in _MODES:
             raise ParameterError(
                 f"mode: expected one of {_MODES}, got {self.mode!r}")
-        if self.mode == "density" \
-                and self.lambda_off_per_m2 * math.pi * self.radius_r_m ** 2 < 1.0:
+        if self.mode == "density" and cluster_peer_count(
+                self.lambda_off_per_m2, self.radius_r_m) < 1:
             raise ParameterError(
                 "lambda_off_per_m2: density mode needs "
                 "lambda_off * pi * radius_r^2 >= 1")

@@ -151,18 +151,14 @@ def pdf_peer_distance(d, offset_a: float, radius_r: float) -> np.ndarray:
     The two branches agree at d = r - a, where the arccos argument is -1;
     at the outer end d = r + a it is 1.
     """
-    if radius_r <= 0:
-        raise ParameterError(f"radius_r must be positive, got {radius_r}")
+    if not (math.isfinite(radius_r) and radius_r > 0):
+        raise ParameterError(f"radius_r must be positive and finite, got {radius_r}")
     if not (0.0 <= offset_a <= radius_r):
         raise ParameterError(
             f"offset_a must lie in [0, radius_r], got {offset_a}")
     d = np.asarray(d, dtype=float)
     r, a = radius_r, offset_a
     out = np.zeros_like(d)
-    if a == 0.0:
-        inside = (d >= 0) & (d <= r)
-        out[inside] = 2.0 * d[inside] / r ** 2
-        return out
     j = r - a
     full = (d >= 0) & (d <= j)
     out[full] = 2.0 * d[full] / r ** 2
@@ -181,14 +177,9 @@ def pdf_peer_distance(d, offset_a: float, radius_r: float) -> np.ndarray:
 
 
 def pdf_center_offset(a, radius_r: float) -> np.ndarray:
-    """pdf of the radial offset of a uniform point on the cluster disk."""
-    if radius_r <= 0:
-        raise ParameterError(f"radius_r must be positive, got {radius_r}")
-    a = np.asarray(a, dtype=float)
-    out = np.zeros_like(a)
-    inside = (a >= 0) & (a <= radius_r)
-    out[inside] = 2.0 * a[inside] / radius_r ** 2
-    return out
+    """pdf of the radial offset of a uniform point on the cluster disk:
+    the peer density seen from the center, 2 a / r^2 on [0, r]."""
+    return pdf_peer_distance(a, 0.0, radius_r)
 
 
 def pdf_member_pair_distance(d, radius_r: float) -> np.ndarray:

@@ -421,12 +421,11 @@ class _Drops:
 def _replicated(study: str, scheme: str, config: ScenarioConfig,
                 key: tuple[int, ...]) -> np.ndarray:
     """The metrics of every replication of `scheme`, in replication order:
-    rows of (mean delay, delivery ratio, ase) in the delay study, the ase
-    alone in the ase study.
+    rows of (mean delay, delivery ratio) in the delay study, the ase in
+    the ase study.
 
-    Replication `rep` draws from the generator of spawn key
-    (study, *key, scheme, rep), derived in one `_pcg64_states` pass and
-    loaded into one shared bit generator.  Replications run in batches
+    Replication `rep` draws from the generator that `_generators` yields
+    for spawn key (study, *key, scheme, rep).  Replications run in batches
     sized by members, not by replications: a batch closes when one more
     drop the size of its last would take it past `_BATCH_MEMBERS` members,
     an empty drop counting as one.  So a fixed_total batch holds
@@ -462,9 +461,8 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
     end after round 1.
     """
     prefix = (_STUDY_IDS[study], *key, _SCHEME_ORDER.index(scheme))
-    states = _pcg64_states(config.base_seed, prefix, range(config.replications))
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
+    generators = _generators(config.base_seed, prefix,
+                             range(config.replications))
     plan_of = _drop_law(config)
     sim = config.sim
     fits = sim.packet_len_ms <= sim.max_time_ms
@@ -477,10 +475,10 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
         later = sim.rnc_generation_size if scheme == "rnc" else 1
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
-    out = np.empty((config.replications, 3) if study == "delay"
+    out = np.empty((config.replications, 2) if study == "delay"
                    else config.replications)
 
-    def finish(batch):
+    def finish(batch, rng):
         for drops in batch.values():
             delivery, via_broadcast = _continue(scheme, config, drops, rng)
             out[drops.rows] = _reduce(study, scheme, sim, delivery,
@@ -488,8 +486,7 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
 
     batch: dict[tuple[int, ...], _Drops] = {}
     members = 0
-    for rep, state in enumerate(states):
-        bit_generator.state = state
+    for rep, rng in enumerate(generators):
         plan = plan_of(rng)
         n = plan.n_uavs
         # An empty drop counts as one member, so empty drops fill a batch.
@@ -509,13 +506,13 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
         if fits and n:
             rng.standard_exponential(out=drops.fading[row])
             if recovers:
-                drops.states.append(bit_generator.state)
+                drops.states.append(rng.bit_generator.state)
         drops.rows.append(rep)
         members += size
         if members + size > _BATCH_MEMBERS:
-            finish(batch)
+            finish(batch, rng)
             batch, members = {}, 0
-    finish(batch)
+    finish(batch, rng)
     return out
 
 
@@ -562,21 +559,19 @@ def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
 def _reduce(study: str, scheme: str, sim, delivery: np.ndarray,
             via_broadcast: np.ndarray, rate_density: float):
     """Reduce the epochs of one drop shape (rows of `delivery`, NaN for
-    undelivered, and `via_broadcast`) to (mean delay, delivery ratio, ase)
-    rows in the delay study, the ase alone in the ase study;
-    `rate_density` is lambda_off * log2(1 + threshold).  NaN throughout
-    for empty drops."""
+    undelivered, and `via_broadcast`) to (mean delay, delivery ratio)
+    rows in the delay study, the ase in the ase study; `rate_density` is
+    lambda_off * log2(1 + threshold).  NaN throughout for empty drops."""
     m, n = delivery.shape
     if not n:
-        return np.full(m if study == "ase" else (m, 3), np.nan)
+        return np.full(m if study == "ase" else (m, 2), np.nan)
     delivered = ~np.isnan(delivery)
-    # The clustering ase counts every delivered member; the ACK benchmark
-    # only members served by the first broadcast, later rounds are
-    # retransmissions of the same packet.
-    served = delivered if scheme == "clustering" else via_broadcast
-    ase = (np.count_nonzero(served, axis=1) / n) * rate_density
     if study == "ase":
-        return ase
+        # The clustering ase counts every delivered member; the ACK
+        # benchmark only members served by the first broadcast, later
+        # rounds are retransmissions of the same packet.
+        served = delivered if scheme == "clustering" else via_broadcast
+        return (np.count_nonzero(served, axis=1) / n) * rate_density
     count = np.count_nonzero(delivered, axis=1)
     ratio = count / n
     if scheme == "rnc":
@@ -592,7 +587,7 @@ def _reduce(study: str, scheme: str, sim, delivery: np.ndarray,
     mean_delay[full] = delivery[full].sum(axis=1) / n
     for i in np.flatnonzero(~full & (count > 0)):
         mean_delay[i] = delivery[i][delivered[i]].sum() / count[i]
-    return np.column_stack([mean_delay, ratio, ase])
+    return np.column_stack([mean_delay, ratio])
 
 
 def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
@@ -608,12 +603,14 @@ def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
     d0_values = _grid("d0_values", d0_values)
     rows = []
     for i_d0, d0 in enumerate(d0_values):
-        analytic = _analytic_metrics(config, d0)
+        analytic = analysis.average_delay(*_analytic_probabilities(config, d0),
+                                          config.sim.packet_len_ms,
+                                          config.sim.t_req_ms)
         for i_c, c in enumerate(c_values):
             scenario = config.replace(d0_m=d0, num_clusters=c)
             for scheme in config.schemes:
-                delays, ratios, _ = _replicated(study, scheme, scenario,
-                                                (i_d0, i_c)).T
+                delays, ratios = _replicated(study, scheme, scenario,
+                                             (i_d0, i_c)).T
                 mean, stderr, n = _mean_stderr(delays)
                 rows.append(MetricRow(study, "num_clusters", float(c), scheme,
                                       f"delay_ms_d0_{d0:g}", mean, stderr, n))
@@ -622,8 +619,7 @@ def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
                                       f"delivery_ratio_d0_{d0:g}", rmean,
                                       rstderr, rn))
             rows.append(MetricRow(study, "num_clusters", float(c), "analytic",
-                                  f"delay_ms_d0_{d0:g}",
-                                  analytic["delay"], 0.0, 0))
+                                  f"delay_ms_d0_{d0:g}", analytic, 0.0, 0))
     return MetricTable(rows)
 
 
@@ -643,7 +639,9 @@ def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
     d0_values = _grid("d0_values", d0_values)
     rows = []
     for i_d0, d0 in enumerate(d0_values):
-        analytic = _analytic_metrics(config, d0)
+        analytic = analysis.average_ase(*_analytic_probabilities(config, d0),
+                                        config.lambda_off_per_m2,
+                                        config.radio.snr_threshold)
         for i_c, c in enumerate(c_values):
             scenario = config.replace(d0_m=d0, num_clusters=c)
             benchmark_row = None
@@ -659,20 +657,14 @@ def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
                                   benchmark_row.metric, benchmark_row.mean,
                                   benchmark_row.stderr, benchmark_row.n))
             rows.append(MetricRow(study, "num_clusters", float(c), "analytic",
-                                  f"ase_d0_{d0:g}", analytic["ase"], 0.0, 0))
+                                  f"ase_d0_{d0:g}", analytic, 0.0, 0))
     return MetricTable(rows)
 
 
-def _analytic_metrics(config: ScenarioConfig, d0: float) -> dict[str, float]:
-    geom = config.geometry(v_norm=d0)
-    p_cov = analysis.coverage_probability(geom, config.radio)
-    p_suc = analysis.transmission_success_probability(config.radius_r_m,
-                                                      config.radio)
-    return {
-        "p_cov": p_cov,
-        "p_suc": p_suc,
-        "delay": analysis.average_delay(p_cov, p_suc, config.sim.packet_len_ms,
-                                        config.sim.t_req_ms),
-        "ase": analysis.average_ase(p_cov, p_suc, config.lambda_off_per_m2,
-                                    config.radio.snr_threshold),
-    }
+def _analytic_probabilities(config: ScenarioConfig,
+                            d0: float) -> tuple[float, float]:
+    """(p_cov, p_suc) of the scenario's clusters at center distance d0."""
+    p_cov = analysis.coverage_probability(config.geometry(v_norm=d0),
+                                          config.radio)
+    return p_cov, analysis.transmission_success_probability(
+        config.radius_r_m, config.radio)

@@ -193,9 +193,18 @@ def _drop_plan(k: int, counts: tuple[int, ...], region: float,
                      bounds=tuple(np.cumsum((0, *counts)).tolist()))
 
 
+def cluster_peer_count(lambda_off: float, radius_r: float) -> int:
+    """Nominal number of members per cluster disk at offspring density
+    lambda_off: floor(lambda_off * pi * r^2)."""
+    if lambda_off <= 0 or radius_r <= 0:
+        raise ParameterError(
+            f"lambda_off and radius_r must be positive, got {lambda_off}, {radius_r}")
+    return math.floor(lambda_off * math.pi * radius_r ** 2)
+
+
 def _drop_law(config: "ScenarioConfig"):
-    """rng -> the `_DropPlan` of one drop of the scenario, the scenario's
-    drop parameters validated once here.
+    """rng -> the `_DropPlan` of one drop of the scenario.  `ScenarioConfig`
+    has validated the drop parameters, so this is arithmetic only.
 
     fixed_total mode: exactly `num_clusters` centers uniform on the region
     disk, `total_uavs` members split as evenly as possible (remainder goes
@@ -203,45 +212,23 @@ def _drop_law(config: "ScenarioConfig"):
     law draws nothing.
 
     density mode: Poisson centers with density `lambda_per_m2`, each holding
-    floor(lambda_off_per_m2 * pi * radius_r^2) members; the law draws the
-    Poisson count and returns the cached plan of that count.
+    `cluster_peer_count` members; the law draws the Poisson count and
+    returns the cached plan of that count.
     """
     region, radius_r = config.region_radius_m, config.radius_r_m
-    if region <= 0:
-        raise ParameterError(f"region_radius_m: must be positive, got {region}")
-    if radius_r <= 0:
-        raise ParameterError(f"radius_r_m: must be positive, got {radius_r}")
-    if radius_r > region:
-        raise ParameterError(
-            f"radius_r_m: cluster radius {radius_r} exceeds region radius {region}")
     if config.mode == "fixed_total":
         k = config.num_clusters
-        if k < 1:
-            raise ParameterError(f"num_clusters: must be >= 1, got {k}")
-        if config.total_uavs < k:
-            raise ParameterError(
-                f"total_uavs: need at least one UAV per cluster, got "
-                f"{config.total_uavs} for {k} clusters")
         base, extra = divmod(config.total_uavs, k)
         plan = _drop_plan(k, (base + 1,) * extra + (base,) * (k - extra),
                           region, radius_r)
         return lambda rng: plan
-    if config.mode == "density":
-        density = config.lambda_per_m2
-        if density <= 0:
-            raise ParameterError(f"lambda_per_m2: must be positive, got {density}")
-        per_cluster = math.floor(config.lambda_off_per_m2 * math.pi * radius_r ** 2)
-        if per_cluster < 1:
-            raise ParameterError(
-                "lambda_off_per_m2: offspring density too low, expected members "
-                f"per cluster {per_cluster} < 1")
-        mean = density * np.pi * region ** 2
+    per_cluster = cluster_peer_count(config.lambda_off_per_m2, radius_r)
+    mean = config.lambda_per_m2 * np.pi * region ** 2
 
-        def plan_of(rng):
-            k = int(rng.poisson(mean))
-            return _drop_plan(k, (per_cluster,) * k, region, radius_r)
-        return plan_of
-    raise ParameterError(f"mode: unknown mode {config.mode!r}")
+    def plan_of(rng):
+        k = int(rng.poisson(mean))
+        return _drop_plan(k, (per_cluster,) * k, region, radius_r)
+    return plan_of
 
 
 def _drop_points(plan: _DropPlan, uniforms: np.ndarray):

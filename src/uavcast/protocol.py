@@ -381,7 +381,7 @@ def _bs_events(events: list, rounds: np.ndarray, coded: bool, served: int,
 
 
 def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
-               radio: RadioParams, sim: SimParams, draw=None,
+               radio: RadioParams, sim: SimParams, draw,
                events: list | None = None, peer_probability=None):
     """Finish m epochs of `scheme` on drops of one shape.
 
@@ -390,7 +390,7 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
     outcome per member.  For clustering it is a bool mask of the members
     round 1 served (none when a packet exceeds max_time_ms); `_recover`
     goes on from there, drawing each epoch's uniform blocks through
-    `draw(e, out)`.  For the BS schemes it is the float round in which a
+    `draw(e, out)`, which the BS schemes never call.  For the BS schemes it is the float round in which a
     member completes its receptions, inf for never.  `events`, when a
     list, gets the unsorted events of a batch of one epoch.
 
@@ -403,6 +403,10 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
     ACKs) / packet_len_ms), with no ACKs when coded.  An empty drop needs
     no BS round (bs_transmissions 0).
     """
+    if scheme not in SCHEME_RUNNERS:
+        raise ParameterError(
+            f"scheme: unknown scheme {scheme!r}, expected one of "
+            f"{sorted(SCHEME_RUNNERS)}")
     m, n = first.shape
     if scheme == "clustering":
         delivery = np.where(first, sim.packet_len_ms, np.nan)

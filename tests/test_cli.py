@@ -187,6 +187,19 @@ def test_study_rejects_bad_distance_grids(study, option, values, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+def test_ase_study_writes_no_analytic_delay(tmp_path):
+    """At an SNR threshold no relay decodes, p_suc = 0 and the analytic
+    delay diverges; the ase study never writes that delay, so it exits 0
+    with analytic ase rows of 0."""
+    rc = cli.main(["study", "--study", "ase", "--gamma", "1e12",
+                   "--replications", "20", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "ase.csv", newline="") as fh:
+        analytic = [row for row in csv.DictReader(fh)
+                    if row["scheme"] == "analytic"]
+    assert analytic and all(float(row["mean"]) == 0.0 for row in analytic)
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["distributions", "--kind", "peer", "--grid", "-1"], "--grid"),
     (["distributions", "--kind", "peer", "--grid", "1"], "--grid"),

@@ -31,6 +31,9 @@ def test_defaults():
 @pytest.mark.parametrize("field,value", [
     ("d0_m", 120.0),           # inside region + cluster radius
     ("radius_r_m", 150.0),     # cluster wider than region
+    ("region_radius_m", 0.0),
+    ("radius_r_m", 0.0),
+    ("radius_r_m", -50.0),
     ("num_clusters", 0),
     ("total_uavs", 3),         # fewer UAVs than clusters
     ("replications", 0),

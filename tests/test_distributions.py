@@ -114,6 +114,8 @@ def test_peer_pdf_argument_validation():
         pdf_peer_distance(np.array([1.0]), -1.0, 50.0)
     with pytest.raises(ParameterError):
         pdf_peer_distance(np.array([1.0]), 10.0, 0.0)
+    with pytest.raises(ParameterError, match="radius_r"):
+        pdf_peer_distance(np.array([1.0]), 0.0, math.nan)
 
 
 def test_peer_pdf_normalizes():
@@ -143,6 +145,8 @@ def test_center_offset_pdf():
     assert abs(total - 1.0) < 1e-12
     with pytest.raises(ParameterError):
         pdf_center_offset(a, -2.0)
+    with pytest.raises(ParameterError, match="radius_r"):
+        pdf_center_offset(a, math.nan)
 
 
 @pytest.mark.parametrize("r", [10.0, 50.0])

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,14 +172,6 @@ def test_parent_centers_inside_region():
             assert np.hypot(centers[:, 0], centers[:, 1]).max() <= 100.0
 
 
-def test_parent_process_argument_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError, match="region_radius_m"):
-        build_topology(_config_stub(mode="density", region_radius_m=0.0), rng)
-    with pytest.raises(ParameterError, match="lambda_per_m2"):
-        build_topology(_config_stub(mode="density", lambda_per_m2=0.0), rng)
-
-
 def test_cluster_members_stay_in_disk():
     topo = build_topology(ScenarioConfig(num_clusters=1, total_uavs=10),
                           np.random.default_rng(2))
@@ -196,8 +187,7 @@ def test_cluster_members_count_contract():
                           np.random.default_rng(0))
     assert topo.cluster_of.tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(ParameterError, match="total_uavs"):
-        build_topology(_config_stub(num_clusters=5, total_uavs=4),
-                       np.random.default_rng(0))
+        ScenarioConfig(num_clusters=5, total_uavs=4)
 
 
 @given(radius=st.floats(1.0, 100.0), num_clusters=st.integers(1, 10),
@@ -236,32 +226,6 @@ def test_build_topology_density_mode():
     # every cluster holds floor(lambda_off * pi * r^2) = 7 members
     assert topo.n_clusters and np.bincount(
         topo.cluster_of, minlength=topo.n_clusters).tolist() == [7] * topo.n_clusters
-
-
-def _config_stub(**overrides):
-    base = dict(region_radius_m=100.0, d0_m=800.0, num_clusters=5,
-                total_uavs=50, lambda_per_m2=1e-4, lambda_off_per_m2=1e-3,
-                radius_r_m=50.0, h1_m=10.0, h2_m=20.0, mode="fixed_total")
-    base.update(overrides)
-    return SimpleNamespace(**base)
-
-
-def test_build_topology_rejects_bad_stub_inputs():
-    """build_topology guards its own inputs even without config validation."""
-    rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError, match="radius_r_m"):
-        build_topology(_config_stub(radius_r_m=150.0), rng)
-    with pytest.raises(ParameterError, match="lambda_off_per_m2"):
-        build_topology(_config_stub(mode="density", lambda_off_per_m2=1e-6), rng)
-    with pytest.raises(ParameterError, match="mode"):
-        build_topology(_config_stub(mode="grid"), rng)
-    for radius_r in (0.0, -50.0):
-        with pytest.raises(ParameterError, match="radius_r_m"):
-            build_topology(_config_stub(radius_r_m=radius_r), rng)
-    with pytest.raises(ParameterError, match="region_radius_m"):
-        build_topology(_config_stub(region_radius_m=0.0), rng)
-    with pytest.raises(ParameterError, match="num_clusters"):
-        build_topology(_config_stub(num_clusters=0), rng)
 
 
 def _reference_drop(config, rng):

@@ -905,6 +905,23 @@ def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
     assert np.any(counters) == (sim.packet_len_ms <= sim.max_time_ms)
 
 
+def test_run_epochs_requires_draw():
+    """Clustering recovery draws through `draw`, so leaving it out is a
+    TypeError naming it, not a failure inside the first recovery."""
+    xy = np.array([[[0.0, 0.0], [5.0, 0.0]]])
+    with pytest.raises(TypeError, match="draw"):
+        run_epochs("clustering", xy, (0, 2), np.array([[True, False]]),
+                   RADIO, SIM)
+
+
+def test_run_epochs_rejects_unknown_scheme():
+    """An unknown scheme is named, not run as the ACK benchmark."""
+    xy = np.array([[[0.0, 0.0], [5.0, 0.0]]])
+    with pytest.raises(ParameterError, match="flooding"):
+        run_epochs("flooding", xy, (0, 2), np.full((1, 2), 1.0), RADIO, SIM,
+                   lambda e, out: None)
+
+
 def test_rnc_coded_packet_ids_then_terminal_acks():
     """Generation of 2 on a perfect channel: coded packets 0 and 1 end at
     10 and 20 ms, then the three members ACK at 21, 22 and 23 ms."""
