@@ -155,7 +155,9 @@ def average_delay(p_cov: float, p_suc: float, packet_len_ms: float,
 
     A covered member is done after the broadcast; an uncovered one waits for
     the broadcast, then for a request plus relayed copy repeated until the
-    relay is decoded (geometric with mean 1 / p_suc).
+    relay is decoded (geometric with mean 1 / p_suc).  That mean diverges
+    where no relay decodes (p_suc = 0) and some member is uncovered, and
+    the delay is then `math.inf`.
     """
     for name, p in (("p_cov", p_cov), ("p_suc", p_suc)):
         if not 0.0 <= p <= 1.0:
@@ -164,10 +166,10 @@ def average_delay(p_cov: float, p_suc: float, packet_len_ms: float,
         raise ParameterError(
             f"packet_len_ms must be positive and t_req_ms non-negative, "
             f"got {packet_len_ms}, {t_req_ms}")
-    if p_suc == 0.0 and p_cov < 1.0:
-        raise NumericError("average delay diverges: p_suc = 0 with p_cov < 1")
     if p_cov == 1.0:
         return packet_len_ms
+    if p_suc == 0.0:
+        return math.inf
     recovery = (packet_len_ms + t_req_ms) / p_suc
     return p_cov * packet_len_ms + (1.0 - p_cov) * (packet_len_ms + recovery)
 

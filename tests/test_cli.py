@@ -187,10 +187,29 @@ def test_study_rejects_bad_distance_grids(study, option, values, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
-def test_ase_study_writes_no_analytic_delay(tmp_path):
+def test_delay_study_writes_infinite_analytic_delay(tmp_path, capsys):
     """At an SNR threshold no relay decodes, p_suc = 0 and the analytic
-    delay diverges; the ase study never writes that delay, so it exits 0
-    with analytic ase rows of 0."""
+    delay diverges: the delay study writes `inf` in every analytic row,
+    with every simulated row undelivered, and exits 0; `metrics` prints
+    the same `inf`."""
+    rc = cli.main(["study", "--study", "delay", "--gamma", "1e12",
+                   "--replications", "20", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "delay.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    analytic = [row for row in rows if row["scheme"] == "analytic"]
+    assert len(analytic) == 9 and all(row["mean"] == "inf"
+                                      for row in analytic)
+    assert all(float(row["mean"]) == 0.0 for row in rows
+               if row["metric"].startswith("delivery_ratio"))
+    capsys.readouterr()
+    assert cli.main(["metrics", "--gamma", "1e12"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "inf"
+
+
+def test_ase_study_writes_no_analytic_delay(tmp_path):
+    """At an SNR threshold no relay decodes, p_suc = 0: the ase study
+    writes no delay, and its analytic ase rows are 0."""
     rc = cli.main(["study", "--study", "ase", "--gamma", "1e12",
                    "--replications", "20", "--out-dir", str(tmp_path)])
     assert rc == 0
