@@ -4,27 +4,24 @@ Every study emits a `MetricTable` whose rows follow one CSV schema:
 
     study,sweep_param,sweep_value,scheme,metric,mean,stderr,n
 
-Replications are mutually independent: each gets its own generator derived
-from (base_seed, study id, sweep indices, scheme, replication index), so
-reruns with the same base seed are bit-for-bit reproducible and
-replications could be farmed out concurrently without changing results.
-The generator of spawn key `key` is the one numpy builds as
-`default_rng(SeedSequence(base_seed, spawn_key=key))`, state for state, but
-the derivation is owned (`_pcg64_states`): numpy's SeedSequence pool
-mixing and PCG64 seeding (both frozen by NumPy's RNG policy, NEP 19) run
-once per scenario on arrays over all replications, and numpy itself serves
-as the oracle in the tests.
+Randomness comes from numpy's own `SeedSequence` spawn keys under the
+config's base seed (`_rng`), so reruns with the same base seed are bit for
+bit reproducible.  A validation sweep point draws from the generator of
+key (study, sweep index).  A delay or ase scenario, one (study, sweep
+indices, scheme), draws from three streams, its spawned children 0, 1 and
+2 (`_replicated`): drops, fading and recovery.  Each replication's values
+sit at fixed places in those streams, so they do not depend on how the
+replications are batched, and one replication can be rebuilt from the
+stream layout alone, which the tests do.
 
 The delay and ase studies run a scenario's replications in batches of
-about `_BATCH_MEMBERS` members (`_replicated`).  Each replication draws its
-own blocks from its own generator; the geometry, powers and round-1
-decisions computed from them run over whole arrays of drops, and
-`protocol.run_epochs` finishes all of a batch's epochs of one drop shape
-at once: clustering recovery in lock-step, each epoch drawing from its own
-generator, and the BS schemes' timelines from completion rounds drawn with
-round 1 (`channel.completion_rounds`).  Every replication's numbers equal
-those of `build_topology` plus `SCHEME_RUNNERS` on its generator, bit for
-bit, whatever the batch width.
+about `_BATCH_MEMBERS` members.  A batch draws all of its uniform blocks
+in one call and all of its fading rows in another; the geometry, powers
+and round-1 decisions computed from them run over whole arrays of drops,
+and `protocol.run_epochs` finishes all of a batch's epochs of one drop
+shape at once: clustering recovery in lock-step, each epoch reading its
+own stretch of the recovery stream, and the BS schemes' timelines from
+completion rounds drawn with round 1 (`channel.completion_rounds`).
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,134 +135,23 @@ class MetricTable:
         return rows[0].mean
 
 
-_MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
-# numpy.random.SeedSequence's hash constants and PCG64's 128-bit multiplier.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Members per batch of `_replicated`: wide enough to spread each numpy
 # call, and each lock-step recovery iteration, over many drops (163 drops
 # at the default 50 members), narrow enough that a batch's memory is
 # bounded in members, whatever the replication count and the swarm size:
 # a `delay` clustering call at d0 = 1200 m, C = 2 over 163 replications
-# peaks at 3.5 MB traced at 50 members and at 2,000 (1.4 and 53.9 MB with
+# peaks at about 3.5 MB traced at 50 members and at 2,000 (1.4 and 53.9 MB with
 # batches of 64 replications).
 _BATCH_MEMBERS = 8192
-# Derived states per block of Python ints in `_seeded_states`.
-_STATE_BLOCK = 64
-
-
-def _words(value: int) -> list[int]:
-    """SeedSequence's uint32 words of a non-negative int, low word first."""
-    if value < 0:
-        raise ParameterError(f"seed words must be non-negative, got {value}")
-    out = [value & _MASK32]
-    value >>= 32
-    while value:
-        out.append(value & _MASK32)
-        value >>= 32
-    return out
-
-
-def _pcg64_states(base_seed: int, prefix: tuple[int, ...], indices: range):
-    """Yield `PCG64(SeedSequence(base_seed, spawn_key=(*prefix, i))).state`
-    for every i in `indices` (ascending, below 2**64), in order.
-
-    SeedSequence's entropy assembly, pool mixing and
-    `generate_state(4, uint64)` run on uint32 words held in uint64 arrays:
-    every word before the last spawn element is a constant of shape (1,),
-    so only the last element's mixing and the output hash are done per
-    index.  PCG64's seeding step then runs in Python ints.
-    """
-    head = _words(base_seed)
-    # A spawned sequence pads its run entropy with zeros to the pool size.
-    head += [0] * (4 - len(head))
-    for value in prefix:
-        head += _words(value)
-    # An index below 2**32 is one spawn word, a larger one two.
-    index = np.arange(indices.start, indices.stop, dtype=np.uint64)
-    one_word = index <= _MASK32
-    small, large = index[one_word], index[~one_word]
-    for last in ([small], [large & _MASK32, large >> 32]):
-        if last[0].size:
-            entropy = [np.array([w], dtype=np.uint64) for w in head] + last
-            yield from _seeded_states(entropy)
-
-
-def _seeded_states(entropy: list[np.ndarray]):
-    """SeedSequence mixing of `entropy` (at least 4 words, each an array
-    broadcasting to the batch, the last one of full length), then PCG64
-    seeding: yield one state per row."""
-    hash_a = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ hash_a
-        hash_a = (hash_a * _MULT_A) & _MASK32
-        value = (value * hash_a) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        # Products of two uint32 values fit in uint64, and a negative
-        # difference wraps modulo 2**64, so the masked result is uint32's.
-        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_b, out = _INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = (hash_b * _MULT_B) & _MASK32
-        value = (value * hash_b) & _MASK32
-        out.append(value ^ (value >> 16))
-    # generate_state(4, uint64) reads the eight words as little-endian
-    # pairs: seed high, seed low, increment high, increment low.
-    words = np.stack([out[2 * j] | (out[2 * j + 1] << 32) for j in range(4)],
-                     axis=1)
-    del pool, out
-    # Python ints are made one block at a time, so a caller that consumes
-    # the states as they come holds one block of them, not all.
-    for lo in range(0, len(words), _STATE_BLOCK):
-        for a, b, c, d in words[lo:lo + _STATE_BLOCK].tolist():
-            # pcg_setseq_128_srandom_r: state 0, step, add the seed, step.
-            inc = (((c << 64) | d) << 1 | 1) & _MASK128
-            state = ((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _MASK128
-            yield {"bit_generator": "PCG64",
-                   "state": {"state": state, "inc": inc},
-                   "has_uint32": 0, "uinteger": 0}
-
-
-def _generators(base_seed: int, prefix: tuple[int, ...], indices: range):
-    """Yield the generator of spawn key (*prefix, i) for each i in
-    `indices`, all derived in one `_pcg64_states` pass.
-
-    Every yield is the same `Generator`, its bit generator reseeded in
-    place, so a caller must be done with one before it asks for the next.
-    The bit generator's `seed_seq` is not the spawn key's; nothing here
-    spawns from it.
-    """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for state in _pcg64_states(base_seed, prefix, indices):
-        bit_generator.state = state
-        yield rng
 
 
 def _rng(base_seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    """An independent generator of non-empty spawn key `key` under
-    `base_seed`: the one-index case of `_generators`."""
-    *prefix, last = key
-    return next(_generators(base_seed, tuple(prefix), range(last, last + 1)))
+    """The generator of spawn key `key` under `base_seed`:
+    `default_rng(SeedSequence(base_seed, spawn_key=key))`."""
+    if base_seed < 0:
+        raise ParameterError(f"base_seed must be non-negative, got {base_seed}")
+    return np.random.default_rng(
+        np.random.SeedSequence(base_seed, spawn_key=key))
 
 
 def _cluster_counts(c_values) -> tuple[int, ...]:
@@ -395,27 +281,24 @@ def run_design_insight_study(config: ScenarioConfig,
 
 @dataclass
 class _Drops:
-    """The drops of one shape in a batch: their replication indices, the
-    uniform block and fading row of each (the first `len(rows)` rows of
-    `uniforms` and `fading`), and, for clustering, the generator state
-    after round 1 of each, kept only when the epoch can recover past it.
-    A fading row holds the n round-1 exponentials, followed, in the delay
-    study's BS schemes, by g per member for the later rounds."""
+    """The drops of one shape in a batch: their replication indices `rows`
+    and, row for row, their blocks of uniforms and fading rows.  A fading
+    row holds the n round-1 exponentials, followed, in a BS epoch that goes
+    on past round 1, by g per member for the later rounds; it is empty
+    when one packet exceeds the time budget."""
 
     plan: _DropPlan
+    rows: np.ndarray
     uniforms: np.ndarray
     fading: np.ndarray
-    rows: list[int] = field(default_factory=list)
-    states: list[dict] = field(default_factory=list)
 
-    def next_row(self) -> int:
-        """The row of the next drop, doubling the blocks when full."""
-        row = len(self.rows)
-        if row == len(self.uniforms):
-            self.uniforms, self.fading = (
-                np.concatenate([block, np.empty_like(block)])
-                for block in (self.uniforms, self.fading))
-        return row
+
+def _take(flat: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The rows of `width` values of `flat` that begin at `starts`: a view
+    when they tile all of `flat`."""
+    if starts.size * width == flat.size:
+        return flat.reshape(starts.size, width)
+    return flat[starts[:, None] + np.arange(width)]
 
 
 def _replicated(study: str, scheme: str, config: ScenarioConfig,
@@ -424,132 +307,137 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
     rows of (mean delay, delivery ratio) in the delay study, the ase in
     the ase study.
 
-    Replication `rep` draws from the generator that `_generators` yields
-    for spawn key (study, *key, scheme, rep).  Replications run in batches
-    sized by members, not by replications: a batch closes when one more
-    drop the size of its last would take it past `_BATCH_MEMBERS` members,
-    an empty drop counting as one.  So a fixed_total batch holds
-    max(1, _BATCH_MEMBERS // n) drops of n members (163 at the default
-    50, 4 at 2,000), and a density batch about `_BATCH_MEMBERS` members
-    in drops of mixed shape.  Each batch runs in three phases:
+    The scenario's streams are the generators of spawn keys (study, *key,
+    scheme, s) (`_rng`), its spawned children s = 0, 1, 2:
 
-    1. draw, per replication: the drop's Poisson count (density mode) and
-       uniform block, then, unless the drop is empty or one packet exceeds
-       the time budget, one row of standard exponentials in one call: the
-       n round-1 fadings, and in the delay study's BS schemes g more per
-       member (the receptions a member needs: `rnc_generation_size` for
-       RNC, 1 for the benchmark).  numpy fills the row in sequence, so
-       round 1 reads the values `build_topology` and the runner's round
-       hook draw first, and the later rounds those `channel.round_model`
-       draws next: RNC's whole (n, g) block, and, for the benchmark, a
-       prefix of the next n, one per missed member in member order.  The
-       benchmark's unread rest is harmless, since nothing is drawn from
-       that generator afterwards.
-       Clustering keeps the generator state after round 1 instead;
-    2. compute, over all drops of one shape at once (`_continue`):
-       geometry, BS distances, mean powers and round-1 decisions, and in
-       the BS schemes the completion rounds from the rows of phase 1;
-    3. finish those epochs at once (`protocol.run_epochs`): clustering
-       recovers where a member is short of the packet after round 1, each
-       replication drawing from its saved generator state; the BS schemes
-       lay out their timelines with no further draw.
+    - drops: in density mode the Poisson count of every replication, in
+      one call, then each replication's block of uniforms (`_DropPlan`),
+      in replication order;
+    - fading: each replication's row of standard exponentials, in
+      replication order: the n round-1 fadings, and in the delay study's
+      BS schemes g more per member (the receptions a member needs:
+      `rnc_generation_size` for RNC, 1 for the benchmark), read as an
+      (n, g) block by `channel.completion_rounds`.  An empty drop, and
+      every drop when one packet exceeds the time budget, draws no row;
+    - recovery: clustering epoch r reads its blocks of uniforms
+      (`protocol.run_epochs`) in order from the stream's output r * 2**64
+      on (`PCG64.advance` from the stream's start).
+
+    Replications run in batches sized by members, not by replications: a
+    batch closes when one more drop the size of its last would take it
+    past `_BATCH_MEMBERS` members, an empty drop counting as one.  So a
+    fixed_total batch holds max(1, _BATCH_MEMBERS // n) drops of n
+    members (163 at the default 50, 4 at 2,000), and a density batch
+    about `_BATCH_MEMBERS` members in drops of mixed shape.  A batch draws
+    its uniform blocks in one call and its fading rows in another; numpy
+    fills both in sequence, so a replication's values do not depend on
+    the batch width.  `_continue` then computes and finishes the batch's
+    drops of each shape at once.
 
     So every replication's outcome is the one `SCHEME_RUNNERS` gives it on
-    a drop from `build_topology`, bit for bit, whatever the batch width.
-    The ase study's benchmark epochs count only the members the first
-    broadcast serves, so phase 1 draws no later rounds for them and they
-    end after round 1.
+    a drop from `build_topology` with a generator that serves these values
+    in the order they are asked for, bit for bit, whatever the batch
+    width.  The ase study's benchmark epochs count only the members the
+    first broadcast serves, so they draw no later rounds and end after
+    round 1.
     """
     prefix = (_STUDY_IDS[study], *key, _SCHEME_ORDER.index(scheme))
-    generators = _generators(config.base_seed, prefix,
-                             range(config.replications))
-    plan_of = _drop_law(config)
+    drop_rng, fading_rng, recovery = (
+        _rng(config.base_seed, (*prefix, stream)) for stream in range(3))
+    plans = _drop_law(config)(drop_rng, config.replications)
     sim = config.sim
     fits = sim.packet_len_ms <= sim.max_time_ms
-    continues = fits and not (study == "ase" and scheme == "benchmark")
-    recovers = continues and scheme == "clustering"
     # Exponentials per member after round 1's: the receptions a member
     # needs in a BS epoch that goes on.
     later = 0
-    if continues and not recovers:
+    if fits and scheme != "clustering" and not (
+            study == "ase" and scheme == "benchmark"):
         later = sim.rnc_generation_size if scheme == "rnc" else 1
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
     out = np.empty((config.replications, 2) if study == "delay"
                    else config.replications)
+    bit_generator = recovery.bit_generator
+    origin = bit_generator.state
 
-    def finish(batch, rng):
-        for drops in batch.values():
-            delivery, via_broadcast = _continue(scheme, config, drops, rng)
+    def recover_at(offset, block):
+        """Fill `block` from the recovery stream's output `offset` on."""
+        bit_generator.state = origin
+        bit_generator.advance(offset)
+        recovery.random(out=block)
+
+    for lo, hi in _batches(plans):
+        batch = plans[lo:hi]
+        blocks = [plan.read.size for plan in batch]
+        lengths = [plan.n_uavs * (1 + later) if fits else 0
+                   for plan in batch]
+        uniforms = drop_rng.random(sum(blocks))
+        fading = fading_rng.standard_exponential(sum(lengths))
+        u_at, f_at = (np.cumsum([0, *sizes[:-1]])
+                      for sizes in (blocks, lengths))
+        shapes: dict[tuple[int, ...], list[int]] = {}
+        for i, plan in enumerate(batch):
+            shapes.setdefault(plan.bounds, []).append(i)
+        for index in map(np.array, shapes.values()):
+            i = index[0]
+            drops = _Drops(batch[i], lo + index,
+                           _take(uniforms, u_at[index], blocks[i]),
+                           _take(fading, f_at[index], lengths[i]))
+            delivery, via_broadcast = _continue(scheme, config, drops,
+                                                recover_at)
             out[drops.rows] = _reduce(study, scheme, sim, delivery,
                                       via_broadcast, rate_density)
-
-    batch: dict[tuple[int, ...], _Drops] = {}
-    members = 0
-    for rep, rng in enumerate(generators):
-        plan = plan_of(rng)
-        n = plan.n_uavs
-        # An empty drop counts as one member, so empty drops fill a batch.
-        size = max(1, n)
-        drops = batch.get(plan.bounds)
-        if drops is None:
-            # fixed_total drops share one shape, so its blocks hold a whole
-            # batch; density blocks start at 16 rows and double when full.
-            rows = (max(1, _BATCH_MEMBERS // size)
-                    if config.mode == "fixed_total" else 16)
-            rows = min(rows, config.replications - rep)
-            drops = batch[plan.bounds] = _Drops(
-                plan, np.empty((rows, plan.read.size)),
-                np.empty((rows, n * (1 + later))))
-        row = drops.next_row()
-        rng.random(out=drops.uniforms[row])
-        if fits and n:
-            rng.standard_exponential(out=drops.fading[row])
-            if recovers:
-                drops.states.append(rng.bit_generator.state)
-        drops.rows.append(rep)
-        members += size
-        if members + size > _BATCH_MEMBERS:
-            finish(batch, rng)
-            batch, members = {}, 0
-    finish(batch, rng)
     return out
 
 
+def _batches(plans):
+    """(first, stop) replication of each batch of `_replicated`."""
+    lo = members = 0
+    for rep, plan in enumerate(plans):
+        # An empty drop counts as one member, so empty drops fill a batch.
+        size = max(1, plan.n_uavs)
+        members += size
+        if members + size > _BATCH_MEMBERS:
+            yield lo, rep + 1
+            lo, members = rep + 1, 0
+    if lo < len(plans):
+        yield lo, len(plans)
+
+
 def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
-              rng: np.random.Generator):
-    """Phases 2 and 3 of `_replicated`: the delivery times (NaN for
-    undelivered) and `via_broadcast` marks of the drops of one shape,
-    shape (m, n) each.
+              recover_at):
+    """The delivery times (NaN for undelivered) and `via_broadcast` marks
+    of the drops of one shape, shape (m, n) each: geometry, BS distances,
+    mean powers and round-1 decisions over all of them at once, then
+    `protocol.run_epochs` on those that go on.
 
     Round 1 serves the members whose fading decodes, none when one packet
     exceeds the budget.  A BS scheme's fading rows longer than n hold the
     later rounds' exponentials as an (n, g) block, read by
-    `channel.completion_rounds`; otherwise its epochs end after round 1.
-    `run_epochs` finishes the epochs; clustering recovery draws each
-    epoch's blocks of uniforms from its own generator, restored from and
-    saved to `drops.states` around every block.
+    `channel.completion_rounds`; otherwise its epochs end after round 1,
+    and their times follow from round 1 alone.  Clustering recovery fills
+    epoch e's blocks through `recover_at(offset, block)`, from offset
+    rows[e] * 2**64 plus the uniforms that epoch has read.
     """
     m, n = len(drops.rows), drops.plan.n_uavs
     radio, sim = config.radio, config.sim
-    _, xy = _drop_points(drops.plan, drops.uniforms[:m])
+    _, xy = _drop_points(drops.plan, drops.uniforms)
     power = mean_received_power(LinkKind.BS_TO_UAV,
                                 _bs_distances(xy, *_bs_site(config)), radio)
     first = np.zeros((m, n), dtype=bool)
     if sim.packet_len_ms <= sim.max_time_ms:
-        first = decodes(power, drops.fading[:m, :n], radio)
+        first = decodes(power, drops.fading[:, :n], radio)
     if drops.fading.shape[1] > n:
-        later = drops.fading[:m, n:].reshape(m, n, -1)
+        later = drops.fading[:, n:].reshape(m, n, -1)
         first = completion_rounds(first, decode_probability(power, radio),
                                   later.shape[2], later)
     elif scheme != "clustering":
-        first = np.where(first, 1.0, np.inf)
-    bit_generator = rng.bit_generator
+        return np.where(first, sim.packet_len_ms, np.nan), first
+    offset = [rep << 64 for rep in drops.rows.tolist()]
 
-    def draw(i, out):
-        bit_generator.state = drops.states[i]
-        rng.random(out=out)
-        drops.states[i] = bit_generator.state
+    def draw(e, block):
+        recover_at(offset[e], block)
+        offset[e] += block.size
 
     delivery, via_broadcast, *_ = run_epochs(
         scheme, xy, drops.plan.bounds, first, radio, sim, draw)

@@ -203,8 +203,9 @@ def cluster_peer_count(lambda_off: float, radius_r: float) -> int:
 
 
 def _drop_law(config: "ScenarioConfig"):
-    """rng -> the `_DropPlan` of one drop of the scenario.  `ScenarioConfig`
-    has validated the drop parameters, so this is arithmetic only.
+    """(rng, m) -> the `_DropPlan`s of m drops of the scenario, as a list.
+    `ScenarioConfig` has validated the drop parameters, so this is
+    arithmetic only.
 
     fixed_total mode: exactly `num_clusters` centers uniform on the region
     disk, `total_uavs` members split as evenly as possible (remainder goes
@@ -212,8 +213,8 @@ def _drop_law(config: "ScenarioConfig"):
     law draws nothing.
 
     density mode: Poisson centers with density `lambda_per_m2`, each holding
-    `cluster_peer_count` members; the law draws the Poisson count and
-    returns the cached plan of that count.
+    `cluster_peer_count` members; the law draws the m Poisson counts in one
+    call and returns the cached plan of each count.
     """
     region, radius_r = config.region_radius_m, config.radius_r_m
     if config.mode == "fixed_total":
@@ -221,14 +222,14 @@ def _drop_law(config: "ScenarioConfig"):
         base, extra = divmod(config.total_uavs, k)
         plan = _drop_plan(k, (base + 1,) * extra + (base,) * (k - extra),
                           region, radius_r)
-        return lambda rng: plan
+        return lambda rng, m: [plan] * m
     per_cluster = cluster_peer_count(config.lambda_off_per_m2, radius_r)
     mean = config.lambda_per_m2 * np.pi * region ** 2
 
-    def plan_of(rng):
-        k = int(rng.poisson(mean))
-        return _drop_plan(k, (per_cluster,) * k, region, radius_r)
-    return plan_of
+    def plans_of(rng, m):
+        return [_drop_plan(k, (per_cluster,) * k, region, radius_r)
+                for k in rng.poisson(mean, m).tolist()]
+    return plans_of
 
 
 def _drop_points(plan: _DropPlan, uniforms: np.ndarray):
@@ -265,7 +266,7 @@ def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topolo
     count in density mode; the drops share the plan's read-only
     `cluster_of` and `cluster_bounds`.
     """
-    plan = _drop_law(config)(rng)
+    plan, = _drop_law(config)(rng, 1)
     centers, xy = _drop_points(plan, rng.random(plan.read.size)[None])
     height, bs_xy, bs_height = _bs_site(config)
     return Topology(

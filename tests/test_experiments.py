@@ -23,7 +23,6 @@ from uavcast.experiments import (
     MetricRow,
     MetricTable,
     SweepSpec,
-    _generators,
     _mean_stderr,
     _replicated,
     _rng,
@@ -33,7 +32,7 @@ from uavcast.experiments import (
     run_design_insight_study,
     run_validation_study,
 )
-from uavcast.geometry import build_topology
+from uavcast.geometry import build_topology, cluster_peer_count
 from uavcast.protocol import SCHEME_RUNNERS, SimParams, run_ack_benchmark
 
 
@@ -251,35 +250,6 @@ def _numpy_generator(base_seed, key):
         np.random.PCG64(np.random.SeedSequence(base_seed, spawn_key=key)))
 
 
-# Base seeds of one to five uint32 words, up to 2**130.
-_BASE_SEEDS = st.integers(1, 5).flatmap(lambda words: st.integers(
-    0 if words == 1 else 2 ** (32 * (words - 1)),
-    min(2 ** (32 * words) - 1, 2 ** 130)))
-
-
-@given(base_seed=_BASE_SEEDS,
-       prefix=st.lists(st.integers(0, 2 ** 40), max_size=5),
-       start=st.one_of(st.just(0), st.integers(0, 2 ** 40)),
-       reps=st.integers(1, 40))
-@example(base_seed=1, prefix=[], start=2 ** 32 - 2, reps=4)
-@settings(max_examples=150, deadline=None)
-def test_owned_derivation_matches_numpy_seed_sequence(base_seed, prefix,
-                                                      start, reps):
-    """Each generator's PCG64 state, increment and first doubles equal
-    numpy's own `PCG64(SeedSequence(...))` for base seeds of one to five
-    uint32 words, spawn prefixes of zero to five elements, and indices
-    taking one word or two."""
-    indices = range(start, start + reps)
-    got = 0
-    for i, rng in zip(indices, _generators(base_seed, tuple(prefix), indices)):
-        ref = _numpy_generator(base_seed, (*prefix, i))
-        # state and increment
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.random(8).tobytes() == ref.random(8).tobytes()
-        got += 1
-    assert got == reps
-
-
 def test_rng_generators_are_independent():
     """`_rng` hands out a generator of its own: drawing from one leaves
     another, derived earlier, where numpy's would be."""
@@ -291,21 +261,83 @@ def test_rng_generators_are_independent():
         _rng(-1, (7,))
 
 
+class _Replay:
+    """A generator stand-in that serves one replication's values:
+    `poisson` its Poisson count, the one `random(size)` call its block of
+    uniforms, `exponential` the next values of its fading row, and
+    `random(out=...)` the next values of `recovery`.  Past the end of the
+    row it serves ones: only the ase study's benchmark reads there, for
+    later rounds its metric does not count."""
+
+    def __init__(self, count, uniforms, fading, recovery):
+        self.count, self.uniforms, self.fading = count, uniforms, fading
+        self.recovery = recovery
+
+    def poisson(self, lam, size):
+        assert size == 1 and self.count is not None
+        return np.array([self.count])
+
+    def random(self, size=None, out=None):
+        if out is not None:
+            return self.recovery.random(out=out)
+        assert self.uniforms is not None and size == self.uniforms.size
+        block, self.uniforms = self.uniforms, None
+        return block
+
+    def exponential(self, scale, size):
+        assert scale == 1.0
+        k = math.prod(size)
+        values, self.fading = self.fading[:k], self.fading[k:]
+        return np.concatenate([values, np.ones(k - values.size)]).reshape(size)
+
+
+def _replays(study, scheme, config, key):
+    """Each replication's `_Replay`, built one replication at a time from
+    the stream layout `_replicated` documents: under spawn keys (study,
+    *key, scheme, s), stream 0 holds every Poisson count (density mode),
+    then each drop's 2 (clusters + members) uniforms; stream 1 each
+    non-empty drop's n (1 + g) exponentials when a packet fits the budget,
+    g being the receptions a member needs in a delay-study BS epoch;
+    stream 2 holds replication r's recovery blocks from output r 2**64 on.
+    """
+    prefix = (_STUDY_IDS[study], *key, _SCHEME_ORDER.index(scheme))
+    drops, fading = _rng(config.base_seed, (*prefix, 0)), _rng(
+        config.base_seed, (*prefix, 1))
+    sim, reps = config.sim, config.replications
+    fits = sim.packet_len_ms <= sim.max_time_ms
+    g = 0
+    if fits and study == "delay" and scheme != "clustering":
+        g = sim.rnc_generation_size if scheme == "rnc" else 1
+    counts = [None] * reps
+    if config.mode == "density":
+        mean = config.lambda_per_m2 * math.pi * config.region_radius_m ** 2
+        counts = [int(drops.poisson(mean)) for _ in range(reps)]
+    per_cluster = cluster_peer_count(config.lambda_off_per_m2,
+                                     config.radius_r_m)
+    for rep, count in enumerate(counts):
+        k, n = ((config.num_clusters, config.total_uavs) if count is None
+                else (count, count * per_cluster))
+        uniforms = drops.random(2 * (k + n))
+        row = fading.standard_exponential(n * (1 + g) if fits else 0)
+        recovery = _rng(config.base_seed, (*prefix, 2))
+        recovery.bit_generator.advance(rep << 64)
+        yield _Replay(count, uniforms, row, recovery)
+
+
 def _oracle_metrics(study, scheme, config, key):
-    """Each replication on its own `_rng` generator: a `build_topology`
-    drop and one `SCHEME_RUNNERS` epoch with default hooks, reduced here to
-    (mean delay, delivery ratio) in the delay study, the ase in the ase
-    study.  The ase counts delivered members for clustering, members
-    served by the first broadcast otherwise."""
+    """Each replication on its own `_Replay`: a `build_topology` drop and
+    one `SCHEME_RUNNERS` epoch with default hooks, reduced here to (mean
+    delay, delivery ratio) in the delay study, the ase in the ase study.
+    The ase counts delivered members for clustering, members served by
+    the first broadcast otherwise."""
     sim = config.sim
     rate_density = config.lambda_off_per_m2 * math.log2(
         1.0 + config.radio.snr_threshold)
     rows = []
-    for rep in range(config.replications):
-        rng = _rng(config.base_seed, (_STUDY_IDS[study], *key,
-                                      _SCHEME_ORDER.index(scheme), rep))
+    for rng in _replays(study, scheme, config, key):
         topology = build_topology(config, rng)
         outcome = SCHEME_RUNNERS[scheme](topology, config.radio, sim, rng)
+        assert rng.uniforms is None
         n = outcome.n_uavs
         delays = outcome.delivery_time_ms[outcome.delivered]
         if scheme == "rnc":
@@ -327,7 +359,8 @@ _WIDTH = experiments._BATCH_MEMBERS // 50
 
 # (mode, lambda_per_m2, max_time_ms, replications, overrides): one batch,
 # a full batch and one past it; density drops of several shapes per batch,
-# and at lambda 1e-6 mostly empty; a budget below one packet; one cluster
+# and at lambda 1e-5 mostly empty (mean 0.31 clusters, so 65 drops are all
+# empty with chance 1e-9); a budget below one packet; one cluster
 # far out without caching, whose recoveries outlast one block of uniforms;
 # members that never complete a BS round: the default radio's per-round
 # success q = exp(-theta N / P) is exactly 0 (lam = 0) at 30 km and a
@@ -338,7 +371,7 @@ _BATCH_CASES = [
     ("fixed_total", 1e-4, 40.0, 1, {}),
     ("fixed_total", 1e-4, 5.0, _WIDTH, {}),
     ("density", 1e-4, 10_000.0, 65, {}),
-    ("density", 1e-6, 10_000.0, 65, {}),
+    ("density", 1e-5, 10_000.0, 65, {}),
     ("density", 1e-4, 5.0, 65, {}),
     ("fixed_total", 1e-4, 10_000.0, 20,
      {"num_clusters": 1, "d0_m": 1500.0, "opportunistic_caching": False}),
@@ -353,9 +386,9 @@ _BATCH_CASES = [
                                           ("ase", "clustering"),
                                           ("ase", "benchmark")])
 def test_replicated_equals_independent_generators(study, scheme):
-    """The batched run gives every replication, bit for bit, what an
-    independent `_rng` generator gives it through `build_topology` and the
-    scheme's runner, in both topology modes, with empty drops, with a
+    """The batched run gives every replication, bit for bit, what its
+    values in the documented stream layout (`_replays`) give it through
+    `build_topology` and the scheme's runner, in both topology modes, with empty drops, with a
     packet over the time budget, across batch boundaries, with members
     that never complete and, for clustering, with epochs that draw a second
     block of uniforms."""
@@ -386,7 +419,7 @@ def test_replicated_equals_independent_generators(study, scheme):
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes(), (mode, lambda_per_m2,
                                                      max_time_ms, reps)
-        if mode == "density" and lambda_per_m2 == 1e-6:
+        if mode == "density" and lambda_per_m2 == 1e-5:
             # some drops are empty and some are not
             column = got if study == "ase" else got[:, 1]
             assert 0 < np.isnan(column).sum() < reps
@@ -423,10 +456,10 @@ def test_experiments_uses_only_public_protocol_names():
 ])
 def test_replicated_does_not_depend_on_batch_budget(mode, lambda_per_m2,
                                                     budget):
-    """Each epoch draws its recovery blocks from its own generator, and
-    the BS schemes lay out each row of a batch on its own, so a small
-    member budget gives the metrics of the default budget, bit for bit;
-    and batches hold as many drops as the budget says."""
+    """Each replication's values sit at fixed places in its scenario's
+    streams, and the BS schemes lay out each row of a batch on its own,
+    so a small member budget gives the metrics of the default budget, bit
+    for bit; and batches hold as many drops as the budget says."""
     config = ScenarioConfig(replications=40, base_seed=5, d0_m=1200.0,
                             num_clusters=2, mode=mode,
                             lambda_per_m2=lambda_per_m2)
@@ -437,9 +470,9 @@ def test_replicated_does_not_depend_on_batch_budget(mode, lambda_per_m2,
     continue_ = experiments._continue
     groups = []  # (drop shape, replications) of every group of a call
 
-    def recorded(scheme, config, drops, rng):
-        groups.append((drops.plan.bounds, drops.rows))
-        return continue_(scheme, config, drops, rng)
+    def recorded(scheme, config, drops, recover_at):
+        groups.append((drops.plan.bounds, drops.rows.tolist()))
+        return continue_(scheme, config, drops, recover_at)
 
     with mock.patch.object(experiments, "_BATCH_MEMBERS", budget), \
             mock.patch.object(experiments, "_continue", recorded):
@@ -461,6 +494,33 @@ def test_replicated_does_not_depend_on_batch_budget(mode, lambda_per_m2,
         # empty drops fill batches too
         empty = [len(rows) for bounds, rows in groups if bounds == (0,)]
         assert max(empty) == budget and sum(empty) > budget
+
+
+_PAIRS = (("delay", "clustering"), ("delay", "benchmark"), ("delay", "rnc"),
+          ("ase", "clustering"), ("ase", "benchmark"))
+_BUDGET_CONFIGS = {
+    mode: ScenarioConfig(replications=40, base_seed=3, d0_m=1200.0,
+                         num_clusters=2, mode=mode, lambda_per_m2=1e-4)
+    for mode in ("fixed_total", "density")}
+_DEFAULT_BUDGET_OUTPUTS = {}
+
+
+@given(budget=st.integers(1, 8192),
+       mode=st.sampled_from(sorted(_BUDGET_CONFIGS)))
+@example(budget=1, mode="density")
+@settings(max_examples=25, deadline=None)
+def test_replicated_output_does_not_depend_on_member_budget(budget, mode):
+    """Any member budget from 1 to the default gives every study and
+    scheme the default budget's output, byte for byte, in both modes."""
+    config = _BUDGET_CONFIGS[mode]
+    for pair in _PAIRS:
+        if (mode, pair) not in _DEFAULT_BUDGET_OUTPUTS:
+            _DEFAULT_BUDGET_OUTPUTS[mode, pair] = _replicated(
+                *pair, config, (2, 0)).tobytes()
+    with mock.patch.object(experiments, "_BATCH_MEMBERS", budget):
+        for pair in _PAIRS:
+            assert _replicated(*pair, config, (2, 0)).tobytes() == \
+                _DEFAULT_BUDGET_OUTPUTS[mode, pair], pair
 
 
 def _traced_peak(study, scheme, config):
@@ -527,8 +587,9 @@ def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
                                                 num_clusters, max_time_ms):
     """The ase study's benchmark epochs, which the batch ends after the
     first broadcast, serve the members `run_ack_benchmark` marks
-    `via_broadcast` from the same generator state, and yield the full
-    epoch's ase bit for bit (NaN for an empty drop)."""
+    `via_broadcast` on the replication's values of the stream layout
+    (`_replays`), and yield the full epoch's ase bit for bit (NaN for an
+    empty drop)."""
     config = ScenarioConfig(mode=mode, lambda_per_m2=lambda_per_m2, d0_m=d0,
                             num_clusters=num_clusters, base_seed=seed,
                             replications=3,
@@ -549,15 +610,13 @@ def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
     link = link_model(config.radio)
     rate_density = 1e-3 * math.log2(21.0)
     hook_powers, ref_served, ref_ases = [], [], []
-    for rep in range(config.replications):
+    for rng in _replays("ase", "benchmark", config, key):
         powers = []
 
         def record(power, rng, seen=powers):
             seen.append(power.tobytes())
             return link(power, rng)
 
-        rng = _rng(seed, (_STUDY_IDS["ase"], *key,
-                          _SCHEME_ORDER.index("benchmark"), rep))
         topology = build_topology(config, rng)
         outcome = run_ack_benchmark(
             topology, config.radio, config.sim, rng,
