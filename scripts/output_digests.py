@@ -25,7 +25,9 @@ The commands:
   --replications 200` (named `delay_budget40_nocache`), and
   `study --study delay --d0-values 28000,30000 --replications 50` (named
   `delay_28km_30km`): members the BS never serves, since the per-round
-  success probability is 0 or subnormal that far out;
+  success probability is 0 or subnormal that far out, and `study --study
+  delay --gamma 1e12 --replications 20` (named `delay_gamma1e12`): no
+  relay decodes, so the analytic delay rows read `inf`;
 - studies whose replications span several batches of `_replicated`:
   `study --study ase --d0-values 400 --c-values 2,5,10 --replications
   1000` (named `ase_near`) and `study --study delay --d0-values 1200
@@ -95,6 +97,8 @@ def commands(out: Path) -> list[list[str]]:
          "--out-dir", str(out / "delay_budget40_nocache")],
         ["study", "--study", "delay", "--d0-values", "28000,30000",
          "--replications", "50", "--out-dir", str(out / "delay_28km_30km")],
+        ["study", "--study", "delay", "--gamma", "1e12", "--replications",
+         "20", "--out-dir", str(out / "delay_gamma1e12")],
         ["study", "--study", "ase", "--d0-values", "400", "--c-values",
          "2,5,10", "--replications", "1000", "--out-dir", str(out / "ase_near")],
         ["study", "--study", "delay", "--d0-values", "1200", "--c-values",
