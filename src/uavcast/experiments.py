@@ -8,20 +8,10 @@ Randomness comes from numpy's own `SeedSequence` spawn keys under the
 config's base seed (`_rng`), so reruns with the same base seed are bit for
 bit reproducible.  A validation sweep point draws from the generator of
 key (study, sweep index).  A delay or ase scenario, one (study, sweep
-indices, scheme), draws from three streams, its spawned children 0, 1 and
-2 (`_replicated`): drops, fading and recovery.  Each replication's values
-sit at fixed places in those streams, so they do not depend on how the
-replications are batched, and one replication can be rebuilt from the
-stream layout alone, which the tests do.
-
-The delay and ase studies run a scenario's replications in batches of
-about `_BATCH_MEMBERS` members.  A batch draws all of its uniform blocks
-in one call and all of its fading rows in another; the geometry, powers
-and round-1 decisions computed from them run over whole arrays of drops,
-and `protocol.run_epochs` finishes all of a batch's epochs of one drop
-shape at once: clustering recovery in lock-step, each epoch reading its
-own stretch of the recovery stream, and the BS schemes' timelines from
-completion rounds drawn with round 1 (`channel.completion_rounds`).
+indices), runs every scheme on the same drops and round-1 fading (common
+random numbers), drawn a batch of replications at a time, over whole
+arrays of drops, from streams whose layout `_replicated` documents; the
+tests rebuild each replication from that layout alone.
 """
 
 from __future__ import annotations
@@ -282,81 +272,83 @@ def run_design_insight_study(config: ScenarioConfig,
 @dataclass
 class _Drops:
     """The drops of one shape in a batch: their replication indices `rows`
-    and, row for row, their blocks of uniforms and fading rows.  A fading
-    row holds the n round-1 exponentials, followed, in a BS epoch that goes
-    on past round 1, by g per member for the later rounds; it is empty
-    when one packet exceeds the time budget."""
+    and, row for row, their blocks of uniforms, their round-1 fading rows
+    of n exponentials (empty when one packet exceeds the time budget) and,
+    for each BS scheme that runs, its later rounds' (m, n, g) block of
+    exponentials (empty when round 1 draws none)."""
 
     plan: _DropPlan
     rows: np.ndarray
     uniforms: np.ndarray
     fading: np.ndarray
+    later: dict[str, np.ndarray]
 
 
 def _take(flat: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """The rows of `width` values of `flat` that begin at `starts`: a view
-    when they tile all of `flat`."""
-    if starts.size * width == flat.size:
-        return flat.reshape(starts.size, width)
+    """The rows of `width` entries of `flat` (values, or rows of values)
+    that begin at `starts`: a view when they tile all of `flat`."""
+    if starts.size * width == len(flat):
+        return flat.reshape(starts.size, width, *flat.shape[1:])
     return flat[starts[:, None] + np.arange(width)]
 
 
-def _replicated(study: str, scheme: str, config: ScenarioConfig,
-                key: tuple[int, ...]) -> np.ndarray:
-    """The metrics of every replication of `scheme`, in replication order:
-    rows of (mean delay, delivery ratio) in the delay study, the ase in
-    the ase study.
+def _replicated(study: str, config: ScenarioConfig,
+                key: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """Every scheme's metrics of every replication, in replication order:
+    rows of (mean delay, delivery ratio) for each of `config.schemes` in
+    the delay study, the ase for each of `_SCHEME_ORDER` in the ase study.
 
-    The scenario's streams are the generators of spawn keys (study, *key,
-    scheme, s) (`_rng`), its spawned children s = 0, 1, 2:
+    Every scheme runs on the same drops and round-1 fading (common random
+    numbers).  The scenario's streams are the generators of spawn keys
+    (`_rng`):
 
-    - drops: in density mode the Poisson count of every replication, in
-      one call, then each replication's block of uniforms (`_DropPlan`),
-      in replication order;
-    - fading: each replication's row of standard exponentials, in
-      replication order: the n round-1 fadings, and in the delay study's
-      BS schemes g more per member (the receptions a member needs:
-      `rnc_generation_size` for RNC, 1 for the benchmark), read as an
-      (n, g) block by `channel.completion_rounds`.  An empty drop, and
-      every drop when one packet exceeds the time budget, draws no row;
-    - recovery: clustering epoch r reads its blocks of uniforms
-      (`protocol.run_epochs`) in order from the stream's output r * 2**64
-      on (`PCG64.advance` from the stream's start).
+    - drops, (study, *key, 0, 0): in density mode the Poisson count of
+      every replication, in one call, then each replication's block of
+      uniforms (`_DropPlan`), in replication order;
+    - fading, (study, *key, 0, 1): each replication's n round-1 fadings,
+      in replication order; none for an empty drop, nor for any drop when
+      one packet exceeds the time budget;
+    - recovery, (study, *key, 0, 2): clustering epoch r reads its blocks
+      of uniforms (`protocol.run_epochs`) in order from the stream's
+      output r * 2**64 on (`PCG64.advance` from the stream's start);
+    - later rounds, (study, *key, i, 1) for the delay study's BS scheme
+      i of `_SCHEME_ORDER`: g exponentials per round-1 fading, in the same
+      order, g the receptions a member needs (`rnc_generation_size` for
+      RNC, 1 for the benchmark), read as an (n, g) block by
+      `channel.completion_rounds`.
 
-    Replications run in batches sized by members, not by replications: a
-    batch closes when one more drop the size of its last would take it
-    past `_BATCH_MEMBERS` members, an empty drop counting as one.  So a
-    fixed_total batch holds max(1, _BATCH_MEMBERS // n) drops of n
-    members (163 at the default 50, 4 at 2,000), and a density batch
-    about `_BATCH_MEMBERS` members in drops of mixed shape.  A batch draws
-    its uniform blocks in one call and its fading rows in another; numpy
-    fills both in sequence, so a replication's values do not depend on
-    the batch width.  `_continue` then computes and finishes the batch's
-    drops of each shape at once.
+    The ase study's benchmark counts the members the first broadcast
+    serves, which are clustering's `via_broadcast`, so its rows and RNC's
+    reduce the clustering epochs and no BS epoch runs.
 
-    So every replication's outcome is the one `SCHEME_RUNNERS` gives it on
-    a drop from `build_topology` with a generator that serves these values
-    in the order they are asked for, bit for bit, whatever the batch
-    width.  The ase study's benchmark epochs count only the members the
-    first broadcast serves, so they draw no later rounds and end after
-    round 1.
+    Replications run in batches of about `_BATCH_MEMBERS` members
+    (`_batches`).  A batch draws each stream's values for all of its
+    drops in one call, and numpy fills them in sequence.  So every
+    replication's outcome is the one `SCHEME_RUNNERS` gives it on a drop
+    from `build_topology` with a generator that serves these values in
+    the order they are asked for, bit for bit, whatever the batch width.
+    `_continue` computes and finishes the batch's drops of each shape at
+    once.
     """
-    prefix = (_STUDY_IDS[study], *key, _SCHEME_ORDER.index(scheme))
+    prefix = (_STUDY_IDS[study], *key)
     drop_rng, fading_rng, recovery = (
-        _rng(config.base_seed, (*prefix, stream)) for stream in range(3))
+        _rng(config.base_seed, (*prefix, 0, stream)) for stream in range(3))
     plans = _drop_law(config)(drop_rng, config.replications)
     sim = config.sim
     fits = sim.packet_len_ms <= sim.max_time_ms
-    # Exponentials per member after round 1's: the receptions a member
-    # needs in a BS epoch that goes on.
-    later = 0
-    if fits and scheme != "clustering" and not (
-            study == "ase" and scheme == "benchmark"):
-        later = sim.rnc_generation_size if scheme == "rnc" else 1
+    if study == "delay":
+        schemes = runs = config.schemes
+    else:
+        schemes, runs = _SCHEME_ORDER, ("clustering",)
+    # Each BS scheme's later-rounds stream and receptions per member.
+    later = {scheme: (_rng(config.base_seed,
+                           (*prefix, _SCHEME_ORDER.index(scheme), 1)),
+                      sim.rnc_generation_size if scheme == "rnc" else 1)
+             for scheme in runs if scheme != "clustering"}
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
-    out = np.empty((config.replications, 2) if study == "delay"
-                   else config.replications)
+    out = {scheme: np.empty((config.replications, 2) if study == "delay"
+                            else config.replications) for scheme in schemes}
     bit_generator = recovery.bit_generator
     origin = bit_generator.state
 
@@ -369,29 +361,36 @@ def _replicated(study: str, scheme: str, config: ScenarioConfig,
     for lo, hi in _batches(plans):
         batch = plans[lo:hi]
         blocks = [plan.read.size for plan in batch]
-        lengths = [plan.n_uavs * (1 + later) if fits else 0
-                   for plan in batch]
+        lengths = [plan.n_uavs if fits else 0 for plan in batch]
         uniforms = drop_rng.random(sum(blocks))
         fading = fading_rng.standard_exponential(sum(lengths))
+        rounds = {scheme: rng.standard_exponential((sum(lengths), g))
+                  for scheme, (rng, g) in later.items()}
         u_at, f_at = (np.cumsum([0, *sizes[:-1]])
                       for sizes in (blocks, lengths))
         shapes: dict[tuple[int, ...], list[int]] = {}
         for i, plan in enumerate(batch):
             shapes.setdefault(plan.bounds, []).append(i)
         for index in map(np.array, shapes.values()):
-            i = index[0]
+            i, width = index[0], lengths[index[0]]
             drops = _Drops(batch[i], lo + index,
                            _take(uniforms, u_at[index], blocks[i]),
-                           _take(fading, f_at[index], lengths[i]))
-            delivery, via_broadcast = _continue(scheme, config, drops,
-                                                recover_at)
-            out[drops.rows] = _reduce(study, scheme, sim, delivery,
-                                      via_broadcast, rate_density)
+                           _take(fading, f_at[index], width),
+                           {scheme: _take(values, f_at[index], width)
+                            for scheme, values in rounds.items()})
+            outcomes = _continue(config, drops, runs, recover_at)
+            for scheme, metrics in out.items():
+                delivery, via_broadcast = outcomes[
+                    scheme if scheme in runs else "clustering"]
+                metrics[drops.rows] = _reduce(study, scheme, sim, delivery,
+                                              via_broadcast, rate_density)
     return out
 
 
 def _batches(plans):
-    """(first, stop) replication of each batch of `_replicated`."""
+    """(first, stop) replication of each batch of `_replicated`: a batch
+    closes when one more drop the size of its last would take it past
+    `_BATCH_MEMBERS` members."""
     lo = members = 0
     for rep, plan in enumerate(plans):
         # An empty drop counts as one member, so empty drops fill a batch.
@@ -404,20 +403,20 @@ def _batches(plans):
         yield lo, len(plans)
 
 
-def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
-              recover_at):
+def _continue(config: ScenarioConfig, drops: _Drops, schemes,
+              recover_at) -> dict:
     """The delivery times (NaN for undelivered) and `via_broadcast` marks
-    of the drops of one shape, shape (m, n) each: geometry, BS distances,
-    mean powers and round-1 decisions over all of them at once, then
-    `protocol.run_epochs` on those that go on.
+    of each of `schemes`' epochs on the drops of one shape, shape (m, n)
+    each: geometry, BS distances, mean powers and round-1 decisions over
+    all of them at once, shared by the schemes, then `protocol.run_epochs`
+    for each scheme.
 
     Round 1 serves the members whose fading decodes, none when one packet
-    exceeds the budget.  A BS scheme's fading rows longer than n hold the
-    later rounds' exponentials as an (n, g) block, read by
-    `channel.completion_rounds`; otherwise its epochs end after round 1,
-    and their times follow from round 1 alone.  Clustering recovery fills
-    epoch e's blocks through `recover_at(offset, block)`, from offset
-    rows[e] * 2**64 plus the uniforms that epoch has read.
+    exceeds the budget.  A BS scheme's completion rounds read its block of
+    `drops.later` through `channel.completion_rounds`; an empty block
+    leaves no member to complete.  Clustering recovery fills epoch e's
+    blocks through `recover_at(offset, block)`, from offset rows[e] *
+    2**64 plus the uniforms that epoch has read.
     """
     m, n = len(drops.rows), drops.plan.n_uavs
     radio, sim = config.radio, config.sim
@@ -426,22 +425,25 @@ def _continue(scheme: str, config: ScenarioConfig, drops: _Drops,
                                 _bs_distances(xy, *_bs_site(config)), radio)
     first = np.zeros((m, n), dtype=bool)
     if sim.packet_len_ms <= sim.max_time_ms:
-        first = decodes(power, drops.fading[:, :n], radio)
-    if drops.fading.shape[1] > n:
-        later = drops.fading[:, n:].reshape(m, n, -1)
-        first = completion_rounds(first, decode_probability(power, radio),
-                                  later.shape[2], later)
-    elif scheme != "clustering":
-        return np.where(first, sim.packet_len_ms, np.nan), first
+        first = decodes(power, drops.fading, radio)
     offset = [rep << 64 for rep in drops.rows.tolist()]
 
     def draw(e, block):
         recover_at(offset[e], block)
         offset[e] += block.size
 
-    delivery, via_broadcast, *_ = run_epochs(
-        scheme, xy, drops.plan.bounds, first, radio, sim, draw)
-    return delivery, via_broadcast
+    outcomes = {}
+    for scheme in schemes:
+        rounds, later = first, drops.later.get(scheme)
+        if later is not None:
+            rounds = np.full((m, n), np.inf)
+            if later.size:
+                rounds = completion_rounds(
+                    first, decode_probability(power, radio), later.shape[2],
+                    later)
+        outcomes[scheme] = run_epochs(scheme, xy, drops.plan.bounds, rounds,
+                                      radio, sim, draw)[:2]
+    return outcomes
 
 
 def _reduce(study: str, scheme: str, sim, delivery: np.ndarray,
@@ -496,9 +498,9 @@ def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
                                           config.sim.t_req_ms)
         for i_c, c in enumerate(c_values):
             scenario = config.replace(d0_m=d0, num_clusters=c)
-            for scheme in config.schemes:
-                delays, ratios = _replicated(study, scheme, scenario,
-                                             (i_d0, i_c)).T
+            for scheme, metrics in _replicated(study, scenario,
+                                               (i_d0, i_c)).items():
+                delays, ratios = metrics.T
                 mean, stderr, n = _mean_stderr(delays)
                 rows.append(MetricRow(study, "num_clusters", float(c), scheme,
                                       f"delay_ms_d0_{d0:g}", mean, stderr, n))
@@ -516,11 +518,11 @@ def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
     """Simulated area spectral efficiency over (d0, C).
 
     The clustering rows count members served either by the broadcast or by
-    in-cluster recovery; benchmark rows count only the first broadcast, so
-    their epochs stop after it (`_replicated`).  The
-    RNC baseline spends its airtime on coded repair of the same packets, so
-    its delivered-rate density equals the benchmark's by construction and
-    its rows duplicate them.
+    in-cluster recovery; benchmark rows count only the first broadcast,
+    which serves the members clustering's own broadcast serves on the same
+    epochs (`_replicated`).  The RNC baseline spends its airtime on coded
+    repair of the same packets, so its delivered-rate density equals the
+    benchmark's by construction and its rows duplicate them.
     """
     study = "ase"
     c_values = _cluster_counts(c_values)
@@ -532,18 +534,11 @@ def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
                                         config.radio.snr_threshold)
         for i_c, c in enumerate(c_values):
             scenario = config.replace(d0_m=d0, num_clusters=c)
-            benchmark_row = None
-            for scheme in ("clustering", "benchmark"):
-                ases = _replicated(study, scheme, scenario, (i_d0, i_c))
+            for scheme, ases in _replicated(study, scenario,
+                                            (i_d0, i_c)).items():
                 mean, stderr, n = _mean_stderr(ases)
-                row = MetricRow(study, "num_clusters", float(c), scheme,
-                                f"ase_d0_{d0:g}", mean, stderr, n)
-                rows.append(row)
-                if scheme == "benchmark":
-                    benchmark_row = row
-            rows.append(MetricRow(study, "num_clusters", float(c), "rnc",
-                                  benchmark_row.metric, benchmark_row.mean,
-                                  benchmark_row.stderr, benchmark_row.n))
+                rows.append(MetricRow(study, "num_clusters", float(c), scheme,
+                                      f"ase_d0_{d0:g}", mean, stderr, n))
             rows.append(MetricRow(study, "num_clusters", float(c), "analytic",
                                   f"ase_d0_{d0:g}", analytic, 0.0, 0))
     return MetricTable(rows)

@@ -264,10 +264,11 @@ def test_rng_generators_are_independent():
 class _Replay:
     """A generator stand-in that serves one replication's values:
     `poisson` its Poisson count, the one `random(size)` call its block of
-    uniforms, `exponential` the next values of its fading row, and
-    `random(out=...)` the next values of `recovery`.  Past the end of the
-    row it serves ones: only the ase study's benchmark reads there, for
-    later rounds its metric does not count."""
+    uniforms, `exponential` its next row of fading, the shared round-1 row
+    and then its scheme's later-rounds row, and `random(out=...)` the next
+    values of `recovery`.  Past the end of a row, and past the rows, it
+    serves ones: only the ase study's benchmark reads there, for later
+    rounds its metric does not count."""
 
     def __init__(self, count, uniforms, fading, recovery):
         self.count, self.uniforms, self.fading = count, uniforms, fading
@@ -287,26 +288,29 @@ class _Replay:
     def exponential(self, scale, size):
         assert scale == 1.0
         k = math.prod(size)
-        values, self.fading = self.fading[:k], self.fading[k:]
+        values = self.fading.pop(0)[:k] if self.fading else np.empty(0)
         return np.concatenate([values, np.ones(k - values.size)]).reshape(size)
 
 
 def _replays(study, scheme, config, key):
     """Each replication's `_Replay`, built one replication at a time from
     the stream layout `_replicated` documents: under spawn keys (study,
-    *key, scheme, s), stream 0 holds every Poisson count (density mode),
-    then each drop's 2 (clusters + members) uniforms; stream 1 each
-    non-empty drop's n (1 + g) exponentials when a packet fits the budget,
-    g being the receptions a member needs in a delay-study BS epoch;
-    stream 2 holds replication r's recovery blocks from output r 2**64 on.
+    *key, 0, s), stream 0 holds every Poisson count (density mode), then
+    each drop's 2 (clusters + members) uniforms; stream 1 each non-empty
+    drop's n round-1 exponentials when a packet fits the budget; stream 2
+    replication r's recovery blocks from output r 2**64 on.  A delay-study
+    BS scheme's stream (study, *key, scheme, 1) holds, for the drops that
+    draw round-1 exponentials, n g more, g being the receptions a member
+    needs.
     """
-    prefix = (_STUDY_IDS[study], *key, _SCHEME_ORDER.index(scheme))
-    drops, fading = _rng(config.base_seed, (*prefix, 0)), _rng(
-        config.base_seed, (*prefix, 1))
+    prefix = (_STUDY_IDS[study], *key)
+    drops, fading = (_rng(config.base_seed, (*prefix, 0, s)) for s in (0, 1))
     sim, reps = config.sim, config.replications
     fits = sim.packet_len_ms <= sim.max_time_ms
-    g = 0
-    if fits and study == "delay" and scheme != "clustering":
+    later, g = None, 0
+    if study == "delay" and scheme != "clustering":
+        later = _rng(config.base_seed,
+                     (*prefix, _SCHEME_ORDER.index(scheme), 1))
         g = sim.rnc_generation_size if scheme == "rnc" else 1
     counts = [None] * reps
     if config.mode == "density":
@@ -318,10 +322,12 @@ def _replays(study, scheme, config, key):
         k, n = ((config.num_clusters, config.total_uavs) if count is None
                 else (count, count * per_cluster))
         uniforms = drops.random(2 * (k + n))
-        row = fading.standard_exponential(n * (1 + g) if fits else 0)
-        recovery = _rng(config.base_seed, (*prefix, 2))
+        rows = [fading.standard_exponential(n if fits else 0)]
+        if later is not None:
+            rows.append(later.standard_exponential(n * g if fits else 0))
+        recovery = _rng(config.base_seed, (*prefix, 0, 2))
         recovery.bit_generator.advance(rep << 64)
-        yield _Replay(count, uniforms, row, recovery)
+        yield _Replay(count, uniforms, rows, recovery)
 
 
 def _oracle_metrics(study, scheme, config, key):
@@ -414,7 +420,7 @@ def test_replicated_equals_independent_generators(study, scheme):
                               recorded, *rest)
 
         with mock.patch.object(experiments, "run_epochs", counted):
-            got = _replicated(study, scheme, config, key)
+            got = _replicated(study, config, key)[scheme]
         expected = _oracle_metrics(study, scheme, config, key)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes(), (mode, lambda_per_m2,
@@ -463,28 +469,29 @@ def test_replicated_does_not_depend_on_batch_budget(mode, lambda_per_m2,
     config = ScenarioConfig(replications=40, base_seed=5, d0_m=1200.0,
                             num_clusters=2, mode=mode,
                             lambda_per_m2=lambda_per_m2)
-    pairs = (("delay", "clustering"), ("ase", "clustering"),
-             ("ase", "benchmark"), ("delay", "benchmark"), ("delay", "rnc"))
-    wide = {pair: _replicated(*pair, config, (0, 1)) for pair in pairs}
+    wide = {study: _replicated(study, config, (0, 1))
+            for study in ("ase", "delay")}
     assert budget < experiments._BATCH_MEMBERS
     continue_ = experiments._continue
-    groups = []  # (drop shape, replications) of every group of a call
+    groups = []  # (drop shape, replications) of every group of both calls
 
-    def recorded(scheme, config, drops, recover_at):
+    def recorded(config, drops, schemes, recover_at):
         groups.append((drops.plan.bounds, drops.rows.tolist()))
-        return continue_(scheme, config, drops, recover_at)
+        return continue_(config, drops, schemes, recover_at)
 
     with mock.patch.object(experiments, "_BATCH_MEMBERS", budget), \
             mock.patch.object(experiments, "_continue", recorded):
-        for pair, metrics in wide.items():
-            groups.clear()
-            assert _replicated(*pair, config, (0, 1)).tobytes() == \
-                metrics.tobytes(), pair
+        for study, metrics in wide.items():
+            narrow = _replicated(study, config, (0, 1))
+            assert list(narrow) == list(metrics)
+            for scheme, values in metrics.items():
+                assert narrow[scheme].tobytes() == values.tobytes(), (
+                    study, scheme)
     widths = [len(rows) for _, rows in groups]
     if mode == "fixed_total":
         per_batch = budget // 50
-        assert widths == [per_batch] * (40 // per_batch) + (
-            [40 % per_batch] if 40 % per_batch else [])
+        assert widths == 2 * ([per_batch] * (40 // per_batch) + (
+            [40 % per_batch] if 40 % per_batch else []))
     elif lambda_per_m2 == 1e-4:
         # a shape recurs in several batches, and a batch mixes shapes
         assert len(groups) > len({bounds for bounds, _ in groups})
@@ -496,13 +503,16 @@ def test_replicated_does_not_depend_on_batch_budget(mode, lambda_per_m2,
         assert max(empty) == budget and sum(empty) > budget
 
 
-_PAIRS = (("delay", "clustering"), ("delay", "benchmark"), ("delay", "rnc"),
-          ("ase", "clustering"), ("ase", "benchmark"))
 _BUDGET_CONFIGS = {
     mode: ScenarioConfig(replications=40, base_seed=3, d0_m=1200.0,
                          num_clusters=2, mode=mode, lambda_per_m2=1e-4)
     for mode in ("fixed_total", "density")}
 _DEFAULT_BUDGET_OUTPUTS = {}
+
+
+def _output_bytes(study, config, key):
+    return {scheme: values.tobytes()
+            for scheme, values in _replicated(study, config, key).items()}
 
 
 @given(budget=st.integers(1, 8192),
@@ -513,23 +523,23 @@ def test_replicated_output_does_not_depend_on_member_budget(budget, mode):
     """Any member budget from 1 to the default gives every study and
     scheme the default budget's output, byte for byte, in both modes."""
     config = _BUDGET_CONFIGS[mode]
-    for pair in _PAIRS:
-        if (mode, pair) not in _DEFAULT_BUDGET_OUTPUTS:
-            _DEFAULT_BUDGET_OUTPUTS[mode, pair] = _replicated(
-                *pair, config, (2, 0)).tobytes()
+    for study in ("delay", "ase"):
+        if (mode, study) not in _DEFAULT_BUDGET_OUTPUTS:
+            _DEFAULT_BUDGET_OUTPUTS[mode, study] = _output_bytes(
+                study, config, (2, 0))
     with mock.patch.object(experiments, "_BATCH_MEMBERS", budget):
-        for pair in _PAIRS:
-            assert _replicated(*pair, config, (2, 0)).tobytes() == \
-                _DEFAULT_BUDGET_OUTPUTS[mode, pair], pair
+        for study in ("delay", "ase"):
+            assert _output_bytes(study, config, (2, 0)) == \
+                _DEFAULT_BUDGET_OUTPUTS[mode, study], study
 
 
-def _traced_peak(study, scheme, config):
+def _traced_peak(study, config):
     """Peak traced allocation of one `_replicated` call, after a first
     call has warmed the caches."""
-    _replicated(study, scheme, config, (0, 0))
+    _replicated(study, config, (0, 0))
     tracemalloc.start()
     try:
-        _replicated(study, scheme, config, (0, 0))
+        _replicated(study, config, (0, 0))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -539,8 +549,8 @@ def test_replicated_memory_does_not_grow_with_replications():
     """Batching bounds the allocations of a `_replicated` call: its
     traced peak over ten batches stays within 1.5x of the peak over one."""
     def peak(reps):
-        return _traced_peak("ase", "clustering",
-                            ScenarioConfig(replications=reps, d0_m=400.0))
+        return _traced_peak("ase", ScenarioConfig(replications=reps,
+                                                  d0_m=400.0))
 
     assert peak(10 * _WIDTH) <= 1.5 * peak(_WIDTH)
 
@@ -553,9 +563,9 @@ def test_replicated_memory_is_bounded_in_members(scheme):
     50 (about 1.0x measured); batches of a fixed replication count would
     hold 40 times the members, and peak about 37 times higher."""
     def peak(total_uavs):
-        return _traced_peak("delay", scheme, ScenarioConfig(
+        return _traced_peak("delay", ScenarioConfig(
             replications=_WIDTH, total_uavs=total_uavs, d0_m=1200.0,
-            num_clusters=2))
+            num_clusters=2, schemes=(scheme,)))
 
     assert peak(2000) <= 1.5 * peak(50)
 
@@ -567,8 +577,9 @@ def test_replicated_bs_memory_is_linear_in_members(scheme):
     4000 members peaks within 2.5x of its peak at 2000; a pairwise
     (epochs x members x members) comparison would quadruple it."""
     def peak(total_uavs):
-        return _traced_peak("delay", scheme, ScenarioConfig(
-            replications=2, total_uavs=total_uavs, d0_m=1200.0))
+        return _traced_peak("delay", ScenarioConfig(
+            replications=2, total_uavs=total_uavs, d0_m=1200.0,
+            schemes=(scheme,)))
 
     assert peak(4000) <= 2.5 * peak(2000)
 
@@ -585,11 +596,11 @@ def test_replicated_bs_memory_is_linear_in_members(scheme):
 @settings(max_examples=150, deadline=None)
 def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
                                                 num_clusters, max_time_ms):
-    """The ase study's benchmark epochs, which the batch ends after the
-    first broadcast, serve the members `run_ack_benchmark` marks
-    `via_broadcast` on the replication's values of the stream layout
-    (`_replays`), and yield the full epoch's ase bit for bit (NaN for an
-    empty drop)."""
+    """The ase study's benchmark rows, which count the members
+    clustering's first broadcast serves, count the members
+    `run_ack_benchmark` marks `via_broadcast` on the replication's values
+    of the stream layout (`_replays`), and yield the full epoch's ase bit
+    for bit (NaN for an empty drop)."""
     config = ScenarioConfig(mode=mode, lambda_per_m2=lambda_per_m2, d0_m=d0,
                             num_clusters=num_clusters, base_seed=seed,
                             replications=3,
@@ -605,7 +616,7 @@ def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
         return got
 
     with mock.patch.object(experiments, "decodes", recorded_decodes):
-        ases = _replicated("ase", "benchmark", config, key)
+        ases = _replicated("ase", config, key)["benchmark"]
 
     link = link_model(config.radio)
     rate_density = 1e-3 * math.log2(21.0)
@@ -639,3 +650,79 @@ def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
         assert not decided
         assert all(a == 0.0 or math.isnan(a) for a in ases)
     assert ases.tobytes() == np.array(ref_ases).tobytes()
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       mode=st.sampled_from(["fixed_total", "density"]),
+       lambda_per_m2=st.sampled_from([1e-6, 1e-5, 1e-4]),
+       d0=st.floats(400.0, 2500.0), num_clusters=st.integers(1, 10),
+       max_time_ms=st.sampled_from([5.0, 10.0, 40.0, 10_000.0]))
+@example(seed=0, mode="fixed_total", lambda_per_m2=1e-4, d0=800.0,
+         num_clusters=5, max_time_ms=5.0)        # packet over the budget
+@settings(max_examples=60, deadline=None)
+def test_schemes_share_each_replications_first_broadcast(
+        seed, mode, lambda_per_m2, d0, num_clusters, max_time_ms):
+    """Every scheme runs on the same drop and round-1 fading: in each
+    delay-study epoch the benchmark serves in round 1 the members
+    clustering's broadcast serves, and in the ase study clustering's ase
+    is at least the benchmark's in every replication, whose rows RNC's
+    equal bit for bit."""
+    config = ScenarioConfig(mode=mode, lambda_per_m2=lambda_per_m2, d0_m=d0,
+                            num_clusters=num_clusters, base_seed=seed,
+                            replications=4,
+                            sim=SimParams(max_time_ms=max_time_ms))
+    served = []  # (benchmark, clustering) via_broadcast of every group
+    continue_ = experiments._continue
+
+    def recorded(config, drops, schemes, recover_at):
+        outcomes = continue_(config, drops, schemes, recover_at)
+        served.append((outcomes["benchmark"][1], outcomes["clustering"][1]))
+        return outcomes
+
+    with mock.patch.object(experiments, "_continue", recorded):
+        _replicated("delay", config, (0, 1))
+    assert served
+    for benchmark, clustering in served:
+        assert benchmark.tolist() == clustering.tolist()
+    ases = _replicated("ase", config, (0, 1))
+    assert ases["rnc"].tobytes() == ases["benchmark"].tobytes()
+    empty = np.isnan(ases["clustering"])
+    assert empty.tolist() == np.isnan(ases["benchmark"]).tolist()
+    assert np.all(ases["clustering"][~empty] >= ases["benchmark"][~empty])
+    if max_time_ms < config.sim.packet_len_ms:
+        assert not any(clustering.any() for _, clustering in served)
+
+
+@pytest.mark.parametrize("mode", ["fixed_total", "density"])
+def test_scheme_subsets_read_the_shared_streams(mode):
+    """A scheme run alone gives, bit for bit, its metrics of the
+    three-scheme run, since the shared streams do not depend on the
+    schemes that read them; a delay scenario derives the three shared
+    generators and one per BS scheme, an ase scenario the shared three."""
+    config = ScenarioConfig(replications=40, base_seed=4, d0_m=1200.0,
+                            num_clusters=2, mode=mode)
+    key = (1, 0)
+    derived = []
+    rng = experiments._rng
+
+    def counted(base_seed, key):
+        derived.append(key)
+        return rng(base_seed, key)
+
+    with mock.patch.object(experiments, "_rng", counted):
+        full = {study: _replicated(study, config, key)
+                for study in ("delay", "ase")}
+    delay, ase = _STUDY_IDS["delay"], _STUDY_IDS["ase"]
+    assert derived == [(delay, *key, 0, 0), (delay, *key, 0, 1),
+                       (delay, *key, 0, 2), (delay, *key, 1, 1),
+                       (delay, *key, 2, 1), (ase, *key, 0, 0),
+                       (ase, *key, 0, 1), (ase, *key, 0, 2)]
+    assert list(full["delay"]) == list(config.schemes)
+    assert list(full["ase"]) == list(_SCHEME_ORDER)
+    for scheme in ("rnc", "clustering"):
+        alone = config.replace(schemes=(scheme,))
+        delays = _replicated("delay", alone, key)
+        assert list(delays) == [scheme]
+        assert delays[scheme].tobytes() == full["delay"][scheme].tobytes()
+        ases = _replicated("ase", alone, key)
+        assert ases[scheme].tobytes() == full["ase"][scheme].tobytes()
