@@ -164,14 +164,16 @@ def _grid(parameter: str, values) -> tuple[float, ...]:
 
 
 def _mean_stderr(samples: np.ndarray) -> tuple[float, float, int]:
-    """Mean, standard error and count, skipping NaN entries."""
+    """Mean, standard error and count, skipping NaN entries.  Equal
+    samples have standard error 0, not the rounding of their mean."""
     valid = samples[~np.isnan(samples)]
     n = valid.size
     if n == 0:
         return float("nan"), float("nan"), 0
     if n == 1:
         return float(valid[0]), float("nan"), 1
-    return float(valid.mean()), float(valid.std(ddof=1) / math.sqrt(n)), n
+    stderr = valid.std(ddof=1) / math.sqrt(n) if np.ptp(valid) else 0.0
+    return float(valid.mean()), float(stderr), n
 
 
 def run_validation_study(kind: str, config: ScenarioConfig,

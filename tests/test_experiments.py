@@ -56,6 +56,10 @@ def test_mean_stderr_skips_nan():
     assert math.isnan(mean) and math.isnan(stderr) and n == 0
     mean, stderr, n = _mean_stderr(np.array([4.0]))
     assert mean == 4.0 and math.isnan(stderr) and n == 1
+    # equal samples whose mean rounds to another double have no spread
+    mean, stderr, n = _mean_stderr(np.full(2000, 0.0043923174227787605))
+    assert mean == pytest.approx(0.0043923174227787605, rel=1e-15)
+    assert stderr == 0.0 and n == 2000
 
 
 def test_metric_table_select_value_and_csv(tmp_path):
