@@ -343,10 +343,10 @@ def _replicated(study: str, config: ScenarioConfig,
     else:
         schemes, runs = _SCHEME_ORDER, ("clustering",)
     # Each BS scheme's later-rounds stream and receptions per member.
-    later = {scheme: (_rng(config.base_seed,
-                           (*prefix, _SCHEME_ORDER.index(scheme), 1)),
-                      sim.rnc_generation_size if scheme == "rnc" else 1)
-             for scheme in runs if scheme != "clustering"}
+    later_rngs = {scheme: (_rng(config.base_seed,
+                                (*prefix, _SCHEME_ORDER.index(scheme), 1)),
+                           sim.rnc_generation_size if scheme == "rnc" else 1)
+                  for scheme in runs if scheme != "clustering"}
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
     out = {scheme: np.empty((config.replications, 2) if study == "delay"
@@ -366,8 +366,8 @@ def _replicated(study: str, config: ScenarioConfig,
         lengths = [plan.n_uavs if fits else 0 for plan in batch]
         uniforms = drop_rng.random(sum(blocks))
         fading = fading_rng.standard_exponential(sum(lengths))
-        rounds = {scheme: rng.standard_exponential((sum(lengths), g))
-                  for scheme, (rng, g) in later.items()}
+        later = {scheme: rng.standard_exponential((sum(lengths), g))
+                 for scheme, (rng, g) in later_rngs.items()}
         u_at, f_at = (np.cumsum([0, *sizes[:-1]])
                       for sizes in (blocks, lengths))
         shapes: dict[tuple[int, ...], list[int]] = {}
@@ -379,7 +379,7 @@ def _replicated(study: str, config: ScenarioConfig,
                            _take(uniforms, u_at[index], blocks[i]),
                            _take(fading, f_at[index], width),
                            {scheme: _take(values, f_at[index], width)
-                            for scheme, values in rounds.items()})
+                            for scheme, values in later.items()})
             outcomes = _continue(config, drops, runs, recover_at)
             for scheme, metrics in out.items():
                 delivery, via_broadcast = outcomes[
