@@ -297,8 +297,8 @@ def _take(flat: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
 def _replicated(study: str, config: ScenarioConfig,
                 key: tuple[int, ...]) -> dict[str, np.ndarray]:
     """Every scheme's metrics of every replication, in replication order:
-    rows of (mean delay, delivery ratio) for each of `config.schemes` in
-    the delay study, the ase for each of `_SCHEME_ORDER` in the ase study.
+    rows of (mean delay, delivery ratio) in the delay study, the ase in
+    the ase study, for each of `config.schemes`.
 
     Every scheme runs on the same drops and round-1 fading (common random
     numbers).  The scenario's streams are the generators of spawn keys
@@ -311,8 +311,9 @@ def _replicated(study: str, config: ScenarioConfig,
       in replication order; none for an empty drop, nor for any drop when
       one packet exceeds the time budget;
     - recovery, (study, *key, 0, 2): clustering epoch r reads its blocks
-      of uniforms (`protocol.run_epochs`) in order from the stream's
-      output r * 2**64 on (`PCG64.advance` from the stream's start);
+      of uniforms (`protocol.run_epochs`), each sized by its live cells,
+      in order from the stream's output r * 2**64 on (`PCG64.advance`
+      from the stream's last position);
     - later rounds, (study, *key, i, 1) for the delay study's BS scheme
       i of `_SCHEME_ORDER`: g exponentials per round-1 fading, in the same
       order, g the receptions a member needs (`rnc_generation_size` for
@@ -338,10 +339,8 @@ def _replicated(study: str, config: ScenarioConfig,
     plans = _drop_law(config)(drop_rng, config.replications)
     sim = config.sim
     fits = sim.packet_len_ms <= sim.max_time_ms
-    if study == "delay":
-        schemes = runs = config.schemes
-    else:
-        schemes, runs = _SCHEME_ORDER, ("clustering",)
+    schemes = config.schemes
+    runs = schemes if study == "delay" else ("clustering",)
     # Each BS scheme's later-rounds stream and receptions per member.
     later_rngs = {scheme: (_rng(config.base_seed,
                                 (*prefix, _SCHEME_ORDER.index(scheme), 1)),
@@ -351,32 +350,32 @@ def _replicated(study: str, config: ScenarioConfig,
                     * math.log2(1.0 + config.radio.snr_threshold))
     out = {scheme: np.empty((config.replications, 2) if study == "delay"
                             else config.replications) for scheme in schemes}
-    bit_generator = recovery.bit_generator
-    origin = bit_generator.state
+    at, read = 0, [0] * config.replications  # stream position, reads per rep
 
-    def recover_at(offset, block):
-        """Fill `block` from the recovery stream's output `offset` on."""
-        bit_generator.state = origin
-        bit_generator.advance(offset)
+    def recover_at(rep, block):
+        """Fill `block` with replication `rep`'s next recovery uniforms.
+        PCG64 cycles through 2**128 outputs, so one jump from the stream's
+        position reaches any offset, behind it too."""
+        nonlocal at
+        offset = (rep << 64) + read[rep]
+        recovery.bit_generator.advance((offset - at) % 2 ** 128)
         recovery.random(out=block)
+        at, read[rep] = offset + block.size, read[rep] + block.size
 
-    for lo, hi in _batches(plans):
-        batch = plans[lo:hi]
-        blocks = [plan.read.size for plan in batch]
-        lengths = [plan.n_uavs if fits else 0 for plan in batch]
-        uniforms = drop_rng.random(sum(blocks))
-        fading = fading_rng.standard_exponential(sum(lengths))
-        later = {scheme: rng.standard_exponential((sum(lengths), g))
+    for lo, groups in _batches(plans, config.mode == "fixed_total"):
+        blocks, lengths = np.zeros((2, sum(i.size for _, i in groups)),
+                                   dtype=np.intp)
+        for plan, index in groups:
+            blocks[index], lengths[index] = plan.read.size, plan.n_uavs * fits
+        uniforms = drop_rng.random(blocks.sum())
+        fading = fading_rng.standard_exponential(lengths.sum())
+        later = {scheme: rng.standard_exponential((lengths.sum(), g))
                  for scheme, (rng, g) in later_rngs.items()}
-        u_at, f_at = (np.cumsum([0, *sizes[:-1]])
-                      for sizes in (blocks, lengths))
-        shapes: dict[tuple[int, ...], list[int]] = {}
-        for i, plan in enumerate(batch):
-            shapes.setdefault(plan.bounds, []).append(i)
-        for index in map(np.array, shapes.values()):
-            i, width = index[0], lengths[index[0]]
-            drops = _Drops(batch[i], lo + index,
-                           _take(uniforms, u_at[index], blocks[i]),
+        u_at, f_at = (np.cumsum(sizes) - sizes for sizes in (blocks, lengths))
+        for plan, index in groups:
+            width = plan.n_uavs * fits
+            drops = _Drops(plan, lo + index,
+                           _take(uniforms, u_at[index], plan.read.size),
                            _take(fading, f_at[index], width),
                            {scheme: _take(values, f_at[index], width)
                             for scheme, values in later.items()})
@@ -389,20 +388,26 @@ def _replicated(study: str, config: ScenarioConfig,
     return out
 
 
-def _batches(plans):
-    """(first, stop) replication of each batch of `_replicated`: a batch
+def _batches(plans, fixed: bool):
+    """Each batch of `_replicated`: its first replication and its drops by
+    plan, as (plan, positions in the batch) in order of first use.  A batch
     closes when one more drop the size of its last would take it past
-    `_BATCH_MEMBERS` members."""
-    lo = members = 0
+    `_BATCH_MEMBERS` members, an empty drop counting as one.  When all
+    drops share one plan (`fixed`), batches of max(1, _BATCH_MEMBERS // n)
+    drops follow without a walk over the drops."""
+    if fixed:
+        width = max(1, _BATCH_MEMBERS // max(1, plans[0].n_uavs))
+        for lo in range(0, len(plans), width):
+            yield lo, [(plans[0], np.arange(min(width, len(plans) - lo)))]
+        return
+    lo, members, groups = 0, 0, {}
     for rep, plan in enumerate(plans):
-        # An empty drop counts as one member, so empty drops fill a batch.
         size = max(1, plan.n_uavs)
         members += size
-        if members + size > _BATCH_MEMBERS:
-            yield lo, rep + 1
-            lo, members = rep + 1, 0
-    if lo < len(plans):
-        yield lo, len(plans)
+        groups.setdefault(plan.bounds, (plan, []))[1].append(rep - lo)
+        if members + size > _BATCH_MEMBERS or rep + 1 == len(plans):
+            yield lo, [(p, np.array(i)) for p, i in groups.values()]
+            lo, members, groups = rep + 1, 0, {}
 
 
 def _continue(config: ScenarioConfig, drops: _Drops, schemes,
@@ -417,8 +422,8 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes,
     exceeds the budget.  A BS scheme's completion rounds read its block of
     `drops.later` through `channel.completion_rounds`; an empty block
     leaves no member to complete.  Clustering recovery fills epoch e's
-    blocks through `recover_at(offset, block)`, from offset rows[e] *
-    2**64 plus the uniforms that epoch has read.
+    blocks through `recover_at(rows[e], block)`, which serves each
+    replication's recovery uniforms in order.
     """
     m, n = len(drops.rows), drops.plan.n_uavs
     radio, sim = config.radio, config.sim
@@ -428,13 +433,7 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes,
     first = np.zeros((m, n), dtype=bool)
     if sim.packet_len_ms <= sim.max_time_ms:
         first = decodes(power, drops.fading, radio)
-    offset = [rep << 64 for rep in drops.rows.tolist()]
-
-    def draw(e, block):
-        recover_at(offset[e], block)
-        offset[e] += block.size
-
-    outcomes = {}
+    rows, outcomes = drops.rows.tolist(), {}
     for scheme in schemes:
         rounds, later = first, drops.later.get(scheme)
         if later is not None:
@@ -443,8 +442,9 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes,
                 rounds = completion_rounds(
                     first, decode_probability(power, radio), later.shape[2],
                     later)
-        outcomes[scheme] = run_epochs(scheme, xy, drops.plan.bounds, rounds,
-                                      radio, sim, draw)[:2]
+        outcomes[scheme] = run_epochs(
+            scheme, xy, drops.plan.bounds, rounds, radio, sim,
+            lambda e, out: recover_at(rows[e], out))[:2]
     return outcomes
 
 
@@ -517,7 +517,7 @@ def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
 
 def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
                   c_values=DEFAULT_C_GRID) -> MetricTable:
-    """Simulated area spectral efficiency over (d0, C).
+    """Simulated area spectral efficiency of `config.schemes` over (d0, C).
 
     The clustering rows count members served either by the broadcast or by
     in-cluster recovery; benchmark rows count only the first broadcast,

@@ -220,13 +220,13 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     misses the packet, or when its next frame would end past max_time_ms.
     Finished cells are compacted away.
 
-    Randomness: every epoch with a cell reads blocks of uniforms, shape
-    (_BLOCK_ROWS, 2, n), which `draw(e, out)` fills for epoch e.
-    Iteration i reads row i mod _BLOCK_ROWS: column 0 gives fresh backoffs,
-    column 1 a collider's redraw or a listener's reception (u < chance).
-    The first block is drawn before iteration 0, and the next every
-    _BLOCK_ROWS iterations while the epoch has a live cell.  So an epoch's
-    draws do not depend on the other epochs of the batch.  `events`, when
+    Randomness: before iteration 0 and every _BLOCK_ROWS iterations, each
+    epoch with live cells fills their blocks of uniforms, shape (its live
+    cells, _BLOCK_ROWS, 2, largest cluster), in one `draw(e, out)` call.
+    Iteration i reads row i mod _BLOCK_ROWS of a cell's block: column 0
+    gives its slots' fresh backoffs, column 1 a collider's redraw or a
+    listener's reception (u < chance).  So an epoch's draws depend on its
+    own cells only, not on the other epochs of the batch.  `events`, when
     a list, gets the events of a batch of one epoch.  Returns per-epoch (uav
     transmissions, control messages), collided frames included.
     """
@@ -249,8 +249,6 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
         return frames[:, 1], frames[:, 0]
     held, lost = held[epoch, cluster], lost[epoch, cluster]
     member = member[cluster]
-    epochs, block_of = np.unique(epoch, return_inverse=True)
-    blocks = np.empty((epochs.size, _BLOCK_ROWS, 2, n))
     t = np.full(epoch.size, sim.packet_len_ms)
     cw = np.full(held.shape, float(sim.cw_min))
     residual = np.zeros(held.shape)
@@ -260,15 +258,17 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     airtime = np.array([sim.t_req_ms, sim.packet_len_ms])
     kinds = (EventKind.REQUEST_TX_END, EventKind.REPLY_TX_END)
     for i in itertools.count():
-        row = i % _BLOCK_ROWS
-        if not row:
-            for b in np.unique(block_of).tolist():
-                draw(int(epochs[b]), blocks[b])
-        u = blocks[block_of[:, None], row, :, member]
+        if not i % _BLOCK_ROWS:
+            blocks = np.empty((epoch.size, _BLOCK_ROWS, 2, slots.size))
+            block_of = np.arange(epoch.size)
+            runs = np.flatnonzero(np.diff(epoch, prepend=-1)).tolist()
+            for a, b in zip(runs, [*runs[1:], epoch.size]):
+                draw(int(epoch[a]), blocks[a:b])
+        u = blocks[block_of, i % _BLOCK_ROWS]
         phase = reply.astype(np.intp)
         slot, sent, n_sent = _attempt(np.where(reply[:, None], held, lost),
-                                      residual, cw, fresh, u[..., 0],
-                                      u[..., 1], sim)
+                                      residual, cw, fresh, u[:, 0],
+                                      u[:, 1], sim)
         start = t + slot * sim.slot_ms
         t = start + airtime[phase]
         fits = t <= sim.max_time_ms
@@ -294,7 +294,7 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
             d = at - at[np.arange(answered.size), winner[answered], None]
             power = mean_received_power(LinkKind.UAV_TO_UAV,
                                         np.hypot(d[..., 0], d[..., 1]), radio)
-            heard = listens & (u[answered, :, 1] < peer_probability(power))
+            heard = listens & (u[answered, 1] < peer_probability(power))
             cells, s = np.nonzero(heard)
             cells = answered[cells]
             delivery[epoch[cells], member[cells, s]] = t[cells]

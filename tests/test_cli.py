@@ -207,6 +207,27 @@ def test_delay_study_writes_infinite_analytic_delay(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "inf"
 
 
+def test_ase_study_writes_only_the_schemes_asked_for(tmp_path):
+    """`--schemes` selects the ase study's simulated rows, in its order,
+    and each keeps the value it has in the three-scheme run."""
+    def rows(*schemes):
+        out = tmp_path / "-".join(schemes or ("all",))
+        argv = ["study", "--study", "ase", "--replications", "5",
+                "--d0-values", "400", "--c-values", "2", "--out-dir",
+                str(out)]
+        assert cli.main([*argv, *(("--schemes", ",".join(schemes))
+                                  if schemes else ())]) == 0
+        with open(out / "ase.csv", newline="") as fh:
+            return {row["scheme"]: row for row in csv.DictReader(fh)}
+
+    full = rows()
+    assert list(full) == ["clustering", "benchmark", "rnc", "analytic"]
+    assert list(rows("clustering")) == ["clustering", "analytic"]
+    subset = rows("rnc", "clustering")
+    assert list(subset) == ["rnc", "clustering", "analytic"]
+    assert all(subset[s] == full[s] for s in subset)
+
+
 def test_ase_study_writes_no_analytic_delay(tmp_path):
     """At an SNR threshold no relay decodes, p_suc = 0: the ase study
     writes no delay, and its analytic ase rows are 0."""

@@ -458,6 +458,36 @@ def test_experiments_uses_only_public_protocol_names():
     assert private == []
 
 
+class _Stop(Exception):
+    pass
+
+
+@given(reads=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 40)),
+                      min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_recovery_reads_jump_from_the_stream_position(reads):
+    """`_replicated`'s recovery reader jumps from wherever the stream is,
+    ahead or behind, and serves replication r's reads in order from output
+    r 2**64 on: the values a fresh generator gives after `advance` from
+    the stream's start, for any order of (replication, count) reads."""
+    config = ScenarioConfig(replications=6, base_seed=8)
+
+    def reader(config, drops, schemes, recover_at):
+        done = collections.Counter()
+        for rep, count in reads:
+            got = np.empty(count)
+            recover_at(rep, got)
+            fresh = _rng(config.base_seed, (_STUDY_IDS["delay"], 3, 1, 0, 2))
+            fresh.bit_generator.advance((rep << 64) + done[rep])
+            assert got.tobytes() == fresh.random(count).tobytes()
+            done[rep] += count
+        raise _Stop
+
+    with mock.patch.object(experiments, "_continue", reader), \
+            pytest.raises(_Stop):
+        _replicated("delay", config, (3, 1))
+
+
 @pytest.mark.parametrize("mode,lambda_per_m2,budget", [
     ("fixed_total", 1e-4, 50),   # batches of one drop of 50 members
     ("fixed_total", 1e-4, 350),  # batches of 7

@@ -914,6 +914,89 @@ def test_run_epochs_requires_draw():
                    RADIO, SIM)
 
 
+def _recovery_iterations(first, bounds, delivery, events):
+    """The lock-step iterations each recovering cluster of one epoch ran,
+    read from its event log: one per attempt (a distinct backoff expiry
+    time of the cluster), plus the attempt that ran past the time budget
+    when a member of the cluster stays undelivered.  A cluster with no
+    holder or no missing member runs none and is left out."""
+    starts = collections.defaultdict(set)
+    for e in events:
+        if e.kind is EventKind.BACKOFF_EXPIRY:
+            starts[e.cluster_id].add(e.time_ms)
+    return [len(starts[c]) + bool(np.isnan(delivery[a:b]).any())
+            for c, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            if first[a:b].any() and not first[a:b].all()]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), num_clusters=st.integers(1, 10),
+       total_uavs=st.integers(10, 60), served=st.floats(0.05, 0.95),
+       chance=st.floats(0.05, 1.0),
+       max_time_ms=st.sampled_from([40.0, 400.0, 10_000.0]))
+@settings(max_examples=40, deadline=None)
+def test_recovery_draws_are_sized_by_live_cells(seed, num_clusters,
+                                                total_uavs, served, chance,
+                                                max_time_ms):
+    """Each `draw(e, out)` call of a batch gets `out` of shape (j, 16, 2,
+    S): j the cells epoch e still runs at that refill, S the largest
+    cluster.  An epoch with no cell left is not asked.  The cells come
+    from each epoch's own event log (`_recovery_iterations`): one is live
+    at the refill before iteration 16 k while it runs more than 16 k
+    iterations.  Each epoch alone gives its batch row bit for bit."""
+    config = ScenarioConfig(num_clusters=num_clusters, total_uavs=total_uavs)
+    sim, m = SimParams(max_time_ms=max_time_ms), 8
+    rng = np.random.default_rng(seed)
+    topologies = [build_topology(config, rng) for _ in range(m)]
+    bounds = topologies[0].cluster_bounds
+    xy = np.stack([t.xy for t in topologies])
+    first = rng.random(xy.shape[:2]) < served
+    largest = max(np.diff(bounds))
+
+    def chances(power):
+        return np.full(power.shape, chance)
+
+    calls, rngs = collections.defaultdict(list), {}
+
+    def spy(e, out):
+        calls[e].append(out.shape)
+        rngs.setdefault(e, np.random.default_rng([seed, e])).random(out=out)
+
+    delivery = run_epochs("clustering", xy, bounds, first, RADIO, sim, spy,
+                          peer_probability=chances)[0]
+    for e in range(m):
+        events, own = [], np.random.default_rng([seed, e])
+        alone = run_epochs("clustering", xy[e:e + 1], bounds, first[e:e + 1],
+                           RADIO, sim, lambda _, out: own.random(out=out),
+                           events, chances)[0]
+        assert alone.tobytes() == delivery[e:e + 1].tobytes()
+        iterations = _recovery_iterations(first[e], bounds, alone[0], events)
+        expected = []
+        while live := sum(n > 16 * len(expected) for n in iterations):
+            expected.append((live, 16, 2, largest))
+        assert calls[e] == expected, e
+
+
+def test_one_recovering_cluster_draws_blocks_of_its_size():
+    """In a C = 10 drop of 50 members where one 5-member cluster
+    recovers, each block holds 16 x 2 x 5 doubles, not 16 x 2 x 50."""
+    topology = build_topology(ScenarioConfig(num_clusters=10),
+                              np.random.default_rng(2))
+    assert topology.cluster_bounds[2:4] == (10, 15)
+    first = np.ones((1, 50), dtype=bool)
+    first[0, [12, 13]] = False
+    rng, sizes = np.random.default_rng(3), []
+
+    def spy(e, out):
+        sizes.append(out.size)
+        rng.random(out=out)
+
+    delivery = run_epochs("clustering", topology.xy[None],
+                          topology.cluster_bounds, first, RADIO, SIM, spy,
+                          peer_probability=lambda p: np.full(p.shape, 0.1))[0]
+    assert len(sizes) > 1 and set(sizes) == {16 * 2 * 5}
+    assert not np.isnan(delivery).any()
+
+
 def test_run_epochs_rejects_unknown_scheme():
     """An unknown scheme is named, not run as the ACK benchmark."""
     xy = np.array([[[0.0, 0.0], [5.0, 0.0]]])
