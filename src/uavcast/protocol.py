@@ -249,6 +249,7 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
         return frames[:, 1], frames[:, 0]
     held, lost = held[epoch, cluster], lost[epoch, cluster]
     member = member[cluster]
+    blocks = np.empty((epoch.size, _BLOCK_ROWS, 2, slots.size))
     t = np.full(epoch.size, sim.packet_len_ms)
     cw = np.full(held.shape, float(sim.cw_min))
     residual = np.zeros(held.shape)
@@ -259,7 +260,6 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     kinds = (EventKind.REQUEST_TX_END, EventKind.REPLY_TX_END)
     for i in itertools.count():
         if not i % _BLOCK_ROWS:
-            blocks = np.empty((epoch.size, _BLOCK_ROWS, 2, slots.size))
             block_of = np.arange(epoch.size)
             runs = np.flatnonzero(np.diff(epoch, prepend=-1)).tolist()
             for a, b in zip(runs, [*runs[1:], epoch.size]):
