@@ -24,10 +24,8 @@ from .channel import (
     RadioParams,
     db_to_linear,
     decode_probability,
-    link_model,
     mean_received_power,
     path_loss_db,
-    round_model,
 )
 from .config import ScenarioConfig
 from .distributions import (
@@ -47,16 +45,15 @@ from .experiments import (
     MetricTable,
     SweepSpec,
     design_radius,
+    replay_drops,
+    replay_epoch,
     run_ase_study,
     run_delay_study,
     run_design_insight_study,
     run_validation_study,
 )
 from .geometry import (
-    Topology,
-    build_topology,
     cluster_peer_count,
-    sample_uniform_disk,
     write_topology_csv,
 )
 from .protocol import (
@@ -64,10 +61,8 @@ from .protocol import (
     EventKind,
     SchemeOutcome,
     SimParams,
-    run_ack_benchmark,
-    run_clustering_scheme,
+    run_epoch,
     run_epochs,
-    run_rnc_scheme,
     write_event_log,
 )
 

@@ -4,16 +4,14 @@ The link law lives here once, on the mean received power P = p_tx * g(d)
 in mW, where g is the log-distance path-loss gain of the link kind at its
 configured transmit power.  With unit-mean exponential fading |h|^2, a
 reception succeeds when P * |h|^2 / N > theta, for noise power N and
-decoding threshold theta.  `decodes` is that rule, `link_model` draws
-fading and decides with it, and `decode_probability` gives its
-probability exp(-theta * N / P); the simulations draw with the first two,
-the quadratures integrate the third.
+decoding threshold theta.  `decodes` is that rule on drawn fading, and
+`decode_probability` gives its probability exp(-theta * N / P); the
+simulations decide with the first, the quadratures integrate the second.
 Fading is independent from one transmission to the next, so the round in
 which a listener completes g receptions of repeated transmissions is a
 negative-binomial count.  `completion_rounds` computes it for rows of
 listeners from their round-1 outcomes and a block of standard
-exponentials, and `round_model` draws it for one row: round 1 with
-`link_model`, then the exponentials of the listeners short of g.
+exponentials.
 
 Units are fixed across the package: distances in meters, powers in mW,
 bandwidth in Hz, noise spectral density in mW/Hz, times in ms.
@@ -176,23 +174,6 @@ def decodes(power, fading, radio: RadioParams):
     return (power * fading) / radio.noise_power_mw > radio.snr_threshold
 
 
-def link_model(radio: RadioParams):
-    """The reception hook of the protocol schemes: (power, rng) -> bool
-    array, one Rayleigh fading draw per listener, decided by `decodes`.
-
-    `power` holds each listener's mean received power p_tx * gain (mW).
-    """
-    def model(power: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return decodes(power, rng.exponential(1.0, power.shape), radio)
-    return model
-
-
-def _short(first, g: int):
-    """Listeners short of `g` receptions after round 1: all of them when
-    g > 1, else those whose round 1 (`first`) failed."""
-    return ~first | (g > 1)
-
-
 def completion_rounds(first, q, g: int, fading) -> np.ndarray:
     """The round in which each listener completes `g` receptions of a
     transmission repeated once per round, for rows of listeners (one row
@@ -211,7 +192,7 @@ def completion_rounds(first, q, g: int, fading) -> np.ndarray:
     listeners in a row; the rest of `fading` is not read.
     """
     rounds = np.where(first, float(g), g + 1.0)  # 1 + successes still needed
-    short = _short(first, g)
+    short = ~first | (g > 1)  # all listeners are short of g > 1
     if short.any():
         # Each listener's rank among its row's short listeners; the others
         # read some short listener's values, and discard them.
@@ -225,26 +206,3 @@ def completion_rounds(first, q, g: int, fading) -> np.ndarray:
         rounds += np.where(short, gaps.sum(axis=2), 0.0)
         rounds[short & (lam == 0.0)] = np.inf
     return rounds
-
-
-def round_model(radio: RadioParams, link=None):
-    """The round hook of the BS retransmission schemes: (power, g, rng) ->
-    the `completion_rounds` of each listener, which needs `g` receptions.
-
-    `power` holds each listener's mean received power p_tx * gain (mW).
-    Round 1 is one draw of the reception hook `link` (by default
-    `link_model(radio)`) over all listeners; the later rounds succeed with
-    `decode_probability(power, radio)`, read from one exponential block of
-    (listeners short of g) x g draws: `completion_rounds` on a batch of one
-    row.
-    """
-    if link is None:
-        link = link_model(radio)
-
-    def model(power: np.ndarray, g: int, rng: np.random.Generator) -> np.ndarray:
-        first = link(power, rng)
-        fading = rng.exponential(
-            1.0, (1, np.count_nonzero(_short(first, g)), g))
-        q = decode_probability(power, radio)
-        return completion_rounds(first[None], q[None], g, fading)[0]
-    return model

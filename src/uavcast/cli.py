@@ -24,7 +24,7 @@ from .distributions import (
     sampler_self_check,
 )
 from .errors import IntegrityError, NumericError, ParameterError
-from .geometry import build_topology, write_topology_csv
+from .geometry import write_topology_csv
 from .protocol import SCHEME_RUNNERS, write_event_log
 
 EXIT_CONFIG = 2
@@ -123,11 +123,9 @@ def _check_count(flag: str, value: int, minimum: int) -> None:
 def _cmd_topology(args) -> int:
     _check_count("--drops", args.drops, 1)
     config = _load_config(args)
-    drops = [build_topology(config,
-                            experiments._rng(config.base_seed, (6, i)))
-             for i in range(args.drops)]
-    write_topology_csv(args.out, drops)
-    print(f"wrote {sum(t.n_uavs for t in drops)} UAV positions "
+    drops = experiments.replay_drops(config, args.drops)
+    write_topology_csv(args.out, drops, config.h2_m)
+    print(f"wrote {sum(xy.shape[0] for xy, _ in drops)} UAV positions "
           f"({args.drops} drops) to {args.out}")
     return 0
 
@@ -185,11 +183,8 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
-    rng = experiments._rng(config.base_seed, (7,))
-    topology = build_topology(config, rng)
-    outcome = SCHEME_RUNNERS[args.scheme](
-        topology, config.radio, config.sim, rng,
-        collect_events=bool(args.event_log))
+    outcome = experiments.replay_epoch(config, args.scheme,
+                                       collect_events=bool(args.event_log))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -253,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = [_common_parser()]
 
     p = sub.add_parser("topology", parents=common,
-                       help="sample topology drops to CSV")
+                       help="write the first drops of the delay scenario")
     p.add_argument("--drops", type=int, default=1, help="number of drops")
     p.add_argument("--out", default="topology.csv", help="output CSV path")
     p.set_defaults(func=_cmd_topology)
@@ -279,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("simulate", parents=common,
-                       help="run one protocol epoch")
+                       help="run replication 0 of the delay scenario")
     p.add_argument("--scheme", choices=sorted(SCHEME_RUNNERS), required=True)
     p.add_argument("--out", default=None, help="per-UAV outcome CSV path")
     p.add_argument("--event-log", default=None, help="event log CSV path")

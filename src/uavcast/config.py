@@ -45,7 +45,7 @@ class ScenarioConfig:
     protocol timing and MAC constants, `radio` the link model.
 
     Construction is the only validation of a scenario, and `replace`
-    revalidates; `build_topology` and the studies take a built config as
+    revalidates; the drop law and the studies take a built config as
     valid.
     """
 

@@ -10,13 +10,16 @@ bit reproducible.  A validation sweep point draws from the generator of
 key (study, sweep index).  A delay or ase scenario, one (study, sweep
 indices), runs every scheme on the same drops and round-1 fading (common
 random numbers), drawn a batch of replications at a time, over whole
-arrays of drops, from streams whose layout `_replicated` documents; the
-tests rebuild each replication from that layout alone.
+arrays of drops, from streams whose layout `_scenario` documents; the
+tests rebuild each replication from that layout alone.  `replay_epoch`
+and `replay_drops` give one replication's epoch and the first drops of a
+delay scenario, through the same code.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -29,7 +32,6 @@ from .channel import (
     completion_rounds,
     decode_probability,
     decodes,
-    link_model,
     mean_received_power,
 )
 from .config import ScenarioConfig
@@ -45,11 +47,10 @@ from .geometry import (
     polar_pair_distance,
     sample_uniform_disk_polar,
 )
-from .protocol import run_epochs
+from .protocol import SCHEME_RUNNERS, SchemeOutcome, run_epochs
 
 _STUDY_IDS = {"validation_coverage": 1, "validation_success": 2,
               "design_insight": 3, "delay": 4, "ase": 5}
-_SCHEME_ORDER = ("clustering", "benchmark", "rnc")
 
 DEFAULT_V_GRID = (200.0, 400.0, 600.0, 800.0, 1000.0, 1200.0)
 DEFAULT_R_GRID = (10.0, 25.0, 50.0, 75.0, 100.0)
@@ -193,7 +194,6 @@ def run_validation_study(kind: str, config: ScenarioConfig,
                  else SweepSpec("radius_r", DEFAULT_R_GRID))
     n_trials = config.replications
     radio = config.radio
-    hook = link_model(radio)
     rows = []
     for i, value in enumerate(sweep.values):
         rng = _rng(config.base_seed, (_STUDY_IDS[study], i))
@@ -213,7 +213,8 @@ def run_validation_study(kind: str, config: ScenarioConfig,
             link = LinkKind.UAV_TO_UAV
             theory = analysis.transmission_success_probability(value, radio)
             metric = "p_suc"
-        ok = hook(mean_received_power(link, dist, radio), rng)
+        power = mean_received_power(link, dist, radio)
+        ok = decodes(power, rng.exponential(1.0, power.shape), radio)
         mean, stderr, n = _mean_stderr(ok.astype(float))
         rows.append(MetricRow(study, sweep.parameter, value, "theory", metric,
                               theory, 0.0, 0))
@@ -276,8 +277,8 @@ class _Drops:
     """The drops of one shape in a batch: their replication indices `rows`
     and, row for row, their blocks of uniforms, their round-1 fading rows
     of n exponentials (empty when one packet exceeds the time budget) and,
-    for each BS scheme that runs, its later rounds' (m, n, g) block of
-    exponentials (empty when round 1 draws none)."""
+    for each BS scheme of the delay study, its later rounds' (m, n, g)
+    block of exponentials (empty when round 1 draws none)."""
 
     plan: _DropPlan
     rows: np.ndarray
@@ -294,11 +295,12 @@ def _take(flat: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return flat[starts[:, None] + np.arange(width)]
 
 
-def _replicated(study: str, config: ScenarioConfig,
-                key: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """Every scheme's metrics of every replication, in replication order:
-    rows of (mean delay, delivery ratio) in the delay study, the ase in
-    the ase study, for each of `config.schemes`.
+def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
+              schemes):
+    """The replications of one scenario, a batch at a time: yields the
+    `_Drops` of each shape in each batch with the scenario's recovery
+    reader `recover_at(rep, block)`, which fills `block` with replication
+    `rep`'s next recovery uniforms.
 
     Every scheme runs on the same drops and round-1 fading (common random
     numbers).  The scenario's streams are the generators of spawn keys
@@ -315,23 +317,15 @@ def _replicated(study: str, config: ScenarioConfig,
       in order from the stream's output r * 2**64 on (`PCG64.advance`
       from the stream's last position);
     - later rounds, (study, *key, i, 1) for the delay study's BS scheme
-      i of `_SCHEME_ORDER`: g exponentials per round-1 fading, in the same
-      order, g the receptions a member needs (`rnc_generation_size` for
-      RNC, 1 for the benchmark), read as an (n, g) block by
-      `channel.completion_rounds`.
-
-    The ase study's benchmark counts the members the first broadcast
-    serves, which are clustering's `via_broadcast`, so its rows and RNC's
-    reduce the clustering epochs and no BS epoch runs.
+      i of `SCHEME_RUNNERS` among `schemes`: g exponentials per round-1
+      fading, in the same order, g the receptions a member needs
+      (`rnc_generation_size` for RNC, 1 for the benchmark), read as an
+      (n, g) block by `channel.completion_rounds`.
 
     Replications run in batches of about `_BATCH_MEMBERS` members
     (`_batches`).  A batch draws each stream's values for all of its
-    drops in one call, and numpy fills them in sequence.  So every
-    replication's outcome is the one `SCHEME_RUNNERS` gives it on a drop
-    from `build_topology` with a generator that serves these values in
-    the order they are asked for, bit for bit, whatever the batch width.
-    `_continue` computes and finishes the batch's drops of each shape at
-    once.
+    drops in one call, and numpy fills them in sequence, so every drop's
+    values are the same whatever the batch width.
     """
     prefix = (_STUDY_IDS[study], *key)
     drop_rng, fading_rng, recovery = (
@@ -339,17 +333,13 @@ def _replicated(study: str, config: ScenarioConfig,
     plans = _drop_law(config)(drop_rng, config.replications)
     sim = config.sim
     fits = sim.packet_len_ms <= sim.max_time_ms
-    schemes = config.schemes
-    runs = schemes if study == "delay" else ("clustering",)
     # Each BS scheme's later-rounds stream and receptions per member.
+    order = list(SCHEME_RUNNERS)
     later_rngs = {scheme: (_rng(config.base_seed,
-                                (*prefix, _SCHEME_ORDER.index(scheme), 1)),
+                                (*prefix, order.index(scheme), 1)),
                            sim.rnc_generation_size if scheme == "rnc" else 1)
-                  for scheme in runs if scheme != "clustering"}
-    rate_density = (config.lambda_off_per_m2
-                    * math.log2(1.0 + config.radio.snr_threshold))
-    out = {scheme: np.empty((config.replications, 2) if study == "delay"
-                            else config.replications) for scheme in schemes}
+                  for scheme in schemes
+                  if study == "delay" and scheme != "clustering"}
     at, read = 0, [0] * config.replications  # stream position, reads per rep
 
     def recover_at(rep, block):
@@ -374,17 +364,37 @@ def _replicated(study: str, config: ScenarioConfig,
         u_at, f_at = (np.cumsum(sizes) - sizes for sizes in (blocks, lengths))
         for plan, index in groups:
             width = plan.n_uavs * fits
-            drops = _Drops(plan, lo + index,
-                           _take(uniforms, u_at[index], plan.read.size),
-                           _take(fading, f_at[index], width),
-                           {scheme: _take(values, f_at[index], width)
-                            for scheme, values in later.items()})
-            outcomes = _continue(config, drops, runs, recover_at)
-            for scheme, metrics in out.items():
-                delivery, via_broadcast = outcomes[
-                    scheme if scheme in runs else "clustering"]
-                metrics[drops.rows] = _reduce(study, scheme, sim, delivery,
-                                              via_broadcast, rate_density)
+            yield _Drops(plan, lo + index,
+                         _take(uniforms, u_at[index], plan.read.size),
+                         _take(fading, f_at[index], width),
+                         {scheme: _take(values, f_at[index], width)
+                          for scheme, values in later.items()}), recover_at
+
+
+def _replicated(study: str, config: ScenarioConfig,
+                key: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """Every scheme's metrics of every replication, in replication order:
+    rows of (mean delay, delivery ratio) in the delay study, the ase in
+    the ase study, for each of `config.schemes`, over the stream layout
+    `_scenario` documents.  `_continue` computes and finishes each
+    batch's drops of one shape at once.
+
+    The ase study's benchmark counts the members the first broadcast
+    serves, so its rows and RNC's reduce the round-1 decisions, no BS
+    epoch runs, and clustering recovers only when its own rows are asked
+    for.
+    """
+    sim, schemes = config.sim, config.schemes
+    rate_density = (config.lambda_off_per_m2
+                    * math.log2(1.0 + config.radio.snr_threshold))
+    out = {scheme: np.empty((config.replications, 2) if study == "delay"
+                            else config.replications) for scheme in schemes}
+    for drops, recover_at in _scenario(study, config, key, schemes):
+        outcomes = _continue(config, drops, schemes, recover_at)
+        for scheme, metrics in out.items():
+            delivery, via_broadcast = outcomes[scheme][:2]
+            metrics[drops.rows] = _reduce(study, scheme, sim, delivery,
+                                          via_broadcast, rate_density)
     return out
 
 
@@ -410,20 +420,23 @@ def _batches(plans, fixed: bool):
             lo, members, groups = rep + 1, 0, {}
 
 
-def _continue(config: ScenarioConfig, drops: _Drops, schemes,
-              recover_at) -> dict:
-    """The delivery times (NaN for undelivered) and `via_broadcast` marks
-    of each of `schemes`' epochs on the drops of one shape, shape (m, n)
-    each: geometry, BS distances, mean powers and round-1 decisions over
-    all of them at once, shared by the schemes, then `protocol.run_epochs`
-    for each scheme.
+def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
+              run=None) -> dict:
+    """Each of `schemes`' outcome on the drops of one shape, from
+    `run(scheme, xy, bounds, first, radio, sim, draw)`: by default
+    `protocol.run_epochs`, whose (delivery, via_broadcast, counters) hold
+    the delivery times (NaN for undelivered) and round-1 marks as (m, n)
+    arrays.  Geometry, BS distances, mean powers and round-1 decisions are
+    computed over all the drops at once and shared by the schemes.
 
     Round 1 serves the members whose fading decodes, none when one packet
     exceeds the budget.  A BS scheme's completion rounds read its block of
     `drops.later` through `channel.completion_rounds`; an empty block
-    leaves no member to complete.  Clustering recovery fills epoch e's
-    blocks through `recover_at(rows[e], block)`, which serves each
-    replication's recovery uniforms in order.
+    leaves no member to complete.  A BS scheme without a block (the ase
+    study) stops at round 1: its outcome is (None, round-1 decisions).
+    Clustering recovery fills epoch e's blocks through
+    `recover_at(rows[e], block)`, which serves each replication's recovery
+    uniforms in order.
     """
     m, n = len(drops.rows), drops.plan.n_uavs
     radio, sim = config.radio, config.sim
@@ -436,34 +449,69 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes,
     rows, outcomes = drops.rows.tolist(), {}
     for scheme in schemes:
         rounds, later = first, drops.later.get(scheme)
-        if later is not None:
+        if scheme != "clustering":
+            if later is None:
+                outcomes[scheme] = None, first
+                continue
             rounds = np.full((m, n), np.inf)
             if later.size:
                 rounds = completion_rounds(
                     first, decode_probability(power, radio), later.shape[2],
                     later)
-        outcomes[scheme] = run_epochs(
+        outcomes[scheme] = (run or run_epochs)(
             scheme, xy, drops.plan.bounds, rounds, radio, sim,
-            lambda e, out: recover_at(rows[e], out))[:2]
+            lambda e, out: recover_at(rows[e], out))
     return outcomes
+
+
+def replay_epoch(config: ScenarioConfig, scheme: str,
+                 collect_events: bool = False) -> SchemeOutcome:
+    """Replication 0 of the config's delay scenario on a one-point grid
+    (study key (0, 0)) with one replication, for `scheme`: its drop,
+    round-1 fading, later rounds and recovery uniforms, finished by the
+    scheme's `SCHEME_RUNNERS` runner.  So its delay and delivery ratio are
+    the first row `run_delay_study` reduces at that point with
+    `replications = 1`; in fixed_total mode, at any replication count.
+    `collect_events` records the epoch's event log."""
+    config = config.replace(replications=1)
+    (drops, recover_at), = _scenario("delay", config, (0, 0), (scheme,))
+    run = functools.partial(SCHEME_RUNNERS[scheme],
+                            collect_events=collect_events)
+    return _continue(config, drops, (scheme,), recover_at, run)[scheme]
+
+
+def replay_drops(config: ScenarioConfig,
+                 count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The drops of replications 0 to count - 1 of the config's delay
+    scenario on a one-point grid with `count` replications, as (member
+    points (n, 2), cluster of each member (n,)) in replication order."""
+    out = [None] * count
+    for drops, _ in _scenario("delay", config.replace(replications=count),
+                              (0, 0), ()):
+        _, xy = _drop_points(drops.plan, drops.uniforms)
+        for rep, points in zip(drops.rows.tolist(), xy):
+            out[rep] = points, drops.plan.cluster_of
+    return out
 
 
 def _reduce(study: str, scheme: str, sim, delivery: np.ndarray,
             via_broadcast: np.ndarray, rate_density: float):
     """Reduce the epochs of one drop shape (rows of `delivery`, NaN for
-    undelivered, and `via_broadcast`) to (mean delay, delivery ratio)
-    rows in the delay study, the ase in the ase study; `rate_density` is
-    lambda_off * log2(1 + threshold).  NaN throughout for empty drops."""
-    m, n = delivery.shape
+    undelivered, which the ase study's BS schemes do not read, and
+    `via_broadcast`) to (mean delay, delivery ratio) rows in the delay
+    study, the ase in the ase study; `rate_density` is lambda_off *
+    log2(1 + threshold).  NaN throughout for empty drops."""
+    m, n = via_broadcast.shape
     if not n:
         return np.full(m if study == "ase" else (m, 2), np.nan)
-    delivered = ~np.isnan(delivery)
     if study == "ase":
         # The clustering ase counts every delivered member; the ACK
         # benchmark only members served by the first broadcast, later
         # rounds are retransmissions of the same packet.
-        served = delivered if scheme == "clustering" else via_broadcast
+        served = (~np.isnan(delivery) if scheme == "clustering"
+                  else via_broadcast)
         return (np.count_nonzero(served, axis=1) / n) * rate_density
+    delivered = ~np.isnan(delivery)
     count = np.count_nonzero(delivered, axis=1)
     ratio = count / n
     if scheme == "rnc":

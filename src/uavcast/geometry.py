@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -21,55 +21,6 @@ from .errors import ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
-
-
-@dataclass
-class Topology:
-    """One network drop as flat per-member arrays.
-
-    Members are grouped by cluster: the rows of `xy` (planar coordinates,
-    shape (n, 2)) list cluster 0 first, then cluster 1, and so on, and
-    `cluster_of[i]` is the cluster of row i, and cluster c holds rows
-    `cluster_bounds[c]` to `cluster_bounds[c + 1]` (derived from
-    `cluster_of` when not given, which then must have one non-decreasing
-    entry per row).  `centers` (shape (k, 2)) are the cluster
-    centers.  Every UAV flies at `height`; the BS sits at planar
-    point `bs_xy` and height `bs_height`.
-    """
-
-    xy: np.ndarray
-    cluster_of: np.ndarray
-    centers: np.ndarray
-    height: float
-    bs_xy: tuple[float, float]
-    bs_height: float
-    cluster_bounds: tuple[int, ...] | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.cluster_bounds is None:
-            cluster_of = np.asarray(self.cluster_of)
-            if cluster_of.shape != (self.n_uavs,):
-                raise ParameterError(
-                    f"cluster_of: need one entry per row of xy ({self.n_uavs}),"
-                    f" got shape {cluster_of.shape}")
-            if np.any(np.diff(cluster_of) < 0):
-                raise ParameterError(
-                    "cluster_of: must be non-decreasing (rows grouped by "
-                    "cluster)")
-            self.cluster_bounds = tuple(np.searchsorted(
-                cluster_of, np.arange(self.n_clusters + 1)).tolist())
-
-    @property
-    def n_uavs(self) -> int:
-        return int(self.xy.shape[0])
-
-    @property
-    def n_clusters(self) -> int:
-        return int(self.centers.shape[0])
-
-    def bs_distances(self) -> np.ndarray:
-        """3D distance from every member to the BS, shape (n,)."""
-        return _bs_distances(self.xy, self.height, self.bs_xy, self.bs_height)
 
 
 def _bs_distances(xy: np.ndarray, height: float, bs_xy, bs_height: float):
@@ -93,21 +44,12 @@ def sample_uniform_disk_polar(rng: np.random.Generator, n: int,
     return rho, rng.uniform(0.0, 2.0 * np.pi, n)
 
 
-def sample_uniform_disk(rng: np.random.Generator, n: int, radius: float,
-                        center_xy=(0.0, 0.0)) -> np.ndarray:
-    """n points uniform on a disk, shape (n, 2): the Cartesian form of
-    `sample_uniform_disk_polar`, with the same draws."""
-    rho, theta = sample_uniform_disk_polar(rng, n, radius)
-    return np.column_stack([center_xy[0] + rho * np.cos(theta),
-                            center_xy[1] + rho * np.sin(theta)])
-
-
 def polar_offset_distance(offset: float, rho: np.ndarray, theta: np.ndarray,
                           height: float = 0.0) -> np.ndarray:
     """Distance from an observer at planar distance `offset` from a disk's
     center and `height` off its plane to the disk points (rho, theta), with
-    theta measured from the observer-to-center direction: the points of
-    `sample_uniform_disk(rng, n, radius, (offset, 0))` seen from the origin.
+    theta measured from the observer-to-center direction: the points of a
+    disk centred at (offset, 0), seen from the origin.
 
     The law of cosines, offset^2 + 2 offset rho cos(theta) + rho^2, is
     evaluated as x^2 + rho^2 (1 - cos)(1 + cos) with x = offset + rho cos,
@@ -252,44 +194,20 @@ def _bs_site(config: "ScenarioConfig") -> tuple[float, tuple[float, float], floa
     return config.h2_m, (config.d0_m, 0.0), config.h1_m
 
 
-def build_topology(config: "ScenarioConfig", rng: np.random.Generator) -> Topology:
-    """Draw one topology according to the scenario configuration
-    (`_drop_law`): the batch of one of `_drop_points`.
-
-    After the Poisson count (density mode only) the drop draws one block of
-    2 * (clusters + members) uniform doubles and consumes it in the order of
-    one `sample_uniform_disk` call for the centers followed by one per
-    cluster, so the drop and the generator state after it equal those of
-    per-disk sampling bit for bit.  Where each point reads its radius and
-    angle depends only on the cluster sizes, so it comes from a cached
-    `_DropPlan`: one per scenario in fixed_total mode, one per Poisson
-    count in density mode; the drops share the plan's read-only
-    `cluster_of` and `cluster_bounds`.
-    """
-    plan, = _drop_law(config)(rng, 1)
-    centers, xy = _drop_points(plan, rng.random(plan.read.size)[None])
-    height, bs_xy, bs_height = _bs_site(config)
-    return Topology(
-        xy=xy[0], cluster_of=plan.cluster_of, centers=centers[0],
-        height=height, bs_xy=bs_xy, bs_height=bs_height,
-        cluster_bounds=plan.bounds)
-
-
-def topology_csv_rows(topology: Topology, drop_id: int) -> Iterable[tuple]:
-    cluster_of = topology.cluster_of
-    # A member's index within its cluster is its row minus the first row of
-    # that cluster.
-    first_row = np.asarray(topology.cluster_bounds[:-1], dtype=np.intp)
-    uav_ids = np.arange(cluster_of.size) - first_row[cluster_of]
-    h = f"{topology.height:.10g}"
-    for cid, uid, (x, y) in zip(cluster_of, uav_ids, topology.xy):
-        yield (drop_id, int(cid), int(uid), f"{x:.10g}", f"{y:.10g}", h)
-
-
-def write_topology_csv(path, topologies: Iterable[Topology]) -> None:
-    """Serialize drops as CSV with columns drop_id,cluster_id,uav_id,x,y,h."""
+def write_topology_csv(path, drops: Iterable[tuple[np.ndarray, np.ndarray]],
+                       height: float) -> None:
+    """Serialize drops, each (member points (n, 2), cluster of each member
+    (n,), grouped by cluster), as CSV with columns
+    drop_id,cluster_id,uav_id,x,y,h, every UAV at `height`."""
+    h = f"{height:.10g}"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["drop_id", "cluster_id", "uav_id", "x", "y", "h"])
-        for drop_id, topology in enumerate(topologies):
-            writer.writerows(topology_csv_rows(topology, drop_id))
+        for drop_id, (xy, cluster_of) in enumerate(drops):
+            # A member's index within its cluster is its row minus the
+            # first row of that cluster.
+            uav_ids = np.arange(cluster_of.size) - np.searchsorted(
+                cluster_of, cluster_of)
+            writer.writerows(
+                (drop_id, int(cid), int(uid), f"{x:.10g}", f"{y:.10g}", h)
+                for cid, uid, (x, y) in zip(cluster_of, uav_ids, xy))

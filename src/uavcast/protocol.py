@@ -16,8 +16,10 @@ benchmark
 
 rnc
     The BS streams random-network-coded packets; a member needs any
-    `rnc_generation_size` coded receptions to decode the generation, and a
-    single terminal ACK round closes the epoch.
+    `rnc_generation_size` coded receptions to decode the generation
+    (large-field assumption: every received coded packet is innovative),
+    and a single terminal ACK round closes the epoch.  Its delivery time is
+    the decode instant of the whole generation.
 
 Per-cluster channels are isolated from each other and from the BS downlink.
 Collided frames occupy the channel and are lost; frame headers are assumed
@@ -29,8 +31,9 @@ threshold, and a relayed reply succeeds with `decode_probability`.
 Every scheme's first BS broadcast ends at packet_len_ms, and none is sent
 when that is past max_time_ms.  `run_epochs` finishes a batch of epochs of
 one drop shape from each member's round-1 outcome; the studies call it on
-batches of drops, and each runner of `SCHEME_RUNNERS` on a batch of one
-epoch, which alone records the event log.  Clustering recovery runs in
+batches of drops, and `run_epoch`, each scheme's entry of
+`SCHEME_RUNNERS`, on a batch of one epoch, which alone records the event
+log.  Clustering recovery runs in
 lock-step over arrays (`_recover`): every (epoch, cluster) cell that needs
 recovery makes one channel attempt per iteration (`_attempt`), so a batch
 of epochs recovers in the iterations its slowest cluster needs.  The two
@@ -55,12 +58,9 @@ from .channel import (
     LinkKind,
     RadioParams,
     decode_probability,
-    link_model,
     mean_received_power,
-    round_model,
 )
 from .errors import ParameterError, check_field_values
-from .geometry import Topology
 
 PACKET_ID = 0  # single-packet epochs; RNC events carry coded-packet indices
 # Rows of one block of recovery uniforms (`_recover`): an epoch reads one
@@ -173,27 +173,6 @@ def _attempt(contend, residual, cw, fresh, u_fresh, u_redraw, sim):
     residual -= slot[:, None]
     np.copyto(residual, np.floor(u_redraw * cw), where=hit)
     return slot, sent, n_sent
-
-
-def run_clustering_scheme(topology: Topology, radio: RadioParams,
-                          sim: SimParams, rng: np.random.Generator, *,
-                          collect_events: bool = False,
-                          broadcast_success=None,
-                          peer_probability=None) -> SchemeOutcome:
-    """One epoch of the clustering recovery scheme.
-
-    `broadcast_success` is a (power, rng) -> bool array hook over the mean
-    received power p_tx * gain (mW) of each member (by default
-    `link_model(radio)`).  `peer_probability` is a power -> array hook
-    giving the chance that a listener at that mean received power decodes
-    a reply (by default `decode_probability`).  Tests inject deterministic
-    links through them.  Recovery draws its blocks of uniforms from `rng`
-    (`run_epochs`).
-    """
-    if broadcast_success is None:
-        broadcast_success = link_model(radio)
-    return _run_one("clustering", topology, radio, sim, rng, collect_events,
-                    broadcast_success, peer_probability)
 
 
 def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
@@ -390,9 +369,11 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
     outcome per member.  For clustering it is a bool mask of the members
     round 1 served (none when a packet exceeds max_time_ms); `_recover`
     goes on from there, drawing each epoch's uniform blocks through
-    `draw(e, out)`, which the BS schemes never call.  For the BS schemes it is the float round in which a
-    member completes its receptions, inf for never.  `events`, when a
-    list, gets the unsorted events of a batch of one epoch.
+    `draw(e, out)`, which the BS schemes never call, and hearing each
+    clean reply with the chance `peer_probability` gives (by default
+    `decode_probability`).  For the BS schemes it is the float round in
+    which a member completes its receptions, inf for never.  `events`,
+    when a list, gets the unsorted events of a batch of one epoch.
 
     Returns (delivery, via_broadcast), each (m, n), delivery NaN where
     undelivered, and per-epoch (bs_transmissions, uav_transmissions,
@@ -433,82 +414,28 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
     return delivery, via_broadcast, bs_tx, np.zeros_like(bs_tx), control
 
 
-def _run_one(scheme: str, topology: Topology, radio: RadioParams,
-             sim: SimParams, rng: np.random.Generator, collect_events: bool,
-             first_of, peer_probability=None) -> SchemeOutcome:
-    """Every runner's body: `run_epochs` on a batch of one.
-
-    `first_of(power, rng)` gives the round-1 outcomes (the `first` of
-    `run_epochs`) from the members' mean received powers p_tx * gain (mW);
-    it is not called for an empty drop or a packet over max_time_ms.
-    """
-    n = topology.n_uavs
-    first = (np.zeros(n, dtype=bool) if scheme == "clustering"
-             else np.full(n, np.inf))
-    if n and sim.packet_len_ms <= sim.max_time_ms:
-        power = mean_received_power(LinkKind.BS_TO_UAV,
-                                    topology.bs_distances(), radio)
-        first = np.array(first_of(power, rng), dtype=first.dtype)
+def run_epoch(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
+              radio: RadioParams, sim: SimParams, draw,
+              collect_events: bool = False) -> SchemeOutcome:
+    """One epoch of `scheme`: `run_epochs` on a batch of one drop, `xy`
+    (1, n, 2) and `first` (1, n), as a `SchemeOutcome` whose events, when
+    `collect_events`, are sorted by time."""
     events = [] if collect_events else None
     delivery, via_broadcast, bs_tx, uav_tx, control = run_epochs(
-        scheme, topology.xy[None], topology.cluster_bounds, first[None],
-        radio, sim, lambda _, out: rng.random(out=out), events,
-        peer_probability)
+        scheme, xy, bounds, first, radio, sim, draw, events)
     if events is not None:
         events.sort(key=lambda e: e.time_ms)
     return SchemeOutcome(
         scheme=scheme, delivery_time_ms=delivery[0],
         undelivered=np.isnan(delivery[0]), via_broadcast=via_broadcast[0],
-        cluster_ids=topology.cluster_of, bs_transmissions=int(bs_tx[0]),
-        uav_transmissions=int(uav_tx[0]), control_messages=int(control[0]),
-        events=events)
+        cluster_ids=np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)),
+        bs_transmissions=int(bs_tx[0]), uav_transmissions=int(uav_tx[0]),
+        control_messages=int(control[0]), events=events)
 
 
-def run_ack_benchmark(topology: Topology, radio: RadioParams, sim: SimParams,
-                      rng: np.random.Generator, *,
-                      collect_events: bool = False,
-                      broadcast_rounds=None) -> SchemeOutcome:
-    """One epoch of the retransmission benchmark.
-
-    The BS repeats the broadcast until all members are served (or time runs
-    out); after each round the newly served members send one ACK each,
-    serialized on the uplink.  `broadcast_rounds` (default
-    `round_model(radio)`) is a (power, g, rng) hook giving the round in
-    which each member completes g = 1 reception (inf for never).
-    """
-    if broadcast_rounds is None:
-        broadcast_rounds = round_model(radio)
-    return _run_one("benchmark", topology, radio, sim, rng, collect_events,
-                    lambda power, rng: broadcast_rounds(power, 1, rng))
-
-
-def run_rnc_scheme(topology: Topology, radio: RadioParams, sim: SimParams,
-                   rng: np.random.Generator, *,
-                   collect_events: bool = False,
-                   broadcast_rounds=None) -> SchemeOutcome:
-    """One epoch of the random-network-coding baseline.
-
-    The BS streams coded packets; any `rnc_generation_size` receptions let a
-    member decode the whole generation (large-field assumption, so every
-    received coded packet is innovative).  `delivery_time_ms` records the
-    decode instant of the generation; per-packet figures subtract the
-    streaming amortization (generation_size - 1) * packet_len_ms downstream.
-    One terminal ACK per member closes a completed epoch.
-    `broadcast_rounds` draws each member's decoding round, as for the
-    benchmark, with g = `rnc_generation_size`.
-    """
-    if broadcast_rounds is None:
-        broadcast_rounds = round_model(radio)
-    g = sim.rnc_generation_size
-    return _run_one("rnc", topology, radio, sim, rng, collect_events,
-                    lambda power, rng: broadcast_rounds(power, g, rng))
-
-
-SCHEME_RUNNERS = {
-    "clustering": run_clustering_scheme,
-    "benchmark": run_ack_benchmark,
-    "rnc": run_rnc_scheme,
-}
+# Each scheme's single-epoch runner, in stream order: the studies key a BS
+# scheme's later-rounds stream by its position here.
+SCHEME_RUNNERS = dict.fromkeys(("clustering", "benchmark", "rnc"), run_epoch)
 
 
 def write_event_log(path, events: list[Event]) -> None:

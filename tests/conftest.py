@@ -2,89 +2,70 @@
 
 import numpy as np
 
-from uavcast.channel import _short, completion_rounds
-from uavcast.geometry import Topology
+from uavcast.channel import RadioParams, completion_rounds
+from uavcast.geometry import _drop_law, _drop_points, sample_uniform_disk_polar
+from uavcast.protocol import SchemeOutcome, SimParams, run_epochs
+
+RADIO = RadioParams.defaults()
+
+# A 4-member cluster for the scripted recovery scenarios.
+FOUR_UAVS = [[0.0, 10.0], [10.0, 0.0], [-10.0, 0.0], [0.0, -10.0]]
 
 
-def one_cluster_topology(xy, d0=800.0):
-    """Single cluster centered at the origin holding the members `xy`."""
-    xy = np.asarray(xy, dtype=float)
-    return Topology(xy=xy, cluster_of=np.zeros(xy.shape[0], dtype=int),
-                    centers=np.zeros((1, 2)), height=20.0,
-                    bs_xy=(d0, 0.0), bs_height=10.0)
-
-
-def ring_topology(n, ring=20.0, d0=800.0):
-    """One cluster of n members evenly spaced on a ring about its center."""
+def ring(n, radius=20.0):
+    """n member points evenly spaced on a ring about the origin."""
     ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return one_cluster_topology(
-        np.column_stack([ring * np.cos(ang), ring * np.sin(ang)]), d0)
+    return np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
 
 
-def four_uav_topology():
-    """Fixed 4-member cluster used by the scripted recovery scenarios."""
-    return one_cluster_topology(
-        [[0.0, 10.0], [10.0, 0.0], [-10.0, 0.0], [0.0, -10.0]])
+def disk_points(rng, n, radius, center=(0.0, 0.0)):
+    """n points uniform on a disk, shape (n, 2): the Cartesian form of
+    `sample_uniform_disk_polar`, with the same draws."""
+    rho, theta = sample_uniform_disk_polar(rng, n, radius)
+    return np.column_stack([center[0] + rho * np.cos(theta),
+                            center[1] + rho * np.sin(theta)])
 
 
-def fixed_success(p):
-    """Reception hook: each reception succeeds independently with prob p."""
-    def hook(power, rng):
-        return rng.random(np.atleast_1d(power).shape[0]) < p
-    return hook
+def fixed_drops(config, m, rng):
+    """m fixed_total drops of `config` through `_drop_law` and
+    `_drop_points`, their blocks of uniforms read from `rng`: the member
+    points (m, n, 2) and the cluster bounds."""
+    plan = _drop_law(config)(rng, m)[0]
+    _, xy = _drop_points(plan, rng.random((m, plan.read.size)))
+    return xy, plan.bounds
 
 
-def all_links(value):
-    """Reception hook: every reception succeeds (True) or fails (False)."""
-    def hook(power, rng):
-        return np.full(np.atleast_1d(power).shape[0], value, dtype=bool)
-    return hook
+def bernoulli_rounds(p, g, shape, rng):
+    """Completion rounds of listeners that need `g` receptions, each
+    reception succeeding with chance p: round 1 drawn directly, the later
+    rounds through `completion_rounds`."""
+    first = rng.random(shape) < p
+    return completion_rounds(first, np.full(shape, p), g,
+                             rng.exponential(1.0, (*shape, g)))
 
 
-def decode_chance(p):
-    """Peer probability hook: every listener decodes with chance p, so 1
-    always succeeds and 0 always fails."""
-    def hook(power):
-        return np.full(np.shape(power), float(p))
-    return hook
-
-
-def fixed_success_rounds(p):
-    """BS round hook: every round's reception succeeds independently with
-    prob p, round 1 drawn as `fixed_success(p)` draws it."""
-    first = fixed_success(p)
-
-    def hook(power, g, rng):
-        got = first(power, rng)
-        fading = rng.exponential(1.0, (1, np.count_nonzero(_short(got, g)), g))
-        return completion_rounds(got[None], np.full((1, got.size), p), g,
-                                 fading)[0]
-    return hook
-
-
-def all_links_rounds(value):
-    """BS round hook: every round's reception succeeds (True), so member
-    completes in round g, or fails (False), so none ever completes."""
-    def hook(power, g, rng):
-        return np.full(power.shape, float(g) if value else np.inf)
-    return hook
-
-
-def fixed_rounds(*rounds):
-    """BS round hook returning fixed completion rounds (None for never)."""
-    out = np.array([np.inf if r is None else r for r in rounds], dtype=float)
-
-    def hook(power, g, rng):
-        assert power.shape == out.shape
-        return out.copy()
-    return hook
-
-
-def reception_pattern(*flags):
-    """Reception hook returning a fixed per-member pattern (first call shape)."""
-    pattern = np.array(flags, dtype=bool)
-
-    def hook(power, rng):
-        n = np.atleast_1d(power).shape[0]
-        return pattern[:n]
-    return hook
+def epoch(scheme, xy, first, sim=SimParams(), *, bounds=None, chance=None,
+          seed=0):
+    """One epoch of `scheme` on the member points `xy` (n, 2), one cluster
+    unless `bounds` says otherwise, through `run_epochs`.  `first` is its
+    round-1 outcome: a bool mask for clustering, each member's completion
+    round (inf for never) for the BS schemes.  Every clean reply reaches a
+    listener with chance `chance` (by default its decode probability at its
+    mean received power), and recovery draws from `default_rng(seed)`.
+    Returns the epoch's `SchemeOutcome`, its events sorted by time."""
+    xy = np.asarray(xy, dtype=float)
+    n = len(xy)
+    bounds = (0, n) if bounds is None else bounds
+    peer = (None if chance is None
+            else lambda power: np.full(power.shape, float(chance)))
+    rng, events = np.random.default_rng(seed), []
+    delivery, via_broadcast, bs_tx, uav_tx, control = run_epochs(
+        scheme, xy[None], bounds, np.asarray(first)[None], RADIO, sim,
+        lambda _, out: rng.random(out=out), events, peer)
+    events.sort(key=lambda e: e.time_ms)
+    return SchemeOutcome(
+        scheme=scheme, delivery_time_ms=delivery[0],
+        undelivered=np.isnan(delivery[0]), via_broadcast=via_broadcast[0],
+        cluster_ids=np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)),
+        bs_transmissions=int(bs_tx[0]), uav_transmissions=int(uav_tx[0]),
+        control_messages=int(control[0]), events=events)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy import integrate
 
-from conftest import decode_chance, four_uav_topology, reception_pattern
+from conftest import FOUR_UAVS, epoch
 from uavcast.analysis import (
     average_delay,
     cluster_peer_count,
@@ -32,13 +32,13 @@ from uavcast.distributions import (
     pdf_planar_bs_distance,
 )
 from uavcast.experiments import (
+    replay_epoch,
     run_ase_study,
     run_delay_study,
     run_design_insight_study,
     run_validation_study,
 )
-from uavcast.geometry import build_topology
-from uavcast.protocol import EventKind, run_clustering_scheme
+from uavcast.protocol import EventKind
 
 RADIO = RadioParams.defaults()
 
@@ -277,14 +277,10 @@ def test_c08_ase_ranking_and_rnc_equivalence():
 def test_c09_protocol_bookkeeping_invariants():
     """No duplicate replies, no requests for held packets, and the scripted
     two-miss scenario produces exactly one request and one reply."""
-    config = ScenarioConfig()
-    sim = config.sim
     violations = []
     for rep in range(1000):
-        rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(rep,)))
-        topology = build_topology(config, rng)
-        out = run_clustering_scheme(topology, RADIO, sim, rng,
-                                    collect_events=True)
+        out = replay_epoch(ScenarioConfig(base_seed=rep), "clustering",
+                           collect_events=True)
         replies_since = {}
         for e in out.events:
             if e.kind is EventKind.REQUEST_TX_END:
@@ -298,11 +294,8 @@ def test_c09_protocol_bookkeeping_invariants():
                 if replies_since[e.cluster_id] > 1:
                     violations.append(f"rep {rep}: duplicate reply")
 
-    scripted = run_clustering_scheme(
-        four_uav_topology(), RADIO, sim, np.random.default_rng(1),
-        collect_events=True,
-        broadcast_success=reception_pattern(True, True, False, False),
-        peer_probability=decode_chance(1))
+    scripted = epoch("clustering", FOUR_UAVS, [True, True, False, False],
+                     chance=1, seed=1)
     requests = [(e.actor, e.collided) for e in scripted.events
                 if e.kind is EventKind.REQUEST_TX_END]
     replies = [(e.actor, e.collided) for e in scripted.events

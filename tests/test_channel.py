@@ -10,7 +10,7 @@ from uavcast.channel import (
     RadioParams,
     db_to_linear,
     decode_probability,
-    link_model,
+    decodes,
     mean_received_power,
     path_loss_db,
 )
@@ -22,6 +22,14 @@ RADIO = RadioParams.defaults()
 def _gain(kind, distance_m, radio=RADIO):
     """Linear path gain: mean received power over the transmit power."""
     return mean_received_power(kind, distance_m, radio) / radio.tx_power_mw(kind)
+
+
+def _link(radio):
+    """The link model as the simulations draw it: one unit-mean exponential
+    fading draw per listener, decided by `decodes`."""
+    def link(power, rng):
+        return decodes(power, rng.exponential(1.0, np.shape(power)), radio)
+    return link
 
 
 class _FixedFading:
@@ -90,21 +98,21 @@ def test_noise_power_is_bandwidth_times_density():
 
 
 def test_fading_moments():
-    """The hook's fading is unit-mean exponential: at mean power
+    """The link model's fading is unit-mean exponential: at mean power
     theta * N / x a listener decodes with probability P(|h|^2 > x) =
     exp(-x), which pins both the law and its unit mean."""
-    hook = link_model(RADIO)
+    link = _link(RADIO)
     rng = np.random.default_rng(0)
     n = 1_000_000
     for x in (0.05, math.log(2.0), 1.0, 3.0):
         power = np.full(n, RADIO.snr_threshold * RADIO.noise_power_mw / x)
         p = math.exp(-x)
         se = math.sqrt(p * (1.0 - p) / n)
-        assert abs(hook(power, rng).mean() - p) < 4.0 * se
+        assert abs(link(power, rng).mean() - p) < 4.0 * se
 
 
 def test_snr_arithmetic():
-    """The hook decodes when (power * fading) / noise strictly exceeds the
+    """The link model decodes when (power * fading) / noise strictly exceeds the
     threshold: 1e-8 mW at unit fading is an SNR of about 125.6, and
     doubling power or fading doubles it."""
     value = 1e-8 / RADIO.noise_power_mw
@@ -113,7 +121,7 @@ def test_snr_arithmetic():
 
     def decides(threshold, power, fading):
         radio = dataclasses.replace(RADIO, snr_threshold=threshold)
-        return link_model(radio)(np.array([power]), _FixedFading(fading)).tolist()
+        return _link(radio)(np.array([power]), _FixedFading(fading)).tolist()
 
     assert decides(below, 1e-8, 1.0) == [True]
     assert decides(value, 1e-8, 1.0) == [False]
@@ -139,15 +147,15 @@ def test_uav_link_success_probability_at_50m():
     (LinkKind.UAV_TO_UAV, 10.0, (5.0, 20.0, 50.0, 90.0, 140.0)),
 ])
 def test_reception_success_matches_closed_form(kind, p_tx, distances):
-    """Bernoulli reception draws of the hook agree with the exponential
+    """Bernoulli reception draws of the link model agree with the exponential
     success law `decode_probability` at the same mean power."""
-    hook = link_model(RADIO)
+    link = _link(RADIO)
     rng = np.random.default_rng(6)
     n = 100_000
     for dist in distances:
         power = p_tx * 10.0 ** (-path_loss_db(kind, dist, RADIO) / 10.0)
         p = decode_probability(power, RADIO)
-        draws = hook(np.full(n, power), rng)
+        draws = link(np.full(n, power), rng)
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(draws.mean() - p) < 4.0 * se
 
@@ -155,10 +163,10 @@ def test_reception_success_matches_closed_form(kind, p_tx, distances):
 def test_reception_success_limits():
     rng = np.random.default_rng(2)
     loud = dataclasses.replace(RADIO, p_bs_mw=1e15)
-    strong = link_model(loud)(
+    strong = _link(loud)(
         mean_received_power(LinkKind.BS_TO_UAV, np.full(1000, 100.0), loud), rng)
     assert strong.all()
-    weak = link_model(RADIO)(
+    weak = _link(RADIO)(
         mean_received_power(LinkKind.BS_TO_UAV, np.full(1000, 1e7), RADIO), rng)
     assert not weak.any()
 
@@ -252,7 +260,7 @@ def test_replaced_radio_gets_its_own_link_constants():
                          ids=["default", "other"])
 @pytest.mark.parametrize("kind", list(LinkKind))
 def test_link_model_matches_written_out_law(radio, kind):
-    """Mean powers plus the hook decide p_tx * 10^(-dB / 10) * Exp(1)
+    """Mean powers plus the link model decide p_tx * 10^(-dB / 10) * Exp(1)
     / (B * N0) > theta, written out from the radio's fields, bit for bit,
     and leave the generator in the state the same draws would.  The far
     set gives mixed decisions where the spread set decodes throughout."""
@@ -260,12 +268,12 @@ def test_link_model_matches_written_out_law(radio, kind):
     spread = np.random.default_rng(5).uniform(0.0, 3000.0, 2000)
     far = np.random.default_rng(6).uniform(3000.0, 3e5, 2000)
     decoded = 0
-    hook = link_model(radio)
+    link = _link(radio)
     p = radio.loss_params(kind)
     p_tx = radio.p_bs_mw if kind is LinkKind.BS_TO_UAV else radio.p_uav_mw
     for distances in (clamped, spread, far, np.empty(0)):
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = hook(mean_received_power(kind, distances, radio), rng)
+        got = link(mean_received_power(kind, distances, radio), rng)
         loss_db = (p.pl0_db
                    + p.dist_coeff_db * np.log10(np.maximum(distances, 1.0))
                    + p.freq_coeff_db * np.log10(p.carrier_ghz / 5.0))

@@ -1,10 +1,11 @@
 import csv
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from uavcast import cli
+from uavcast import cli, experiments
 from uavcast.analysis import (
     average_ase,
     average_delay,
@@ -285,6 +286,87 @@ def test_topology_writes_all_drops(tmp_path, capsys):
     assert lines[0] == "drop_id,cluster_id,uav_id,x,y,h"
     assert len(lines) == 1 + 100
     assert {row.split(",")[0] for row in lines[1:]} == {"0", "1"}
+
+
+@pytest.mark.parametrize("mode", ["fixed_total", "density"])
+def test_topology_writes_the_delay_scenarios_first_drops(mode, tmp_path,
+                                                         capsys):
+    """`topology --drops 4` writes, row for row, the member points and
+    clusters of replications 0 to 3 that the delay study simulates at its
+    one grid point with 4 replications."""
+    flags = ["--mode", mode, "--seed", "3", "--num-clusters", "2"]
+    out = tmp_path / "drops.csv"
+    assert cli.main(["topology", "--drops", "4", "--out", str(out),
+                     *flags]) == 0
+    capsys.readouterr()
+    config = ScenarioConfig(mode=mode, base_seed=3, num_clusters=2,
+                            replications=4)
+    simulated = [None] * 4
+    continue_ = experiments._continue
+
+    def recorded(config, drops, schemes, recover_at):
+        _, xy = experiments._drop_points(drops.plan, drops.uniforms)
+        for rep, points in zip(drops.rows.tolist(), xy):
+            simulated[rep] = points, drops.plan.cluster_of
+        return continue_(config, drops, schemes, recover_at)
+
+    with mock.patch.object(experiments, "_continue", recorded):
+        experiments._replicated("delay", config, (0, 0))
+    expected = []
+    for drop_id, (xy, cluster_of) in enumerate(simulated):
+        for row, ((x, y), cid) in enumerate(zip(xy, cluster_of.tolist())):
+            uid = row - cluster_of.tolist().index(cid)
+            expected.append(f"{drop_id},{cid},{uid},{x:.10g},{y:.10g},20")
+    assert out.read_text().splitlines()[1:] == expected
+    assert sum(len(xy) for xy, _ in simulated) > 0
+
+
+def _simulated_rows(path):
+    """(delivered flags, delivery times, via_broadcast flags) of a
+    `simulate --out` CSV."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    delivered = np.array([r["delivered"] == "1" for r in rows], dtype=bool)
+    times = np.array([float(r["delivery_time_ms"] or "nan") for r in rows])
+    via = np.array([r["via_broadcast"] == "1" for r in rows], dtype=bool)
+    return delivered, times, via
+
+
+@pytest.mark.parametrize("mode", ["fixed_total", "density"])
+@pytest.mark.parametrize("scheme", ["clustering", "benchmark", "rnc"])
+def test_simulate_is_replication_zero_of_the_delay_study(scheme, mode,
+                                                         tmp_path, capsys):
+    """`simulate --out` writes the epoch of replication 0 that `study
+    --study delay` averages at its one grid point with one replication
+    and the same other flags: its delivered members give that row's
+    delivery ratio bit for bit, and its delivery times, printed to 9
+    significant digits, its mean delay to their rounding.  The rows are
+    those of `replay_epoch`, whose own times give the row's mean delay bit
+    for bit."""
+    flags = ["--mode", mode, "--seed", "5", "--d0", "1200",
+             "--num-clusters", "2"]
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--scheme", scheme, "--out", str(out),
+                     *flags]) == 0
+    capsys.readouterr()
+    config = ScenarioConfig(mode=mode, base_seed=5, d0_m=1200.0,
+                            num_clusters=2, replications=1)
+    delay, ratio = experiments._replicated("delay", config,
+                                           (0, 0))[scheme][0]
+    delivered, times, via = _simulated_rows(out)
+    assert delivered.size > 0 and delivered.any()
+    assert np.count_nonzero(delivered) / delivered.size == ratio
+    amortized = ((config.sim.rnc_generation_size - 1)
+                 * config.sim.packet_len_ms if scheme == "rnc" else 0.0)
+    assert (times[delivered] - amortized).mean() == pytest.approx(
+        delay, rel=1e-8)
+    outcome = experiments.replay_epoch(config, scheme)
+    assert outcome.delivered.tolist() == delivered.tolist()
+    assert outcome.via_broadcast.tolist() == via.tolist()
+    assert [f"{t:.9g}" for t in outcome.delivery_time_ms[delivered]] == \
+        [f"{t:.9g}" for t in times[delivered]]
+    own = outcome.delivery_time_ms[outcome.delivered] - amortized
+    assert own.mean() == delay
 
 
 def test_simulate_is_reproducible(tmp_path, capsys):

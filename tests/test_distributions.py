@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from conftest import disk_points
 from uavcast.distributions import (
     ClusterGeometry,
     DistanceDistribution,
@@ -23,7 +24,6 @@ from uavcast.distributions import (
     sampler_self_check,
 )
 from uavcast.errors import IntegrityError, ParameterError
-from uavcast.geometry import sample_uniform_disk
 
 GEOM = ClusterGeometry(v_norm=800.0, radius_r=50.0, h1=10.0, h2=20.0)
 
@@ -317,11 +317,11 @@ def test_positional_samplers_measure_cartesian_points(kind):
     got = dist._positional_sampler(np.random.default_rng(8), n)
     rng = np.random.default_rng(8)
     if kind == "bs-member":
-        pts = sample_uniform_disk(rng, n, GEOM.radius_r, (GEOM.v_norm, 0.0))
+        pts = disk_points(rng, n, GEOM.radius_r, (GEOM.v_norm, 0.0))
         want = np.hypot(np.hypot(pts[:, 0], pts[:, 1]), GEOM.delta_h)
     else:
         offset = 20.0 if kind == "peer" else 0.0
-        pts = sample_uniform_disk(rng, n, 50.0, (offset, 0.0))
+        pts = disk_points(rng, n, 50.0, (offset, 0.0))
         want = np.hypot(pts[:, 0], pts[:, 1])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
 

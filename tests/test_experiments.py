@@ -11,13 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavcast import analysis, experiments
-from uavcast.channel import link_model, round_model
+from uavcast import analysis, experiments, protocol
+from uavcast.channel import (
+    LinkKind,
+    completion_rounds,
+    decode_probability,
+    decodes,
+    mean_received_power,
+)
 from uavcast.config import ScenarioConfig
 from uavcast.distributions import ClusterGeometry
 from uavcast.errors import ParameterError
 from uavcast.experiments import (
-    _SCHEME_ORDER,
     _STUDY_IDS,
     DEFAULT_DESIGN_C_GRID,
     MetricRow,
@@ -32,8 +37,12 @@ from uavcast.experiments import (
     run_design_insight_study,
     run_validation_study,
 )
-from uavcast.geometry import build_topology, cluster_peer_count
-from uavcast.protocol import SCHEME_RUNNERS, SimParams, run_ack_benchmark
+from uavcast.geometry import _bs_distances, _bs_site, cluster_peer_count
+from uavcast.protocol import SCHEME_RUNNERS, SimParams, run_epochs
+
+# The schemes in stream order: a delay-study BS scheme's later-rounds
+# stream is keyed by its position here.
+_SCHEME_ORDER = tuple(SCHEME_RUNNERS)
 
 
 def test_sweep_spec_validation():
@@ -265,47 +274,18 @@ def test_rng_generators_are_independent():
         _rng(-1, (7,))
 
 
-class _Replay:
-    """A generator stand-in that serves one replication's values:
-    `poisson` its Poisson count, the one `random(size)` call its block of
-    uniforms, `exponential` its next row of fading, the shared round-1 row
-    and then its scheme's later-rounds row, and `random(out=...)` the next
-    values of `recovery`.  Past the end of a row, and past the rows, it
-    serves ones: only the ase study's benchmark reads there, for later
-    rounds its metric does not count."""
-
-    def __init__(self, count, uniforms, fading, recovery):
-        self.count, self.uniforms, self.fading = count, uniforms, fading
-        self.recovery = recovery
-
-    def poisson(self, lam, size):
-        assert size == 1 and self.count is not None
-        return np.array([self.count])
-
-    def random(self, size=None, out=None):
-        if out is not None:
-            return self.recovery.random(out=out)
-        assert self.uniforms is not None and size == self.uniforms.size
-        block, self.uniforms = self.uniforms, None
-        return block
-
-    def exponential(self, scale, size):
-        assert scale == 1.0
-        k = math.prod(size)
-        values = self.fading.pop(0)[:k] if self.fading else np.empty(0)
-        return np.concatenate([values, np.ones(k - values.size)]).reshape(size)
-
-
 def _replays(study, scheme, config, key):
-    """Each replication's `_Replay`, built one replication at a time from
-    the stream layout `_replicated` documents: under spawn keys (study,
-    *key, 0, s), stream 0 holds every Poisson count (density mode), then
-    each drop's 2 (clusters + members) uniforms; stream 1 each non-empty
-    drop's n round-1 exponentials when a packet fits the budget; stream 2
-    replication r's recovery blocks from output r 2**64 on.  A delay-study
-    BS scheme's stream (study, *key, scheme, 1) holds, for the drops that
-    draw round-1 exponentials, n g more, g being the receptions a member
-    needs.
+    """Each replication's values, rebuilt one replication at a time from
+    the stream layout `_scenario` documents, as (Poisson count or None,
+    block of uniforms, round-1 fading row, later-rounds row or None,
+    recovery generator at the replication's first output).  Under spawn
+    keys (study, *key, 0, s), stream 0 holds every Poisson count (density
+    mode), then each drop's 2 (clusters + members) uniforms; stream 1 each
+    non-empty drop's n round-1 exponentials when a packet fits the budget;
+    stream 2 replication r's recovery blocks from output r 2**64 on.  A
+    delay-study BS scheme's stream (study, *key, scheme, 1) holds, for the
+    drops that draw round-1 exponentials, n g more, g being the receptions
+    a member needs.
     """
     prefix = (_STUDY_IDS[study], *key)
     drops, fading = (_rng(config.base_seed, (*prefix, 0, s)) for s in (0, 1))
@@ -326,40 +306,105 @@ def _replays(study, scheme, config, key):
         k, n = ((config.num_clusters, config.total_uavs) if count is None
                 else (count, count * per_cluster))
         uniforms = drops.random(2 * (k + n))
-        rows = [fading.standard_exponential(n if fits else 0)]
-        if later is not None:
-            rows.append(later.standard_exponential(n * g if fits else 0))
+        row = fading.standard_exponential(n if fits else 0)
+        later_row = (None if later is None
+                     else later.standard_exponential((n if fits else 0, g)))
         recovery = _rng(config.base_seed, (*prefix, 0, 2))
         recovery.bit_generator.advance(rep << 64)
-        yield _Replay(count, uniforms, rows, recovery)
+        yield count, uniforms, row, later_row, recovery
+
+
+def _disk(block, n, radius, center=None):
+    """n points uniform on a disk from the next 2 n values of the iterator
+    `block`: n radii radius * sqrt(u), then n angles 2 pi u, about
+    `center` (the disk's own centre when None)."""
+    u = np.fromiter(itertools.islice(block, 2 * n), dtype=float, count=2 * n)
+    rho, theta = radius * np.sqrt(u[:n]), 2.0 * np.pi * u[n:]
+    if center is None:
+        return np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
+    return np.column_stack([center[0] + rho * np.cos(theta),
+                            center[1] + rho * np.sin(theta)])
+
+
+def _oracle_drop(config, count, uniforms):
+    """A drop rebuilt disk by disk from its block of uniforms: the centres
+    on the region disk, then each cluster's members about its centre, in
+    cluster order (fixed_total: `total_uavs` split as evenly as possible,
+    the remainder to the first clusters; density: `count` clusters of
+    `cluster_peer_count` members).  Returns (member points, bounds)."""
+    if count is None:
+        k = config.num_clusters
+        base, extra = divmod(config.total_uavs, k)
+        sizes = [base + (c < extra) for c in range(k)]
+    else:
+        k = count
+        sizes = [cluster_peer_count(config.lambda_off_per_m2,
+                                    config.radius_r_m)] * k
+    block = iter(uniforms.tolist())
+    centers = _disk(block, k, config.region_radius_m)
+    members = [_disk(block, size, config.radius_r_m, center)
+               for center, size in zip(centers, sizes)]
+    assert next(block, None) is None
+    xy = np.vstack(members) if members else np.empty((0, 2))
+    return xy, tuple(np.cumsum([0, *sizes]).tolist())
+
+
+def _oracle_epochs(study, scheme, config, key):
+    """Each replication's epoch, rebuilt from `_replays`: its drop
+    (`_oracle_drop`), round 1 decided on its fading row, a BS scheme's
+    completion rounds read from its later-rounds row, and `run_epochs`
+    on a batch of one drawing recovery from its generator.  A BS scheme
+    of the ase study has no later rounds: a member served in round 1
+    completes then, the others never.  Yields (mean BS powers, round-1
+    decisions, delivery times, via_broadcast marks), rows of one epoch."""
+    radio, sim = config.radio, config.sim
+    for count, uniforms, row, later, recovery in _replays(study, scheme,
+                                                          config, key):
+        xy, bounds = _oracle_drop(config, count, uniforms)
+        n = len(xy)
+        power = mean_received_power(
+            LinkKind.BS_TO_UAV, _bs_distances(xy, *_bs_site(config)), radio)
+        first = np.zeros(n, dtype=bool)
+        if row.size:
+            first = decodes(power, row, radio)
+        rounds = first
+        if scheme != "clustering":
+            rounds = np.where(first, 1.0, np.inf)
+            if later is not None:
+                rounds = np.full(n, np.inf)
+                if later.size:
+                    rounds = completion_rounds(
+                        first[None], decode_probability(power, radio)[None],
+                        later.shape[1], later[None])[0]
+        delivery, via_broadcast = run_epochs(
+            scheme, xy[None], bounds, rounds[None], radio, sim,
+            lambda _, out: recovery.random(out=out))[:2]
+        yield power, first, delivery[0], via_broadcast[0]
 
 
 def _oracle_metrics(study, scheme, config, key):
-    """Each replication on its own `_Replay`: a `build_topology` drop and
-    one `SCHEME_RUNNERS` epoch with default hooks, reduced here to (mean
-    delay, delivery ratio) in the delay study, the ase in the ase study.
-    The ase counts delivered members for clustering, members served by
-    the first broadcast otherwise."""
+    """`_oracle_epochs` reduced here to (mean delay, delivery ratio) in the
+    delay study, the ase in the ase study.  The ase counts delivered
+    members for clustering, members served by the first broadcast
+    otherwise."""
     sim = config.sim
     rate_density = config.lambda_off_per_m2 * math.log2(
         1.0 + config.radio.snr_threshold)
     rows = []
-    for rng in _replays(study, scheme, config, key):
-        topology = build_topology(config, rng)
-        outcome = SCHEME_RUNNERS[scheme](topology, config.radio, sim, rng)
-        assert rng.uniforms is None
-        n = outcome.n_uavs
-        delays = outcome.delivery_time_ms[outcome.delivered]
+    for _, _, delivery, via_broadcast in _oracle_epochs(study, scheme,
+                                                        config, key):
+        n = delivery.size
+        delivered = ~np.isnan(delivery)
+        delays = delivery[delivered]
         if scheme == "rnc":
             delays = delays - (sim.rnc_generation_size - 1) * sim.packet_len_ms
         if study == "ase":
-            served = (outcome.delivered if scheme == "clustering"
-                      else outcome.via_broadcast)
+            served = delivered if scheme == "clustering" else via_broadcast
             rows.append(np.count_nonzero(served) / n * rate_density if n
                         else math.nan)
         else:
             rows.append((delays.mean() if delays.size else math.nan,
-                         np.count_nonzero(outcome.delivered) / n if n
+                         np.count_nonzero(delivered) / n if n
                          else math.nan))
     return np.array(rows, dtype=float)
 
@@ -398,8 +443,8 @@ _BATCH_CASES = [
 def test_replicated_equals_independent_generators(study, scheme):
     """The batched run gives every replication, bit for bit, what its
     values in the documented stream layout (`_replays`) give it through
-    `build_topology` and the scheme's runner, in both topology modes, with empty drops, with a
-    packet over the time budget, across batch boundaries, with members
+    a drop rebuilt disk by disk and `run_epochs` on a batch of one, in both
+    topology modes, with empty drops, with a packet over the time budget, across batch boundaries, with members
     that never complete and, for clustering, with epochs that draw a second
     block of uniforms."""
     key = (1, 2)
@@ -593,15 +638,17 @@ def test_replicated_memory_does_not_grow_with_replications():
 def test_replicated_memory_is_bounded_in_members(scheme):
     """A batch holds about `_BATCH_MEMBERS` members whatever the drop
     size, so over one batch's worth of 50-member replications a
-    delay-study call at 2,000 members peaks within 1.5x of its peak at
-    50 (about 1.0x measured); batches of a fixed replication count would
-    hold 40 times the members, and peak about 37 times higher."""
+    delay-study call at 2,000 members peaks within 1.2x of its peak at
+    50 (1.04x measured for clustering, 1.00x for RNC).  Batches of a
+    fixed replication count would hold 40 times the members, and peak
+    about 37 times higher; a clustering recovery that kept two block
+    buffers alive at once peaked 1.38x higher."""
     def peak(total_uavs):
         return _traced_peak("delay", ScenarioConfig(
             replications=_WIDTH, total_uavs=total_uavs, d0_m=1200.0,
             num_clusters=2, schemes=(scheme,)))
 
-    assert peak(2000) <= 1.5 * peak(50)
+    assert peak(2000) <= 1.2 * peak(50)
 
 
 @pytest.mark.parametrize("scheme", ["benchmark", "rnc"])
@@ -631,15 +678,17 @@ def test_replicated_bs_memory_is_linear_in_members(scheme):
 def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
                                                 num_clusters, max_time_ms):
     """The ase study's benchmark rows, which count the members
-    clustering's first broadcast serves, count the members
-    `run_ack_benchmark` marks `via_broadcast` on the replication's values
-    of the stream layout (`_replays`), and yield the full epoch's ase bit
-    for bit (NaN for an empty drop)."""
+    clustering's first broadcast serves, count the members a full
+    benchmark epoch (`run_epochs`, with later rounds of its own) marks
+    `via_broadcast` on the replication's values of the stream layout
+    (`_replays`), and yield the full epoch's ase bit for bit (NaN for an
+    empty drop).  Round 1 is decided on the mean BS powers of the drop
+    rebuilt disk by disk."""
     config = ScenarioConfig(mode=mode, lambda_per_m2=lambda_per_m2, d0_m=d0,
                             num_clusters=num_clusters, base_seed=seed,
                             replications=3,
                             sim=SimParams(max_time_ms=max_time_ms))
-    key = (0, 1)
+    radio, key = config.radio, (0, 1)
     decided = []     # (power row, decision row) of every non-empty drop
     decide = experiments.decodes
 
@@ -652,33 +701,27 @@ def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
     with mock.patch.object(experiments, "decodes", recorded_decodes):
         ases = _replicated("ase", config, key)["benchmark"]
 
-    link = link_model(config.radio)
     rate_density = 1e-3 * math.log2(21.0)
-    hook_powers, ref_served, ref_ases = [], [], []
-    for rng in _replays("ase", "benchmark", config, key):
-        powers = []
-
-        def record(power, rng, seen=powers):
-            seen.append(power.tobytes())
-            return link(power, rng)
-
-        topology = build_topology(config, rng)
-        outcome = run_ack_benchmark(
-            topology, config.radio, config.sim, rng,
-            broadcast_rounds=round_model(config.radio, record))
-        # the reception hook draws round 1 alone, and is not called when
-        # no round runs
-        n = topology.n_uavs
-        assert len(powers) == (
-            1 if n and max_time_ms >= config.sim.packet_len_ms else 0)
-        hook_powers += powers
-        served = int(np.count_nonzero(outcome.via_broadcast))
-        if powers:
-            ref_served.append((powers[0], served))
+    later = np.random.default_rng(seed)
+    ref_served, ref_ases = [], []
+    for count, uniforms, row, _, _ in _replays("ase", "benchmark", config,
+                                               key):
+        xy, bounds = _oracle_drop(config, count, uniforms)
+        n = len(xy)
+        power = mean_received_power(
+            LinkKind.BS_TO_UAV, _bs_distances(xy, *_bs_site(config)), radio)
+        first = decodes(power, row, radio) if row.size else np.zeros(n, bool)
+        rounds = completion_rounds(
+            first[None], decode_probability(power, radio)[None], 1,
+            later.standard_exponential((1, n, 1)))
+        via_broadcast = run_epochs("benchmark", xy[None], bounds, rounds,
+                                   radio, config.sim, None)[1][0]
+        served = int(np.count_nonzero(via_broadcast))
+        if row.size:
+            ref_served.append((power.tobytes(), served))
         ref_ases.append((served / n) * rate_density if n else math.nan)
-    # round 1 is decided on the powers the full benchmark hands its hook,
-    # serving the same members
-    assert sorted(p for p, _ in decided) == sorted(hook_powers)
+    # round 1 is decided on the drops' own powers, serving the members the
+    # full benchmark serves in round 1
     assert sorted((p, sum(g)) for p, g in decided) == sorted(ref_served)
     if max_time_ms < config.sim.packet_len_ms:
         assert not decided
@@ -760,3 +803,50 @@ def test_scheme_subsets_read_the_shared_streams(mode):
         assert delays[scheme].tobytes() == full["delay"][scheme].tobytes()
         ases = _replicated("ase", alone, key)
         assert ases[scheme].tobytes() == full["ase"][scheme].tobytes()
+
+
+@pytest.mark.parametrize("mode,replications", [("fixed_total", 1),
+                                               ("fixed_total", 7),
+                                               ("density", 1)])
+@pytest.mark.parametrize("scheme", ["clustering", "benchmark", "rnc"])
+def test_replay_epoch_is_the_first_replication(scheme, mode, replications):
+    """`replay_epoch` gives the mean delay and delivery ratio of the first
+    replication of the delay study at key (0, 0), bit for bit: with one
+    replication in both modes, and at any replication count in fixed_total
+    mode, where the drops stream holds no Poisson counts."""
+    config = ScenarioConfig(mode=mode, base_seed=6, d0_m=1200.0,
+                            num_clusters=2, replications=replications)
+    outcome = experiments.replay_epoch(config, scheme, collect_events=True)
+    delivery = outcome.delivery_time_ms[outcome.delivered]
+    if scheme == "rnc":
+        delivery = delivery - ((config.sim.rnc_generation_size - 1)
+                               * config.sim.packet_len_ms)
+    row = _replicated("delay", config, (0, 0))[scheme][0]
+    assert outcome.n_uavs > 0 and outcome.events
+    assert np.array([delivery.mean(), outcome.delivered.mean()]).tobytes() \
+        == row.tobytes()
+
+
+def test_ase_study_without_clustering_runs_no_recovery():
+    """The ase study's benchmark and RNC rows read round 1 alone, so
+    without clustering among the schemes no clustering recovery runs, and
+    their rows equal those of the three-scheme run bit for bit."""
+    config = ScenarioConfig(replications=300, d0_m=1200.0, num_clusters=2)
+    full = _replicated("ase", config, (0, 1))
+    calls = []
+    recover = protocol._recover
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return recover(*args, **kwargs)
+
+    with mock.patch.object(protocol, "_recover", counted):
+        for schemes in (("benchmark",), ("rnc", "benchmark")):
+            alone = _replicated("ase", config.replace(schemes=schemes),
+                                (0, 1))
+            assert list(alone) == list(schemes)
+            for scheme, values in alone.items():
+                assert values.tobytes() == full[scheme].tobytes()
+        assert calls == []
+        _replicated("ase", config.replace(schemes=("clustering",)), (0, 1))
+    assert calls

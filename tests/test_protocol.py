@@ -9,16 +9,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (
-    all_links,
-    all_links_rounds,
-    decode_chance,
-    fixed_rounds,
-    fixed_success,
-    fixed_success_rounds,
-    four_uav_topology,
-    one_cluster_topology,
-    reception_pattern,
-    ring_topology,
+    FOUR_UAVS,
+    bernoulli_rounds,
+    epoch,
+    fixed_drops,
+    ring,
 )
 from uavcast.analysis import (
     average_delay,
@@ -30,13 +25,12 @@ from uavcast.channel import (
     RadioParams,
     completion_rounds,
     decode_probability,
-    link_model,
+    decodes,
     mean_received_power,
-    round_model,
 )
 from uavcast.config import ScenarioConfig
 from uavcast.errors import ParameterError
-from uavcast.geometry import Topology, build_topology
+from uavcast.experiments import _replicated, replay_drops, replay_epoch
 from uavcast.protocol import (
     PACKET_ID,
     SCHEME_RUNNERS,
@@ -46,10 +40,7 @@ from uavcast.protocol import (
     SimParams,
     _attempt,
     _bs_delivery,
-    run_ack_benchmark,
-    run_clustering_scheme,
     run_epochs,
-    run_rnc_scheme,
     write_event_log,
 )
 
@@ -215,10 +206,7 @@ def test_three_contenders_collided_frames_match_enumeration():
 
 
 def test_clustering_lossless_epoch():
-    out = run_clustering_scheme(ring_topology(8), RADIO, SIM,
-                                np.random.default_rng(0),
-                                broadcast_success=all_links(True),
-                                peer_probability=decode_chance(1))
+    out = epoch("clustering", ring(8), np.ones(8, dtype=bool), chance=1)
     assert np.all(out.delivery_time_ms == 10.0)
     assert np.all(out.via_broadcast)
     assert np.all(out.delivered)
@@ -234,11 +222,8 @@ def test_clustering_scripted_recovery():
     when it hears the first) and still receive the packet by overhearing the
     reply.
     """
-    out = run_clustering_scheme(four_uav_topology(), RADIO, SIM,
-                                np.random.default_rng(1), collect_events=True,
-                                broadcast_success=reception_pattern(
-                                    True, True, False, False),
-                                peer_probability=decode_chance(1))
+    out = epoch("clustering", FOUR_UAVS, [True, True, False, False],
+                chance=1, seed=1)
     requests = [e for e in out.events if e.kind is EventKind.REQUEST_TX_END]
     replies = [e for e in out.events if e.kind is EventKind.REPLY_TX_END]
     assert [(e.actor, e.collided) for e in requests] == [(2, False)]
@@ -254,10 +239,7 @@ def test_clustering_scripted_recovery():
 
 
 def test_clustering_cluster_without_holders_gives_up():
-    out = run_clustering_scheme(ring_topology(6), RADIO, SIM,
-                                np.random.default_rng(0),
-                                broadcast_success=all_links(False),
-                                peer_probability=decode_chance(1))
+    out = epoch("clustering", ring(6), np.zeros(6, dtype=bool), chance=1)
     assert np.all(out.undelivered)
     assert np.all(np.isnan(out.delivery_time_ms))
     assert out.uav_transmissions == 0
@@ -265,26 +247,20 @@ def test_clustering_cluster_without_holders_gives_up():
 
 
 def test_clustering_recovery_completes_with_perfect_relays():
-    out = run_clustering_scheme(ring_topology(10), RADIO, SIM,
-                                np.random.default_rng(2),
-                                broadcast_success=fixed_success(0.5),
-                                peer_probability=decode_chance(1))
+    first = np.random.default_rng(2).random(10) < 0.5
+    out = epoch("clustering", ring(10), first, chance=1, seed=2)
     if out.via_broadcast.any() and not out.via_broadcast.all():
         assert np.all(out.delivered)
         assert np.all(out.delivery_time_ms[~out.via_broadcast] > 10.0)
 
 
 def test_clustering_opportunistic_caching_saves_a_round():
-    topo = one_cluster_topology([[0.0, 5.0], [5.0, 0.0], [-5.0, 0.0]])
-    pattern = reception_pattern(True, False, False)
-    on = run_clustering_scheme(topo, RADIO, SimParams(opportunistic_caching=True),
-                               np.random.default_rng(0),
-                               broadcast_success=pattern,
-                               peer_probability=decode_chance(1))
-    off = run_clustering_scheme(topo, RADIO, SimParams(opportunistic_caching=False),
-                                np.random.default_rng(0),
-                                broadcast_success=pattern,
-                                peer_probability=decode_chance(1))
+    xy = [[0.0, 5.0], [5.0, 0.0], [-5.0, 0.0]]
+    first = [True, False, False]
+    on = epoch("clustering", xy, first, SimParams(opportunistic_caching=True),
+               chance=1)
+    off = epoch("clustering", xy, first,
+                SimParams(opportunistic_caching=False), chance=1)
     assert np.all(on.delivered) and np.all(off.delivered)
     assert on.uav_transmissions == 1
     assert off.uav_transmissions == 2
@@ -293,23 +269,17 @@ def test_clustering_opportunistic_caching_saves_a_round():
 
 
 def test_hooks_receive_mean_received_powers():
-    """The BS hook gets p_bs * gain at each member's BS distance.  The peer
-    hook gets, for each clean reply, p_uav * gain from every member of the
-    replier's cluster to the replier, one row per reply answered in the
-    same lock-step iteration, and the chance it returns decides each
-    listener: a member is delivered at the first clean reply of its
-    cluster that gives it chance 1, and stays undelivered if none does."""
+    """The peer hook of `run_epochs` gets, for each clean reply, p_uav *
+    gain from every member of the replier's cluster to the replier, one
+    row per reply answered in the same lock-step iteration, and the chance
+    it returns decides each listener: a member is delivered at the first
+    clean reply of its cluster that gives it chance 1, and stays
+    undelivered if none does."""
     xy = np.array([[0.0, 3.0], [7.0, 0.0], [-12.0, 1.0], [2.0, -20.0],
                    [300.0, 5.0], [296.0, -9.0], [310.0, 14.0], [285.0, 2.0]])
-    topo = Topology(xy=xy, cluster_of=np.repeat([0, 1], 4),
-                    centers=np.array([[0.0, 0.0], [300.0, 0.0]]),
-                    height=20.0, bs_xy=(1200.0, 0.0), bs_height=10.0)
+    first = np.array([True, False, False, True, True, False, False, False])
     cutoff = mean_received_power(LinkKind.UAV_TO_UAV, 14.0, RADIO)
-    bs_calls, peer_rows = [], []
-
-    def bs_hook(power, rng):
-        bs_calls.append(power.copy())
-        return np.array([True, False, False, True, True, False, False, False])
+    peer_rows = []
 
     def peer_hook(power):
         assert power.ndim == 2 and power.shape[1] == 4
@@ -317,17 +287,16 @@ def test_hooks_receive_mean_received_powers():
         return np.where(power > cutoff, 1.0, 0.0)
 
     sim = SimParams(max_time_ms=400.0)
-    out = run_clustering_scheme(topo, RADIO, sim, np.random.default_rng(3),
-                                collect_events=True, broadcast_success=bs_hook,
-                                peer_probability=peer_hook)
-    assert len(bs_calls) == 1
-    assert bs_calls[0].tolist() == mean_received_power(
-        LinkKind.BS_TO_UAV, topo.bs_distances(), RADIO).tolist()
+    rng, events = np.random.default_rng(3), []
+    delivery = run_epochs("clustering", xy[None], (0, 4, 8), first[None],
+                          RADIO, sim, lambda _, block: rng.random(out=block),
+                          events, peer_hook)[0][0]
+    events.sort(key=lambda e: e.time_ms)
     expected = []
     missing = {0: {1, 2}, 1: {5, 6, 7}}
-    delivery = np.full(8, np.nan)
-    delivery[[0, 3, 4]] = sim.packet_len_ms
-    for e in out.events:
+    want = np.full(8, np.nan)
+    want[[0, 3, 4]] = sim.packet_len_ms
+    for e in events:
         if e.kind is EventKind.REPLY_TX_END and not e.collided:
             members = range(4 * e.cluster_id, 4 * e.cluster_id + 4)
             d = np.hypot(*(xy[list(members)] - xy[e.actor]).T)
@@ -336,21 +305,20 @@ def test_hooks_receive_mean_received_powers():
             for m, p in zip(members, power):
                 if m in missing[e.cluster_id] and p > cutoff:
                     missing[e.cluster_id].discard(m)
-                    delivery[m] = e.time_ms
+                    want[m] = e.time_ms
     assert len(expected) >= 2
     assert sorted(peer_rows) == sorted(expected)
     never = sorted(missing[0] | missing[1])
     assert 0 < len(never) < 5
-    assert np.flatnonzero(out.undelivered).tolist() == never
-    assert np.array_equal(out.delivery_time_ms, delivery, equal_nan=True)
+    assert np.flatnonzero(np.isnan(delivery)).tolist() == never
+    assert np.array_equal(delivery, want, equal_nan=True)
 
 
 def test_clustering_is_deterministic_per_seed():
-    topo = ring_topology(12)
-    a = run_clustering_scheme(topo, RADIO, SIM, np.random.default_rng(42),
-                              collect_events=True)
-    b = run_clustering_scheme(topo, RADIO, SIM, np.random.default_rng(42),
-                              collect_events=True)
+    config = ScenarioConfig(base_seed=42, num_clusters=1, total_uavs=12,
+                            d0_m=1200.0)
+    a = replay_epoch(config, "clustering", collect_events=True)
+    b = replay_epoch(config, "clustering", collect_events=True)
     assert a.events == b.events
     assert np.array_equal(a.delivery_time_ms, b.delivery_time_ms,
                           equal_nan=True)
@@ -405,11 +373,10 @@ def _check_epoch_invariants(out, sim=SIM):
 
 
 def test_clustering_invariants_over_default_channel():
-    config = ScenarioConfig()
-    for rep in range(300):
-        rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(rep,)))
-        topo = build_topology(config, rng)
-        out = run_clustering_scheme(topo, RADIO, SIM, rng, collect_events=True)
+    """Replication 0 of 300 default delay scenarios, one per base seed."""
+    for seed in range(300):
+        out = replay_epoch(ScenarioConfig(base_seed=seed), "clustering",
+                           collect_events=True)
         _check_epoch_invariants(out)
 
 
@@ -424,11 +391,10 @@ def test_epoch_invariants_over_random_drops(scheme, seed, mode, d0,
     """The same invariants on random drops of both topology modes, with
     and without a binding time budget, and with one below one packet."""
     config = ScenarioConfig(mode=mode, d0_m=d0, num_clusters=num_clusters,
+                            base_seed=seed,
                             sim=SimParams(max_time_ms=max_time_ms))
     sim = config.sim
-    rng = np.random.default_rng(seed)
-    topo = build_topology(config, rng)
-    out = SCHEME_RUNNERS[scheme](topo, RADIO, sim, rng, collect_events=True)
+    out = replay_epoch(config, scheme, collect_events=True)
     assert out.scheme == scheme
     _check_epoch_invariants(out, sim)
 
@@ -472,12 +438,11 @@ def test_clustering_channel_invariants_over_random_drops(
     `uav_transmissions`, and every member recovered after the broadcast
     was delivered at the end of a clean reply in its cluster."""
     config = ScenarioConfig(mode=mode, d0_m=d0, num_clusters=num_clusters,
+                            base_seed=seed,
                             sim=SimParams(max_time_ms=max_time_ms,
                                           opportunistic_caching=caching))
     sim = config.sim
-    rng = np.random.default_rng(seed)
-    topo = build_topology(config, rng)
-    out = run_clustering_scheme(topo, RADIO, sim, rng, collect_events=True)
+    out = replay_epoch(config, "clustering", collect_events=True)
     frames = _frames_by_cluster(out, sim)
     counts = collections.Counter(kind for fs in frames.values()
                                  for _, _, kind, _, _ in fs)
@@ -510,17 +475,13 @@ def test_clustering_channel_invariants_over_random_drops(
     assert np.all(out.delivery_time_ms[out.via_broadcast] == sim.packet_len_ms)
 
 
-def _two_mask_bs_rounds(scheme, coded, g, topology, radio, sim, rng,
-                        collect_events, broadcast_success):
+def _two_mask_bs_rounds(scheme, coded, g, cluster_of, sim,
+                        broadcast_success):
     """Reference BS-round loop: rebuilds the `received < g` mask twice per
-    round and hands the hook the gathered powers of that mask."""
-    if broadcast_success is None:
-        broadcast_success = link_model(radio)
-    cluster_of = topology.cluster_of
-    p_bs = mean_received_power(LinkKind.BS_TO_UAV, topology.bs_distances(),
-                               radio)
-    n = topology.n_uavs
-    events = [] if collect_events else None
+    round and asks `broadcast_success` which members of that mask receive
+    the round."""
+    n = cluster_of.size
+    events = []
     delivery = np.full(n, np.nan)
     via_broadcast = np.zeros(n, dtype=bool)
     received = np.zeros(n, dtype=int)
@@ -532,19 +493,16 @@ def _two_mask_bs_rounds(scheme, coded, g, topology, radio, sim, rng,
         control += len(members)
         for u in members:
             t += sim.t_ack_ms
-            if events is not None:
-                events.append(Event(t, EventKind.ACK_RX_END, int(u),
-                                    PACKET_ID, int(cluster_of[u])))
+            events.append(Event(t, EventKind.ACK_RX_END, int(u), PACKET_ID,
+                                int(cluster_of[u])))
 
     while (received < g).any() and t + sim.packet_len_ms <= sim.max_time_ms:
         packet_id = bs_tx if coded else PACKET_ID
         bs_tx += 1
         t += sim.packet_len_ms
-        if events is not None:
-            events.append(Event(t, EventKind.BS_BROADCAST_END, -1, packet_id,
-                                -1))
+        events.append(Event(t, EventKind.BS_BROADCAST_END, -1, packet_id, -1))
         idx = np.flatnonzero(received < g)
-        hit = idx[broadcast_success(p_bs[idx], rng)]
+        hit = idx[broadcast_success(idx)]
         received[hit] += 1
         done = hit[received[hit] == g]
         delivery[done] = t
@@ -554,8 +512,7 @@ def _two_mask_bs_rounds(scheme, coded, g, topology, radio, sim, rng,
     undelivered = received < g
     if coded and not undelivered.any():
         acks(range(n))
-    if events is not None:
-        events.sort(key=lambda e: e.time_ms)
+    events.sort(key=lambda e: e.time_ms)
     return SchemeOutcome(
         scheme=scheme, delivery_time_ms=delivery, undelivered=undelivered,
         via_broadcast=via_broadcast, cluster_ids=cluster_of,
@@ -581,55 +538,43 @@ def _scripted_successes(rounds, g, rng):
        scheme=st.sampled_from(["benchmark", "rnc"]),
        mode=st.sampled_from(["fixed_total", "density"]),
        num_clusters=st.integers(1, 10),
-       max_time_ms=st.sampled_from([40.0, 95.0, 10_000.0]),
-       collect_events=st.booleans())
+       max_time_ms=st.sampled_from([40.0, 95.0, 10_000.0]))
 @settings(max_examples=150, deadline=None)
 def test_active_set_rounds_match_two_mask_loop(data, seed, scheme, mode,
-                                               num_clusters, max_time_ms,
-                                               collect_events):
-    """The BS runners give the round-by-round reference loop's outcome,
-    counters and events bit for bit, with tight and loose time budgets:
-    RNC (coded) with generations of 1 and 8, the benchmark (uncoded,
-    g = 1).
+                                               num_clusters, max_time_ms):
+    """`run_epochs` on the BS schemes gives the round-by-round reference
+    loop's outcome, counters and events bit for bit, with tight and loose
+    time budgets: RNC (coded) with generations of 1 and 8, the benchmark
+    (uncoded, g = 1).
 
     Each member's completion round is drawn (None: never); the reference
-    loop is driven by a scripted reception hook whose successes end in
-    exactly those rounds, and the runner by a round hook returning
-    them."""
+    loop is driven by a scripted reception rule whose successes end in
+    exactly those rounds, and `run_epochs` is handed them."""
     coded = scheme == "rnc"
     g = data.draw(st.sampled_from([1, 8])) if coded else 1
     config = ScenarioConfig(mode=mode, lambda_per_m2=1e-5,
-                            num_clusters=num_clusters,
+                            num_clusters=num_clusters, base_seed=seed,
                             sim=SimParams(max_time_ms=max_time_ms,
                                           rnc_generation_size=g))
     sim = config.sim
-    topo = build_topology(config, np.random.default_rng(seed))
-    n = topo.n_uavs
+    xy, cluster_of = replay_drops(config, 1)[0]
+    n = cluster_of.size
     extra = data.draw(st.lists(st.none() | st.integers(0, 30),
                                min_size=n, max_size=n))
     rounds = [math.inf if e is None else g + e for e in extra]
     successes = _scripted_successes(rounds, g, np.random.default_rng(seed))
     calls = []
 
-    def scripted(power, rng):
+    def scripted(active):
         k = len(calls) + 1
-        active = [u for u in range(n) if rounds[u] >= k]
-        assert power.shape == (len(active),)
+        assert active.tolist() == [u for u in range(n) if rounds[u] >= k]
         calls.append(k)
         return np.array([k in successes[u] for u in active], dtype=bool)
 
-    def counted(power, g_, rng):
-        assert g_ == g
-        assert power.tobytes() == mean_received_power(
-            LinkKind.BS_TO_UAV, topo.bs_distances(), RADIO).tobytes()
-        return np.array(rounds, dtype=float)
-
-    out = SCHEME_RUNNERS[scheme](topo, RADIO, sim, np.random.default_rng(0),
-                                 collect_events=collect_events,
-                                 broadcast_rounds=counted)
-    ref = _two_mask_bs_rounds(scheme, coded, g, topo, RADIO, sim,
-                              np.random.default_rng(0), collect_events,
-                              scripted)
+    bounds = tuple(np.searchsorted(
+        cluster_of, np.arange(cluster_of[-1] + 2 if n else 1)).tolist())
+    out = epoch(scheme, xy, np.array(rounds, dtype=float), sim, bounds=bounds)
+    ref = _two_mask_bs_rounds(scheme, coded, g, cluster_of, sim, scripted)
     assert out.delivery_time_ms.tobytes() == ref.delivery_time_ms.tobytes()
     assert out.undelivered.tolist() == ref.undelivered.tolist()
     assert out.via_broadcast.tolist() == ref.via_broadcast.tolist()
@@ -641,18 +586,28 @@ def test_active_set_rounds_match_two_mask_loop(data, seed, scheme, mode,
     assert len(calls) == ref.bs_transmissions
 
 
+def _bs_rounds(power, g, rng):
+    """The BS round model as the delay study draws it: round 1 decided by
+    `decodes` on one exponential per listener, the later rounds by
+    `completion_rounds` on an (n, g) block of exponentials."""
+    first = decodes(power, rng.standard_exponential(power.size), RADIO)
+    q = decode_probability(power, RADIO)
+    return completion_rounds(first[None], q[None], g,
+                             rng.standard_exponential((1, power.size, g)))[0]
+
+
 def _rounds_per_round_fading(power, g, rng, max_rounds):
-    """Completion rounds from one `link_model` fading draw per listener
-    and round, until every listener holds g receptions (inf past
-    `max_rounds`)."""
-    link = link_model(RADIO)
+    """Completion rounds from one fading draw per listener and round,
+    decided by `decodes`, until every listener holds g receptions (inf
+    past `max_rounds`)."""
     got = np.zeros(power.size, dtype=int)
     rounds = np.full(power.size, np.inf)
     for k in range(1, max_rounds + 1):
         active = np.flatnonzero(got < g)
         if not active.size:
             break
-        got[active] += link(power[active], rng)
+        got[active] += decodes(power[active],
+                               rng.exponential(1.0, active.size), RADIO)
         rounds[active[got[active] == g]] = k
     return rounds
 
@@ -661,8 +616,8 @@ def _rounds_per_round_fading(power, g, rng, max_rounds):
 @pytest.mark.parametrize("g", [1, 8])
 @pytest.mark.parametrize("q", [0.0, 1e-320, 1e-300, 0.05, 0.5, 0.9, 1.0])
 def test_round_model_matches_per_round_fading(q, g):
-    """The default round hook draws the negative-binomial completion round
-    of per-round fading draws: both samples' CDFs sit within the DKW band
+    """The BS round model draws the negative-binomial completion round of
+    per-round fading draws: both samples' CDFs sit within the DKW band
     (alpha = 1e-6) of the exact law, and the edges q = 0 (lam = 0, never),
     q = 1 (lam = inf, round g) and q -> 0 raise no warning."""
     theta_n = RADIO.snr_threshold * RADIO.noise_power_mw
@@ -678,7 +633,7 @@ def test_round_model_matches_per_round_fading(q, g):
     trials = 20_000
     powers = np.full(trials, power)
     rng = np.random.default_rng(int(1e4 * g + 1e3 * q) + 17)
-    rounds = round_model(RADIO)(powers, g, rng)
+    rounds = _bs_rounds(powers, g, rng)
     if q == 0.0:
         assert np.all(np.isinf(rounds))
         assert np.all(np.isinf(_rounds_per_round_fading(powers, g, rng, 50)))
@@ -705,16 +660,11 @@ def test_clustering_mean_delay_tracks_formula():
     CSMA backoff and request serialization add overhead, so the epoch mean
     must land within +10% of the closed form, never below it.
     """
-    config = ScenarioConfig()
-    sums, count = 0.0, 0
-    for rep in range(4000):
-        rng = np.random.default_rng(np.random.SeedSequence(123, spawn_key=(rep,)))
-        topo = build_topology(config, rng)
-        out = run_clustering_scheme(topo, RADIO, SIM, rng)
-        d = out.delivery_time_ms[out.delivered]
-        sums += d.sum()
-        count += d.size
-    mean = sums / count
+    config = ScenarioConfig(replications=4000, base_seed=123,
+                            schemes=("clustering",))
+    delays, ratios = _replicated("delay", config, (0, 0))["clustering"].T
+    # the mean over every delivered member of the 4000 epochs of 50
+    mean = (delays * ratios).sum() / ratios.sum()
     p_cov = coverage_probability(config.geometry(), RADIO)
     p_suc = transmission_success_probability(50.0, RADIO)
     formula = average_delay(p_cov, p_suc, 10.0, 1.0)
@@ -722,9 +672,7 @@ def test_clustering_mean_delay_tracks_formula():
 
 
 def test_benchmark_all_served_first_round():
-    out = run_ack_benchmark(ring_topology(6), RADIO, SIM,
-                            np.random.default_rng(0),
-                            broadcast_rounds=all_links_rounds(True))
+    out = epoch("benchmark", ring(6), np.ones(6))
     assert np.all(out.delivery_time_ms == 10.0)
     assert np.all(out.via_broadcast)
     assert out.bs_transmissions == 1
@@ -732,13 +680,17 @@ def test_benchmark_all_served_first_round():
     assert out.uav_transmissions == 0
 
 
+def _bs_transmissions(scheme, n, p, sim, seed, epochs=20_000):
+    """BS rounds of `epochs` epochs of n members whose every reception
+    succeeds with chance p, from one `run_epochs` call."""
+    g = sim.rnc_generation_size if scheme == "rnc" else 1
+    rounds = bernoulli_rounds(p, g, (epochs, n), np.random.default_rng(seed))
+    return run_epochs(scheme, np.zeros((epochs, n, 2)), (0, n), rounds,
+                      RADIO, sim, None)[2]
+
+
 def test_benchmark_rounds_are_geometric():
-    topo = ring_topology(1)
-    rng = np.random.default_rng(8)
-    rounds = [run_ack_benchmark(topo, RADIO, SIM, rng,
-                                broadcast_rounds=fixed_success_rounds(0.3)
-                                ).bs_transmissions
-              for _ in range(20_000)]
+    rounds = _bs_transmissions("benchmark", 1, 0.3, SIM, 8)
     mean = np.mean(rounds)
     se = np.std(rounds, ddof=1) / math.sqrt(len(rounds))
     assert abs(mean - 1.0 / 0.3) < 4.0 * se
@@ -750,12 +702,7 @@ def test_benchmark_round_count_matches_series():
     rounds R = max of 5 iid geometrics, E[R] = sum_k>=0 (1 - (1 - q^k)^5)
     with q the per-round miss probability.
     """
-    topo = ring_topology(5)
-    rng = np.random.default_rng(7)
-    rounds = [run_ack_benchmark(topo, RADIO, SIM, rng,
-                                broadcast_rounds=fixed_success_rounds(0.8)
-                                ).bs_transmissions
-              for _ in range(20_000)]
+    rounds = _bs_transmissions("benchmark", 5, 0.8, SIM, 7)
     q = 0.2
     exact, k, term = 0.0, 0, 1.0
     while term > 1e-14:
@@ -768,10 +715,8 @@ def test_benchmark_round_count_matches_series():
 
 
 def test_benchmark_times_out():
-    out = run_ack_benchmark(ring_topology(3), RADIO,
-                            SimParams(max_time_ms=35.0),
-                            np.random.default_rng(0),
-                            broadcast_rounds=all_links_rounds(False))
+    out = epoch("benchmark", ring(3), np.full(3, np.inf),
+                SimParams(max_time_ms=35.0))
     assert out.bs_transmissions == 3
     assert np.all(out.undelivered)
     assert out.control_messages == 0
@@ -784,9 +729,7 @@ def test_benchmark_rounds_serialize_acks():
     round 1 ends 10, member 0 ACKs until 11; round 2 ends 21, member 1 ACKs
     until 22; round 3 ends 32, member 2 ACKs until 33.
     """
-    out = run_ack_benchmark(ring_topology(3), RADIO, SIM,
-                            np.random.default_rng(0), collect_events=True,
-                            broadcast_rounds=fixed_rounds(1, 2, 3))
+    out = epoch("benchmark", ring(3), [1.0, 2.0, 3.0])
     assert out.delivery_time_ms.tolist() == [10.0, 21.0, 32.0]
     assert out.via_broadcast.tolist() == [True, False, False]
     assert out.bs_transmissions == 3
@@ -863,45 +806,51 @@ def test_completion_rounds_rows_read_their_own_draws():
 def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
     """One `run_epochs` call over 20 drops of one fixed_total plan gives
     each row, bit for bit, the delivery times, `via_broadcast` marks and
-    three counters that the scheme's runner gives that epoch on the same
-    generator.  Each epoch draws round 1 and its recovery blocks from its
-    own generator.  A 40 ms budget, a 5 ms one (below one packet) and
-    d0 = 30 km (the BS serves no one) reach the counters' other
-    branches."""
+    three counters that the scheme's runner (`SCHEME_RUNNERS`) gives that
+    epoch alone, with its event log.  Each epoch draws round 1 and its
+    recovery blocks from its own generator.  A 40 ms budget, a 5 ms one
+    (below one packet) and d0 = 30 km (the BS serves no one) reach the
+    counters' other branches."""
     config = ScenarioConfig(d0_m=d0_m, num_clusters=2,
                             sim=SimParams(max_time_ms=max_time_ms))
     sim, m = config.sim, 20
     g = sim.rnc_generation_size if scheme == "rnc" else 1
-    topologies = [build_topology(config, np.random.default_rng([3, e]))
-                  for e in range(m)]
-    bounds = topologies[0].cluster_bounds
-    assert all(t.cluster_bounds == bounds for t in topologies)
-    outcomes = [SCHEME_RUNNERS[scheme](t, RADIO, sim,
-                                       np.random.default_rng([4, e]))
-                for e, t in enumerate(topologies)]
-    rngs = [np.random.default_rng([4, e]) for e in range(m)]
-    n = topologies[0].n_uavs
-    if scheme == "clustering":
-        first = np.zeros((m, n), dtype=bool)
-    else:
-        first = np.full((m, n), np.inf)
+    xy, bounds = fixed_drops(config, m, np.random.default_rng(3))
+    n = bounds[-1]
+    power = mean_received_power(
+        LinkKind.BS_TO_UAV, np.hypot(np.hypot(xy[..., 0] - d0_m, xy[..., 1]),
+                                     config.h2_m - config.h1_m), RADIO)
+    first = np.zeros((m, n), dtype=bool)
     if sim.packet_len_ms <= sim.max_time_ms:
-        for e, topo in enumerate(topologies):
-            power = mean_received_power(LinkKind.BS_TO_UAV,
-                                        topo.bs_distances(), RADIO)
-            first[e] = (link_model(RADIO)(power, rngs[e])
-                        if scheme == "clustering"
-                        else round_model(RADIO)(power, g, rngs[e]))
-    xy = np.stack([t.xy for t in topologies])
+        rngs = [np.random.default_rng([4, e]) for e in range(m)]
+        first = decodes(power, np.array([r.standard_exponential(n)
+                                         for r in rngs]), RADIO)
+    if scheme != "clustering":
+        fading = np.array([r.standard_exponential((n, g)) for r in rngs]
+                          if sim.packet_len_ms <= sim.max_time_ms
+                          else np.empty((m, 0, g)))
+        first = (completion_rounds(first, decode_probability(power, RADIO),
+                                   g, fading)
+                 if fading.size else np.full((m, n), np.inf))
+    outcomes = []
+    for e in range(m):
+        rng = np.random.default_rng([5, e])
+        outcomes.append(SCHEME_RUNNERS[scheme](
+            scheme, xy[e:e + 1], bounds, first[e:e + 1], RADIO, sim,
+            lambda _, block: rng.random(out=block), collect_events=True))
+    rngs = [np.random.default_rng([5, e]) for e in range(m)]
     delivery, via_broadcast, *counters = run_epochs(
         scheme, xy, bounds, first, RADIO, sim,
         lambda e, block: rngs[e].random(out=block))
     for e, outcome in enumerate(outcomes):
+        assert outcome.scheme == scheme
         assert delivery[e].tobytes() == outcome.delivery_time_ms.tobytes()
         assert via_broadcast[e].tolist() == outcome.via_broadcast.tolist()
         assert [int(c[e]) for c in counters] == [
             outcome.bs_transmissions, outcome.uav_transmissions,
             outcome.control_messages]
+        times = [event.time_ms for event in outcome.events]
+        assert times == sorted(times)
     assert np.any(counters) == (sim.packet_len_ms <= sim.max_time_ms)
 
 
@@ -946,9 +895,7 @@ def test_recovery_draws_are_sized_by_live_cells(seed, num_clusters,
     config = ScenarioConfig(num_clusters=num_clusters, total_uavs=total_uavs)
     sim, m = SimParams(max_time_ms=max_time_ms), 8
     rng = np.random.default_rng(seed)
-    topologies = [build_topology(config, rng) for _ in range(m)]
-    bounds = topologies[0].cluster_bounds
-    xy = np.stack([t.xy for t in topologies])
+    xy, bounds = fixed_drops(config, m, rng)
     first = rng.random(xy.shape[:2]) < served
     largest = max(np.diff(bounds))
 
@@ -979,9 +926,9 @@ def test_recovery_draws_are_sized_by_live_cells(seed, num_clusters,
 def test_one_recovering_cluster_draws_blocks_of_its_size():
     """In a C = 10 drop of 50 members where one 5-member cluster
     recovers, each block holds 16 x 2 x 5 doubles, not 16 x 2 x 50."""
-    topology = build_topology(ScenarioConfig(num_clusters=10),
-                              np.random.default_rng(2))
-    assert topology.cluster_bounds[2:4] == (10, 15)
+    xy, bounds = fixed_drops(ScenarioConfig(num_clusters=10), 1,
+                             np.random.default_rng(2))
+    assert bounds[2:4] == (10, 15)
     first = np.ones((1, 50), dtype=bool)
     first[0, [12, 13]] = False
     rng, sizes = np.random.default_rng(3), []
@@ -990,8 +937,7 @@ def test_one_recovering_cluster_draws_blocks_of_its_size():
         sizes.append(out.size)
         rng.random(out=out)
 
-    delivery = run_epochs("clustering", topology.xy[None],
-                          topology.cluster_bounds, first, RADIO, SIM, spy,
+    delivery = run_epochs("clustering", xy, bounds, first, RADIO, SIM, spy,
                           peer_probability=lambda p: np.full(p.shape, 0.1))[0]
     assert len(sizes) > 1 and set(sizes) == {16 * 2 * 5}
     assert not np.isnan(delivery).any()
@@ -1008,10 +954,8 @@ def test_run_epochs_rejects_unknown_scheme():
 def test_rnc_coded_packet_ids_then_terminal_acks():
     """Generation of 2 on a perfect channel: coded packets 0 and 1 end at
     10 and 20 ms, then the three members ACK at 21, 22 and 23 ms."""
-    out = run_rnc_scheme(ring_topology(3), RADIO,
-                         SimParams(rnc_generation_size=2),
-                         np.random.default_rng(0), collect_events=True,
-                         broadcast_rounds=all_links_rounds(True))
+    out = epoch("rnc", ring(3), np.full(3, 2.0),
+                SimParams(rnc_generation_size=2))
     broadcasts = [(e.time_ms, e.packet_id) for e in out.events
                   if e.kind is EventKind.BS_BROADCAST_END]
     acks = [(e.time_ms, e.actor) for e in out.events
@@ -1024,11 +968,8 @@ def test_rnc_coded_packet_ids_then_terminal_acks():
 
 
 def test_rnc_perfect_channel_takes_generation_rounds():
-    out = run_rnc_scheme(ring_topology(4), RADIO,
-                         SimParams(rnc_generation_size=3),
-                         np.random.default_rng(0),
-                         broadcast_rounds=all_links_rounds(True),
-                         collect_events=True)
+    out = epoch("rnc", ring(4), np.full(4, 3.0),
+                SimParams(rnc_generation_size=3))
     assert np.all(out.delivery_time_ms == 30.0)
     assert out.bs_transmissions == 3
     assert out.control_messages == 4  # one terminal ACK per member
@@ -1037,12 +978,8 @@ def test_rnc_perfect_channel_takes_generation_rounds():
 
 
 def test_rnc_single_packet_generation_is_geometric():
-    topo = ring_topology(1)
-    rng = np.random.default_rng(10)
-    rounds = [run_rnc_scheme(topo, RADIO, SimParams(rnc_generation_size=1),
-                             rng, broadcast_rounds=fixed_success_rounds(0.3)
-                             ).bs_transmissions
-              for _ in range(20_000)]
+    rounds = _bs_transmissions("rnc", 1, 0.3,
+                               SimParams(rnc_generation_size=1), 10)
     mean = np.mean(rounds)
     se = np.std(rounds, ddof=1) / math.sqrt(len(rounds))
     assert abs(mean - 1.0 / 0.3) < 4.0 * se
@@ -1050,12 +987,8 @@ def test_rnc_single_packet_generation_is_geometric():
 
 def test_rnc_round_count_matches_negative_binomial_max():
     """Rounds to decode = max over members of a negative-binomial count."""
-    topo = ring_topology(5)
-    rng = np.random.default_rng(9)
-    rounds = [run_rnc_scheme(topo, RADIO, SimParams(rnc_generation_size=4),
-                             rng, broadcast_rounds=fixed_success_rounds(0.8)
-                             ).bs_transmissions
-              for _ in range(20_000)]
+    rounds = _bs_transmissions("rnc", 5, 0.8,
+                               SimParams(rnc_generation_size=4), 9)
     exact, k = 0.0, 0
     while True:
         p_one = 1.0 - stats.binom.cdf(3, k, 0.8) if k >= 4 else 0.0
@@ -1070,20 +1003,16 @@ def test_rnc_round_count_matches_negative_binomial_max():
 
 
 def test_rnc_times_out_without_terminal_ack():
-    out = run_rnc_scheme(ring_topology(3), RADIO, SimParams(max_time_ms=25.0),
-                         np.random.default_rng(0),
-                         broadcast_rounds=all_links_rounds(False))
+    out = epoch("rnc", ring(3), np.full(3, np.inf),
+                SimParams(max_time_ms=25.0))
     assert out.bs_transmissions == 2
     assert np.all(out.undelivered)
     assert out.control_messages == 0
 
 
 def test_event_log_round_trips_to_csv(tmp_path):
-    out = run_clustering_scheme(four_uav_topology(), RADIO, SIM,
-                                np.random.default_rng(1), collect_events=True,
-                                broadcast_success=reception_pattern(
-                                    True, True, False, False),
-                                peer_probability=decode_chance(1))
+    out = epoch("clustering", FOUR_UAVS, [True, True, False, False],
+                chance=1, seed=1)
     path = tmp_path / "events.csv"
     write_event_log(path, out.events)
     lines = path.read_text().strip().splitlines()
