@@ -41,14 +41,18 @@ The commands:
   100000` and `study --study design-insight` (default grids): the
   validation draws and the `p_cov`/`p_suc` quadratures;
 - `metrics --out` at the defaults and at `--v-norm 1200`;
-- `topology --drops 20` in fixed_total and density mode;
+- `topology --drops 20` in fixed_total and density mode: the drops of
+  replications 0 to 19 of the delay scenario, as `study --study delay`
+  draws them at one grid point with 20 replications;
 - `simulate --scheme S --seed 1|2|3 --d0 1200 --num-clusters 2` with
   `--out` and `--event-log` for every scheme, and the same at seed 1 with
-  `--max-time-ms 40` (named `budget40`); at seed 1 also
-  `simulate --mode density --lambda 1e-6` (named `empty`: a drop with no
-  member, where only clustering sends its one broadcast) and
-  `simulate --d0 1500 --num-clusters 1 --opportunistic-caching false`
-  (named `d1500_c1_nocache`: long recoveries of one cluster);
+  `--max-time-ms 40` (named `budget40`): replication 0 of the delay
+  scenario, as `study --study delay --replications 1` simulates it at
+  that one grid point; at seed 1 also `simulate --mode density --lambda
+  1e-6` (named `empty`: a drop with no member, where only clustering
+  sends its one broadcast) and `simulate --d0 1500 --num-clusters 1
+  --opportunistic-caching false` (named `d1500_c1_nocache`: long
+  recoveries of one cluster);
 - `metrics --dump-config` with the defaults, and with `--mode density
   --max-time-ms 40 --noise-dbm-per-hz -170 --opportunistic-caching false`:
   the key=value file format, key order included;
