@@ -34,6 +34,3 @@ def test_tracer_installs_and_restores_every_wrapper():
         not_restored = tracer.uninstall()
     assert not_restored == []
     assert set(tracer.missing) <= _GONE
-    from uavcast import protocol
-    assert all(runner is protocol.run_epoch
-               for runner in protocol.SCHEME_RUNNERS.values())
