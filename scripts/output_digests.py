@@ -39,7 +39,13 @@ The commands:
   (named `delay_density_batches`), batches of drops of mixed shape;
 - `study --study validation-coverage|validation-success --replications
   100000` and `study --study design-insight` (default grids): the
-  validation draws and the `p_cov`/`p_suc` quadratures;
+  validation draws and the `p_cov`/`p_suc` quadratures; and the same
+  studies on grids given by their flags: `study --study
+  validation-coverage --v-values 300,900 --replications 20000` (named
+  `validation_coverage_v300_900`), `study --study validation-success
+  --r-values 25,75 --replications 20000` (named
+  `validation_success_r25_75`) and `study --study design-insight
+  --c-values 3,7 --v-values 600` (named `design_insight_c3_7_v600`);
 - `metrics --out` at the defaults and at `--v-norm 1200`;
 - `topology --drops 20` in fixed_total and density mode: the drops of
   replications 0 to 19 of the delay scenario, as `study --study delay`
@@ -119,6 +125,15 @@ def commands(out: Path) -> list[list[str]]:
          "--out-dir", str(out / "validation_success")],
         ["study", "--study", "design-insight",
          "--out-dir", str(out / "design_insight")],
+        ["study", "--study", "validation-coverage", "--v-values", "300,900",
+         "--replications", "20000",
+         "--out-dir", str(out / "validation_coverage_v300_900")],
+        ["study", "--study", "validation-success", "--r-values", "25,75",
+         "--replications", "20000",
+         "--out-dir", str(out / "validation_success_r25_75")],
+        ["study", "--study", "design-insight", "--c-values", "3,7",
+         "--v-values", "600",
+         "--out-dir", str(out / "design_insight_c3_7_v600")],
         ["metrics", "--out", str(out / "metrics_default.csv")],
         ["metrics", "--v-norm", "1200", "--out", str(out / "metrics_v1200.csv")],
         ["topology", "--drops", "20", "--out", str(out / "topo_fixed.csv")],
