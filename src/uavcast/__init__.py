@@ -43,7 +43,6 @@ from .errors import IntegrityError, NumericError, ParameterError, UavcastError
 from .experiments import (
     MetricRow,
     MetricTable,
-    SweepSpec,
     design_radius,
     replay_drops,
     replay_epoch,
@@ -61,7 +60,6 @@ from .protocol import (
     EventKind,
     SchemeOutcome,
     SimParams,
-    run_epoch,
     run_epochs,
     write_event_log,
 )

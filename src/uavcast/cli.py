@@ -62,8 +62,26 @@ _OVERRIDE_FLAGS = [
     ("--gamma", "radio.snr_threshold", "SNR decoding threshold (linear)"),
 ]
 
-_STUDY_NAMES = ("validation-coverage", "validation-success", "design-insight",
-                "delay", "ase")
+# Each study: the `experiments` function that runs it, its arguments
+# before the config, and each grid flag it takes (argparse dest) with the
+# keyword it passes the parsed grid as.  Grids not given keep the
+# function's defaults.
+_STUDIES = {
+    "validation-coverage": ("run_validation_study", ("coverage",),
+                            {"v_values": "values"}),
+    "validation-success": ("run_validation_study", ("success",),
+                           {"r_values": "values"}),
+    "design-insight": ("run_design_insight_study", (),
+                       {"c_values": "c_values", "v_values": "v_values"}),
+    "delay": ("run_delay_study", (),
+              {"d0_values": "d0_values", "c_values": "c_values"}),
+    "ase": ("run_ase_study", (),
+            {"d0_values": "d0_values", "c_values": "c_values"}),
+}
+# The grid flags of `study` (argparse dest, help).
+_GRID_FLAGS = (("v_values", "comma list, m"), ("r_values", "comma list, m"),
+               ("c_values", "comma list of cluster counts"),
+               ("d0_values", "comma list, m"))
 _KIND_NAMES = ("bs-member", "peer", "center-offset")
 
 
@@ -99,19 +117,19 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
+def _flag(grid: str) -> str:
+    """The `study` flag of grid `grid`, an argparse dest."""
+    return "--" + grid.replace("_", "-")
+
+
+def _grid_values(grid: str, raw: str) -> tuple[float, ...]:
+    """The numbers of the comma list `raw` given for `grid`; the study
+    checks them (cluster counts must be integers)."""
     try:
         return tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
-        raise ParameterError(f"expected a comma-separated number list, got {raw!r}")
-
-
-def _count_list(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
         raise ParameterError(
-            f"c_values: expected a comma-separated integer list, got {raw!r}")
+            f"{grid}: expected a comma-separated number list, got {raw!r}")
 
 
 def _check_count(flag: str, value: int, minimum: int) -> None:
@@ -210,28 +228,18 @@ def _cmd_simulate(args) -> int:
 def _cmd_study(args) -> int:
     config = _load_config(args)
     name = args.study
-    if name == "validation-coverage":
-        sweep = (experiments.SweepSpec("v_norm", _float_list(args.v_values))
-                 if args.v_values else None)
-        table = experiments.run_validation_study("coverage", config, sweep)
-    elif name == "validation-success":
-        sweep = (experiments.SweepSpec("radius_r", _float_list(args.r_values))
-                 if args.r_values else None)
-        table = experiments.run_validation_study("success", config, sweep)
-    elif name == "design-insight":
-        c_values = (_count_list(args.c_values) if args.c_values
-                    else experiments.DEFAULT_DESIGN_C_GRID)
-        v_values = (_float_list(args.v_values) if args.v_values
-                    else experiments.DEFAULT_DESIGN_V_GRID)
-        table = experiments.run_design_insight_study(config, c_values, v_values)
-    else:
-        d0_values = (_float_list(args.d0_values) if args.d0_values
-                     else experiments.DEFAULT_D0_GRID)
-        c_values = (_count_list(args.c_values) if args.c_values
-                    else experiments.DEFAULT_C_GRID)
-        run = (experiments.run_delay_study if name == "delay"
-               else experiments.run_ase_study)
-        table = run(config, d0_values, c_values)
+    function, leading, takes = _STUDIES[name]
+    grids = {}
+    for grid, _ in _GRID_FLAGS:
+        raw = getattr(args, grid)
+        if raw is None:
+            continue
+        if grid not in takes:
+            raise ParameterError(
+                f"{_flag(grid)}: study {name} takes no such grid, only "
+                + ", ".join(map(_flag, takes)))
+        grids[takes[grid]] = _grid_values(grid, raw)
+    table = getattr(experiments, function)(*leading, config, **grids)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{name.replace('-', '_')}.csv"
@@ -282,12 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", parents=common,
                        help="run a full study, write a metric table")
-    p.add_argument("--study", choices=_STUDY_NAMES, required=True)
+    p.add_argument("--study", choices=list(_STUDIES), required=True)
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--v-values", default=None, help="comma list, m")
-    p.add_argument("--r-values", default=None, help="comma list, m")
-    p.add_argument("--c-values", default=None, help="comma list of cluster counts")
-    p.add_argument("--d0-values", default=None, help="comma list, m")
+    for grid, text in _GRID_FLAGS:
+        p.add_argument(_flag(grid), default=None, help=text)
     p.set_defaults(func=_cmd_study)
     return parser
 

@@ -19,7 +19,6 @@ delay scenario, through the same code.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -58,23 +57,22 @@ DEFAULT_DESIGN_C_GRID = (2, 4, 6, 8, 10)
 DEFAULT_DESIGN_V_GRID = (400.0, 800.0, 1200.0)
 DEFAULT_D0_GRID = (400.0, 800.0, 1200.0)
 DEFAULT_C_GRID = (2, 5, 10)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep dimension: a parameter name and its grid of values."""
-
-    parameter: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ParameterError(f"{self.parameter}: empty sweep")
-        if any(not math.isfinite(v) for v in self.values):
-            raise ParameterError(f"{self.parameter}: sweep values must be finite")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ParameterError(
-                f"{self.parameter}: sweep values must be strictly increasing")
+# Each validation kind's swept parameter and default grid.
+_VALIDATION_SWEEPS = {"coverage": ("v_norm", DEFAULT_V_GRID),
+                      "success": ("radius_r", DEFAULT_R_GRID)}
+# Each simulated study's metric columns, in the order `_reduce` gives
+# them, and its closed form of (config, p_cov, p_suc), which its analytic
+# rows give for the first column.
+_SIMULATED = {
+    "delay": (("delay_ms", "delivery_ratio"),
+              lambda config, p_cov, p_suc: analysis.average_delay(
+                  p_cov, p_suc, config.sim.packet_len_ms,
+                  config.sim.t_req_ms)),
+    "ase": (("ase",),
+            lambda config, p_cov, p_suc: analysis.average_ase(
+                p_cov, p_suc, config.lambda_off_per_m2,
+                config.radio.snr_threshold)),
+}
 
 
 @dataclass(frozen=True)
@@ -139,8 +137,6 @@ _BATCH_MEMBERS = 8192
 def _rng(base_seed: int, key: tuple[int, ...]) -> np.random.Generator:
     """The generator of spawn key `key` under `base_seed`:
     `default_rng(SeedSequence(base_seed, spawn_key=key))`."""
-    if base_seed < 0:
-        raise ParameterError(f"base_seed must be non-negative, got {base_seed}")
     return np.random.default_rng(
         np.random.SeedSequence(base_seed, spawn_key=key))
 
@@ -159,9 +155,18 @@ def _cluster_counts(c_values) -> tuple[int, ...]:
 
 
 def _grid(parameter: str, values) -> tuple[float, ...]:
-    """A distance grid under the `SweepSpec` rule: non-empty, finite and
-    strictly increasing, so no row is written twice or for NaN."""
-    return SweepSpec(parameter, tuple(values)).values
+    """The sweep of `parameter` over `values`, which must be non-empty,
+    finite and strictly increasing, so no row is written twice or for
+    NaN."""
+    values = tuple(values)
+    if not values:
+        raise ParameterError(f"{parameter}: empty sweep")
+    if any(not math.isfinite(v) for v in values):
+        raise ParameterError(f"{parameter}: sweep values must be finite")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ParameterError(
+            f"{parameter}: sweep values must be strictly increasing")
+    return values
 
 
 def _mean_stderr(samples: np.ndarray) -> tuple[float, float, int]:
@@ -178,24 +183,24 @@ def _mean_stderr(samples: np.ndarray) -> tuple[float, float, int]:
 
 
 def run_validation_study(kind: str, config: ScenarioConfig,
-                         sweep: SweepSpec | None = None) -> MetricTable:
+                         values=None) -> MetricTable:
     """Closed-form probabilities against direct geometric simulation.
 
     kind "coverage": broadcast decoding probability vs the cluster-center
-    distance.  kind "success": member-to-member decoding probability vs the
-    cluster radius.  The simulation draws positions and fading directly and
-    never touches the quadrature path.
+    distance `v_norm` (by default over `DEFAULT_V_GRID`).  kind "success":
+    member-to-member decoding probability vs the cluster radius `radius_r`
+    (by default over `DEFAULT_R_GRID`).  The simulation draws positions
+    and fading directly and never touches the quadrature path.
     """
-    if kind not in ("coverage", "success"):
+    if kind not in _VALIDATION_SWEEPS:
         raise ParameterError(f"kind: expected 'coverage' or 'success', got {kind!r}")
     study = f"validation_{kind}"
-    if sweep is None:
-        sweep = (SweepSpec("v_norm", DEFAULT_V_GRID) if kind == "coverage"
-                 else SweepSpec("radius_r", DEFAULT_R_GRID))
+    parameter, default = _VALIDATION_SWEEPS[kind]
+    values = _grid(parameter, default if values is None else values)
     n_trials = config.replications
     radio = config.radio
     rows = []
-    for i, value in enumerate(sweep.values):
+    for i, value in enumerate(values):
         rng = _rng(config.base_seed, (_STUDY_IDS[study], i))
         if kind == "coverage":
             geom = config.geometry(v_norm=value)
@@ -216,9 +221,9 @@ def run_validation_study(kind: str, config: ScenarioConfig,
         power = mean_received_power(link, dist, radio)
         ok = decodes(power, rng.exponential(1.0, power.shape), radio)
         mean, stderr, n = _mean_stderr(ok.astype(float))
-        rows.append(MetricRow(study, sweep.parameter, value, "theory", metric,
+        rows.append(MetricRow(study, parameter, value, "theory", metric,
                               theory, 0.0, 0))
-        rows.append(MetricRow(study, sweep.parameter, value, "monte_carlo",
+        rows.append(MetricRow(study, parameter, value, "monte_carlo",
                               metric, mean, stderr, n))
     return MetricTable(rows)
 
@@ -374,8 +379,9 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
 def _replicated(study: str, config: ScenarioConfig,
                 key: tuple[int, ...]) -> dict[str, np.ndarray]:
     """Every scheme's metrics of every replication, in replication order:
-    rows of (mean delay, delivery ratio) in the delay study, the ase in
-    the ase study, for each of `config.schemes`, over the stream layout
+    a (replications, columns) array of the study's `_SIMULATED` columns,
+    (mean delay, delivery ratio) in the delay study, (ase,) in the ase
+    study, for each of `config.schemes`, over the stream layout
     `_scenario` documents.  `_continue` computes and finishes each
     batch's drops of one shape at once.
 
@@ -387,8 +393,9 @@ def _replicated(study: str, config: ScenarioConfig,
     sim, schemes = config.sim, config.schemes
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
-    out = {scheme: np.empty((config.replications, 2) if study == "delay"
-                            else config.replications) for scheme in schemes}
+    width = len(_SIMULATED[study][0])
+    out = {scheme: np.empty((config.replications, width))
+           for scheme in schemes}
     for drops, recover_at in _scenario(study, config, key, schemes):
         outcomes = _continue(config, drops, schemes, recover_at)
         for scheme, metrics in out.items():
@@ -421,12 +428,12 @@ def _batches(plans, fixed: bool):
 
 
 def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
-              run=None) -> dict:
-    """Each of `schemes`' outcome on the drops of one shape, from
-    `run(scheme, xy, bounds, first, radio, sim, draw)`: by default
-    `protocol.run_epochs`, whose (delivery, via_broadcast, counters) hold
-    the delivery times (NaN for undelivered) and round-1 marks as (m, n)
-    arrays.  Geometry, BS distances, mean powers and round-1 decisions are
+              events: list | None = None) -> dict:
+    """Each of `schemes`' outcome on the drops of one shape: the
+    (delivery, via_broadcast, counters) of `protocol.run_epochs`, which
+    hold the delivery times (NaN for undelivered) and round-1 marks as
+    (m, n) arrays, and which append to `events`, when a list, the events
+    of a batch of one epoch.  Geometry, BS distances, mean powers and round-1 decisions are
     computed over all the drops at once and shared by the schemes.
 
     Round 1 serves the members whose fading decodes, none when one packet
@@ -458,9 +465,9 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
                 rounds = completion_rounds(
                     first, decode_probability(power, radio), later.shape[2],
                     later)
-        outcomes[scheme] = (run or run_epochs)(
+        outcomes[scheme] = run_epochs(
             scheme, xy, drops.plan.bounds, rounds, radio, sim,
-            lambda e, out: recover_at(rows[e], out))
+            lambda e, out: recover_at(rows[e], out), events)
     return outcomes
 
 
@@ -468,16 +475,18 @@ def replay_epoch(config: ScenarioConfig, scheme: str,
                  collect_events: bool = False) -> SchemeOutcome:
     """Replication 0 of the config's delay scenario on a one-point grid
     (study key (0, 0)) with one replication, for `scheme`: its drop,
-    round-1 fading, later rounds and recovery uniforms, finished by the
-    scheme's `SCHEME_RUNNERS` runner.  So its delay and delivery ratio are
-    the first row `run_delay_study` reduces at that point with
-    `replications = 1`; in fixed_total mode, at any replication count.
-    `collect_events` records the epoch's event log."""
+    round-1 fading, later rounds and recovery uniforms, finished by
+    `_continue`.  So its delay and delivery ratio are the first row
+    `run_delay_study` reduces at that point with `replications = 1`; in
+    fixed_total mode, at any replication count.  `collect_events` records
+    the epoch's event log."""
     config = config.replace(replications=1)
     (drops, recover_at), = _scenario("delay", config, (0, 0), (scheme,))
-    run = functools.partial(SCHEME_RUNNERS[scheme],
-                            collect_events=collect_events)
-    return _continue(config, drops, (scheme,), recover_at, run)[scheme]
+    events = [] if collect_events else None
+    return SchemeOutcome.of_batch(
+        scheme, drops.plan.bounds,
+        _continue(config, drops, (scheme,), recover_at, events)[scheme],
+        events)
 
 
 def replay_drops(config: ScenarioConfig,
@@ -498,19 +507,21 @@ def _reduce(study: str, scheme: str, sim, delivery: np.ndarray,
             via_broadcast: np.ndarray, rate_density: float):
     """Reduce the epochs of one drop shape (rows of `delivery`, NaN for
     undelivered, which the ase study's BS schemes do not read, and
-    `via_broadcast`) to (mean delay, delivery ratio) rows in the delay
-    study, the ase in the ase study; `rate_density` is lambda_off *
-    log2(1 + threshold).  NaN throughout for empty drops."""
+    `via_broadcast`) to rows of the study's `_SIMULATED` columns: (mean
+    delay, delivery ratio) in the delay study, (ase,) in the ase study;
+    `rate_density` is lambda_off * log2(1 + threshold).  NaN throughout
+    for empty drops."""
     m, n = via_broadcast.shape
     if not n:
-        return np.full(m if study == "ase" else (m, 2), np.nan)
+        return np.full((m, len(_SIMULATED[study][0])), np.nan)
     if study == "ase":
         # The clustering ase counts every delivered member; the ACK
         # benchmark only members served by the first broadcast, later
         # rounds are retransmissions of the same packet.
         served = (~np.isnan(delivery) if scheme == "clustering"
                   else via_broadcast)
-        return (np.count_nonzero(served, axis=1) / n) * rate_density
+        return ((np.count_nonzero(served, axis=1) / n)
+                * rate_density)[:, None]
     delivered = ~np.isnan(delivery)
     count = np.count_nonzero(delivered, axis=1)
     ratio = count / n
@@ -530,6 +541,35 @@ def _reduce(study: str, scheme: str, sim, delivery: np.ndarray,
     return np.column_stack([mean_delay, ratio])
 
 
+def _simulated_study(study: str, config: ScenarioConfig, d0_values,
+                     c_values) -> MetricTable:
+    """The simulated study `study` over (d0, C): for every scheme of
+    `config.schemes`, the replication mean of each of the study's
+    `_SIMULATED` columns, then an `analytic` row of its closed form for
+    the first column at center distance d0."""
+    columns, closed_form = _SIMULATED[study]
+    c_values = _cluster_counts(c_values)
+    d0_values = _grid("d0_values", d0_values)
+    p_suc = analysis.transmission_success_probability(config.radius_r_m,
+                                                      config.radio)
+    rows = []
+    for i_d0, d0 in enumerate(d0_values):
+        p_cov = analysis.coverage_probability(config.geometry(v_norm=d0),
+                                              config.radio)
+        analytic = closed_form(config, p_cov, p_suc)
+        for i_c, c in enumerate(c_values):
+            scenario = config.replace(d0_m=d0, num_clusters=c)
+            for scheme, metrics in _replicated(study, scenario,
+                                               (i_d0, i_c)).items():
+                for column, samples in zip(columns, metrics.T):
+                    rows.append(MetricRow(study, "num_clusters", float(c),
+                                          scheme, f"{column}_d0_{d0:g}",
+                                          *_mean_stderr(samples)))
+            rows.append(MetricRow(study, "num_clusters", float(c), "analytic",
+                                  f"{columns[0]}_d0_{d0:g}", analytic, 0.0, 0))
+    return MetricTable(rows)
+
+
 def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
                     c_values=DEFAULT_C_GRID) -> MetricTable:
     """Simulated per-packet delay of every enabled scheme over (d0, C).
@@ -538,29 +578,7 @@ def run_delay_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
     members excluded) plus a delivery-ratio metric; `analytic` rows give the
     closed-form clustering delay at center distance d0.
     """
-    study = "delay"
-    c_values = _cluster_counts(c_values)
-    d0_values = _grid("d0_values", d0_values)
-    rows = []
-    for i_d0, d0 in enumerate(d0_values):
-        analytic = analysis.average_delay(*_analytic_probabilities(config, d0),
-                                          config.sim.packet_len_ms,
-                                          config.sim.t_req_ms)
-        for i_c, c in enumerate(c_values):
-            scenario = config.replace(d0_m=d0, num_clusters=c)
-            for scheme, metrics in _replicated(study, scenario,
-                                               (i_d0, i_c)).items():
-                delays, ratios = metrics.T
-                mean, stderr, n = _mean_stderr(delays)
-                rows.append(MetricRow(study, "num_clusters", float(c), scheme,
-                                      f"delay_ms_d0_{d0:g}", mean, stderr, n))
-                rmean, rstderr, rn = _mean_stderr(ratios)
-                rows.append(MetricRow(study, "num_clusters", float(c), scheme,
-                                      f"delivery_ratio_d0_{d0:g}", rmean,
-                                      rstderr, rn))
-            rows.append(MetricRow(study, "num_clusters", float(c), "analytic",
-                                  f"delay_ms_d0_{d0:g}", analytic, 0.0, 0))
-    return MetricTable(rows)
+    return _simulated_study("delay", config, d0_values, c_values)
 
 
 def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
@@ -574,30 +592,4 @@ def run_ase_study(config: ScenarioConfig, d0_values=DEFAULT_D0_GRID,
     repair of the same packets, so its delivered-rate density equals the
     benchmark's by construction and its rows duplicate them.
     """
-    study = "ase"
-    c_values = _cluster_counts(c_values)
-    d0_values = _grid("d0_values", d0_values)
-    rows = []
-    for i_d0, d0 in enumerate(d0_values):
-        analytic = analysis.average_ase(*_analytic_probabilities(config, d0),
-                                        config.lambda_off_per_m2,
-                                        config.radio.snr_threshold)
-        for i_c, c in enumerate(c_values):
-            scenario = config.replace(d0_m=d0, num_clusters=c)
-            for scheme, ases in _replicated(study, scenario,
-                                            (i_d0, i_c)).items():
-                mean, stderr, n = _mean_stderr(ases)
-                rows.append(MetricRow(study, "num_clusters", float(c), scheme,
-                                      f"ase_d0_{d0:g}", mean, stderr, n))
-            rows.append(MetricRow(study, "num_clusters", float(c), "analytic",
-                                  f"ase_d0_{d0:g}", analytic, 0.0, 0))
-    return MetricTable(rows)
-
-
-def _analytic_probabilities(config: ScenarioConfig,
-                            d0: float) -> tuple[float, float]:
-    """(p_cov, p_suc) of the scenario's clusters at center distance d0."""
-    p_cov = analysis.coverage_probability(config.geometry(v_norm=d0),
-                                          config.radio)
-    return p_cov, analysis.transmission_success_probability(
-        config.radius_r_m, config.radio)
+    return _simulated_study("ase", config, d0_values, c_values)

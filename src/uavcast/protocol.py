@@ -31,14 +31,13 @@ threshold, and a relayed reply succeeds with `decode_probability`.
 Every scheme's first BS broadcast ends at packet_len_ms, and none is sent
 when that is past max_time_ms.  `run_epochs` finishes a batch of epochs of
 one drop shape from each member's round-1 outcome; the studies call it on
-batches of drops, and `run_epoch`, each scheme's entry of
-`SCHEME_RUNNERS`, on a batch of one epoch, which alone records the event
-log.  Clustering recovery runs in
-lock-step over arrays (`_recover`): every (epoch, cluster) cell that needs
-recovery makes one channel attempt per iteration (`_attempt`), so a batch
-of epochs recovers in the iterations its slowest cluster needs.  The two
-BS schemes simulate no rounds: fading is independent from round to round,
-so each member's completion round is drawn at once
+batches of drops, and on a batch of one epoch, which alone records the
+event log and which `SchemeOutcome.of_batch` reads.  Clustering recovery
+runs in lock-step over arrays (`_recover`): every (epoch, cluster) cell
+that needs recovery makes one channel attempt per iteration (`_attempt`),
+so a batch of epochs recovers in the iterations its slowest cluster needs.
+The two BS schemes simulate no rounds: fading is independent from round to
+round, so each member's completion round is drawn at once
 (`channel.completion_rounds`), and the round times, the time budget and
 the counters of every epoch follow from those counts as whole-array steps
 (`_bs_delivery`).
@@ -137,6 +136,22 @@ class SchemeOutcome:
     uav_transmissions: int
     control_messages: int
     events: list[Event] | None = None
+
+    @classmethod
+    def of_batch(cls, scheme: str, bounds, epochs,
+                 events: list | None = None) -> "SchemeOutcome":
+        """The epoch of `epochs`, the result of `run_epochs` for `scheme`
+        on a batch of one drop of clusters `bounds`; `events`, when a list,
+        is sorted by time and kept."""
+        delivery, via_broadcast, bs_tx, uav_tx, control = epochs
+        if events is not None:
+            events.sort(key=lambda e: e.time_ms)
+        return cls(
+            scheme=scheme, delivery_time_ms=delivery[0],
+            undelivered=np.isnan(delivery[0]), via_broadcast=via_broadcast[0],
+            cluster_ids=np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)),
+            bs_transmissions=int(bs_tx[0]), uav_transmissions=int(uav_tx[0]),
+            control_messages=int(control[0]), events=events)
 
     @property
     def n_uavs(self) -> int:
@@ -414,28 +429,9 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
     return delivery, via_broadcast, bs_tx, np.zeros_like(bs_tx), control
 
 
-def run_epoch(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
-              radio: RadioParams, sim: SimParams, draw,
-              collect_events: bool = False) -> SchemeOutcome:
-    """One epoch of `scheme`: `run_epochs` on a batch of one drop, `xy`
-    (1, n, 2) and `first` (1, n), as a `SchemeOutcome` whose events, when
-    `collect_events`, are sorted by time."""
-    events = [] if collect_events else None
-    delivery, via_broadcast, bs_tx, uav_tx, control = run_epochs(
-        scheme, xy, bounds, first, radio, sim, draw, events)
-    if events is not None:
-        events.sort(key=lambda e: e.time_ms)
-    return SchemeOutcome(
-        scheme=scheme, delivery_time_ms=delivery[0],
-        undelivered=np.isnan(delivery[0]), via_broadcast=via_broadcast[0],
-        cluster_ids=np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)),
-        bs_transmissions=int(bs_tx[0]), uav_transmissions=int(uav_tx[0]),
-        control_messages=int(control[0]), events=events)
-
-
-# Each scheme's single-epoch runner, in stream order: the studies key a BS
-# scheme's later-rounds stream by its position here.
-SCHEME_RUNNERS = dict.fromkeys(("clustering", "benchmark", "rnc"), run_epoch)
+# Each scheme's runner, in stream order: the studies key a BS scheme's
+# later-rounds stream by its position here.
+SCHEME_RUNNERS = dict.fromkeys(("clustering", "benchmark", "rnc"), run_epochs)
 
 
 def write_event_log(path, events: list[Event]) -> None:

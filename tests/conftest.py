@@ -59,13 +59,6 @@ def epoch(scheme, xy, first, sim=SimParams(), *, bounds=None, chance=None,
     peer = (None if chance is None
             else lambda power: np.full(power.shape, float(chance)))
     rng, events = np.random.default_rng(seed), []
-    delivery, via_broadcast, bs_tx, uav_tx, control = run_epochs(
+    return SchemeOutcome.of_batch(scheme, bounds, run_epochs(
         scheme, xy[None], bounds, np.asarray(first)[None], RADIO, sim,
-        lambda _, out: rng.random(out=out), events, peer)
-    events.sort(key=lambda e: e.time_ms)
-    return SchemeOutcome(
-        scheme=scheme, delivery_time_ms=delivery[0],
-        undelivered=np.isnan(delivery[0]), via_broadcast=via_broadcast[0],
-        cluster_ids=np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)),
-        bs_transmissions=int(bs_tx[0]), uav_transmissions=int(uav_tx[0]),
-        control_messages=int(control[0]), events=events)
+        lambda _, out: rng.random(out=out), events, peer), events)

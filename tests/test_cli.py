@@ -174,6 +174,7 @@ def test_study_rejects_bad_cluster_counts(study, c_values, tmp_path, capsys):
     ("delay", "--d0-values", "1200,1200"),
     ("ase", "--d0-values", "inf"),
     ("delay", "--d0-values", ","),
+    ("delay", "--d0-values", "abc"),
 ])
 def test_study_rejects_bad_distance_grids(study, option, values, tmp_path,
                                           capsys):
@@ -185,6 +186,32 @@ def test_study_rejects_bad_distance_grids(study, option, values, tmp_path,
     err = capsys.readouterr().err.strip().splitlines()
     grid = option[2:].replace("-", "_")
     assert len(err) == 1 and err[0].startswith(f"error: config: {grid}")
+    assert not list(tmp_path.iterdir())
+
+
+# The grid flags each study takes.
+_STUDY_GRIDS = {
+    "validation-coverage": ("--v-values",),
+    "validation-success": ("--r-values",),
+    "design-insight": ("--c-values", "--v-values"),
+    "delay": ("--d0-values", "--c-values"),
+    "ase": ("--d0-values", "--c-values"),
+}
+
+
+@pytest.mark.parametrize("study,flag", [
+    (study, flag) for study, takes in _STUDY_GRIDS.items()
+    for flag in ("--v-values", "--r-values", "--c-values", "--d0-values")
+    if flag not in takes])
+def test_study_rejects_grid_flags_it_does_not_take(study, flag, tmp_path,
+                                                   capsys):
+    """A grid flag the chosen study does not sweep is a config error that
+    names the flag, not a flag ignored while the default grid runs."""
+    rc = cli.main(["study", "--study", study, flag, "2",
+                   "--replications", "2", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: {flag}:")
     assert not list(tmp_path.iterdir())
 
 

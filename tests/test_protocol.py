@@ -807,7 +807,8 @@ def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
     """One `run_epochs` call over 20 drops of one fixed_total plan gives
     each row, bit for bit, the delivery times, `via_broadcast` marks and
     three counters that the scheme's runner (`SCHEME_RUNNERS`) gives that
-    epoch alone, with its event log.  Each epoch draws round 1 and its
+    epoch alone, as a batch of one with its event log, read by
+    `SchemeOutcome.of_batch`.  Each epoch draws round 1 and its
     recovery blocks from its own generator.  A 40 ms budget, a 5 ms one
     (below one packet) and d0 = 30 km (the BS serves no one) reach the
     counters' other branches."""
@@ -834,10 +835,11 @@ def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
             if fits else np.full((m, n), np.inf))
     outcomes = []
     for e in range(m):
-        rng = np.random.default_rng([5, e])
-        outcomes.append(SCHEME_RUNNERS[scheme](
-            scheme, xy[e:e + 1], bounds, first[e:e + 1], RADIO, sim,
-            lambda _, block: rng.random(out=block), collect_events=True))
+        rng, events = np.random.default_rng([5, e]), []
+        outcomes.append(SchemeOutcome.of_batch(
+            scheme, bounds, SCHEME_RUNNERS[scheme](
+                scheme, xy[e:e + 1], bounds, first[e:e + 1], RADIO, sim,
+                lambda _, block: rng.random(out=block), events), events))
     rngs = [np.random.default_rng([5, e]) for e in range(m)]
     delivery, via_broadcast, *counters = run_epochs(
         scheme, xy, bounds, first, RADIO, sim,
