@@ -208,12 +208,12 @@ def _cmd_simulate(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["uav_id", "cluster_id", "delivered",
                              "via_broadcast", "delivery_time_ms"])
-            for u in range(outcome.n_uavs):
+            for u, t in enumerate(outcome.delivery_time_ms.tolist()):
                 delivered = not outcome.undelivered[u]
                 writer.writerow([
                     u, int(outcome.cluster_ids[u]), int(delivered),
                     int(outcome.via_broadcast[u]),
-                    f"{outcome.delivery_time_ms[u]:.9g}" if delivered else ""])
+                    f"{t:.17g}" if delivered else ""])
     if args.event_log:
         write_event_log(args.event_log, outcome.events)
     n = outcome.n_uavs

@@ -442,5 +442,5 @@ def write_event_log(path, events: list[Event]) -> None:
         writer.writerow(["time", "actor", "event_kind", "packet_id",
                          "cluster_id", "collided"])
         for e in events:
-            writer.writerow([f"{e.time_ms:.9g}", e.actor, e.kind.value,
+            writer.writerow([f"{e.time_ms:.17g}", e.actor, e.kind.value,
                              e.packet_id, e.cluster_id, int(e.collided)])

@@ -366,10 +366,10 @@ def test_simulate_is_replication_zero_of_the_delay_study(scheme, mode,
     """`simulate --out` writes the epoch of replication 0 that `study
     --study delay` averages at its one grid point with one replication
     and the same other flags: its delivered members give that row's
-    delivery ratio bit for bit, and its delivery times, printed to 9
-    significant digits, its mean delay to their rounding.  The rows are
-    those of `replay_epoch`, whose own times give the row's mean delay bit
-    for bit."""
+    delivery ratio, and its delivery times, printed to 17 significant
+    digits so that they read back as the same doubles, its mean delay,
+    both bit for bit.  The rows are those of `replay_epoch`, whose own
+    times give the row's mean delay bit for bit."""
     flags = ["--mode", mode, "--seed", "5", "--d0", "1200",
              "--num-clusters", "2"]
     out = tmp_path / "sim.csv"
@@ -385,13 +385,12 @@ def test_simulate_is_replication_zero_of_the_delay_study(scheme, mode,
     assert np.count_nonzero(delivered) / delivered.size == ratio
     amortized = ((config.sim.rnc_generation_size - 1)
                  * config.sim.packet_len_ms if scheme == "rnc" else 0.0)
-    assert (times[delivered] - amortized).mean() == pytest.approx(
-        delay, rel=1e-8)
+    assert (times[delivered] - amortized).mean() == delay
     outcome = experiments.replay_epoch(config, scheme)
     assert outcome.delivered.tolist() == delivered.tolist()
     assert outcome.via_broadcast.tolist() == via.tolist()
-    assert [f"{t:.9g}" for t in outcome.delivery_time_ms[delivered]] == \
-        [f"{t:.9g}" for t in times[delivered]]
+    assert outcome.delivery_time_ms[delivered].tobytes() == \
+        times[delivered].tobytes()
     own = outcome.delivery_time_ms[outcome.delivered] - amortized
     assert own.mean() == delay
 
