@@ -139,7 +139,7 @@ class SchemeOutcome:
 
     @classmethod
     def of_batch(cls, scheme: str, bounds, epochs,
-                 events: list | None = None) -> "SchemeOutcome":
+                 events: list | None = None) -> SchemeOutcome:
         """The epoch of `epochs`, the result of `run_epochs` for `scheme`
         on a batch of one drop of clusters `bounds`; `events`, when a list,
         is sorted by time and kept."""

@@ -211,6 +211,40 @@ def test_ase_study_rnc_rows_mirror_benchmark():
         assert clustering.mean <= upper + 1e-12
 
 
+@pytest.mark.parametrize("study", [run_delay_study, run_ase_study])
+def test_simulated_studies_compute_p_suc_once(study):
+    """p_suc does not depend on d0: a delay or ase study computes it once
+    per call and p_cov once per d0, and each analytic row is the closed
+    form of those two."""
+    config = ScenarioConfig(replications=2)
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return mock.patch.object(analysis, name, wrapper)
+
+    with counted("transmission_success_probability"), \
+            counted("coverage_probability"):
+        table = study(config, d0_values=(400.0, 800.0, 1200.0), c_values=(2,))
+    assert calls == {"transmission_success_probability": 1,
+                     "coverage_probability": 3}
+    p_suc = analysis.transmission_success_probability(config.radius_r_m,
+                                                      config.radio)
+    for d0 in (400.0, 800.0, 1200.0):
+        p_cov = analysis.coverage_probability(config.geometry(v_norm=d0),
+                                              config.radio)
+        expected = (analysis.average_delay(p_cov, p_suc, 10.0, 1.0)
+                    if study is run_delay_study else
+                    analysis.average_ase(p_cov, p_suc, 1e-3, 20.0))
+        metric = "delay_ms" if study is run_delay_study else "ase"
+        assert table.value(scheme="analytic",
+                           metric=f"{metric}_d0_{d0:g}") == expected
+
+
 @pytest.mark.parametrize("c_values", [(2.5,), (2, 2.9), (0,), (-2,),
                                       (float("nan"),), (float("inf"),), ("2",)])
 @pytest.mark.parametrize("study", [run_delay_study, run_ase_study,
@@ -380,9 +414,9 @@ def _oracle_epochs(study, scheme, config, key):
 
 def _oracle_metrics(study, scheme, config, key):
     """`_oracle_epochs` reduced here to rows of (mean delay, delivery
-    ratio) in the delay study, (ase,) in the ase study.  The ase counts delivered
-    members for clustering, members served by the first broadcast
-    otherwise."""
+    ratio) in the delay study, (ase,) in the ase study.  The ase counts
+    delivered members for clustering, members served by the first
+    broadcast otherwise."""
     sim = config.sim
     rate_density = config.lambda_off_per_m2 * math.log2(
         1.0 + config.radio.snr_threshold)
