@@ -34,9 +34,14 @@ The commands:
   --c-values 2,5,10 --replications 300` (named `delay_far`), the units of
   the `ase-near` and `delay-far` benchmark workloads; `study --study delay
   --total-uavs 2000 --c-values 2 --d0-values 1200 --replications 10`
-  (named `delay_2000uavs`), batches of a few wide drops; and `study --study
+  (named `delay_2000uavs`), batches of a few wide drops; `study --study
   delay --mode density --d0-values 1200 --c-values 2 --replications 1000`
   (named `delay_density_batches`), batches of drops of mixed shape;
+  `study --study ase --d0-values 400 --c-values 2 --replications 3000`
+  (named `ase_near_3000`), several batches of the widest drop batch; and
+  `study --study delay --d0-values 1200 --c-values 2,10 --replications
+  700` (named `delay_far_runs`), whose recovering cells in one batch
+  take more than one recovery run of `protocol._recover`;
 - `study --study validation-coverage|validation-success --replications
   100000` and `study --study design-insight` (default grids): the
   validation draws and the `p_cov`/`p_suc` quadratures; and the same
@@ -119,6 +124,11 @@ def commands(out: Path) -> list[list[str]]:
         ["study", "--study", "delay", "--mode", "density", "--d0-values",
          "1200", "--c-values", "2", "--replications", "1000",
          "--out-dir", str(out / "delay_density_batches")],
+        ["study", "--study", "ase", "--d0-values", "400", "--c-values", "2",
+         "--replications", "3000", "--out-dir", str(out / "ase_near_3000")],
+        ["study", "--study", "delay", "--d0-values", "1200", "--c-values",
+         "2,10", "--replications", "700",
+         "--out-dir", str(out / "delay_far_runs")],
         ["study", "--study", "validation-coverage", "--replications", "100000",
          "--out-dir", str(out / "validation_coverage")],
         ["study", "--study", "validation-success", "--replications", "100000",
