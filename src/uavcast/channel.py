@@ -194,13 +194,18 @@ def completion_rounds(first, q, g: int, fading) -> np.ndarray:
     rounds = np.where(first, float(g), g + 1.0)  # 1 + successes still needed
     short = ~first | (g > 1)  # all listeners are short of g > 1
     if short.any():
-        # Each listener's rank among its row's short listeners; the others
-        # read some short listener's values, and discard them.
-        rank = np.maximum(np.cumsum(short, axis=1) - 1, 0)
-        draws = np.take_along_axis(fading, rank[..., None], axis=1)
+        if g > 1:
+            # Every listener is short, so the j-th of a row is listener j.
+            draws = fading[:, :first.shape[1]]
+        else:
+            # Each listener's rank among its row's short listeners; the
+            # others read some short listener's values, and discard them.
+            rank = np.maximum(np.cumsum(short, axis=1) - 1, 0)
+            draws = np.take_along_axis(fading, rank[..., None], axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             lam = -np.log1p(-q)
-            gaps = np.floor(draws / lam[..., None])
+            gaps = draws / lam[..., None]
+            np.floor(gaps, out=gaps)
         if g > 1:
             gaps[first, -1] = 0.0  # served in round 1: g - 1 to go
         rounds += np.where(short, gaps.sum(axis=2), 0.0)
