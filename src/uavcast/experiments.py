@@ -125,13 +125,15 @@ class MetricTable:
 
 
 # Members per batch of `_replicated`: wide enough to spread each numpy
-# call, and each lock-step recovery iteration, over many drops (163 drops
+# call, and each lock-step recovery iteration, over many drops (327 drops
 # at the default 50 members), narrow enough that a batch's memory is
-# bounded in members, whatever the replication count and the swarm size:
-# a `delay` clustering call at d0 = 1200 m, C = 2 over 163 replications
-# peaks at about 3.5 MB traced at 50 members and at 2,000 (1.4 and 53.9 MB with
-# batches of 64 replications).
-_BATCH_MEMBERS = 8192
+# bounded in members, whatever the replication count and the swarm size.
+# Recovery runs of at most `protocol._RUN_SLOTS` padded slots bound the
+# recovery's share apart from this width: a `delay` clustering call at
+# d0 = 1200 m, C = 2 over 327 replications peaks at about 3.8 MB traced
+# at 50 members and 4.0 MB at 2,000 (1.4 and 53.9 MB with batches of 64
+# replications, 6.6 MB at 50 members with all cells in one run).
+_BATCH_MEMBERS = 16384
 
 
 def _rng(base_seed: int, key: tuple[int, ...]) -> np.random.Generator:
@@ -447,7 +449,8 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
     """
     m, n = len(drops.rows), drops.plan.n_uavs
     radio, sim = config.radio, config.sim
-    _, xy = _drop_points(drops.plan, drops.uniforms)
+    # The member points alone: the centers would keep their buffer alive.
+    xy = _drop_points(drops.plan, drops.uniforms)[1]
     power = mean_received_power(LinkKind.BS_TO_UAV,
                                 _bs_distances(xy, *_bs_site(config)), radio)
     first = np.zeros((m, n), dtype=bool)
@@ -554,11 +557,11 @@ def _simulated_study(study: str, config: ScenarioConfig, d0_values,
                                                       config.radio)
     rows = []
     for i_d0, d0 in enumerate(d0_values):
-        p_cov = analysis.coverage_probability(config.geometry(v_norm=d0),
-                                              config.radio)
+        at_d0 = config.replace(d0_m=d0)  # its own check names d0_m
+        p_cov = analysis.coverage_probability(at_d0.geometry(), config.radio)
         analytic = closed_form(config, p_cov, p_suc)
         for i_c, c in enumerate(c_values):
-            scenario = config.replace(d0_m=d0, num_clusters=c)
+            scenario = at_d0.replace(num_clusters=c)
             for scheme, metrics in _replicated(study, scenario,
                                                (i_d0, i_c)).items():
                 for column, samples in zip(columns, metrics.T):

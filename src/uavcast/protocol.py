@@ -35,7 +35,8 @@ batches of drops, and on a batch of one epoch, which alone records the
 event log and which `SchemeOutcome.of_batch` reads.  Clustering recovery
 runs in lock-step over arrays (`_recover`): every (epoch, cluster) cell
 that needs recovery makes one channel attempt per iteration (`_attempt`),
-so a batch of epochs recovers in the iterations its slowest cluster needs.
+so a run of whole epochs' cells, up to _RUN_SLOTS padded slots, recovers
+in the iterations its slowest cluster needs.
 The two BS schemes simulate no rounds: fading is independent from round to
 round, so each member's completion round is drawn at once
 (`channel.completion_rounds`), and the round times, the time budget and
@@ -65,6 +66,10 @@ PACKET_ID = 0  # single-packet epochs; RNC events carry coded-packet indices
 # Rows of one block of recovery uniforms (`_recover`): an epoch reads one
 # row per lock-step iteration and draws its next block after this many.
 _BLOCK_ROWS = 16
+# Padded slots (cells x largest cluster) of one recovery run (`_recover`):
+# a run's blocks take 16 x 2 doubles, 256 bytes, per slot, so 2 MB, and
+# its lock-step iterations spread over up to this many slots.
+_RUN_SLOTS = 8192
 
 
 @dataclass(frozen=True)
@@ -204,25 +209,14 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     serialized on its own.  Members sit in a padded (cells x largest
     cluster) layout.
 
-    All cells advance in lock-step, one channel attempt per iteration
-    (`_attempt`).  Missing members contend to send a request; after a clean
-    one, holders contend to send the reply.  A clean reply reaches each
-    listener (every missing member with opportunistic caching, else the
-    requester) with the chance `peer_probability` gives its mean received
-    power from the replier (by default `decode_probability`); a member that
-    gets it holds it from then on.  A cell ends once none of its members
-    misses the packet, or when its next frame would end past max_time_ms.
-    Finished cells are compacted away.
-
-    Randomness: before iteration 0 and every _BLOCK_ROWS iterations, each
-    epoch with live cells fills their blocks of uniforms, shape (its live
-    cells, _BLOCK_ROWS, 2, largest cluster), in one `draw(e, out)` call.
-    Iteration i reads row i mod _BLOCK_ROWS of a cell's block: column 0
-    gives its slots' fresh backoffs, column 1 a collider's redraw or a
-    listener's reception (u < chance).  So an epoch's draws depend on its
-    own cells only, not on the other epochs of the batch.  `events`, when
-    a list, gets the events of a batch of one epoch.  Returns per-epoch (uav
-    transmissions, control messages), collided frames included.
+    The cells recover in runs (`_runs`) of whole epochs, each run of at
+    most _RUN_SLOTS padded slots unless one epoch alone has more, one run
+    after the other (`_recover_run`).  An epoch's draws and events depend
+    on its own cells only, so the runs give what one run of all cells
+    gives, and a run's memory is bounded apart from the batch width.
+    `events`, when a list, gets the events of a batch of one epoch.
+    Returns per-epoch (uav transmissions, control messages), collided
+    frames included.
     """
     if peer_probability is None:
         peer_probability = functools.partial(decode_probability, radio=radio)
@@ -239,11 +233,56 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     held = got[:, member] & valid
     lost = valid & ~got[:, member]
     epoch, cluster = np.nonzero(held.any(axis=2) & lost.any(axis=2))
-    if not epoch.size:
-        return frames[:, 1], frames[:, 0]
-    held, lost = held[epoch, cluster], lost[epoch, cluster]
-    member = member[cluster]
-    blocks = np.empty((epoch.size, _BLOCK_ROWS, 2, slots.size))
+    for run in _runs(epoch, slots.size):
+        e, c = epoch[run], cluster[run]
+        _recover_run(xy, e, c, member[c], held[e, c], lost[e, c], delivery,
+                     frames, radio, sim, draw, events, peer_probability)
+    return frames[:, 1], frames[:, 0]
+
+
+def _runs(epoch: np.ndarray, width: int):
+    """Slices of the ascending cell epochs `epoch` into runs of whole
+    epochs, in order: each run takes the most epochs whose cells, at
+    `width` padded slots a cell, fit in _RUN_SLOTS slots, and at least
+    one epoch."""
+    cells = max(1, _RUN_SLOTS // width)
+    ends = (np.flatnonzero(np.diff(epoch, append=-1)) + 1).tolist()
+    a = 0
+    for b, after in zip(ends, [*ends[1:], np.inf]):
+        if after - a > cells:  # the next epoch would not fit
+            yield slice(a, b)
+            a = b
+
+
+def _recover_run(xy, epoch, cluster, member, held, lost, delivery, frames,
+                 radio, sim, draw, events, peer_probability) -> None:
+    """Recover one run of cells of `_recover`: cell j is cluster
+    `cluster[j]` of epoch `epoch[j]` (ascending), its padded slots hold
+    members `member[j]`, of which `held[j]` hold the packet and `lost[j]`
+    miss it.  Writes delivery times into `delivery` and adds each epoch's
+    (request, reply) frames to `frames`.
+
+    All cells advance in lock-step, one channel attempt per iteration
+    (`_attempt`).  Missing members contend to send a request; after a clean
+    one, holders contend to send the reply.  A clean reply reaches each
+    listener (every missing member with opportunistic caching, else the
+    requester) with the chance `peer_probability` gives its mean received
+    power from the replier (by default `decode_probability`); a member that
+    gets it holds it from then on.  A cell ends once none of its members
+    misses the packet, or when its next frame would end past max_time_ms.
+    Finished cells are compacted away.
+
+    Randomness: before iteration 0 and every _BLOCK_ROWS iterations, each
+    epoch with live cells fills their blocks of uniforms, shape (its live
+    cells, _BLOCK_ROWS, 2, largest cluster), in one `draw(e, out)` call.
+    Iteration i reads row i mod _BLOCK_ROWS of a cell's block: column 0
+    gives its slots' fresh backoffs, column 1 a collider's redraw or a
+    listener's reception (u < chance).  So an epoch's draws depend on its
+    own cells only, not on the other epochs of the batch or of the run.
+    """
+    width = held.shape[1]
+    slots = np.arange(width)
+    blocks = np.empty((epoch.size, _BLOCK_ROWS, 2, width))
     t = np.full(epoch.size, sim.packet_len_ms)
     cw = np.full(held.shape, float(sim.cw_min))
     residual = np.zeros(held.shape)
@@ -255,8 +294,8 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     for i in itertools.count():
         if not i % _BLOCK_ROWS:
             block_of = np.arange(epoch.size)
-            runs = np.flatnonzero(np.diff(epoch, prepend=-1)).tolist()
-            for a, b in zip(runs, [*runs[1:], epoch.size]):
+            starts = np.flatnonzero(np.diff(epoch, prepend=-1)).tolist()
+            for a, b in zip(starts, [*starts[1:], epoch.size]):
                 draw(int(epoch[a]), blocks[a:b])
         u = blocks[block_of, i % _BLOCK_ROWS]
         phase = reply.astype(np.intp)
@@ -305,7 +344,6 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
              reply, fresh, asker) = (
                 x[keep] for x in (epoch, cluster, block_of, member, held,
                                   lost, cw, residual, t, reply, fresh, asker))
-    return frames[:, 1], frames[:, 0]
 
 
 def _bs_delivery(rounds: np.ndarray, coded: bool, sim: SimParams):

@@ -189,6 +189,24 @@ def test_study_rejects_bad_distance_grids(study, option, values, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("study", ["delay", "ase"])
+@pytest.mark.parametrize("d0", ["0", "100", "40,400"])
+def test_study_rejects_a_d0_inside_the_deployment(study, d0, tmp_path,
+                                                  capsys):
+    """A d0 grid value at or inside region_radius + radius_r (150 m at
+    the defaults) is the scenario's own `d0_m` error, naming the value,
+    not an error of the closed form's geometry naming `v_norm`."""
+    rc = cli.main(["study", "--study", study, "--d0-values", d0,
+                   "--c-values", "2", "--replications", "2",
+                   "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    bad = float(d0.split(",")[0])
+    assert len(err) == 1 and err[0].startswith("error: config: d0_m:")
+    assert err[0].endswith(f"got {bad}") and "v_norm" not in err[0]
+    assert not list(tmp_path.iterdir())
+
+
 # The grid flags each study takes.
 _STUDY_GRIDS = {
     "validation-coverage": ("--v-values",),

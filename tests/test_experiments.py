@@ -624,7 +624,7 @@ def _output_bytes(study, config, key):
             for scheme, values in _replicated(study, config, key).items()}
 
 
-@given(budget=st.integers(1, 8192),
+@given(budget=st.integers(1, experiments._BATCH_MEMBERS),
        mode=st.sampled_from(sorted(_BUDGET_CONFIGS)))
 @example(budget=1, mode="density")
 @settings(max_examples=25, deadline=None)
@@ -640,6 +640,53 @@ def test_replicated_output_does_not_depend_on_member_budget(budget, mode):
         for study in ("delay", "ase"):
             assert _output_bytes(study, config, (2, 0)) == \
                 _DEFAULT_BUDGET_OUTPUTS[mode, study], study
+
+
+@given(cap=st.integers(1, protocol._RUN_SLOTS),
+       mode=st.sampled_from(sorted(_BUDGET_CONFIGS)))
+@example(cap=1, mode="fixed_total")
+@example(cap=25, mode="density")
+@settings(max_examples=25, deadline=None)
+def test_recovery_runs_do_not_change_the_output(cap, mode):
+    """Any recovery-run cap from 1 padded slot to the default gives every
+    study and scheme the default cap's output, byte for byte, in both
+    modes.  Each `_recover` call splits its cells only at epoch
+    boundaries and only when they exceed the cap: every epoch's cells are
+    in one run, a run of two or more epochs fits in the cap, and a run
+    closes only when its next epoch would not fit."""
+    config = _BUDGET_CONFIGS[mode]
+    for study in ("delay", "ase"):
+        if (mode, study) not in _DEFAULT_BUDGET_OUTPUTS:
+            _DEFAULT_BUDGET_OUTPUTS[mode, study] = _output_bytes(
+                study, config, (2, 0))
+    recover, recover_run = protocol._recover, protocol._recover_run
+    calls = []  # per `_recover` call, its runs as (epochs of each cell, width)
+
+    def recorded_recover(*args, **kwargs):
+        calls.append([])
+        return recover(*args, **kwargs)
+
+    def recorded_run(xy, epoch, cluster, member, held, *rest):
+        calls[-1].append((epoch.tolist(), held.shape[1]))
+        return recover_run(xy, epoch, cluster, member, held, *rest)
+
+    with mock.patch.object(protocol, "_RUN_SLOTS", cap), \
+            mock.patch.object(protocol, "_recover", recorded_recover), \
+            mock.patch.object(protocol, "_recover_run", recorded_run):
+        for study in ("delay", "ase"):
+            assert _output_bytes(study, config, (2, 0)) == \
+                _DEFAULT_BUDGET_OUTPUTS[mode, study], study
+    for runs in filter(None, calls):
+        epochs = [e for cells, _ in runs for e in cells]
+        assert epochs == sorted(epochs)
+        width = runs[0][1]
+        assert (len(runs) == 1) == (len(epochs) * width <= cap
+                                    or epochs[0] == epochs[-1])
+        for (cells, width), (after, _) in zip(runs, runs[1:]):
+            assert cells[-1] < after[0]  # no epoch spans two runs
+            assert (len(cells) + after.count(after[0])) * width > cap
+        for cells, width in runs:
+            assert len(set(cells)) == 1 or len(cells) * width <= cap
 
 
 def _traced_peak(study, config):
@@ -669,7 +716,7 @@ def test_replicated_memory_is_bounded_in_members(scheme):
     """A batch holds about `_BATCH_MEMBERS` members whatever the drop
     size, so over one batch's worth of 50-member replications a
     delay-study call at 2,000 members peaks within 1.2x of its peak at
-    50 (1.04x measured for clustering, 1.00x for RNC).  Batches of a
+    50 (1.05x measured for clustering, 1.01x for RNC).  Batches of a
     fixed replication count would hold 40 times the members, and peak
     about 37 times higher; a clustering recovery that kept two block
     buffers alive at once peaked 1.38x higher."""
@@ -679,6 +726,36 @@ def test_replicated_memory_is_bounded_in_members(scheme):
             num_clusters=2, schemes=(scheme,)))
 
     assert peak(2000) <= 1.2 * peak(50)
+
+
+def test_recovery_memory_is_bounded_by_the_run_cap():
+    """Recovery runs hold at most `protocol._RUN_SLOTS` padded slots, so
+    over one batch of 50-member, two-cluster drops a clustering
+    delay-study call whose recovering cells hold twice the cap's slots
+    (d0 = 1200 m, p_cov about 0.81) peaks within 1.2x of one whose cells
+    fit in the cap (d0 = 540 m): 1.02x measured.  Recovering all of a
+    batch's cells in one run peaked 1.76x higher."""
+    recover_run = protocol._recover_run
+
+    def config(d0):
+        return ScenarioConfig(replications=_WIDTH, d0_m=d0, num_clusters=2,
+                              schemes=("clustering",))
+
+    def slots(d0):
+        held = []
+
+        def recorded(xy, epoch, cluster, member, cells, *rest):
+            held.append(cells.size)
+            return recover_run(xy, epoch, cluster, member, cells, *rest)
+
+        with mock.patch.object(protocol, "_recover_run", recorded):
+            _replicated("delay", config(d0), (0, 0))
+        return sum(held)
+
+    assert slots(540.0) <= protocol._RUN_SLOTS
+    assert slots(1200.0) >= 2 * slots(540.0)
+    assert _traced_peak("delay", config(1200.0)) <= \
+        1.2 * _traced_peak("delay", config(540.0))
 
 
 @pytest.mark.parametrize("scheme", ["benchmark", "rnc"])
