@@ -172,10 +172,11 @@ def _cmd_distributions(args) -> int:
                 writer.writerow([f"{v:.10g}" for v in row])
         print(f"wrote {args.grid} grid points to {args.out}")
     if args.samples > 0:
+        study = experiments._STUDY_IDS["distributions"]
         gap_geom = empirical_distance_check(
-            dist, args.samples, experiments._rng(config.base_seed, (8, 0)))
+            dist, args.samples, experiments._rng(config.base_seed, (study, 0)))
         gap_inv = sampler_self_check(
-            dist, args.samples, experiments._rng(config.base_seed, (8, 1)))
+            dist, args.samples, experiments._rng(config.base_seed, (study, 1)))
         print(f"kind={args.kind} samples={args.samples} "
               f"empirical_ks_gap={gap_geom:.6f} sampler_ks_gap={gap_inv:.6f}")
     return 0

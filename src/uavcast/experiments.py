@@ -6,8 +6,8 @@ Every study emits a `MetricTable` whose rows follow one CSV schema:
 
 Randomness comes from numpy's own `SeedSequence` spawn keys under the
 config's base seed (`_rng`), so reruns with the same base seed are bit for
-bit reproducible.  A validation sweep point draws from the generator of
-key (study, sweep index).  A delay or ase scenario, one (study, sweep
+bit reproducible.  A validation study draws once, from the generator of
+key (study,), and reuses that draw at every sweep value.  A delay or ase scenario, one (study, sweep
 indices), runs every scheme on the same drops and round-1 fading (common
 random numbers), drawn a batch of replications at a time, over whole
 arrays of drops, from streams whose layout `_scenario` documents; the
@@ -19,9 +19,11 @@ delay scenario, through the same code.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,14 +44,18 @@ from .geometry import (
     _drop_law,
     _drop_points,
     _DropPlan,
-    polar_offset_distance,
+    offset_distance,
+    polar_offset_terms,
     polar_pair_distance,
     sample_uniform_disk_polar,
 )
 from .protocol import SCHEME_RUNNERS, SchemeOutcome, run_epochs
 
+# The first entry of every spawn key (`_rng`): each study's, and that of
+# the `uavcast distributions` KS checks, whose geometric and inverse-CDF
+# samples draw from keys (8, 0) and (8, 1).
 _STUDY_IDS = {"validation_coverage": 1, "validation_success": 2,
-              "design_insight": 3, "delay": 4, "ase": 5}
+              "design_insight": 3, "delay": 4, "ase": 5, "distributions": 8}
 
 DEFAULT_V_GRID = (200.0, 400.0, 600.0, 800.0, 1000.0, 1200.0)
 DEFAULT_R_GRID = (10.0, 25.0, 50.0, 75.0, 100.0)
@@ -193,40 +199,49 @@ def run_validation_study(kind: str, config: ScenarioConfig,
     member-to-member decoding probability vs the cluster radius `radius_r`
     (by default over `DEFAULT_R_GRID`).  The simulation draws positions
     and fading directly and never touches the quadrature path.
+
+    A study draws once, from the generator of key (study,), and every
+    sweep value reuses the draw (common random numbers).  Coverage draws
+    the `replications` member points of the `radius_r_m` disk, then as
+    many fadings; each v_norm moves only the BS, so it costs one
+    `offset_distance` from the points' `polar_offset_terms`.  Success
+    draws the pairs of points of the unit disk, then the fadings; a pair
+    on the disk of radius r lies r times as far apart.  Each trial's
+    distance grows with the swept value, so every Monte-Carlo curve is
+    pathwise non-increasing, and a row depends on its value and the seed,
+    not on the rest of the grid.
     """
     if kind not in _VALIDATION_SWEEPS:
         raise ParameterError(f"kind: expected 'coverage' or 'success', got {kind!r}")
     study = f"validation_{kind}"
     parameter, default = _VALIDATION_SWEEPS[kind]
     values = _grid(parameter, default if values is None else values)
-    n_trials = config.replications
-    radio = config.radio
+    n_trials, radio = config.replications, config.radio
+    rng = _rng(config.base_seed, (_STUDY_IDS[study],))
+    if kind == "coverage":
+        geoms = [config.geometry(v_norm=v) for v in values]
+        theories = [analysis.coverage_probability(g, radio) for g in geoms]
+        # The points' x and y^2 alone: rho, theta and cos are dropped.
+        x, y2 = polar_offset_terms(*sample_uniform_disk_polar(
+            rng, n_trials, config.radius_r_m))
+        distances = (offset_distance(g.v_norm, x, y2, g.delta_h)
+                     for g in geoms)
+        link, metric = LinkKind.BS_TO_UAV, "p_cov"
+    else:
+        theories = [analysis.transmission_success_probability(r, radio)
+                    for r in values]
+        unit = polar_pair_distance(*sample_uniform_disk_polar(rng, n_trials, 1.0),
+                                   *sample_uniform_disk_polar(rng, n_trials, 1.0))
+        distances = (r * unit for r in values)
+        link, metric = LinkKind.UAV_TO_UAV, "p_suc"
+    fading = rng.standard_exponential(n_trials)
     rows = []
-    for i, value in enumerate(values):
-        rng = _rng(config.base_seed, (_STUDY_IDS[study], i))
-        if kind == "coverage":
-            geom = config.geometry(v_norm=value)
-            dist = polar_offset_distance(
-                geom.v_norm,
-                *sample_uniform_disk_polar(rng, n_trials, geom.radius_r),
-                geom.delta_h)
-            link = LinkKind.BS_TO_UAV
-            theory = analysis.coverage_probability(geom, radio)
-            metric = "p_cov"
-        else:
-            a = sample_uniform_disk_polar(rng, n_trials, value)
-            b = sample_uniform_disk_polar(rng, n_trials, value)
-            dist = polar_pair_distance(*a, *b)
-            link = LinkKind.UAV_TO_UAV
-            theory = analysis.transmission_success_probability(value, radio)
-            metric = "p_suc"
-        power = mean_received_power(link, dist, radio)
-        ok = decodes(power, rng.exponential(1.0, power.shape), radio)
-        mean, stderr, n = _mean_stderr(ok.astype(float))
+    for value, theory, dist in zip(values, theories, distances):
+        ok = decodes(mean_received_power(link, dist, radio), fading, radio)
         rows.append(MetricRow(study, parameter, value, "theory", metric,
                               theory, 0.0, 0))
         rows.append(MetricRow(study, parameter, value, "monte_carlo",
-                              metric, mean, stderr, n))
+                              metric, *_mean_stderr(ok.astype(float))))
     return MetricTable(rows)
 
 
@@ -284,14 +299,40 @@ class _Drops:
     """The drops of one shape in a batch: their replication indices `rows`
     and, row for row, their blocks of uniforms, their round-1 fading rows
     of n exponentials (empty when one packet exceeds the time budget) and,
-    for each BS scheme of the delay study, its later rounds' (m, n, g)
-    block of exponentials (empty when round 1 draws none)."""
+    for each BS scheme of the delay study, a function that returns its
+    later rounds' (m, n, g) block of exponentials (empty when round 1
+    draws none), to be called once (`_LaterRounds`)."""
 
     plan: _DropPlan
     rows: np.ndarray
     uniforms: np.ndarray
     fading: np.ndarray
-    later: dict[str, np.ndarray]
+    later: dict[str, Callable[[], np.ndarray]]
+
+
+class _LaterRounds:
+    """A delay-study BS scheme's later-round exponentials for one batch,
+    (members, g), handed to the batch's drop shapes in turn: drawn from
+    the scheme's stream when the first shape reads its rows (`rows`), and
+    let go when the last of `readers` shapes has.  So the block is alive
+    only while that BS scheme finishes its epochs, never through
+    clustering's recovery (a fixed_total batch holds one shape).  Each
+    shape reads once and batches are read in order, so the stream is read
+    in batch order, as if drawn up front."""
+
+    def __init__(self, rng: np.random.Generator, shape: tuple[int, int],
+                 readers: int):
+        self._rng, self._shape, self._readers = rng, shape, readers
+        self._values = None
+
+    def rows(self, starts: np.ndarray, width: int) -> np.ndarray:
+        """The (m, width, g) rows of the drops that begin at `starts`."""
+        if self._values is None:
+            self._values = self._rng.standard_exponential(self._shape)
+        values, self._readers = self._values, self._readers - 1
+        if not self._readers:
+            self._values = None
+        return _take(values, starts, width)
 
 
 def _take(flat: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -366,7 +407,7 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
             blocks[index], lengths[index] = plan.read.size, plan.n_uavs * fits
         uniforms = drop_rng.random(blocks.sum())
         fading = fading_rng.standard_exponential(lengths.sum())
-        later = {scheme: rng.standard_exponential((lengths.sum(), g))
+        later = {scheme: _LaterRounds(rng, (lengths.sum(), g), len(groups))
                  for scheme, (rng, g) in later_rngs.items()}
         u_at, f_at = (np.cumsum(sizes) - sizes for sizes in (blocks, lengths))
         for plan, index in groups:
@@ -374,8 +415,9 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
             yield _Drops(plan, lo + index,
                          _take(uniforms, u_at[index], plan.read.size),
                          _take(fading, f_at[index], width),
-                         {scheme: _take(values, f_at[index], width)
-                          for scheme, values in later.items()}), recover_at
+                         {scheme: functools.partial(block.rows, f_at[index],
+                                                    width)
+                          for scheme, block in later.items()}), recover_at
 
 
 def _replicated(study: str, config: ScenarioConfig,
@@ -440,8 +482,8 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
 
     Round 1 serves the members whose fading decodes, none when one packet
     exceeds the budget.  A BS scheme's completion rounds read its block of
-    `drops.later` through `channel.completion_rounds`; an empty block
-    leaves no member to complete.  A BS scheme without a block (the ase
+    `drops.later` (`_completion_rounds`), drawn then and let go once they
+    are computed.  A BS scheme without a block (the ase
     study) stops at round 1: its outcome is (None, round-1 decisions).
     Clustering recovery fills epoch e's blocks through
     `recover_at(rows[e], block)`, which serves each replication's recovery
@@ -463,15 +505,23 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
             if later is None:
                 outcomes[scheme] = None, first
                 continue
-            rounds = np.full((m, n), np.inf)
-            if later.size:
-                rounds = completion_rounds(
-                    first, decode_probability(power, radio), later.shape[2],
-                    later)
+            rounds = _completion_rounds(first, power, radio, later())
         outcomes[scheme] = run_epochs(
             scheme, xy, drops.plan.bounds, rounds, radio, sim,
             lambda e, out: recover_at(rows[e], out), events)
     return outcomes
+
+
+def _completion_rounds(first: np.ndarray, power: np.ndarray, radio,
+                       later: np.ndarray) -> np.ndarray:
+    """`channel.completion_rounds` of members with round-1 outcomes
+    `first` at mean received powers `power`, from their (m, n, g) block of
+    later-round exponentials `later`; an empty block leaves no member to
+    complete.  The block is this call's alone, so it goes on return."""
+    if not later.size:
+        return np.full(first.shape, np.inf)
+    return completion_rounds(first, decode_probability(power, radio),
+                             later.shape[2], later)
 
 
 def replay_epoch(config: ScenarioConfig, scheme: str,

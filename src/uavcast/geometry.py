@@ -52,20 +52,40 @@ def polar_offset_distance(offset: float, rho: np.ndarray, theta: np.ndarray,
     disk centred at (offset, 0), seen from the origin.
 
     The law of cosines, offset^2 + 2 offset rho cos(theta) + rho^2, is
-    evaluated as x^2 + rho^2 (1 - cos)(1 + cos) with x = offset + rho cos,
-    the Cartesian x: a sum of non-negative terms, which keeps its relative
-    accuracy where the planar distance cancels to near 0.  The steps run in
-    place on three arrays, since a fresh array costs as much as the step.
+    evaluated as (offset + x)^2 + y^2 with x = rho cos and y^2 = rho^2 (1 -
+    cos)(1 + cos), the Cartesian coordinates about the center: a sum of
+    non-negative terms, which keeps its relative accuracy where the planar
+    distance cancels to near 0.  `polar_offset_terms` computes (x, y^2)
+    once per draw and `offset_distance` the distance at one offset, so a
+    sweep over offsets reuses the draw.
     """
+    return offset_distance(offset, *polar_offset_terms(rho, theta), height)
+
+
+def polar_offset_terms(rho: np.ndarray,
+                       theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y^2) = (rho cos(theta), rho^2 (1 - cos)(1 + cos)) of the disk
+    points (rho, theta): the part of `polar_offset_distance` that does not
+    depend on the offset.  The steps run in place on two fresh arrays,
+    since a fresh array costs as much as the step."""
     c = np.cos(theta)
-    d2 = rho * c
-    d2 += offset
-    d2 *= d2
+    x = rho * c
     y2 = 1.0 - c
     c += 1.0
     y2 *= c
     y2 *= rho
     y2 *= rho
+    return x, y2
+
+
+def offset_distance(offset: float, x: np.ndarray, y2: np.ndarray,
+                    height: float = 0.0) -> np.ndarray:
+    """sqrt((offset + x)^2 + y^2 + height^2) from the `polar_offset_terms`
+    (x, y^2) of disk points: their distance from the observer at planar
+    `offset` and `height`, in one fresh array.  Non-decreasing in the
+    offset, point by point, for offsets of at least the disk's radius."""
+    d2 = x + offset
+    d2 *= d2
     d2 += y2
     d2 += height ** 2
     return np.sqrt(d2, out=d2)

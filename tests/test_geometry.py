@@ -17,7 +17,9 @@ from uavcast.geometry import (
     _drop_law,
     _drop_plan,
     _drop_points,
+    offset_distance,
     polar_offset_distance,
+    polar_offset_terms,
     polar_pair_distance,
     sample_uniform_disk_polar,
     write_topology_csv,
@@ -132,6 +134,31 @@ def test_polar_distances_keep_their_inputs():
     polar_offset_distance(5.0, rho, theta, 3.0)
     polar_pair_distance(rho, theta, rho[::-1], theta[::-1])
     assert np.array_equal(rho, saved[0]) and np.array_equal(theta, saved[1])
+    x, y2 = polar_offset_terms(rho, theta)
+    terms = x.copy(), y2.copy()
+    offset_distance(5.0, x, y2, 3.0)
+    assert np.array_equal(x, terms[0]) and np.array_equal(y2, terms[1])
+
+
+@given(radius=st.floats(0.5, 500.0), seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8),
+       height=st.sampled_from([0.0, 10.0, 90.0]))
+@settings(max_examples=60, deadline=None)
+def test_offset_distances_grow_with_the_offset(radius, seed, steps, height):
+    """`offset_distance` from one draw's `polar_offset_terms` gives, bit
+    for bit, `polar_offset_distance` at every offset, and from the disk's
+    radius outwards each point's distance never falls as the offset
+    grows: the coupling that makes a swept validation curve monotone."""
+    rho, theta = sample_uniform_disk_polar(np.random.default_rng(seed), 500,
+                                           radius)
+    terms = polar_offset_terms(rho, theta)
+    offsets = radius + np.cumsum(steps)
+    rows = [offset_distance(a, *terms, height) for a in offsets]
+    for a, row in zip(offsets, rows):
+        assert row.tobytes() == \
+            polar_offset_distance(a, rho, theta, height).tobytes()
+    for near, far in zip(rows, rows[1:]):
+        assert np.all(near <= far)
 
 
 def test_parent_process_mean_count():
