@@ -7,11 +7,12 @@ Every study emits a `MetricTable` whose rows follow one CSV schema:
 Randomness comes from numpy's own `SeedSequence` spawn keys under the
 config's base seed (`_rng`), so reruns with the same base seed are bit for
 bit reproducible.  A validation study draws once, from the generator of
-key (study,), and reuses that draw at every sweep value.  A delay or ase scenario, one (study, sweep
-indices), runs every scheme on the same drops and round-1 fading (common
-random numbers), drawn a batch of replications at a time, over whole
-arrays of drops, from streams whose layout `_scenario` documents; the
-tests rebuild each replication from that layout alone.  `replay_epoch`
+key (study,), and reuses that draw at every sweep value.  A delay or ase
+scenario, one (study, sweep indices), runs every scheme on the same drops
+and round-1 fading (common random numbers), drawn a batch of replications
+at a time, over whole arrays of drops, from streams whose layout
+`_scenario` documents; the tests rebuild each replication from that
+layout alone.  `replay_epoch`
 and `replay_drops` give one replication's epoch and the first drops of a
 delay scenario, through the same code.
 """
@@ -483,8 +484,8 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
     Round 1 serves the members whose fading decodes, none when one packet
     exceeds the budget.  A BS scheme's completion rounds read its block of
     `drops.later` (`_completion_rounds`), drawn then and let go once they
-    are computed.  A BS scheme without a block (the ase
-    study) stops at round 1: its outcome is (None, round-1 decisions).
+    are computed.  A BS scheme without a block (the ase study) stops at
+    round 1: its outcome is (None, round-1 decisions).
     Clustering recovery fills epoch e's blocks through
     `recover_at(rows[e], block)`, which serves each replication's recovery
     uniforms in order.

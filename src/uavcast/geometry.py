@@ -66,8 +66,8 @@ def polar_offset_terms(rho: np.ndarray,
                        theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, y^2) = (rho cos(theta), rho^2 (1 - cos)(1 + cos)) of the disk
     points (rho, theta): the part of `polar_offset_distance` that does not
-    depend on the offset.  The steps run in place on two fresh arrays,
-    since a fresh array costs as much as the step."""
+    depend on the offset.  The steps run in place where they can, since a
+    fresh array costs as much as the step."""
     c = np.cos(theta)
     x = rho * c
     y2 = 1.0 - c
