@@ -222,7 +222,8 @@ def run_validation_study(kind: str, config: ScenarioConfig,
     if kind == "coverage":
         geoms = [config.geometry(v_norm=v) for v in values]
         theories = [analysis.coverage_probability(g, radio) for g in geoms]
-        # The points' x and y^2 alone: rho, theta and cos are dropped.
+        # Only x and y^2 outlive this line: the sweep holds two arrays
+        # of the draw, not rho, theta and cos too.
         x, y2 = polar_offset_terms(*sample_uniform_disk_polar(
             rng, n_trials, config.radius_r_m))
         distances = (offset_distance(g.v_norm, x, y2, g.delta_h)
