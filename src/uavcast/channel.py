@@ -10,8 +10,8 @@ simulations decide with the first, the quadratures integrate the second.
 Fading is independent from one transmission to the next, so the round in
 which a listener completes g receptions of repeated transmissions is a
 negative-binomial count.  `completion_rounds` computes it for rows of
-listeners from their round-1 outcomes and a block of standard
-exponentials.
+listeners from their round-1 outcomes and an (m, n, g) block of standard
+exponentials, listener j of a row reading position j of its row.
 
 Units are fixed across the package: distances in meters, powers in mW,
 bandwidth in Hz, noise spectral density in mW/Hz, times in ms.
@@ -174,40 +174,29 @@ def decodes(power, fading, radio: RadioParams):
     return (power * fading) / radio.noise_power_mw > radio.snr_threshold
 
 
-def completion_rounds(first, q, g: int, fading) -> np.ndarray:
-    """The round in which each listener completes `g` receptions of a
+def completion_rounds(first, q, fading) -> np.ndarray:
+    """The round in which each listener completes g receptions of a
     transmission repeated once per round, for rows of listeners (one row
     per epoch), given each one's round-1 outcome `first` (bool, (m, n)),
     its per-round success probability `q` (m, n) and standard exponentials
-    `fading` (m, k, g).
+    `fading` (m, n, g), whose last axis gives g.
 
     A float (m, n) array: a whole round >= 1, or inf for a listener short
-    of `g` that never completes (q = 0, or q so small that the count
+    of g that never completes (q = 0, or q so small that the count
     overflows).  After round 1 a listener needs g - first more successes;
     each costs a geometric number of rounds, drawn by inversion as
     1 + floor(E / lam) with E ~ Exp(1) and lam = -log(1 - q) (lam = 0
-    never succeeds, lam = inf succeeds every round).  The j-th listener of
-    a row that is short of g (in row order) reads its g values of E from
-    `fading[row, j]`, so k must be at least the largest count of short
-    listeners in a row; the rest of `fading` is not read.
+    never succeeds, lam = inf succeeds every round).  Listener j of a row
+    reads its values of E from `fading[row, j]`, whatever the other
+    listeners did in round 1; one served in round 1 leaves its last value
+    unread.
     """
-    rounds = np.where(first, float(g), g + 1.0)  # 1 + successes still needed
-    short = ~first | (g > 1)  # all listeners are short of g > 1
-    if short.any():
-        if g > 1:
-            # Every listener is short, so the j-th of a row is listener j.
-            draws = fading[:, :first.shape[1]]
-        else:
-            # Each listener's rank among its row's short listeners; the
-            # others read some short listener's values, and discard them.
-            rank = np.maximum(np.cumsum(short, axis=1) - 1, 0)
-            draws = np.take_along_axis(fading, rank[..., None], axis=1)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lam = -np.log1p(-q)
-            gaps = draws / lam[..., None]
-            np.floor(gaps, out=gaps)
-        if g > 1:
-            gaps[first, -1] = 0.0  # served in round 1: g - 1 to go
-        rounds += np.where(short, gaps.sum(axis=2), 0.0)
-        rounds[short & (lam == 0.0)] = np.inf
+    g = fading.shape[2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = -np.log1p(-q)
+        gaps = fading / lam[..., None]
+        np.floor(gaps, out=gaps)
+    gaps[first, -1] = 0.0  # served in round 1: g - 1 to go
+    rounds = np.where(first, float(g), g + 1.0) + gaps.sum(axis=2)
+    rounds[(~first | (g > 1)) & (lam == 0.0)] = np.inf  # short of g
     return rounds

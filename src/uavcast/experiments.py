@@ -370,7 +370,8 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
       i of `SCHEME_RUNNERS` among `schemes`: g exponentials per round-1
       fading, in the same order, g the receptions a member needs
       (`rnc_generation_size` for RNC, 1 for the benchmark), read as an
-      (n, g) block by `channel.completion_rounds`.
+      (n, g) block by `channel.completion_rounds`: member j reads row j,
+      whatever the other members did in round 1.
 
     Replications run in batches of about `_BATCH_MEMBERS` members
     (`_batches`).  A batch draws each stream's values for all of its
@@ -483,10 +484,11 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
     computed over all the drops at once and shared by the schemes.
 
     Round 1 serves the members whose fading decodes, none when one packet
-    exceeds the budget.  A BS scheme's completion rounds read its block of
-    `drops.later` (`_completion_rounds`), drawn then and let go once they
-    are computed.  A BS scheme without a block (the ase study) stops at
-    round 1: its outcome is (None, round-1 decisions).
+    exceeds the budget.  A BS scheme's completion rounds are then inf;
+    otherwise `channel.completion_rounds` reads them from its block of
+    `drops.later`, drawn then and let go once they are computed.  A BS
+    scheme without a block (the ase study) stops at round 1: its outcome
+    is (None, round-1 decisions).
     Clustering recovery fills epoch e's blocks through
     `recover_at(rows[e], block)`, which serves each replication's recovery
     uniforms in order.
@@ -497,8 +499,9 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
     xy = _drop_points(drops.plan, drops.uniforms)[1]
     power = mean_received_power(LinkKind.BS_TO_UAV,
                                 _bs_distances(xy, *_bs_site(config)), radio)
+    fits = sim.packet_len_ms <= sim.max_time_ms
     first = np.zeros((m, n), dtype=bool)
-    if sim.packet_len_ms <= sim.max_time_ms:
+    if fits:
         first = decodes(power, drops.fading, radio)
     rows, outcomes = drops.rows.tolist(), {}
     for scheme in schemes:
@@ -507,23 +510,14 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
             if later is None:
                 outcomes[scheme] = None, first
                 continue
-            rounds = _completion_rounds(first, power, radio, later())
+            rounds = np.full((m, n), np.inf)
+            if fits:
+                rounds = completion_rounds(
+                    first, decode_probability(power, radio), later())
         outcomes[scheme] = run_epochs(
             scheme, xy, drops.plan.bounds, rounds, radio, sim,
             lambda e, out: recover_at(rows[e], out), events)
     return outcomes
-
-
-def _completion_rounds(first: np.ndarray, power: np.ndarray, radio,
-                       later: np.ndarray) -> np.ndarray:
-    """`channel.completion_rounds` of members with round-1 outcomes
-    `first` at mean received powers `power`, from their (m, n, g) block of
-    later-round exponentials `later`; an empty block leaves no member to
-    complete.  The block is this call's alone, so it goes on return."""
-    if not later.size:
-        return np.full(first.shape, np.inf)
-    return completion_rounds(first, decode_probability(power, radio),
-                             later.shape[2], later)
 
 
 def replay_epoch(config: ScenarioConfig, scheme: str,

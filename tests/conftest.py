@@ -40,7 +40,7 @@ def bernoulli_rounds(p, g, shape, rng):
     reception succeeding with chance p: round 1 drawn directly, the later
     rounds through `completion_rounds`."""
     first = rng.random(shape) < p
-    return completion_rounds(first, np.full(shape, p), g,
+    return completion_rounds(first, np.full(shape, p),
                              rng.exponential(1.0, (*shape, g)))
 
 

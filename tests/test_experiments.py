@@ -1,5 +1,6 @@
 import ast
 import collections
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -436,7 +437,7 @@ def _oracle_epochs(study, scheme, config, key):
                 if later.size:
                     rounds = completion_rounds(
                         first[None], decode_probability(power, radio)[None],
-                        later.shape[1], later[None])[0]
+                        later[None])[0]
         delivery, via_broadcast = run_epochs(
             scheme, xy[None], bounds, rounds[None], radio, sim,
             lambda _, out: recovery.random(out=out))[:2]
@@ -868,7 +869,7 @@ def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
             LinkKind.BS_TO_UAV, _bs_distances(xy, *_bs_site(config)), radio)
         first = decodes(power, row, radio) if row.size else np.zeros(n, bool)
         rounds = completion_rounds(
-            first[None], decode_probability(power, radio)[None], 1,
+            first[None], decode_probability(power, radio)[None],
             later.standard_exponential((1, n, 1)))
         via_broadcast = run_epochs("benchmark", xy[None], bounds, rounds,
                                    radio, config.sim, None)[1][0]
@@ -924,6 +925,89 @@ def test_schemes_share_each_replications_first_broadcast(
     assert np.all(ases["clustering"][~empty] >= ases["benchmark"][~empty])
     if max_time_ms < config.sim.packet_len_ms:
         assert not any(clustering.any() for _, clustering in served)
+
+
+def _coupled_epochs(config, key):
+    """Every `run_epochs` call of the delay scenario `key` of `config`, in
+    call order, as (scheme, cluster bounds, round-1 decisions, completion
+    rounds (None for clustering), delivery times), through pass-through
+    spies: clustering hands `run_epochs` its round-1 decisions, a BS
+    scheme hands `completion_rounds` its decisions and `run_epochs` their
+    completion rounds."""
+    calls, firsts = [], []
+
+    def spied_rounds(first, *args):
+        firsts.append(first.copy())
+        return completion_rounds(first, *args)
+
+    def spied_epochs(scheme, xy, bounds, rounds, *args):
+        out = run_epochs(scheme, xy, bounds, rounds, *args)
+        first, later = ((rounds, None) if scheme == "clustering"
+                        else (firsts.pop(), rounds))
+        calls.append((scheme, bounds, first.copy(), later, out[0]))
+        return out
+
+    with mock.patch.object(experiments, "completion_rounds", spied_rounds), \
+            mock.patch.object(experiments, "run_epochs", spied_epochs):
+        _replicated("delay", config, key)
+    return calls
+
+
+def _served_by_holders(bounds, first):
+    """Clustering's served set when its budget does not bind: every member
+    of a cluster with a round-1 holder."""
+    served = np.zeros_like(first)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        served[:, lo:hi] = first[:, lo:hi].any(axis=1, keepdims=True)
+    return served
+
+
+# Changes that can only add round-1 decoders: more BS power, a lower SNR
+# threshold, a BS nearer the swarm (d0 stays beyond region + r, so every
+# member's BS distance grows with d0).
+_BETTER = {
+    "p_bs_mw": lambda c: c.replace(radio=dataclasses.replace(
+        c.radio, p_bs_mw=2.0 * c.radio.p_bs_mw)),
+    "snr_threshold": lambda c: c.replace(radio=dataclasses.replace(
+        c.radio, snr_threshold=0.5 * c.radio.snr_threshold)),
+    "d0_m": lambda c: c.replace(d0_m=0.9 * c.d0_m),
+}
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       mode=st.sampled_from(["fixed_total", "density"]),
+       key=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       num_clusters=st.integers(1, 10), d0=st.floats(400.0, 2500.0),
+       change=st.sampled_from(sorted(_BETTER)))
+@settings(max_examples=60, deadline=None)
+def test_configurations_at_one_key_are_coupled_exactly(
+        seed, mode, key, num_clusters, d0, change):
+    """Two configs at the same study key read the same drops, fadings and
+    exponentials (common random numbers), so a change that can only add
+    round-1 decoders orders every epoch, member by member: round-1 decode
+    sets nest for every scheme; clustering, whose budget does not bind
+    here, serves exactly the members of clusters with a round-1 holder,
+    so its served sets nest; and the benchmark's and RNC's completion
+    rounds do not grow.  A stream keyed by a config value, or a member
+    whose draws depend on the other members' round 1, breaks this."""
+    base = ScenarioConfig(mode=mode, d0_m=d0, num_clusters=num_clusters,
+                          base_seed=seed, replications=8)
+    pairs = list(zip(_coupled_epochs(base, key),
+                     _coupled_epochs(_BETTER[change](base), key),
+                     strict=True))
+    assert pairs
+    for (scheme, bounds, first, rounds, delivery), \
+            (scheme_b, bounds_b, first_b, rounds_b, delivery_b) in pairs:
+        assert (scheme_b, bounds_b) == (scheme, bounds)
+        assert not np.any(first & ~first_b), scheme
+        if scheme == "clustering":
+            served, served_b = ~np.isnan(delivery), ~np.isnan(delivery_b)
+            assert np.array_equal(served, _served_by_holders(bounds, first))
+            assert np.array_equal(served_b,
+                                  _served_by_holders(bounds, first_b))
+            assert not np.any(served & ~served_b)
+        else:
+            assert np.all(rounds_b <= rounds), scheme
 
 
 @pytest.mark.parametrize("mode", ["fixed_total", "density"])

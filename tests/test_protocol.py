@@ -592,7 +592,7 @@ def _bs_rounds(power, g, rng):
     `completion_rounds` on an (n, g) block of exponentials."""
     first = decodes(power, rng.standard_exponential(power.size), RADIO)
     q = decode_probability(power, RADIO)
-    return completion_rounds(first[None], q[None], g,
+    return completion_rounds(first[None], q[None],
                              rng.standard_exponential((1, power.size, g)))[0]
 
 
@@ -779,24 +779,34 @@ def test_bs_delivery_rows_are_independent_timelines(coded):
 
 
 def test_completion_rounds_rows_read_their_own_draws():
-    """A row's short listeners read their row's exponentials in order, so
-    each row of a batch equals its batch of one.  With g = 1 only listeners
-    missed in round 1 are short: row 0's listeners 1 and 3 read 0.5 and
-    2.5 at lam = log 2, taking 1 + floor(0.72) = 1 and 1 + floor(3.61) = 4
-    more rounds; row 1's listener 0 reads 0.5 at lam = 0 and never
-    completes, and 1.5 is unread."""
-    first = np.array([[True, False, True, False], [False, True, True, True]])
-    q = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.5, 0.5, 0.5]])
-    fading = np.array([[[0.5], [2.5], [9.0], [9.0]],
-                       [[0.5], [1.5], [9.0], [9.0]]])
-    rounds = completion_rounds(first, q, 1, fading)
+    """Listener j of a row reads position j of its row's exponentials,
+    whatever the other listeners did in round 1, so each row of a batch
+    equals its batch of one, and flipping one listener's round-1 outcome
+    moves no other listener's round.  With g = 1 a listener served in
+    round 1 leaves its value (9.0) unread.  Row 0's listeners 1 and 3 read
+    0.5 and 2.5 at lam = log 2, taking 1 + floor(0.72) = 1 and
+    1 + floor(3.61) = 4 more rounds; row 1's listener 0 reads 0.5 at
+    lam = 0 and never completes; row 2's listener 0 reads 0 at lam = 0
+    (0 / 0) and never completes either, while listener 1, served in
+    round 1 at q = 0, is done, and q = 1 takes one more round."""
+    first = np.array([[True, False, True, False], [False, True, True, True],
+                      [False, True, False, False]])
+    q = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.5, 0.5, 0.5],
+                  [0.0, 0.0, 1.0, 0.5]])
+    fading = np.array([[9.0, 0.5, 9.0, 2.5], [0.5, 9.0, 9.0, 9.0],
+                       [0.0, 0.0, 0.0, 0.0]])[..., None]
+    rounds = completion_rounds(first, q, fading)
     assert rounds.tolist() == [[1.0, 2.0, 1.0, 5.0],
-                               [np.inf, 1.0, 1.0, 1.0]]
-    for i in range(2):
-        short = np.count_nonzero(~first[i])
-        alone = completion_rounds(first[i:i + 1], q[i:i + 1], 1,
-                                  fading[i:i + 1, :short])
+                               [np.inf, 1.0, 1.0, 1.0],
+                               [np.inf, 1.0, 2.0, 2.0]]
+    for i in range(len(first)):
+        alone = completion_rounds(first[i:i + 1], q[i:i + 1],
+                                  fading[i:i + 1])
         assert alone.tobytes() == rounds[i:i + 1].tobytes()
+    flipped = first.copy()
+    flipped[:, 0] = ~flipped[:, 0]
+    assert completion_rounds(flipped, q, fading)[:, 1:].tobytes() == \
+        rounds[:, 1:].tobytes()
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEME_RUNNERS))
@@ -830,7 +840,7 @@ def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
     if scheme != "clustering":
         # no member completes when round 1 does not fit the budget
         first = (completion_rounds(
-            first, decode_probability(power, RADIO), g,
+            first, decode_probability(power, RADIO),
             np.array([r.standard_exponential((n, g)) for r in rngs]))
             if fits else np.full((m, n), np.inf))
     outcomes = []
