@@ -9,12 +9,9 @@ validate the analysis against simulation.
 """
 
 from .analysis import (
-    MetricInputs,
-    MetricResults,
     average_ase,
     average_delay,
     coverage_probability,
-    evaluate_metrics,
     request_success_probability,
     transmission_success_probability,
 )

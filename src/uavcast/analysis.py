@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,6 +130,13 @@ def transmission_success_probability(radius_r: float, radio: RadioParams) -> flo
     return _integrate(integrand, edges)
 
 
+def _check_probabilities(p_cov: float, p_suc: float) -> None:
+    """Reject a p_cov or p_suc outside [0, 1], by name."""
+    for name, p in (("p_cov", p_cov), ("p_suc", p_suc)):
+        if not 0.0 <= p <= 1.0:
+            raise ParameterError(f"{name} must lie in [0, 1], got {p}")
+
+
 def request_success_probability(p_cov: float, p_suc: float, lambda_off: float,
                                 radius_r: float) -> float:
     """Probability a missing member recovers the packet from its cluster.
@@ -139,9 +145,7 @@ def request_success_probability(p_cov: float, p_suc: float, lambda_off: float,
     all floor(lambda_off * pi * r^2) members failed), and the relayed copy
     must then be decoded.
     """
-    for name, p in (("p_cov", p_cov), ("p_suc", p_suc)):
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"{name} must lie in [0, 1], got {p}")
+    _check_probabilities(p_cov, p_suc)
     k = cluster_peer_count(lambda_off, radius_r)
     if k < 1:
         raise ParameterError(
@@ -159,9 +163,7 @@ def average_delay(p_cov: float, p_suc: float, packet_len_ms: float,
     where no relay decodes (p_suc = 0) and some member is uncovered, and
     the delay is then `math.inf`.
     """
-    for name, p in (("p_cov", p_cov), ("p_suc", p_suc)):
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"{name} must lie in [0, 1], got {p}")
+    _check_probabilities(p_cov, p_suc)
     if packet_len_ms <= 0 or t_req_ms < 0:
         raise ParameterError(
             f"packet_len_ms must be positive and t_req_ms non-negative, "
@@ -181,45 +183,10 @@ def average_ase(p_cov: float, p_suc: float, lambda_off: float,
     Members served either directly or through one recovery exchange count
     toward the delivered rate density.
     """
-    for name, p in (("p_cov", p_cov), ("p_suc", p_suc)):
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"{name} must lie in [0, 1], got {p}")
+    _check_probabilities(p_cov, p_suc)
     if lambda_off <= 0 or snr_threshold <= 0:
         raise ParameterError(
             f"lambda_off and snr_threshold must be positive, "
             f"got {lambda_off}, {snr_threshold}")
     served = p_cov + (1.0 - p_cov) * p_suc
     return served * lambda_off * math.log2(1.0 + snr_threshold)
-
-
-@dataclass(frozen=True)
-class MetricInputs:
-    """Everything needed to evaluate the five metrics for one cluster."""
-
-    geom: ClusterGeometry
-    radio: RadioParams
-    lambda_off: float
-    packet_len_ms: float
-    t_req_ms: float
-
-
-@dataclass(frozen=True)
-class MetricResults:
-    p_cov: float
-    p_suc: float
-    p_req: float
-    delay_aver_ms: float
-    ase_aver: float
-
-
-def evaluate_metrics(inputs: MetricInputs) -> MetricResults:
-    """Evaluate all five metrics for one cluster geometry."""
-    p_cov = coverage_probability(inputs.geom, inputs.radio)
-    p_suc = transmission_success_probability(inputs.geom.radius_r, inputs.radio)
-    p_req = request_success_probability(p_cov, p_suc, inputs.lambda_off,
-                                        inputs.geom.radius_r)
-    delay = average_delay(p_cov, p_suc, inputs.packet_len_ms, inputs.t_req_ms)
-    ase = average_ase(p_cov, p_suc, inputs.lambda_off,
-                      inputs.radio.snr_threshold)
-    return MetricResults(p_cov=p_cov, p_suc=p_suc, p_req=p_req,
-                         delay_aver_ms=delay, ase_aver=ase)

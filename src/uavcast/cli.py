@@ -184,15 +184,18 @@ def _cmd_distributions(args) -> int:
 
 def _cmd_metrics(args) -> int:
     config = _load_config(args)
-    inputs = analysis.MetricInputs(
-        geom=config.geometry(v_norm=args.v_norm), radio=config.radio,
-        lambda_off=config.lambda_off_per_m2,
-        packet_len_ms=config.sim.packet_len_ms, t_req_ms=config.sim.t_req_ms)
-    results = analysis.evaluate_metrics(inputs)
+    radio, sim = config.radio, config.sim
+    p_cov = analysis.coverage_probability(config.geometry(v_norm=args.v_norm),
+                                          radio)
+    p_suc = analysis.transmission_success_probability(config.radius_r_m, radio)
     header = "p_cov,p_suc,p_req,delay_aver_ms,ase_aver"
-    row = ",".join(f"{v:.10g}" for v in
-                   (results.p_cov, results.p_suc, results.p_req,
-                    results.delay_aver_ms, results.ase_aver))
+    row = ",".join(f"{v:.10g}" for v in (
+        p_cov, p_suc,
+        analysis.request_success_probability(
+            p_cov, p_suc, config.lambda_off_per_m2, config.radius_r_m),
+        analysis.average_delay(p_cov, p_suc, sim.packet_len_ms, sim.t_req_ms),
+        analysis.average_ase(p_cov, p_suc, config.lambda_off_per_m2,
+                             radio.snr_threshold)))
     if args.out:
         Path(args.out).write_text(header + "\n" + row + "\n")
     print(header)
