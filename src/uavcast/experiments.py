@@ -303,7 +303,7 @@ class _Drops:
     of n exponentials (empty when one packet exceeds the time budget) and,
     for each BS scheme of the delay study, a function that returns its
     later rounds' (m, n, g) block of exponentials (empty when round 1
-    draws none), to be called once (`_LaterRounds`)."""
+    draws none), to be called at most once (`_LaterRounds`)."""
 
     plan: _DropPlan
     rows: np.ndarray
@@ -510,10 +510,9 @@ def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
             if later is None:
                 outcomes[scheme] = None, first
                 continue
-            rounds = np.full((m, n), np.inf)
-            if fits:
-                rounds = completion_rounds(
-                    first, decode_probability(power, radio), later())
+            rounds = (completion_rounds(first, decode_probability(power, radio),
+                                        later())
+                      if fits else np.full((m, n), np.inf))
         outcomes[scheme] = run_epochs(
             scheme, xy, drops.plan.bounds, rounds, radio, sim,
             lambda e, out: recover_at(rows[e], out), events)
