@@ -41,7 +41,11 @@ The commands:
   (named `ase_near_3000`), several batches of the widest drop batch; and
   `study --study delay --d0-values 1200 --c-values 2,10 --replications
   700` (named `delay_far_runs`), whose recovering cells in one batch
-  take more than one recovery run of `protocol._recover`;
+  take more than one recovery run of `protocol._recover`; and `study
+  --study delay --schemes rnc --rnc-generation-size 64 --d0-values 1200
+  --c-values 2 --replications 700` in fixed_total and density mode (named
+  `delay_rnc_g64` and `delay_rnc_g64_density`), several batches of RNC's
+  later-round blocks at a generation size above the default;
 - `study --study validation-coverage|validation-success --replications
   100000` and `study --study design-insight` (default grids): the
   validation draws and the `p_cov`/`p_suc` quadratures; and the same
@@ -129,6 +133,11 @@ def commands(out: Path) -> list[list[str]]:
         ["study", "--study", "delay", "--d0-values", "1200", "--c-values",
          "2,10", "--replications", "700",
          "--out-dir", str(out / "delay_far_runs")],
+        *(["study", "--study", "delay", "--schemes", "rnc",
+           "--rnc-generation-size", "64", "--d0-values", "1200",
+           "--c-values", "2", "--replications", "700", "--mode", mode,
+           "--out-dir", str(out / f"delay_rnc_g64{tag}")]
+          for mode, tag in (("fixed_total", ""), ("density", "_density"))),
         ["study", "--study", "validation-coverage", "--replications", "100000",
          "--out-dir", str(out / "validation_coverage")],
         ["study", "--study", "validation-success", "--replications", "100000",
