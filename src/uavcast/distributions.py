@@ -85,6 +85,11 @@ def bs_member_support(geom: ClusterGeometry) -> tuple[float, float]:
 
 
 def peer_support(offset_a: float, radius_r: float) -> tuple[float, float]:
+    if not (math.isfinite(radius_r) and radius_r > 0):
+        raise ParameterError(f"radius_r must be positive and finite, got {radius_r}")
+    if not (0.0 <= offset_a <= radius_r):
+        raise ParameterError(
+            f"offset_a must lie in [0, radius_r], got {offset_a}")
     return (0.0, radius_r + offset_a)
 
 
@@ -151,18 +156,14 @@ def pdf_peer_distance(d, offset_a: float, radius_r: float) -> np.ndarray:
     The two branches agree at d = r - a, where the arccos argument is -1;
     at the outer end d = r + a it is 1.
     """
-    if not (math.isfinite(radius_r) and radius_r > 0):
-        raise ParameterError(f"radius_r must be positive and finite, got {radius_r}")
-    if not (0.0 <= offset_a <= radius_r):
-        raise ParameterError(
-            f"offset_a must lie in [0, radius_r], got {offset_a}")
+    _, hi = peer_support(offset_a, radius_r)
     d = np.asarray(d, dtype=float)
     r, a = radius_r, offset_a
     out = np.zeros_like(d)
     j = r - a
     full = (d >= 0) & (d <= j)
     out[full] = 2.0 * d[full] / r ** 2
-    arc = (d > j) & (d <= r + a)
+    arc = (d > j) & (d <= hi)
     if np.any(arc):
         di = d[arc]
         # (d^2 + a^2 - r^2) / (2 a d), factored on each half of the arc so
@@ -171,7 +172,7 @@ def pdf_peer_distance(d, offset_a: float, radius_r: float) -> np.ndarray:
         # the far end, which exceeds the arccos clamp for small a
         arg = np.where(di <= r,
                        (di + j) * (di - j) / (2.0 * a * di) - j / di,
-                       1.0 + (di - (r + a)) * (di + j) / (2.0 * a * di))
+                       1.0 + (di - hi) * (di + j) / (2.0 * a * di))
         out[arc] = (2.0 * di / (np.pi * r ** 2)) * _checked_arccos(arg)
     return out
 

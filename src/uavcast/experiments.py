@@ -10,17 +10,16 @@ bit reproducible.  A validation study draws once, from the generator of
 key (study,), and reuses that draw at every sweep value.  A delay or ase
 scenario, one (study, sweep indices), runs every scheme on the same drops
 and round-1 fading (common random numbers), drawn a batch of replications
-at a time, over whole arrays of drops, from streams whose layout
-`_scenario` documents; the tests rebuild each replication from that
-layout alone.  `replay_epoch`
-and `replay_drops` give one replication's epoch and the first drops of a
+at a time from streams whose layout `_scenario` documents, and finishes
+each batch one scheme at a time, over whole arrays of drops; the tests
+rebuild each replication from that layout alone.  `replay_epoch` and
+`replay_drops` give one replication's epoch and the first drops of a
 delay scenario, through the same code.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -133,13 +132,15 @@ class MetricTable:
 
 # Members per batch of `_replicated`: wide enough to spread each numpy
 # call, and each lock-step recovery iteration, over many drops (327 drops
-# at the default 50 members), narrow enough that a batch's memory is
-# bounded in members, whatever the replication count and the swarm size.
+# at the default 50 members), narrow enough to bound a batch's memory
+# whatever the replication count and the swarm size; 8 / g of it where a
+# delay study's RNC pass reads g > 8 later-round doubles a member.
 # Recovery runs of at most `protocol._RUN_SLOTS` padded slots bound the
-# recovery's share apart from this width: a `delay` clustering call at
-# d0 = 1200 m, C = 2 over 327 replications peaks at about 3.8 MB traced
-# at 50 members and 4.0 MB at 2,000 (1.4 and 53.9 MB with batches of 64
-# replications, 6.6 MB at 50 members with all cells in one run).
+# recovery's share apart from this width.  Over 327 replications at
+# d0 = 1200 m, C = 2, a delay call of clustering peaks at about 3.8 MB
+# traced at 50 members, 4.0 MB at 2,000 (53.9 MB in batches of 64
+# replications), and one of RNC at 3.5 MB at g = 8, 2.2 MB at g = 256
+# (68.5 MB in batches of 16,384 members).
 _BATCH_MEMBERS = 16384
 
 
@@ -297,44 +298,30 @@ def run_design_insight_study(config: ScenarioConfig,
 
 
 @dataclass
+class _Batch:
+    """One batch of a scenario (`_scenario`): its drops by shape, as (plan,
+    replication indices, offsets in `uniforms`, offsets in `fading`), the
+    delay study's BS schemes' (later-rounds stream, g), and `recover_at`,
+    which fills `block` with replication `rep`'s next recovery uniforms."""
+
+    shapes: list[tuple[_DropPlan, np.ndarray, np.ndarray, np.ndarray]]
+    uniforms: np.ndarray
+    fading: np.ndarray
+    later: dict[str, tuple[np.random.Generator, int]]
+    recover_at: Callable[[int, np.ndarray], None]
+
+
+@dataclass
 class _Drops:
-    """The drops of one shape in a batch: their replication indices `rows`
-    and, row for row, their blocks of uniforms, their round-1 fading rows
-    of n exponentials (empty when one packet exceeds the time budget) and,
-    for each BS scheme of the delay study, a function that returns its
-    later rounds' (m, n, g) block of exponentials (empty when round 1
-    draws none), to be called at most once (`_LaterRounds`)."""
+    """The drops of one shape in a batch after round 1: their replication
+    indices, their rows' offsets in the batch's fading and later-round
+    blocks, and, row for row, their mean BS powers and round-1 decisions."""
 
     plan: _DropPlan
     rows: np.ndarray
-    uniforms: np.ndarray
-    fading: np.ndarray
-    later: dict[str, Callable[[], np.ndarray]]
-
-
-class _LaterRounds:
-    """A delay-study BS scheme's later-round exponentials for one batch,
-    (members, g), handed to the batch's drop shapes in turn: drawn from
-    the scheme's stream when the first shape reads its rows (`rows`), and
-    let go when the last of `readers` shapes has.  So the block is alive
-    only while that BS scheme finishes its epochs, never through
-    clustering's recovery (a fixed_total batch holds one shape).  Each
-    shape reads once and batches are read in order, so the stream is read
-    in batch order, as if drawn up front."""
-
-    def __init__(self, rng: np.random.Generator, shape: tuple[int, int],
-                 readers: int):
-        self._rng, self._shape, self._readers = rng, shape, readers
-        self._values = None
-
-    def rows(self, starts: np.ndarray, width: int) -> np.ndarray:
-        """The (m, width, g) rows of the drops that begin at `starts`."""
-        if self._values is None:
-            self._values = self._rng.standard_exponential(self._shape)
-        values, self._readers = self._values, self._readers - 1
-        if not self._readers:
-            self._values = None
-        return _take(values, starts, width)
+    at: np.ndarray
+    power: np.ndarray
+    first: np.ndarray
 
 
 def _take(flat: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -347,10 +334,7 @@ def _take(flat: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
 
 def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
               schemes):
-    """The replications of one scenario, a batch at a time: yields the
-    `_Drops` of each shape in each batch with the scenario's recovery
-    reader `recover_at(rep, block)`, which fills `block` with replication
-    `rep`'s next recovery uniforms.
+    """The replications of one scenario, a `_Batch` at a time.
 
     Every scheme runs on the same drops and round-1 fading (common random
     numbers).  The scenario's streams are the generators of spawn keys
@@ -373,10 +357,12 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
       (n, g) block by `channel.completion_rounds`: member j reads row j,
       whatever the other members did in round 1.
 
-    Replications run in batches of about `_BATCH_MEMBERS` members
-    (`_batches`).  A batch draws each stream's values for all of its
-    drops in one call, and numpy fills them in sequence, so every drop's
-    values are the same whatever the batch width.
+    Replications run in batches of about `_BATCH_MEMBERS` members, 8 / g
+    of that when a later-rounds g exceeds 8 (`_batches`).  A batch draws
+    each stream's values for all of its drops in one call, a later-rounds
+    stream's when its scheme's pass starts (`_continue`), and numpy fills
+    them in sequence, so every drop's values are the same whatever the
+    batch width.
     """
     prefix = (_STUDY_IDS[study], *key)
     drop_rng, fading_rng, recovery = (
@@ -386,11 +372,12 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
     fits = sim.packet_len_ms <= sim.max_time_ms
     # Each BS scheme's later-rounds stream and receptions per member.
     order = list(SCHEME_RUNNERS)
-    later_rngs = {scheme: (_rng(config.base_seed,
-                                (*prefix, order.index(scheme), 1)),
-                           sim.rnc_generation_size if scheme == "rnc" else 1)
-                  for scheme in schemes
-                  if study == "delay" and scheme != "clustering"}
+    later = {scheme: (_rng(config.base_seed,
+                           (*prefix, order.index(scheme), 1)),
+                      sim.rnc_generation_size if scheme == "rnc" else 1)
+             for scheme in schemes
+             if study == "delay" and scheme != "clustering"}
+    budget = _BATCH_MEMBERS * 8 // max([8, *(g for _, g in later.values())])
     at, read = 0, [0] * config.replications  # stream position, reads per rep
 
     def recover_at(rep, block):
@@ -403,24 +390,17 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
         recovery.random(out=block)
         at, read[rep] = offset + block.size, read[rep] + block.size
 
-    for lo, groups in _batches(plans, config.mode == "fixed_total"):
+    for lo, groups in _batches(plans, config.mode == "fixed_total", budget):
         blocks, lengths = np.zeros((2, sum(i.size for _, i in groups)),
                                    dtype=np.intp)
         for plan, index in groups:
             blocks[index], lengths[index] = plan.read.size, plan.n_uavs * fits
-        uniforms = drop_rng.random(blocks.sum())
-        fading = fading_rng.standard_exponential(lengths.sum())
-        later = {scheme: _LaterRounds(rng, (lengths.sum(), g), len(groups))
-                 for scheme, (rng, g) in later_rngs.items()}
         u_at, f_at = (np.cumsum(sizes) - sizes for sizes in (blocks, lengths))
-        for plan, index in groups:
-            width = plan.n_uavs * fits
-            yield _Drops(plan, lo + index,
-                         _take(uniforms, u_at[index], plan.read.size),
-                         _take(fading, f_at[index], width),
-                         {scheme: functools.partial(block.rows, f_at[index],
-                                                    width)
-                          for scheme, block in later.items()}), recover_at
+        yield _Batch([(plan, lo + index, u_at[index], f_at[index])
+                      for plan, index in groups],
+                     drop_rng.random(blocks.sum()),
+                     fading_rng.standard_exponential(lengths.sum()),
+                     later, recover_at)
 
 
 def _replicated(study: str, config: ScenarioConfig,
@@ -429,8 +409,8 @@ def _replicated(study: str, config: ScenarioConfig,
     a (replications, columns) array of the study's `_SIMULATED` columns,
     (mean delay, delivery ratio) in the delay study, (ase,) in the ase
     study, for each of `config.schemes`, over the stream layout
-    `_scenario` documents.  `_continue` computes and finishes each
-    batch's drops of one shape at once.
+    `_scenario` documents.  `_continue` finishes each batch one scheme at
+    a time, and each outcome is reduced as soon as it is yielded.
 
     The ase study's benchmark counts the members the first broadcast
     serves, so its rows and RNC's reduce the round-1 decisions, no BS
@@ -440,27 +420,24 @@ def _replicated(study: str, config: ScenarioConfig,
     sim, schemes = config.sim, config.schemes
     rate_density = (config.lambda_off_per_m2
                     * math.log2(1.0 + config.radio.snr_threshold))
-    width = len(_SIMULATED[study][0])
-    out = {scheme: np.empty((config.replications, width))
+    out = {scheme: np.empty((config.replications, len(_SIMULATED[study][0])))
            for scheme in schemes}
-    for drops, recover_at in _scenario(study, config, key, schemes):
-        outcomes = _continue(config, drops, schemes, recover_at)
-        for scheme, metrics in out.items():
-            delivery, via_broadcast = outcomes[scheme][:2]
-            metrics[drops.rows] = _reduce(study, scheme, sim, delivery,
-                                          via_broadcast, rate_density)
+    for batch in _scenario(study, config, key, schemes):
+        for scheme, drops, outcome in _continue(config, batch, schemes):
+            out[scheme][drops.rows] = _reduce(study, scheme, sim, *outcome[:2],
+                                              rate_density)
     return out
 
 
-def _batches(plans, fixed: bool):
+def _batches(plans, fixed: bool, budget: int):
     """Each batch of `_replicated`: its first replication and its drops by
     plan, as (plan, positions in the batch) in order of first use.  A batch
     closes when one more drop the size of its last would take it past
-    `_BATCH_MEMBERS` members, an empty drop counting as one.  When all
-    drops share one plan (`fixed`), batches of max(1, _BATCH_MEMBERS // n)
-    drops follow without a walk over the drops."""
+    `budget` members, an empty drop counting as one.  When all drops share
+    one plan (`fixed`), batches of max(1, budget // n) drops follow
+    without a walk over the drops."""
     if fixed:
-        width = max(1, _BATCH_MEMBERS // max(1, plans[0].n_uavs))
+        width = max(1, budget // max(1, plans[0].n_uavs))
         for lo in range(0, len(plans), width):
             yield lo, [(plans[0], np.arange(min(width, len(plans) - lo)))]
         return
@@ -469,54 +446,74 @@ def _batches(plans, fixed: bool):
         size = max(1, plan.n_uavs)
         members += size
         groups.setdefault(plan.bounds, (plan, []))[1].append(rep - lo)
-        if members + size > _BATCH_MEMBERS or rep + 1 == len(plans):
+        if members + size > budget or rep + 1 == len(plans):
             yield lo, [(p, np.array(i)) for p, i in groups.values()]
             lo, members, groups = rep + 1, 0, {}
 
 
-def _continue(config: ScenarioConfig, drops: _Drops, schemes, recover_at,
-              events: list | None = None) -> dict:
-    """Each of `schemes`' outcome on the drops of one shape: the
-    (delivery, via_broadcast, counters) of `protocol.run_epochs`, which
-    hold the delivery times (NaN for undelivered) and round-1 marks as
-    (m, n) arrays, and which append to `events`, when a list, the events
-    of a batch of one epoch.  Geometry, BS distances, mean powers and round-1 decisions are
-    computed over all the drops at once and shared by the schemes.
+def _continue(config: ScenarioConfig, batch: _Batch, schemes,
+              events: list | None = None):
+    """Finish a batch one scheme at a time: yield (scheme, drops, outcome)
+    for each of `schemes` and each shape's `_Drops`, the outcome the
+    (delivery, via_broadcast, counters) of `protocol.run_epochs`: (m, n)
+    delivery times (NaN for undelivered) and round-1 marks; `events`,
+    when a list, gets the events of a batch of one epoch.  Clustering
+    runs in the round-1 pass (`_round_one`), each delay-study BS scheme
+    in a pass of its own over what round 1 kept (`_later_rounds`), on
+    its later-round block drawn for the pass, so a pass's arrays go when
+    it ends."""
+    shapes = yield from _round_one(config, batch, schemes, events)
+    for scheme in batch.later:
+        yield from _later_rounds(config, scheme, batch, shapes, events)
 
-    Round 1 serves the members whose fading decodes, none when one packet
-    exceeds the budget.  A BS scheme's completion rounds are then inf;
-    otherwise `channel.completion_rounds` reads them from its block of
-    `drops.later`, drawn then and let go once they are computed.  A BS
-    scheme without a block (the ase study) stops at round 1: its outcome
-    is (None, round-1 decisions).
-    Clustering recovery fills epoch e's blocks through
-    `recover_at(rows[e], block)`, which serves each replication's recovery
-    uniforms in order.
-    """
-    m, n = len(drops.rows), drops.plan.n_uavs
+
+def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
+               events: list | None):
+    """The round-1 pass of `_continue`: for each shape in turn, gather its
+    uniforms and fading and decide round 1, which serves the members whose
+    fading decodes, none when one packet exceeds the budget.  Clustering
+    recovery fills epoch e's blocks through `batch.recover_at(rows[e],
+    block)`; a BS scheme of the ase study stops at round 1, outcome (None,
+    round-1 decisions).  Returns the `_Drops`, not the member points."""
     radio, sim = config.radio, config.sim
-    # The member points alone: the centers would keep their buffer alive.
-    xy = _drop_points(drops.plan, drops.uniforms)[1]
-    power = mean_received_power(LinkKind.BS_TO_UAV,
-                                _bs_distances(xy, *_bs_site(config)), radio)
+    shapes = []
+    for plan, rows, starts, at in batch.shapes:
+        # The member points alone: the centers would keep their buffer alive.
+        xy = _drop_points(plan, _take(batch.uniforms, starts,
+                                      plan.read.size))[1]
+        power = mean_received_power(
+            LinkKind.BS_TO_UAV, _bs_distances(xy, *_bs_site(config)), radio)
+        first = np.zeros(power.shape, dtype=bool)
+        if sim.packet_len_ms <= sim.max_time_ms:
+            first = decodes(power, _take(batch.fading, at, plan.n_uavs), radio)
+        shapes.append(drops := _Drops(plan, rows, at, power, first))
+        for scheme in schemes:
+            if scheme == "clustering":
+                yield scheme, drops, run_epochs(
+                    scheme, xy, plan.bounds, first, radio, sim,
+                    lambda e, out: batch.recover_at(int(rows[e]), out), events)
+            elif scheme not in batch.later:
+                yield scheme, drops, (None, first)
+    return shapes
+
+
+def _later_rounds(config: ScenarioConfig, scheme: str, batch: _Batch,
+                  shapes: list[_Drops], events: list | None):
+    """A delay-study BS scheme's pass of `_continue` over `shapes`, on the
+    batch's later-round block, drawn now: a shape's completion rounds are
+    inf when one packet exceeds the budget, else `completion_rounds` reads
+    them from the shape's rows of the block."""
+    radio, sim = config.radio, config.sim
     fits = sim.packet_len_ms <= sim.max_time_ms
-    first = np.zeros((m, n), dtype=bool)
-    if fits:
-        first = decodes(power, drops.fading, radio)
-    rows, outcomes = drops.rows.tolist(), {}
-    for scheme in schemes:
-        rounds, later = first, drops.later.get(scheme)
-        if scheme != "clustering":
-            if later is None:
-                outcomes[scheme] = None, first
-                continue
-            rounds = (completion_rounds(first, decode_probability(power, radio),
-                                        later())
-                      if fits else np.full((m, n), np.inf))
-        outcomes[scheme] = run_epochs(
-            scheme, xy, drops.plan.bounds, rounds, radio, sim,
-            lambda e, out: recover_at(rows[e], out), events)
-    return outcomes
+    rng, g = batch.later[scheme]
+    block = rng.standard_exponential((batch.fading.size, g))
+    for drops in shapes:
+        rounds = (completion_rounds(drops.first,
+                                    decode_probability(drops.power, radio),
+                                    _take(block, drops.at, drops.plan.n_uavs))
+                  if fits else np.full(drops.first.shape, np.inf))
+        yield scheme, drops, run_epochs(scheme, None, drops.plan.bounds,
+                                        rounds, radio, sim, None, events)
 
 
 def replay_epoch(config: ScenarioConfig, scheme: str,
@@ -529,12 +526,10 @@ def replay_epoch(config: ScenarioConfig, scheme: str,
     fixed_total mode, at any replication count.  `collect_events` records
     the epoch's event log."""
     config = config.replace(replications=1)
-    (drops, recover_at), = _scenario("delay", config, (0, 0), (scheme,))
+    batch, = _scenario("delay", config, (0, 0), (scheme,))
     events = [] if collect_events else None
-    return SchemeOutcome.of_batch(
-        scheme, drops.plan.bounds,
-        _continue(config, drops, (scheme,), recover_at, events)[scheme],
-        events)
+    (_, drops, epochs), = _continue(config, batch, (scheme,), events)
+    return SchemeOutcome.of_batch(scheme, drops.plan.bounds, epochs, events)
 
 
 def replay_drops(config: ScenarioConfig,
@@ -543,11 +538,13 @@ def replay_drops(config: ScenarioConfig,
     scenario on a one-point grid with `count` replications, as (member
     points (n, 2), cluster of each member (n,)) in replication order."""
     out = [None] * count
-    for drops, _ in _scenario("delay", config.replace(replications=count),
-                              (0, 0), ()):
-        _, xy = _drop_points(drops.plan, drops.uniforms)
-        for rep, points in zip(drops.rows.tolist(), xy):
-            out[rep] = points, drops.plan.cluster_of
+    for batch in _scenario("delay", config.replace(replications=count),
+                           (0, 0), ()):
+        for plan, rows, starts, _ in batch.shapes:
+            _, xy = _drop_points(plan, _take(batch.uniforms, starts,
+                                             plan.read.size))
+            for rep, points in zip(rows.tolist(), xy):
+                out[rep] = points, plan.cluster_of
     return out
 
 

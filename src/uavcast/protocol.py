@@ -417,16 +417,17 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
                events: list | None = None, peer_probability=None):
     """Finish m epochs of `scheme` on drops of one shape.
 
-    `xy` (m, n, 2) holds the member points; cluster c holds members
-    `bounds[c]` to `bounds[c + 1]`.  `first` (m, n) is the BS link's
-    outcome per member.  For clustering it is a bool mask of the members
-    round 1 served (none when a packet exceeds max_time_ms); `_recover`
-    goes on from there, drawing each epoch's uniform blocks through
-    `draw(e, out)`, which the BS schemes never call, and hearing each
-    clean reply with the chance `peer_probability` gives (by default
-    `decode_probability`).  For the BS schemes it is the float round in
-    which a member completes its receptions, inf for never.  `events`,
-    when a list, gets the unsorted events of a batch of one epoch.
+    Cluster c holds members `bounds[c]` to `bounds[c + 1]`.  `first`
+    (m, n) is the BS link's outcome per member.  For clustering it is a
+    bool mask of the members round 1 served (none when a packet exceeds
+    max_time_ms); `_recover` goes on from there over the member points
+    `xy` (m, n, 2), drawing each epoch's uniform blocks through
+    `draw(e, out)` and hearing each clean reply with the chance
+    `peer_probability` gives (by default `decode_probability`).  For the
+    BS schemes it is the float round in which a member completes its
+    receptions, inf for never; they read neither `xy` nor `draw`, which
+    the studies pass as None.  `events`, when a list, gets the unsorted
+    events of a batch of one epoch.
 
     Returns (delivery, via_broadcast), each (m, n), delivery NaN where
     undelivered, and per-epoch (bs_transmissions, uav_transmissions,

@@ -349,11 +349,14 @@ def test_topology_writes_the_delay_scenarios_first_drops(mode, tmp_path,
     simulated = [None] * 4
     continue_ = experiments._continue
 
-    def recorded(config, drops, schemes, recover_at):
-        _, xy = experiments._drop_points(drops.plan, drops.uniforms)
-        for rep, points in zip(drops.rows.tolist(), xy):
-            simulated[rep] = points, drops.plan.cluster_of
-        return continue_(config, drops, schemes, recover_at)
+    def recorded(config, batch, *rest):
+        for plan, rows, starts, _ in batch.shapes:
+            _, xy = experiments._drop_points(
+                plan, experiments._take(batch.uniforms, starts,
+                                        plan.read.size))
+            for rep, points in zip(rows.tolist(), xy):
+                simulated[rep] = points, plan.cluster_of
+        return continue_(config, batch, *rest)
 
     with mock.patch.object(experiments, "_continue", recorded):
         experiments._replicated("delay", config, (0, 0))
@@ -501,6 +504,16 @@ def test_distributions_table_output(tmp_path, capsys):
     assert data.shape == (513, 3)
     assert abs(np.trapezoid(data[:, 1], data[:, 0]) - 1.0) < 1e-3
     assert data[0, 2] == 0.0 and abs(data[-1, 2] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("offset", ["nan", "inf"])
+def test_distributions_names_a_non_finite_offset(offset, capsys):
+    """A NaN or infinite `--offset-a` exits 2 with an error that names
+    `offset_a`, not the peer support it would have given."""
+    assert cli.main(["distributions", "--kind", "peer",
+                     "--offset-a", offset]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: offset_a must lie in [0, radius_r]")
 
 
 def test_study_command_writes_reproducible_table(tmp_path, capsys):

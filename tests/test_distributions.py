@@ -118,6 +118,14 @@ def test_peer_pdf_argument_validation():
         pdf_peer_distance(np.array([1.0]), 0.0, math.nan)
 
 
+@pytest.mark.parametrize("offset_a", [math.nan, math.inf, -1.0, 60.0])
+def test_peer_distribution_checks_offset_before_its_support(offset_a):
+    """`DistanceDistribution.peer` names an offset outside [0, radius_r],
+    NaN and inf included, instead of reporting the support it gives."""
+    with pytest.raises(ParameterError, match="^offset_a must lie in"):
+        DistanceDistribution.peer(offset_a, 50.0)
+
+
 def test_peer_pdf_normalizes():
     for a in (5.0, 25.0, 45.0):
         total, err = integrate.quad(

@@ -579,11 +579,11 @@ def test_recovery_reads_jump_from_the_stream_position(reads):
     the stream's start, for any order of (replication, count) reads."""
     config = ScenarioConfig(replications=6, base_seed=8)
 
-    def reader(config, drops, schemes, recover_at):
+    def reader(config, batch, *rest):
         done = collections.Counter()
         for rep, count in reads:
             got = np.empty(count)
-            recover_at(rep, got)
+            batch.recover_at(rep, got)
             fresh = _rng(config.base_seed, (_STUDY_IDS["delay"], 3, 1, 0, 2))
             fresh.bit_generator.advance((rep << 64) + done[rep])
             assert got.tobytes() == fresh.random(count).tobytes()
@@ -616,9 +616,10 @@ def test_replicated_does_not_depend_on_batch_budget(mode, lambda_per_m2,
     continue_ = experiments._continue
     groups = []  # (drop shape, replications) of every group of both calls
 
-    def recorded(config, drops, schemes, recover_at):
-        groups.append((drops.plan.bounds, drops.rows.tolist()))
-        return continue_(config, drops, schemes, recover_at)
+    def recorded(config, batch, *rest):
+        groups.extend((plan.bounds, rows.tolist())
+                      for plan, rows, _, _ in batch.shapes)
+        return continue_(config, batch, *rest)
 
     with mock.patch.object(experiments, "_BATCH_MEMBERS", budget), \
             mock.patch.object(experiments, "_continue", recorded):
@@ -760,22 +761,46 @@ def test_replicated_memory_is_bounded_in_members(scheme):
     assert peak(2000) <= 1.2 * peak(50)
 
 
+@pytest.mark.parametrize("mode", ["fixed_total", "density"])
 @pytest.mark.parametrize("schemes", [("clustering", "benchmark", "rnc"),
                                      ("rnc", "benchmark", "clustering")])
-def test_later_rounds_are_not_held_through_recovery(schemes):
-    """A BS scheme's later-round exponentials are drawn when it reads
-    them and let go once its completion rounds are computed, so over one
-    batch of 50-member, two-cluster drops at d0 = 1200 m a delay-study
-    call of all three schemes, in either order, peaks within 1.15x of
-    clustering alone (1.03x and 1.09x measured).  Drawn with the batch,
-    RNC's (members, 8) block stayed alive through clustering's recovery:
-    1.31x and 1.39x."""
+def test_later_rounds_are_not_held_through_recovery(schemes, mode):
+    """A batch is finished one scheme at a time, and a BS scheme's pass
+    draws its later-round exponentials when it starts and lets them go
+    when it ends, so no block is alive through clustering's recovery.  A
+    delay-study call of all three schemes at d0 = 1200 m, in either
+    order, peaks within 1.05x of clustering alone over one batch of
+    50-member, two-cluster drops (fixed_total; 1.00x and 1.00x measured),
+    and within 1.4x over 600 density-mode replications at seed 7, whose
+    batches mix drop shapes (1.29x and 1.29x).  A block drawn with the
+    batch peaked 1.31x and 1.39x (fixed_total); one handed to the batch's
+    shapes in turn, and let go after the last had read it, 1.02x and
+    1.09x (fixed_total), 1.63x and 1.67x (density), since it stayed
+    alive through the other shapes' recoveries."""
     def config(schemes):
+        if mode == "density":
+            return ScenarioConfig(mode=mode, replications=600, d0_m=1200.0,
+                                  base_seed=7, schemes=schemes)
         return ScenarioConfig(replications=_WIDTH, d0_m=1200.0,
                               num_clusters=2, schemes=schemes)
 
+    bound = {"fixed_total": 1.05, "density": 1.4}[mode]
     assert _traced_peak("delay", config(schemes)) <= \
-        1.15 * _traced_peak("delay", config(("clustering",)))
+        bound * _traced_peak("delay", config(("clustering",)))
+
+
+def test_later_round_block_is_bounded_in_the_generation_size():
+    """RNC's later-round block takes g doubles a member, so batches hold
+    8 / g of `_BATCH_MEMBERS` members when g exceeds 8: over one g = 8
+    batch of 50-member drops a delay-study RNC call at g = 256 peaks
+    within 1.5x of its peak at g = 8 (0.63x measured).  Batches of
+    `_BATCH_MEMBERS` members whatever g peaked 19x higher."""
+    def peak(g):
+        return _traced_peak("delay", ScenarioConfig(
+            replications=_WIDTH, d0_m=1200.0, num_clusters=2,
+            schemes=("rnc",), sim=SimParams(rnc_generation_size=g)))
+
+    assert peak(256) <= 1.5 * peak(8)
 
 
 def test_recovery_memory_is_bounded_by_the_run_cap():
@@ -908,10 +933,13 @@ def test_schemes_share_each_replications_first_broadcast(
     served = []  # (benchmark, clustering) via_broadcast of every group
     continue_ = experiments._continue
 
-    def recorded(config, drops, schemes, recover_at):
-        outcomes = continue_(config, drops, schemes, recover_at)
-        served.append((outcomes["benchmark"][1], outcomes["clustering"][1]))
-        return outcomes
+    def recorded(*args):
+        groups = collections.defaultdict(dict)  # each group's marks by scheme
+        for scheme, drops, outcome in continue_(*args):
+            groups[id(drops)][scheme] = outcome[1]
+            yield scheme, drops, outcome
+        served.extend((marks["benchmark"], marks["clustering"])
+                      for marks in groups.values())
 
     with mock.patch.object(experiments, "_continue", recorded):
         _replicated("delay", config, (0, 1))
