@@ -139,7 +139,7 @@ class MetricTable:
 # recovery's share apart from this width.  Over 327 replications at
 # d0 = 1200 m, C = 2, a delay call of clustering peaks at about 3.8 MB
 # traced at 50 members, 4.0 MB at 2,000 (53.9 MB in batches of 64
-# replications), and one of RNC at 3.5 MB at g = 8, 2.2 MB at g = 256
+# replications), and one of RNC at 3.3 MB at g = 8, 2.2 MB at g = 256
 # (68.5 MB in batches of 16,384 members).
 _BATCH_MEMBERS = 16384
 
@@ -299,10 +299,10 @@ def run_design_insight_study(config: ScenarioConfig,
 
 @dataclass
 class _Batch:
-    """One batch of a scenario (`_scenario`): its drops by shape, as (plan,
+    """A batch of a scenario (`_scenario`): its drops by shape as (plan,
     replication indices, offsets in `uniforms`, offsets in `fading`), the
-    delay study's BS schemes' (later-rounds stream, g), and `recover_at`,
-    which fills `block` with replication `rep`'s next recovery uniforms."""
+    delay study's BS schemes' (later-rounds stream, g), and the reader
+    `recover_at(rep, block)` of replication `rep`'s next recovery uniforms."""
 
     shapes: list[tuple[_DropPlan, np.ndarray, np.ndarray, np.ndarray]]
     uniforms: np.ndarray

@@ -772,7 +772,7 @@ def test_later_rounds_are_not_held_through_recovery(schemes, mode):
     order, peaks within 1.05x of clustering alone over one batch of
     50-member, two-cluster drops (fixed_total; 1.00x and 1.00x measured),
     and within 1.4x over 600 density-mode replications at seed 7, whose
-    batches mix drop shapes (1.29x and 1.29x).  A block drawn with the
+    batches mix drop shapes (1.28x and 1.28x).  A block drawn with the
     batch peaked 1.31x and 1.39x (fixed_total); one handed to the batch's
     shapes in turn, and let go after the last had read it, 1.02x and
     1.09x (fixed_total), 1.63x and 1.67x (density), since it stayed
@@ -793,7 +793,7 @@ def test_later_round_block_is_bounded_in_the_generation_size():
     """RNC's later-round block takes g doubles a member, so batches hold
     8 / g of `_BATCH_MEMBERS` members when g exceeds 8: over one g = 8
     batch of 50-member drops a delay-study RNC call at g = 256 peaks
-    within 1.5x of its peak at g = 8 (0.63x measured).  Batches of
+    within 1.5x of its peak at g = 8 (0.65x measured).  Batches of
     `_BATCH_MEMBERS` members whatever g peaked 19x higher."""
     def peak(g):
         return _traced_peak("delay", ScenarioConfig(
