@@ -55,6 +55,12 @@ The commands:
   --r-values 25,75 --replications 20000` (named
   `validation_success_r25_75`) and `study --study design-insight
   --c-values 3,7 --v-values 600` (named `design_insight_c3_7_v600`);
+  `study --study validation-success --gamma 1e7 --r-values 0.25,0.5,2
+  --replications 20000` (named `validation_success_clamp`), where most
+  links at or below the 1 m clamp of the path-loss law fail, and `study
+  --study validation-coverage --v-values 3000,5000,10000 --replications
+  20000` (named `validation_coverage_far`), where p_cov falls from about
+  0.1 to 1e-22;
 - `metrics --out` at the defaults and at `--v-norm 1200`;
 - `topology --drops 20` in fixed_total and density mode: the drops of
   replications 0 to 19 of the delay scenario, as `study --study delay`
@@ -150,6 +156,12 @@ def commands(out: Path) -> list[list[str]]:
         ["study", "--study", "validation-success", "--r-values", "25,75",
          "--replications", "20000",
          "--out-dir", str(out / "validation_success_r25_75")],
+        ["study", "--study", "validation-success", "--gamma", "1e7",
+         "--r-values", "0.25,0.5,2", "--replications", "20000",
+         "--out-dir", str(out / "validation_success_clamp")],
+        ["study", "--study", "validation-coverage", "--v-values",
+         "3000,5000,10000", "--replications", "20000",
+         "--out-dir", str(out / "validation_coverage_far")],
         ["study", "--study", "design-insight", "--c-values", "3,7",
          "--v-values", "600",
          "--out-dir", str(out / "design_insight_c3_7_v600")],
