@@ -7,6 +7,10 @@ reception succeeds when P * |h|^2 / N > theta, for noise power N and
 decoding threshold theta.  `decodes` is that rule on drawn fading, and
 `decode_probability` gives its probability exp(-theta * N / P); the
 simulations decide with the first, the quadratures integrate the second.
+Since P falls as a power of distance, the rule also reads as a distance:
+`decode_reach` gives, per drawn fading, the reach below which that
+reception decodes, so the validation studies decide a trial at every
+swept distance by one comparison.
 Fading is independent from one transmission to the next, so the round in
 which a listener completes g receptions of repeated transmissions is a
 negative-binomial count.  `completion_rounds` computes it for rows of
@@ -172,6 +176,32 @@ def decodes(power, fading, radio: RadioParams):
     (power * fading) / noise exceeds the threshold.  Elementwise, so one
     call decides a batch of drops as it decides one."""
     return (power * fading) / radio.noise_power_mw > radio.snr_threshold
+
+
+def decode_reach(kind: LinkKind, fading, radio: RadioParams):
+    """The distance below which a reception over the `kind` link that
+    fades by `fading` decodes, so that `d < reach` stands for
+    `decodes(mean_received_power(kind, d, radio), fading, radio)` at every
+    distance d.  From 1 m on, the mean received power is P(1 m) *
+    d ** (-dist_coeff_db / 10), so solving the rule for d gives
+
+        (fading * P(1 m) / (theta * N)) ** (10 / dist_coeff_db),
+
+    which the rule's own roundings of the path-loss law can place a few
+    dozen ulps (about 1e-14 of the reach) from its boundary.  At the
+    1 m clamp the rule decides: the reach is 0 where even 1 m fails
+    (fading 0 included) and above 1 m where 1 m decodes.  A float for
+    scalar input, an array otherwise."""
+    dist_coeff_db = radio.loss_params(kind).dist_coeff_db
+    power_1m = mean_received_power(kind, MIN_DISTANCE_M, radio)
+    fading = np.asarray(fading, dtype=float)
+    reach = (fading * (power_1m / (radio.snr_threshold
+                                   * radio.noise_power_mw))
+             ) ** (10.0 / dist_coeff_db)
+    reach = np.maximum(reach, np.nextafter(MIN_DISTANCE_M, np.inf))
+    # Multiplying, not masking: a random mask costs a branch per trial.
+    reach *= decodes(power_1m, fading, radio)
+    return reach if reach.ndim else float(reach)
 
 
 def completion_rounds(first, q, fading) -> np.ndarray:

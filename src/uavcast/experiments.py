@@ -32,6 +32,7 @@ from .channel import (
     LinkKind,
     completion_rounds,
     decode_probability,
+    decode_reach,
     decodes,
     mean_received_power,
 )
@@ -192,6 +193,17 @@ def _mean_stderr(samples: np.ndarray) -> tuple[float, float, int]:
     return float(valid.mean()), float(stderr), n
 
 
+def _proportion(k: int, n: int) -> tuple[float, float, int]:
+    """`_mean_stderr` of n >= 1 samples that are 1 k times and 0 otherwise,
+    from the count alone: mean k / n, standard error
+    sqrt(k (n - k) / (n (n - 1))) / sqrt(n), 0 when k is 0 or n and NaN
+    when n is 1."""
+    if n == 1:
+        return float(k), float("nan"), 1
+    return (k / n, math.sqrt(k * (n - k) / (n * (n - 1))) / math.sqrt(n),
+            n)
+
+
 def run_validation_study(kind: str, config: ScenarioConfig,
                          values=None) -> MetricTable:
     """Closed-form probabilities against direct geometric simulation.
@@ -212,6 +224,13 @@ def run_validation_study(kind: str, config: ScenarioConfig,
     distance grows with the swept value, so every Monte-Carlo curve is
     pathwise non-increasing, and a row depends on its value and the seed,
     not on the rest of the grid.
+
+    Each fading becomes its trial's decode reach (`channel.decode_reach`)
+    right after the draw, so a row decides its trials by `distance <
+    reach` and reduces them by their count of successes (`_proportion`):
+    the decode rule's decisions and means on each row's mean received
+    powers, and its standard errors up to rounding, without a per-row
+    path-loss law or float copy of the trials.
     """
     if kind not in _VALIDATION_SWEEPS:
         raise ParameterError(f"kind: expected 'coverage' or 'success', got {kind!r}")
@@ -237,14 +256,14 @@ def run_validation_study(kind: str, config: ScenarioConfig,
                                    *sample_uniform_disk_polar(rng, n_trials, 1.0))
         distances = (r * unit for r in values)
         link, metric = LinkKind.UAV_TO_UAV, "p_suc"
-    fading = rng.standard_exponential(n_trials)
+    reach = decode_reach(link, rng.standard_exponential(n_trials), radio)
     rows = []
     for value, theory, dist in zip(values, theories, distances):
-        ok = decodes(mean_received_power(link, dist, radio), fading, radio)
         rows.append(MetricRow(study, parameter, value, "theory", metric,
                               theory, 0.0, 0))
-        rows.append(MetricRow(study, parameter, value, "monte_carlo",
-                              metric, *_mean_stderr(ok.astype(float))))
+        rows.append(MetricRow(study, parameter, value, "monte_carlo", metric,
+                              *_proportion(np.count_nonzero(dist < reach),
+                                           n_trials)))
     return MetricTable(rows)
 
 
@@ -302,10 +321,11 @@ class _Batch:
     """A batch of a scenario (`_scenario`): its drops by shape as (plan,
     replication indices, offsets in `uniforms`, offsets in `fading`), the
     delay study's BS schemes' (later-rounds stream, g), and the reader
-    `recover_at(rep, block)` of replication `rep`'s next recovery uniforms."""
+    `recover_at(rep, block)` of replication `rep`'s next recovery uniforms.
+    `_continue` lets `uniforms` go (None) after its round-1 pass."""
 
     shapes: list[tuple[_DropPlan, np.ndarray, np.ndarray, np.ndarray]]
-    uniforms: np.ndarray
+    uniforms: np.ndarray | None
     fading: np.ndarray
     later: dict[str, tuple[np.random.Generator, int]]
     recover_at: Callable[[int, np.ndarray], None]
@@ -463,6 +483,7 @@ def _continue(config: ScenarioConfig, batch: _Batch, schemes,
     its later-round block drawn for the pass, so a pass's arrays go when
     it ends."""
     shapes = yield from _round_one(config, batch, schemes, events)
+    batch.uniforms = None  # read by the round-1 pass alone
     for scheme in batch.later:
         yield from _later_rounds(config, scheme, batch, shapes, events)
 

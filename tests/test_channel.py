@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavcast.channel import (
     LinkKind,
@@ -10,6 +12,7 @@ from uavcast.channel import (
     RadioParams,
     db_to_linear,
     decode_probability,
+    decode_reach,
     decodes,
     mean_received_power,
     path_loss_db,
@@ -287,3 +290,39 @@ def test_link_model_matches_written_out_law(radio, kind):
         if distances is spread or distances is far:
             decoded += np.count_nonzero(got)
     assert 0 < decoded < spread.size + far.size
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(
+        lambda e: 10.0 ** e)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(LinkKind),
+       snr_threshold=_log_uniform(1e-3, 1e9),
+       p_bs_mw=_log_uniform(1e-3, 1e6), p_uav_mw=_log_uniform(1e-3, 1e6))
+@example(seed=0, kind=LinkKind.UAV_TO_UAV, snr_threshold=1e9, p_bs_mw=1.0,
+         p_uav_mw=1e-3)
+@settings(max_examples=200, deadline=None)
+def test_decode_reach_decides_as_the_decode_rule(seed, kind, snr_threshold,
+                                                 p_bs_mw, p_uav_mw):
+    """`d < decode_reach(kind, f, radio)` is the decode rule on the mean
+    received power at d, trial for trial, from 0.01 m to 30 km: around
+    the 1 m clamp too, where a reach the law puts below 1 m must read 0,
+    and at fading 0.  Half the fadings are Exp(1), half log-uniform down
+    to 1e-12, so every example has trials whose unclamped reach lies
+    below 1 m."""
+    radio = dataclasses.replace(RADIO, snr_threshold=snr_threshold,
+                                p_bs_mw=p_bs_mw, p_uav_mw=p_uav_mw)
+    rng = np.random.default_rng(seed)
+    n = 2000
+    distances = np.concatenate([[0.01, 0.5, 1.0, 1.0000001, 3e4],
+                                10.0 ** rng.uniform(-2.0, math.log10(3e4), n)])
+    fading = np.concatenate([[0.0] * 5, rng.standard_exponential(n // 2),
+                             10.0 ** rng.uniform(-12.0, 0.0, n // 2)])
+    reach = decode_reach(kind, fading, radio)
+    want = decodes(mean_received_power(kind, distances, radio), fading, radio)
+    assert (distances < reach).tolist() == want.tolist()
+    assert reach[:5].tolist() == [0.0] * 5
+    scalar = decode_reach(kind, float(fading[5]), radio)
+    assert isinstance(scalar, float)
+    assert scalar == pytest.approx(reach[5], rel=1e-15, abs=0.0)

@@ -30,6 +30,7 @@ from uavcast.experiments import (
     MetricTable,
     _grid,
     _mean_stderr,
+    _proportion,
     _replicated,
     _rng,
     design_radius,
@@ -70,6 +71,28 @@ def test_mean_stderr_skips_nan():
     mean, stderr, n = _mean_stderr(np.full(2000, 0.0043923174227787605))
     assert mean == pytest.approx(0.0043923174227787605, rel=1e-15)
     assert stderr == 0.0 and n == 2000
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5000),
+       share=st.floats(0.0, 1.0))
+@example(seed=0, n=1, share=0.0)
+@example(seed=0, n=1, share=1.0)
+@example(seed=0, n=1000, share=0.0)
+@example(seed=0, n=1000, share=1.0)
+@settings(max_examples=200, deadline=None)
+def test_proportion_matches_mean_stderr_of_the_trials(seed, n, share):
+    """`_proportion(k, n)` of a 0/1 mask with k ones is
+    `_mean_stderr(mask.astype(float))`: the mean bit for bit, the
+    standard error within 4 ulp, 0 when k is 0 or n, NaN when n is 1."""
+    ok = np.random.default_rng(seed).random(n) < share
+    mean, stderr, count = _proportion(np.count_nonzero(ok), n)
+    want_mean, want_stderr, want_count = _mean_stderr(ok.astype(float))
+    assert mean == want_mean and count == want_count == n
+    if n == 1:
+        assert math.isnan(stderr) and math.isnan(want_stderr)
+    else:
+        assert abs(stderr - want_stderr) <= 4 * math.ulp(want_stderr)
+        assert (stderr == 0.0) == (not 0 < np.count_nonzero(ok) < n)
 
 
 def test_metric_table_select_value_and_csv(tmp_path):
@@ -767,16 +790,19 @@ def test_replicated_memory_is_bounded_in_members(scheme):
 def test_later_rounds_are_not_held_through_recovery(schemes, mode):
     """A batch is finished one scheme at a time, and a BS scheme's pass
     draws its later-round exponentials when it starts and lets them go
-    when it ends, so no block is alive through clustering's recovery.  A
-    delay-study call of all three schemes at d0 = 1200 m, in either
-    order, peaks within 1.05x of clustering alone over one batch of
-    50-member, two-cluster drops (fixed_total; 1.00x and 1.00x measured),
-    and within 1.4x over 600 density-mode replications at seed 7, whose
-    batches mix drop shapes (1.28x and 1.28x).  A block drawn with the
-    batch peaked 1.31x and 1.39x (fixed_total); one handed to the batch's
-    shapes in turn, and let go after the last had read it, 1.02x and
-    1.09x (fixed_total), 1.63x and 1.67x (density), since it stayed
-    alive through the other shapes' recoveries."""
+    when it ends, so no block is alive through clustering's recovery; the
+    batch's drop uniforms go after the round-1 pass, so they are not
+    alive through the BS passes either.  A delay-study call of all three
+    schemes at d0 = 1200 m, in either order, peaks within 1.05x of
+    clustering alone over one batch of 50-member, two-cluster drops
+    (fixed_total; 1.00x and 1.00x measured), and within 1.2x over 600
+    density-mode replications at seed 7, whose batches mix drop shapes
+    (1.13x and 1.13x).  Uniforms held through the BS passes peaked 1.28x
+    and 1.28x (density); a later-round block drawn with the batch 1.31x
+    and 1.39x (fixed_total); one handed to the batch's shapes in turn,
+    and let go after the last had read it, 1.02x and 1.09x (fixed_total),
+    1.63x and 1.67x (density), since it stayed alive through the other
+    shapes' recoveries."""
     def config(schemes):
         if mode == "density":
             return ScenarioConfig(mode=mode, replications=600, d0_m=1200.0,
@@ -784,7 +810,7 @@ def test_later_rounds_are_not_held_through_recovery(schemes, mode):
         return ScenarioConfig(replications=_WIDTH, d0_m=1200.0,
                               num_clusters=2, schemes=schemes)
 
-    bound = {"fixed_total": 1.05, "density": 1.4}[mode]
+    bound = {"fixed_total": 1.05, "density": 1.2}[mode]
     assert _traced_peak("delay", config(schemes)) <= \
         bound * _traced_peak("delay", config(("clustering",)))
 
