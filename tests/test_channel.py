@@ -315,14 +315,16 @@ def test_decode_reach_decides_as_the_decode_rule(seed, kind, snr_threshold,
                                 p_bs_mw=p_bs_mw, p_uav_mw=p_uav_mw)
     rng = np.random.default_rng(seed)
     n = 2000
-    distances = np.concatenate([[0.01, 0.5, 1.0, 1.0000001, 3e4],
-                                10.0 ** rng.uniform(-2.0, math.log10(3e4), n)])
-    fading = np.concatenate([[0.0] * 5, rng.standard_exponential(n // 2),
-                             10.0 ** rng.uniform(-12.0, 0.0, n // 2)])
+    distances = np.concatenate([
+        [0.01, 0.5, 1.0, 1.0000001, 3e4],
+        10.0 ** rng.uniform(-2.0, math.log10(3e4), n)])
+    fading = np.concatenate([rng.standard_exponential(n // 2),
+                             10.0 ** rng.uniform(-12.0, 0.0, n // 2),
+                             [0.0] * 5])
     reach = decode_reach(kind, fading, radio)
     want = decodes(mean_received_power(kind, distances, radio), fading, radio)
     assert (distances < reach).tolist() == want.tolist()
-    assert reach[:5].tolist() == [0.0] * 5
-    scalar = decode_reach(kind, float(fading[5]), radio)
+    assert reach[-5:].tolist() == [0.0] * 5
+    scalar = decode_reach(kind, float(fading[0]), radio)
     assert isinstance(scalar, float)
-    assert scalar == pytest.approx(reach[5], rel=1e-15, abs=0.0)
+    assert scalar == pytest.approx(reach[0], rel=1e-15, abs=0.0)
