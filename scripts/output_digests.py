@@ -46,6 +46,10 @@ The commands:
   --c-values 2 --replications 700` in fixed_total and density mode (named
   `delay_rnc_g64` and `delay_rnc_g64_density`), several batches of RNC's
   later-round blocks at a generation size above the default;
+- `study --study delay|ase --max-time-ms 5 --replications 200` in
+  fixed_total and density mode (named `delay_budget5`, `ase_budget5` and
+  their `_density` twins): one packet exceeds the budget, so no member is
+  ever served;
 - `study --study validation-coverage|validation-success --replications
   100000` and `study --study design-insight` (default grids): the
   validation draws and the `p_cov`/`p_suc` quadratures; and the same
@@ -67,9 +71,10 @@ The commands:
   draws them at one grid point with 20 replications;
 - `simulate --scheme S --seed 1|2|3 --d0 1200 --num-clusters 2` with
   `--out` and `--event-log` for every scheme, and the same at seed 1 with
-  `--max-time-ms 40` (named `budget40`): replication 0 of the delay
-  scenario, as `study --study delay --replications 1` simulates it at
-  that one grid point; at seed 1 also `simulate --mode density --lambda
+  `--max-time-ms 40` (named `budget40`) and `--max-time-ms 5` (named
+  `budget5`, past one packet): replication 0 of the delay scenario, as
+  `study --study delay --replications 1` simulates it at that one grid
+  point; at seed 1 also `simulate --mode density --lambda
   1e-6` (named `empty`: a drop with no member, where only clustering
   sends its one broadcast) and `simulate --d0 1500 --num-clusters 1
   --opportunistic-caching false` (named `d1500_c1_nocache`: long
@@ -139,6 +144,11 @@ def commands(out: Path) -> list[list[str]]:
         ["study", "--study", "delay", "--d0-values", "1200", "--c-values",
          "2,10", "--replications", "700",
          "--out-dir", str(out / "delay_far_runs")],
+        *(["study", "--study", study, "--max-time-ms", "5",
+           "--replications", "200", "--mode", mode,
+           "--out-dir", str(out / f"{study}_budget5{tag}")]
+          for study in ("delay", "ase")
+          for mode, tag in (("fixed_total", ""), ("density", "_density"))),
         *(["study", "--study", "delay", "--schemes", "rnc",
            "--rnc-generation-size", "64", "--d0-values", "1200",
            "--c-values", "2", "--replications", "700", "--mode", mode,
@@ -179,6 +189,7 @@ def commands(out: Path) -> list[list[str]]:
     runs = [(str(seed), str(seed), near) for seed in (1, 2, 3)]
     runs += [
         ("budget40", "1", [*near, "--max-time-ms", "40"]),
+        ("budget5", "1", [*near, "--max-time-ms", "5"]),
         ("empty", "1", ["--mode", "density", "--lambda", "1e-6"]),
         ("d1500_c1_nocache", "1", ["--d0", "1500", "--num-clusters", "1",
                                    "--opportunistic-caching", "false"]),
