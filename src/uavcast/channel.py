@@ -152,12 +152,17 @@ def path_loss_db(kind: LinkKind, distance_m, params: RadioParams):
 
 def mean_received_power(kind: LinkKind, distance_m, params: RadioParams):
     """Fading-free received power p_tx * gain in mW over the `kind` link at
-    its configured transmit power; distances < 1 m are clamped.
+    its configured transmit power; distances < 1 m are clamped.  A float
+    for scalar input, an array otherwise.
 
-    Computed from the instance's cached link constants.
+    Computed from the instance's cached link constants, with the `np.power`
+    ufunc: numpy's scalar `**` rounds differently from its array loop, and
+    a distance must give the same power alone as in an array.
     """
     constants = params._link_constants[kind]
-    return constants[0] * 10.0 ** (-_loss_db(constants, distance_m) / 10.0)
+    power = constants[0] * np.power(10.0, -_loss_db(constants, distance_m)
+                                    / 10.0)
+    return power if power.ndim else float(power)
 
 
 def decode_probability(power_mw, radio: RadioParams):
@@ -195,9 +200,11 @@ def decode_reach(kind: LinkKind, fading, radio: RadioParams):
     dist_coeff_db = radio.loss_params(kind).dist_coeff_db
     power_1m = mean_received_power(kind, MIN_DISTANCE_M, radio)
     fading = np.asarray(fading, dtype=float)
-    reach = (fading * (power_1m / (radio.snr_threshold
-                                   * radio.noise_power_mw))
-             ) ** (10.0 / dist_coeff_db)
+    # The ufunc, as in `mean_received_power`: a fading gives the same
+    # reach alone as in an array.
+    reach = np.power(fading * (power_1m / (radio.snr_threshold
+                                           * radio.noise_power_mw)),
+                     10.0 / dist_coeff_db)
     reach = np.maximum(reach, np.nextafter(MIN_DISTANCE_M, np.inf))
     # Multiplying, not masking: a random mask costs a branch per trial.
     reach *= decodes(power_1m, fading, radio)

@@ -27,7 +27,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IntegrityError, ParameterError
-from .geometry import polar_offset_distance, sample_uniform_disk_polar
+from .geometry import (
+    offset_distance,
+    polar_offset_terms,
+    sample_uniform_disk_polar,
+)
 
 # Tolerated floating-point excursion of an inverse-trig argument past +-1.
 _TRIG_ARG_TOL = 1e-12
@@ -268,8 +272,8 @@ class DistanceDistribution:
     @classmethod
     def bs_member(cls, geom: ClusterGeometry) -> "DistanceDistribution":
         def positions(rng: np.random.Generator, n: int) -> np.ndarray:
-            return polar_offset_distance(
-                geom.v_norm, *sample_uniform_disk_polar(rng, n, geom.radius_r),
+            return offset_distance(geom.v_norm, *polar_offset_terms(
+                *sample_uniform_disk_polar(rng, n, geom.radius_r)),
                 geom.delta_h)
 
         return cls(lambda d: pdf_bs_member_distance(d, geom),
@@ -278,8 +282,8 @@ class DistanceDistribution:
     @classmethod
     def peer(cls, offset_a: float, radius_r: float) -> "DistanceDistribution":
         def positions(rng: np.random.Generator, n: int) -> np.ndarray:
-            return polar_offset_distance(
-                offset_a, *sample_uniform_disk_polar(rng, n, radius_r))
+            return offset_distance(offset_a, *polar_offset_terms(
+                *sample_uniform_disk_polar(rng, n, radius_r)))
 
         return cls(lambda d: pdf_peer_distance(d, offset_a, radius_r),
                    peer_support(offset_a, radius_r),

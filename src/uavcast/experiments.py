@@ -40,8 +40,6 @@ from .config import ScenarioConfig
 from .distributions import ClusterGeometry
 from .errors import ParameterError
 from .geometry import (
-    _bs_distances,
-    _bs_site,
     _drop_law,
     _drop_points,
     _DropPlan,
@@ -364,8 +362,7 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
       every replication, in one call, then each replication's block of
       uniforms (`_DropPlan`), in replication order;
     - fading, (study, *key, 0, 1): each replication's n round-1 fadings,
-      in replication order; none for an empty drop, nor for any drop when
-      one packet exceeds the time budget;
+      in replication order; none for an empty drop;
     - recovery, (study, *key, 0, 2): clustering epoch r reads its blocks
       of uniforms (`protocol.run_epochs`), each sized by its live cells,
       in order from the stream's output r * 2**64 on (`PCG64.advance`
@@ -389,7 +386,6 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
         _rng(config.base_seed, (*prefix, 0, stream)) for stream in range(3))
     plans = _drop_law(config)(drop_rng, config.replications)
     sim = config.sim
-    fits = sim.packet_len_ms <= sim.max_time_ms
     # Each BS scheme's later-rounds stream and receptions per member.
     order = list(SCHEME_RUNNERS)
     later = {scheme: (_rng(config.base_seed,
@@ -414,7 +410,7 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
         blocks, lengths = np.zeros((2, sum(i.size for _, i in groups)),
                                    dtype=np.intp)
         for plan, index in groups:
-            blocks[index], lengths[index] = plan.read.size, plan.n_uavs * fits
+            blocks[index], lengths[index] = plan.read.size, plan.n_uavs
         u_at, f_at = (np.cumsum(sizes) - sizes for sizes in (blocks, lengths))
         yield _Batch([(plan, lo + index, u_at[index], f_at[index])
                       for plan, index in groups],
@@ -502,8 +498,11 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
         # The member points alone: the centers would keep their buffer alive.
         xy = _drop_points(plan, _take(batch.uniforms, starts,
                                       plan.read.size))[1]
-        power = mean_received_power(
-            LinkKind.BS_TO_UAV, _bs_distances(xy, *_bs_site(config)), radio)
+        # `offset_distance` measures x from the observer towards the disk's
+        # center; the BS sits on the +x axis at d0, so that x is -x here.
+        power = mean_received_power(LinkKind.BS_TO_UAV, offset_distance(
+            config.d0_m, -xy[..., 0], xy[..., 1] ** 2,
+            abs(config.h2_m - config.h1_m)), radio)
         first = np.zeros(power.shape, dtype=bool)
         if sim.packet_len_ms <= sim.max_time_ms:
             first = decodes(power, _take(batch.fading, at, plan.n_uavs), radio)
@@ -521,18 +520,16 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
 def _later_rounds(config: ScenarioConfig, scheme: str, batch: _Batch,
                   shapes: list[_Drops], events: list | None):
     """A delay-study BS scheme's pass of `_continue` over `shapes`, on the
-    batch's later-round block, drawn now: a shape's completion rounds are
-    inf when one packet exceeds the budget, else `completion_rounds` reads
-    them from the shape's rows of the block."""
+    batch's later-round block, drawn now: `completion_rounds` reads each
+    shape's completion rounds from its rows of the block, and
+    `run_epochs` sends no round past the budget."""
     radio, sim = config.radio, config.sim
-    fits = sim.packet_len_ms <= sim.max_time_ms
     rng, g = batch.later[scheme]
     block = rng.standard_exponential((batch.fading.size, g))
     for drops in shapes:
-        rounds = (completion_rounds(drops.first,
-                                    decode_probability(drops.power, radio),
-                                    _take(block, drops.at, drops.plan.n_uavs))
-                  if fits else np.full(drops.first.shape, np.inf))
+        rounds = completion_rounds(drops.first,
+                                   decode_probability(drops.power, radio),
+                                   _take(block, drops.at, drops.plan.n_uavs))
         yield scheme, drops, run_epochs(scheme, None, drops.plan.bounds,
                                         rounds, radio, sim, None, events)
 

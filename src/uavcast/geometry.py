@@ -23,14 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
 
 
-def _bs_distances(xy: np.ndarray, height: float, bs_xy, bs_height: float):
-    """3D distance to a BS at planar point `bs_xy` and height `bs_height`
-    from UAVs at planar points `xy` (shape (..., 2)) and height `height`,
-    shape (...)."""
-    return np.sqrt((xy[..., 0] - bs_xy[0]) ** 2 + (xy[..., 1] - bs_xy[1]) ** 2
-                   + (height - bs_height) ** 2)
-
-
 def sample_uniform_disk_polar(rng: np.random.Generator, n: int,
                               radius: float) -> tuple[np.ndarray, np.ndarray]:
     """n points uniform on a disk as polar arrays (rho, theta) about its
@@ -44,28 +36,10 @@ def sample_uniform_disk_polar(rng: np.random.Generator, n: int,
     return rho, rng.uniform(0.0, 2.0 * np.pi, n)
 
 
-def polar_offset_distance(offset: float, rho: np.ndarray, theta: np.ndarray,
-                          height: float = 0.0) -> np.ndarray:
-    """Distance from an observer at planar distance `offset` from a disk's
-    center and `height` off its plane to the disk points (rho, theta), with
-    theta measured from the observer-to-center direction: the points of a
-    disk centred at (offset, 0), seen from the origin.
-
-    The law of cosines, offset^2 + 2 offset rho cos(theta) + rho^2, is
-    evaluated as (offset + x)^2 + y^2 with x = rho cos and y^2 = rho^2 (1 -
-    cos)(1 + cos), the Cartesian coordinates about the center: a sum of
-    non-negative terms, which keeps its relative accuracy where the planar
-    distance cancels to near 0.  `polar_offset_terms` computes (x, y^2)
-    once per draw and `offset_distance` the distance at one offset, so a
-    sweep over offsets reuses the draw.
-    """
-    return offset_distance(offset, *polar_offset_terms(rho, theta), height)
-
-
 def polar_offset_terms(rho: np.ndarray,
                        theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, y^2) = (rho cos(theta), rho^2 (1 - cos)(1 + cos)) of the disk
-    points (rho, theta): the part of `polar_offset_distance` that does not
+    points (rho, theta): the part of `offset_distance` that does not
     depend on the offset.  The steps run in place where they can, since a
     fresh array costs as much as the step."""
     c = np.cos(theta)
@@ -80,10 +54,21 @@ def polar_offset_terms(rho: np.ndarray,
 
 def offset_distance(offset: float, x: np.ndarray, y2: np.ndarray,
                     height: float = 0.0) -> np.ndarray:
-    """sqrt((offset + x)^2 + y^2 + height^2) from the `polar_offset_terms`
-    (x, y^2) of disk points: their distance from the observer at planar
-    `offset` and `height`, in one fresh array.  Non-decreasing in the
-    offset, point by point, for offsets of at least the disk's radius."""
+    """sqrt((offset + x)^2 + y^2 + height^2): the distance of disk points
+    from an observer at planar distance `offset` from the disk's center and
+    `height` off its plane, in one fresh array, where x is a point's
+    coordinate about the center along the observer-to-center direction and
+    y^2 its squared coordinate across it.  Non-decreasing in the offset,
+    point by point, for offsets of at least the disk's radius.
+
+    For points (rho, theta) with theta measured from that direction, the
+    law of cosines, offset^2 + 2 offset rho cos(theta) + rho^2, is
+    evaluated as (offset + x)^2 + y^2 with x = rho cos and y^2 = rho^2 (1 -
+    cos)(1 + cos) (`polar_offset_terms`): a sum of non-negative terms,
+    which keeps its relative accuracy where the planar distance cancels to
+    near 0.  `polar_offset_terms` runs once per draw and this function once
+    per offset, so a sweep over offsets reuses the draw.
+    """
     d2 = x + offset
     d2 *= d2
     d2 += y2
@@ -98,7 +83,7 @@ def polar_pair_distance(rho_a: np.ndarray, theta_a: np.ndarray,
 
     The law of cosines, rho_a^2 + rho_b^2 - 2 rho_a rho_b cos(theta_a -
     theta_b), is evaluated as (rho_a - rho_b)^2 + 2 rho_a rho_b (1 - cos):
-    non-negative terms, for the same reason as in `polar_offset_distance`.
+    non-negative terms, for the same reason as in `offset_distance`.
     """
     chord = np.subtract(theta_a, theta_b)
     np.cos(chord, out=chord)
@@ -206,12 +191,6 @@ def _drop_points(plan: _DropPlan, uniforms: np.ndarray):
     offsets = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
     centers = offsets[:, :plan.n_clusters]
     return centers, centers[:, plan.cluster_of] + offsets[:, plan.n_clusters:]
-
-
-def _bs_site(config: "ScenarioConfig") -> tuple[float, tuple[float, float], float]:
-    """(UAV height, BS planar point, BS height) of the scenario: the BS
-    sits on the x axis at `d0_m` from the region center."""
-    return config.h2_m, (config.d0_m, 0.0), config.h1_m
 
 
 def write_topology_csv(path, drops: Iterable[tuple[np.ndarray, np.ndarray]],

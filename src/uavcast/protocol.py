@@ -154,7 +154,7 @@ class SchemeOutcome:
         return cls(
             scheme=scheme, delivery_time_ms=delivery[0],
             undelivered=np.isnan(delivery[0]), via_broadcast=via_broadcast[0],
-            cluster_ids=np.repeat(np.arange(len(bounds) - 1), np.diff(bounds)),
+            cluster_ids=_cluster_of(bounds),
             bs_transmissions=int(bs_tx[0]), uav_transmissions=int(uav_tx[0]),
             control_messages=int(control[0]), events=events)
 
@@ -165,6 +165,12 @@ class SchemeOutcome:
     @property
     def delivered(self) -> np.ndarray:
         return ~self.undelivered
+
+
+def _cluster_of(bounds) -> np.ndarray:
+    """The cluster of each member of a drop whose cluster c holds members
+    `bounds[c]` to `bounds[c + 1]`."""
+    return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
 
 
 def _attempt(contend, residual, cw, fresh, u_fresh, u_redraw, sim):
@@ -392,7 +398,7 @@ def _bs_events(events: list, rounds: np.ndarray, coded: bool, served: int,
     round k carries coded packet k - 1, and one terminal ACK per member
     follows once all have decoded."""
     n, length, t_ack = rounds.size, sim.packet_len_ms, sim.t_ack_ms
-    cluster_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    cluster_of = _cluster_of(bounds)
     order = np.argsort(rounds, kind="stable")[:served].tolist()
     done = 0
     for k in range(1, bs_tx + 1):

@@ -247,6 +247,20 @@ def test_mean_received_power_matches_path_loss(radio, kind):
                 == radio.tx_power_mw(kind) * 10.0 ** (-np.float64(db) / 10.0))
 
 
+@pytest.mark.parametrize("kind", list(LinkKind))
+def test_scalar_input_gives_the_array_element(kind):
+    """A distance gives the same mean received power, and a fading the
+    same decode reach, bit for bit, as a float alone as inside an array."""
+    rng = np.random.default_rng(11)
+    d = rng.uniform(1.0, 3000.0, 2000)
+    fading = rng.standard_exponential(2000)
+    power = [mean_received_power(kind, x, RADIO) for x in d.tolist()]
+    reach = [decode_reach(kind, f, RADIO) for f in fading.tolist()]
+    assert all(type(x) is float for x in power + reach)
+    assert power == mean_received_power(kind, d, RADIO).tolist()
+    assert reach == decode_reach(kind, fading, RADIO).tolist()
+
+
 def test_replaced_radio_gets_its_own_link_constants():
     mean_received_power(LinkKind.BS_TO_UAV, 100.0, RADIO)
     louder = dataclasses.replace(RADIO, p_bs_mw=2000.0)

@@ -39,7 +39,7 @@ from uavcast.experiments import (
     run_design_insight_study,
     run_validation_study,
 )
-from uavcast.geometry import _bs_distances, _bs_site, cluster_peer_count
+from uavcast.geometry import cluster_peer_count
 from uavcast.protocol import SCHEME_RUNNERS, SimParams, run_epochs
 
 # The schemes in stream order: a delay-study BS scheme's later-rounds
@@ -366,16 +366,14 @@ def _replays(study, scheme, config, key):
     recovery generator at the replication's first output).  Under spawn
     keys (study, *key, 0, s), stream 0 holds every Poisson count (density
     mode), then each drop's 2 (clusters + members) uniforms; stream 1 each
-    non-empty drop's n round-1 exponentials when a packet fits the budget;
-    stream 2 replication r's recovery blocks from output r 2**64 on.  A
-    delay-study BS scheme's stream (study, *key, scheme, 1) holds, for the
-    drops that draw round-1 exponentials, n g more, g being the receptions
-    a member needs.
+    drop's n round-1 exponentials, whatever the time budget; stream 2
+    replication r's recovery blocks from output r 2**64 on.  A
+    delay-study BS scheme's stream (study, *key, scheme, 1) holds n g
+    more per drop, g being the receptions a member needs.
     """
     prefix = (_STUDY_IDS[study], *key)
     drops, fading = (_rng(config.base_seed, (*prefix, 0, s)) for s in (0, 1))
     sim, reps = config.sim, config.replications
-    fits = sim.packet_len_ms <= sim.max_time_ms
     later, g = None, 0
     if study == "delay" and scheme != "clustering":
         later = _rng(config.base_seed,
@@ -391,9 +389,9 @@ def _replays(study, scheme, config, key):
         k, n = ((config.num_clusters, config.total_uavs) if count is None
                 else (count, count * per_cluster))
         uniforms = drops.random(2 * (k + n))
-        row = fading.standard_exponential(n if fits else 0)
+        row = fading.standard_exponential(n)
         later_row = (None if later is None
-                     else later.standard_exponential((n if fits else 0, g)))
+                     else later.standard_exponential((n, g)))
         recovery = _rng(config.base_seed, (*prefix, 0, 2))
         recovery.bit_generator.advance(rep << 64)
         yield count, uniforms, row, later_row, recovery
@@ -434,11 +432,20 @@ def _oracle_drop(config, count, uniforms):
     return xy, tuple(np.cumsum([0, *sizes]).tolist())
 
 
+def _bs_powers(config, xy):
+    """The mean BS powers of members at planar points `xy`, the BS at
+    planar point (d0, 0) and h2 - h1 below them."""
+    d = np.sqrt((xy[:, 0] - config.d0_m) ** 2 + xy[:, 1] ** 2
+                + (config.h2_m - config.h1_m) ** 2)
+    return mean_received_power(LinkKind.BS_TO_UAV, d, config.radio)
+
+
 def _oracle_epochs(study, scheme, config, key):
     """Each replication's epoch, rebuilt from `_replays`: its drop
-    (`_oracle_drop`), round 1 decided on its fading row, a BS scheme's
-    completion rounds read from its later-rounds row, and `run_epochs`
-    on a batch of one drawing recovery from its generator.  A BS scheme
+    (`_oracle_drop`), round 1 decided on its fading row when a packet fits
+    the budget, a BS scheme's completion rounds read from its later-rounds
+    row, and `run_epochs` on a batch of one drawing recovery from its
+    generator.  A BS scheme
     of the ase study has no later rounds: a member served in round 1
     completes then, the others never.  Yields (mean BS powers, round-1
     decisions, delivery times, via_broadcast marks), rows of one epoch."""
@@ -446,21 +453,17 @@ def _oracle_epochs(study, scheme, config, key):
     for count, uniforms, row, later, recovery in _replays(study, scheme,
                                                           config, key):
         xy, bounds = _oracle_drop(config, count, uniforms)
-        n = len(xy)
-        power = mean_received_power(
-            LinkKind.BS_TO_UAV, _bs_distances(xy, *_bs_site(config)), radio)
-        first = np.zeros(n, dtype=bool)
-        if row.size:
+        power = _bs_powers(config, xy)
+        first = np.zeros(len(xy), dtype=bool)
+        if sim.packet_len_ms <= sim.max_time_ms:
             first = decodes(power, row, radio)
         rounds = first
         if scheme != "clustering":
             rounds = np.where(first, 1.0, np.inf)
             if later is not None:
-                rounds = np.full(n, np.inf)
-                if later.size:
-                    rounds = completion_rounds(
-                        first[None], decode_probability(power, radio)[None],
-                        later[None])[0]
+                rounds = completion_rounds(
+                    first[None], decode_probability(power, radio)[None],
+                    later[None])[0]
         delivery, via_broadcast = run_epochs(
             scheme, xy[None], bounds, rounds[None], radio, sim,
             lambda _, out: recovery.random(out=out))[:2]
@@ -916,16 +919,16 @@ def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
                                                key):
         xy, bounds = _oracle_drop(config, count, uniforms)
         n = len(xy)
-        power = mean_received_power(
-            LinkKind.BS_TO_UAV, _bs_distances(xy, *_bs_site(config)), radio)
-        first = decodes(power, row, radio) if row.size else np.zeros(n, bool)
+        power = _bs_powers(config, xy)
+        fits = config.sim.packet_len_ms <= max_time_ms
+        first = decodes(power, row, radio) if fits else np.zeros(n, bool)
         rounds = completion_rounds(
             first[None], decode_probability(power, radio)[None],
             later.standard_exponential((1, n, 1)))
         via_broadcast = run_epochs("benchmark", xy[None], bounds, rounds,
                                    radio, config.sim, None)[1][0]
         served = int(np.count_nonzero(via_broadcast))
-        if row.size:
+        if fits and n:
             ref_served.append((power.tobytes(), served))
         ref_ases.append((served / n) * rate_density if n else math.nan)
     # round 1 is decided on the drops' own powers, serving the members the

@@ -12,13 +12,10 @@ from uavcast.config import ScenarioConfig
 from uavcast.errors import ParameterError
 from uavcast.experiments import replay_drops
 from uavcast.geometry import (
-    _bs_distances,
-    _bs_site,
     _drop_law,
     _drop_plan,
     _drop_points,
     offset_distance,
-    polar_offset_distance,
     polar_offset_terms,
     polar_pair_distance,
     sample_uniform_disk_polar,
@@ -39,10 +36,12 @@ def _drop(config, rng):
 
 
 def test_bs_distances_are_3d():
-    """3-4-5 in the plane at equal heights, 3-4-12-13 with a height gap."""
-    xy = np.array([[3.0, 4.0], [0.0, 0.0]])
-    assert _bs_distances(xy, 10.0, (0.0, 0.0), 10.0).tolist() == [5.0, 0.0]
-    assert _bs_distances(xy, 22.0, (0.0, 0.0), 10.0).tolist() == [13.0, 12.0]
+    """3-4-5 in the plane at equal heights, 3-4-12-13 with a height gap,
+    from a BS on the +x axis at 6 m, where a point's offset is -x."""
+    xy = np.array([[3.0, 4.0], [6.0, 0.0]])
+    x, y2 = -xy[:, 0], xy[:, 1] ** 2
+    assert offset_distance(6.0, x, y2, 0.0).tolist() == [5.0, 0.0]
+    assert offset_distance(6.0, x, y2, 12.0).tolist() == [13.0, 12.0]
 
 
 def test_uniform_disk_is_area_uniform():
@@ -93,8 +92,8 @@ def test_polar_distances_match_cartesian_points(radius, offset_frac,
     offset = 3000.0 * offset_frac / 2.0 if far_offset else offset_frac * radius
     polar, cartesian = (np.random.default_rng(seed) for _ in range(2))
 
-    got = polar_offset_distance(
-        offset, *sample_uniform_disk_polar(polar, n, radius), height)
+    got = offset_distance(offset, *polar_offset_terms(
+        *sample_uniform_disk_polar(polar, n, radius)), height)
     pts = disk_points(cartesian, n, radius, (offset, 0.0))
     _assert_distances_match(
         got, np.hypot(np.hypot(pts[:, 0], pts[:, 1]), height))
@@ -118,8 +117,9 @@ def test_polar_distances_where_they_cancel():
     rho = 100.0 * (1.0 + rng.uniform(-0.02, 0.02, n))
     theta = np.pi + rng.uniform(-0.02, 0.02, n)
     x, y = 100.0 + rho * np.cos(theta), rho * np.sin(theta)
-    _assert_distances_match(polar_offset_distance(100.0, rho, theta),
-                            np.hypot(x, y))
+    _assert_distances_match(
+        offset_distance(100.0, *polar_offset_terms(rho, theta)),
+        np.hypot(x, y))
     theta_b = theta + rng.uniform(-0.02, 0.02, n)
     rho_b = rho * (1.0 + rng.uniform(-0.02, 0.02, n))
     _assert_distances_match(
@@ -131,7 +131,7 @@ def test_polar_distances_where_they_cancel():
 def test_polar_distances_keep_their_inputs():
     rho, theta = sample_uniform_disk_polar(np.random.default_rng(2), 50, 10.0)
     saved = rho.copy(), theta.copy()
-    polar_offset_distance(5.0, rho, theta, 3.0)
+    offset_distance(5.0, *polar_offset_terms(rho, theta), 3.0)
     polar_pair_distance(rho, theta, rho[::-1], theta[::-1])
     assert np.array_equal(rho, saved[0]) and np.array_equal(theta, saved[1])
     x, y2 = polar_offset_terms(rho, theta)
@@ -280,10 +280,12 @@ def test_single_draw_topology_matches_per_disk_draws(seed, mode, num_clusters,
     assert rng.random() == ref_rng.random()
 
 
-def test_build_topology_geometry_and_heights():
+def test_drop_points_stay_on_their_disks():
+    """Centers on the region disk, members on their cluster's disk.  The
+    BS site and heights are checked through the mean BS powers in
+    `test_first_broadcast_matches_full_benchmark`."""
     config = ScenarioConfig(d0_m=900.0, h1_m=12.0, h2_m=25.0)
     topo = _drop(config, np.random.default_rng(4))
-    assert _bs_site(config) == (25.0, (900.0, 0.0), 12.0)
     centers = topo.centers
     assert np.hypot(centers[:, 0], centers[:, 1]).max() <= 100.0
     offsets = topo.xy - centers[topo.cluster_of]

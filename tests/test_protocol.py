@@ -831,18 +831,15 @@ def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
     power = mean_received_power(
         LinkKind.BS_TO_UAV, np.hypot(np.hypot(xy[..., 0] - d0_m, xy[..., 1]),
                                      config.h2_m - config.h1_m), RADIO)
-    fits = sim.packet_len_ms <= sim.max_time_ms
     rngs = [np.random.default_rng([4, e]) for e in range(m)]
-    first = np.zeros((m, n), dtype=bool)
-    if fits:
-        first = decodes(power, np.array([r.standard_exponential(n)
-                                         for r in rngs]), RADIO)
+    first = decodes(power, np.array([r.standard_exponential(n)
+                                     for r in rngs]), RADIO)
+    first &= sim.packet_len_ms <= sim.max_time_ms
     if scheme != "clustering":
-        # no member completes when round 1 does not fit the budget
-        first = (completion_rounds(
+        # over the budget too: `run_epochs` sends no round that ends past it
+        first = completion_rounds(
             first, decode_probability(power, RADIO),
             np.array([r.standard_exponential((n, g)) for r in rngs]))
-            if fits else np.full((m, n), np.inf))
     outcomes = []
     for e in range(m):
         rng, events = np.random.default_rng([5, e]), []
