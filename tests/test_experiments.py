@@ -445,10 +445,10 @@ def _oracle_epochs(study, scheme, config, key):
     (`_oracle_drop`), round 1 decided on its fading row when a packet fits
     the budget, a BS scheme's completion rounds read from its later-rounds
     row, and `run_epochs` on a batch of one drawing recovery from its
-    generator.  A BS scheme
-    of the ase study has no later rounds: a member served in round 1
-    completes then, the others never.  Yields (mean BS powers, round-1
-    decisions, delivery times, via_broadcast marks), rows of one epoch."""
+    generator.  A BS scheme of the ase study has no later rounds: a member
+    served in round 1 completes then, the others never.  Yields (mean BS
+    powers, round-1 decisions, delivery times, via_broadcast marks), rows
+    of one epoch."""
     radio, sim = config.radio, config.sim
     for count, uniforms, row, later, recovery in _replays(study, scheme,
                                                           config, key):
