@@ -273,8 +273,8 @@ def _recover_run(xy, epoch, cluster, member, held, lost, delivery, frames,
     one, holders contend to send the reply.  A clean reply reaches each
     listener (every missing member with opportunistic caching, else the
     requester) with the chance `peer_probability` gives its mean received
-    power from the replier (by default `decode_probability`); a member that
-    gets it holds it from then on.  A cell ends once none of its members
+    power from the replier (by default `decode_probability`), computed for
+    the listeners alone; a member that gets it holds it from then on.  A cell ends once none of its members
     misses the packet, or when its next frame would end past max_time_ms.
     Finished cells are compacted away.
 
@@ -327,18 +327,19 @@ def _recover_run(xy, epoch, cluster, member, held, lost, delivery, frames,
         asker[asked] = winner[asked]
         answered = np.flatnonzero(clean & reply)
         if answered.size:
-            listens = (lost[answered] if sim.opportunistic_caching
-                       else slots == asker[answered, None])
-            at = xy[epoch[answered, None], member[answered]]
-            d = at - at[np.arange(answered.size), winner[answered], None]
-            power = mean_received_power(LinkKind.UAV_TO_UAV,
-                                        np.hypot(d[..., 0], d[..., 1]), radio)
-            heard = listens & (u[answered, 1] < peer_probability(power))
-            cells, s = np.nonzero(heard)
+            # The links of (cell, listener) pairs alone.
+            cells, s = np.nonzero(lost[answered] if sim.opportunistic_caching
+                                  else slots == asker[answered, None])
             cells = answered[cells]
+            e = epoch[cells]
+            d = xy[e, member[cells, s]] - xy[e, member[cells, winner[cells]]]
+            power = mean_received_power(LinkKind.UAV_TO_UAV,
+                                        np.hypot(d[:, 0], d[:, 1]), radio)
+            heard = u[cells, 1, s] < peer_probability(power)
+            cells, s = cells[heard], s[heard]
             delivery[epoch[cells], member[cells, s]] = t[cells]
-            lost[answered] &= ~heard
-            held[answered] |= heard
+            lost[cells, s] = False
+            held[cells, s] = True
         reply ^= clean
         fresh = clean
         keep = fits & lost.any(axis=1)

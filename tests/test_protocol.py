@@ -270,20 +270,21 @@ def test_clustering_opportunistic_caching_saves_a_round():
 
 def test_hooks_receive_mean_received_powers():
     """The peer hook of `run_epochs` gets, for each clean reply, p_uav *
-    gain from every member of the replier's cluster to the replier, one
-    row per reply answered in the same lock-step iteration, and the chance
-    it returns decides each listener: a member is delivered at the first
-    clean reply of its cluster that gives it chance 1, and stays
-    undelivered if none does."""
+    gain from each listener of the replier's cluster (every member still
+    missing the packet, with opportunistic caching) to the replier, and
+    no other link: the powers of every reply answered in one lock-step
+    iteration come in one flat array.  The chance it returns decides each
+    listener: a member is delivered at the first clean reply of its
+    cluster that gives it chance 1, and stays undelivered if none does."""
     xy = np.array([[0.0, 3.0], [7.0, 0.0], [-12.0, 1.0], [2.0, -20.0],
                    [300.0, 5.0], [296.0, -9.0], [310.0, 14.0], [285.0, 2.0]])
     first = np.array([True, False, False, True, True, False, False, False])
     cutoff = mean_received_power(LinkKind.UAV_TO_UAV, 14.0, RADIO)
-    peer_rows = []
+    peer_powers = []
 
     def peer_hook(power):
-        assert power.ndim == 2 and power.shape[1] == 4
-        peer_rows.extend(tuple(row) for row in power.tolist())
+        assert power.ndim == 1
+        peer_powers.extend(power.tolist())
         return np.where(power > cutoff, 1.0, 0.0)
 
     sim = SimParams(max_time_ms=400.0)
@@ -298,16 +299,16 @@ def test_hooks_receive_mean_received_powers():
     want[[0, 3, 4]] = sim.packet_len_ms
     for e in events:
         if e.kind is EventKind.REPLY_TX_END and not e.collided:
-            members = range(4 * e.cluster_id, 4 * e.cluster_id + 4)
-            d = np.hypot(*(xy[list(members)] - xy[e.actor]).T)
+            listeners = sorted(missing[e.cluster_id])
+            d = np.hypot(*(xy[listeners] - xy[e.actor]).T)
             power = mean_received_power(LinkKind.UAV_TO_UAV, d, RADIO)
-            expected.append(tuple(power.tolist()))
-            for m, p in zip(members, power):
-                if m in missing[e.cluster_id] and p > cutoff:
+            expected.extend(power.tolist())
+            for m, p in zip(listeners, power):
+                if p > cutoff:
                     missing[e.cluster_id].discard(m)
                     want[m] = e.time_ms
     assert len(expected) >= 2
-    assert sorted(peer_rows) == sorted(expected)
+    assert sorted(peer_powers) == sorted(expected)
     never = sorted(missing[0] | missing[1])
     assert 0 < len(never) < 5
     assert np.flatnonzero(np.isnan(delivery)).tolist() == never
