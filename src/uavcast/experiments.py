@@ -333,12 +333,13 @@ class _Batch:
 class _Drops:
     """The drops of one shape in a batch after round 1: their replication
     indices, their rows' offsets in the batch's fading and later-round
-    blocks, and, row for row, their mean BS powers and round-1 decisions."""
+    blocks, and, row for row, their mean BS powers (None when no round 1
+    ran) and round-1 decisions."""
 
     plan: _DropPlan
     rows: np.ndarray
     at: np.ndarray
-    power: np.ndarray
+    power: np.ndarray | None
     first: np.ndarray
 
 
@@ -478,33 +479,38 @@ def _continue(config: ScenarioConfig, batch: _Batch, schemes,
     in a pass of its own over what round 1 kept (`_later_rounds`), on
     its later-round block drawn for the pass, so a pass's arrays go when
     it ends."""
-    shapes = yield from _round_one(config, batch, schemes, events)
+    decided, shapes = yield from _round_one(config, batch, schemes, events)
     batch.uniforms = None  # read by the round-1 pass alone
     for scheme in batch.later:
-        yield from _later_rounds(config, scheme, batch, shapes, events)
+        yield from _later_rounds(config, scheme, batch, shapes, decided,
+                                 events)
 
 
 def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
                events: list | None):
     """The round-1 pass of `_continue`: for each shape in turn, gather its
     uniforms and fading and decide round 1, which serves the members whose
-    fading decodes, none when one packet exceeds the budget.  Clustering
-    recovery fills epoch e's blocks through `batch.recover_at(rows[e],
-    block)`; a BS scheme of the ase study stops at round 1, outcome (None,
-    round-1 decisions).  Returns the `_Drops`, not the member points."""
+    fading decodes.  When one packet exceeds the budget no round 1 runs:
+    no member is served, and no mean BS power is kept (`_Drops.power`
+    None).  Clustering recovery fills epoch e's blocks through
+    `batch.recover_at(rows[e], block)`; a BS scheme of the ase study stops
+    at round 1, outcome (None, round-1 decisions).  Returns whether round
+    1 ran, and the `_Drops`, not the member points."""
     radio, sim = config.radio, config.sim
+    decided = sim.packet_len_ms <= sim.max_time_ms  # this layer's one check
     shapes = []
     for plan, rows, starts, at in batch.shapes:
         # The member points alone: the centers would keep their buffer alive.
         xy = _drop_points(plan, _take(batch.uniforms, starts,
                                       plan.read.size))[1]
-        # `offset_distance` measures x from the observer towards the disk's
-        # center; the BS sits on the +x axis at d0, so that x is -x here.
-        power = mean_received_power(LinkKind.BS_TO_UAV, offset_distance(
-            config.d0_m, -xy[..., 0], xy[..., 1] ** 2,
-            abs(config.h2_m - config.h1_m)), radio)
-        first = np.zeros(power.shape, dtype=bool)
-        if sim.packet_len_ms <= sim.max_time_ms:
+        power, first = None, np.zeros(xy.shape[:2], dtype=bool)
+        if decided:
+            # `offset_distance` measures x from the observer towards the
+            # disk's center; the BS sits on the +x axis at d0, so that x
+            # is -x here.
+            power = mean_received_power(LinkKind.BS_TO_UAV, offset_distance(
+                config.d0_m, -xy[..., 0], xy[..., 1] ** 2,
+                abs(config.h2_m - config.h1_m)), radio)
             first = decodes(power, _take(batch.fading, at, plan.n_uavs), radio)
         shapes.append(drops := _Drops(plan, rows, at, power, first))
         for scheme in schemes:
@@ -514,22 +520,27 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
                     lambda e, out: batch.recover_at(int(rows[e]), out), events)
             elif scheme not in batch.later:
                 yield scheme, drops, (None, first)
-    return shapes
+    return decided, shapes
 
 
 def _later_rounds(config: ScenarioConfig, scheme: str, batch: _Batch,
-                  shapes: list[_Drops], events: list | None):
+                  shapes: list[_Drops], decided: bool, events: list | None):
     """A delay-study BS scheme's pass of `_continue` over `shapes`, on the
     batch's later-round block, drawn now: `completion_rounds` reads each
     shape's completion rounds from its rows of the block, and
-    `run_epochs` sends no round past the budget."""
+    `run_epochs` sends no round past the budget.  Where round 1 did not
+    run (`decided` false) no later round can: no block is drawn, and no
+    member ever completes."""
     radio, sim = config.radio, config.sim
     rng, g = batch.later[scheme]
-    block = rng.standard_exponential((batch.fading.size, g))
+    if decided:
+        block = rng.standard_exponential((batch.fading.size, g))
     for drops in shapes:
-        rounds = completion_rounds(drops.first,
-                                   decode_probability(drops.power, radio),
-                                   _take(block, drops.at, drops.plan.n_uavs))
+        rounds = np.full(drops.first.shape, np.inf)
+        if decided:
+            rounds = completion_rounds(
+                drops.first, decode_probability(drops.power, radio),
+                _take(block, drops.at, drops.plan.n_uavs))
         yield scheme, drops, run_epochs(scheme, None, drops.plan.bounds,
                                         rounds, radio, sim, None, events)
 

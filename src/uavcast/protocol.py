@@ -438,27 +438,32 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
 
     Returns (delivery, via_broadcast), each (m, n), delivery NaN where
     undelivered, and per-epoch (bs_transmissions, uav_transmissions,
-    control_messages), each (m,).  Clustering sends its broadcast whenever
-    a packet fits the budget, even to an empty drop (bs_transmissions 1).
-    A BS scheme sends rounds up to the last delivery and, when a member is
-    never served, every round that fits: floor((max_time_ms - t_ack_ms *
-    ACKs) / packet_len_ms), with no ACKs when coded.  An empty drop needs
-    no BS round (bs_transmissions 0).
+    control_messages), each (m,).  When one packet exceeds max_time_ms no
+    scheme sends or serves anything, and neither recovery nor the BS
+    timelines run.  Otherwise clustering sends its broadcast, even to an
+    empty drop (bs_transmissions 1).  A BS scheme sends rounds up to the
+    last delivery and, when a member is never served, every round that
+    fits: floor((max_time_ms - t_ack_ms * ACKs) / packet_len_ms), with no
+    ACKs when coded.  An empty drop needs no BS round (bs_transmissions
+    0).
     """
     if scheme not in SCHEME_RUNNERS:
         raise ParameterError(
             f"scheme: unknown scheme {scheme!r}, expected one of "
             f"{sorted(SCHEME_RUNNERS)}")
     m, n = first.shape
+    if sim.packet_len_ms > sim.max_time_ms:
+        # No packet fits: no scheme sends a frame or serves a member.
+        return (np.full((m, n), np.nan), np.zeros((m, n), dtype=bool),
+                *(np.zeros(m, dtype=np.int64) for _ in range(3)))
     if scheme == "clustering":
         delivery = np.where(first, sim.packet_len_ms, np.nan)
-        fits = sim.packet_len_ms <= sim.max_time_ms
-        if events is not None and fits:
+        if events is not None:
             events.append(Event(sim.packet_len_ms, EventKind.BS_BROADCAST_END,
                                 -1, PACKET_ID, -1))
         uav_tx, control = _recover(xy, bounds, first, delivery, radio, sim,
                                    draw, events, peer_probability)
-        return delivery, first, np.full(m, int(fits)), uav_tx, control
+        return delivery, first, np.ones(m, dtype=np.int64), uav_tx, control
     coded = scheme == "rnc"
     rounds, delivery, via_broadcast = _bs_delivery(first, coded, sim)
     delivered = ~np.isnan(delivery)
