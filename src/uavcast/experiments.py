@@ -136,11 +136,20 @@ class MetricTable:
 # delay study's RNC pass reads g > 8 later-round doubles a member.
 # Recovery runs of at most `protocol._RUN_SLOTS` padded slots bound the
 # recovery's share apart from this width.  Over 327 replications at
-# d0 = 1200 m, C = 2, a delay call of clustering peaks at about 3.8 MB
-# traced at 50 members, 4.0 MB at 2,000 (53.9 MB in batches of 64
-# replications), and one of RNC at 3.3 MB at g = 8, 2.2 MB at g = 256
+# d0 = 1200 m, C = 2, a delay call of clustering peaks at about 3.4 MB
+# traced at 50 members, 3.6 MB at 2,000 (53.9 MB in batches of 64
+# replications), and one of RNC at 2.9 MB at g = 8, 2.2 MB at g = 256
 # (68.5 MB in batches of 16,384 members).
 _BATCH_MEMBERS = 16384
+# Outputs of the first-recovery stream (`_scenario`) read in one call at
+# most, unless one block is longer: a batch's blocks 0 are read a stretch
+# at a time.
+_FIRST_CHUNK = 2 ** 15
+# Outputs of the later-recovery stream (`_scenario`) that one cell owns:
+# cell (r, c) reads its blocks after the first from output r * 2**64 +
+# c * _CELL_OUTPUTS on, so a drop holds up to 2**64 / _CELL_OUTPUTS
+# clusters.
+_CELL_OUTPUTS = 2 ** 40
 
 
 def _rng(base_seed: int, key: tuple[int, ...]) -> np.random.Generator:
@@ -314,19 +323,90 @@ def run_design_insight_study(config: ScenarioConfig,
     return MetricTable(rows)
 
 
+class _Recovery:
+    """A scenario's clustering recovery streams (`_scenario`): block 0 of
+    every cell from `first`, read where `_scenario` lays it out, and each
+    later block from its cell's fixed offset in `later`.  PCG64 cycles
+    through 2**128 outputs, so one jump (`advance`) from a stream's
+    position reaches any offset, behind it too."""
+
+    def __init__(self, base_seed: int, prefix: tuple[int, ...]):
+        self.streams = [_rng(base_seed, (*prefix, 0, s)) for s in (2, 3)]
+        self.at = [0, 0]  # each stream's position
+
+    def _read(self, stream: int, offset: int, out: np.ndarray) -> None:
+        """Fill `out` from output `offset` of stream 0 (`first`) or 1
+        (`later`) on."""
+        rng = self.streams[stream]
+        rng.bit_generator.advance((offset - self.at[stream]) % 2 ** 128)
+        rng.random(out=out)
+        self.at[stream] = offset + out.size
+
+    def first_blocks(self, index: np.ndarray, out: np.ndarray) -> None:
+        """Fill `out[j]` with block `index[j]` (ascending) of `first`, in
+        blocks of `out[j].size` outputs: the stretch from one block to the
+        last that starts within _FIRST_CHUNK outputs is read in one call
+        and the blocks are copied out of it, so the blocks between them
+        are drawn but never the whole batch's blocks at once."""
+        flat = out.reshape(len(out), -1)
+        width = flat.shape[1]
+        per_read = max(1, _FIRST_CHUNK // width)
+        a = 0
+        while a < len(flat):
+            lo = int(index[a])
+            b = int(np.searchsorted(index, lo + per_read))
+            stretch = np.empty((int(index[b - 1]) + 1 - lo, width))
+            self._read(0, lo * width, stretch)
+            np.take(stretch, index[a:b] - lo, axis=0, out=flat[a:b])
+            a = b
+
+    def fill(self, rep: int, cluster: int, b: int, out: np.ndarray) -> None:
+        """Fill `out` with block b >= 1 of cell (rep, cluster): outputs
+        from rep * 2**64 + cluster * _CELL_OUTPUTS + (b - 1) * out.size on
+        of `later`.  A block that would pass its cell's outputs, or its
+        replication's, is refused: it would overlap another cell's draws."""
+        end = b * out.size
+        if rep >> 64 or cluster >= 2 ** 64 // _CELL_OUTPUTS \
+                or end > _CELL_OUTPUTS:
+            raise ParameterError(
+                f"recovery: block {b} of cluster {cluster} of replication "
+                f"{rep} passes the {_CELL_OUTPUTS} uniforms of its cell "
+                f"or the 2**64 of its replication; use fewer clusters, "
+                f"smaller ones or a shorter max_time_ms")
+        self._read(1, (rep << 64) + cluster * _CELL_OUTPUTS + end - out.size,
+                   out)
+
+    def draw(self, rows: np.ndarray, starts: np.ndarray) -> Callable:
+        """The `draw(epoch, cluster, b, out)` of `protocol.run_epochs` for
+        drops of replications `rows` whose clusters' blocks 0 are blocks
+        `starts` on of `first`, cluster after cluster."""
+        reps = rows.tolist()
+
+        def draw(epoch, cluster, b, out):
+            if not b:
+                self.first_blocks(starts[epoch] + cluster, out)
+                return
+            for j, (e, c) in enumerate(zip(epoch.tolist(), cluster.tolist())):
+                self.fill(reps[e], c, b, out[j])
+        return draw
+
+
 @dataclass
 class _Batch:
     """A batch of a scenario (`_scenario`): its drops by shape as (plan,
-    replication indices, offsets in `uniforms`, offsets in `fading`), the
-    delay study's BS schemes' (later-rounds stream, g), and the reader
-    `recover_at(rep, block)` of replication `rep`'s next recovery uniforms.
-    `_continue` lets `uniforms` go (None) after its round-1 pass."""
+    replication indices, offsets in `uniforms`, offsets in `fading`, the
+    indices of their first clusters' blocks 0 in the first recovery
+    stream), the delay study's BS schemes' (later-rounds stream, g), and
+    clustering's recovery streams (None when clustering does not run).
+    `_continue` lets `uniforms` and `fading` go (None) after its round-1
+    pass."""
 
-    shapes: list[tuple[_DropPlan, np.ndarray, np.ndarray, np.ndarray]]
+    shapes: list[tuple[_DropPlan, np.ndarray, np.ndarray, np.ndarray,
+                       np.ndarray]]
     uniforms: np.ndarray | None
-    fading: np.ndarray
+    fading: np.ndarray | None
     later: dict[str, tuple[np.random.Generator, int]]
-    recover_at: Callable[[int, np.ndarray], None]
+    recovery: _Recovery | None
 
 
 @dataclass
@@ -364,10 +444,17 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
       uniforms (`_DropPlan`), in replication order;
     - fading, (study, *key, 0, 1): each replication's n round-1 fadings,
       in replication order; none for an empty drop;
-    - recovery, (study, *key, 0, 2): clustering epoch r reads its blocks
-      of uniforms (`protocol.run_epochs`), each sized by its live cells,
-      in order from the stream's output r * 2**64 on (`PCG64.advance`
-      from the stream's last position);
+    - recovery, (study, *key, 0, 2): block 0 of each cell (r, c) of
+      clustering recovery (`protocol.run_epochs`), for each cluster of
+      each drop in replication order.  Every block holds 4 x 2 x S
+      outputs, S being the largest cluster, which is the same in every
+      drop of a scenario (one plan in fixed_total mode, clusters of
+      `cluster_peer_count` members in density mode).  Read only where
+      clustering runs, a batch at a time from its first recovering cell
+      to its last (`_Recovery.first_blocks`);
+    - later recovery, (study, *key, 0, 3): block b >= 1 of cell (r, c),
+      for a cell still recovering at its row 4 b, from output r * 2**64 +
+      c * _CELL_OUTPUTS + (b - 1) * 8 S on (`_Recovery.fill`);
     - later rounds, (study, *key, i, 1) for the delay study's BS scheme
       i of `SCHEME_RUNNERS` among `schemes`: g exponentials per round-1
       fading, in the same order, g the receptions a member needs
@@ -377,14 +464,17 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
 
     Replications run in batches of about `_BATCH_MEMBERS` members, 8 / g
     of that when a later-rounds g exceeds 8 (`_batches`).  A batch draws
-    each stream's values for all of its drops in one call, a later-rounds
-    stream's when its scheme's pass starts (`_continue`), and numpy fills
-    them in sequence, so every drop's values are the same whatever the
-    batch width.
+    the drops and fading values of all of its drops in one call each, and
+    a later-rounds stream's when its scheme's pass starts (`_continue`);
+    numpy fills them in sequence, so every drop's values are the same
+    whatever the batch width.  Every recovery block sits at a fixed place
+    in its stream, so a cell's draws depend on no other cell.
     """
     prefix = (_STUDY_IDS[study], *key)
-    drop_rng, fading_rng, recovery = (
-        _rng(config.base_seed, (*prefix, 0, stream)) for stream in range(3))
+    drop_rng, fading_rng = (_rng(config.base_seed, (*prefix, 0, stream))
+                            for stream in range(2))
+    recovery = (_Recovery(config.base_seed, prefix)
+                if "clustering" in schemes else None)
     plans = _drop_law(config)(drop_rng, config.replications)
     sim = config.sim
     # Each BS scheme's later-rounds stream and receptions per member.
@@ -395,29 +485,21 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
              for scheme in schemes
              if study == "delay" and scheme != "clustering"}
     budget = _BATCH_MEMBERS * 8 // max([8, *(g for _, g in later.values())])
-    at, read = 0, [0] * config.replications  # stream position, reads per rep
-
-    def recover_at(rep, block):
-        """Fill `block` with replication `rep`'s next recovery uniforms.
-        PCG64 cycles through 2**128 outputs, so one jump from the stream's
-        position reaches any offset, behind it too."""
-        nonlocal at
-        offset = (rep << 64) + read[rep]
-        recovery.bit_generator.advance((offset - at) % 2 ** 128)
-        recovery.random(out=block)
-        at, read[rep] = offset + block.size, read[rep] + block.size
-
+    first_at = 0  # the first recovery stream's blocks of earlier batches
     for lo, groups in _batches(plans, config.mode == "fixed_total", budget):
-        blocks, lengths = np.zeros((2, sum(i.size for _, i in groups)),
-                                   dtype=np.intp)
+        # Per drop: its uniforms, fadings and clusters (blocks 0).
+        sizes = np.zeros((3, sum(i.size for _, i in groups)), dtype=np.intp)
         for plan, index in groups:
-            blocks[index], lengths[index] = plan.read.size, plan.n_uavs
-        u_at, f_at = (np.cumsum(sizes) - sizes for sizes in (blocks, lengths))
-        yield _Batch([(plan, lo + index, u_at[index], f_at[index])
-                      for plan, index in groups],
-                     drop_rng.random(blocks.sum()),
-                     fading_rng.standard_exponential(lengths.sum()),
-                     later, recover_at)
+            sizes[:, index] = np.array([plan.read.size, plan.n_uavs,
+                                        len(plan.bounds) - 1])[:, None]
+        u_at, f_at, r_at = np.cumsum(sizes, axis=1) - sizes
+        r_at += first_at
+        first_at += int(sizes[2].sum())
+        yield _Batch([(plan, lo + index, u_at[index], f_at[index],
+                       r_at[index]) for plan, index in groups],
+                     drop_rng.random(sizes[0].sum()),
+                     fading_rng.standard_exponential(sizes[1].sum()),
+                     later, recovery)
 
 
 def _replicated(study: str, config: ScenarioConfig,
@@ -480,7 +562,7 @@ def _continue(config: ScenarioConfig, batch: _Batch, schemes,
     its later-round block drawn for the pass, so a pass's arrays go when
     it ends."""
     decided, shapes = yield from _round_one(config, batch, schemes, events)
-    batch.uniforms = None  # read by the round-1 pass alone
+    batch.uniforms = batch.fading = None  # read by the round-1 pass alone
     for scheme in batch.later:
         yield from _later_rounds(config, scheme, batch, shapes, decided,
                                  events)
@@ -492,14 +574,14 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
     uniforms and fading and decide round 1, which serves the members whose
     fading decodes.  When one packet exceeds the budget no round 1 runs:
     no member is served, and no mean BS power is kept (`_Drops.power`
-    None).  Clustering recovery fills epoch e's blocks through
-    `batch.recover_at(rows[e], block)`; a BS scheme of the ase study stops
-    at round 1, outcome (None, round-1 decisions).  Returns whether round
-    1 ran, and the `_Drops`, not the member points."""
+    None).  Clustering recovery reads its cells' blocks through
+    `_Recovery.draw`, none when no round 1 ran; a BS scheme of the ase
+    study stops at round 1, outcome (None, round-1 decisions).  Returns
+    whether round 1 ran, and the `_Drops`, not the member points."""
     radio, sim = config.radio, config.sim
     decided = sim.packet_len_ms <= sim.max_time_ms  # this layer's one check
     shapes = []
-    for plan, rows, starts, at in batch.shapes:
+    for plan, rows, starts, at, r_at in batch.shapes:
         # The member points alone: the centers would keep their buffer alive.
         xy = _drop_points(plan, _take(batch.uniforms, starts,
                                       plan.read.size))[1]
@@ -517,7 +599,7 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
             if scheme == "clustering":
                 yield scheme, drops, run_epochs(
                     scheme, xy, plan.bounds, first, radio, sim,
-                    lambda e, out: batch.recover_at(int(rows[e]), out), events)
+                    batch.recovery.draw(rows, r_at), events)
             elif scheme not in batch.later:
                 yield scheme, drops, (None, first)
     return decided, shapes
@@ -534,13 +616,16 @@ def _later_rounds(config: ScenarioConfig, scheme: str, batch: _Batch,
     radio, sim = config.radio, config.sim
     rng, g = batch.later[scheme]
     if decided:
-        block = rng.standard_exponential((batch.fading.size, g))
+        # One row per member of the batch, as the fading.
+        block = rng.standard_exponential(
+            (sum(drops.first.size for drops in shapes), g))
     for drops in shapes:
-        rounds = np.full(drops.first.shape, np.inf)
         if decided:
             rounds = completion_rounds(
                 drops.first, decode_probability(drops.power, radio),
                 _take(block, drops.at, drops.plan.n_uavs))
+        else:
+            rounds = np.full(drops.first.shape, np.inf)
         yield scheme, drops, run_epochs(scheme, None, drops.plan.bounds,
                                         rounds, radio, sim, None, events)
 
@@ -569,7 +654,7 @@ def replay_drops(config: ScenarioConfig,
     out = [None] * count
     for batch in _scenario("delay", config.replace(replications=count),
                            (0, 0), ()):
-        for plan, rows, starts, _ in batch.shapes:
+        for plan, rows, starts, *_ in batch.shapes:
             _, xy = _drop_points(plan, _take(batch.uniforms, starts,
                                              plan.read.size))
             for rep, points in zip(rows.tolist(), xy):

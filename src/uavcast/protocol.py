@@ -35,8 +35,9 @@ batches of drops, and on a batch of one epoch, which alone records the
 event log and which `SchemeOutcome.of_batch` reads.  Clustering recovery
 runs in lock-step over arrays (`_recover`): every (epoch, cluster) cell
 that needs recovery makes one channel attempt per iteration (`_attempt`),
-so a run of whole epochs' cells, up to _RUN_SLOTS padded slots, recovers
-in the iterations its slowest cluster needs.
+so a run of cells, up to _RUN_SLOTS padded slots, recovers in the
+iterations its slowest cluster needs.  Each cell reads uniforms of its
+own, a block of _BLOCK_ROWS rows at a time (`draw`).
 The two BS schemes simulate no rounds: fading is independent from round to
 round, so each member's completion round is drawn at once
 (`channel.completion_rounds`), and the round times, the time budget and
@@ -63,13 +64,13 @@ from .channel import (
 from .errors import ParameterError, check_field_values
 
 PACKET_ID = 0  # single-packet epochs; RNC events carry coded-packet indices
-# Rows of one block of recovery uniforms (`_recover`): an epoch reads one
-# row per lock-step iteration and draws its next block after this many.
-_BLOCK_ROWS = 16
+# Rows of one block of recovery uniforms (`_recover_run`): a cell reads one
+# row per lock-step iteration and its next block after this many.
+_BLOCK_ROWS = 4
 # Padded slots (cells x largest cluster) of one recovery run (`_recover`):
-# a run's blocks take 16 x 2 doubles, 256 bytes, per slot, so 2 MB, and
-# its lock-step iterations spread over up to this many slots.
-_RUN_SLOTS = 8192
+# a run's blocks take 4 x 2 doubles, 64 bytes, per slot, so 1 MB, and its
+# lock-step iterations spread over up to this many slots.
+_RUN_SLOTS = 16384
 
 
 @dataclass(frozen=True)
@@ -215,12 +216,12 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     serialized on its own.  Members sit in a padded (cells x largest
     cluster) layout.
 
-    The cells recover in runs (`_runs`) of whole epochs, each run of at
-    most _RUN_SLOTS padded slots unless one epoch alone has more, one run
-    after the other (`_recover_run`).  An epoch's draws and events depend
-    on its own cells only, so the runs give what one run of all cells
-    gives, and a run's memory is bounded apart from the batch width.
-    `events`, when a list, gets the events of a batch of one epoch.
+    The cells recover in runs of max(1, _RUN_SLOTS // largest cluster)
+    cells, in order, one run after the other (`_recover_run`).  A cell's
+    draws and frames depend on its own members only, so the runs give
+    what one run of all cells gives, and a run's memory is bounded apart
+    from the batch width.  `events`, when a list, gets the events of a
+    batch of one epoch.
     Returns per-epoch (uav transmissions, control messages), collided
     frames included.
     """
@@ -239,25 +240,12 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     held = got[:, member] & valid
     lost = valid & ~got[:, member]
     epoch, cluster = np.nonzero(held.any(axis=2) & lost.any(axis=2))
-    for run in _runs(epoch, slots.size):
-        e, c = epoch[run], cluster[run]
+    cells = max(1, _RUN_SLOTS // slots.size)
+    for a in range(0, epoch.size, cells):
+        e, c = epoch[a:a + cells], cluster[a:a + cells]
         _recover_run(xy, e, c, member[c], held[e, c], lost[e, c], delivery,
                      frames, radio, sim, draw, events, peer_probability)
     return frames[:, 1], frames[:, 0]
-
-
-def _runs(epoch: np.ndarray, width: int):
-    """Slices of the ascending cell epochs `epoch` into runs of whole
-    epochs, in order: each run takes the most epochs whose cells, at
-    `width` padded slots a cell, fit in _RUN_SLOTS slots, and at least
-    one epoch."""
-    cells = max(1, _RUN_SLOTS // width)
-    ends = (np.flatnonzero(np.diff(epoch, append=-1)) + 1).tolist()
-    a = 0
-    for b, after in zip(ends, [*ends[1:], np.inf]):
-        if after - a > cells:  # the next epoch would not fit
-            yield slice(a, b)
-            a = b
 
 
 def _recover_run(xy, epoch, cluster, member, held, lost, delivery, frames,
@@ -278,13 +266,16 @@ def _recover_run(xy, epoch, cluster, member, held, lost, delivery, frames,
     misses the packet, or when its next frame would end past max_time_ms.
     Finished cells are compacted away.
 
-    Randomness: before iteration 0 and every _BLOCK_ROWS iterations, each
-    epoch with live cells fills their blocks of uniforms, shape (its live
-    cells, _BLOCK_ROWS, 2, largest cluster), in one `draw(e, out)` call.
+    Randomness: every cell reads block b, rows b * _BLOCK_ROWS to (b + 1)
+    * _BLOCK_ROWS - 1 of its own uniforms, at iterations b * _BLOCK_ROWS
+    on.  Before iteration 0 and every _BLOCK_ROWS iterations, one
+    `draw(epoch, cluster, b, out)` call fills `out[j]`, shape
+    (_BLOCK_ROWS, 2, largest cluster), with block b of each live cell j.
     Iteration i reads row i mod _BLOCK_ROWS of a cell's block: column 0
     gives its slots' fresh backoffs, column 1 a collider's redraw or a
-    listener's reception (u < chance).  So an epoch's draws depend on its
-    own cells only, not on the other epochs of the batch or of the run.
+    listener's reception (u < chance).  So a cell's draws depend on
+    neither the other cells of its epoch nor the other epochs of the
+    batch or of the run.
     """
     width = held.shape[1]
     slots = np.arange(width)
@@ -300,9 +291,7 @@ def _recover_run(xy, epoch, cluster, member, held, lost, delivery, frames,
     for i in itertools.count():
         if not i % _BLOCK_ROWS:
             block_of = np.arange(epoch.size)
-            starts = np.flatnonzero(np.diff(epoch, prepend=-1)).tolist()
-            for a, b in zip(starts, [*starts[1:], epoch.size]):
-                draw(int(epoch[a]), blocks[a:b])
+            draw(epoch, cluster, i // _BLOCK_ROWS, blocks[:epoch.size])
         u = blocks[block_of, i % _BLOCK_ROWS]
         phase = reply.astype(np.intp)
         slot, sent, n_sent = _attempt(np.where(reply[:, None], held, lost),
@@ -428,8 +417,10 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
     (m, n) is the BS link's outcome per member.  For clustering it is a
     bool mask of the members round 1 served (none when a packet exceeds
     max_time_ms); `_recover` goes on from there over the member points
-    `xy` (m, n, 2), drawing each epoch's uniform blocks through
-    `draw(e, out)` and hearing each clean reply with the chance
+    `xy` (m, n, 2), reading the uniforms of cluster c of epoch e through
+    `draw(epoch, cluster, b, out)`, which fills `out[j]`, shape (4, 2,
+    largest cluster), with block b of cell (`epoch[j]`, `cluster[j]`)
+    (`_recover_run`), and hearing each clean reply with the chance
     `peer_probability` gives (by default `decode_probability`).  For the
     BS schemes it is the float round in which a member completes its
     receptions, inf for never; they read neither `xy` nor `draw`, which

@@ -44,6 +44,16 @@ def bernoulli_rounds(p, g, shape, rng):
                              rng.exponential(1.0, (*shape, g)))
 
 
+def cell_draw(seed):
+    """A `draw(epoch, cluster, b, out)` of `run_epochs` that fills block b
+    of cell (e, c) from `default_rng([seed, e, c, b])`: each cell's
+    uniforms depend on nothing but the cell and the seed."""
+    def draw(epoch, cluster, b, out):
+        for j, (e, c) in enumerate(zip(epoch.tolist(), cluster.tolist())):
+            np.random.default_rng([seed, e, c, b]).random(out=out[j])
+    return draw
+
+
 def epoch(scheme, xy, first, sim=SimParams(), *, bounds=None, chance=None,
           seed=0):
     """One epoch of `scheme` on the member points `xy` (n, 2), one cluster
@@ -51,7 +61,8 @@ def epoch(scheme, xy, first, sim=SimParams(), *, bounds=None, chance=None,
     round-1 outcome: a bool mask for clustering, each member's completion
     round (inf for never) for the BS schemes.  Every clean reply reaches a
     listener with chance `chance` (by default its decode probability at its
-    mean received power), and recovery draws from `default_rng(seed)`.
+    mean received power), and recovery fills its blocks, in the order it
+    asks for them, from `default_rng(seed)`.
     Returns the epoch's `SchemeOutcome`, its events sorted by time."""
     xy = np.asarray(xy, dtype=float)
     n = len(xy)
@@ -61,4 +72,4 @@ def epoch(scheme, xy, first, sim=SimParams(), *, bounds=None, chance=None,
     rng, events = np.random.default_rng(seed), []
     return SchemeOutcome.of_batch(scheme, bounds, run_epochs(
         scheme, xy[None], bounds, np.asarray(first)[None], RADIO, sim,
-        lambda _, out: rng.random(out=out), events, peer), events)
+        lambda e, c, b, out: rng.random(out=out), events, peer), events)

@@ -350,7 +350,7 @@ def test_topology_writes_the_delay_scenarios_first_drops(mode, tmp_path,
     continue_ = experiments._continue
 
     def recorded(config, batch, *rest):
-        for plan, rows, starts, _ in batch.shapes:
+        for plan, rows, starts, *_ in batch.shapes:
             _, xy = experiments._drop_points(
                 plan, experiments._take(batch.uniforms, starts,
                                         plan.read.size))

@@ -1,6 +1,7 @@
 import ast
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -363,16 +364,19 @@ def _replays(study, scheme, config, key):
     """Each replication's values, rebuilt one replication at a time from
     the stream layout `_scenario` documents, as (Poisson count or None,
     block of uniforms, round-1 fading row, later-rounds row or None,
-    recovery generator at the replication's first output).  Under spawn
-    keys (study, *key, 0, s), stream 0 holds every Poisson count (density
-    mode), then each drop's 2 (clusters + members) uniforms; stream 1 each
-    drop's n round-1 exponentials, whatever the time budget; stream 2
-    replication r's recovery blocks from output r 2**64 on.  A
-    delay-study BS scheme's stream (study, *key, scheme, 1) holds n g
-    more per drop, g being the receptions a member needs.
+    recovery `draw` of a batch of one).  Under spawn keys (study, *key,
+    0, s), stream 0 holds every Poisson count (density mode), then each
+    drop's 2 (clusters + members) uniforms; stream 1 each drop's n
+    round-1 exponentials, whatever the time budget; stream 2 each
+    cluster's block 0 of recovery uniforms, 4 x 2 x S for a drop whose
+    largest cluster has S members, drop after drop; stream 3 block b >= 1
+    of cluster c of replication r from output r 2**64 + c 2**40 + (b - 1)
+    8 S on.  A delay-study BS scheme's stream (study, *key, scheme, 1)
+    holds n g more per drop, g being the receptions a member needs.
     """
     prefix = (_STUDY_IDS[study], *key)
-    drops, fading = (_rng(config.base_seed, (*prefix, 0, s)) for s in (0, 1))
+    drops, fading, first_blocks = (_rng(config.base_seed, (*prefix, 0, s))
+                                   for s in (0, 1, 2))
     sim, reps = config.sim, config.replications
     later, g = None, 0
     if study == "delay" and scheme != "clustering":
@@ -392,9 +396,26 @@ def _replays(study, scheme, config, key):
         row = fading.standard_exponential(n)
         later_row = (None if later is None
                      else later.standard_exponential((n, g)))
-        recovery = _rng(config.base_seed, (*prefix, 0, 2))
-        recovery.bit_generator.advance(rep << 64)
-        yield count, uniforms, row, later_row, recovery
+        largest = -(-n // k) if k else 0
+        block0 = first_blocks.random((k, 4, 2, largest))
+        yield count, uniforms, row, later_row, functools.partial(
+            _replayed_blocks, config.base_seed, prefix, rep, block0)
+
+
+def _replayed_blocks(base_seed, prefix, rep, block0, epoch, cluster, b, out):
+    """The recovery `draw` of replication `rep` run as a batch of one:
+    block 0 of cluster c is `block0[c]`, and block b >= 1 is read from a
+    fresh generator of stream (*prefix, 0, 3) advanced to the block's
+    offset."""
+    assert epoch.tolist() == [0] * epoch.size
+    for j, c in enumerate(cluster.tolist()):
+        if not b:
+            out[j] = block0[c]
+            continue
+        later = _rng(base_seed, (*prefix, 0, 3))
+        later.bit_generator.advance((rep << 64) + c * 2 ** 40
+                                    + (b - 1) * out[j].size)
+        later.random(out=out[j])
 
 
 def _disk(block, n, radius, center=None):
@@ -444,8 +465,8 @@ def _oracle_epochs(study, scheme, config, key):
     """Each replication's epoch, rebuilt from `_replays`: its drop
     (`_oracle_drop`), round 1 decided on its fading row when a packet fits
     the budget, a BS scheme's completion rounds read from its later-rounds
-    row, and `run_epochs` on a batch of one drawing recovery from its
-    generator.  A BS scheme of the ase study has no later rounds: a member
+    row, and `run_epochs` on a batch of one reading its recovery blocks.
+    A BS scheme of the ase study has no later rounds: a member
     served in round 1 completes then, the others never.  Yields (mean BS
     powers, round-1 decisions, delivery times, via_broadcast marks), rows
     of one epoch."""
@@ -465,8 +486,7 @@ def _oracle_epochs(study, scheme, config, key):
                     first[None], decode_probability(power, radio)[None],
                     later[None])[0]
         delivery, via_broadcast = run_epochs(
-            scheme, xy[None], bounds, rounds[None], radio, sim,
-            lambda _, out: recovery.random(out=out))[:2]
+            scheme, xy[None], bounds, rounds[None], radio, sim, recovery)[:2]
         yield power, first, delivery[0], via_broadcast[0]
 
 
@@ -532,9 +552,9 @@ def test_replicated_equals_independent_generators(study, scheme):
     """The batched run gives every replication, bit for bit, what its
     values in the documented stream layout (`_replays`) give it through
     a drop rebuilt disk by disk and `run_epochs` on a batch of one, in both
-    topology modes, with empty drops, with a packet over the time budget, across batch boundaries, with members
-    that never complete and, for clustering, with epochs that draw a second
-    block of uniforms."""
+    topology modes, with empty drops, with a packet over the time budget,
+    across batch boundaries, with members that never complete and, for
+    clustering, with cells that read later blocks of uniforms."""
     key = (1, 2)
     run_epochs = experiments.run_epochs
     for mode, lambda_per_m2, max_time_ms, reps, overrides in _BATCH_CASES:
@@ -544,17 +564,14 @@ def test_replicated_equals_independent_generators(study, scheme):
                                 lambda_per_m2=lambda_per_m2, **fields,
                                 sim=SimParams(max_time_ms=max_time_ms,
                                               opportunistic_caching=caching))
-        blocks = collections.Counter()  # blocks drawn per (call, epoch)
-        calls = itertools.count()
+        later = []  # cells that read a block b >= 1
 
         def counted(scheme, xy, bounds, first, radio, sim, draw, *rest):
-            call = next(calls)
-
-            def recorded(e, out):
-                blocks[call, e] += 1
-                draw(e, out)
+            def recorded(epoch, cluster, b, out):
+                later.extend([b] * epoch.size if b else [])
+                draw(epoch, cluster, b, out)
             return run_epochs(scheme, xy, bounds, first, radio, sim,
-                              recorded, *rest)
+                              draw and recorded, *rest)
 
         with mock.patch.object(experiments, "run_epochs", counted):
             got = _replicated(study, config, key)[scheme]
@@ -567,8 +584,8 @@ def test_replicated_equals_independent_generators(study, scheme):
             column = got[:, -1]  # the ase, or the delivery ratio
             assert 0 < np.isnan(column).sum() < reps
         if overrides.get("num_clusters") == 1 and scheme == "clustering":
-            # some epoch outlasted its first block
-            assert max(blocks.values()) > 1
+            # some cell outlasted its first block
+            assert later
         if overrides.get("d0_m", 0.0) > 20_000.0 and study == "delay":
             # some member ends undelivered
             assert np.any(got[:, 1] < 1.0)
@@ -595,30 +612,66 @@ class _Stop(Exception):
     pass
 
 
-@given(reads=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 40)),
+def _recovery_of_a_scenario(config, key):
+    """The `_Recovery` of `config`'s delay scenario `key`, taken from its
+    first batch before any of it is read."""
+    def reader(config, batch, *rest):
+        raise _Stop(batch.recovery)
+
+    with mock.patch.object(experiments, "_continue", reader), \
+            pytest.raises(_Stop) as stop:
+        _replicated("delay", config, key)
+    return stop.value.args[0]
+
+
+def _fresh_later_block(config, key, offset, size):
+    """`size` uniforms of the delay scenario `key`'s later-recovery stream
+    from output `offset` on, read by a fresh generator."""
+    fresh = _rng(config.base_seed, (_STUDY_IDS["delay"], *key, 0, 3))
+    fresh.bit_generator.advance(offset)
+    return fresh.random(size)
+
+
+@given(reads=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9),
+                                st.integers(1, 6), st.integers(1, 40)),
                       min_size=1, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_recovery_reads_jump_from_the_stream_position(reads):
-    """`_replicated`'s recovery reader jumps from wherever the stream is,
-    ahead or behind, and serves replication r's reads in order from output
-    r 2**64 on: the values a fresh generator gives after `advance` from
-    the stream's start, for any order of (replication, count) reads."""
+    """The later-recovery reader jumps from wherever the stream is, ahead
+    or behind, and serves block b >= 1 of cell (r, c) of a drop whose
+    largest cluster has S members from output r 2**64 + c 2**40 + (b - 1)
+    8 S on: the values a fresh generator gives after `advance` from the
+    stream's start, for any order of (r, c, b, S) reads."""
     config = ScenarioConfig(replications=6, base_seed=8)
+    recovery = _recovery_of_a_scenario(config, (3, 1))
+    for rep, cluster, b, largest in reads:
+        got = np.empty((4, 2, largest))
+        recovery.fill(rep, cluster, b, got)
+        offset = (rep << 64) + (cluster << 40) + (b - 1) * got.size
+        assert got.tobytes() == _fresh_later_block(config, (3, 1), offset,
+                                                   got.size).tobytes()
 
-    def reader(config, batch, *rest):
-        done = collections.Counter()
-        for rep, count in reads:
-            got = np.empty(count)
-            batch.recover_at(rep, got)
-            fresh = _rng(config.base_seed, (_STUDY_IDS["delay"], 3, 1, 0, 2))
-            fresh.bit_generator.advance((rep << 64) + done[rep])
-            assert got.tobytes() == fresh.random(count).tobytes()
-            done[rep] += count
-        raise _Stop
 
-    with mock.patch.object(experiments, "_continue", reader), \
-            pytest.raises(_Stop):
-        _replicated("delay", config, (3, 1))
+def test_recovery_blocks_past_their_cell_are_refused():
+    """Each cell owns 2**40 outputs of the later-recovery stream and each
+    replication 2**64, so a block that would pass either is refused with a
+    ParameterError rather than read from another cell's outputs; the last
+    block that fits (cluster 2**24 - 1, replication 2**64 - 1, a block
+    ending at the cell's last output) reads where the layout says."""
+    config = ScenarioConfig(replications=2, base_seed=8)
+    recovery = _recovery_of_a_scenario(config, (0, 0))
+    out = np.empty((4, 2, 8))
+    last = 2 ** 40 // out.size
+    for rep, cluster, b in ((2 ** 64 - 1, 2 ** 24 - 1, last), (0, 0, last),
+                            (5, 2 ** 24 - 1, 1)):
+        recovery.fill(rep, cluster, b, out)
+        offset = (rep << 64) + (cluster << 40) + (b - 1) * out.size
+        assert out.tobytes() == _fresh_later_block(
+            config, (0, 0), offset % 2 ** 128, out.size).tobytes()
+    for rep, cluster, b in ((0, 0, last + 1), (0, 2 ** 24, 1),
+                            (2 ** 64, 0, 1)):
+        with pytest.raises(ParameterError, match="^recovery: block"):
+            recovery.fill(rep, cluster, b, out)
 
 
 @pytest.mark.parametrize("mode,lambda_per_m2,budget", [
@@ -644,7 +697,7 @@ def test_replicated_does_not_depend_on_batch_budget(mode, lambda_per_m2,
 
     def recorded(config, batch, *rest):
         groups.extend((plan.bounds, rows.tolist())
-                      for plan, rows, _, _ in batch.shapes)
+                      for plan, rows, *_ in batch.shapes)
         return continue_(config, batch, *rest)
 
     with mock.patch.object(experiments, "_BATCH_MEMBERS", budget), \
@@ -702,50 +755,52 @@ def test_replicated_output_does_not_depend_on_member_budget(budget, mode):
 
 
 @given(cap=st.integers(1, protocol._RUN_SLOTS),
+       chunk=st.integers(1, experiments._FIRST_CHUNK),
        mode=st.sampled_from(sorted(_BUDGET_CONFIGS)))
-@example(cap=1, mode="fixed_total")
-@example(cap=25, mode="density")
+@example(cap=1, chunk=1, mode="fixed_total")
+@example(cap=25, chunk=200, mode="density")
 @settings(max_examples=25, deadline=None)
-def test_recovery_runs_do_not_change_the_output(cap, mode):
-    """Any recovery-run cap from 1 padded slot to the default gives every
-    study and scheme the default cap's output, byte for byte, in both
-    modes.  Each `_recover` call splits its cells only at epoch
-    boundaries and only when they exceed the cap: every epoch's cells are
-    in one run, a run of two or more epochs fits in the cap, and a run
-    closes only when its next epoch would not fit."""
+def test_recovery_runs_do_not_change_the_output(cap, chunk, mode):
+    """Any recovery-run cap from 1 padded slot to the default, and any
+    stretch of blocks 0 read in one call from 1 output to the default,
+    gives every study and scheme the default output, byte for byte, in
+    both modes.  Each `_recover` call takes its cells in order, each once, in
+    runs of max(1, cap // S) cells for a largest cluster of S members,
+    the last run holding the rest: a cell's draws are its own, so a run
+    may split an epoch's cells."""
     config = _BUDGET_CONFIGS[mode]
     for study in ("delay", "ase"):
         if (mode, study) not in _DEFAULT_BUDGET_OUTPUTS:
             _DEFAULT_BUDGET_OUTPUTS[mode, study] = _output_bytes(
                 study, config, (2, 0))
     recover, recover_run = protocol._recover, protocol._recover_run
-    calls = []  # per `_recover` call, its runs as (epochs of each cell, width)
+    calls = []  # per `_recover` call, its runs as ((epoch, cluster), width)
 
     def recorded_recover(*args, **kwargs):
         calls.append([])
         return recover(*args, **kwargs)
 
     def recorded_run(xy, epoch, cluster, member, held, *rest):
-        calls[-1].append((epoch.tolist(), held.shape[1]))
+        calls[-1].append((list(zip(epoch.tolist(), cluster.tolist())),
+                          held.shape[1]))
         return recover_run(xy, epoch, cluster, member, held, *rest)
 
     with mock.patch.object(protocol, "_RUN_SLOTS", cap), \
+            mock.patch.object(experiments, "_FIRST_CHUNK", chunk), \
             mock.patch.object(protocol, "_recover", recorded_recover), \
             mock.patch.object(protocol, "_recover_run", recorded_run):
         for study in ("delay", "ase"):
             assert _output_bytes(study, config, (2, 0)) == \
                 _DEFAULT_BUDGET_OUTPUTS[mode, study], study
     for runs in filter(None, calls):
-        epochs = [e for cells, _ in runs for e in cells]
-        assert epochs == sorted(epochs)
+        cells = [cell for run, _ in runs for cell in run]
+        assert cells == sorted(set(cells))
         width = runs[0][1]
-        assert (len(runs) == 1) == (len(epochs) * width <= cap
-                                    or epochs[0] == epochs[-1])
-        for (cells, width), (after, _) in zip(runs, runs[1:]):
-            assert cells[-1] < after[0]  # no epoch spans two runs
-            assert (len(cells) + after.count(after[0])) * width > cap
-        for cells, width in runs:
-            assert len(set(cells)) == 1 or len(cells) * width <= cap
+        assert {w for _, w in runs} == {width}
+        per_run = max(1, cap // width)
+        assert [len(run) for run, _ in runs] == [
+            min(per_run, len(cells) - a) for a in range(0, len(cells),
+                                                        per_run)]
 
 
 def _traced_peak(study, config):
@@ -775,7 +830,7 @@ def test_replicated_memory_is_bounded_in_members(scheme):
     """A batch holds about `_BATCH_MEMBERS` members whatever the drop
     size, so over one batch's worth of 50-member replications a
     delay-study call at 2,000 members peaks within 1.2x of its peak at
-    50 (1.05x measured for clustering, 1.01x for RNC).  Batches of a
+    50 (1.05x measured for clustering, 1.07x for RNC).  Batches of a
     fixed replication count would hold 40 times the members, and peak
     about 37 times higher; a clustering recovery that kept two block
     buffers alive at once peaked 1.38x higher."""
@@ -800,7 +855,9 @@ def test_later_rounds_are_not_held_through_recovery(schemes, mode):
     clustering alone over one batch of 50-member, two-cluster drops
     (fixed_total; 1.00x and 1.00x measured), and within 1.2x over 600
     density-mode replications at seed 7, whose batches mix drop shapes
-    (1.13x and 1.13x).  Uniforms held through the BS passes peaked 1.28x
+    (1.19x and 1.18x, against 1.13x while clustering alone kept a
+    recovery block per epoch of 16 rows; the three-scheme peak fell
+    too).  Uniforms held through the BS passes peaked 1.28x
     and 1.28x (density); a later-round block drawn with the batch 1.31x
     and 1.39x (fixed_total); one handed to the batch's shapes in turn,
     and let go after the last had read it, 1.02x and 1.09x (fixed_total),
@@ -822,7 +879,7 @@ def test_later_round_block_is_bounded_in_the_generation_size():
     """RNC's later-round block takes g doubles a member, so batches hold
     8 / g of `_BATCH_MEMBERS` members when g exceeds 8: over one g = 8
     batch of 50-member drops a delay-study RNC call at g = 256 peaks
-    within 1.5x of its peak at g = 8 (0.65x measured).  Batches of
+    within 1.5x of its peak at g = 8 (0.73x measured).  Batches of
     `_BATCH_MEMBERS` members whatever g peaked 19x higher."""
     def peak(g):
         return _traced_peak("delay", ScenarioConfig(
@@ -833,17 +890,19 @@ def test_later_round_block_is_bounded_in_the_generation_size():
 
 
 def test_recovery_memory_is_bounded_by_the_run_cap():
-    """Recovery runs hold at most `protocol._RUN_SLOTS` padded slots, so
-    over one batch of 50-member, two-cluster drops a clustering
-    delay-study call whose recovering cells hold twice the cap's slots
-    (d0 = 1200 m, p_cov about 0.81) peaks within 1.2x of one whose cells
-    fit in the cap (d0 = 540 m): 1.02x measured.  Recovering all of a
-    batch's cells in one run peaked 1.76x higher."""
+    """Recovery runs hold at most `protocol._RUN_SLOTS` padded slots, so a
+    clustering delay-study call over one batch of 50-member, two-cluster
+    drops whose recovering cells hold twice the cap's slots (d0 = 1200 m,
+    p_cov about 0.81) peaks within 1.2x of one whose cells fit in the cap
+    (d0 = 540 m): 1.01x measured.  A batch of the default member budget
+    holds at most the cap's slots, so batches of twice that budget (654
+    drops) let the cells outgrow it.  Recovering all of a batch's cells in
+    one run peaked 1.39x higher."""
     recover_run = protocol._recover_run
 
     def config(d0):
-        return ScenarioConfig(replications=_WIDTH, d0_m=d0, num_clusters=2,
-                              schemes=("clustering",))
+        return ScenarioConfig(replications=2 * _WIDTH, d0_m=d0,
+                              num_clusters=2, schemes=("clustering",))
 
     def slots(d0):
         held = []
@@ -856,10 +915,12 @@ def test_recovery_memory_is_bounded_by_the_run_cap():
             _replicated("delay", config(d0), (0, 0))
         return sum(held)
 
-    assert slots(540.0) <= protocol._RUN_SLOTS
-    assert slots(1200.0) >= 2 * slots(540.0)
-    assert _traced_peak("delay", config(1200.0)) <= \
-        1.2 * _traced_peak("delay", config(540.0))
+    with mock.patch.object(experiments, "_BATCH_MEMBERS",
+                           2 * experiments._BATCH_MEMBERS):
+        assert slots(540.0) <= protocol._RUN_SLOTS
+        assert slots(1200.0) >= 2 * slots(540.0)
+        assert _traced_peak("delay", config(1200.0)) <= \
+            1.2 * _traced_peak("delay", config(540.0))
 
 
 @pytest.mark.parametrize("scheme", ["benchmark", "rnc"])
@@ -987,10 +1048,11 @@ def test_schemes_share_each_replications_first_broadcast(
 def _coupled_epochs(config, key):
     """Every `run_epochs` call of the delay scenario `key` of `config`, in
     call order, as (scheme, cluster bounds, round-1 decisions, completion
-    rounds (None for clustering), delivery times), through pass-through
-    spies: clustering hands `run_epochs` its round-1 decisions, a BS
-    scheme hands `completion_rounds` its decisions and `run_epochs` their
-    completion rounds."""
+    rounds (None for clustering), delivery times, (uav transmissions,
+    control messages) per epoch), through pass-through spies: clustering
+    hands `run_epochs` its round-1 decisions, a BS scheme hands
+    `completion_rounds` its decisions and `run_epochs` their completion
+    rounds."""
     calls, firsts = [], []
 
     def spied_rounds(first, *args):
@@ -1001,7 +1063,8 @@ def _coupled_epochs(config, key):
         out = run_epochs(scheme, xy, bounds, rounds, *args)
         first, later = ((rounds, None) if scheme == "clustering"
                         else (firsts.pop(), rounds))
-        calls.append((scheme, bounds, first.copy(), later, out[0]))
+        calls.append((scheme, bounds, first.copy(), later, out[0],
+                      np.column_stack(out[3:])))
         return out
 
     with mock.patch.object(experiments, "completion_rounds", spied_rounds), \
@@ -1045,16 +1108,22 @@ def test_configurations_at_one_key_are_coupled_exactly(
     sets nest for every scheme; clustering, whose budget does not bind
     here, serves exactly the members of clusters with a round-1 holder,
     so its served sets nest; and the benchmark's and RNC's completion
-    rounds do not grow.  A stream keyed by a config value, or a member
-    whose draws depend on the other members' round 1, breaks this."""
+    rounds do not grow.  Each cell reads recovery uniforms of its own, so
+    where the change leaves the peer link alone (BS power, d0), a cell
+    whose held and lost sets are the same in both configs gives its
+    members the same delivery times, bit for bit, and an epoch whose
+    cells all match sends the same frames.  A stream keyed by a config
+    value, a member whose draws depend on the other members' round 1, or
+    a cell whose draws depend on its epoch's other cells, breaks this."""
     base = ScenarioConfig(mode=mode, d0_m=d0, num_clusters=num_clusters,
                           base_seed=seed, replications=8)
     pairs = list(zip(_coupled_epochs(base, key),
                      _coupled_epochs(_BETTER[change](base), key),
                      strict=True))
     assert pairs
-    for (scheme, bounds, first, rounds, delivery), \
-            (scheme_b, bounds_b, first_b, rounds_b, delivery_b) in pairs:
+    for (scheme, bounds, first, rounds, delivery, frames), \
+            (scheme_b, bounds_b, first_b, rounds_b, delivery_b,
+             frames_b) in pairs:
         assert (scheme_b, bounds_b) == (scheme, bounds)
         assert not np.any(first & ~first_b), scheme
         if scheme == "clustering":
@@ -1063,6 +1132,14 @@ def test_configurations_at_one_key_are_coupled_exactly(
             assert np.array_equal(served_b,
                                   _served_by_holders(bounds, first_b))
             assert not np.any(served & ~served_b)
+            if change == "snr_threshold":  # the peer link changes too
+                continue
+            for lo, hi in zip(bounds, bounds[1:]):
+                same = (first[:, lo:hi] == first_b[:, lo:hi]).all(axis=1)
+                assert delivery[same, lo:hi].tobytes() == \
+                    delivery_b[same, lo:hi].tobytes()
+            same = (first == first_b).all(axis=1)
+            assert frames[same].tolist() == frames_b[same].tolist()
         else:
             assert np.all(rounds_b <= rounds), scheme
 
@@ -1071,8 +1148,11 @@ def test_configurations_at_one_key_are_coupled_exactly(
 def test_scheme_subsets_read_the_shared_streams(mode):
     """A scheme run alone gives, bit for bit, its metrics of the
     three-scheme run, since the shared streams do not depend on the
-    schemes that read them; a delay scenario derives the three shared
-    generators and one per BS scheme, an ase scenario the shared three."""
+    schemes that read them.  A delay scenario derives the drops and
+    fading generators, clustering's two recovery generators and one per
+    BS scheme, an ase scenario the first four; a scenario without
+    clustering derives no recovery generator, so it draws no recovery
+    uniforms."""
     config = ScenarioConfig(replications=40, base_seed=4, d0_m=1200.0,
                             num_clusters=2, mode=mode)
     key = (1, 0)
@@ -1088,18 +1168,23 @@ def test_scheme_subsets_read_the_shared_streams(mode):
                 for study in ("delay", "ase")}
     delay, ase = _STUDY_IDS["delay"], _STUDY_IDS["ase"]
     assert derived == [(delay, *key, 0, 0), (delay, *key, 0, 1),
-                       (delay, *key, 0, 2), (delay, *key, 1, 1),
-                       (delay, *key, 2, 1), (ase, *key, 0, 0),
-                       (ase, *key, 0, 1), (ase, *key, 0, 2)]
+                       (delay, *key, 0, 2), (delay, *key, 0, 3),
+                       (delay, *key, 1, 1), (delay, *key, 2, 1),
+                       (ase, *key, 0, 0), (ase, *key, 0, 1),
+                       (ase, *key, 0, 2), (ase, *key, 0, 3)]
     assert list(full["delay"]) == list(config.schemes)
     assert list(full["ase"]) == list(_SCHEME_ORDER)
-    for scheme in ("rnc", "clustering"):
+    for scheme in ("rnc", "clustering", "benchmark"):
         alone = config.replace(schemes=(scheme,))
-        delays = _replicated("delay", alone, key)
+        derived.clear()
+        with mock.patch.object(experiments, "_rng", counted):
+            delays = _replicated("delay", alone, key)
+            ases = _replicated("ase", alone, key)
         assert list(delays) == [scheme]
         assert delays[scheme].tobytes() == full["delay"][scheme].tobytes()
-        ases = _replicated("ase", alone, key)
         assert ases[scheme].tobytes() == full["ase"][scheme].tobytes()
+        recovery = [k for k in derived if k[-2:] in ((0, 2), (0, 3))]
+        assert len(recovery) == (4 if scheme == "clustering" else 0)
 
 
 @pytest.mark.parametrize("mode,replications", [("fixed_total", 1),

@@ -11,6 +11,7 @@ from scipy import stats
 from conftest import (
     FOUR_UAVS,
     bernoulli_rounds,
+    cell_draw,
     epoch,
     fixed_drops,
     ring,
@@ -290,7 +291,8 @@ def test_hooks_receive_mean_received_powers():
     sim = SimParams(max_time_ms=400.0)
     rng, events = np.random.default_rng(3), []
     delivery = run_epochs("clustering", xy[None], (0, 4, 8), first[None],
-                          RADIO, sim, lambda _, block: rng.random(out=block),
+                          RADIO, sim,
+                          lambda e, c, b, block: rng.random(out=block),
                           events, peer_hook)[0][0]
     events.sort(key=lambda e: e.time_ms)
     expected = []
@@ -819,8 +821,9 @@ def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
     each row, bit for bit, the delivery times, `via_broadcast` marks and
     three counters that the scheme's runner (`SCHEME_RUNNERS`) gives that
     epoch alone, as a batch of one with its event log, read by
-    `SchemeOutcome.of_batch`.  Each epoch draws round 1 and its
-    recovery blocks from its own generator.  A 40 ms budget, a 5 ms one
+    `SchemeOutcome.of_batch`.  Each epoch draws round 1 from its own
+    generator, and each cell its recovery blocks from generators keyed by
+    (epoch, cluster, block).  A 40 ms budget, a 5 ms one
     (below one packet) and d0 = 30 km (the BS serves no one) reach the
     counters' other branches."""
     config = ScenarioConfig(d0_m=d0_m, num_clusters=2,
@@ -841,17 +844,16 @@ def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
         first = completion_rounds(
             first, decode_probability(power, RADIO),
             np.array([r.standard_exponential((n, g)) for r in rngs]))
-    outcomes = []
+    outcomes, draw = [], cell_draw(5)
     for e in range(m):
-        rng, events = np.random.default_rng([5, e]), []
+        events = []
         outcomes.append(SchemeOutcome.of_batch(
             scheme, bounds, SCHEME_RUNNERS[scheme](
                 scheme, xy[e:e + 1], bounds, first[e:e + 1], RADIO, sim,
-                lambda _, block: rng.random(out=block), events), events))
-    rngs = [np.random.default_rng([5, e]) for e in range(m)]
+                lambda epoch, *rest, e=e: draw(epoch + e, *rest), events),
+            events))
     delivery, via_broadcast, *counters = run_epochs(
-        scheme, xy, bounds, first, RADIO, sim,
-        lambda e, block: rngs[e].random(out=block))
+        scheme, xy, bounds, first, RADIO, sim, draw)
     for e, outcome in enumerate(outcomes):
         assert outcome.scheme == scheme
         assert delivery[e].tobytes() == outcome.delivery_time_ms.tobytes()
@@ -875,17 +877,18 @@ def test_run_epochs_requires_draw():
 
 def _recovery_iterations(first, bounds, delivery, events):
     """The lock-step iterations each recovering cluster of one epoch ran,
-    read from its event log: one per attempt (a distinct backoff expiry
-    time of the cluster), plus the attempt that ran past the time budget
-    when a member of the cluster stays undelivered.  A cluster with no
-    holder or no missing member runs none and is left out."""
+    by cluster, read from its event log: one per attempt (a distinct
+    backoff expiry time of the cluster), plus the attempt that ran past
+    the time budget when a member of the cluster stays undelivered.  A
+    cluster with no holder or no missing member runs none and is left
+    out."""
     starts = collections.defaultdict(set)
     for e in events:
         if e.kind is EventKind.BACKOFF_EXPIRY:
             starts[e.cluster_id].add(e.time_ms)
-    return [len(starts[c]) + bool(np.isnan(delivery[a:b]).any())
+    return {c: len(starts[c]) + bool(np.isnan(delivery[a:b]).any())
             for c, (a, b) in enumerate(zip(bounds, bounds[1:]))
-            if first[a:b].any() and not first[a:b].all()]
+            if first[a:b].any() and not first[a:b].all()}
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), num_clusters=st.integers(1, 10),
@@ -896,12 +899,14 @@ def _recovery_iterations(first, bounds, delivery, events):
 def test_recovery_draws_are_sized_by_live_cells(seed, num_clusters,
                                                 total_uavs, served, chance,
                                                 max_time_ms):
-    """Each `draw(e, out)` call of a batch gets `out` of shape (j, 16, 2,
-    S): j the cells epoch e still runs at that refill, S the largest
-    cluster.  An epoch with no cell left is not asked.  The cells come
-    from each epoch's own event log (`_recovery_iterations`): one is live
-    at the refill before iteration 16 k while it runs more than 16 k
-    iterations.  Each epoch alone gives its batch row bit for bit."""
+    """Each `draw(epoch, cluster, b, out)` call of a batch gets `out` of
+    shape (j, 4, 2, S): block b of the j cells it names, S the largest
+    cluster.  Block 0 goes to every cell that recovers (a cluster with a
+    holder and a missing member), once, and block b >= 1 only to the cells
+    still live at iteration 4 b, once each: a cell is live there while
+    it runs more than 4 b iterations, read from each epoch's own event
+    log (`_recovery_iterations`).  Each epoch alone, drawing the same
+    cells' blocks, gives its batch row bit for bit."""
     config = ScenarioConfig(num_clusters=num_clusters, total_uavs=total_uavs)
     sim, m = SimParams(max_time_ms=max_time_ms), 8
     rng = np.random.default_rng(seed)
@@ -912,44 +917,49 @@ def test_recovery_draws_are_sized_by_live_cells(seed, num_clusters,
     def chances(power):
         return np.full(power.shape, chance)
 
-    calls, rngs = collections.defaultdict(list), {}
+    asked, draw = collections.Counter(), cell_draw(seed)
 
-    def spy(e, out):
-        calls[e].append(out.shape)
-        rngs.setdefault(e, np.random.default_rng([seed, e])).random(out=out)
+    def spy(epoch, cluster, b, out):
+        assert out.shape == (epoch.size, 4, 2, largest)
+        asked.update((e, c, b) for e, c in zip(epoch.tolist(),
+                                                cluster.tolist()))
+        draw(epoch, cluster, b, out)
 
     delivery = run_epochs("clustering", xy, bounds, first, RADIO, sim, spy,
                           peer_probability=chances)[0]
+    expected = collections.Counter()
     for e in range(m):
-        events, own = [], np.random.default_rng([seed, e])
+        events = []
         alone = run_epochs("clustering", xy[e:e + 1], bounds, first[e:e + 1],
-                           RADIO, sim, lambda _, out: own.random(out=out),
+                           RADIO, sim,
+                           lambda epoch, *rest, e=e: draw(epoch + e, *rest),
                            events, chances)[0]
         assert alone.tobytes() == delivery[e:e + 1].tobytes()
         iterations = _recovery_iterations(first[e], bounds, alone[0], events)
-        expected = []
-        while live := sum(n > 16 * len(expected) for n in iterations):
-            expected.append((live, 16, 2, largest))
-        assert calls[e] == expected, e
+        expected.update((e, c, b) for c, n in iterations.items()
+                        for b in range(-(-n // 4)))
+    assert asked == expected
 
 
 def test_one_recovering_cluster_draws_blocks_of_its_size():
-    """In a C = 10 drop of 50 members where one 5-member cluster
-    recovers, each block holds 16 x 2 x 5 doubles, not 16 x 2 x 50."""
+    """In a C = 10 drop of 50 members where one 5-member cluster recovers,
+    each block holds 4 x 2 x 5 doubles, not 4 x 2 x 50, and every block
+    goes to that cell, cluster 2 of epoch 0, in order: blocks 0, 1, 2..."""
     xy, bounds = fixed_drops(ScenarioConfig(num_clusters=10), 1,
                              np.random.default_rng(2))
     assert bounds[2:4] == (10, 15)
     first = np.ones((1, 50), dtype=bool)
     first[0, [12, 13]] = False
-    rng, sizes = np.random.default_rng(3), []
+    rng, asked = np.random.default_rng(3), []
 
-    def spy(e, out):
-        sizes.append(out.size)
+    def spy(epoch, cluster, b, out):
+        asked.append((epoch.tolist(), cluster.tolist(), b, out.shape))
         rng.random(out=out)
 
     delivery = run_epochs("clustering", xy, bounds, first, RADIO, SIM, spy,
                           peer_probability=lambda p: np.full(p.shape, 0.1))[0]
-    assert len(sizes) > 1 and set(sizes) == {16 * 2 * 5}
+    assert len(asked) > 1
+    assert asked == [([0], [2], b, (1, 4, 2, 5)) for b in range(len(asked))]
     assert not np.isnan(delivery).any()
 
 
@@ -958,7 +968,7 @@ def test_run_epochs_rejects_unknown_scheme():
     xy = np.array([[[0.0, 0.0], [5.0, 0.0]]])
     with pytest.raises(ParameterError, match="flooding"):
         run_epochs("flooding", xy, (0, 2), np.full((1, 2), 1.0), RADIO, SIM,
-                   lambda e, out: None)
+                   lambda e, c, b, out: None)
 
 
 def test_rnc_coded_packet_ids_then_terminal_acks():
