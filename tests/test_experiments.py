@@ -855,9 +855,7 @@ def test_later_rounds_are_not_held_through_recovery(schemes, mode):
     clustering alone over one batch of 50-member, two-cluster drops
     (fixed_total; 1.00x and 1.00x measured), and within 1.2x over 600
     density-mode replications at seed 7, whose batches mix drop shapes
-    (1.19x and 1.18x, against 1.13x while clustering alone kept a
-    recovery block per epoch of 16 rows; the three-scheme peak fell
-    too).  Uniforms held through the BS passes peaked 1.28x
+    (1.19x and 1.18x).  Uniforms held through the BS passes peaked 1.28x
     and 1.28x (density); a later-round block drawn with the batch 1.31x
     and 1.39x (fixed_total); one handed to the batch's shapes in turn,
     and let go after the last had read it, 1.02x and 1.09x (fixed_total),
