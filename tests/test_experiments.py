@@ -564,12 +564,14 @@ def test_replicated_equals_independent_generators(study, scheme):
                                 lambda_per_m2=lambda_per_m2, **fields,
                                 sim=SimParams(max_time_ms=max_time_ms,
                                               opportunistic_caching=caching))
-        later = []  # cells that read a block b >= 1
+        later = []  # the blocks b >= 1 that cells read
 
         def counted(scheme, xy, bounds, first, radio, sim, draw, *rest):
             def recorded(epoch, cluster, b, out):
-                later.extend([b] * epoch.size if b else [])
+                if b:
+                    later.append(b)
                 draw(epoch, cluster, b, out)
+            # A BS scheme's `draw` is None.
             return run_epochs(scheme, xy, bounds, first, radio, sim,
                               draw and recorded, *rest)
 
