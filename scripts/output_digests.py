@@ -40,8 +40,14 @@ The commands:
   `study --study ase --d0-values 400 --c-values 2 --replications 3000`
   (named `ase_near_3000`), several batches of the widest drop batch; and
   `study --study delay --d0-values 1200 --c-values 2,10 --replications
-  700` (named `delay_far_runs`), whose recovering cells in one batch
-  take more than one recovery run of `protocol._recover`; and `study
+  700` (named `delay_far_runs`), batches of 327 drops at C = 2 and 10,
+  whose recovering cells hold at most 16,350 padded slots (clusters x
+  largest cluster) a batch; `study --study delay --c-values 3
+  --d0-values 1500 --replications 700` (named `delay_uneven_c3`), an
+  uneven split: 50 members in 3 clusters pad to 51 slots a drop; `study
+  --study delay --total-uavs 20000 --c-values 2 --d0-values 1200
+  --replications 3` (named `delay_wide_20000uavs`), drops wider than the
+  batch budget, one drop a batch; and `study
   --study delay --schemes rnc --rnc-generation-size 64 --d0-values 1200
   --c-values 2 --replications 700` in fixed_total and density mode (named
   `delay_rnc_g64` and `delay_rnc_g64_density`), several batches of RNC's
@@ -144,6 +150,12 @@ def commands(out: Path) -> list[list[str]]:
         ["study", "--study", "delay", "--d0-values", "1200", "--c-values",
          "2,10", "--replications", "700",
          "--out-dir", str(out / "delay_far_runs")],
+        ["study", "--study", "delay", "--c-values", "3", "--d0-values",
+         "1500", "--replications", "700",
+         "--out-dir", str(out / "delay_uneven_c3")],
+        ["study", "--study", "delay", "--total-uavs", "20000", "--c-values",
+         "2", "--d0-values", "1200", "--replications", "3",
+         "--out-dir", str(out / "delay_wide_20000uavs")],
         *(["study", "--study", study, "--max-time-ms", "5",
            "--replications", "200", "--mode", mode,
            "--out-dir", str(out / f"{study}_budget5{tag}")]
