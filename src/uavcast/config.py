@@ -86,7 +86,12 @@ class ScenarioConfig:
         if self.num_clusters < 1:
             raise ParameterError(
                 f"num_clusters: must be >= 1, got {self.num_clusters}")
-        if self.total_uavs < self.num_clusters:
+        if self.total_uavs < 1:
+            raise ParameterError(
+                f"total_uavs: must be >= 1, got {self.total_uavs}")
+        # Density drops hold cluster_peer_count members a cluster, whatever
+        # num_clusters is; only fixed_total mode splits total_uavs.
+        if self.mode == "fixed_total" and self.total_uavs < self.num_clusters:
             raise ParameterError(
                 f"total_uavs: need at least one UAV per cluster, got "
                 f"{self.total_uavs} for {self.num_clusters} clusters")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from uavcast.channel import PathLossParams, RadioParams
 from uavcast.config import ScenarioConfig
 from uavcast.errors import ParameterError
+from uavcast.experiments import run_delay_study
 from uavcast.protocol import SCHEME_RUNNERS, SimParams
 
 _SIM_FIELDS = {f.name for f in dataclasses.fields(SimParams)}
@@ -96,6 +97,22 @@ def test_density_mode_needs_members_per_cluster():
         ScenarioConfig(mode="density", lambda_off_per_m2=1e-5)
     # fixed_total mode does not apply the density feasibility bound
     ScenarioConfig(mode="fixed_total", lambda_off_per_m2=1e-5)
+
+
+def test_density_mode_does_not_split_total_uavs():
+    """A density drop holds `cluster_peer_count` members in each of its
+    Poisson clusters whatever num_clusters is, so only fixed_total mode
+    needs a UAV per cluster; both modes need total_uavs >= 1, which
+    `design_radius` reads.  A density delay study runs at C = 100."""
+    ScenarioConfig(mode="density", num_clusters=100, total_uavs=50)
+    with pytest.raises(ParameterError, match="^total_uavs: need at least"):
+        ScenarioConfig(mode="fixed_total", num_clusters=100, total_uavs=50)
+    for mode in ("density", "fixed_total"):
+        with pytest.raises(ParameterError, match="^total_uavs: must be >= 1"):
+            ScenarioConfig(mode=mode, num_clusters=1, total_uavs=0)
+    table = run_delay_study(ScenarioConfig(mode="density", replications=10),
+                            d0_values=(1200.0,), c_values=(2, 100))
+    assert {r.sweep_value for r in table.rows} == {2.0, 100.0}
 
 
 def test_scheme_list_validation():
