@@ -129,18 +129,19 @@ class MetricTable:
         return rows[0].mean
 
 
-# Members per batch of `_replicated`: wide enough to spread each numpy
-# call, and each lock-step recovery iteration, over many drops (327 drops
-# at the default 50 members), narrow enough to bound a batch's memory
+# Padded recovery slots (`_DropPlan.slots`: clusters x largest cluster,
+# the member count unless the clusters differ in size) per batch of
+# `_replicated`: wide enough to spread each numpy call, and each lock-step
+# recovery iteration, over many drops (327 drops at the default 50
+# members), narrow enough to bound a batch's memory, recovery's included,
 # whatever the replication count and the swarm size; 8 / g of it where a
-# delay study's RNC pass reads g > 8 later-round doubles a member.
-# Recovery runs of at most `protocol._RUN_SLOTS` padded slots bound the
-# recovery's share apart from this width.  Over 327 replications at
-# d0 = 1200 m, C = 2, a delay call of clustering peaks at about 3.4 MB
-# traced at 50 members, 3.6 MB at 2,000 (53.9 MB in batches of 64
-# replications), and one of RNC at 2.9 MB at g = 8, 2.2 MB at g = 256
-# (68.5 MB in batches of 16,384 members).
-_BATCH_MEMBERS = 16384
+# delay study's RNC pass reads g > 8 later-round doubles a member.  A
+# single drop wider than this makes a batch of its own.  Over 327
+# replications at d0 = 1200 m, C = 2, a delay call of clustering peaks at
+# about 3.4 MB traced at 50 members, 3.6 MB at 2,000 (53.9 MB in batches
+# of 64 replications), and one of RNC at 2.9 MB at g = 8, 2.2 MB at
+# g = 256 (68.5 MB in batches of 16,384 members).
+_BATCH_SLOTS = 16384
 # Outputs of the first-recovery stream (`_scenario`) read in one call at
 # most, unless one block is longer: a batch's blocks 0 are read a stretch
 # at a time.
@@ -462,12 +463,12 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
       (n, g) block by `channel.completion_rounds`: member j reads row j,
       whatever the other members did in round 1.
 
-    Replications run in batches of about `_BATCH_MEMBERS` members, 8 / g
-    of that when a later-rounds g exceeds 8 (`_batches`).  A batch draws
-    the drops and fading values of all of its drops in one call each, and
-    a later-rounds stream's when its scheme's pass starts (`_continue`);
-    numpy fills them in sequence, so every drop's values are the same
-    whatever the batch width.  Every recovery block sits at a fixed place
+    Replications run in batches of about `_BATCH_SLOTS` padded recovery
+    slots, 8 / g of that when a later-rounds g exceeds 8 (`_batches`).  A
+    batch draws the drops and fading values of all of its drops in one
+    call each, and a later-rounds stream's when its scheme's pass starts
+    (`_continue`); numpy fills them in sequence, so every drop's values
+    are the same whatever the batch width.  Every recovery block sits at a fixed place
     in its stream, so a cell's draws depend on no other cell.
     """
     prefix = (_STUDY_IDS[study], *key)
@@ -484,7 +485,7 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
                       sim.rnc_generation_size if scheme == "rnc" else 1)
              for scheme in schemes
              if study == "delay" and scheme != "clustering"}
-    budget = _BATCH_MEMBERS * 8 // max([8, *(g for _, g in later.values())])
+    budget = _BATCH_SLOTS * 8 // max([8, *(g for _, g in later.values())])
     first_at = 0  # the first recovery stream's blocks of earlier batches
     for lo, groups in _batches(plans, config.mode == "fixed_total", budget):
         # Per drop: its uniforms, fadings and clusters (blocks 0).
@@ -532,22 +533,22 @@ def _batches(plans, fixed: bool, budget: int):
     """Each batch of `_replicated`: its first replication and its drops by
     plan, as (plan, positions in the batch) in order of first use.  A batch
     closes when one more drop the size of its last would take it past
-    `budget` members, an empty drop counting as one.  When all drops share
-    one plan (`fixed`), batches of max(1, budget // n) drops follow
-    without a walk over the drops."""
+    `budget` padded slots (`_DropPlan.slots`), an empty drop counting as
+    one.  When all drops share one plan (`fixed`), batches of
+    max(1, budget // slots) drops follow without a walk over the drops."""
     if fixed:
-        width = max(1, budget // max(1, plans[0].n_uavs))
+        width = max(1, budget // max(1, plans[0].slots))
         for lo in range(0, len(plans), width):
             yield lo, [(plans[0], np.arange(min(width, len(plans) - lo)))]
         return
-    lo, members, groups = 0, 0, {}
+    lo, slots, groups = 0, 0, {}
     for rep, plan in enumerate(plans):
-        size = max(1, plan.n_uavs)
-        members += size
+        size = max(1, plan.slots)
+        slots += size
         groups.setdefault(plan.bounds, (plan, []))[1].append(rep - lo)
-        if members + size > budget or rep + 1 == len(plans):
+        if slots + size > budget or rep + 1 == len(plans):
             yield lo, [(p, np.array(i)) for p, i in groups.values()]
-            lo, members, groups = rep + 1, 0, {}
+            lo, slots, groups = rep + 1, 0, {}
 
 
 def _continue(config: ScenarioConfig, batch: _Batch, schemes,
@@ -573,20 +574,23 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
     """The round-1 pass of `_continue`: for each shape in turn, gather its
     uniforms and fading and decide round 1, which serves the members whose
     fading decodes.  When one packet exceeds the budget no round 1 runs:
-    no member is served, and no mean BS power is kept (`_Drops.power`
-    None).  Clustering recovery reads its cells' blocks through
-    `_Recovery.draw`, none when no round 1 ran; a BS scheme of the ase
-    study stops at round 1, outcome (None, round-1 decisions).  Returns
-    whether round 1 ran, and the `_Drops`, not the member points."""
+    no member is served, and neither member points nor mean BS powers are
+    built (`_Drops.power` None).  Clustering recovery reads its cells'
+    blocks through `_Recovery.draw`, none when no round 1 ran; a BS scheme
+    of the ase study stops at round 1, outcome (None, round-1 decisions).
+    Returns whether round 1 ran, and the `_Drops`, not the member
+    points."""
     radio, sim = config.radio, config.sim
     decided = sim.packet_len_ms <= sim.max_time_ms  # this layer's one check
     shapes = []
     for plan, rows, starts, at, r_at in batch.shapes:
-        # The member points alone: the centers would keep their buffer alive.
-        xy = _drop_points(plan, _take(batch.uniforms, starts,
-                                      plan.read.size))[1]
-        power, first = None, np.zeros(xy.shape[:2], dtype=bool)
+        xy = power = None
+        first = np.zeros((rows.size, plan.n_uavs), dtype=bool)
         if decided:
+            # The member points alone: the centers would keep their buffer
+            # alive.
+            xy = _drop_points(plan, _take(batch.uniforms, starts,
+                                          plan.read.size))[1]
             # `offset_distance` measures x from the observer towards the
             # disk's center; the BS sits on the +x axis at d0, so that x
             # is -x here.

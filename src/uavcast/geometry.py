@@ -122,6 +122,12 @@ class _DropPlan:
     def n_uavs(self) -> int:
         return self.bounds[-1]
 
+    @functools.cached_property
+    def slots(self) -> int:
+        """Padded recovery slots (`protocol._recover`): clusters x largest
+        cluster, the member count unless the clusters differ in size."""
+        return self.n_clusters * int(np.diff(self.bounds).max(initial=0))
+
 
 @functools.lru_cache(maxsize=256)
 def _drop_plan(k: int, counts: tuple[int, ...], region: float,

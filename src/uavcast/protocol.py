@@ -34,10 +34,11 @@ one drop shape from each member's round-1 outcome; the studies call it on
 batches of drops, and on a batch of one epoch, which alone records the
 event log and which `SchemeOutcome.of_batch` reads.  Clustering recovery
 runs in lock-step over arrays (`_recover`): every (epoch, cluster) cell
-that needs recovery makes one channel attempt per iteration (`_attempt`),
-so a run of cells, up to _RUN_SLOTS padded slots, recovers in the
-iterations its slowest cluster needs.  Each cell reads uniforms of its
-own, a block of _BLOCK_ROWS rows at a time (`draw`).
+of a batch that needs recovery makes one channel attempt per iteration
+(`_attempt`), so the batch recovers in the iterations its slowest cluster
+needs, in memory bounded by its padded slots (cells x largest cluster).
+Each cell reads uniforms of its own, a block of _BLOCK_ROWS rows at a
+time (`draw`).
 The two BS schemes simulate no rounds: fading is independent from round to
 round, so each member's completion round is drawn at once
 (`channel.completion_rounds`), and the round times, the time budget and
@@ -64,13 +65,9 @@ from .channel import (
 from .errors import ParameterError, check_field_values
 
 PACKET_ID = 0  # single-packet epochs; RNC events carry coded-packet indices
-# Rows of one block of recovery uniforms (`_recover_run`): a cell reads one
+# Rows of one block of recovery uniforms (`_recover`): a cell reads one
 # row per lock-step iteration and its next block after this many.
 _BLOCK_ROWS = 4
-# Padded slots (cells x largest cluster) of one recovery run (`_recover`):
-# a run's blocks take 4 x 2 doubles, 64 bytes, per slot, so 1 MB, and its
-# lock-step iterations spread over up to this many slots.
-_RUN_SLOTS = 16384
 
 
 @dataclass(frozen=True)
@@ -213,15 +210,34 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     delivery time is written into `delivery`.  A cell is one (epoch,
     cluster) pair with a member that missed the broadcast and one that
     holds it.  Cells share no channel, so they run side by side, each
-    serialized on its own.  Members sit in a padded (cells x largest
-    cluster) layout.
-
-    The cells recover in runs of max(1, _RUN_SLOTS // largest cluster)
-    cells, in order, one run after the other (`_recover_run`).  A cell's
-    draws and frames depend on its own members only, so the runs give
-    what one run of all cells gives, and a run's memory is bounded apart
-    from the batch width.  `events`, when a list, gets the events of a
+    serialized on its own, in one lock-step pass over every cell of the
+    call: one channel attempt per cell per iteration (`_attempt`).
+    Members sit in a padded (cells x largest cluster) layout, so the pass
+    holds at most the m drops' padded slots, which the studies bound by
+    their batch budget.  `events`, when a list, gets the events of a
     batch of one epoch.
+
+    Missing members contend to send a request; after a clean one, holders
+    contend to send the reply.  A clean reply reaches each listener (every
+    missing member with opportunistic caching, else the requester) with
+    the chance `peer_probability` gives its mean received power from the
+    replier (by default `decode_probability`), computed for the listeners
+    alone; a member that gets it holds it from then on.  A cell ends once
+    none of its members misses the packet, or when its next frame would
+    end past max_time_ms.  Finished cells are compacted away.
+
+    Randomness: every cell reads block b, rows b * _BLOCK_ROWS to (b + 1)
+    * _BLOCK_ROWS - 1 of its own uniforms, at iterations b * _BLOCK_ROWS
+    on.  Before iteration 0 and every _BLOCK_ROWS iterations, one
+    `draw(epoch, cluster, b, out)` call fills `out[j]`, shape
+    (_BLOCK_ROWS, 2, largest cluster), with block b of each live cell j,
+    cluster `cluster[j]` of epoch `epoch[j]`, in ascending order.
+    Iteration i reads row i mod _BLOCK_ROWS of a cell's block: column 0
+    gives its slots' fresh backoffs, column 1 a collider's redraw or a
+    listener's reception (u < chance).  So a cell's draws depend on
+    neither the other cells of its epoch nor the other epochs of the
+    batch.
+
     Returns per-epoch (uav transmissions, control messages), collided
     frames included.
     """
@@ -240,46 +256,11 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     held = got[:, member] & valid
     lost = valid & ~got[:, member]
     epoch, cluster = np.nonzero(held.any(axis=2) & lost.any(axis=2))
-    cells = max(1, _RUN_SLOTS // slots.size)
-    for a in range(0, epoch.size, cells):
-        e, c = epoch[a:a + cells], cluster[a:a + cells]
-        _recover_run(xy, e, c, member[c], held[e, c], lost[e, c], delivery,
-                     frames, radio, sim, draw, events, peer_probability)
-    return frames[:, 1], frames[:, 0]
-
-
-def _recover_run(xy, epoch, cluster, member, held, lost, delivery, frames,
-                 radio, sim, draw, events, peer_probability) -> None:
-    """Recover one run of cells of `_recover`: cell j is cluster
-    `cluster[j]` of epoch `epoch[j]` (ascending), its padded slots hold
-    members `member[j]`, of which `held[j]` hold the packet and `lost[j]`
-    miss it.  Writes delivery times into `delivery` and adds each epoch's
-    (request, reply) frames to `frames`.
-
-    All cells advance in lock-step, one channel attempt per iteration
-    (`_attempt`).  Missing members contend to send a request; after a clean
-    one, holders contend to send the reply.  A clean reply reaches each
-    listener (every missing member with opportunistic caching, else the
-    requester) with the chance `peer_probability` gives its mean received
-    power from the replier (by default `decode_probability`), computed for
-    the listeners alone; a member that gets it holds it from then on.  A cell ends once none of its members
-    misses the packet, or when its next frame would end past max_time_ms.
-    Finished cells are compacted away.
-
-    Randomness: every cell reads block b, rows b * _BLOCK_ROWS to (b + 1)
-    * _BLOCK_ROWS - 1 of its own uniforms, at iterations b * _BLOCK_ROWS
-    on.  Before iteration 0 and every _BLOCK_ROWS iterations, one
-    `draw(epoch, cluster, b, out)` call fills `out[j]`, shape
-    (_BLOCK_ROWS, 2, largest cluster), with block b of each live cell j.
-    Iteration i reads row i mod _BLOCK_ROWS of a cell's block: column 0
-    gives its slots' fresh backoffs, column 1 a collider's redraw or a
-    listener's reception (u < chance).  So a cell's draws depend on
-    neither the other cells of its epoch nor the other epochs of the
-    batch or of the run.
-    """
-    width = held.shape[1]
-    slots = np.arange(width)
-    blocks = np.empty((epoch.size, _BLOCK_ROWS, 2, width))
+    if not epoch.size:
+        return frames[:, 1], frames[:, 0]
+    member, held, lost = (member[cluster], held[epoch, cluster],
+                          lost[epoch, cluster])
+    blocks = np.empty((epoch.size, _BLOCK_ROWS, 2, slots.size))
     t = np.full(epoch.size, sim.packet_len_ms)
     cw = np.full(held.shape, float(sim.cw_min))
     residual = np.zeros(held.shape)
@@ -340,6 +321,7 @@ def _recover_run(xy, epoch, cluster, member, held, lost, delivery, frames,
              reply, fresh, asker) = (
                 x[keep] for x in (epoch, cluster, block_of, member, held,
                                   lost, cw, residual, t, reply, fresh, asker))
+    return frames[:, 1], frames[:, 0]
 
 
 def _bs_delivery(rounds: np.ndarray, coded: bool, sim: SimParams):
@@ -419,12 +401,13 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
     max_time_ms); `_recover` goes on from there over the member points
     `xy` (m, n, 2), reading the uniforms of cluster c of epoch e through
     `draw(epoch, cluster, b, out)`, which fills `out[j]`, shape (4, 2,
-    largest cluster), with block b of cell (`epoch[j]`, `cluster[j]`)
-    (`_recover_run`), and hearing each clean reply with the chance
+    largest cluster), with block b of cell (`epoch[j]`, `cluster[j]`),
+    and hearing each clean reply with the chance
     `peer_probability` gives (by default `decode_probability`).  For the
     BS schemes it is the float round in which a member completes its
     receptions, inf for never; they read neither `xy` nor `draw`, which
-    the studies pass as None.  `events`, when a list, gets the unsorted
+    the studies pass as None, and neither does clustering when one packet
+    exceeds max_time_ms.  `events`, when a list, gets the unsorted
     events of a batch of one epoch.
 
     Returns (delivery, via_broadcast), each (m, n), delivery NaN where

@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -518,7 +519,7 @@ def _oracle_metrics(study, scheme, config, key):
 
 
 # Drops of the default 50 members in one batch.
-_WIDTH = experiments._BATCH_MEMBERS // 50
+_WIDTH = experiments._BATCH_SLOTS // 50
 
 # (mode, lambda_per_m2, max_time_ms, replications, overrides): one batch,
 # a full batch and one past it; density drops of several shapes per batch,
@@ -686,14 +687,14 @@ def test_replicated_does_not_depend_on_batch_budget(mode, lambda_per_m2,
                                                     budget):
     """Each replication's values sit at fixed places in its scenario's
     streams, and the BS schemes lay out each row of a batch on its own,
-    so a small member budget gives the metrics of the default budget, bit
+    so a small slot budget gives the metrics of the default budget, bit
     for bit; and batches hold as many drops as the budget says."""
     config = ScenarioConfig(replications=40, base_seed=5, d0_m=1200.0,
                             num_clusters=2, mode=mode,
                             lambda_per_m2=lambda_per_m2)
     wide = {study: _replicated(study, config, (0, 1))
             for study in ("ase", "delay")}
-    assert budget < experiments._BATCH_MEMBERS
+    assert budget < experiments._BATCH_SLOTS
     continue_ = experiments._continue
     groups = []  # (drop shape, replications) of every group of both calls
 
@@ -702,7 +703,7 @@ def test_replicated_does_not_depend_on_batch_budget(mode, lambda_per_m2,
                       for plan, rows, *_ in batch.shapes)
         return continue_(config, batch, *rest)
 
-    with mock.patch.object(experiments, "_BATCH_MEMBERS", budget), \
+    with mock.patch.object(experiments, "_BATCH_SLOTS", budget), \
             mock.patch.object(experiments, "_continue", recorded):
         for study, metrics in wide.items():
             narrow = _replicated(study, config, (0, 1))
@@ -738,71 +739,66 @@ def _output_bytes(study, config, key):
             for scheme, values in _replicated(study, config, key).items()}
 
 
-@given(budget=st.integers(1, experiments._BATCH_MEMBERS),
+@given(budget=st.integers(1, experiments._BATCH_SLOTS),
        mode=st.sampled_from(sorted(_BUDGET_CONFIGS)))
 @example(budget=1, mode="density")
 @settings(max_examples=25, deadline=None)
 def test_replicated_output_does_not_depend_on_member_budget(budget, mode):
-    """Any member budget from 1 to the default gives every study and
+    """Any slot budget from 1 to the default gives every study and
     scheme the default budget's output, byte for byte, in both modes."""
     config = _BUDGET_CONFIGS[mode]
     for study in ("delay", "ase"):
         if (mode, study) not in _DEFAULT_BUDGET_OUTPUTS:
             _DEFAULT_BUDGET_OUTPUTS[mode, study] = _output_bytes(
                 study, config, (2, 0))
-    with mock.patch.object(experiments, "_BATCH_MEMBERS", budget):
+    with mock.patch.object(experiments, "_BATCH_SLOTS", budget):
         for study in ("delay", "ase"):
             assert _output_bytes(study, config, (2, 0)) == \
                 _DEFAULT_BUDGET_OUTPUTS[mode, study], study
 
 
-@given(cap=st.integers(1, protocol._RUN_SLOTS),
-       chunk=st.integers(1, experiments._FIRST_CHUNK),
+@given(chunk=st.integers(1, experiments._FIRST_CHUNK),
        mode=st.sampled_from(sorted(_BUDGET_CONFIGS)))
-@example(cap=1, chunk=1, mode="fixed_total")
-@example(cap=25, chunk=200, mode="density")
+@example(chunk=1, mode="fixed_total")
+@example(chunk=200, mode="density")
 @settings(max_examples=25, deadline=None)
-def test_recovery_runs_do_not_change_the_output(cap, chunk, mode):
-    """Any recovery-run cap from 1 padded slot to the default, and any
-    stretch of blocks 0 read in one call from 1 output to the default,
-    gives every study and scheme the default output, byte for byte, in
-    both modes.  Each `_recover` call takes its cells in order, each once, in
-    runs of max(1, cap // S) cells for a largest cluster of S members,
-    the last run holding the rest: a cell's draws are its own, so a run
-    may split an epoch's cells."""
+def test_first_block_stretches_do_not_change_the_output(chunk, mode):
+    """Any stretch of blocks 0 read in one call, from 1 output to the
+    default, gives every study and scheme the default output, byte for
+    byte, in both modes.  Each `_recover` call recovers in one pass: it
+    asks for block 0 of its cells in one `draw` call, every (epoch,
+    cluster) cell with a member that holds the packet and one that misses
+    it, each once, in ascending order, and of no other cell."""
     config = _BUDGET_CONFIGS[mode]
     for study in ("delay", "ase"):
         if (mode, study) not in _DEFAULT_BUDGET_OUTPUTS:
             _DEFAULT_BUDGET_OUTPUTS[mode, study] = _output_bytes(
                 study, config, (2, 0))
-    recover, recover_run = protocol._recover, protocol._recover_run
-    calls = []  # per `_recover` call, its runs as ((epoch, cluster), width)
+    recover = protocol._recover
+    calls = []  # per `_recover` call: its cells, and those of its blocks 0
 
-    def recorded_recover(*args, **kwargs):
-        calls.append([])
-        return recover(*args, **kwargs)
+    def recorded_recover(xy, bounds, got, delivery, radio, sim, draw, *rest):
+        cells = [(e, c) for e in range(len(got))
+                 for c, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+                 if got[e, lo:hi].any() and not got[e, lo:hi].all()]
+        calls.append((cells, []))
 
-    def recorded_run(xy, epoch, cluster, member, held, *rest):
-        calls[-1].append((list(zip(epoch.tolist(), cluster.tolist())),
-                          held.shape[1]))
-        return recover_run(xy, epoch, cluster, member, held, *rest)
+        def recorded(epoch, cluster, b, out):
+            if not b:
+                calls[-1][1].append(list(zip(epoch.tolist(),
+                                             cluster.tolist())))
+            draw(epoch, cluster, b, out)
+        return recover(xy, bounds, got, delivery, radio, sim, recorded,
+                       *rest)
 
-    with mock.patch.object(protocol, "_RUN_SLOTS", cap), \
-            mock.patch.object(experiments, "_FIRST_CHUNK", chunk), \
-            mock.patch.object(protocol, "_recover", recorded_recover), \
-            mock.patch.object(protocol, "_recover_run", recorded_run):
+    with mock.patch.object(experiments, "_FIRST_CHUNK", chunk), \
+            mock.patch.object(protocol, "_recover", recorded_recover):
         for study in ("delay", "ase"):
             assert _output_bytes(study, config, (2, 0)) == \
                 _DEFAULT_BUDGET_OUTPUTS[mode, study], study
-    for runs in filter(None, calls):
-        cells = [cell for run, _ in runs for cell in run]
-        assert cells == sorted(set(cells))
-        width = runs[0][1]
-        assert {w for _, w in runs} == {width}
-        per_run = max(1, cap // width)
-        assert [len(run) for run, _ in runs] == [
-            min(per_run, len(cells) - a) for a in range(0, len(cells),
-                                                        per_run)]
+    assert any(cells for cells, _ in calls)
+    for cells, first_draws in calls:
+        assert first_draws == ([cells] if cells else [])
 
 
 def _traced_peak(study, config):
@@ -829,8 +825,8 @@ def test_replicated_memory_does_not_grow_with_replications():
 
 @pytest.mark.parametrize("scheme", ["clustering", "rnc"])
 def test_replicated_memory_is_bounded_in_members(scheme):
-    """A batch holds about `_BATCH_MEMBERS` members whatever the drop
-    size, so over one batch's worth of 50-member replications a
+    """A batch holds about `_BATCH_SLOTS` padded slots whatever the drop
+    size, here its members (two even clusters), so over one batch's worth of 50-member replications a
     delay-study call at 2,000 members peaks within 1.2x of its peak at
     50 (1.05x measured for clustering, 1.07x for RNC).  Batches of a
     fixed replication count would hold 40 times the members, and peak
@@ -844,6 +840,45 @@ def test_replicated_memory_is_bounded_in_members(scheme):
     assert peak(2000) <= 1.2 * peak(50)
 
 
+def _recovery_peak(config):
+    """The highest traced peak reached inside a `protocol._recover` call of
+    a delay-study `_replicated` call, each measured from the call's entry
+    (`tracemalloc.reset_peak`), so what the batch holds alive through
+    recovery counts, after a first call has warmed the caches; and the
+    number of BS passes (`_later_rounds`) that found the drop uniforms of
+    their batch gone, which every pass asserts."""
+    recover, later_rounds = protocol._recover, experiments._later_rounds
+    continue_ = experiments._continue
+    peaks, uniforms, passes = [], [], []
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        try:
+            return recover(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+    def recorded(config, batch, *rest):
+        uniforms.append(weakref.ref(batch.uniforms))
+        return continue_(config, batch, *rest)
+
+    def checked(*args):
+        assert uniforms[-1]() is None, "drop uniforms alive in a BS pass"
+        passes.append(True)
+        yield from later_rounds(*args)
+
+    _replicated("delay", config, (0, 0))
+    with mock.patch.object(protocol, "_recover", measured), \
+            mock.patch.object(experiments, "_continue", recorded), \
+            mock.patch.object(experiments, "_later_rounds", checked):
+        tracemalloc.start()
+        try:
+            _replicated("delay", config, (0, 0))
+        finally:
+            tracemalloc.stop()
+    return max(peaks), len(passes)
+
+
 @pytest.mark.parametrize("mode", ["fixed_total", "density"])
 @pytest.mark.parametrize("schemes", [("clustering", "benchmark", "rnc"),
                                      ("rnc", "benchmark", "clustering")])
@@ -852,17 +887,15 @@ def test_later_rounds_are_not_held_through_recovery(schemes, mode):
     draws its later-round exponentials when it starts and lets them go
     when it ends, so no block is alive through clustering's recovery; the
     batch's drop uniforms go after the round-1 pass, so they are not
-    alive through the BS passes either.  A delay-study call of all three
-    schemes at d0 = 1200 m, in either order, peaks within 1.05x of
-    clustering alone over one batch of 50-member, two-cluster drops
-    (fixed_total; 1.00x and 1.00x measured), and within 1.2x over 600
-    density-mode replications at seed 7, whose batches mix drop shapes
-    (1.19x and 1.18x).  Uniforms held through the BS passes peaked 1.28x
-    and 1.28x (density); a later-round block drawn with the batch 1.31x
-    and 1.39x (fixed_total); one handed to the batch's shapes in turn,
-    and let go after the last had read it, 1.02x and 1.09x (fixed_total),
-    1.63x and 1.67x (density), since it stayed alive through the other
-    shapes' recoveries."""
+    alive through the BS passes either.  Inside recovery, a delay-study
+    call of all three schemes at d0 = 1200 m, in either order, peaks
+    within 1.05x of clustering alone over one batch of 50-member,
+    two-cluster drops (fixed_total; 1.00x and 1.00x measured), and within
+    1.2x over 600 density-mode replications at seed 7, whose batches mix
+    drop shapes (1.02x and 1.02x); and every BS pass finds the uniforms
+    gone.  A later-round block drawn with the batch peaked 1.35x
+    (fixed_total) and 1.69x (density) inside recovery; uniforms kept
+    through the BS passes fail every order and mode."""
     def config(schemes):
         if mode == "density":
             return ScenarioConfig(mode=mode, replications=600, d0_m=1200.0,
@@ -871,16 +904,18 @@ def test_later_rounds_are_not_held_through_recovery(schemes, mode):
                               num_clusters=2, schemes=schemes)
 
     bound = {"fixed_total": 1.05, "density": 1.2}[mode]
-    assert _traced_peak("delay", config(schemes)) <= \
-        bound * _traced_peak("delay", config(("clustering",)))
+    peak, passes = _recovery_peak(config(schemes))
+    alone, _ = _recovery_peak(config(("clustering",)))
+    assert passes
+    assert peak <= bound * alone, peak / alone
 
 
 def test_later_round_block_is_bounded_in_the_generation_size():
     """RNC's later-round block takes g doubles a member, so batches hold
-    8 / g of `_BATCH_MEMBERS` members when g exceeds 8: over one g = 8
+    8 / g of `_BATCH_SLOTS` slots when g exceeds 8: over one g = 8
     batch of 50-member drops a delay-study RNC call at g = 256 peaks
     within 1.5x of its peak at g = 8 (0.73x measured).  Batches of
-    `_BATCH_MEMBERS` members whatever g peaked 19x higher."""
+    `_BATCH_SLOTS` slots whatever g peaked 19x higher."""
     def peak(g):
         return _traced_peak("delay", ScenarioConfig(
             replications=_WIDTH, d0_m=1200.0, num_clusters=2,
@@ -889,38 +924,53 @@ def test_later_round_block_is_bounded_in_the_generation_size():
     assert peak(256) <= 1.5 * peak(8)
 
 
-def test_recovery_memory_is_bounded_by_the_run_cap():
-    """Recovery runs hold at most `protocol._RUN_SLOTS` padded slots, so a
-    clustering delay-study call over one batch of 50-member, two-cluster
-    drops whose recovering cells hold twice the cap's slots (d0 = 1200 m,
-    p_cov about 0.81) peaks within 1.2x of one whose cells fit in the cap
-    (d0 = 540 m): 1.01x measured.  A batch of the default member budget
-    holds at most the cap's slots, so batches of twice that budget (654
-    drops) let the cells outgrow it.  Recovering all of a batch's cells in
-    one run peaked 1.39x higher."""
-    recover_run = protocol._recover_run
+def _padded_slots(bounds):
+    """Clusters x largest cluster of a drop of clusters `bounds`."""
+    return (len(bounds) - 1) * max(np.diff(bounds), default=0)
 
-    def config(d0):
-        return ScenarioConfig(replications=2 * _WIDTH, d0_m=d0,
-                              num_clusters=2, schemes=("clustering",))
 
-    def slots(d0):
-        held = []
+@pytest.mark.parametrize("fields,schemes,budget", [
+    # 50 members in 3 clusters pad to 51 slots a drop: 321 drops a batch
+    ({"num_clusters": 3, "d0_m": 1500.0, "replications": 700},
+     ("clustering",), experiments._BATCH_SLOTS),
+    # drops of mixed shape; an empty drop counts as one slot
+    ({"mode": "density", "replications": 1000}, ("clustering",),
+     experiments._BATCH_SLOTS),
+    # RNC at g = 64 reads 64 later-round doubles a member: 8 / 64 of it
+    ({"num_clusters": 3, "replications": 100}, ("clustering", "rnc"),
+     experiments._BATCH_SLOTS // 8),
+    # single drops wider than the budget, one a batch
+    ({"total_uavs": 20_000, "num_clusters": 2, "replications": 3},
+     ("clustering",), experiments._BATCH_SLOTS),
+], ids=["uneven_split", "density", "rnc_g64", "wide_drops"])
+def test_batches_are_bounded_in_padded_slots(fields, schemes, budget):
+    """A clustering batch recovers in one pass over its padded slots
+    (clusters x largest cluster of each drop), so `_replicated` bounds a
+    batch's slots, not its members: every batch holds at most the budget
+    (`_BATCH_SLOTS`, 8 / g of it for RNC past g = 8) unless it is a single
+    drop, and a batch that closes early holds a drop's worth short of
+    it."""
+    config = ScenarioConfig(**{"d0_m": 1200.0, **fields}, schemes=schemes,
+                            sim=SimParams(rnc_generation_size=64))
+    continue_ = experiments._continue
+    batches = []  # (drops, padded slots, slots of its largest drop)
 
-        def recorded(xy, epoch, cluster, member, cells, *rest):
-            held.append(cells.size)
-            return recover_run(xy, epoch, cluster, member, cells, *rest)
+    def recorded(config, batch, *rest):
+        sizes = [(len(rows), max(1, _padded_slots(plan.bounds)))
+                 for plan, rows, *_ in batch.shapes]
+        batches.append((sum(m for m, _ in sizes),
+                        sum(m * slots for m, slots in sizes),
+                        max(slots for _, slots in sizes)))
+        return continue_(config, batch, *rest)
 
-        with mock.patch.object(protocol, "_recover_run", recorded):
-            _replicated("delay", config(d0), (0, 0))
-        return sum(held)
-
-    with mock.patch.object(experiments, "_BATCH_MEMBERS",
-                           2 * experiments._BATCH_MEMBERS):
-        assert slots(540.0) <= protocol._RUN_SLOTS
-        assert slots(1200.0) >= 2 * slots(540.0)
-        assert _traced_peak("delay", config(1200.0)) <= \
-            1.2 * _traced_peak("delay", config(540.0))
+    with mock.patch.object(experiments, "_continue", recorded):
+        _replicated("delay", config, (0, 0))
+    assert sum(drops for drops, _, _ in batches) == config.replications
+    for drops, slots, largest in batches[:-1]:
+        assert slots <= budget or drops == 1
+        assert slots + largest > budget
+    if fields.get("num_clusters") == 3 and "mode" not in fields:
+        assert batches[0][0] == budget // 51
 
 
 @pytest.mark.parametrize("scheme", ["benchmark", "rnc"])

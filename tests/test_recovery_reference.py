@@ -2,7 +2,7 @@
 
 `_reference_epoch` runs one clustering epoch in plain Python, cluster by
 cluster and member by member, from the rules that the `protocol` module
-docstring, `_attempt` and `_recover_run` state; it shares no code with
+docstring, `_attempt` and `_recover` state; it shares no code with
 `protocol._recover` but the channel law.  It reads the uniforms of cell
 (epoch, cluster) block by block through the `draw(epoch, cluster, b, out)`
 interface that `run_epochs` calls, so the two can be held to each other
@@ -11,14 +11,12 @@ Software", Digital Technical Journal 10(1), 1998).
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cell_draw, fixed_drops
-from uavcast import protocol
 from uavcast.channel import (
     LinkKind,
     RadioParams,
@@ -152,25 +150,21 @@ def _event_key(event):
                                     10_000.0, 10_000.0, 10_000.0]),
        caching=st.booleans(),
        window=st.sampled_from([(16, 64), (16, 16), (1, 4), (2, 1024)]),
-       t_req_ms=st.sampled_from([1.0, 0.0]),
-       cap=st.sampled_from([None, 1, 30, 100]))
+       t_req_ms=st.sampled_from([1.0, 0.0]))
 @example(seed=1, mode="fixed_total", num_clusters=1, total_uavs=20, epochs=1,
          served=0.2, chance=0.2, max_time_ms=10_000.0, caching=False,
-         window=(16, 64), t_req_ms=1.0, cap=None)  # cells outlast a block
-@example(seed=2, mode="density", num_clusters=1, total_uavs=2, epochs=7,
-         served=0.5, chance=None, max_time_ms=10_000.0, caching=True,
-         window=(16, 64), t_req_ms=1.0, cap=1)     # one cell per run
+         window=(16, 64), t_req_ms=1.0)  # cells outlast a block
 @settings(max_examples=300, deadline=None)
 def test_recovery_matches_the_reference(seed, mode, num_clusters, total_uavs,
                                         epochs, served, chance, max_time_ms,
-                                        caching, window, t_req_ms, cap):
+                                        caching, window, t_req_ms):
     """`run_epochs` gives every epoch of a clustering batch the reference's
     delivery times and request and reply counts, bit for bit, and a batch
     of one its event log too (the same events with the same fields, the
     log's order among equal times aside): in both drop modes, with 1 to
     10 clusters, budgets from below one packet to 10 s, caching on and
-    off, the default peer law or a scripted chance, several contention
-    windows, and recovery runs of the default cap or of a few slots."""
+    off, the default peer law or a scripted chance, and several
+    contention windows."""
     config = ScenarioConfig(mode=mode, num_clusters=min(num_clusters,
                                                         total_uavs),
                             total_uavs=total_uavs, lambda_per_m2=1e-4,
@@ -188,10 +182,8 @@ def test_recovery_matches_the_reference(seed, mode, num_clusters, total_uavs,
                 else float(peer(power)))
 
     draw, events = cell_draw(seed), [] if epochs == 1 else None
-    with mock.patch.object(protocol, "_RUN_SLOTS",
-                           cap or protocol._RUN_SLOTS):
-        delivery, via_broadcast, bs_tx, replies, requests = run_epochs(
-            "clustering", xy, bounds, first, RADIO, sim, draw, events, peer)
+    delivery, via_broadcast, bs_tx, replies, requests = run_epochs(
+        "clustering", xy, bounds, first, RADIO, sim, draw, events, peer)
     for e in range(epochs):
         ref = _reference_epoch(xy[e], bounds, first[e], sim, draw, law, e)
         assert delivery[e].tobytes() == np.array(ref[0]).tobytes(), e
