@@ -468,8 +468,8 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
     batch draws the drops and fading values of all of its drops in one
     call each, and a later-rounds stream's when its scheme's pass starts
     (`_continue`); numpy fills them in sequence, so every drop's values
-    are the same whatever the batch width.  Every recovery block sits at a fixed place
-    in its stream, so a cell's draws depend on no other cell.
+    are the same whatever the batch width.  Every recovery block sits at a
+    fixed place in its stream, so a cell's draws depend on no other cell.
     """
     prefix = (_STUDY_IDS[study], *key)
     drop_rng, fading_rng = (_rng(config.base_seed, (*prefix, 0, stream))

@@ -826,9 +826,10 @@ def test_replicated_memory_does_not_grow_with_replications():
 @pytest.mark.parametrize("scheme", ["clustering", "rnc"])
 def test_replicated_memory_is_bounded_in_members(scheme):
     """A batch holds about `_BATCH_SLOTS` padded slots whatever the drop
-    size, here its members (two even clusters), so over one batch's worth of 50-member replications a
-    delay-study call at 2,000 members peaks within 1.2x of its peak at
-    50 (1.05x measured for clustering, 1.07x for RNC).  Batches of a
+    size, here its members (two even clusters), so over one batch's worth
+    of 50-member replications a delay-study call at 2,000 members peaks
+    within 1.2x of its peak at 50 (1.05x measured for clustering, 1.07x
+    for RNC).  Batches of a
     fixed replication count would hold 40 times the members, and peak
     about 37 times higher; a clustering recovery that kept two block
     buffers alive at once peaked 1.38x higher."""
@@ -841,12 +842,12 @@ def test_replicated_memory_is_bounded_in_members(scheme):
 
 
 def _recovery_peak(config):
-    """The highest traced peak reached inside a `protocol._recover` call of
-    a delay-study `_replicated` call, each measured from the call's entry
-    (`tracemalloc.reset_peak`), so what the batch holds alive through
-    recovery counts, after a first call has warmed the caches; and the
-    number of BS passes (`_later_rounds`) that found the drop uniforms of
-    their batch gone, which every pass asserts."""
+    """The highest traced peak reached inside the `protocol._recover` calls
+    of a delay-study `_replicated` call, after a first call has warmed the
+    caches: the peak is reset on entry (`tracemalloc.reset_peak`), so it
+    counts what the batch holds alive through recovery.  Also the number
+    of BS passes (`_later_rounds`), each of which asserts that the drop
+    uniforms of its batch are gone."""
     recover, later_rounds = protocol._recover, experiments._later_rounds
     continue_ = experiments._continue
     peaks, uniforms, passes = [], [], []
