@@ -47,7 +47,11 @@ The commands:
   uneven split: 50 members in 3 clusters pad to 51 slots a drop; `study
   --study delay --total-uavs 20000 --c-values 2 --d0-values 1200
   --replications 3` (named `delay_wide_20000uavs`), drops wider than the
-  batch budget, one drop a batch; and `study
+  batch budget, one drop a batch; `study --study delay
+  --opportunistic-caching false --c-values 1,2 --d0-values 1500,2000
+  --replications 400` (named `delay_nocache_long`), long recoveries of
+  one or two clusters far out without caching, whose cells read
+  recovery blocks after the first, up to block 34; and `study
   --study delay --schemes rnc --rnc-generation-size 64 --d0-values 1200
   --c-values 2 --replications 700` in fixed_total and density mode (named
   `delay_rnc_g64` and `delay_rnc_g64_density`), several batches of RNC's
@@ -156,6 +160,9 @@ def commands(out: Path) -> list[list[str]]:
         ["study", "--study", "delay", "--total-uavs", "20000", "--c-values",
          "2", "--d0-values", "1200", "--replications", "3",
          "--out-dir", str(out / "delay_wide_20000uavs")],
+        ["study", "--study", "delay", "--opportunistic-caching", "false",
+         "--c-values", "1,2", "--d0-values", "1500,2000", "--replications",
+         "400", "--out-dir", str(out / "delay_nocache_long")],
         *(["study", "--study", study, "--max-time-ms", "5",
            "--replications", "200", "--mode", mode,
            "--out-dir", str(out / f"{study}_budget5{tag}")]
