@@ -301,15 +301,12 @@ def run_design_insight_study(config: ScenarioConfig,
         r_c = design_radius(config.total_uavs, c, config.lambda_off_per_m2)
         try:
             p_suc = analysis.transmission_success_probability(r_c, config.radio)
-            k = analysis.cluster_peer_count(config.lambda_off_per_m2, r_c)
         except ParameterError:
-            p_suc, k = float("nan"), 0
+            p_suc = float("nan")
         rows.append(MetricRow(study, "num_clusters", float(c), "theory",
                               "p_suc", p_suc, 0.0, 0))
         for v in v_values:
             try:
-                if k < 1:
-                    raise ParameterError("no members per cluster")
                 geom = ClusterGeometry(v_norm=v, radius_r=r_c,
                                        h1=config.h1_m, h2=config.h2_m)
                 p_cov = analysis.coverage_probability(geom, config.radio)
