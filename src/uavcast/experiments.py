@@ -138,19 +138,13 @@ class MetricTable:
 # delay study's RNC pass reads g > 8 later-round doubles a member.  A
 # single drop wider than this makes a batch of its own.  Over 327
 # replications at d0 = 1200 m, C = 2, a delay call of clustering peaks at
-# about 3.4 MB traced at 50 members, 3.6 MB at 2,000 (53.9 MB in batches
-# of 64 replications), and one of RNC at 2.9 MB at g = 8, 2.2 MB at
-# g = 256 (68.5 MB in batches of 16,384 members).
+# about 3.4 MB traced at 50 members, 3.6 MB at 2,000, and one of RNC at
+# 2.9 MB at g = 8, 2.2 MB at g = 256.
 _BATCH_SLOTS = 16384
-# Outputs of the first-recovery stream (`_scenario`) read in one call at
-# most, unless one block is longer: a batch's blocks 0 are read a stretch
-# at a time.
-_FIRST_CHUNK = 2 ** 15
-# Outputs of the later-recovery stream (`_scenario`) that one cell owns:
-# cell (r, c) reads its blocks after the first from output r * 2**64 +
-# c * _CELL_OUTPUTS on, so a drop holds up to 2**64 / _CELL_OUTPUTS
-# clusters.
-_CELL_OUTPUTS = 2 ** 40
+# Outputs of the recovery stream (`_scenario`) read in one call at most,
+# unless one block is longer: each refill's blocks are read a stretch at
+# a time.
+_RECOVERY_CHUNK = 2 ** 15
 
 
 def _rng(base_seed: int, key: tuple[int, ...]) -> np.random.Generator:
@@ -322,80 +316,58 @@ def run_design_insight_study(config: ScenarioConfig,
 
 
 class _Recovery:
-    """A scenario's clustering recovery streams (`_scenario`): block 0 of
-    every cell from `first`, read where `_scenario` lays it out, and each
-    later block from its cell's fixed offset in `later`.  PCG64 cycles
-    through 2**128 outputs, so one jump (`advance`) from a stream's
-    position reaches any offset, behind it too."""
+    """A scenario's clustering recovery stream (`_scenario`), which holds
+    block b of the scenario's j-th cell at output b * 2**64 + j * 8 S.
+    PCG64 cycles through 2**128 outputs, so one jump (`advance`) from the
+    stream's position reaches any offset, behind it too."""
 
     def __init__(self, base_seed: int, prefix: tuple[int, ...]):
-        self.streams = [_rng(base_seed, (*prefix, 0, s)) for s in (2, 3)]
-        self.at = [0, 0]  # each stream's position
+        self.rng = _rng(base_seed, (*prefix, 0, 2))
+        self.at = 0  # the stream's position
 
-    def _read(self, stream: int, offset: int, out: np.ndarray) -> None:
-        """Fill `out` from output `offset` of stream 0 (`first`) or 1
-        (`later`) on."""
-        rng = self.streams[stream]
-        rng.bit_generator.advance((offset - self.at[stream]) % 2 ** 128)
-        rng.random(out=out)
-        self.at[stream] = offset + out.size
-
-    def first_blocks(self, index: np.ndarray, out: np.ndarray) -> None:
-        """Fill `out[j]` with block `index[j]` (ascending) of `first`, in
-        blocks of `out[j].size` outputs: the stretch from one block to the
-        last that starts within _FIRST_CHUNK outputs is read in one call
-        and the blocks are copied out of it, so the blocks between them
-        are drawn but never the whole batch's blocks at once."""
+    def blocks(self, b: int, index: np.ndarray, out: np.ndarray) -> None:
+        """Fill `out[i]` with block b of cell `index[i]` (ascending), in
+        blocks of `out[i].size` outputs: the stretch from one cell's block
+        to the last that starts within _RECOVERY_CHUNK outputs is read in
+        one call and the blocks are copied out of it, so the blocks between
+        them are drawn but never a whole batch's blocks at once.  A block
+        that would pass output 2**64 of its b is refused: it would overlap
+        block b + 1."""
         flat = out.reshape(len(out), -1)
         width = flat.shape[1]
-        per_read = max(1, _FIRST_CHUNK // width)
+        if (int(index[-1]) + 1) * width > 2 ** 64:
+            raise ParameterError(
+                f"recovery: block {b} of cell {int(index[-1])} passes the "
+                f"2**64 uniforms of its block; use fewer replications, "
+                f"fewer clusters or smaller ones")
+        per_read = max(1, _RECOVERY_CHUNK // width)
         a = 0
         while a < len(flat):
             lo = int(index[a])
-            b = int(np.searchsorted(index, lo + per_read))
-            stretch = np.empty((int(index[b - 1]) + 1 - lo, width))
-            self._read(0, lo * width, stretch)
-            np.take(stretch, index[a:b] - lo, axis=0, out=flat[a:b])
-            a = b
+            hi = int(np.searchsorted(index, lo + per_read))
+            stretch = np.empty((int(index[hi - 1]) + 1 - lo, width))
+            offset = (b << 64) + lo * width
+            self.rng.bit_generator.advance((offset - self.at) % 2 ** 128)
+            self.rng.random(out=stretch)
+            self.at = offset + stretch.size
+            np.take(stretch, index[a:hi] - lo, axis=0, out=flat[a:hi])
+            a = hi
 
-    def fill(self, rep: int, cluster: int, b: int, out: np.ndarray) -> None:
-        """Fill `out` with block b >= 1 of cell (rep, cluster): outputs
-        from rep * 2**64 + cluster * _CELL_OUTPUTS + (b - 1) * out.size on
-        of `later`.  A block that would pass its cell's outputs, or its
-        replication's, is refused: it would overlap another cell's draws."""
-        end = b * out.size
-        if rep >> 64 or cluster >= 2 ** 64 // _CELL_OUTPUTS \
-                or end > _CELL_OUTPUTS:
-            raise ParameterError(
-                f"recovery: block {b} of cluster {cluster} of replication "
-                f"{rep} passes the {_CELL_OUTPUTS} uniforms of its cell "
-                f"or the 2**64 of its replication; use fewer clusters, "
-                f"smaller ones or a shorter max_time_ms")
-        self._read(1, (rep << 64) + cluster * _CELL_OUTPUTS + end - out.size,
-                   out)
-
-    def draw(self, rows: np.ndarray, starts: np.ndarray) -> Callable:
+    def draw(self, starts: np.ndarray) -> Callable:
         """The `draw(epoch, cluster, b, out)` of `protocol.run_epochs` for
-        drops of replications `rows` whose clusters' blocks 0 are blocks
-        `starts` on of `first`, cluster after cluster."""
-        reps = rows.tolist()
-
-        def draw(epoch, cluster, b, out):
-            if not b:
-                self.first_blocks(starts[epoch] + cluster, out)
-                return
-            for j, (e, c) in enumerate(zip(epoch.tolist(), cluster.tolist())):
-                self.fill(reps[e], c, b, out[j])
-        return draw
+        drops whose first clusters are cells `starts`, cluster after
+        cluster."""
+        return lambda epoch, cluster, b, out: self.blocks(
+            b, starts[epoch] + cluster, out)
 
 
 @dataclass
 class _Batch:
     """A batch of a scenario (`_scenario`): its drops by shape as (plan,
     replication indices, offsets in `uniforms`, offsets in `fading`, the
-    indices of their first clusters' blocks 0 in the first recovery
-    stream), the delay study's BS schemes' (later-rounds stream, g), and
-    clustering's recovery streams (None when clustering does not run).
+    indices of their first clusters among the scenario's cells), the
+    delay study's BS schemes' (later-rounds stream, g), and clustering's
+    recovery stream (None when clustering does not run).
     `_continue` lets `uniforms` and `fading` go (None) after its round-1
     pass."""
 
@@ -442,17 +414,15 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
       uniforms (`_DropPlan`), in replication order;
     - fading, (study, *key, 0, 1): each replication's n round-1 fadings,
       in replication order; none for an empty drop;
-    - recovery, (study, *key, 0, 2): block 0 of each cell (r, c) of
-      clustering recovery (`protocol.run_epochs`), for each cluster of
-      each drop in replication order.  Every block holds 4 x 2 x S
-      outputs, S being the largest cluster, which is the same in every
-      drop of a scenario (one plan in fixed_total mode, clusters of
-      `cluster_peer_count` members in density mode).  Read only where
-      clustering runs, a batch at a time from its first recovering cell
-      to its last (`_Recovery.first_blocks`);
-    - later recovery, (study, *key, 0, 3): block b >= 1 of cell (r, c),
-      for a cell still recovering at its row 4 b, from output r * 2**64 +
-      c * _CELL_OUTPUTS + (b - 1) * 8 S on (`_Recovery.fill`);
+    - recovery, (study, *key, 0, 2): the blocks of clustering recovery
+      (`protocol.run_epochs`).  The scenario's cells are numbered cluster
+      after cluster, drop after drop, in replication order, and block b
+      of cell j sits at output b * 2**64 + j * 8 S on.  Every block holds
+      4 x 2 x S outputs, S being the largest cluster, which is the same
+      in every drop of a scenario (one plan in fixed_total mode, clusters
+      of `cluster_peer_count` members in density mode).  Read only where
+      clustering runs, each refill from its first live cell's block to
+      its last (`_Recovery.blocks`);
     - later rounds, (study, *key, i, 1) for the delay study's BS scheme
       i of `SCHEME_RUNNERS` among `schemes`: g exponentials per round-1
       fading, in the same order, g the receptions a member needs
@@ -483,16 +453,16 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
              for scheme in schemes
              if study == "delay" and scheme != "clustering"}
     budget = _BATCH_SLOTS * 8 // max([8, *(g for _, g in later.values())])
-    first_at = 0  # the first recovery stream's blocks of earlier batches
+    cells = 0  # the cells of earlier batches
     for lo, groups in _batches(plans, config.mode == "fixed_total", budget):
-        # Per drop: its uniforms, fadings and clusters (blocks 0).
+        # Per drop: its uniforms, fadings and clusters (cells).
         sizes = np.zeros((3, sum(i.size for _, i in groups)), dtype=np.intp)
         for plan, index in groups:
             sizes[:, index] = np.array([plan.read.size, plan.n_uavs,
                                         len(plan.bounds) - 1])[:, None]
         u_at, f_at, r_at = np.cumsum(sizes, axis=1) - sizes
-        r_at += first_at
-        first_at += int(sizes[2].sum())
+        r_at += cells
+        cells += int(sizes[2].sum())
         yield _Batch([(plan, lo + index, u_at[index], f_at[index],
                        r_at[index]) for plan, index in groups],
                      drop_rng.random(sizes[0].sum()),
@@ -600,7 +570,7 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
             if scheme == "clustering":
                 yield scheme, drops, run_epochs(
                     scheme, xy, plan.bounds, first, radio, sim,
-                    batch.recovery.draw(rows, r_at), events)
+                    batch.recovery.draw(r_at), events)
             elif scheme not in batch.later:
                 yield scheme, drops, (None, first)
     return decided, shapes

@@ -368,16 +368,15 @@ def _replays(study, scheme, config, key):
     recovery `draw` of a batch of one).  Under spawn keys (study, *key,
     0, s), stream 0 holds every Poisson count (density mode), then each
     drop's 2 (clusters + members) uniforms; stream 1 each drop's n
-    round-1 exponentials, whatever the time budget; stream 2 each
-    cluster's block 0 of recovery uniforms, 4 x 2 x S for a drop whose
-    largest cluster has S members, drop after drop; stream 3 block b >= 1
-    of cluster c of replication r from output r 2**64 + c 2**40 + (b - 1)
-    8 S on.  A delay-study BS scheme's stream (study, *key, scheme, 1)
+    round-1 exponentials, whatever the time budget; stream 2 block b of
+    the scenario's j-th cluster, counted drop after drop, from output
+    b 2**64 + j 8 S on, 8 S uniforms for a drop whose largest cluster has
+    S members.  A delay-study BS scheme's stream (study, *key, scheme, 1)
     holds n g more per drop, g being the receptions a member needs.
     """
     prefix = (_STUDY_IDS[study], *key)
-    drops, fading, first_blocks = (_rng(config.base_seed, (*prefix, 0, s))
-                                   for s in (0, 1, 2))
+    drops, fading = (_rng(config.base_seed, (*prefix, 0, s))
+                     for s in (0, 1))
     sim, reps = config.sim, config.replications
     later, g = None, 0
     if study == "delay" and scheme != "clustering":
@@ -390,33 +389,29 @@ def _replays(study, scheme, config, key):
         counts = [int(drops.poisson(mean)) for _ in range(reps)]
     per_cluster = cluster_peer_count(config.lambda_off_per_m2,
                                      config.radius_r_m)
-    for rep, count in enumerate(counts):
+    cells = 0  # the clusters of earlier drops
+    for count in counts:
         k, n = ((config.num_clusters, config.total_uavs) if count is None
                 else (count, count * per_cluster))
         uniforms = drops.random(2 * (k + n))
         row = fading.standard_exponential(n)
         later_row = (None if later is None
                      else later.standard_exponential((n, g)))
-        largest = -(-n // k) if k else 0
-        block0 = first_blocks.random((k, 4, 2, largest))
         yield count, uniforms, row, later_row, functools.partial(
-            _replayed_blocks, config.base_seed, prefix, rep, block0)
+            _replayed_blocks, config.base_seed, prefix, cells)
+        cells += k
 
 
-def _replayed_blocks(base_seed, prefix, rep, block0, epoch, cluster, b, out):
-    """The recovery `draw` of replication `rep` run as a batch of one:
-    block 0 of cluster c is `block0[c]`, and block b >= 1 is read from a
-    fresh generator of stream (*prefix, 0, 3) advanced to the block's
-    offset."""
+def _replayed_blocks(base_seed, prefix, first, epoch, cluster, b, out):
+    """The recovery `draw` of a drop whose first cluster is the
+    scenario's cell `first`, run as a batch of one: block b of cluster c
+    is read from a fresh generator of stream (*prefix, 0, 2) advanced to
+    output b 2**64 + (first + c) 8 S."""
     assert epoch.tolist() == [0] * epoch.size
     for j, c in enumerate(cluster.tolist()):
-        if not b:
-            out[j] = block0[c]
-            continue
-        later = _rng(base_seed, (*prefix, 0, 3))
-        later.bit_generator.advance((rep << 64) + c * 2 ** 40
-                                    + (b - 1) * out[j].size)
-        later.random(out=out[j])
+        fresh = _rng(base_seed, (*prefix, 0, 2))
+        fresh.bit_generator.advance((b << 64) + (first + c) * out[j].size)
+        fresh.random(out=out[j])
 
 
 def _disk(block, n, radius, center=None):
@@ -627,54 +622,59 @@ def _recovery_of_a_scenario(config, key):
     return stop.value.args[0]
 
 
-def _fresh_later_block(config, key, offset, size):
-    """`size` uniforms of the delay scenario `key`'s later-recovery stream
-    from output `offset` on, read by a fresh generator."""
-    fresh = _rng(config.base_seed, (_STUDY_IDS["delay"], *key, 0, 3))
+def _fresh_block(config, key, offset, size):
+    """`size` uniforms of the delay scenario `key`'s recovery stream from
+    output `offset` on, read by a fresh generator."""
+    fresh = _rng(config.base_seed, (_STUDY_IDS["delay"], *key, 0, 2))
     fresh.bit_generator.advance(offset)
     return fresh.random(size)
 
 
-@given(reads=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9),
-                                st.integers(1, 6), st.integers(1, 40)),
-                      min_size=1, max_size=30))
+@given(reads=st.lists(st.tuples(st.integers(0, 2 ** 64 - 1),
+                                st.sets(st.integers(0, 3000), min_size=1,
+                                        max_size=20),
+                                st.integers(1, 6)),
+                      min_size=1, max_size=20),
+       chunk=st.integers(1, experiments._RECOVERY_CHUNK))
 @settings(max_examples=60, deadline=None)
-def test_recovery_reads_jump_from_the_stream_position(reads):
-    """The later-recovery reader jumps from wherever the stream is, ahead
-    or behind, and serves block b >= 1 of cell (r, c) of a drop whose
-    largest cluster has S members from output r 2**64 + c 2**40 + (b - 1)
-    8 S on: the values a fresh generator gives after `advance` from the
-    stream's start, for any order of (r, c, b, S) reads."""
+def test_recovery_blocks_are_read_from_one_stream(reads, chunk):
+    """The recovery reader jumps from wherever the stream is, ahead or
+    behind, and serves block b of ascending cells j of a drop whose
+    largest cluster has S members from output b 2**64 + j 8 S on,
+    whatever the stretch it reads in one call: the values a fresh
+    generator gives after `advance` from the stream's start, for any
+    order of (b, cells, S) reads."""
     config = ScenarioConfig(replications=6, base_seed=8)
     recovery = _recovery_of_a_scenario(config, (3, 1))
-    for rep, cluster, b, largest in reads:
-        got = np.empty((4, 2, largest))
-        recovery.fill(rep, cluster, b, got)
-        offset = (rep << 64) + (cluster << 40) + (b - 1) * got.size
-        assert got.tobytes() == _fresh_later_block(config, (3, 1), offset,
-                                                   got.size).tobytes()
+    with mock.patch.object(experiments, "_RECOVERY_CHUNK", chunk):
+        for b, cells, largest in reads:
+            index = np.array(sorted(cells))
+            got = np.empty((index.size, 4, 2, largest))
+            recovery.blocks(b, index, got)
+            for j, block in zip(index.tolist(), got):
+                assert block.tobytes() == _fresh_block(
+                    config, (3, 1), (b << 64) + j * block.size,
+                    block.size).tobytes()
 
 
-def test_recovery_blocks_past_their_cell_are_refused():
-    """Each cell owns 2**40 outputs of the later-recovery stream and each
-    replication 2**64, so a block that would pass either is refused with a
-    ParameterError rather than read from another cell's outputs; the last
-    block that fits (cluster 2**24 - 1, replication 2**64 - 1, a block
-    ending at the cell's last output) reads where the layout says."""
+def test_recovery_cells_past_their_block_are_refused():
+    """Block b of every cell lies in outputs b 2**64 to (b + 1) 2**64, so
+    cell j, whose block holds 8 S outputs, fits while (j + 1) 8 S <=
+    2**64: the last cell that fits reads where the layout says, at the
+    end of a stretch, and a refill that reaches the next cell is refused
+    with a ParameterError rather than read from block b + 1's outputs."""
     config = ScenarioConfig(replications=2, base_seed=8)
     recovery = _recovery_of_a_scenario(config, (0, 0))
-    out = np.empty((4, 2, 8))
-    last = 2 ** 40 // out.size
-    for rep, cluster, b in ((2 ** 64 - 1, 2 ** 24 - 1, last), (0, 0, last),
-                            (5, 2 ** 24 - 1, 1)):
-        recovery.fill(rep, cluster, b, out)
-        offset = (rep << 64) + (cluster << 40) + (b - 1) * out.size
-        assert out.tobytes() == _fresh_later_block(
-            config, (0, 0), offset % 2 ** 128, out.size).tobytes()
-    for rep, cluster, b in ((0, 0, last + 1), (0, 2 ** 24, 1),
-                            (2 ** 64, 0, 1)):
+    out = np.empty((2, 4, 2, 8))
+    last = 2 ** 64 // out[0].size - 1
+    for b in (0, 1, 2 ** 64 - 1):
+        recovery.blocks(b, np.array([last - 1, last]), out)
+        for j, block in zip((last - 1, last), out):
+            assert block.tobytes() == _fresh_block(
+                config, (0, 0), (b << 64) + j * block.size,
+                block.size).tobytes()
         with pytest.raises(ParameterError, match="^recovery: block"):
-            recovery.fill(rep, cluster, b, out)
+            recovery.blocks(b, np.array([last - 1, last + 1]), out)
 
 
 @pytest.mark.parametrize("mode,lambda_per_m2,budget", [
@@ -757,18 +757,20 @@ def test_replicated_output_does_not_depend_on_member_budget(budget, mode):
                 _DEFAULT_BUDGET_OUTPUTS[mode, study], study
 
 
-@given(chunk=st.integers(1, experiments._FIRST_CHUNK),
+@given(chunk=st.integers(1, experiments._RECOVERY_CHUNK),
        mode=st.sampled_from(sorted(_BUDGET_CONFIGS)))
 @example(chunk=1, mode="fixed_total")
 @example(chunk=200, mode="density")
 @settings(max_examples=25, deadline=None)
 def test_first_block_stretches_do_not_change_the_output(chunk, mode):
-    """Any stretch of blocks 0 read in one call, from 1 output to the
-    default, gives every study and scheme the default output, byte for
-    byte, in both modes.  Each `_recover` call recovers in one pass: it
-    asks for block 0 of its cells in one `draw` call, every (epoch,
-    cluster) cell with a member that holds the packet and one that misses
-    it, each once, in ascending order, and of no other cell."""
+    """Any stretch of recovery blocks read in one call, from 1 output to
+    the default, gives every study and scheme the default output, byte
+    for byte, in both modes, where some cells read blocks after the
+    first.  Each `_recover` call recovers in one pass: it asks for block
+    0 of its cells in one `draw` call, every (epoch, cluster) cell with a
+    member that holds the packet and one that misses it, each once, in
+    ascending order, and of no other cell; and a later block of some of
+    them, still in ascending order."""
     config = _BUDGET_CONFIGS[mode]
     for study in ("delay", "ase"):
         if (mode, study) not in _DEFAULT_BUDGET_OUTPUTS:
@@ -776,6 +778,7 @@ def test_first_block_stretches_do_not_change_the_output(chunk, mode):
                 study, config, (2, 0))
     recover = protocol._recover
     calls = []  # per `_recover` call: its cells, and those of its blocks 0
+    later = []  # the cells of each draw of a block b >= 1
 
     def recorded_recover(xy, bounds, got, delivery, radio, sim, draw, *rest):
         cells = [(e, c) for e in range(len(got))
@@ -784,14 +787,17 @@ def test_first_block_stretches_do_not_change_the_output(chunk, mode):
         calls.append((cells, []))
 
         def recorded(epoch, cluster, b, out):
+            drawn = list(zip(epoch.tolist(), cluster.tolist()))
             if not b:
-                calls[-1][1].append(list(zip(epoch.tolist(),
-                                             cluster.tolist())))
+                calls[-1][1].append(drawn)
+            else:
+                later.append(drawn)
+                assert set(drawn) <= set(calls[-1][0])
             draw(epoch, cluster, b, out)
         return recover(xy, bounds, got, delivery, radio, sim, recorded,
                        *rest)
 
-    with mock.patch.object(experiments, "_FIRST_CHUNK", chunk), \
+    with mock.patch.object(experiments, "_RECOVERY_CHUNK", chunk), \
             mock.patch.object(protocol, "_recover", recorded_recover):
         for study in ("delay", "ase"):
             assert _output_bytes(study, config, (2, 0)) == \
@@ -799,6 +805,8 @@ def test_first_block_stretches_do_not_change_the_output(chunk, mode):
     assert any(cells for cells, _ in calls)
     for cells, first_draws in calls:
         assert first_draws == ([cells] if cells else [])
+    assert later
+    assert all(drawn == sorted(drawn) for drawn in later)
 
 
 def _traced_peak(study, config):
@@ -1200,8 +1208,8 @@ def test_scheme_subsets_read_the_shared_streams(mode):
     """A scheme run alone gives, bit for bit, its metrics of the
     three-scheme run, since the shared streams do not depend on the
     schemes that read them.  A delay scenario derives the drops and
-    fading generators, clustering's two recovery generators and one per
-    BS scheme, an ase scenario the first four; a scenario without
+    fading generators, clustering's recovery generator and one per BS
+    scheme, an ase scenario the first three; a scenario without
     clustering derives no recovery generator, so it draws no recovery
     uniforms."""
     config = ScenarioConfig(replications=40, base_seed=4, d0_m=1200.0,
@@ -1219,10 +1227,10 @@ def test_scheme_subsets_read_the_shared_streams(mode):
                 for study in ("delay", "ase")}
     delay, ase = _STUDY_IDS["delay"], _STUDY_IDS["ase"]
     assert derived == [(delay, *key, 0, 0), (delay, *key, 0, 1),
-                       (delay, *key, 0, 2), (delay, *key, 0, 3),
+                       (delay, *key, 0, 2),
                        (delay, *key, 1, 1), (delay, *key, 2, 1),
                        (ase, *key, 0, 0), (ase, *key, 0, 1),
-                       (ase, *key, 0, 2), (ase, *key, 0, 3)]
+                       (ase, *key, 0, 2)]
     assert list(full["delay"]) == list(config.schemes)
     assert list(full["ase"]) == list(_SCHEME_ORDER)
     for scheme in ("rnc", "clustering", "benchmark"):
@@ -1234,8 +1242,8 @@ def test_scheme_subsets_read_the_shared_streams(mode):
         assert list(delays) == [scheme]
         assert delays[scheme].tobytes() == full["delay"][scheme].tobytes()
         assert ases[scheme].tobytes() == full["ase"][scheme].tobytes()
-        recovery = [k for k in derived if k[-2:] in ((0, 2), (0, 3))]
-        assert len(recovery) == (4 if scheme == "clustering" else 0)
+        recovery = [k for k in derived if k[-2:] == (0, 2)]
+        assert len(recovery) == (2 if scheme == "clustering" else 0)
 
 
 @pytest.mark.parametrize("mode,replications", [("fixed_total", 1),
