@@ -74,7 +74,11 @@ The commands:
   links at or below the 1 m clamp of the path-loss law fail, and `study
   --study validation-coverage --v-values 3000,5000,10000 --replications
   20000` (named `validation_coverage_far`), where p_cov falls from about
-  0.1 to 1e-22;
+  0.1 to 1e-22; and `study --study validation-coverage --v-values
+  51,60,90 --replications 20000` (named `validation_coverage_v51_60_90`),
+  clusters whose center lies within two radii of the BS (v < 2r), so
+  that part of the disk is nearer the BS than r: the BS-to-member law
+  keeps there the one arc form it takes everywhere else;
 - `metrics --out` at the defaults and at `--v-norm 1200`;
 - `topology --drops 20` in fixed_total and density mode: the drops of
   replications 0 to 19 of the delay scenario, as `study --study delay`
@@ -94,7 +98,10 @@ The commands:
   the key=value file format, key order included;
 - `distributions --kind bs-member|peer|center-offset --out` at the
   defaults, and `distributions --kind peer --offset-a 0` (named
-  `dist_peer_a0`: a transmitter at the cluster center): the tabulated
+  `dist_peer_a0`: a transmitter at the cluster center) and
+  `distributions --kind bs-member --v-norm 60` (named
+  `dist_bs_member_v60`: a BS within two radii of the cluster center, the
+  near-disk case of `validation_coverage_v51_60_90`): the tabulated
   pdf/CDF and, as a `.stdout` file named after the CSV, the printed lines
   with the KS gaps of the geometric and the inverse-CDF samples (the
   temporary directory's path replaced by `<out>`).
@@ -191,6 +198,9 @@ def commands(out: Path) -> list[list[str]]:
         ["study", "--study", "validation-coverage", "--v-values",
          "3000,5000,10000", "--replications", "20000",
          "--out-dir", str(out / "validation_coverage_far")],
+        ["study", "--study", "validation-coverage", "--v-values", "51,60,90",
+         "--replications", "20000",
+         "--out-dir", str(out / "validation_coverage_v51_60_90")],
         ["study", "--study", "design-insight", "--c-values", "3,7",
          "--v-values", "600",
          "--out-dir", str(out / "design_insight_c3_7_v600")],
@@ -218,6 +228,8 @@ def commands(out: Path) -> list[list[str]]:
                      "--out", str(out / f"dist_{_tag(kind)}.csv")])
     cmds.append(["distributions", "--kind", "peer", "--offset-a", "0",
                  "--out", str(out / "dist_peer_a0.csv")])
+    cmds.append(["distributions", "--kind", "bs-member", "--v-norm", "60",
+                 "--out", str(out / "dist_bs_member_v60.csv")])
     for scheme in SCHEMES:
         for tag, seed, flags in runs:
             cmds.append(["simulate", "--scheme", scheme, "--seed", seed,
