@@ -29,11 +29,10 @@ from .distributions import (
     ClusterGeometry,
     DistanceDistribution,
     empirical_distance_check,
+    offset_support,
     pdf_bs_member_distance,
-    pdf_center_offset,
     pdf_member_pair_distance,
-    pdf_peer_distance,
-    pdf_planar_bs_distance,
+    pdf_offset_distance,
     sampler_self_check,
 )
 from .errors import IntegrityError, NumericError, ParameterError, UavcastError

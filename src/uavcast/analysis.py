@@ -36,7 +36,7 @@ from .channel import (
 )
 from .distributions import (
     ClusterGeometry,
-    bs_member_support,
+    offset_support,
     pdf_bs_member_distance,
     pdf_member_pair_distance,
 )
@@ -108,7 +108,8 @@ def coverage_probability(geom: ClusterGeometry, radio: RadioParams) -> float:
         power = mean_received_power(LinkKind.BS_TO_UAV, d, radio)
         return decode_probability(power, radio) * pdf_bs_member_distance(d, geom)
 
-    return _integrate(integrand, bs_member_support(geom))
+    return _integrate(integrand, offset_support(
+        geom.v_norm, geom.radius_r, geom.delta_h))
 
 
 def transmission_success_probability(radius_r: float, radio: RadioParams) -> float:

@@ -1,16 +1,16 @@
 """Distance distributions inside a uniformly populated cluster disk.
 
-Four random distances drive the link analysis:
+One law covers the distance from an observer at a known planar offset from
+the cluster center, and a known height off the UAV plane, to a member
+uniform on the disk (`pdf_offset_distance` on `offset_support`):
 
-* the distance from the base station to a cluster member, where the member
-  is uniform on a disk whose center is a known planar distance away and the
-  two ends differ in height;
-* the distance between a transmitting member at known offset `a` from the
-  cluster center and another member uniform on the disk;
-* the offset `a` itself (radial distance of a uniform point from the
-  center);
-* the distance between two members that are both uniform on the disk
-  (the peer distance averaged over the offset).
+* from the base station, whose offset exceeds the radius;
+* from a transmitting member at offset `a` inside the disk;
+* from the center, which gives the offset `a` itself (the radial distance
+  of a uniform point).
+
+A second law gives the distance between two members that are both uniform
+on the disk (the member-to-member law averaged over the offset).
 
 Each has a closed-form pdf.  `DistanceDistribution` tabulates the matching
 CDF once on a dense grid, checks the pdf's normalisation on that tabulated
@@ -78,113 +78,90 @@ def _checked_arccos(arg: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(arg, -1.0, 1.0))
 
 
-def planar_bs_support(geom: ClusterGeometry) -> tuple[float, float]:
-    return (geom.v_norm - geom.radius_r, geom.v_norm + geom.radius_r)
-
-
-def bs_member_support(geom: ClusterGeometry) -> tuple[float, float]:
-    dh2 = geom.delta_h ** 2
-    return (math.sqrt((geom.v_norm - geom.radius_r) ** 2 + dh2),
-            math.sqrt((geom.v_norm + geom.radius_r) ** 2 + dh2))
-
-
-def peer_support(offset_a: float, radius_r: float) -> tuple[float, float]:
-    if not (math.isfinite(radius_r) and radius_r > 0):
+def offset_support(offset: float, radius_r: float,
+                   height: float = 0.0) -> tuple[float, float]:
+    """Nearest and farthest distance from an observer at planar distance
+    `offset` from the center of a disk of radius `radius_r` and `height`
+    off its plane to the disk's points."""
+    if not 0.0 < radius_r < math.inf:  # NaN fails each comparison
         raise ParameterError(f"radius_r must be positive and finite, got {radius_r}")
-    if not (0.0 <= offset_a <= radius_r):
-        raise ParameterError(
-            f"offset_a must lie in [0, radius_r], got {offset_a}")
-    return (0.0, radius_r + offset_a)
+    if not 0.0 <= offset < math.inf:
+        raise ParameterError(f"offset must be non-negative and finite, got {offset}")
+    if not 0.0 <= height < math.inf:
+        raise ParameterError(f"height must be non-negative and finite, got {height}")
+    lo, hi = max(offset - radius_r, 0.0), offset + radius_r
+    if height == 0.0:
+        return lo, hi
+    h2 = height ** 2
+    return math.sqrt(lo ** 2 + h2), math.sqrt(hi ** 2 + h2)
 
 
-def center_offset_support(radius_r: float) -> tuple[float, float]:
-    return (0.0, radius_r)
+def pdf_offset_distance(d, offset: float, radius_r: float,
+                        height: float = 0.0) -> np.ndarray:
+    """pdf of the distance from an observer to a point uniform on a disk.
 
+    The observer sits at planar distance a = `offset` from the center of a
+    disk of radius r and at `height` h off its plane: the BS (a > r), a
+    member (a <= r) or the center (a = 0) (Moltchanov, "Distance
+    distributions in random networks", Ad Hoc Networks 10(6), 2012).  Where
+    the circle of planar radius x = sqrt(d^2 - h^2) around the observer
+    lies inside the disk, x <= r - a, the density is 2 d / r^2; beyond
+    that only an arc of the circle falls inside:
 
-def pdf_planar_bs_distance(x, geom: ClusterGeometry) -> np.ndarray:
-    """pdf of the planar BS-to-member distance.
+        f(d) = (2 d / (pi r^2)) * arccos((x^2 + a^2 - r^2) / (2 a x)),
 
-    The member is uniform on a disk of radius r whose center is v away from
-    the BS (projected to the ground plane); x must satisfy v - r <= x <=
-    v + r.  The density is the normalized arc length of the circle of radius
-    x that falls inside the disk:
-
-        f(x) = (2 x / (pi r^2)) * arccos((x^2 + v^2 - r^2) / (2 v x))
+    the planar density's leading x having cancelled against the Jacobian
+    d / x of the height.  The two branches agree at x = r - a, where the
+    arccos argument is -1; at the far end x = a + r it is 1.
     """
-    x = np.asarray(x, dtype=float)
-    v, r = geom.v_norm, geom.radius_r
-    lo, hi = planar_bs_support(geom)
-    out = np.zeros_like(x)
-    inside = (x >= lo) & (x <= hi)
-    if np.any(inside):
-        xi = x[inside]
-        # (x^2 + v^2 - r^2) / (2 v x), factored so both support endpoints
-        # give the argument exactly 1 (no cancellation noise)
-        arg = 1.0 + (xi - hi) * (xi - lo) / (2.0 * v * xi)
-        out[inside] = (2.0 * xi / (np.pi * r ** 2)) * _checked_arccos(arg)
+    lo, hi = offset_support(offset, radius_r, height)
+    d = np.asarray(d, dtype=float)
+    a, r = offset, radius_r
+    out = np.zeros_like(d)
+    inside = (d >= lo) & (d <= hi)
+    if not np.any(inside):
+        return out
+    di = d[inside]
+    if height == 0.0:
+        x = di
+    else:
+        # the floor guards the subtraction at the near support edge
+        x = np.sqrt(np.maximum(di ** 2 - height ** 2, max(a - r, 0.0) ** 2))
+    if a > r:  # no point of the disk is within r - a < 0 of the observer
+        f = _arc_density(di, x, a, r)
+    else:
+        # a cap at the far edge too: the arc argument would divide the
+        # rounding of x past a + r by a small a (by 0 at the center)
+        x = np.minimum(x, a + r)
+        f = 2.0 * di / r ** 2
+        arc = x > r - a
+        if np.any(arc):
+            f[arc] = _arc_density(di[arc], x[arc], a, r)
+    out[inside] = f
     return out
+
+
+def _arc_density(d: np.ndarray, x: np.ndarray, a: float, r: float) -> np.ndarray:
+    """The arc branch of `pdf_offset_distance` at distances d, planar x.
+
+    The argument (x^2 + a^2 - r^2) / (2 a x) is factored as 1 + (x - (a +
+    r)) (x + j) / (2 a x) with j = r - a, exactly 1 at both ends x = a - r
+    and a + r of the BS's arc.  A member's arc (a <= r) starts at the
+    junction x = j instead, so up to x = r the factoring (x + j) (x - j) /
+    (2 a x) - j / x takes over, exactly -1 there; either form alone leaves
+    ~ulp(r)/a of roundoff at the other's end, which exceeds the arccos
+    clamp for small a.
+    """
+    j = r - a
+    arg = 1.0 + (x - (a + r)) * (x + j) / (2.0 * a * x)
+    if a <= r:
+        arg = np.where(x <= r, (x + j) * (x - j) / (2.0 * a * x) - j / x, arg)
+    return (2.0 * d / (np.pi * r ** 2)) * _checked_arccos(arg)
 
 
 def pdf_bs_member_distance(d, geom: ClusterGeometry) -> np.ndarray:
-    """pdf of the 3D BS-to-member distance.
-
-    Change of variables from the planar distance x = sqrt(d^2 - delta_h^2);
-    the Jacobian d/x cancels against the planar density's leading x, leaving
-
-        f(d) = (2 d / (pi r^2)) * arccos((x^2 + v^2 - r^2) / (2 v x)).
-    """
-    d = np.asarray(d, dtype=float)
-    v, r = geom.v_norm, geom.radius_r
-    dh2 = geom.delta_h ** 2
-    lo, hi = bs_member_support(geom)
-    out = np.zeros_like(d)
-    inside = (d >= lo) & (d <= hi)
-    if np.any(inside):
-        di = d[inside]
-        # clip guards the subtraction at the lower support edge
-        x = np.sqrt(np.maximum(di ** 2 - dh2, (v - r) ** 2))
-        arg = 1.0 + (x - (v + r)) * (x - (v - r)) / (2.0 * v * x)
-        out[inside] = (2.0 * di / (np.pi * r ** 2)) * _checked_arccos(arg)
-    return out
-
-
-def pdf_peer_distance(d, offset_a: float, radius_r: float) -> np.ndarray:
-    """pdf of the distance from a member at offset `a` to a uniform member.
-
-    For d <= r - a the circle of radius d around the transmitter lies fully
-    inside the cluster disk, giving the linear density 2 d / r^2; beyond
-    that only an arc falls inside:
-
-        f(d) = (2 d / (pi r^2)) * arccos((d^2 + a^2 - r^2) / (2 a d))
-
-    The two branches agree at d = r - a, where the arccos argument is -1;
-    at the outer end d = r + a it is 1.
-    """
-    _, hi = peer_support(offset_a, radius_r)
-    d = np.asarray(d, dtype=float)
-    r, a = radius_r, offset_a
-    out = np.zeros_like(d)
-    j = r - a
-    full = (d >= 0) & (d <= j)
-    out[full] = 2.0 * d[full] / r ** 2
-    arc = (d > j) & (d <= hi)
-    if np.any(arc):
-        di = d[arc]
-        # (d^2 + a^2 - r^2) / (2 a d), factored on each half of the arc so
-        # the argument is exactly -1 at the junction d = r - a and exactly 1
-        # at d = r + a; one form for all d leaves ~ulp(r)/a of roundoff at
-        # the far end, which exceeds the arccos clamp for small a
-        arg = np.where(di <= r,
-                       (di + j) * (di - j) / (2.0 * a * di) - j / di,
-                       1.0 + (di - hi) * (di + j) / (2.0 * a * di))
-        out[arc] = (2.0 * di / (np.pi * r ** 2)) * _checked_arccos(arg)
-    return out
-
-
-def pdf_center_offset(a, radius_r: float) -> np.ndarray:
-    """pdf of the radial offset of a uniform point on the cluster disk:
-    the peer density seen from the center, 2 a / r^2 on [0, r]."""
-    return pdf_peer_distance(a, 0.0, radius_r)
+    """pdf of the 3D BS-to-member distance: the offset law from the BS."""
+    return pdf_offset_distance(d, geom.v_norm, geom.radius_r, geom.delta_h)
 
 
 def pdf_member_pair_distance(d, radius_r: float) -> np.ndarray:
@@ -195,7 +172,8 @@ def pdf_member_pair_distance(d, radius_r: float) -> np.ndarray:
 
         f(d) = (4 d / (pi r^2)) * (arccos(t) - t * sqrt(1 - t^2))
 
-    It equals the peer density averaged over the transmitter's offset.
+    It equals the offset law seen from a member, averaged over that
+    member's offset.
     """
     if not (math.isfinite(radius_r) and radius_r > 0):
         raise ParameterError(f"radius_r must be positive and finite, got {radius_r}")
@@ -270,24 +248,36 @@ class DistanceDistribution:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def bs_member(cls, geom: ClusterGeometry) -> "DistanceDistribution":
-        def positions(rng: np.random.Generator, n: int) -> np.ndarray:
-            return offset_distance(geom.v_norm, *polar_offset_terms(
-                *sample_uniform_disk_polar(rng, n, geom.radius_r)),
-                geom.delta_h)
+    def _seen_from(cls, offset: float, radius_r: float, height: float = 0.0,
+                   positions: Callable[[np.random.Generator, int],
+                                       np.ndarray] | None = None
+                   ) -> "DistanceDistribution":
+        """The offset law from an observer at `offset` and `height`; its
+        positional sampler measures uniform disk points from there unless
+        `positions` is given."""
+        if positions is None:
+            def positions(rng: np.random.Generator, n: int) -> np.ndarray:
+                return offset_distance(offset, *polar_offset_terms(
+                    *sample_uniform_disk_polar(rng, n, radius_r)), height)
 
-        return cls(lambda d: pdf_bs_member_distance(d, geom),
-                   bs_member_support(geom), positional_sampler=positions)
+        # a member's pdf has a kink where its arc begins
+        junction = (() if offset >= radius_r
+                    else (math.hypot(radius_r - offset, height),))
+        return cls(lambda d: pdf_offset_distance(d, offset, radius_r, height),
+                   offset_support(offset, radius_r, height),
+                   breakpoints=junction, positional_sampler=positions)
+
+    @classmethod
+    def bs_member(cls, geom: ClusterGeometry) -> "DistanceDistribution":
+        return cls._seen_from(geom.v_norm, geom.radius_r, geom.delta_h)
 
     @classmethod
     def peer(cls, offset_a: float, radius_r: float) -> "DistanceDistribution":
-        def positions(rng: np.random.Generator, n: int) -> np.ndarray:
-            return offset_distance(offset_a, *polar_offset_terms(
-                *sample_uniform_disk_polar(rng, n, radius_r)))
-
-        return cls(lambda d: pdf_peer_distance(d, offset_a, radius_r),
-                   peer_support(offset_a, radius_r),
-                   breakpoints=(radius_r - offset_a,), positional_sampler=positions)
+        # a bad radius is named by offset_support
+        if radius_r > 0 and not 0.0 <= offset_a <= radius_r:
+            raise ParameterError(
+                f"offset_a must lie in [0, radius_r], got {offset_a}")
+        return cls._seen_from(offset_a, radius_r)
 
     @classmethod
     def center_offset(cls, radius_r: float) -> "DistanceDistribution":
@@ -295,8 +285,7 @@ class DistanceDistribution:
             rho, _ = sample_uniform_disk_polar(rng, n, radius_r)
             return rho
 
-        return cls(lambda a: pdf_center_offset(a, radius_r),
-                   center_offset_support(radius_r), positional_sampler=positions)
+        return cls._seen_from(0.0, radius_r, positions=positions)
 
     # -- queries -----------------------------------------------------------
 

@@ -24,12 +24,10 @@ from uavcast.config import ScenarioConfig
 from uavcast.distributions import (
     ClusterGeometry,
     DistanceDistribution,
-    bs_member_support,
     empirical_distance_check,
+    offset_support,
     pdf_bs_member_distance,
-    pdf_center_offset,
-    pdf_peer_distance,
-    pdf_planar_bs_distance,
+    pdf_offset_distance,
 )
 from uavcast.experiments import (
     replay_epoch,
@@ -82,16 +80,16 @@ def test_c02_pdfs_normalize_and_peer_branches_join():
         geom = ClusterGeometry(v_norm=v, radius_r=r, h1=h1, h2=h2)
 
         planar, _ = integrate.quad(
-            lambda x: float(pdf_planar_bs_distance(x, geom)),
+            lambda x: float(pdf_offset_distance(x, v, r)),
             v - r, v + r, limit=200)
-        lo, hi = bs_member_support(geom)
+        lo, hi = offset_support(v, r, geom.delta_h)
         spatial, _ = integrate.quad(
             lambda d: float(pdf_bs_member_distance(d, geom)), lo, hi, limit=200)
         peer, _ = integrate.quad(
-            lambda d: float(pdf_peer_distance(d, a, r)), 0.0, r + a,
+            lambda d: float(pdf_offset_distance(d, a, r)), 0.0, r + a,
             points=[r - a], limit=200)
         offset, _ = integrate.quad(
-            lambda t: float(pdf_center_offset(t, r)), 0.0, r)
+            lambda t: float(pdf_offset_distance(t, 0.0, r)), 0.0, r)
         worst_norm = max(worst_norm, abs(planar - 1.0), abs(spatial - 1.0),
                          abs(peer - 1.0), abs(offset - 1.0))
 

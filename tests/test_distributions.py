@@ -11,21 +11,22 @@ from uavcast.distributions import (
     ClusterGeometry,
     DistanceDistribution,
     _ks_gap,
-    bs_member_support,
-    center_offset_support,
     empirical_distance_check,
+    offset_support,
     pdf_bs_member_distance,
-    pdf_center_offset,
     pdf_member_pair_distance,
-    pdf_peer_distance,
-    pdf_planar_bs_distance,
-    peer_support,
-    planar_bs_support,
+    pdf_offset_distance,
     sampler_self_check,
 )
 from uavcast.errors import IntegrityError, ParameterError
+from uavcast.geometry import (
+    offset_distance,
+    polar_offset_terms,
+    sample_uniform_disk_polar,
+)
 
 GEOM = ClusterGeometry(v_norm=800.0, radius_r=50.0, h1=10.0, h2=20.0)
+GEOM_SUPPORT = offset_support(GEOM.v_norm, GEOM.radius_r, GEOM.delta_h)
 
 
 def test_geometry_validation():
@@ -39,40 +40,46 @@ def test_geometry_validation():
 
 
 def test_supports():
-    assert planar_bs_support(GEOM) == (750.0, 850.0)
-    lo, hi = bs_member_support(GEOM)
+    assert offset_support(800.0, 50.0) == (750.0, 850.0)
+    lo, hi = GEOM_SUPPORT
     assert lo == math.sqrt(750.0 ** 2 + 100.0)
     assert hi == math.sqrt(850.0 ** 2 + 100.0)
-    assert peer_support(20.0, 50.0) == (0.0, 70.0)
-    assert center_offset_support(50.0) == (0.0, 50.0)
+    assert offset_support(20.0, 50.0) == (0.0, 70.0)
+    assert offset_support(0.0, 50.0) == (0.0, 50.0)
+
+
+@pytest.mark.parametrize("offset,radius_r,height,name", [
+    (20.0, 0.0, 0.0, "radius_r"), (20.0, -1.0, 0.0, "radius_r"),
+    (20.0, math.nan, 0.0, "radius_r"), (20.0, math.inf, 0.0, "radius_r"),
+    (-1.0, 50.0, 0.0, "offset"), (math.nan, 50.0, 0.0, "offset"),
+    (math.inf, 50.0, 0.0, "offset"), (20.0, 50.0, -1.0, "height"),
+    (20.0, 50.0, math.nan, "height"), (20.0, 50.0, math.inf, "height"),
+])
+def test_offset_law_names_its_bad_argument(offset, radius_r, height, name):
+    for call in (lambda: offset_support(offset, radius_r, height),
+                 lambda: pdf_offset_distance([1.0], offset, radius_r, height)):
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            call()
 
 
 def test_planar_pdf_endpoints_are_exactly_zero():
-    lo, hi = planar_bs_support(GEOM)
-    vals = pdf_planar_bs_distance(np.array([lo, hi]), GEOM)
+    lo, hi = offset_support(800.0, 50.0)
+    vals = pdf_offset_distance(np.array([lo, hi]), 800.0, 50.0)
     assert vals[0] == 0.0 and vals[1] == 0.0
     # and zero outside the support
-    outside = pdf_planar_bs_distance(np.array([lo - 1.0, hi + 1.0]), GEOM)
+    outside = pdf_offset_distance(np.array([lo - 1.0, hi + 1.0]), 800.0, 50.0)
     assert np.all(outside == 0.0)
 
 
 def test_planar_pdf_normalizes():
-    lo, hi = planar_bs_support(GEOM)
+    lo, hi = offset_support(800.0, 50.0)
     total, err = integrate.quad(
-        lambda x: float(pdf_planar_bs_distance(x, GEOM)), lo, hi, limit=200)
+        lambda x: float(pdf_offset_distance(x, 800.0, 50.0)), lo, hi, limit=200)
     assert abs(total - 1.0) < 1e-8
 
 
-def test_3d_pdf_matches_planar_when_heights_equal():
-    geom = ClusterGeometry(v_norm=800.0, radius_r=50.0, h1=15.0, h2=15.0)
-    x = np.linspace(750.0, 850.0, 301)
-    np.testing.assert_allclose(pdf_bs_member_distance(x, geom),
-                               pdf_planar_bs_distance(x, geom),
-                               rtol=1e-12, atol=0.0)
-
-
 def test_3d_pdf_normalizes_with_height_offset():
-    lo, hi = bs_member_support(GEOM)
+    lo, hi = GEOM_SUPPORT
     total, err = integrate.quad(
         lambda d: float(pdf_bs_member_distance(d, GEOM)), lo, hi, limit=200)
     assert abs(total - 1.0) < 1e-8
@@ -81,7 +88,7 @@ def test_3d_pdf_normalizes_with_height_offset():
 def test_peer_pdf_branches_agree_at_junction():
     r, a = 50.0, 20.0
     j = r - a
-    full = pdf_peer_distance(np.array([j]), a, r)[0]
+    full = pdf_offset_distance(np.array([j]), a, r)[0]
     assert full == 2.0 * j / r ** 2
     # the arc-branch expression evaluated exactly at the junction point:
     # (d + j)(d - j)/(2 a d) - j/d collapses to -1 with no rounding
@@ -89,33 +96,35 @@ def test_peer_pdf_branches_agree_at_junction():
         np.clip((j + j) * (j - j) / (2.0 * a * j) - j / j, -1.0, 1.0))
     assert abs(arc_at_j - full) <= 1e-12 * full
     # one float to the right of the junction the arc branch takes over
-    right = pdf_peer_distance(np.array([np.nextafter(j, np.inf)]), a, r)[0]
+    right = pdf_offset_distance(np.array([np.nextafter(j, np.inf)]), a, r)[0]
     assert abs(right - full) <= 1e-7 * full
 
 
 def test_peer_pdf_inner_branch_is_linear():
     r, a = 50.0, 20.0
     d = np.linspace(0.0, r - a, 50)
-    np.testing.assert_allclose(pdf_peer_distance(d, a, r), 2.0 * d / r ** 2,
+    np.testing.assert_allclose(pdf_offset_distance(d, a, r), 2.0 * d / r ** 2,
                                rtol=0.0, atol=0.0)
 
 
 def test_peer_pdf_zero_offset_reduces_to_disk_radial_law():
     d = np.linspace(0.0, 50.0, 101)
-    np.testing.assert_allclose(pdf_peer_distance(d, 0.0, 50.0),
+    np.testing.assert_allclose(pdf_offset_distance(d, 0.0, 50.0),
                                2.0 * d / 50.0 ** 2, rtol=0.0, atol=0.0)
-    assert pdf_peer_distance(np.array([50.0 + 1e-9]), 0.0, 50.0)[0] == 0.0
+    assert pdf_offset_distance(np.array([50.0 + 1e-9]), 0.0, 50.0)[0] == 0.0
 
 
 def test_peer_pdf_argument_validation():
-    with pytest.raises(ParameterError):
-        pdf_peer_distance(np.array([1.0]), 60.0, 50.0)
-    with pytest.raises(ParameterError):
-        pdf_peer_distance(np.array([1.0]), -1.0, 50.0)
-    with pytest.raises(ParameterError):
-        pdf_peer_distance(np.array([1.0]), 10.0, 0.0)
+    """The law refuses a negative offset and a bad radius; an offset past
+    the radius is the BS's, so only `DistanceDistribution.peer` refuses it
+    (`test_peer_distribution_checks_offset_before_its_support`)."""
+    with pytest.raises(ParameterError, match="offset"):
+        pdf_offset_distance(np.array([1.0]), -1.0, 50.0)
     with pytest.raises(ParameterError, match="radius_r"):
-        pdf_peer_distance(np.array([1.0]), 0.0, math.nan)
+        pdf_offset_distance(np.array([1.0]), 10.0, 0.0)
+    with pytest.raises(ParameterError, match="radius_r"):
+        pdf_offset_distance(np.array([1.0]), 0.0, math.nan)
+    assert pdf_offset_distance(np.array([1.0]), 60.0, 50.0)[0] == 0.0
 
 
 @pytest.mark.parametrize("offset_a", [math.nan, math.inf, -1.0, 60.0])
@@ -129,7 +138,7 @@ def test_peer_distribution_checks_offset_before_its_support(offset_a):
 def test_peer_pdf_normalizes():
     for a in (5.0, 25.0, 45.0):
         total, err = integrate.quad(
-            lambda d: float(pdf_peer_distance(d, a, 50.0)), 0.0, 50.0 + a,
+            lambda d: float(pdf_offset_distance(d, a, 50.0)), 0.0, 50.0 + a,
             points=[50.0 - a], limit=200)
         assert abs(total - 1.0) < 1e-8, a
 
@@ -139,22 +148,58 @@ def test_peer_pdf_normalizes():
 def test_peer_pdf_nonnegative_and_supported(a_frac, r):
     a = a_frac * r
     d = np.linspace(-0.1 * r, 1.5 * (r + a) + 1e-9, 257)
-    f = pdf_peer_distance(d, a, r)
+    f = pdf_offset_distance(d, a, r)
     assert np.all(f >= 0.0)
     assert np.all(f[(d < 0) | (d > r + a)] == 0.0)
 
 
+@given(r=st.floats(1.0, 500.0), a_frac=st.floats(0.0, 3.0),
+       h_frac=st.floats(0.0, 2.0))
+@settings(max_examples=100, deadline=None)
+def test_offset_law_is_the_distance_law_of_disk_points(r, a_frac, h_frac):
+    """From any observer, the BS (a > r), a member (a <= r) or the center,
+    at any height: the one law is non-negative, 0 off its support,
+    integrates to 1, and its CDF matches the distances of drawn points."""
+    a, h = a_frac * r, h_frac * r
+    lo, hi = offset_support(a, r, h)
+    edges = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+    d = np.concatenate((np.linspace(lo - 0.1 * r, hi + 0.1 * r, 1001), edges))
+    f = pdf_offset_distance(d, a, r, h)
+    assert np.all(f >= 0.0)
+    assert np.all(f[(d < lo) | (d > hi)] == 0.0)
+
+    def law(t):
+        return pdf_offset_distance(t, a, r, h)
+
+    def planar_density(x):
+        # the law over the planar distance x, d = hypot(x, h): in d, the
+        # steep rise of an observer near the rim is squeezed into ~x^2 / 2h
+        t = math.hypot(x, h)
+        return float(law(t)) * x / t if t else 0.0
+
+    j = r - a  # a member's arc begins at x = j
+    total, _ = integrate.quad(planar_density, max(-j, 0.0), a + r,
+                              points=[j] if 0.0 < j < a + r else None,
+                              epsabs=1e-10, epsrel=1e-10, limit=1000)
+    assert abs(total - 1.0) < 1e-8
+    drawn = offset_distance(a, *polar_offset_terms(
+        *sample_uniform_disk_polar(np.random.default_rng(7), 100_000, r)), h)
+    junction = [math.hypot(j, h)] if j > 0 else []
+    dist = DistanceDistribution(law, (lo, hi), breakpoints=junction)
+    assert _ks_gap(np.sort(drawn), dist) < 0.01
+
+
 def test_center_offset_pdf():
     a = np.array([-1.0, 0.0, 25.0, 50.0, 51.0])
-    f = pdf_center_offset(a, 50.0)
+    f = pdf_offset_distance(a, 0.0, 50.0)
     np.testing.assert_allclose(f, [0.0, 0.0, 0.02, 0.04, 0.0], atol=0.0)
     total, err = integrate.quad(
-        lambda t: float(pdf_center_offset(t, 50.0)), 0.0, 50.0)
+        lambda t: float(pdf_offset_distance(t, 0.0, 50.0)), 0.0, 50.0)
     assert abs(total - 1.0) < 1e-12
     with pytest.raises(ParameterError):
-        pdf_center_offset(a, -2.0)
+        pdf_offset_distance(a, 0.0, -2.0)
     with pytest.raises(ParameterError, match="radius_r"):
-        pdf_center_offset(a, math.nan)
+        pdf_offset_distance(a, 0.0, math.nan)
 
 
 @pytest.mark.parametrize("r", [10.0, 50.0])
@@ -192,7 +237,8 @@ def test_member_pair_pdf_is_the_offset_mixture_of_peer_pdfs(r):
         junction = r - d      # peer-density branch junction in a
         points = [junction] if lo < junction < r else None
         total, err = integrate.quad(
-            lambda a: float(pdf_peer_distance(d, a, r) * pdf_center_offset(a, r)),
+            lambda a: float(pdf_offset_distance(d, a, r)
+                            * pdf_offset_distance(a, 0.0, r)),
             lo, r, points=points, epsabs=1e-13, epsrel=1e-12, limit=200)
         return total
 
@@ -347,7 +393,7 @@ def test_empirical_check_argument_validation():
     dist = DistanceDistribution.bs_member(GEOM)
     with pytest.raises(ParameterError):
         empirical_distance_check(dist, 0, np.random.default_rng(0))
-    bare = DistanceDistribution(lambda a: pdf_center_offset(a, 50.0),
+    bare = DistanceDistribution(lambda a: pdf_offset_distance(a, 0.0, 50.0),
                                 (0.0, 50.0))
     with pytest.raises(ParameterError, match="positional"):
         empirical_distance_check(bare, 100, np.random.default_rng(0))
@@ -362,11 +408,11 @@ def test_random_parameterizations_normalize():
         h1, h2 = rng.uniform(0.0, 30.0, 2)
         a = rng.uniform(0.05, 0.95) * r
         geom = ClusterGeometry(v_norm=v, radius_r=r, h1=h1, h2=h2)
-        lo, hi = bs_member_support(geom)
+        lo, hi = offset_support(v, r, geom.delta_h)
         t1, _ = integrate.quad(
             lambda d: float(pdf_bs_member_distance(d, geom)), lo, hi, limit=200)
         t2, _ = integrate.quad(
-            lambda d: float(pdf_peer_distance(d, a, r)), 0.0, r + a,
+            lambda d: float(pdf_offset_distance(d, a, r)), 0.0, r + a,
             points=[r - a], limit=200)
         assert abs(t1 - 1.0) < 1e-6
         assert abs(t2 - 1.0) < 1e-6
