@@ -155,8 +155,8 @@ def _rng(base_seed: int, key: tuple[int, ...]) -> np.random.Generator:
 
 
 def _cluster_counts(c_values) -> tuple[int, ...]:
-    """The cluster-count grid as ints; every value must be a positive
-    integer, since a fractional count would be truncated silently."""
+    """The cluster-count grid as ints: a `_grid` of positive integers,
+    since a fractional count would be truncated silently."""
     try:
         ok = all(c >= 1 and c == int(c) for c in c_values)
     except (TypeError, ValueError, OverflowError):
@@ -164,7 +164,7 @@ def _cluster_counts(c_values) -> tuple[int, ...]:
     if not ok:
         raise ParameterError(
             f"c_values: cluster counts must be positive integers, got {list(c_values)}")
-    return tuple(int(c) for c in c_values)
+    return tuple(int(c) for c in _grid("c_values", c_values))
 
 
 def _grid(parameter: str, values) -> tuple[float, ...]:

@@ -157,9 +157,11 @@ def test_negative_seed_exit_code(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("study", ["delay", "ase", "design-insight"])
-@pytest.mark.parametrize("c_values", ["2.5,2.9", "0,2", "-1", "2,x"])
+@pytest.mark.parametrize("c_values", ["2.5,2.9", "0,2", "-1", "2,x", ",",
+                                      "5,2,5"])
 def test_study_rejects_bad_cluster_counts(study, c_values, tmp_path, capsys):
-    """Cluster counts must be positive integers; none is truncated."""
+    """Cluster counts must be positive integers, none truncated, on a
+    non-empty, strictly increasing grid."""
     rc = cli.main(["study", "--study", study, "--c-values", c_values,
                    "--replications", "2", "--out-dir", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG

@@ -303,10 +303,13 @@ def test_simulated_studies_compute_p_suc_once(study):
 
 
 @pytest.mark.parametrize("c_values", [(2.5,), (2, 2.9), (0,), (-2,),
-                                      (float("nan"),), (float("inf"),), ("2",)])
+                                      (float("nan"),), (float("inf"),), ("2",),
+                                      (), (5, 2, 5), (5, 2)])
 @pytest.mark.parametrize("study", [run_delay_study, run_ase_study,
                                    run_design_insight_study])
 def test_studies_reject_bad_cluster_counts(study, c_values):
+    """Cluster counts are positive integers and, like every sweep, a
+    non-empty, strictly increasing grid."""
     with pytest.raises(ParameterError, match="^c_values"):
         study(ScenarioConfig(replications=2), c_values=c_values)
 
