@@ -51,7 +51,12 @@ The commands:
   --opportunistic-caching false --c-values 1,2 --d0-values 1500,2000
   --replications 400` (named `delay_nocache_long`), long recoveries of
   one or two clusters far out without caching, whose cells read
-  recovery blocks after the first, up to block 34; and `study
+  recovery blocks after the first, up to block 34; `study --study ase
+  --mode density --d0-values 400 --replications 3000` (named
+  `ase_density_near`), several batches of drops of mixed shape in
+  which few clusters recover; `study --study ase --d0-values 1200
+  --c-values 2,10 --replications 2000` (named `ase_far_flushes`),
+  seven batches a scenario in which most clusters recover; and `study
   --study delay --schemes rnc --rnc-generation-size 64 --d0-values 1200
   --c-values 2 --replications 700` in fixed_total and density mode (named
   `delay_rnc_g64` and `delay_rnc_g64_density`), several batches of RNC's
@@ -170,6 +175,11 @@ def commands(out: Path) -> list[list[str]]:
         ["study", "--study", "delay", "--opportunistic-caching", "false",
          "--c-values", "1,2", "--d0-values", "1500,2000", "--replications",
          "400", "--out-dir", str(out / "delay_nocache_long")],
+        ["study", "--study", "ase", "--mode", "density", "--d0-values", "400",
+         "--replications", "3000", "--out-dir", str(out / "ase_density_near")],
+        ["study", "--study", "ase", "--d0-values", "1200", "--c-values",
+         "2,10", "--replications", "2000",
+         "--out-dir", str(out / "ase_far_flushes")],
         *(["study", "--study", study, "--max-time-ms", "5",
            "--replications", "200", "--mode", mode,
            "--out-dir", str(out / f"{study}_budget5{tag}")]
