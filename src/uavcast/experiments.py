@@ -48,7 +48,15 @@ from .geometry import (
     polar_pair_distance,
     sample_uniform_disk_polar,
 )
-from .protocol import SCHEME_RUNNERS, SchemeOutcome, run_epochs
+from .protocol import (
+    SCHEME_RUNNERS,
+    RecoveryCells,
+    SchemeOutcome,
+    deliver_recovered,
+    recovering_cells,
+    recovery_pass,
+    run_epochs,
+)
 
 # The first entry of every spawn key (`_rng`): each study's, and that of
 # the `uavcast distributions` KS checks, whose geometric and inverse-CDF
@@ -131,19 +139,24 @@ class MetricTable:
 
 # Padded recovery slots (`_DropPlan.slots`: clusters x largest cluster,
 # the member count unless the clusters differ in size) per batch of
-# `_replicated`: wide enough to spread each numpy call, and each lock-step
-# recovery iteration, over many drops (327 drops at the default 50
-# members), narrow enough to bound a batch's memory, recovery's included,
-# whatever the replication count and the swarm size; 8 / g of it where a
-# delay study's RNC pass reads g > 8 later-round doubles a member.  A
-# single drop wider than this makes a batch of its own.  Over 327
-# replications at d0 = 1200 m, C = 2, a delay call of clustering peaks at
-# about 3.4 MB traced at 50 members, 3.6 MB at 2,000, and one of RNC at
-# 2.9 MB at g = 8, 2.2 MB at g = 256.
+# `_replicated`: wide enough to spread each numpy call over many drops
+# (327 drops at the default 50 members), narrow enough to bound a batch's
+# memory whatever the replication count and the swarm size; 8 / g of it
+# where a delay study's RNC pass reads g > 8 later-round doubles a member.
+# A single drop wider than this makes a batch of its own.  It also bounds
+# the recovery queue (`_Recovery.queue`): a pass runs once the queued
+# cells' padded slots, plus n / 8 for each queued n-member round-1 row,
+# reach it.  Over 327 replications at d0 = 1200 m, C = 2, a delay call of
+# clustering peaks at about 3.4 MB traced at 50 members, 3.6 MB at 2,000,
+# and one of RNC at 2.9 MB at g = 8, 2.2 MB at g = 256.
 _BATCH_SLOTS = 16384
 # Outputs of the recovery stream (`_scenario`) read in one call at most,
 # unless one block is longer: each refill's blocks are read a stretch at
-# a time.
+# a time.  Two measured dead ends: jumping over the blocks of cells that
+# no longer recover instead of drawing them, wherever the gap passed 256,
+# 1,024 or 4,096 outputs, gained nothing and lost up to 30%; and a
+# `_BATCH_SLOTS` of 65,536 ran `ase-near` 20% faster but raised its peak
+# RSS by 5.1 MB, past the 5% bound of a ~90 MB benchmark driver.
 _RECOVERY_CHUNK = 2 ** 15
 
 
@@ -316,14 +329,23 @@ def run_design_insight_study(config: ScenarioConfig,
 
 
 class _Recovery:
-    """A scenario's clustering recovery stream (`_scenario`), which holds
-    block b of the scenario's j-th cell at output b * 2**64 + j * 8 S.
-    PCG64 cycles through 2**128 outputs, so one jump (`advance`) from the
-    stream's position reaches any offset, behind it too."""
+    """A scenario's clustering recovery (`_scenario`): its stream, which
+    holds block b of the scenario's j-th cell at output b * 2**64 + j * 8 S,
+    and the queue of recovering cells that `_round_one` fills batch after
+    batch and `recover` runs in one pass.  PCG64 cycles through 2**128
+    outputs, so one jump (`advance`) from the stream's position reaches any
+    offset, behind it too."""
 
     def __init__(self, base_seed: int, prefix: tuple[int, ...]):
         self.rng = _rng(base_seed, (*prefix, 0, 2))
         self.at = 0  # the stream's position
+        # Per queued drop shape of a batch: the `_Drops` of its rows that
+        # hold a recovering cell, those cells (epochs numbered among the
+        # rows), and their cell numbers in the stream.
+        self.drops: list[_Drops] = []
+        self.cells: list[RecoveryCells] = []
+        self.index: list[np.ndarray] = []
+        self.slots = 0  # the queue's size (`_BATCH_SLOTS`)
 
     def blocks(self, b: int, index: np.ndarray, out: np.ndarray) -> None:
         """Fill `out[i]` with block b of cell `index[i]` (ascending), in
@@ -360,14 +382,80 @@ class _Recovery:
         return lambda epoch, cluster, b, out: self.blocks(
             b, starts[epoch] + cluster, out)
 
+    def queue(self, drops: _Drops, xy: np.ndarray | None,
+              starts: np.ndarray) -> np.ndarray:
+        """Queue the recovering cells of `drops` (`protocol.recovering_cells`
+        of their member points `xy`, their first clusters being cells
+        `starts`) with the rows that hold them, and return the positions
+        of the other rows, which recover nothing.  Each queued row adds
+        n / 8 slots, n bytes being its round-1 decisions."""
+        cells = recovering_cells(xy, drops.plan.bounds, drops.first)
+        queued = np.zeros(drops.rows.size, dtype=bool)
+        queued[cells.epoch] = True
+        if cells.epoch.size:
+            kept = np.flatnonzero(queued)
+            self.drops.append(drops.take(kept))
+            self.cells.append(cells._replace(
+                epoch=np.searchsorted(kept, cells.epoch)))
+            self.index.append(starts[cells.epoch] + cells.cluster)
+            self.slots += cells.held.size + kept.size * drops.plan.n_uavs // 8
+        return np.flatnonzero(~queued)
+
+    def recover(self, config: ScenarioConfig):
+        """Empty the queue: recover every queued cell in one
+        `protocol.recovery_pass`, which reads their blocks in ascending
+        cell order, and yield ("clustering", drops, outcome) for each
+        queued `_Drops`, the outcome that of `protocol.run_epochs`."""
+        drops, pieces, index = self.drops, self.cells, self.index
+        self.drops, self.cells, self.index, self.slots = [], [], [], 0
+        if not drops:
+            return
+        index = np.concatenate(index)
+        # Each piece is in ascending cell order, and so are the pieces
+        # unless a batch held drops of several shapes.
+        order = None if np.all(index[1:] > index[:-1]) else np.argsort(index)
+        cells = RecoveryCells(*(_joined(field, order)
+                                for field in zip(*pieces)))
+        if order is not None:
+            index = index[order]
+        # Each piece keeps what `deliver_recovered` reads.
+        pieces = [piece._replace(points=None, held=None, lost=None)
+                  for piece in pieces]
+        times, frames = recovery_pass(
+            cells, config.radio, config.sim,
+            lambda cell, b, out: self.blocks(b, index[cell], out))
+        del cells
+        if order is not None:
+            back = np.empty_like(order)
+            back[order] = np.arange(order.size)
+            times, frames = times[back], frames[back]
+        ends = np.cumsum([piece.epoch.size for piece in pieces])[:-1]
+        for rows, piece, piece_times, piece_frames in zip(
+                drops, pieces, np.split(times, ends), np.split(frames, ends)):
+            delivery, via_broadcast, bs_tx, _, _ = run_epochs(
+                "clustering", None, rows.plan.bounds, rows.first,
+                config.radio, config.sim, None)
+            yield "clustering", rows, (
+                delivery, via_broadcast, bs_tx,
+                *deliver_recovered(delivery, piece, piece_times,
+                                   piece_frames))
+
+
+def _joined(arrays: list[np.ndarray], order: np.ndarray | None):
+    """`arrays` concatenated (one of them as it is), and taken in `order`
+    unless it is None."""
+    joined = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    return joined if order is None else joined[order]
+
 
 @dataclass
 class _Batch:
     """A batch of a scenario (`_scenario`): its drops by shape as (plan,
     replication indices, offsets in `uniforms`, offsets in `fading`, the
     indices of their first clusters among the scenario's cells), the
-    delay study's BS schemes' (later-rounds stream, g), and clustering's
-    recovery stream (None when clustering does not run).
+    delay study's BS schemes' (later-rounds stream, g), clustering's
+    recovery (None when clustering does not run), shared by the
+    scenario's batches, and whether it is the scenario's last batch.
     `_continue` lets `uniforms` and `fading` go (None) after its round-1
     pass."""
 
@@ -377,6 +465,7 @@ class _Batch:
     fading: np.ndarray | None
     later: dict[str, tuple[np.random.Generator, int]]
     recovery: _Recovery | None
+    last: bool
 
 
 @dataclass
@@ -384,13 +473,19 @@ class _Drops:
     """The drops of one shape in a batch after round 1: their replication
     indices, their rows' offsets in the batch's fading and later-round
     blocks, and, row for row, their mean BS powers (None when no round 1
-    ran) and round-1 decisions."""
+    ran, and in the drops clustering's outcomes are yielded for, which no
+    BS pass reads) and round-1 decisions."""
 
     plan: _DropPlan
     rows: np.ndarray
     at: np.ndarray
     power: np.ndarray | None
     first: np.ndarray
+
+    def take(self, index: np.ndarray) -> _Drops:
+        """The drops at positions `index`, without mean BS powers."""
+        return _Drops(self.plan, self.rows[index], self.at[index], None,
+                      self.first[index])
 
 
 def _take(flat: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -415,14 +510,18 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
     - fading, (study, *key, 0, 1): each replication's n round-1 fadings,
       in replication order; none for an empty drop;
     - recovery, (study, *key, 0, 2): the blocks of clustering recovery
-      (`protocol.run_epochs`).  The scenario's cells are numbered cluster
-      after cluster, drop after drop, in replication order, and block b
-      of cell j sits at output b * 2**64 + j * 8 S on.  Every block holds
-      4 x 2 x S outputs, S being the largest cluster, which is the same
-      in every drop of a scenario (one plan in fixed_total mode, clusters
-      of `cluster_peer_count` members in density mode).  Read only where
-      clustering runs, each refill from its first live cell's block to
-      its last (`_Recovery.blocks`);
+      (`protocol.recovery_pass`).  The scenario's cells are numbered
+      cluster after cluster, drop after drop, in replication order, and
+      block b of cell j sits at output b * 2**64 + j * 8 S on.  Every
+      block holds 4 x 2 x S outputs, S being the largest cluster, which
+      is the same in every drop of a scenario (one plan in fixed_total
+      mode, clusters of `cluster_peer_count` members in density mode), so
+      the recovering cells of any batches of a scenario, whatever their
+      drop shapes, recover in one pass.  The round-1 pass queues them
+      (`_Recovery.queue`), and `_continue` recovers the queue in one pass
+      at the scenario's last batch and wherever the queue reaches
+      `_BATCH_SLOTS`.  Read only where clustering runs, each refill from
+      its first live cell's block to its last (`_Recovery.blocks`);
     - later rounds, (study, *key, i, 1) for the delay study's BS scheme
       i of `SCHEME_RUNNERS` among `schemes`: g exponentials per round-1
       fading, in the same order, g the receptions a member needs
@@ -467,7 +566,8 @@ def _scenario(study: str, config: ScenarioConfig, key: tuple[int, ...],
                        r_at[index]) for plan, index in groups],
                      drop_rng.random(sizes[0].sum()),
                      fading_rng.standard_exponential(sizes[1].sum()),
-                     later, recovery)
+                     later, recovery,
+                     lo + sizes.shape[1] == config.replications)
 
 
 def _replicated(study: str, config: ScenarioConfig,
@@ -521,16 +621,23 @@ def _batches(plans, fixed: bool, budget: int):
 def _continue(config: ScenarioConfig, batch: _Batch, schemes,
               events: list | None = None):
     """Finish a batch one scheme at a time: yield (scheme, drops, outcome)
-    for each of `schemes` and each shape's `_Drops`, the outcome the
+    for each of `schemes` and `_Drops` of each shape, the outcome the
     (delivery, via_broadcast, counters) of `protocol.run_epochs`: (m, n)
     delivery times (NaN for undelivered) and round-1 marks; `events`,
     when a list, gets the events of a batch of one epoch.  Clustering
-    runs in the round-1 pass (`_round_one`), each delay-study BS scheme
-    in a pass of its own over what round 1 kept (`_later_rounds`), on
-    its later-round block drawn for the pass, so a pass's arrays go when
-    it ends."""
+    runs in the round-1 pass (`_round_one`), which queues the rows that
+    recover; at the scenario's last batch, or once the queue reaches
+    `_BATCH_SLOTS`, its recovery pass runs and yields those rows, queued
+    by this batch or earlier ones (`_Recovery.recover`).  Then each
+    delay-study BS scheme runs in a pass of its own over what round 1
+    kept (`_later_rounds`), on its later-round block drawn for the pass,
+    so a pass's arrays go when it ends."""
     decided, shapes = yield from _round_one(config, batch, schemes, events)
     batch.uniforms = batch.fading = None  # read by the round-1 pass alone
+    recovery = batch.recovery
+    if recovery is not None and (batch.last
+                                 or recovery.slots >= _BATCH_SLOTS):
+        yield from recovery.recover(config)
     for scheme in batch.later:
         yield from _later_rounds(config, scheme, batch, shapes, decided,
                                  events)
@@ -542,11 +649,13 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
     uniforms and fading and decide round 1, which serves the members whose
     fading decodes.  When one packet exceeds the budget no round 1 runs:
     no member is served, and neither member points nor mean BS powers are
-    built (`_Drops.power` None).  Clustering recovery reads its cells'
-    blocks through `_Recovery.draw`, none when no round 1 ran; a BS scheme
-    of the ase study stops at round 1, outcome (None, round-1 decisions).
-    Returns whether round 1 ran, and the `_Drops`, not the member
-    points."""
+    built (`_Drops.power` None).  Clustering queues the recovering cells
+    and their rows (`_Recovery.queue`), none when no round 1 ran, and
+    yields the other rows at once; a batch of one epoch that records
+    `events` recovers at once instead, reading its cells' blocks through
+    `_Recovery.draw`.  A BS scheme of the ase study stops at round 1,
+    outcome (None, round-1 decisions).  Returns whether round 1 ran, and
+    the `_Drops`, not the member points."""
     radio, sim = config.radio, config.sim
     decided = sim.packet_len_ms <= sim.max_time_ms  # this layer's one check
     shapes = []
@@ -567,10 +676,16 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
             first = decodes(power, _take(batch.fading, at, plan.n_uavs), radio)
         shapes.append(drops := _Drops(plan, rows, at, power, first))
         for scheme in schemes:
-            if scheme == "clustering":
+            if scheme == "clustering" and events is not None:
                 yield scheme, drops, run_epochs(
                     scheme, xy, plan.bounds, first, radio, sim,
                     batch.recovery.draw(r_at), events)
+            elif scheme == "clustering":
+                free = drops.take(batch.recovery.queue(drops, xy, r_at))
+                if free.rows.size:
+                    yield scheme, free, run_epochs(
+                        scheme, None, plan.bounds, free.first, radio, sim,
+                        None)
             elif scheme not in batch.later:
                 yield scheme, drops, (None, first)
     return decided, shapes

@@ -33,12 +33,23 @@ when that is past max_time_ms.  `run_epochs` finishes a batch of epochs of
 one drop shape from each member's round-1 outcome; the studies call it on
 batches of drops, and on a batch of one epoch, which alone records the
 event log and which `SchemeOutcome.of_batch` reads.  Clustering recovery
-runs in lock-step over arrays (`_recover`): every (epoch, cluster) cell
-of a batch that needs recovery makes one channel attempt per iteration
-(`_attempt`), so the batch recovers in the iterations its slowest cluster
-needs, in memory bounded by its padded slots (cells x largest cluster).
-Each cell reads uniforms of its own, a block of _BLOCK_ROWS rows at a
-time (`draw`).
+is two steps.  `recovering_cells` finds the cells of a batch: the (epoch,
+cluster) pairs with a member that holds the packet and one that misses
+it, each with its members' points in a padded row of S slots, S being the
+largest cluster.  `recovery_pass` runs any set of cells of one width S in
+lock-step over arrays, whatever epochs or drop shapes they come from:
+every cell makes one channel attempt per iteration (`_attempt`), so the
+pass takes the iterations its slowest cell needs, in memory bounded by
+its padded slots (cells x S).  Each cell reads uniforms of its own, a
+block of _BLOCK_ROWS rows at a time (`draw`), so how cells are grouped
+into passes changes no draw.  `run_epochs` (`_recover`) runs one pass
+over the cells of its batch; the studies queue the cells of many batches
+of a scenario, where every drop has the same S, and run a pass at the
+scenario's end or once the queue reaches `experiments._BATCH_SLOTS`
+padded slots, each queued n-member round-1 row counting n / 8
+(`experiments._Recovery`).  An `ase-near` benchmark unit runs 3 passes
+of 26 iterations in all, against 12 passes of 88 iterations when each
+batch ran its own.
 The two BS schemes simulate no rounds: fading is independent from round to
 round, so each member's completion round is drawn at once
 (`channel.completion_rounds`), and the round times, the time budget and
@@ -53,6 +64,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,23 +211,59 @@ def _attempt(contend, residual, cw, fresh, u_fresh, u_redraw, sim):
     return slot, sent, n_sent
 
 
-def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
-             radio: RadioParams, sim: SimParams, draw, events: list | None,
-             peer_probability=None) -> tuple[np.ndarray, np.ndarray]:
-    """In-cluster recovery in m epochs of one drop shape, after a BS
-    broadcast ending at packet_len_ms that served the members `got` marks.
+class RecoveryCells(NamedTuple):
+    """The cells of a batch of epochs that clustering recovery runs
+    (`recovering_cells`), one entry per cell in each field: `points` (cells,
+    S, 2) the points of its cluster's members, slot by slot, S being the
+    batch's largest cluster; `held` and `lost` (cells, S) its members that
+    hold and miss the packet, padding slots being neither; `epoch` its row
+    in the batch, `cluster` its cluster there, and `first` the index of
+    that cluster's first member in the drop (slot s is member first + s)."""
 
-    `xy` is (m, n, 2), `got` and `delivery` (m, n); cluster c holds members
-    `bounds[c]` to `bounds[c + 1]` of every epoch.  Each recovered member's
-    delivery time is written into `delivery`.  A cell is one (epoch,
-    cluster) pair with a member that missed the broadcast and one that
-    holds it.  Cells share no channel, so they run side by side, each
-    serialized on its own, in one lock-step pass over every cell of the
-    call: one channel attempt per cell per iteration (`_attempt`).
-    Members sit in a padded (cells x largest cluster) layout, so the pass
-    holds at most the m drops' padded slots, which the studies bound by
-    their batch budget.  `events`, when a list, gets the events of a
-    batch of one epoch.
+    points: np.ndarray
+    held: np.ndarray
+    lost: np.ndarray
+    epoch: np.ndarray
+    cluster: np.ndarray
+    first: np.ndarray
+
+
+def recovering_cells(xy, bounds, got: np.ndarray) -> RecoveryCells:
+    """The cells of m epochs of one drop shape after a BS broadcast that
+    served the members `got` (m, n) marks: every (epoch, cluster) pair with
+    a member that missed the broadcast and one that holds it, in ascending
+    order.  Cluster c holds members `bounds[c]` to `bounds[c + 1]` of every
+    epoch, and `xy` (m, n, 2) gives their points; it is not read when no
+    cell recovers, so it may then be None."""
+    n = got.shape[1]
+    first = np.asarray(bounds[:-1], dtype=np.intp)
+    size = np.diff(bounds)
+    slots = np.arange(size.max(initial=0))
+    valid = slots < size[:, None]
+    # Padding slots point at a real member but are never contenders or
+    # listeners.
+    member = np.minimum(first[:, None] + slots, max(n - 1, 0))
+    served = got[:, member]
+    held = served & valid
+    lost = valid & ~served
+    epoch, cluster = np.nonzero(held.any(axis=2) & lost.any(axis=2))
+    # One flat gather: indexing xy by (epoch, member) pairs is slower.
+    points = (np.take(xy.reshape(-1, 2),
+                      (epoch * n)[:, None] + member[cluster], axis=0)
+              if epoch.size else np.empty((0, slots.size, 2)))
+    return RecoveryCells(points, held[epoch, cluster], lost[epoch, cluster],
+                         epoch, cluster, first[cluster])
+
+
+def recovery_pass(cells: RecoveryCells, radio: RadioParams, sim: SimParams,
+                  draw, events: list | None = None, peer_probability=None):
+    """In-cluster recovery of `cells` after a BS broadcast ending at
+    packet_len_ms, in one lock-step pass: one channel attempt per cell per
+    iteration (`_attempt`).  Cells share no channel, so they run side by
+    side, each serialized on its own, whatever epochs or drop shapes they
+    come from, as long as they share the slot width S.  The pass holds
+    their padded (cells x S) slots.  `events`, when a list, gets their
+    events, actor `first + s` and cluster `cluster` of each cell.
 
     Missing members contend to send a request; after a clean one, holders
     contend to send the reply.  A clean reply reaches each listener (every
@@ -229,50 +277,40 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
     Randomness: every cell reads block b, rows b * _BLOCK_ROWS to (b + 1)
     * _BLOCK_ROWS - 1 of its own uniforms, at iterations b * _BLOCK_ROWS
     on.  Before iteration 0 and every _BLOCK_ROWS iterations, one
-    `draw(epoch, cluster, b, out)` call fills `out[j]`, shape
-    (_BLOCK_ROWS, 2, largest cluster), with block b of each live cell j,
-    cluster `cluster[j]` of epoch `epoch[j]`, in ascending order.
-    Iteration i reads row i mod _BLOCK_ROWS of a cell's block: column 0
-    gives its slots' fresh backoffs, column 1 a collider's redraw or a
-    listener's reception (u < chance).  So a cell's draws depend on
-    neither the other cells of its epoch nor the other epochs of the
-    batch.
+    `draw(cell, b, out)` call fills `out[j]`, shape (_BLOCK_ROWS, 2, S),
+    with block b of the live cell at position `cell[j]` of `cells`, in
+    ascending order.  Iteration i reads row i mod _BLOCK_ROWS of a cell's
+    block: column 0 gives its slots' fresh backoffs, column 1 a collider's
+    redraw or a listener's reception (u < chance).  So a cell's draws
+    depend on no other cell.
 
-    Returns per-epoch (uav transmissions, control messages), collided
-    frames included.
+    Returns each slot's recovery time, NaN where its member did not
+    recover in the pass, (cells, S), and each cell's (requests, replies),
+    collided frames included, (cells, 2).
     """
     if peer_probability is None:
         peer_probability = functools.partial(decode_probability, radio=radio)
-    m, n = got.shape
-    frames = np.zeros((m, 2), dtype=np.int64)  # request, reply
-    if not n:
-        return frames[:, 1], frames[:, 0]
-    first, size = np.asarray(bounds[:-1]), np.diff(bounds)
-    slots = np.arange(size.max())
-    valid = slots < size[:, None]
-    # Padding slots point at a real member but are never contenders or
-    # listeners.
-    member = np.minimum(first[:, None] + slots, n - 1)
-    held = got[:, member] & valid
-    lost = valid & ~got[:, member]
-    epoch, cluster = np.nonzero(held.any(axis=2) & lost.any(axis=2))
-    if not epoch.size:
-        return frames[:, 1], frames[:, 0]
-    member, held, lost = (member[cluster], held[epoch, cluster],
-                          lost[epoch, cluster])
-    blocks = np.empty((epoch.size, _BLOCK_ROWS, 2, slots.size))
-    t = np.full(epoch.size, sim.packet_len_ms)
+    times = np.full(cells.held.shape, np.nan)
+    frames = np.zeros((len(times), 2), dtype=np.int64)  # request, reply
+    if not len(times):
+        return times, frames
+    held, lost = cells.held.copy(), cells.lost.copy()
+    points = cells.points.reshape(-1, 2)  # slot s of cell c at c * S + s
+    cell = np.arange(len(times))  # each live cell's position in `cells`
+    slots = np.arange(held.shape[1])
+    blocks = np.empty((cell.size, _BLOCK_ROWS, 2, slots.size))
+    t = np.full(cell.size, sim.packet_len_ms)
     cw = np.full(held.shape, float(sim.cw_min))
     residual = np.zeros(held.shape)
-    reply = np.zeros(epoch.size, dtype=bool)
-    fresh = np.ones(epoch.size, dtype=bool)
-    asker = np.zeros(epoch.size, dtype=np.intp)
+    reply = np.zeros(cell.size, dtype=bool)
+    fresh = np.ones(cell.size, dtype=bool)
+    asker = np.zeros(cell.size, dtype=np.intp)
     airtime = np.array([sim.t_req_ms, sim.packet_len_ms])
     kinds = (EventKind.REQUEST_TX_END, EventKind.REPLY_TX_END)
     for i in itertools.count():
         if not i % _BLOCK_ROWS:
-            block_of = np.arange(epoch.size)
-            draw(epoch, cluster, i // _BLOCK_ROWS, blocks[:epoch.size])
+            block_of = np.arange(cell.size)
+            draw(cell, i // _BLOCK_ROWS, blocks[:cell.size])
         u = blocks[block_of, i % _BLOCK_ROWS]
         phase = reply.astype(np.intp)
         slot, sent, n_sent = _attempt(np.where(reply[:, None], held, lost),
@@ -281,11 +319,13 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
         start = t + slot * sim.slot_ms
         t = start + airtime[phase]
         fits = t <= sim.max_time_ms
-        np.add.at(frames, (epoch, phase), np.where(fits, n_sent, 0))
+        frames[cell, phase] += np.where(fits, n_sent, 0)
         if events is not None:
             for c in np.flatnonzero(fits).tolist():
+                at = cell[c]
                 for s in np.flatnonzero(sent[c]).tolist():
-                    actor, cid = int(member[c, s]), int(cluster[c])
+                    actor = int(cells.first[at]) + s
+                    cid = int(cells.cluster[at])
                     events.append(Event(float(start[c]),
                                         EventKind.BACKOFF_EXPIRY, actor,
                                         PACKET_ID, cid))
@@ -298,18 +338,18 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
         answered = np.flatnonzero(clean & reply)
         if answered.size:
             # The links of (cell, listener) pairs alone.
-            cells, s = np.nonzero(lost[answered] if sim.opportunistic_caching
-                                  else slots == asker[answered, None])
-            cells = answered[cells]
-            e = epoch[cells]
-            d = xy[e, member[cells, s]] - xy[e, member[cells, winner[cells]]]
+            live, s = np.nonzero(lost[answered] if sim.opportunistic_caching
+                                 else slots == asker[answered, None])
+            live = answered[live]
+            at = cell[live] * slots.size
+            d = points[at + s] - points[at + winner[live]]
             power = mean_received_power(LinkKind.UAV_TO_UAV,
                                         np.hypot(d[:, 0], d[:, 1]), radio)
-            heard = u[cells, 1, s] < peer_probability(power)
-            cells, s = cells[heard], s[heard]
-            delivery[epoch[cells], member[cells, s]] = t[cells]
-            lost[cells, s] = False
-            held[cells, s] = True
+            heard = u[live, 1, s] < peer_probability(power)
+            live, s = live[heard], s[heard]
+            times[cell[live], s] = t[live]
+            lost[live, s] = False
+            held[live, s] = True
         reply ^= clean
         fresh = clean
         keep = fits & lost.any(axis=1)
@@ -317,11 +357,54 @@ def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
             keep = np.flatnonzero(keep)
             if not keep.size:
                 break
-            (epoch, cluster, block_of, member, held, lost, cw, residual, t,
-             reply, fresh, asker) = (
-                x[keep] for x in (epoch, cluster, block_of, member, held,
-                                  lost, cw, residual, t, reply, fresh, asker))
-    return frames[:, 1], frames[:, 0]
+            (cell, block_of, held, lost, cw, residual, t, reply, fresh,
+             asker) = (x[keep] for x in (cell, block_of, held, lost, cw,
+                                         residual, t, reply, fresh, asker))
+    return times, frames
+
+
+def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
+             radio: RadioParams, sim: SimParams, draw, events: list | None,
+             peer_probability=None) -> tuple[np.ndarray, np.ndarray]:
+    """In-cluster recovery in m epochs of one drop shape, after a BS
+    broadcast ending at packet_len_ms that served the members `got` marks:
+    the `recovering_cells` of the epochs, recovered in one
+    `recovery_pass`.
+
+    `xy` is (m, n, 2), `got` and `delivery` (m, n); cluster c holds members
+    `bounds[c]` to `bounds[c + 1]` of every epoch.  Each recovered member's
+    delivery time is written into `delivery`.  Before iteration 0 and every
+    _BLOCK_ROWS iterations, one `draw(epoch, cluster, b, out)` call fills
+    `out[j]`, shape (_BLOCK_ROWS, 2, largest cluster), with block b of
+    each live cell j, cluster `cluster[j]` of epoch `epoch[j]`, in
+    ascending order.  So a cell's draws depend on neither the other cells
+    of its epoch nor the other epochs of the batch.  `events`, when a
+    list, gets the events of a batch of one epoch.
+
+    Returns per-epoch (uav transmissions, control messages), collided
+    frames included.
+    """
+    cells = recovering_cells(xy, bounds, got)
+    times, frames = recovery_pass(
+        cells, radio, sim,
+        lambda cell, b, out: draw(cells.epoch[cell], cells.cluster[cell], b,
+                                  out),
+        events, peer_probability)
+    return deliver_recovered(delivery, cells, times, frames)
+
+
+def deliver_recovered(delivery: np.ndarray, cells: RecoveryCells,
+                      times: np.ndarray, frames: np.ndarray):
+    """Write the recovery `times` of `cells`, the `recovering_cells` of
+    the epochs of `delivery` (m, n), into `delivery`, and return per-epoch
+    (uav transmissions, control messages) from their `frames`: what a
+    `recovery_pass` over them, or over any set of cells that holds them,
+    gave them.  Reads only `epoch` and `first` of `cells`."""
+    c, s = np.nonzero(~np.isnan(times))
+    delivery[cells.epoch[c], cells.first[c] + s] = times[c, s]
+    per_epoch = np.zeros((len(delivery), 2), dtype=np.int64)
+    np.add.at(per_epoch, cells.epoch, frames)
+    return per_epoch[:, 1], per_epoch[:, 0]
 
 
 def _bs_delivery(rounds: np.ndarray, coded: bool, sim: SimParams):
@@ -403,8 +486,11 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
     `draw(epoch, cluster, b, out)`, which fills `out[j]`, shape (4, 2,
     largest cluster), with block b of cell (`epoch[j]`, `cluster[j]`),
     and hearing each clean reply with the chance
-    `peer_probability` gives (by default `decode_probability`).  For the
-    BS schemes it is the float round in which a member completes its
+    `peer_probability` gives (by default `decode_probability`).  With
+    `draw` None clustering recovers nothing: the studies pass None where
+    the epochs have no recovering cell, or where their cells recover in a
+    pass of their own (`recovery_pass`, `deliver_recovered`).  For the
+    BS schemes `first` is the float round in which a member completes its
     receptions, inf for never; they read neither `xy` nor `draw`, which
     the studies pass as None, and neither does clustering when one packet
     exceeds max_time_ms.  `events`, when a list, gets the unsorted
@@ -432,11 +518,13 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
                 *(np.zeros(m, dtype=np.int64) for _ in range(3)))
     if scheme == "clustering":
         delivery = np.where(first, sim.packet_len_ms, np.nan)
+        uav_tx, control = np.zeros((2, m), dtype=np.int64)
         if events is not None:
             events.append(Event(sim.packet_len_ms, EventKind.BS_BROADCAST_END,
                                 -1, PACKET_ID, -1))
-        uav_tx, control = _recover(xy, bounds, first, delivery, radio, sim,
-                                   draw, events, peer_probability)
+        if draw is not None:
+            uav_tx, control = _recover(xy, bounds, first, delivery, radio,
+                                       sim, draw, events, peer_probability)
         return delivery, first, np.ones(m, dtype=np.int64), uav_tx, control
     coded = scheme == "rnc"
     rounds, delivery, via_broadcast = _bs_delivery(first, coded, sim)
