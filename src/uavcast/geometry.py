@@ -124,8 +124,9 @@ class _DropPlan:
 
     @functools.cached_property
     def slots(self) -> int:
-        """Padded recovery slots (`protocol._recover`): clusters x largest
-        cluster, the member count unless the clusters differ in size."""
+        """Padded recovery slots (`protocol.recovery_pass`): clusters x
+        largest cluster, the member count unless the clusters differ in
+        size."""
         return self.n_clusters * int(np.diff(self.bounds).max(initial=0))
 
 

@@ -77,8 +77,8 @@ from .channel import (
 from .errors import ParameterError, check_field_values
 
 PACKET_ID = 0  # single-packet epochs; RNC events carry coded-packet indices
-# Rows of one block of recovery uniforms (`_recover`): a cell reads one
-# row per lock-step iteration and its next block after this many.
+# Rows of one block of recovery uniforms (`recovery_pass`): a cell reads
+# one row per lock-step iteration and its next block after this many.
 _BLOCK_ROWS = 4
 
 
