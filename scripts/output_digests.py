@@ -84,6 +84,14 @@ The commands:
   clusters whose center lies within two radii of the BS (v < 2r), so
   that part of the disk is nearer the BS than r: the BS-to-member law
   keeps there the one arc form it takes everywhere else;
+- the validation studies and the `distributions` KS checks at the edges
+  of their chunks of 2^14 trials: `study --study
+  validation-coverage|validation-success --replications N` and
+  `distributions --samples N --grid 5` for N = 1000 (below one chunk),
+  32768 (exactly two chunks) and 32769 (two chunks and one trial), named
+  `validation_coverage_nN`, `validation_success_nN` and
+  `dist_center_offset_n1000`, `dist_bs_member_n32768` and
+  `dist_peer_n32769`;
 - `metrics --out` at the defaults and at `--v-norm 1200`;
 - `topology --drops 20` in fixed_total and density mode: the drops of
   replications 0 to 19 of the delay scenario, as `study --study delay`
@@ -127,6 +135,8 @@ from uavcast.cli import main  # noqa: E402
 
 SCHEMES = ("benchmark", "clustering", "rnc")
 KINDS = ("bs-member", "peer", "center-offset")
+# Trial counts below one chunk of 2^14 trials, at two chunks and one past.
+CHUNK_EDGES = (1000, 32768, 32769)
 
 
 def _tag(kind: str) -> str:
@@ -211,6 +221,9 @@ def commands(out: Path) -> list[list[str]]:
         ["study", "--study", "validation-coverage", "--v-values", "51,60,90",
          "--replications", "20000",
          "--out-dir", str(out / "validation_coverage_v51_60_90")],
+        *(["study", "--study", f"validation-{kind}", "--replications",
+           str(n), "--out-dir", str(out / f"validation_{kind}_n{n}")]
+          for kind in ("coverage", "success") for n in CHUNK_EDGES),
         ["study", "--study", "design-insight", "--c-values", "3,7",
          "--v-values", "600",
          "--out-dir", str(out / "design_insight_c3_7_v600")],
@@ -240,6 +253,10 @@ def commands(out: Path) -> list[list[str]]:
                  "--out", str(out / "dist_peer_a0.csv")])
     cmds.append(["distributions", "--kind", "bs-member", "--v-norm", "60",
                  "--out", str(out / "dist_bs_member_v60.csv")])
+    for kind, n in zip(("center-offset", "bs-member", "peer"), CHUNK_EDGES):
+        cmds.append(["distributions", "--kind", kind, "--samples", str(n),
+                     "--grid", "5",
+                     "--out", str(out / f"dist_{_tag(kind)}_n{n}.csv")])
     for scheme in SCHEMES:
         for tag, seed, flags in runs:
             cmds.append(["simulate", "--scheme", scheme, "--seed", seed,
