@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import IntegrityError, ParameterError
 from .geometry import (
+    _TRIAL_CHUNK,
+    _stream_at,
     offset_distance,
     polar_offset_terms,
     sample_uniform_disk_polar,
@@ -211,14 +213,15 @@ class DistanceDistribution:
     CDF by the trapezoid rule.  The tabulated total is the normalisation
     check: `IntegrityError` if it is not 1 within 1e-4, or if the pdf is
     negative anywhere on the grid.  `sample` then inverts the CDF by linear
-    interpolation.
+    interpolation.  A `positional_sampler(rng, n, angles=None)`, where
+    given, measures the distances of the n disk points
+    `geometry.sample_uniform_disk_polar(rng, n, radius, angles)`.
     """
 
     def __init__(self, pdf: Callable[[np.ndarray], np.ndarray],
                  support: tuple[float, float],
                  *, breakpoints: Sequence[float] = (),
-                 positional_sampler: Callable[[np.random.Generator, int],
-                                              np.ndarray] | None = None):
+                 positional_sampler: Callable[..., np.ndarray] | None = None):
         lo, hi = float(support[0]), float(support[1])
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ParameterError(f"invalid support ({lo}, {hi})")
@@ -249,16 +252,16 @@ class DistanceDistribution:
 
     @classmethod
     def _seen_from(cls, offset: float, radius_r: float, height: float = 0.0,
-                   positions: Callable[[np.random.Generator, int],
-                                       np.ndarray] | None = None
+                   positions: Callable[..., np.ndarray] | None = None
                    ) -> "DistanceDistribution":
         """The offset law from an observer at `offset` and `height`; its
         positional sampler measures uniform disk points from there unless
         `positions` is given."""
         if positions is None:
-            def positions(rng: np.random.Generator, n: int) -> np.ndarray:
+            def positions(rng, n, angles=None):
                 return offset_distance(offset, *polar_offset_terms(
-                    *sample_uniform_disk_polar(rng, n, radius_r)), height)
+                    *sample_uniform_disk_polar(rng, n, radius_r, angles)),
+                    height)
 
         # a member's pdf has a kink where its arc begins
         junction = (() if offset >= radius_r
@@ -281,8 +284,8 @@ class DistanceDistribution:
 
     @classmethod
     def center_offset(cls, radius_r: float) -> "DistanceDistribution":
-        def positions(rng: np.random.Generator, n: int) -> np.ndarray:
-            rho, _ = sample_uniform_disk_polar(rng, n, radius_r)
+        def positions(rng, n, angles=None):
+            rho, _ = sample_uniform_disk_polar(rng, n, radius_r, angles)
             return rho
 
         return cls._seen_from(0.0, radius_r, positions=positions)
@@ -307,13 +310,23 @@ class DistanceDistribution:
         return np.interp(u, self._cdf, self._grid)
 
 
-def _ks_gap(s: np.ndarray, dist: DistanceDistribution) -> float:
+def _ks_gap(s: np.ndarray, dist: DistanceDistribution,
+            quantiles: bool = False) -> float:
     """Two-sided Kolmogorov-Smirnov sup-norm gap of the ascending float
-    samples `s` vs dist.cdf."""
+    samples `s` vs dist.cdf; with `quantiles`, of the samples
+    `dist._quantile(s)` of the ascending probabilities `s`.  It reduces
+    `_TRIAL_CHUNK` samples at a time (cdf, their ranks (lo + 1 .. hi) / n,
+    two running maxima), so besides `s` it holds a few chunk-long
+    arrays."""
     n = s.size
-    f = np.asarray(dist.cdf(s))
-    ranks = np.arange(1, n + 1) / n
-    return float(max(np.max(ranks - f), np.max(f - (ranks - 1.0 / n))))
+    above = below = -math.inf
+    for lo in range(0, n, _TRIAL_CHUNK):
+        chunk = s[lo:lo + _TRIAL_CHUNK]
+        f = np.asarray(dist.cdf(dist._quantile(chunk) if quantiles else chunk))
+        ranks = np.arange(lo + 1, lo + chunk.size + 1) / n
+        above = max(above, np.max(ranks - f))
+        below = max(below, np.max(f - (ranks - 1.0 / n)))
+    return float(max(above, below))
 
 
 def _check_sample_count(n_samples: int) -> None:
@@ -328,11 +341,24 @@ def empirical_distance_check(dist: DistanceDistribution, n_samples: int,
     Positions are drawn directly (uniform disk plus offsets), distances are
     measured, and their empirical CDF is compared against the tabulated one.
     This exercises the closed-form pdf end to end.
+
+    The positions are those of `sample_uniform_disk_polar(rng, n_samples,
+    radius)`: radii at outputs 0 to n - 1 of `rng`'s stream, angles at n
+    to 2n - 1.  They are drawn `_TRIAL_CHUNK` at a time at those offsets
+    (`_stream_at`, which leaves `rng` where it is) into one n-long array
+    of distances, sorted in place, so the check holds that array and a
+    few chunk-long ones.
     """
     _check_sample_count(n_samples)
     if dist._positional_sampler is None:
         raise ParameterError("distribution has no positional sampling rule")
-    return _ks_gap(np.sort(dist._positional_sampler(rng, n_samples)), dist)
+    radii, angles = _stream_at(rng, 0), _stream_at(rng, n_samples)
+    s = np.empty(n_samples)
+    for lo in range(0, n_samples, _TRIAL_CHUNK):
+        hi = min(lo + _TRIAL_CHUNK, n_samples)
+        s[lo:hi] = dist._positional_sampler(radii, hi - lo, angles)
+    s.sort()
+    return _ks_gap(s, dist)
 
 
 def sampler_self_check(dist: DistanceDistribution, n_samples: int,
@@ -342,7 +368,11 @@ def sampler_self_check(dist: DistanceDistribution, n_samples: int,
     The samples are those of `dist.sample(rng, n_samples)`, inverted from
     the uniforms in ascending order: the gap depends only on the samples'
     multiset, `np.interp` searches ascending input far faster, and the
-    inverse of a CDF keeps the order, so the samples need no sort.
+    inverse of a CDF keeps the order, so the samples need no sort.  The
+    uniforms are sorted in place and inverted a chunk at a time inside
+    `_ks_gap`, so the check holds one n-long array.
     """
     _check_sample_count(n_samples)
-    return _ks_gap(dist._quantile(np.sort(rng.random(n_samples))), dist)
+    u = rng.random(n_samples)
+    u.sort()
+    return _ks_gap(u, dist, quantiles=True)

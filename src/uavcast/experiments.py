@@ -6,15 +6,16 @@ Every study emits a `MetricTable` whose rows follow one CSV schema:
 
 Randomness comes from numpy's own `SeedSequence` spawn keys under the
 config's base seed (`_rng`), so reruns with the same base seed are bit for
-bit reproducible.  A validation study draws once, from the generator of
-key (study,), and reuses that draw at every sweep value.  A delay or ase
-scenario, one (study, sweep indices), runs every scheme on the same drops
-and round-1 fading (common random numbers), drawn a batch of replications
-at a time from streams whose layout `_scenario` documents, and finishes
-each batch one scheme at a time, over whole arrays of drops; the tests
-rebuild each replication from that layout alone.  `replay_epoch` and
-`replay_drops` give one replication's epoch and the first drops of a
-delay scenario, through the same code.
+bit reproducible.  A validation study reads one draw from the stream of
+key (study,), a chunk of trials at a time, and reuses each chunk at every
+sweep value.  A delay or ase scenario, one (study, sweep indices), runs
+every scheme on the same drops and round-1 fading (common random
+numbers), drawn a batch of replications at a time from streams whose
+layout `_scenario` documents, and finishes each batch one scheme at a
+time, over whole arrays of drops; the tests rebuild each replication
+from that layout alone.  `replay_epoch` and `replay_drops` give one
+replication's epoch and the first drops of a delay scenario, through the
+same code.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ from .config import ScenarioConfig
 from .distributions import ClusterGeometry
 from .errors import ParameterError
 from .geometry import (
+    _TRIAL_CHUNK,
     _drop_law,
     _drop_points,
     _DropPlan,
+    _stream_at,
     offset_distance,
     polar_offset_terms,
     polar_pair_distance,
@@ -229,23 +232,27 @@ def run_validation_study(kind: str, config: ScenarioConfig,
     (by default over `DEFAULT_R_GRID`).  The simulation draws positions
     and fading directly and never touches the quadrature path.
 
-    A study draws once, from the generator of key (study,), and every
-    sweep value reuses the draw (common random numbers).  Coverage draws
-    the `replications` member points of the `radius_r_m` disk, then as
-    many fadings; each v_norm moves only the BS, so it costs one
-    `offset_distance` from the points' `polar_offset_terms`.  Success
-    draws the pairs of points of the unit disk, then the fadings; a pair
-    on the disk of radius r lies r times as far apart.  Each trial's
-    distance grows with the swept value, so every Monte-Carlo curve is
-    pathwise non-increasing, and a row depends on its value and the seed,
-    not on the rest of the grid.
+    A study draws from the one stream of key (study,), and every sweep
+    value reuses the draw (common random numbers).  Of n trials, coverage
+    reads n member points of the `radius_r_m` disk (radii at outputs 0 to
+    n - 1, angles at n to 2n - 1), then n fadings from output 2n on; each
+    v_norm moves only the BS, so it costs one `offset_distance` from the
+    points' `polar_offset_terms`.  Success reads two points of the unit
+    disk a trial (the first disk at 0 and n, the second at 2n and 3n),
+    then the fadings from 4n on; a pair on the disk of radius r lies r
+    times as far apart.  Each trial's distance grows with the swept
+    value, so every Monte-Carlo curve is pathwise non-increasing, and a
+    row depends on its value and the seed, not on the rest of the grid.
 
-    Each fading becomes its trial's decode reach (`channel.decode_reach`)
-    right after the draw, so a row decides its trials by `distance <
-    reach` and reduces them by their count of successes (`_proportion`):
-    the decode rule's decisions and means on each row's mean received
-    powers, and its standard errors up to rounding, without a per-row
-    path-loss law or float copy of the trials.
+    The trials run `_TRIAL_CHUNK` at a time, each chunk reading its draws
+    at those offsets (`_stream_at`), so the draws are those of one
+    `sample_uniform_disk_polar` call per disk and one fading draw, while a
+    study holds a few chunk-long arrays whatever n is.  Each fading
+    becomes its trial's decode reach (`channel.decode_reach`), so a row
+    decides its trials by `distance < reach` and sums their successes
+    over the chunks (`_proportion`): the decode rule's decisions and means
+    on each row's mean received powers, and its standard errors up to
+    rounding, without a per-row path-loss law or float copy of the trials.
     """
     if kind not in _VALIDATION_SWEEPS:
         raise ParameterError(f"kind: expected 'coverage' or 'success', got {kind!r}")
@@ -254,31 +261,45 @@ def run_validation_study(kind: str, config: ScenarioConfig,
     values = _grid(parameter, default if values is None else values)
     n_trials, radio = config.replications, config.radio
     rng = _rng(config.base_seed, (_STUDY_IDS[study],))
+    # (radii, angles) streams of each disk a trial draws a point of
+    disks = [(_stream_at(rng, 2 * i * n_trials),
+              _stream_at(rng, (2 * i + 1) * n_trials))
+             for i in range(1 if kind == "coverage" else 2)]
     if kind == "coverage":
         geoms = [config.geometry(v_norm=v) for v in values]
         theories = [analysis.coverage_probability(g, radio) for g in geoms]
-        # Only x and y^2 outlive this line: the sweep holds two arrays
-        # of the draw, not rho, theta and cos too.
-        x, y2 = polar_offset_terms(*sample_uniform_disk_polar(
-            rng, n_trials, config.radius_r_m))
-        distances = (offset_distance(g.v_norm, x, y2, g.delta_h)
-                     for g in geoms)
+
+        def distances(m):
+            (radii, angles), = disks
+            x, y2 = polar_offset_terms(*sample_uniform_disk_polar(
+                radii, m, config.radius_r_m, angles))
+            return (offset_distance(g.v_norm, x, y2, g.delta_h)
+                    for g in geoms)
         link, metric = LinkKind.BS_TO_UAV, "p_cov"
     else:
         theories = [analysis.transmission_success_probability(r, radio)
                     for r in values]
-        unit = polar_pair_distance(*sample_uniform_disk_polar(rng, n_trials, 1.0),
-                                   *sample_uniform_disk_polar(rng, n_trials, 1.0))
-        distances = (r * unit for r in values)
+
+        def distances(m):
+            unit = polar_pair_distance(*(
+                t for radii, angles in disks
+                for t in sample_uniform_disk_polar(radii, m, 1.0, angles)))
+            return (r * unit for r in values)
         link, metric = LinkKind.UAV_TO_UAV, "p_suc"
-    reach = decode_reach(link, rng.standard_exponential(n_trials), radio)
+    # fadings last: an exponential draw takes a variable number of outputs
+    fadings = _stream_at(rng, 2 * len(disks) * n_trials)
+    successes = [0] * len(values)
+    for lo in range(0, n_trials, _TRIAL_CHUNK):
+        m = min(_TRIAL_CHUNK, n_trials - lo)
+        reach = decode_reach(link, fadings.standard_exponential(m), radio)
+        successes = [k + np.count_nonzero(d < reach)
+                     for k, d in zip(successes, distances(m))]
     rows = []
-    for value, theory, dist in zip(values, theories, distances):
+    for value, theory, k in zip(values, theories, successes):
         rows.append(MetricRow(study, parameter, value, "theory", metric,
                               theory, 0.0, 0))
         rows.append(MetricRow(study, parameter, value, "monte_carlo", metric,
-                              *_proportion(np.count_nonzero(dist < reach),
-                                           n_trials)))
+                              *_proportion(k, n_trials)))
     return MetricTable(rows)
 
 

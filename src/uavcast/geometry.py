@@ -23,17 +23,39 @@ if TYPE_CHECKING:  # pragma: no cover
     from .config import ScenarioConfig
 
 
+# Trials of a validation study, or samples of a KS check, handled at once:
+# a chunk's few float arrays stay within a 2 MB L2 cache.  Measured on the
+# `analytic` benchmark workload, 2^12 and 2^14 ran about 24% faster than
+# whole-length arrays at 1e5 trials, while 2^16 and 2^17 ran no faster.
+_TRIAL_CHUNK = 2 ** 14
+
+
+def _stream_at(rng: np.random.Generator, offset: int) -> np.random.Generator:
+    """A generator that reads `rng`'s stream from `offset` outputs on, `rng`
+    itself left where it is: a copy of its PCG64 state advanced by
+    `offset`, in O(log offset) steps.  Each double of `random` or `uniform`
+    takes one output, so a chunk of trials reads its draws at the offsets
+    a single draw of all trials would read them."""
+    bits = np.random.PCG64(0)
+    bits.state = rng.bit_generator.state
+    bits.advance(offset)
+    return np.random.Generator(bits)
+
+
 def sample_uniform_disk_polar(rng: np.random.Generator, n: int,
-                              radius: float) -> tuple[np.ndarray, np.ndarray]:
+                              radius: float,
+                              angles: np.random.Generator | None = None
+                              ) -> tuple[np.ndarray, np.ndarray]:
     """n points uniform on a disk as polar arrays (rho, theta) about its
-    center: radial CDF proportional to rho^2.  Draws n radii, then n angles
-    uniform on [0, 2 pi)."""
+    center: radial CDF proportional to rho^2.  Draws n radii from `rng`,
+    then n angles uniform on [0, 2 pi) from `angles` (`rng` itself by
+    default)."""
     if radius <= 0:
         raise ParameterError(f"disk radius must be positive, got {radius}")
     if n < 0:
         raise ParameterError(f"sample count must be non-negative, got {n}")
     rho = radius * np.sqrt(rng.random(n))
-    return rho, rng.uniform(0.0, 2.0 * np.pi, n)
+    return rho, (rng if angles is None else angles).uniform(0.0, 2.0 * np.pi, n)
 
 
 def polar_offset_terms(rho: np.ndarray,

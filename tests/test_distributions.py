@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from uavcast.distributions import (
 )
 from uavcast.errors import IntegrityError, ParameterError
 from uavcast.geometry import (
+    _TRIAL_CHUNK,
     offset_distance,
     polar_offset_terms,
     sample_uniform_disk_polar,
@@ -378,6 +380,57 @@ def test_positional_samplers_measure_cartesian_points(kind):
         pts = disk_points(rng, n, 50.0, (offset, 0.0))
         want = np.hypot(pts[:, 0], pts[:, 1])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
+
+def _whole_ks_gap(s, dist):
+    """The KS gap of the ascending samples `s`, over the whole array."""
+    n = s.size
+    f = dist.cdf(s)
+    ranks = np.arange(1, n + 1) / n
+    return float(max(np.max(ranks - f), np.max(f - (ranks - 1.0 / n))))
+
+
+@pytest.mark.parametrize("n", [1000, 3 * _TRIAL_CHUNK + 5])
+@pytest.mark.parametrize("kind", ["bs-member", "peer", "center-offset"])
+def test_ks_checks_in_chunks_give_the_whole_draws_gaps(kind, n):
+    """Both checks give, bit for bit, the gaps of their samples drawn at
+    once: the geometric check's distances of one `sample_uniform_disk_polar`
+    draw, and the inverse-CDF check's quantiles of n sorted uniforms, each
+    reduced over the whole sorted array."""
+    dist = KINDS[kind]()
+    rho, theta = sample_uniform_disk_polar(np.random.default_rng(21), n,
+                                           50.0)
+    if kind == "bs-member":
+        drawn = offset_distance(GEOM.v_norm, *polar_offset_terms(rho, theta),
+                                GEOM.delta_h)
+    elif kind == "peer":
+        drawn = offset_distance(20.0, *polar_offset_terms(rho, theta))
+    else:
+        drawn = rho
+    assert empirical_distance_check(dist, n, np.random.default_rng(21)) == \
+        _whole_ks_gap(np.sort(drawn), dist)
+    inverse = dist._quantile(np.sort(np.random.default_rng(22).random(n)))
+    assert sampler_self_check(dist, n, np.random.default_rng(22)) == \
+        _whole_ks_gap(inverse, dist)
+
+
+@pytest.mark.parametrize("check", [empirical_distance_check,
+                                   sampler_self_check])
+def test_ks_check_memory_is_one_sample_array(check):
+    """A KS check of n samples holds one n-long float array and a few
+    chunk-long ones: at n = 2^18 its traced peak stays within 1.5x of the
+    8 n bytes of that array (1.31x measured); whole-length samples,
+    positions and ranks peaked at 5.0x."""
+    dist = DistanceDistribution.bs_member(GEOM)
+    n = 2 ** 18
+    check(dist, n, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        check(dist, n, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n
 
 
 @pytest.mark.parametrize("n_samples", [0, -1])

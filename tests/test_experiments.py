@@ -19,6 +19,7 @@ from uavcast.channel import (
     LinkKind,
     completion_rounds,
     decode_probability,
+    decode_reach,
     decodes,
     mean_received_power,
 )
@@ -41,7 +42,14 @@ from uavcast.experiments import (
     run_design_insight_study,
     run_validation_study,
 )
-from uavcast.geometry import cluster_peer_count
+from uavcast.geometry import (
+    _TRIAL_CHUNK,
+    cluster_peer_count,
+    offset_distance,
+    polar_offset_terms,
+    polar_pair_distance,
+    sample_uniform_disk_polar,
+)
 from uavcast.protocol import SCHEME_RUNNERS, SimParams, run_epochs
 
 # The schemes in stream order: a delay-study BS scheme's later-rounds
@@ -195,6 +203,59 @@ def test_validation_rows_do_not_depend_on_the_grid(kind, values):
     for value in values:
         assert [repr(r) for r in part.select(sweep_value=value)] == \
             [repr(r) for r in full.select(sweep_value=value)]
+
+
+@pytest.mark.parametrize("n", [1000, 3 * _TRIAL_CHUNK + 5])
+@pytest.mark.parametrize("kind", ["coverage", "success"])
+def test_validation_chunks_read_the_whole_draw(kind, n):
+    """A study's chunks of trials read, bit for bit, the draw of all its
+    trials at once: the disk points from one generator (coverage: one
+    `sample_uniform_disk_polar`, success: two), then the fadings, each row
+    counting its trials at `distance < reach`."""
+    config = ScenarioConfig(replications=n, base_seed=5)
+    rng = _rng(5, (_STUDY_IDS[f"validation_{kind}"],))
+    if kind == "coverage":
+        values = (60.0, 400.0, 1200.0)
+        x, y2 = polar_offset_terms(*sample_uniform_disk_polar(
+            rng, n, config.radius_r_m))
+        distances = [offset_distance(g.v_norm, x, y2, g.delta_h)
+                     for g in (config.geometry(v_norm=v) for v in values)]
+        link = LinkKind.BS_TO_UAV
+    else:
+        values = (0.5, 25.0, 100.0)
+        unit = polar_pair_distance(*sample_uniform_disk_polar(rng, n, 1.0),
+                                   *sample_uniform_disk_polar(rng, n, 1.0))
+        distances = [r * unit for r in values]
+        link = LinkKind.UAV_TO_UAV
+    reach = decode_reach(link, rng.standard_exponential(n), config.radio)
+    rows = run_validation_study(kind, config, values).select(
+        scheme="monte_carlo")
+    assert [(r.sweep_value, r.mean, r.stderr, r.n) for r in rows] == [
+        (v, *_proportion(np.count_nonzero(d < reach), n))
+        for v, d in zip(values, distances)]
+
+
+def _validation_peak(kind, n):
+    """Peak traced allocation of a validation study of n trials, after a
+    first call has warmed the caches."""
+    config = ScenarioConfig(replications=n)
+    run_validation_study(kind, config)
+    tracemalloc.start()
+    try:
+        run_validation_study(kind, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["coverage", "success"])
+def test_validation_memory_does_not_grow_with_trials(kind):
+    """Chunking bounds a validation study's allocations: its traced peak
+    at 16 chunks of trials stays within 1.5x of its peak at 2 chunks
+    (1.00x measured for either kind).  Whole-length arrays peaked 7.95x
+    higher."""
+    assert (_validation_peak(kind, 16 * _TRIAL_CHUNK)
+            <= 1.5 * _validation_peak(kind, 2 * _TRIAL_CHUNK))
 
 
 def test_design_radius_preserves_density():
