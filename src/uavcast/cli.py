@@ -151,6 +151,12 @@ def _cmd_topology(args) -> int:
 def _cmd_distributions(args) -> int:
     _check_count("--grid", args.grid, 2)
     _check_count("--samples", args.samples, 0)
+    for flag, value, kind in (("--v-norm", args.v_norm, "bs-member"),
+                              ("--offset-a", args.offset_a, "peer")):
+        if value is not None and args.kind != kind:
+            raise ParameterError(
+                f"{flag}: kind {args.kind} takes no such option, only kind "
+                f"{kind} does")
     config = _load_config(args)
     if args.kind == "bs-member":
         dist = DistanceDistribution.bs_member(
@@ -168,7 +174,7 @@ def _cmd_distributions(args) -> int:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["distance_m", "pdf", "cdf"])
-            for row in zip(grid, pdf, cdf):
+            for row in zip(grid.tolist(), pdf.tolist(), cdf.tolist()):
                 writer.writerow([f"{v:.10g}" for v in row])
         print(f"wrote {args.grid} grid points to {args.out}")
     if args.samples > 0:

@@ -508,6 +508,23 @@ def test_distributions_table_output(tmp_path, capsys):
     assert data[0, 2] == 0.0 and abs(data[-1, 2] - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("kind,flag", [
+    ("peer", "--v-norm"), ("center-offset", "--v-norm"),
+    ("bs-member", "--offset-a"), ("center-offset", "--offset-a")])
+def test_distributions_rejects_options_its_kind_does_not_take(
+        kind, flag, tmp_path, capsys):
+    """`--v-norm` places the BS of `bs-member` and `--offset-a` the
+    transmitter of `peer`; given with another kind, each is a config error
+    naming the flag, not an option ignored while the default runs."""
+    out = tmp_path / "dist.csv"
+    assert cli.main(["distributions", "--kind", kind, flag, "60",
+                     "--samples", "0", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: {flag}:")
+    assert kind in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("offset", ["nan", "inf"])
 def test_distributions_names_a_non_finite_offset(offset, capsys):
     """A NaN or infinite `--offset-a` exits 2 with an error that names
