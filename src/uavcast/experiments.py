@@ -261,33 +261,35 @@ def run_validation_study(kind: str, config: ScenarioConfig,
     values = _grid(parameter, default if values is None else values)
     n_trials, radio = config.replications, config.radio
     rng = _rng(config.base_seed, (_STUDY_IDS[study],))
-    # (radii, angles) streams of each disk a trial draws a point of
-    disks = [(_stream_at(rng, 2 * i * n_trials),
-              _stream_at(rng, (2 * i + 1) * n_trials))
-             for i in range(1 if kind == "coverage" else 2)]
+
+    def disk(i, radius):
+        """m -> the next m points of disk i, whose n radii sit at output
+        2 i n of the stream and whose n angles follow them."""
+        radii = _stream_at(rng, 2 * i * n_trials)
+        angles = _stream_at(rng, (2 * i + 1) * n_trials)
+        return lambda m: sample_uniform_disk_polar(radii, m, radius, angles)
+
     if kind == "coverage":
         geoms = [config.geometry(v_norm=v) for v in values]
         theories = [analysis.coverage_probability(g, radio) for g in geoms]
+        members = disk(0, config.radius_r_m)
 
         def distances(m):
-            (radii, angles), = disks
-            x, y2 = polar_offset_terms(*sample_uniform_disk_polar(
-                radii, m, config.radius_r_m, angles))
+            x, y2 = polar_offset_terms(*members(m))
             return (offset_distance(g.v_norm, x, y2, g.delta_h)
                     for g in geoms)
-        link, metric = LinkKind.BS_TO_UAV, "p_cov"
+        link, metric, n_disks = LinkKind.BS_TO_UAV, "p_cov", 1
     else:
         theories = [analysis.transmission_success_probability(r, radio)
                     for r in values]
+        first, second = disk(0, 1.0), disk(1, 1.0)
 
         def distances(m):
-            unit = polar_pair_distance(*(
-                t for radii, angles in disks
-                for t in sample_uniform_disk_polar(radii, m, 1.0, angles)))
+            unit = polar_pair_distance(*first(m), *second(m))
             return (r * unit for r in values)
-        link, metric = LinkKind.UAV_TO_UAV, "p_suc"
+        link, metric, n_disks = LinkKind.UAV_TO_UAV, "p_suc", 2
     # fadings last: an exponential draw takes a variable number of outputs
-    fadings = _stream_at(rng, 2 * len(disks) * n_trials)
+    fadings = _stream_at(rng, 2 * n_disks * n_trials)
     successes = [0] * len(values)
     for lo in range(0, n_trials, _TRIAL_CHUNK):
         m = min(_TRIAL_CHUNK, n_trials - lo)
