@@ -24,7 +24,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -398,13 +397,6 @@ class _Recovery:
             np.take(stretch, index[a:hi] - lo, axis=0, out=flat[a:hi])
             a = hi
 
-    def draw(self, starts: np.ndarray) -> Callable:
-        """The `draw(epoch, cluster, b, out)` of `protocol.run_epochs` for
-        drops whose first clusters are cells `starts`, cluster after
-        cluster."""
-        return lambda epoch, cluster, b, out: self.blocks(
-            b, starts[epoch] + cluster, out)
-
     def queue(self, drops: _Drops, xy: np.ndarray | None,
               starts: np.ndarray) -> np.ndarray:
         """Queue the recovering cells of `drops` (`protocol.recovering_cells`
@@ -424,11 +416,13 @@ class _Recovery:
             self.slots += cells.held.size + kept.size * drops.plan.n_uavs // 8
         return np.flatnonzero(~queued)
 
-    def recover(self, config: ScenarioConfig):
+    def recover(self, config: ScenarioConfig, events: list | None = None):
         """Empty the queue: recover every queued cell in one
         `protocol.recovery_pass`, which reads their blocks in ascending
         cell order, and yield ("clustering", drops, outcome) for each
-        queued `_Drops`, the outcome that of `protocol.run_epochs`."""
+        queued `_Drops`: the outcome of `protocol.run_epochs`, with the
+        recovery of their cells delivered into it (`deliver_recovered`).
+        `events`, when a list, gets the events of a queue of one epoch."""
         drops, pieces, index = self.drops, self.cells, self.index
         self.drops, self.cells, self.index, self.slots = [], [], [], 0
         if not drops:
@@ -446,7 +440,7 @@ class _Recovery:
                   for piece in pieces]
         times, frames = recovery_pass(
             cells, config.radio, config.sim,
-            lambda cell, b, out: self.blocks(b, index[cell], out))
+            lambda cell, b, out: self.blocks(b, index[cell], out), events)
         del cells
         if order is not None:
             back = np.empty_like(order)
@@ -456,8 +450,8 @@ class _Recovery:
         for rows, piece, piece_times, piece_frames in zip(
                 drops, pieces, np.split(times, ends), np.split(frames, ends)):
             delivery, via_broadcast, bs_tx, _, _ = run_epochs(
-                "clustering", None, rows.plan.bounds, rows.first,
-                config.radio, config.sim, None)
+                "clustering", rows.plan.bounds, rows.first, config.radio,
+                config.sim, events)
             yield "clustering", rows, (
                 delivery, via_broadcast, bs_tx,
                 *deliver_recovered(delivery, piece, piece_times,
@@ -651,7 +645,9 @@ def _continue(config: ScenarioConfig, batch: _Batch, schemes,
     runs in the round-1 pass (`_round_one`), which queues the rows that
     recover; at the scenario's last batch, or once the queue reaches
     `_BATCH_SLOTS`, its recovery pass runs and yields those rows, queued
-    by this batch or earlier ones (`_Recovery.recover`).  Then each
+    by this batch or earlier ones (`_Recovery.recover`, which gets
+    `events`).  A one-replication replay's only batch is its last, so
+    its epoch recovers in this call.  Then each
     delay-study BS scheme runs in a pass of its own over what round 1
     kept (`_later_rounds`), on its later-round block drawn for the pass,
     so a pass's arrays go when it ends."""
@@ -660,7 +656,7 @@ def _continue(config: ScenarioConfig, batch: _Batch, schemes,
     recovery = batch.recovery
     if recovery is not None and (batch.last
                                  or recovery.slots >= _BATCH_SLOTS):
-        yield from recovery.recover(config)
+        yield from recovery.recover(config, events)
     for scheme in batch.later:
         yield from _later_rounds(config, scheme, batch, shapes, decided,
                                  events)
@@ -674,9 +670,8 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
     no member is served, and neither member points nor mean BS powers are
     built (`_Drops.power` None).  Clustering queues the recovering cells
     and their rows (`_Recovery.queue`), none when no round 1 ran, and
-    yields the other rows at once; a batch of one epoch that records
-    `events` recovers at once instead, reading its cells' blocks through
-    `_Recovery.draw`.  A BS scheme of the ase study stops at round 1,
+    yields the other rows at once, their broadcast's event going to
+    `events`.  A BS scheme of the ase study stops at round 1,
     outcome (None, round-1 decisions).  Returns whether round 1 ran, and
     the `_Drops`, not the member points."""
     radio, sim = config.radio, config.sim
@@ -699,16 +694,11 @@ def _round_one(config: ScenarioConfig, batch: _Batch, schemes,
             first = decodes(power, _take(batch.fading, at, plan.n_uavs), radio)
         shapes.append(drops := _Drops(plan, rows, at, power, first))
         for scheme in schemes:
-            if scheme == "clustering" and events is not None:
-                yield scheme, drops, run_epochs(
-                    scheme, xy, plan.bounds, first, radio, sim,
-                    batch.recovery.draw(r_at), events)
-            elif scheme == "clustering":
+            if scheme == "clustering":
                 free = drops.take(batch.recovery.queue(drops, xy, r_at))
                 if free.rows.size:
                     yield scheme, free, run_epochs(
-                        scheme, None, plan.bounds, free.first, radio, sim,
-                        None)
+                        scheme, plan.bounds, free.first, radio, sim, events)
             elif scheme not in batch.later:
                 yield scheme, drops, (None, first)
     return decided, shapes
@@ -735,8 +725,8 @@ def _later_rounds(config: ScenarioConfig, scheme: str, batch: _Batch,
                 _take(block, drops.at, drops.plan.n_uavs))
         else:
             rounds = np.full(drops.first.shape, np.inf)
-        yield scheme, drops, run_epochs(scheme, None, drops.plan.bounds,
-                                        rounds, radio, sim, None, events)
+        yield scheme, drops, run_epochs(scheme, drops.plan.bounds, rounds,
+                                        radio, sim, events)
 
 
 def replay_epoch(config: ScenarioConfig, scheme: str,

@@ -30,24 +30,26 @@ threshold, and a relayed reply succeeds with `decode_probability`.
 
 Every scheme's first BS broadcast ends at packet_len_ms, and none is sent
 when that is past max_time_ms.  `run_epochs` finishes a batch of epochs of
-one drop shape from each member's round-1 outcome; the studies call it on
-batches of drops, and on a batch of one epoch, which alone records the
-event log and which `SchemeOutcome.of_batch` reads.  Clustering recovery
-is two steps.  `recovering_cells` finds the cells of a batch: the (epoch,
-cluster) pairs with a member that holds the packet and one that misses
-it, each with its members' points in a padded row of S slots, S being the
-largest cluster.  `recovery_pass` runs any set of cells of one width S in
-lock-step over arrays, whatever epochs or drop shapes they come from:
-every cell makes one channel attempt per iteration (`_attempt`), so the
-pass takes the iterations its slowest cell needs, in memory bounded by
-its padded slots (cells x S).  Each cell reads uniforms of its own, a
-block of _BLOCK_ROWS rows at a time (`draw`), so how cells are grouped
-into passes changes no draw.  `run_epochs` (`_recover`) runs one pass
-over the cells of its batch; the studies queue the cells of many batches
-of a scenario, where every drop has the same S, and run a pass at the
-scenario's end or once the queue reaches `experiments._BATCH_SLOTS`
-padded slots, each queued n-member round-1 row counting n / 8
-(`experiments._Recovery`).  An `ase-near` benchmark unit runs 3 passes
+one drop shape from each member's round-1 outcome: clustering's broadcast,
+or a BS scheme's rounds.  The studies call it on batches of drops, and a
+replay on a batch of one epoch, which alone records the event log that
+`SchemeOutcome.of_batch` reads.  Clustering recovery is three steps.
+`recovering_cells` finds the cells of a batch: the (epoch, cluster) pairs
+with a member that holds the packet and one that misses it, each with its
+members' points in a padded row of S slots, S being the largest cluster.
+`recovery_pass` runs any set of cells of one width S in lock-step over
+arrays, whatever epochs or drop shapes they come from: every cell makes
+one channel attempt per iteration (`_attempt`), so the pass takes the
+iterations its slowest cell needs, in memory bounded by its padded slots
+(cells x S).  Each cell reads uniforms of its own, a block of _BLOCK_ROWS
+rows at a time (`draw`), so how cells are grouped into passes changes no
+draw.  `deliver_recovered` writes a pass's times and frames back into the
+epochs its cells come from.  The studies and a replay alike queue the
+cells of many batches of a scenario, where every drop has the same S, and
+run a pass at the scenario's end or once the queue reaches
+`experiments._BATCH_SLOTS` padded slots, each queued n-member round-1 row
+counting n / 8 (`experiments._Recovery`); a replay's one batch is its
+last, so it recovers at once.  An `ase-near` benchmark unit runs 3 passes
 of 26 iterations in all, against 12 passes of 88 iterations when each
 batch ran its own.
 The two BS schemes simulate no rounds: fading is independent from round to
@@ -155,12 +157,14 @@ class SchemeOutcome:
     @classmethod
     def of_batch(cls, scheme: str, bounds, epochs,
                  events: list | None = None) -> SchemeOutcome:
-        """The epoch of `epochs`, the result of `run_epochs` for `scheme`
-        on a batch of one drop of clusters `bounds`; `events`, when a list,
-        is sorted by time and kept."""
+        """The epoch of a batch of one drop of clusters `bounds`, whose
+        `epochs` are the (delivery, via_broadcast, counters) of
+        `run_epochs` for `scheme`, and for clustering of its recovery too;
+        `events`, when a list, is sorted by time and kept, the BS's events
+        first among equal times and the others in the order they came."""
         delivery, via_broadcast, bs_tx, uav_tx, control = epochs
         if events is not None:
-            events.sort(key=lambda e: e.time_ms)
+            events.sort(key=lambda e: (e.time_ms, e.actor >= 0))
         return cls(
             scheme=scheme, delivery_time_ms=delivery[0],
             undelivered=np.isnan(delivery[0]), via_broadcast=via_broadcast[0],
@@ -284,6 +288,9 @@ def recovery_pass(cells: RecoveryCells, radio: RadioParams, sim: SimParams,
     redraw or a listener's reception (u < chance).  So a cell's draws
     depend on no other cell.
 
+    `peer_probability` is a test seam: the studies leave it None, and
+    tests pass a scripted chance.
+
     Returns each slot's recovery time, NaN where its member did not
     recover in the pass, (cells, S), and each cell's (requests, replies),
     collided frames included, (cells, 2).
@@ -361,36 +368,6 @@ def recovery_pass(cells: RecoveryCells, radio: RadioParams, sim: SimParams,
              asker) = (x[keep] for x in (cell, block_of, held, lost, cw,
                                          residual, t, reply, fresh, asker))
     return times, frames
-
-
-def _recover(xy: np.ndarray, bounds, got: np.ndarray, delivery: np.ndarray,
-             radio: RadioParams, sim: SimParams, draw, events: list | None,
-             peer_probability=None) -> tuple[np.ndarray, np.ndarray]:
-    """In-cluster recovery in m epochs of one drop shape, after a BS
-    broadcast ending at packet_len_ms that served the members `got` marks:
-    the `recovering_cells` of the epochs, recovered in one
-    `recovery_pass`.
-
-    `xy` is (m, n, 2), `got` and `delivery` (m, n); cluster c holds members
-    `bounds[c]` to `bounds[c + 1]` of every epoch.  Each recovered member's
-    delivery time is written into `delivery`.  Before iteration 0 and every
-    _BLOCK_ROWS iterations, one `draw(epoch, cluster, b, out)` call fills
-    `out[j]`, shape (_BLOCK_ROWS, 2, largest cluster), with block b of
-    each live cell j, cluster `cluster[j]` of epoch `epoch[j]`, in
-    ascending order.  So a cell's draws depend on neither the other cells
-    of its epoch nor the other epochs of the batch.  `events`, when a
-    list, gets the events of a batch of one epoch.
-
-    Returns per-epoch (uav transmissions, control messages), collided
-    frames included.
-    """
-    cells = recovering_cells(xy, bounds, got)
-    times, frames = recovery_pass(
-        cells, radio, sim,
-        lambda cell, b, out: draw(cells.epoch[cell], cells.cluster[cell], b,
-                                  out),
-        events, peer_probability)
-    return deliver_recovered(delivery, cells, times, frames)
 
 
 def deliver_recovered(delivery: np.ndarray, cells: RecoveryCells,
@@ -473,39 +450,29 @@ def _bs_events(events: list, rounds: np.ndarray, coded: bool, served: int,
                                 int(cluster_of[u])))
 
 
-def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
-               radio: RadioParams, sim: SimParams, draw,
-               events: list | None = None, peer_probability=None):
-    """Finish m epochs of `scheme` on drops of one shape.
+def run_epochs(scheme: str, bounds, first: np.ndarray, radio: RadioParams,
+               sim: SimParams, events: list | None = None):
+    """Finish m epochs of `scheme` on drops of one shape: clustering's
+    broadcast, or a BS scheme's rounds.
 
     Cluster c holds members `bounds[c]` to `bounds[c + 1]`.  `first`
     (m, n) is the BS link's outcome per member.  For clustering it is a
     bool mask of the members round 1 served (none when a packet exceeds
-    max_time_ms); `_recover` goes on from there over the member points
-    `xy` (m, n, 2), reading the uniforms of cluster c of epoch e through
-    `draw(epoch, cluster, b, out)`, which fills `out[j]`, shape (4, 2,
-    largest cluster), with block b of cell (`epoch[j]`, `cluster[j]`),
-    and hearing each clean reply with the chance
-    `peer_probability` gives (by default `decode_probability`).  With
-    `draw` None clustering recovers nothing: the studies pass None where
-    the epochs have no recovering cell, or where their cells recover in a
-    pass of their own (`recovery_pass`, `deliver_recovered`).  For the
-    BS schemes `first` is the float round in which a member completes its
-    receptions, inf for never; they read neither `xy` nor `draw`, which
-    the studies pass as None, and neither does clustering when one packet
-    exceeds max_time_ms.  `events`, when a list, gets the unsorted
-    events of a batch of one epoch.
+    max_time_ms), and the epochs end at the broadcast: recovery goes on
+    from them apart (`recovering_cells`, `recovery_pass`,
+    `deliver_recovered`).  For the BS schemes it is the float round in
+    which a member completes its receptions, inf for never.  `events`,
+    when a list, gets the unsorted events of a batch of one epoch.
 
     Returns (delivery, via_broadcast), each (m, n), delivery NaN where
     undelivered, and per-epoch (bs_transmissions, uav_transmissions,
     control_messages), each (m,).  When one packet exceeds max_time_ms no
-    scheme sends or serves anything, and neither recovery nor the BS
-    timelines run.  Otherwise clustering sends its broadcast, even to an
-    empty drop (bs_transmissions 1).  A BS scheme sends rounds up to the
-    last delivery and, when a member is never served, every round that
-    fits: floor((max_time_ms - t_ack_ms * ACKs) / packet_len_ms), with no
-    ACKs when coded.  An empty drop needs no BS round (bs_transmissions
-    0).
+    scheme sends or serves anything, and no BS timeline runs.  Otherwise
+    clustering sends its broadcast, even to an empty drop
+    (bs_transmissions 1).  A BS scheme sends rounds up to the last
+    delivery and, when a member is never served, every round that fits:
+    floor((max_time_ms - t_ack_ms * ACKs) / packet_len_ms), with no ACKs
+    when coded.  An empty drop needs no BS round (bs_transmissions 0).
     """
     if scheme not in SCHEME_RUNNERS:
         raise ParameterError(
@@ -517,15 +484,11 @@ def run_epochs(scheme: str, xy: np.ndarray, bounds, first: np.ndarray,
         return (np.full((m, n), np.nan), np.zeros((m, n), dtype=bool),
                 *(np.zeros(m, dtype=np.int64) for _ in range(3)))
     if scheme == "clustering":
-        delivery = np.where(first, sim.packet_len_ms, np.nan)
-        uav_tx, control = np.zeros((2, m), dtype=np.int64)
         if events is not None:
             events.append(Event(sim.packet_len_ms, EventKind.BS_BROADCAST_END,
                                 -1, PACKET_ID, -1))
-        if draw is not None:
-            uav_tx, control = _recover(xy, bounds, first, delivery, radio,
-                                       sim, draw, events, peer_probability)
-        return delivery, first, np.ones(m, dtype=np.int64), uav_tx, control
+        return (np.where(first, sim.packet_len_ms, np.nan), first,
+                np.ones(m, dtype=np.int64), *np.zeros((2, m), dtype=np.int64))
     coded = scheme == "rnc"
     rounds, delivery, via_broadcast = _bs_delivery(first, coded, sim)
     delivered = ~np.isnan(delivery)

@@ -4,7 +4,14 @@ import numpy as np
 
 from uavcast.channel import RadioParams, completion_rounds
 from uavcast.geometry import _drop_law, _drop_points, sample_uniform_disk_polar
-from uavcast.protocol import SchemeOutcome, SimParams, run_epochs
+from uavcast.protocol import (
+    SchemeOutcome,
+    SimParams,
+    deliver_recovered,
+    recovering_cells,
+    recovery_pass,
+    run_epochs,
+)
 
 RADIO = RadioParams.defaults()
 
@@ -45,8 +52,8 @@ def bernoulli_rounds(p, g, shape, rng):
 
 
 def cell_draw(seed):
-    """A `draw(epoch, cluster, b, out)` of `run_epochs` that fills block b
-    of cell (e, c) from `default_rng([seed, e, c, b])`: each cell's
+    """A `draw(epoch, cluster, b, out)` of `finish_epochs` that fills block
+    b of cell (e, c) from `default_rng([seed, e, c, b])`: each cell's
     uniforms depend on nothing but the cell and the seed."""
     def draw(epoch, cluster, b, out):
         for j, (e, c) in enumerate(zip(epoch.tolist(), cluster.tolist())):
@@ -54,10 +61,35 @@ def cell_draw(seed):
     return draw
 
 
+def finish_epochs(scheme, xy, bounds, first, sim, draw=None, events=None,
+                  peer_probability=None, radio=RADIO):
+    """m epochs of `scheme` finished as the studies finish them, with
+    `run_epochs`' outputs: a BS scheme by `run_epochs` alone, clustering
+    by its broadcast, then one `recovery_pass` over the batch's
+    `recovering_cells` of the member points `xy` (m, n, 2), written back
+    by `deliver_recovered`.  The pass reads block b of cells (`epoch[j]`,
+    `cluster[j]`) through `draw(epoch, cluster, b, out)`, and hears a
+    clean reply with the chance `peer_probability` gives (by default the
+    decode probability at `radio`).  `events`, when a list, gets the
+    unsorted events of a batch of one epoch."""
+    outcome = run_epochs(scheme, bounds, first, radio, sim, events)
+    if scheme != "clustering":
+        return outcome
+    delivery, via_broadcast, bs_tx, _, _ = outcome
+    cells = recovering_cells(xy, bounds, via_broadcast)
+    times, frames = recovery_pass(
+        cells, radio, sim,
+        lambda cell, b, out: draw(cells.epoch[cell], cells.cluster[cell], b,
+                                  out),
+        events, peer_probability)
+    return (delivery, via_broadcast, bs_tx,
+            *deliver_recovered(delivery, cells, times, frames))
+
+
 def epoch(scheme, xy, first, sim=SimParams(), *, bounds=None, chance=None,
           seed=0):
     """One epoch of `scheme` on the member points `xy` (n, 2), one cluster
-    unless `bounds` says otherwise, through `run_epochs`.  `first` is its
+    unless `bounds` says otherwise, through `finish_epochs`.  `first` is its
     round-1 outcome: a bool mask for clustering, each member's completion
     round (inf for never) for the BS schemes.  Every clean reply reaches a
     listener with chance `chance` (by default its decode probability at its
@@ -70,6 +102,6 @@ def epoch(scheme, xy, first, sim=SimParams(), *, bounds=None, chance=None,
     peer = (None if chance is None
             else lambda power: np.full(power.shape, float(chance)))
     rng, events = np.random.default_rng(seed), []
-    return SchemeOutcome.of_batch(scheme, bounds, run_epochs(
-        scheme, xy[None], bounds, np.asarray(first)[None], RADIO, sim,
+    return SchemeOutcome.of_batch(scheme, bounds, finish_epochs(
+        scheme, xy[None], bounds, np.asarray(first)[None], sim,
         lambda e, c, b, out: rng.random(out=out), events, peer), events)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import finish_epochs
 from uavcast import analysis, experiments, protocol
 from uavcast.channel import (
     LinkKind,
@@ -525,11 +526,11 @@ def _oracle_epochs(study, scheme, config, key):
     """Each replication's epoch, rebuilt from `_replays`: its drop
     (`_oracle_drop`), round 1 decided on its fading row when a packet fits
     the budget, a BS scheme's completion rounds read from its later-rounds
-    row, and `run_epochs` on a batch of one reading its recovery blocks.
-    A BS scheme of the ase study has no later rounds: a member
-    served in round 1 completes then, the others never.  Yields (mean BS
-    powers, round-1 decisions, delivery times, via_broadcast marks), rows
-    of one epoch."""
+    row, and the epoch finished as a batch of one (`finish_epochs`),
+    reading its recovery blocks.  A BS scheme of the ase study has no
+    later rounds: a member served in round 1 completes then, the others
+    never.  Yields (mean BS powers, round-1 decisions, delivery times,
+    via_broadcast marks), rows of one epoch."""
     radio, sim = config.radio, config.sim
     for count, uniforms, row, later, recovery in _replays(study, scheme,
                                                           config, key):
@@ -545,8 +546,9 @@ def _oracle_epochs(study, scheme, config, key):
                 rounds = completion_rounds(
                     first[None], decode_probability(power, radio)[None],
                     later[None])[0]
-        delivery, via_broadcast = run_epochs(
-            scheme, xy[None], bounds, rounds[None], radio, sim, recovery)[:2]
+        delivery, via_broadcast = finish_epochs(
+            scheme, xy[None], bounds, rounds[None], sim, recovery,
+            radio=radio)[:2]
         yield power, first, delivery[0], via_broadcast[0]
 
 
@@ -611,8 +613,8 @@ _BATCH_CASES = [
 def test_replicated_equals_independent_generators(study, scheme):
     """The batched run gives every replication, bit for bit, what its
     values in the documented stream layout (`_replays`) give it through
-    a drop rebuilt disk by disk and `run_epochs` on a batch of one, in both
-    topology modes, with empty drops, with a packet over the time budget,
+    a drop rebuilt disk by disk and `finish_epochs` on a batch of one, in
+    both topology modes, with empty drops, with a packet over the time budget,
     across batch boundaries, with members that never complete and, for
     clustering, with cells that read later blocks of uniforms."""
     key = (1, 2)
@@ -1001,12 +1003,13 @@ def test_recovery_queue_memory_is_bounded(d0):
 
 
 @pytest.mark.parametrize("mode", ["fixed_total", "density"])
-def test_queued_rows_get_the_outcome_of_run_epochs(mode):
+def test_queued_rows_get_the_outcome_of_one_pass_over_their_own_cells(mode):
     """Every clustering outcome `_continue` yields, whether its rows
-    recovered nothing or waited in the queue across batches, is what
-    `run_epochs` gives those rows alone, bit for bit, counters included:
-    on their drops (`replay_drops`), their round-1 marks and their cells'
-    blocks of the scenario's recovery stream."""
+    recovered nothing or waited in the queue across batches, is what one
+    recovery pass over those rows' own cells gives them (`finish_epochs`),
+    bit for bit, counters included: on their drops (`replay_drops`), their
+    round-1 marks and their cells' blocks of the scenario's recovery
+    stream."""
     config = ScenarioConfig(replications=700, d0_m=1200.0, num_clusters=3,
                             base_seed=12, mode=mode)
     yielded = []  # (drops, outcome) of every clustering outcome
@@ -1032,9 +1035,14 @@ def test_queued_rows_get_the_outcome_of_run_epochs(mode):
     for drops, outcome in yielded:
         xy = np.array([points[rep][0] for rep in drops.rows.tolist()])
         xy = xy.reshape(drops.rows.size, drops.plan.n_uavs, 2)
-        expected = run_epochs("clustering", xy, drops.plan.bounds,
-                              drops.first, config.radio, config.sim,
-                              recovery.draw(starts[drops.rows]))
+        first_cell = starts[drops.rows]
+
+        def draw(epoch, cluster, b, out):
+            recovery.blocks(b, first_cell[epoch] + cluster, out)
+
+        expected = finish_epochs("clustering", xy, drops.plan.bounds,
+                                 drops.first, config.sim, draw,
+                                 radio=config.radio)
         assert len(outcome) == len(expected)
         for got, want in zip(outcome, expected):
             assert got.tobytes() == want.tobytes()
@@ -1240,8 +1248,8 @@ def test_first_broadcast_matches_full_benchmark(seed, mode, lambda_per_m2, d0,
         rounds = completion_rounds(
             first[None], decode_probability(power, radio)[None],
             later.standard_exponential((1, n, 1)))
-        via_broadcast = run_epochs("benchmark", xy[None], bounds, rounds,
-                                   radio, config.sim, None)[1][0]
+        via_broadcast = run_epochs("benchmark", bounds, rounds, radio,
+                                   config.sim)[1][0]
         served = int(np.count_nonzero(via_broadcast))
         if fits and n:
             ref_served.append((power.tobytes(), served))
@@ -1315,10 +1323,10 @@ def _coupled_epochs(config, key):
         firsts.append(first.copy())
         return completion_rounds(first, *args)
 
-    def spied_epochs(scheme, xy, bounds, rounds, *args):
+    def spied_epochs(scheme, bounds, rounds, *args):
         if scheme != "clustering":
             later.append(rounds.copy())
-        return run_epochs(scheme, xy, bounds, rounds, *args)
+        return run_epochs(scheme, bounds, rounds, *args)
 
     def recorded(*args):
         for scheme, drops, outcome in continue_(*args):

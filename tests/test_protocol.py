@@ -13,6 +13,7 @@ from conftest import (
     bernoulli_rounds,
     cell_draw,
     epoch,
+    finish_epochs,
     fixed_drops,
     ring,
 )
@@ -270,7 +271,7 @@ def test_clustering_opportunistic_caching_saves_a_round():
 
 
 def test_hooks_receive_mean_received_powers():
-    """The peer hook of `run_epochs` gets, for each clean reply, p_uav *
+    """The peer hook of `recovery_pass` gets, for each clean reply, p_uav *
     gain from each listener of the replier's cluster (every member still
     missing the packet, with opportunistic caching) to the replier, and
     no other link: the powers of every reply answered in one lock-step
@@ -290,10 +291,9 @@ def test_hooks_receive_mean_received_powers():
 
     sim = SimParams(max_time_ms=400.0)
     rng, events = np.random.default_rng(3), []
-    delivery = run_epochs("clustering", xy[None], (0, 4, 8), first[None],
-                          RADIO, sim,
-                          lambda e, c, b, block: rng.random(out=block),
-                          events, peer_hook)[0][0]
+    delivery = finish_epochs("clustering", xy[None], (0, 4, 8), first[None],
+                             sim, lambda e, c, b, block: rng.random(out=block),
+                             events, peer_hook)[0][0]
     events.sort(key=lambda e: e.time_ms)
     expected = []
     missing = {0: {1, 2}, 1: {5, 6, 7}}
@@ -688,8 +688,7 @@ def _bs_transmissions(scheme, n, p, sim, seed, epochs=20_000):
     succeeds with chance p, from one `run_epochs` call."""
     g = sim.rnc_generation_size if scheme == "rnc" else 1
     rounds = bernoulli_rounds(p, g, (epochs, n), np.random.default_rng(seed))
-    return run_epochs(scheme, np.zeros((epochs, n, 2)), (0, n), rounds,
-                      RADIO, sim, None)[2]
+    return run_epochs(scheme, (0, n), rounds, RADIO, sim)[2]
 
 
 def test_benchmark_rounds_are_geometric():
@@ -817,10 +816,11 @@ def test_completion_rounds_rows_read_their_own_draws():
                                               (1200.0, 40.0), (1200.0, 5.0),
                                               (30_000.0, 10_000.0)])
 def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
-    """One `run_epochs` call over 20 drops of one fixed_total plan gives
-    each row, bit for bit, the delivery times, `via_broadcast` marks and
-    three counters that the scheme's runner (`SCHEME_RUNNERS`) gives that
-    epoch alone, as a batch of one with its event log, read by
+    """20 drops of one fixed_total plan, finished in one batch as the
+    studies finish them (`finish_epochs`: `run_epochs`, then clustering's
+    recovery pass), give each row, bit for bit, the delivery times,
+    `via_broadcast` marks and three counters that the same steps give
+    that epoch alone, as a batch of one with its event log, read by
     `SchemeOutcome.of_batch`.  Each epoch draws round 1 from its own
     generator, and each cell its recovery blocks from generators keyed by
     (epoch, cluster, block).  A 40 ms budget, a 5 ms one
@@ -840,7 +840,7 @@ def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
                                      for r in rngs]), RADIO)
     first &= sim.packet_len_ms <= sim.max_time_ms
     if scheme != "clustering":
-        # over the budget too: `run_epochs` sends no round that ends past it
+        # over the budget too: no round that ends past it is sent
         first = completion_rounds(
             first, decode_probability(power, RADIO),
             np.array([r.standard_exponential((n, g)) for r in rngs]))
@@ -848,12 +848,12 @@ def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
     for e in range(m):
         events = []
         outcomes.append(SchemeOutcome.of_batch(
-            scheme, bounds, SCHEME_RUNNERS[scheme](
-                scheme, xy[e:e + 1], bounds, first[e:e + 1], RADIO, sim,
+            scheme, bounds, finish_epochs(
+                scheme, xy[e:e + 1], bounds, first[e:e + 1], sim,
                 lambda epoch, *rest, e=e: draw(epoch + e, *rest), events),
             events))
-    delivery, via_broadcast, *counters = run_epochs(
-        scheme, xy, bounds, first, RADIO, sim, draw)
+    delivery, via_broadcast, *counters = finish_epochs(
+        scheme, xy, bounds, first, sim, draw)
     for e, outcome in enumerate(outcomes):
         assert outcome.scheme == scheme
         assert delivery[e].tobytes() == outcome.delivery_time_ms.tobytes()
@@ -864,15 +864,6 @@ def test_run_epochs_rows_equal_the_runner(scheme, d0_m, max_time_ms):
         times = [event.time_ms for event in outcome.events]
         assert times == sorted(times)
     assert np.any(counters) == (sim.packet_len_ms <= sim.max_time_ms)
-
-
-def test_run_epochs_requires_draw():
-    """Clustering recovery draws through `draw`, so leaving it out is a
-    TypeError naming it, not a failure inside the first recovery."""
-    xy = np.array([[[0.0, 0.0], [5.0, 0.0]]])
-    with pytest.raises(TypeError, match="draw"):
-        run_epochs("clustering", xy, (0, 2), np.array([[True, False]]),
-                   RADIO, SIM)
 
 
 def _recovery_iterations(first, bounds, delivery, events):
@@ -925,15 +916,15 @@ def test_recovery_draws_are_sized_by_live_cells(seed, num_clusters,
                                                 cluster.tolist()))
         draw(epoch, cluster, b, out)
 
-    delivery = run_epochs("clustering", xy, bounds, first, RADIO, sim, spy,
-                          peer_probability=chances)[0]
+    delivery = finish_epochs("clustering", xy, bounds, first, sim, spy,
+                             peer_probability=chances)[0]
     expected = collections.Counter()
     for e in range(m):
         events = []
-        alone = run_epochs("clustering", xy[e:e + 1], bounds, first[e:e + 1],
-                           RADIO, sim,
-                           lambda epoch, *rest, e=e: draw(epoch + e, *rest),
-                           events, chances)[0]
+        alone = finish_epochs("clustering", xy[e:e + 1], bounds,
+                              first[e:e + 1], sim,
+                              lambda epoch, *rest, e=e: draw(epoch + e, *rest),
+                              events, chances)[0]
         assert alone.tobytes() == delivery[e:e + 1].tobytes()
         iterations = _recovery_iterations(first[e], bounds, alone[0], events)
         expected.update((e, c, b) for c, n in iterations.items()
@@ -956,8 +947,9 @@ def test_one_recovering_cluster_draws_blocks_of_its_size():
         asked.append((epoch.tolist(), cluster.tolist(), b, out.shape))
         rng.random(out=out)
 
-    delivery = run_epochs("clustering", xy, bounds, first, RADIO, SIM, spy,
-                          peer_probability=lambda p: np.full(p.shape, 0.1))[0]
+    delivery = finish_epochs("clustering", xy, bounds, first, SIM, spy,
+                             peer_probability=lambda p: np.full(p.shape,
+                                                                0.1))[0]
     assert len(asked) > 1
     assert asked == [([0], [2], b, (1, 4, 2, 5)) for b in range(len(asked))]
     assert not np.isnan(delivery).any()
@@ -965,10 +957,8 @@ def test_one_recovering_cluster_draws_blocks_of_its_size():
 
 def test_run_epochs_rejects_unknown_scheme():
     """An unknown scheme is named, not run as the ACK benchmark."""
-    xy = np.array([[[0.0, 0.0], [5.0, 0.0]]])
     with pytest.raises(ParameterError, match="flooding"):
-        run_epochs("flooding", xy, (0, 2), np.full((1, 2), 1.0), RADIO, SIM,
-                   lambda e, c, b, out: None)
+        run_epochs("flooding", (0, 2), np.full((1, 2), 1.0), RADIO, SIM)
 
 
 def test_rnc_coded_packet_ids_then_terminal_acks():

@@ -2,12 +2,13 @@
 
 `_reference_epoch` runs one clustering epoch in plain Python, cluster by
 cluster and member by member, from the rules that the `protocol` module
-docstring, `_attempt` and `_recover` state; it shares no code with
-`protocol._recover` but the channel law.  It reads the uniforms of cell
+docstring, `_attempt` and `recovery_pass` state; it shares no code with
+`recovery_pass` but the channel law.  It reads the uniforms of cell
 (epoch, cluster) block by block through the `draw(epoch, cluster, b, out)`
-interface that `run_epochs` calls, so the two can be held to each other
-bit for bit: differential testing (McKeeman, "Differential Testing for
-Software", Digital Technical Journal 10(1), 1998).
+that `finish_epochs` hands the recovery of a batch, cell by cell, so the
+two can be held to each other bit for bit: differential testing
+(McKeeman, "Differential Testing for Software", Digital Technical Journal
+10(1), 1998).
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_draw, fixed_drops
+from conftest import cell_draw, finish_epochs, fixed_drops
 from uavcast.channel import (
     LinkKind,
     RadioParams,
@@ -24,7 +25,7 @@ from uavcast.channel import (
     mean_received_power,
 )
 from uavcast.config import ScenarioConfig
-from uavcast.protocol import PACKET_ID, Event, EventKind, SimParams, run_epochs
+from uavcast.protocol import PACKET_ID, Event, EventKind, SimParams
 
 RADIO = RadioParams.defaults()
 ROWS = 4  # rows of one block of a cell's uniforms
@@ -158,13 +159,15 @@ def _event_key(event):
 def test_recovery_matches_the_reference(seed, mode, num_clusters, total_uavs,
                                         epochs, served, chance, max_time_ms,
                                         caching, window, t_req_ms):
-    """`run_epochs` gives every epoch of a clustering batch the reference's
-    delivery times and request and reply counts, bit for bit, and a batch
-    of one its event log too (the same events with the same fields, the
-    log's order among equal times aside): in both drop modes, with 1 to
-    10 clusters, budgets from below one packet to 10 s, caching on and
-    off, the default peer law or a scripted chance, and several
-    contention windows."""
+    """A clustering batch finished as the studies finish it, its broadcast
+    by `run_epochs` and its cells by one `recovery_pass`
+    (`finish_epochs`), gives every epoch the reference's delivery times
+    and request and reply counts, bit for bit, and a batch of one its
+    event log too (the same events with the same fields, the log's order
+    among equal times aside): in both drop modes, with 1 to 10 clusters,
+    budgets from below one packet to 10 s, caching on and off, the
+    default peer law or a scripted chance, and several contention
+    windows."""
     config = ScenarioConfig(mode=mode, num_clusters=min(num_clusters,
                                                         total_uavs),
                             total_uavs=total_uavs, lambda_per_m2=1e-4,
@@ -182,8 +185,8 @@ def test_recovery_matches_the_reference(seed, mode, num_clusters, total_uavs,
                 else float(peer(power)))
 
     draw, events = cell_draw(seed), [] if epochs == 1 else None
-    delivery, via_broadcast, bs_tx, replies, requests = run_epochs(
-        "clustering", xy, bounds, first, RADIO, sim, draw, events, peer)
+    delivery, via_broadcast, bs_tx, replies, requests = finish_epochs(
+        "clustering", xy, bounds, first, sim, draw, events, peer)
     for e in range(epochs):
         ref = _reference_epoch(xy[e], bounds, first[e], sim, draw, law, e)
         assert delivery[e].tobytes() == np.array(ref[0]).tobytes(), e
