@@ -32,6 +32,7 @@ from .geometry import (
     _stream_at,
     offset_distance,
     polar_offset_terms,
+    sample_disk_radii,
     sample_uniform_disk_polar,
 )
 
@@ -215,7 +216,9 @@ class DistanceDistribution:
     negative anywhere on the grid.  `sample` then inverts the CDF by linear
     interpolation.  A `positional_sampler(rng, n, angles=None)`, where
     given, measures the distances of the n disk points
-    `geometry.sample_uniform_disk_polar(rng, n, radius, angles)`.
+    `geometry.sample_uniform_disk_polar(rng, n, radius, angles)`; the
+    center-offset law's sampler reads their radii alone
+    (`sample_disk_radii`).
     """
 
     def __init__(self, pdf: Callable[[np.ndarray], np.ndarray],
@@ -285,8 +288,8 @@ class DistanceDistribution:
     @classmethod
     def center_offset(cls, radius_r: float) -> "DistanceDistribution":
         def positions(rng, n, angles=None):
-            rho, _ = sample_uniform_disk_polar(rng, n, radius_r, angles)
-            return rho
+            # a center offset is a radius: no angle is drawn
+            return sample_disk_radii(rng, n, radius_r)
 
         return cls._seen_from(0.0, radius_r, positions=positions)
 

@@ -44,19 +44,26 @@ def _stream_at(rng: np.random.Generator, offset: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+def sample_disk_radii(rng: np.random.Generator, n: int,
+                      radius: float) -> np.ndarray:
+    """The distances from its center of n points uniform on a disk:
+    radius * sqrt(u) of n uniforms u from `rng`, so the radial CDF is
+    proportional to rho^2."""
+    if radius <= 0:
+        raise ParameterError(f"disk radius must be positive, got {radius}")
+    if n < 0:
+        raise ParameterError(f"sample count must be non-negative, got {n}")
+    return radius * np.sqrt(rng.random(n))
+
+
 def sample_uniform_disk_polar(rng: np.random.Generator, n: int,
                               radius: float,
                               angles: np.random.Generator | None = None
                               ) -> tuple[np.ndarray, np.ndarray]:
     """n points uniform on a disk as polar arrays (rho, theta) about its
-    center: radial CDF proportional to rho^2.  Draws n radii from `rng`,
-    then n angles uniform on [0, 2 pi) from `angles` (`rng` itself by
-    default)."""
-    if radius <= 0:
-        raise ParameterError(f"disk radius must be positive, got {radius}")
-    if n < 0:
-        raise ParameterError(f"sample count must be non-negative, got {n}")
-    rho = radius * np.sqrt(rng.random(n))
+    center.  Draws n radii from `rng` (`sample_disk_radii`), then n angles
+    uniform on [0, 2 pi) from `angles` (`rng` itself by default)."""
+    rho = sample_disk_radii(rng, n, radius)
     return rho, (rng if angles is None else angles).uniform(0.0, 2.0 * np.pi, n)
 
 

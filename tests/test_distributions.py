@@ -364,6 +364,19 @@ def test_sampler_self_check_is_the_gap_of_sample(kind, seed):
         np.sort(dist.sample(np.random.default_rng(seed), 20_000)), dist)
 
 
+def test_center_offset_sampler_draws_no_angles():
+    """The center-offset law measures radii alone, so its positional
+    sampler leaves its `angles` generator's state untouched and gives the
+    radii of `sample_uniform_disk_polar` on the same generator."""
+    dist = DistanceDistribution.center_offset(50.0)
+    angles = np.random.default_rng(9)
+    before = angles.bit_generator.state
+    got = dist._positional_sampler(np.random.default_rng(8), 1000, angles)
+    assert angles.bit_generator.state == before
+    rho, _ = sample_uniform_disk_polar(np.random.default_rng(8), 1000, 50.0)
+    assert got.tobytes() == rho.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["bs-member", "peer", "center-offset"])
 def test_positional_samplers_measure_cartesian_points(kind):
     """Each geometric sampler gives the distances of the Cartesian points it
